@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .complexes import (ChainMap, Complex, ComplexError, dualize_complex,
-                        homology, split_exactness_check)
+from .complexes import ComplexError, dualize_complex, homology, split_exactness_check
 from .documents import (Document, DocumentError, emit_document, make_document,
                         module_to_json, parse_document)
 from .duality import decompose_resolution, dualize_chain_map, rebuild_verify
@@ -38,6 +37,20 @@ def _parse_window(text: str) -> tuple[int, int]:
     if lo > hi:
         raise UsageError(f"empty window {text!r}")
     return lo, hi
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers >= low, so a bad value is a usage
+    error (exit 2) rather than a failure deep in the computation."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _read_doc(path: str, *kinds: str) -> Document:
@@ -183,14 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact homological algebra over Z, Z/n and F_p")
     parser.add_argument("--format", choices=("text", "machine"),
                         default="machine", help="output style")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized helpers; the commands "
-                        "here are deterministic and ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    depth = _int_at_least(1)
     p = sub.add_parser("resolve", help="free resolution of a module")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=24)
+    p.add_argument("--depth", type=depth, default=24)
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("dualize", help="dual of a module, complex or chain map")
@@ -199,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generator", help="compact generator package for a module")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=24)
+    p.add_argument("--depth", type=depth, default=24)
     p.set_defaults(func=cmd_generator)
 
     p = sub.add_parser("check-qiso",
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose",
                        help="build tree of a resolution over single-free leaves")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=depth, default=8)
     p.add_argument("--window", default=None)
     p.set_defaults(func=cmd_decompose)
 
@@ -234,12 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
                        "collapse when --bound is given")
     p.add_argument("input")
     p.add_argument("--window", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_split_check)
     return parser
 
 
 def main(argv=None) -> int:
+    # exact integers can outgrow Python's default int <-> str digit limit
+    sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -247,10 +260,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MatrixError, ComplexError) as exc:
+    except (UsageError, DocumentError, MatrixError, ComplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

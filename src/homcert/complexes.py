@@ -9,7 +9,9 @@ term j to term j+1.  Fixed sign conventions:
   [[-d_X, 0], [f, d_Y]];
 * dual: (C~)^j = (C^(-j))~ with differential the transpose of
   d^(-j-1), no sign, so dualizing twice is the identity on the nose;
-* Hom complex: d(f) = d_Q o f - (-1)^n f o d_X for f of degree n.
+* Hom complex: d(f) = d_Q o f - (-1)^n f o d_X for f of degree n; the
+  one construction of Hom complexes is homspaces.hom_fp_complex, which
+  takes free terms as modules with empty presentations.
 
 A complex is either bounded (explicit finite support) or carries
 eventually-periodic tails; tail evaluation is a pure lookup, so values
@@ -18,10 +20,10 @@ are immutable and freely shareable between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .matrices import Mat, MatrixError, assemble_blocks, kernel_right, solve_right
-from .modules import FPModule, ModuleMap, opposite, subquotient_module
+from .modules import FPModule, opposite, subquotient_module
 from .rings import RingDescriptor
 from .verdicts import Verdict
 
@@ -127,9 +129,6 @@ class Complex:
             return None
         return min(degs), max(degs)
 
-    def degrees_in(self, lo: int, hi: int) -> list[int]:
-        return [j for j in range(lo, hi + 1) if self.rank(j) > 0]
-
     def restrict(self, lo: int, hi: int) -> "Complex":
         """Bounded brutal truncation to degrees [lo, hi]."""
         ranks = {j: self.rank(j) for j in range(lo, hi + 1) if self.rank(j) > 0}
@@ -153,21 +152,6 @@ class Complex:
     @staticmethod
     def single(ring: RingDescriptor, side: str, rank: int, degree: int = 0) -> "Complex":
         return Complex(ring, side, {degree: rank}, {})
-
-    @staticmethod
-    def from_diffs(ring: RingDescriptor, side: str, diffs: dict[int, Mat],
-                   extra_ranks: dict[int, int] | None = None,
-                   tail_below: PeriodicTail | None = None,
-                   tail_above: PeriodicTail | None = None) -> "Complex":
-        ranks: dict[int, int] = dict(extra_ranks or {})
-        for j, d in diffs.items():
-            ranks.setdefault(j, d.cols)
-            ranks.setdefault(j + 1, d.rows)
-            if ranks[j] != d.cols or ranks[j + 1] != d.rows:
-                raise ComplexError(f"inconsistent ranks around degree {j}")
-        ranks = {j: r for j, r in ranks.items() if r > 0}
-        diffs = {j: d for j, d in diffs.items() if d.rows > 0 and d.cols > 0}
-        return Complex(ring, side, ranks, diffs, tail_below, tail_above)
 
 
 @dataclass(frozen=True)
@@ -373,73 +357,6 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], 
         injections.append(ChainMap(c, total, inj))
         projections.append(ChainMap(total, c, prj))
     return total, injections, projections
-
-
-# -- Hom complexes ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomComplexData:
-    """Total Hom complex of two free complexes, with its block layout.
-
-    blocks[n] lists (i, x_rank, q_rank): the summand Hom(X^i, Q^(i+n)),
-    flattened column-major, in increasing i.
-    """
-
-    complex: Complex
-    blocks: dict[int, list[tuple[int, int, int]]]
-
-
-def hom_complex(x: Complex, q: Complex, window: tuple[int, int]) -> HomComplexData:
-    if not x.is_bounded:
-        raise ComplexError("Hom source must be bounded (non-finite contribution)")
-    if x.ring != q.ring:
-        raise ComplexError("Hom complex needs both arguments over the same ring")
-    span = x.support()
-    lo, hi = window
-    ring = x.ring
-    blocks: dict[int, list[tuple[int, int, int]]] = {}
-    ranks: dict[int, int] = {}
-    for n in range(lo, hi + 2):
-        layout = []
-        if span:
-            for i in range(span[0], span[1] + 1):
-                xr, qr = x.rank(i), q.rank(i + n)
-                if xr and qr:
-                    layout.append((i, xr, qr))
-        blocks[n] = layout
-        r = sum(xr * qr for (_, xr, qr) in layout)
-        if r:
-            ranks[n] = r
-    diffs: dict[int, Mat] = {}
-    for n in range(lo, hi + 1):
-        if ranks.get(n, 0) == 0 or ranks.get(n + 1, 0) == 0:
-            continue
-        src = blocks[n]
-        tgt = blocks[n + 1]
-        tgt_index = {i: pos for pos, (i, _, _) in enumerate(tgt)}
-        grid: list[list[Mat | None]] = [[None] * len(src) for _ in tgt]
-        sgn = -1 if n % 2 else 1
-        for spos, (i, xr, qr) in enumerate(src):
-            # post-compose with d_Q
-            if i in tgt_index:
-                dq = q.diff(i + n)
-                if not dq.is_zero():
-                    grid[tgt_index[i]][spos] = Mat.identity(ring, xr).kron(dq)
-            # pre-compose with d_X, target block i-1
-            if (i - 1) in tgt_index:
-                dx = x.diff(i - 1)
-                if not dx.is_zero():
-                    m = dx.transpose().kron(Mat.identity(ring, qr)).scale(-sgn)
-                    prev = grid[tgt_index[i - 1]][spos]
-                    grid[tgt_index[i - 1]][spos] = m if prev is None else prev + m
-        diffs[n] = assemble_blocks(
-            ring, grid,
-            [xr * qr for (_, xr, qr) in tgt],
-            [xr * qr for (_, xr, qr) in src],
-        )
-    cx = Complex(ring, "left", ranks, diffs)
-    return HomComplexData(cx, blocks)
 
 
 # -- homology and cycles ----------------------------------------------

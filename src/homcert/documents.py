@@ -192,6 +192,13 @@ def _require(cond: bool, message: str):
         raise DocumentError(message)
 
 
+def _int(value: Any, what: str) -> int:
+    """A JSON integer; strings, floats and booleans (a bool is an int
+    in Python) are refused."""
+    _require(type(value) is int, f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def ring_from_json(obj: Any) -> RingDescriptor:
     _require(isinstance(obj, dict) and "kind" in obj, "ring must be an object with a kind")
     kind = obj["kind"]
@@ -199,21 +206,18 @@ def ring_from_json(obj: Any) -> RingDescriptor:
         if kind == "Z":
             return ZZ
         if kind == "Zmod":
-            return Zmod(int(obj["n"]))
+            return Zmod(_int(obj.get("n"), "ring modulus"))
         if kind == "Fp":
-            return Fp(int(obj["n"]))
-    except (KeyError, ValueError, TypeError) as exc:
+            return Fp(_int(obj.get("n"), "ring modulus"))
+    except ValueError as exc:
         raise DocumentError(f"bad ring parameters: {exc}") from exc
     raise DocumentError(f"unknown ring kind {kind!r}")
 
 
 def matrix_from_json(ring: RingDescriptor, obj: Any) -> Mat:
     _require(isinstance(obj, dict), "matrix must be an object")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DocumentError(f"bad matrix fields: {exc}") from exc
+    rows, cols = _int(obj.get("rows"), "matrix rows"), _int(obj.get("cols"), "matrix cols")
+    entries = obj.get("entries")
     _require(isinstance(entries, list) and len(entries) == rows,
              f"matrix needs {rows} entry rows")
     flat = []
@@ -221,7 +225,7 @@ def matrix_from_json(ring: RingDescriptor, obj: Any) -> Mat:
         _require(isinstance(row, list) and len(row) == cols,
                  f"matrix rows must have {cols} entries")
         for e in row:
-            _require(isinstance(e, int), "matrix entries must be integers")
+            _int(e, "matrix entry")
             _require(ring.normalize(e) == e,
                      f"entry {e} is not a canonical representative over {ring}")
             flat.append(e)
@@ -240,10 +244,10 @@ def tail_from_json(obj: Any) -> PeriodicTail | None:
     if obj is None:
         return None
     _require(isinstance(obj, dict), "tail must be an object or null")
+    fields = [_int(obj.get(f), f"tail {f}") for f in ("direction", "threshold", "period")]
     try:
-        return PeriodicTail(int(obj["direction"]), int(obj["threshold"]),
-                            int(obj["period"]))
-    except (KeyError, ValueError, TypeError, ComplexError) as exc:
+        return PeriodicTail(*fields)
+    except ComplexError as exc:
         raise DocumentError(f"bad periodic tail: {exc}") from exc
 
 
@@ -254,11 +258,11 @@ def complex_from_json(ring: RingDescriptor, obj: Any) -> Complex:
     ranks = {}
     for pair in obj.get("ranks", []):
         _require(isinstance(pair, list) and len(pair) == 2, "ranks must be [degree, rank] pairs")
-        ranks[int(pair[0])] = int(pair[1])
+        ranks[_int(pair[0], "degree")] = _int(pair[1], "rank")
     diffs = {}
     for pair in obj.get("diffs", []):
         _require(isinstance(pair, list) and len(pair) == 2, "diffs must be [degree, matrix] pairs")
-        diffs[int(pair[0])] = matrix_from_json(ring, pair[1])
+        diffs[_int(pair[0], "degree")] = matrix_from_json(ring, pair[1])
     try:
         return Complex(ring, side, ranks, diffs,
                        tail_from_json(obj.get("tail_below")),
@@ -275,7 +279,7 @@ def chain_map_from_json(ring: RingDescriptor, obj: Any) -> ChainMap:
     for pair in obj.get("components", []):
         _require(isinstance(pair, list) and len(pair) == 2,
                  "components must be [degree, matrix] pairs")
-        j = int(pair[0])
+        j = _int(pair[0], "degree")
         m = matrix_from_json(ring, pair[1])
         _require(m.rows == tgt.rank(j) and m.cols == src.rank(j),
                  f"component in degree {j} has shape {m.rows}x{m.cols}, expected "
@@ -302,16 +306,18 @@ def certificate_from_json(ring: RingDescriptor, obj: Any) -> FlatCertificate:
 def build_tree_from_json(ring: RingDescriptor, obj: Any) -> BuildTree:
     _require(isinstance(obj, dict), "build tree must be an object")
     kind = obj.get("kind")
-    _require(kind in ("leaf", "cone", "susp", "summand"), f"unknown node kind {kind!r}")
+    _require(kind in ("leaf", "cone", "susp"), f"unknown node kind {kind!r}")
     comps = {}
     for pair in obj.get("components", []):
-        comps[int(pair[0])] = matrix_from_json(ring, pair[1])
+        _require(isinstance(pair, list) and len(pair) == 2,
+                 "components must be [degree, matrix] pairs")
+        comps[_int(pair[0], "degree")] = matrix_from_json(ring, pair[1])
     return BuildTree(
         kind,
         complex_from_json(ring, obj.get("target")),
         payload=(complex_from_json(ring, obj["payload"])
                  if obj.get("payload") is not None else None),
-        shift=int(obj.get("shift", 0)),
+        shift=_int(obj.get("shift", 0), "shift"),
         children=tuple(build_tree_from_json(ring, c) for c in obj.get("children", [])),
         components=comps,
         residual=bool(obj.get("residual", False)),
@@ -340,8 +346,8 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
     pi = ModuleMap(FPModule.free(ring, dual.side, dual.rank0), dual,
                    Mat.identity(ring, dual.rank0))
     return GeneratorPackage(module, dual, dual_gens, resolution, pi, mu,
-                            dual_complex, comparison,
-                            int(obj.get("depth", 0)), bool(obj.get("complete", False)))
+                            dual_complex, comparison, _int(obj.get("depth", 0), "depth"),
+                            bool(obj.get("complete", False)))
 
 
 def parse_document(text: str) -> Document:

@@ -24,7 +24,6 @@ from .matrices import Mat, MatrixError, solve_right
 from .modules import FPModule, ModuleMap, dual_data, opposite
 from .complexes import (ChainMap, Complex, PeriodicTail, cone, cycle_module,
                         dualize_complex, suspension)
-from .generator import resolve_module
 from .verdicts import Verdict
 
 
@@ -60,18 +59,6 @@ def duality_roundtrip_check(g: Complex, window: tuple[int, int],
     return Verdict(True, "roundtrip_identity", {"window": window})
 
 
-@dataclass(frozen=True)
-class ResolutionOfRightModule:
-    module: FPModule
-    complex: Complex
-    complete: bool
-
-
-def resolution_of_module(n: FPModule, depth: int = 24) -> ResolutionOfRightModule:
-    c, complete = resolve_module(n, depth)
-    return ResolutionOfRightModule(n, c, complete)
-
-
 def kernel_as_dual(q: Complex) -> tuple[FPModule, ModuleMap]:
     """M = coker of the dualized bottom differential, and M* = Z^-1 Q.
 
@@ -97,15 +84,13 @@ def kernel_as_dual(q: Complex) -> tuple[FPModule, ModuleMap]:
 
 @dataclass(frozen=True)
 class BuildTree:
-    """kind: leaf | cone | susp | summand.
+    """kind: leaf | cone | susp.
 
     leaf: payload is the complex itself (a single free, the zero
       complex, or a window-relative residual resolution tail).
     susp: shift + one child.
     cone: two children (source, target) and attaching components; the
       node evaluates to cone(ChainMap(source, target, components)).
-    summand: completes the grammar for homotopy-category builds; the
-      decomposition here never produces it.
     """
 
     kind: str

@@ -15,10 +15,10 @@ multiplies matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .matrices import Mat, MatrixError, colspan_canonical, kernel_right, solve_right
-from .modules import FPModule, is_projective, subquotient_module
+from .modules import FPModule, is_projective
 from .complexes import Complex, cycle_module, homology, split_exactness_check
 from .homspaces import hom_vanishing
 from .rings import RingDescriptor

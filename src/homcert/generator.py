@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Mat, kernel_right
+from .matrices import Mat, block_diag, kernel_right
 from .modules import (FPModule, ModuleMap, canonical_double_dual_map, dual_data,
-                      modules_isomorphic, opposite)
+                      modules_isomorphic)
 from .complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
-                        hom_complex, homology, homology_data, suspension)
+                        homology, suspension)
 from .homspaces import hom_fp_complex, hom_into_complex, induced_h0_map
 from .verdicts import Verdict
 
@@ -98,23 +98,19 @@ def build_generator(m: FPModule, depth: int = 24) -> GeneratorPackage:
     k = mstar.rank0
     ring = m.ring
     side = mstar.side
-    # comparison = (dual generators of M**)^T composed with mu; this
-    # equals K itself: generator e_i of M evaluates the dual
+    # the comparison map is (dual generators of M**)^T composed with mu,
+    # which is K itself: generator e_i of M evaluates the dual
     # generators to column i of K
-    _, K2 = dual_data(mstar)
-    comparison = K2.transpose() @ mu.matrix
-    assert comparison == K
     if k == 0:
         p = Complex.zero(ring, side)
         return GeneratorPackage(
             m, mstar, K, p,
             ModuleMap(FPModule.free(ring, side, 0), mstar, Mat.zero(ring, 0, 0)),
-            mu, Complex.zero(ring, m.side), comparison, depth, True)
+            mu, Complex.zero(ring, m.side), K, depth, True)
     p, complete = resolve_module(mstar, depth)
     pstar = dualize_complex(p)
     pi = ModuleMap(FPModule.free(ring, side, k), mstar, Mat.identity(ring, k))
-    return GeneratorPackage(m, mstar, K, p, pi, mu, pstar, comparison,
-                            depth, complete)
+    return GeneratorPackage(m, mstar, K, p, pi, mu, pstar, K, depth, complete)
 
 
 def _trusted_resolution_floor(pkg: GeneratorPackage) -> int | None:
@@ -162,20 +158,10 @@ def double_dual_check(pkg: GeneratorPackage, window: tuple[int, int] = (-8, 2)) 
     return Verdict(True, "double_dual_identity", {"window": window})
 
 
-def _free_terms(pkg: GeneratorPackage, top: int) -> tuple[dict[int, FPModule], dict[int, Mat]]:
-    ring = pkg.ring
-    side = pkg.module.side
-    terms = {}
-    diffs = {}
-    for j in range(0, top + 1):
-        r = pkg.dual_complex.rank(j)
-        if r:
-            terms[j] = FPModule.free(ring, side, r)
-    for j in range(0, top):
-        d = pkg.dual_complex.diff(j)
-        if d.rows and d.cols:
-            diffs[j] = d
-    return terms, diffs
+def _free_terms(x: Complex) -> tuple[dict[int, FPModule], dict[int, Mat]]:
+    """A bounded free complex as Hom-source terms and differentials."""
+    terms = {j: FPModule.free(x.ring, x.side, r) for j, r in x.ranks.items()}
+    return terms, dict(x.diffs)
 
 
 def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
@@ -199,7 +185,7 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
             return Verdict(False, "window_too_small",
                            {"needed_depth": top, "have": pkg.depth},
                            window_relative=True)
-    terms, diffs = _free_terms(pkg, top)
+    terms, diffs = _free_terms(pkg.dual_complex.restrict(0, top))
     terms[-1] = pkg.module
     if pkg.comparison.rows and pkg.comparison.cols:
         diffs[-1] = pkg.comparison
@@ -210,23 +196,18 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
     return Verdict(True, "hom_exact", {"window": window})
 
 
-def _truncated_pstar(pkg: GeneratorPackage, top: int) -> Complex:
-    return pkg.dual_complex.restrict(0, top)
-
-
 def hom_classes(pkg: GeneratorPackage, q: Complex, shift: int = 0):
     """homology_data for chain maps S^shift P* -> Q modulo homotopy.
 
-    Returns (H^0 data triple, hom complex data) computed on a window
-    just wide enough around degree 0.
+    Returns (H^0 data triple, the Hom complex) computed on a window
+    just wide enough around degree 0; the source is the truncation of
+    P* that can reach Q there, suspended.
     """
     span = q.support()
     top = (span[1] if span else 0) + abs(shift) + 2
-    x = _truncated_pstar(pkg, top)
-    if shift:
-        x = suspension(x, shift)
-    hd = hom_complex(x, q, (-2, 2))
-    return homology_data(hd.complex, 0), hd
+    x = suspension(pkg.dual_complex.restrict(0, top), shift)
+    sub = hom_fp_complex(*_free_terms(x), q, (-2, 2))
+    return sub.homology_data(0), sub
 
 
 def h0_hom_equivalence(pkg: GeneratorPackage, q: Complex,
@@ -240,28 +221,15 @@ def h0_hom_equivalence(pkg: GeneratorPackage, q: Complex,
         have = pkg.resolution.support()
         if have is None or -have[0] < need:
             return Verdict(False, "window_too_small", {}, window_relative=True)
-    src_data, hd = hom_classes(pkg, q)
+    src_data, src_sub = hom_classes(pkg, q)
     tgt_sub = hom_into_complex(pkg.module, q, (-2, 2))
     tgt_data = tgt_sub.homology_data(0)
-    layout = hd.blocks.get(0, [])
-    ring = pkg.ring
-    q0 = q.rank(0)
-    r0 = pkg.module.rank0
-    comp = pkg.comparison
 
     def push(col: Mat) -> Mat:
-        # extract the block Hom(P*^0, Q^0) and precompose with the
-        # comparison matrix; all other blocks die in Hom(M, Q^0)
-        out = Mat.zero(ring, q0 * r0, 1)
-        offset = 0
-        for (i, xr, qr) in layout:
-            size = xr * qr
-            if i == 0:
-                f0 = Mat.unvec(ring, col.submatrix(range(offset, offset + size), [0]),
-                               qr, xr)
-                out = (f0 @ comp).vec()
-            offset += size
-        return out
+        # precompose the block Hom(P*^0, Q^0) with the comparison
+        # matrix; all other blocks die in Hom(M, Q^0)
+        f0 = src_sub.split(0, col).get(0)
+        return tgt_sub.join(0, {} if f0 is None else {0: f0 @ pkg.comparison})
 
     if src_data[0].rank0 == 0 and tgt_data[0].rank0 == 0:
         return Verdict(True, "h0_equivalence", {"note": "both zero"})
@@ -300,36 +268,19 @@ def compactness_probe(pkg: GeneratorPackage, qs: list[Complex],
         return Verdict(True, "coproduct_respected", {"note": "empty family"})
     ring = pkg.ring
     total, injections, _ = finite_coproduct(qs)
-    tgt_data, tgt_hd = hom_classes(pkg, total)
-    span = total.support()
-    top = (span[1] if span else 0) + 2
-    tgt_layout = tgt_hd.blocks.get(0, [])
+    tgt_data, tgt_sub = hom_classes(pkg, total)
     summand_maps = []
-    for idx, qi in enumerate(qs):
-        src_data, src_hd = hom_classes(pkg, qi)
-        src_layout = src_hd.blocks.get(0, [])
-        inj = injections[idx]
+    for idx, (qi, inj) in enumerate(zip(qs, injections)):
+        src_data, src_sub = hom_classes(pkg, qi)
 
-        def push(col: Mat, src_layout=src_layout, inj=inj) -> Mat:
-            pieces: dict[int, Mat] = {}
-            offset = 0
-            for (i, xr, qr) in src_layout:
-                size = xr * qr
-                f = Mat.unvec(ring, col.submatrix(range(offset, offset + size), [0]),
-                              qr, xr)
-                pieces[i] = inj.component(i) @ f
-                offset += size
-            out_entries = []
-            for (i, xr, qr) in tgt_layout:
-                g = pieces.get(i, Mat.zero(ring, qr, xr))
-                out_entries.extend(g.vec().entries)
-            return Mat(ring, len(out_entries), 1, tuple(out_entries))
+        def push(col: Mat, src_sub=src_sub, inj=inj) -> Mat:
+            return tgt_sub.join(0, {i: inj.component(i) @ f
+                                    for i, f in src_sub.split(0, col).items()})
 
         f = induced_h0_map(src_data, tgt_data, push)
         if f is None:
             return Verdict(False, "injection_does_not_descend", {"index": idx})
         summand_maps.append((src_data[0], f))
-    from .matrices import block_diag
     direct_sum = FPModule(ring, summand_maps[0][0].side if summand_maps else "left",
                           block_diag(ring, [m.presentation for m, _ in summand_maps]))
     matrix = Mat.zero(ring, tgt_data[0].rank0, 0)

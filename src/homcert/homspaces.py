@@ -11,9 +11,10 @@ module).
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the
-special case of empty presentations, so this subsumes the Hom complex
-of free complexes and the mapping cone of a module map into a free
-complex.
+special case of empty presentations.  This is the library's only Hom
+complex construction: it serves Hom(P*, Q) for the homotopy classes of
+the compact generator as well as Hom(M, Q) and the mapping cone of a
+module map into a free complex.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import (Mat, MatrixError, assemble_blocks, block_diag,
-    kernel_right, solve_right)
+    kernel_left, kernel_right, solve_right)
 from .modules import FPModule, ModuleMap, subquotient_module
 from .complexes import Complex
 from .rings import RingDescriptor
@@ -38,9 +39,34 @@ class SubComplex:
     ambient_ranks: dict[int, int]
     gens: dict[int, Mat]  # ambient_ranks[n] x (number of generators)
     ambient_diffs: dict[int, Mat]  # ambient_ranks[n+1] x ambient_ranks[n]
+    # layouts[n] lists (i, r0, qr): the block Hom(R^r0, Q^(i+n)) of the
+    # degree-n ambient module for source term i, qr x r0 matrices
+    # vectorized column-major, in increasing i
+    layouts: dict[int, list[tuple[int, int, int]]]
 
     def ambient_rank(self, n: int) -> int:
         return self.ambient_ranks.get(n, 0)
+
+    def split(self, n: int, col: Mat) -> dict[int, Mat]:
+        """Cut a degree-n ambient column into its blocks, keyed by the
+        source degree i, each as a qr x r0 matrix."""
+        blocks = {}
+        offset = 0
+        for (i, r0, qr) in self.layouts.get(n, []):
+            size = r0 * qr
+            piece = col.submatrix(range(offset, offset + size), [0])
+            blocks[i] = Mat.unvec(self.ring, piece, qr, r0)
+            offset += size
+        return blocks
+
+    def join(self, n: int, blocks: dict[int, Mat]) -> Mat:
+        """Inverse of split: blocks missing from the dict are zero, and
+        blocks outside the degree-n layout are dropped."""
+        entries: list[int] = []
+        for (i, r0, qr) in self.layouts.get(n, []):
+            block = blocks.get(i)
+            entries.extend(block.vec().entries if block is not None else (0,) * (r0 * qr))
+        return Mat.column(self.ring, entries)
 
     def gens_at(self, n: int) -> Mat:
         if n in self.gens:
@@ -67,12 +93,16 @@ class SubComplex:
 
 def hom_term_gens(m: FPModule, target_rank: int) -> Mat:
     """Generators of Hom(M, R^q) inside the free module of q x rank0
-    matrices, columns being vectorized matrices."""
+    matrices, columns being vectorized matrices.
+
+    Hom(M, R^q) = Hom(M, R)^q: the rows of a map F are functionals on
+    M, so F = C K for the generators K of M* and vec(C K) = (K^T (x) I_q)
+    vec(C).
+    """
     ring = m.ring
     if m.rank1 == 0:
         return Mat.identity(ring, target_rank * m.rank0)
-    constraint = m.presentation.transpose().kron(Mat.identity(ring, target_rank))
-    return kernel_right(constraint)
+    return kernel_left(m.presentation).transpose().kron(Mat.identity(ring, target_rank))
 
 
 def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
@@ -84,7 +114,7 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
     Koszul sign as for free Hom complexes: d(f) = d_Q f - (-1)^n f d.
     """
     if not terms:
-        return SubComplex(q.ring, q.side, {}, {}, {})
+        return SubComplex(q.ring, q.side, {}, {}, {}, {})
     ring = q.ring
     for m in terms.values():
         if m.ring != ring:
@@ -134,7 +164,7 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
             [r0 * qr for (_, r0, qr) in tgt],
             [r0 * qr for (_, r0, qr) in src],
         )
-    return SubComplex(ring, q.side, ambient_ranks, gens, ambient_diffs)
+    return SubComplex(ring, q.side, ambient_ranks, gens, ambient_diffs, layouts)
 
 
 def hom_into_complex(m: FPModule, q: Complex, window: tuple[int, int]) -> SubComplex:

@@ -79,10 +79,6 @@ class Mat:
     def column(ring: RingDescriptor, values: list[int]) -> "Mat":
         return Mat(ring, len(values), 1, tuple(values))
 
-    @staticmethod
-    def row_vector(ring: RingDescriptor, values: list[int]) -> "Mat":
-        return Mat(ring, 1, len(values), tuple(values))
-
     # -- access --------------------------------------------------------
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -423,14 +419,6 @@ def solve_left(A: Mat, B: Mat) -> Mat | None:
     return None if xt is None else xt.transpose()
 
 
-def solve_side(A: Mat, B: Mat, side: str) -> Mat | None:
-    if side == "right":
-        return solve_right(A, B)
-    if side == "left":
-        return solve_left(A, B)
-    raise MatrixError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def kernel_right(A: Mat) -> Mat:
     """Matrix whose columns generate {x : A x = 0}; may have 0 columns.
 
@@ -462,14 +450,6 @@ def kernel_left(A: Mat) -> Mat:
     return kernel_right(A.transpose()).transpose()
 
 
-def kernel_side(A: Mat, side: str) -> Mat:
-    if side == "right":
-        return kernel_right(A)
-    if side == "left":
-        return kernel_left(A)
-    raise MatrixError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def inverse(A: Mat) -> Mat | None:
     """Two-sided inverse of a square matrix, or None."""
     if A.rows != A.cols:
@@ -480,10 +460,6 @@ def inverse(A: Mat) -> Mat | None:
     if (X @ A) != Mat.identity(A.ring, A.rows):
         return None
     return X
-
-
-def is_invertible(A: Mat) -> bool:
-    return inverse(A) is not None
 
 
 def smith_invariants(A: Mat) -> list[int]:

@@ -66,9 +66,6 @@ class FPModule:
         """R / (a): e.g. cyclic(Z, 'left', 2) is Z/2 as a Z-module."""
         return FPModule(ring, side, Mat.from_rows(ring, [[annihilator]]))
 
-    def is_free_presentation(self) -> bool:
-        return self.rank1 == 0
-
     def is_zero(self) -> bool:
         if self.rank0 == 0:
             return True
@@ -167,12 +164,6 @@ class ModuleMap:
 
     def is_isomorphism(self) -> bool:
         return self.is_well_defined() and self.is_surjective() and self.is_injective()
-
-    def kernel_generators(self) -> Mat:
-        """Columns (in source generator coordinates) generating the kernel."""
-        W = kernel_right(self.matrix.hstack(self.target.presentation))
-        head = W.submatrix(range(self.source.rank0), range(W.cols))
-        return colspan_canonical(head)
 
 
 def subquotient_module(ring: RingDescriptor, side: str, gens: Mat, zeros: Mat) -> FPModule:

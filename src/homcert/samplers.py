@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .matrices import Mat, block_diag, kernel_right
+from .matrices import Mat, kernel_right
 from .modules import FPModule
 from .complexes import ChainMap, Complex
 from .rings import RingDescriptor

@@ -14,12 +14,11 @@ from homcert.cli import main as cli_main
 from homcert.complexes import ChainMap, Complex, PeriodicTail
 from homcert.documents import emit_document, parse_document
 from homcert.duality import (decompose_resolution, dualize_chain_map,
-                             duality_roundtrip_check, rebuild_verify,
-                             resolution_of_module)
+                             duality_roundtrip_check, rebuild_verify)
 from homcert.flatness import (EngineConfig, FlatRelation, check_certificate,
                               cycle_flatness_probe, flat_certificate,
                               pd_bound_collapse)
-from homcert.generator import (build_generator, double_dual_check,
+from homcert.generator import (build_generator, double_dual_check, resolve_module,
                                suspension_homology_chain,
                                verify_generator_quasi_iso, verify_resolution)
 from homcert.matrices import Mat
@@ -133,9 +132,9 @@ def test_criterion_7_decomposition():
     ok = True
     for _ in range(100):
         m = random_fp_module(rng, ZZ, side="right")
-        res = resolution_of_module(m)
-        span = res.complex.support()
-        tree = decompose_resolution(res.complex)
+        p, _ = resolve_module(m)
+        span = p.support()
+        tree = decompose_resolution(p)
         v = rebuild_verify(tree, ((span[0] if span else 0) - 1, 1))
         ok = ok and v.ok
         if span:
@@ -143,8 +142,8 @@ def test_criterion_7_decomposition():
         if not ok:
             break
     if ok:
-        res = resolution_of_module(FPModule.cyclic(Zmod(4), "right", 2))
-        tree = decompose_resolution(res.complex, depth=4)
+        p, _ = resolve_module(FPModule.cyclic(Zmod(4), "right", 2))
+        tree = decompose_resolution(p, depth=4)
         v = rebuild_verify(tree, (-6, 0))
         ok = v.ok and v.window_relative and tree.has_residual()
     report(7, "build trees rebuild resolutions with L + 1 leaves", ok)

@@ -1,0 +1,28 @@
+"""Tier-1 smoke run of the benchmark harness.
+
+Runs `bench/run.py --tiny` untraced on the certify and cli workloads,
+so a change that breaks what the benchmark drives fails the test suite
+and not only the benchmark.  The full self-test of the harness is
+`python3 -m pytest bench/test_bench.py`.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["certify", "cli"])
+def test_bench_tiny_run_has_no_failed_case(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "0", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, proc.stdout
+    assert result["attempted"] >= 1

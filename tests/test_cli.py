@@ -166,6 +166,44 @@ def test_bad_window_exits_2(capsys):
     assert code == 2 and "window" in err
 
 
+@pytest.mark.parametrize("command", ["resolve", "generator", "decompose"])
+def test_negative_depth_exits_2(capsys, command):
+    code, out, err = run(capsys, command, fx("module_z_cyclic6"), "--depth", "-3")
+    assert code == 2 and out == ""
+    assert "--depth: must be >= 1" in err and "Traceback" not in err
+
+
+def test_negative_bound_exits_2(capsys):
+    code, out, err = run(capsys, "split-check", fx("contractible_z"), "--window=-6..5",
+                         "--bound", "-1")
+    assert code == 2 and out == ""
+    assert "--bound: must be >= 0" in err
+
+
+def test_string_rank_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": "1", "ring": {"kind": "Z"}, "kind": "complex", '
+                   '"payload": {"side": "left", "ranks": [[0, "a"]], "diffs": []}}')
+    code, _, err = run(capsys, "homology", str(bad), "--window=0..0")
+    assert code == 2 and "rank must be an integer" in err
+
+
+def test_entries_beyond_the_default_digit_limit_round_trip(capsys, tmp_path):
+    # Python refuses int <-> str conversions past 4300 digits by default
+    digits = "7" * 5000
+    module = tmp_path / "huge.json"
+    module.write_text('{"version": "1", "ring": {"kind": "Z"}, "kind": "module", '
+                      '"payload": {"side": "left", "presentation": '
+                      f'{{"rows": 1, "cols": 1, "entries": [[{digits}]]}}}}}}')
+    code, out, _ = run(capsys, "resolve", str(module))
+    assert code == 0
+    assert digits in out
+
+
+def test_seed_flag_is_gone(capsys):
+    assert run(capsys, "--seed", "3", "resolve", fx("module_z_cyclic6"))[0] == 2
+
+
 def test_unknown_command_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -120,3 +120,41 @@ def test_generator_package_mu_is_validated():
     # the untampered package parses and rebuilds the same module
     doc = parse_document(text)
     assert doc.payload.module == FPModule.cyclic(Zmod(4), "left", 2)
+
+
+def test_parse_rejects_string_rank():
+    text = ('{"version": "1", "ring": {"kind": "Z"}, "kind": "complex", '
+            '"payload": {"side": "left", "ranks": [[0, "a"]], "diffs": []}}')
+    with pytest.raises(DocumentError, match="rank must be an integer"):
+        parse_document(text)
+
+
+@pytest.mark.parametrize("field,value", [("rows", "1"), ("cols", 1.0), ("rows", True)])
+def test_parse_rejects_non_integer_shape(field, value):
+    payload = {"rows": 1, "cols": 1, "entries": [[1]], field: value}
+    text = json.dumps({"version": "1", "ring": {"kind": "Z"}, "kind": "matrix",
+                       "payload": payload})
+    with pytest.raises(DocumentError, match=f"matrix {field} must be an integer"):
+        parse_document(text)
+
+
+@pytest.mark.parametrize("ring", ['{"kind": "Z"}', '{"kind": "Zmod", "n": 4}'])
+def test_parse_rejects_boolean_matrix_entry(ring):
+    text = (f'{{"version": "1", "ring": {ring}, "kind": "matrix", '
+            '"payload": {"rows": 1, "cols": 2, "entries": [[true, 0]]}}')
+    with pytest.raises(DocumentError, match="matrix entry must be an integer"):
+        parse_document(text)
+
+
+def test_parse_rejects_non_integer_tail_and_shift():
+    tail = ('{"version": "1", "ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
+            '"payload": {"side": "left", "ranks": [[0, 1]], "diffs": [], '
+            '"tail_below": {"direction": -1, "threshold": "0", "period": 1}}}')
+    with pytest.raises(DocumentError, match="tail threshold must be an integer"):
+        parse_document(tail)
+    zero = '{"side": "left", "ranks": [], "diffs": []}'
+    tree = ('{"version": "1", "ring": {"kind": "Z"}, "kind": "build_tree", '
+            f'"payload": {{"kind": "leaf", "target": {zero}, "payload": {zero}, '
+            '"shift": false, "children": [], "components": [], "residual": false}}')
+    with pytest.raises(DocumentError, match="shift must be an integer"):
+        parse_document(tree)

@@ -3,7 +3,8 @@ import random
 from homcert.complexes import ChainMap, Complex, dualize_complex
 from homcert.duality import (decompose_resolution, dualize_chain_map,
                              duality_roundtrip_check, kernel_as_dual,
-                             rebuild_verify, resolution_of_module)
+                             rebuild_verify)
+from homcert.generator import resolve_module
 from homcert.matrices import Mat
 from homcert.modules import FPModule, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
@@ -82,10 +83,10 @@ def test_decompose_counts_leaves_for_length():
     rng = random.Random(73)
     for _ in range(20):
         m = random_fp_module(rng, ZZ, side="right")
-        res = resolution_of_module(m)
-        assert res.complete
-        span = res.complex.support()
-        tree = decompose_resolution(res.complex)
+        p, complete = resolve_module(m)
+        assert complete
+        span = p.support()
+        tree = decompose_resolution(p)
         v = rebuild_verify(tree, ((span[0] if span else 0) - 1, 1))
         assert v.ok
         length = -span[0] if span else 0
@@ -96,9 +97,9 @@ def test_decompose_counts_leaves_for_length():
 
 def test_decompose_periodic_resolution_window_relative():
     ring = Zmod(4)
-    res = resolution_of_module(FPModule.cyclic(ring, "right", 2))
-    assert not res.complex.is_bounded
-    tree = decompose_resolution(res.complex, depth=4)
+    p, _ = resolve_module(FPModule.cyclic(ring, "right", 2))
+    assert not p.is_bounded
+    tree = decompose_resolution(p, depth=4)
     assert tree.has_residual()
     v = rebuild_verify(tree, (-6, 0))
     assert v.ok and v.window_relative

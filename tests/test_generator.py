@@ -6,7 +6,7 @@ from homcert.generator import (build_generator, compactness_probe,
                                resolve_module, suspension_homology_chain,
                                verify_generator_quasi_iso, verify_resolution)
 from homcert.matrices import Mat
-from homcert.modules import FPModule, modules_isomorphic
+from homcert.modules import FPModule, dual_data, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_bounded_complex, random_fp_module
 
@@ -52,6 +52,16 @@ def test_generator_package_for_z2_over_z4():
     assert pkg.comparison.row_list() == [[2]]
     assert verify_resolution(pkg).ok
     assert double_dual_check(pkg).ok
+
+
+def test_comparison_is_the_double_dual_evaluation():
+    # the comparison map is the dual generators of M** composed with mu
+    rng = random.Random(43)
+    for ring in (ZZ, Fp(5), Zmod(4), Zmod(12)):
+        for _ in range(10):
+            pkg = build_generator(random_fp_module(rng, ring))
+            _, k2 = dual_data(pkg.dual)
+            assert pkg.comparison == k2.transpose() @ pkg.mu.matrix
 
 
 def test_generator_package_for_torsion_over_Z_has_zero_dual():
@@ -107,6 +117,14 @@ def test_suspension_chain_for_the_ring_itself():
             q = random_bounded_complex(rng, ring)
             v = suspension_homology_chain(pkg, q, range(-3, 4))
             assert v.ok, (ring, v.code, v.details)
+
+
+def test_suspension_chain_for_a_right_sided_target():
+    # HomClasses into Q are Q-sided modules, as H^(-i) Q is
+    q = Complex(ZZ, "right", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
+    pkg = build_generator(FPModule.free(ZZ, "left", 1))
+    v = suspension_homology_chain(pkg, q, range(-2, 3))
+    assert v.ok, v.details
 
 
 def test_depth_truncated_package_reports_window_relative():

@@ -1,11 +1,13 @@
 import random
 
 from homcert.complexes import Complex, PeriodicTail
-from homcert.homspaces import hom_fp_complex, hom_into_complex, hom_vanishing
-from homcert.matrices import Mat
+from homcert.generator import build_generator, hom_classes
+from homcert.homspaces import (hom_fp_complex, hom_into_complex, hom_term_gens,
+                               hom_vanishing)
+from homcert.matrices import Mat, colspan_canonical, kernel_right
 from homcert.modules import FPModule, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
-from homcert.samplers import random_bounded_complex
+from homcert.samplers import random_bounded_complex, random_fp_module, random_matrix
 
 
 def test_hom_from_free_recovers_homology():
@@ -91,3 +93,60 @@ def test_hom_into_periodic_complex_is_window_computable():
     sub = hom_into_complex(m, q.restrict(-4, 4), (-3, 3))
     for n in range(-2, 3):
         assert sub.homology(n).is_zero()
+
+
+def free_terms(c):
+    return {j: FPModule.free(c.ring, c.side, r) for j, r in c.ranks.items()}
+
+
+def assert_square_zero(sub, lo, hi):
+    for n in range(lo, hi):
+        assert (sub.ambient_diff(n + 1) @ sub.ambient_diff(n)).is_zero(), n
+
+
+def test_hom_fp_complex_differential_square_zero_and_h0():
+    # Hom(C, C) for C = (Z --2--> Z): H^0 contains the identity class
+    c = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
+    sub = hom_fp_complex(free_terms(c), c.diffs, c, (-2, 2))
+    assert_square_zero(sub, -2, 2)
+    assert not sub.homology(0).is_zero()
+
+
+def test_hom_fp_complex_square_zero_on_random_and_generator_sources():
+    rng = random.Random(5)
+    for ring in (ZZ, Fp(5), Zmod(4), Zmod(12)):
+        for _ in range(4):
+            x = random_bounded_complex(rng, ring)
+            q = random_bounded_complex(rng, ring)
+            assert_square_zero(hom_fp_complex(free_terms(x), x.diffs, q, (-3, 3)), -3, 3)
+            pkg = build_generator(random_fp_module(rng, ring, max_rank=2))
+            for shift in (-1, 0, 1):
+                _, sub = hom_classes(pkg, q, shift)
+                assert_square_zero(sub, -2, 2)
+
+
+def test_hom_term_gens_span_the_maps_that_kill_relations():
+    # Hom(M, R^q) is the kernel of vec(F) |-> vec(F P) = (P^T (x) I_q) vec(F)
+    rng = random.Random(7)
+    for ring in (ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12)):
+        for _ in range(8):
+            m = random_fp_module(rng, ring)
+            for q in (1, 2, 3):
+                ref = kernel_right(m.presentation.transpose().kron(Mat.identity(ring, q)))
+                assert colspan_canonical(hom_term_gens(m, q)) == colspan_canonical(ref)
+
+
+def test_split_and_join_are_inverse_on_the_block_layout():
+    rng = random.Random(11)
+    for ring in (ZZ, Zmod(12)):
+        x = random_bounded_complex(rng, ring)
+        q = random_bounded_complex(rng, ring)
+        sub = hom_fp_complex(free_terms(x), x.diffs, q, (-2, 2))
+        for n in range(-2, 3):
+            col = random_matrix(rng, ring, sub.ambient_rank(n), 1)
+            blocks = sub.split(n, col)
+            assert sorted(blocks) == [i for (i, _, _) in sub.layouts[n]]
+            for (i, r0, qr) in sub.layouts[n]:
+                assert (blocks[i].rows, blocks[i].cols) == (qr, r0)
+                assert q.rank(i + n) == qr and x.rank(i) == r0
+            assert sub.join(n, blocks) == col
