@@ -85,7 +85,13 @@ class Complex:
         for j, r in self.ranks.items():
             if r < 0:
                 raise ComplexError(f"negative rank in degree {j}")
-        for j, d in self.diffs.items():
+        # one period on each side of a tail threshold covers the seam and
+        # every differential and product the tail repeats
+        degrees = sorted(set(self.diffs).union(
+            *(range(t.threshold - t.period - 1, t.threshold + t.period + 1)
+              for t in (self.tail_below, self.tail_above) if t is not None)))
+        for j in degrees:
+            d = self.diff(j)
             if d.ring != self.ring:
                 raise ComplexError("differential over wrong ring")
             if d.rows != self.rank(j + 1) or d.cols != self.rank(j):
@@ -93,7 +99,7 @@ class Complex:
                     f"differential in degree {j} is {d.rows}x{d.cols}, expected "
                     f"{self.rank(j + 1)}x{self.rank(j)}"
                 )
-        for j in self.diffs:
+        for j in degrees:
             prod = self.diff(j + 1) @ self.diff(j)
             if not prod.is_zero():
                 raise ComplexError(f"d^2 != 0 at degree {j}: product {prod.row_list()}")

@@ -339,10 +339,10 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
     dual_complex = complex_from_json(ring, obj.get("dual_complex"))
     comparison = matrix_from_json(ring, obj.get("comparison"))
     mu_matrix = matrix_from_json(ring, obj.get("mu"))
-    mstarstar, _ = dual_data(dual)
-    mu = ModuleMap(module, mstarstar, mu_matrix)
-    _require(canonical_double_dual_map(module).matrix == mu_matrix,
-             "stored mu is not the canonical double-dual map")
+    mstar, K = dual_data(module)
+    _require(dual == mstar and dual_gens == K, "stored dual is not the dual of the module")
+    mu = canonical_double_dual_map(module, mstar, K)
+    _require(mu.matrix == mu_matrix, "stored mu is not the canonical double-dual map")
     pi = ModuleMap(FPModule.free(ring, dual.side, dual.rank0), dual,
                    Mat.identity(ring, dual.rank0))
     return GeneratorPackage(module, dual, dual_gens, resolution, pi, mu,

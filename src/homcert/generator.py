@@ -94,7 +94,7 @@ def resolve_module(m: FPModule, depth: int = 24) -> tuple[Complex, bool]:
 def build_generator(m: FPModule, depth: int = 24) -> GeneratorPackage:
     """Construct the package for M; depth bounds the resolution search."""
     mstar, K = dual_data(m)
-    mu = canonical_double_dual_map(m)
+    mu = canonical_double_dual_map(m, mstar, K)
     k = mstar.rank0
     ring = m.ring
     side = mstar.side
@@ -210,8 +210,7 @@ def hom_classes(pkg: GeneratorPackage, q: Complex, shift: int = 0):
     return sub.homology_data(0), sub
 
 
-def h0_hom_equivalence(pkg: GeneratorPackage, q: Complex,
-                       window: tuple[int, int] = (-2, 2)) -> Verdict:
+def h0_hom_equivalence(pkg: GeneratorPackage, q: Complex) -> Verdict:
     """HomClasses(P*, Q) = H^0 Hom(M, Q) through the comparison map."""
     span = q.support()
     if not q.is_bounded:
@@ -256,8 +255,7 @@ def suspension_homology_chain(pkg: GeneratorPackage, q: Complex,
     return Verdict(True, "suspension_chain", {"shifts": (shifts.start, shifts.stop - 1)})
 
 
-def compactness_probe(pkg: GeneratorPackage, qs: list[Complex],
-                      window: tuple[int, int] = (-2, 2)) -> Verdict:
+def compactness_probe(pkg: GeneratorPackage, qs: list[Complex]) -> Verdict:
     """Finite-scale coproduct check: (+)_i HomClasses(P*, Q_i) maps
     isomorphically to HomClasses(P*, (+)_i Q_i).
 

@@ -1,10 +1,12 @@
 """Exact matrices and exact linear algebra over the supported rings.
 
-Everything reduces to integer column Hermite normal form with a
-unimodular transform.  Systems over Z/n and F_p are lifted to Z by
-adjoining n times an identity block, solved there, and reduced back;
-generating sets of column spans over Z/n are canonicalized through the
-Hermite form of the lifted span (which always contains n*Z^r).
+Kernels, solves and canonical column spans come from a column Hermite
+normal form (HNF).  Over Z it is the integer HNF with a unimodular
+transform.  Over Z/n and F_p it is the HNF of the lattice span + n*Z^r,
+computed with every entry in [0, n) (Domich, Kannan & Trotter 1987;
+Cohen, GTM 138, Alg. 2.4.8); over F_p that is Gauss-Jordan elimination.
+An HNF is determined by its lattice, so modular kernels and spans do
+not depend on the generators they were computed from.
 
 The pivoting rule is fixed: rows are processed top to bottom, the
 pivot is the gcd of the surviving entries in the row, pivots are
@@ -89,11 +91,8 @@ class Mat:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def col(self, j: int) -> "Mat":
-        return Mat(self.ring, self.rows, 1, tuple(self[i, j] for i in range(self.rows)))
-
-    def col_values(self, j: int) -> list[int]:
-        return [self[i, j] for i in range(self.rows)]
+    def columns(self) -> list[list[int]]:
+        return [list(self.entries[j::self.cols]) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -313,8 +312,49 @@ def _col_hnf(rows: int, cols: int, a: list[list[int]]):
     return H, U, pivots
 
 
-def _lift(m: Mat) -> tuple[int, int, list[list[int]]]:
-    return m.rows, m.cols, m.row_list()
+def _from_cols(ring: RingDescriptor, rows: int, cols: list[list[int]]) -> Mat:
+    return Mat(ring, rows, len(cols), tuple(col[i] for i in range(rows) for col in cols))
+
+
+def _hnf_mod(n: int, rows: int, gens: list[list[int]]) -> dict[int, list[int]]:
+    """Column HNF of span(gens) + n*Z^rows, with every entry kept in [0, n).
+
+    Returns {row: column} for the pivots g < n, in row order; the other
+    rows have pivot n, whose HNF column n*e_row is zero mod n.  Each g
+    divides n, a pivot column is zero above its row, and each pivot row
+    holds entries in [0, g) in the earlier pivot columns.  Over a prime
+    every g is 1: this is Gauss-Jordan elimination.
+    """
+    pivots: dict[int, list[int]] = {}
+    # active columns hold entries from row i down and span, with n*Z,
+    # the part of the lattice that vanishes above row i
+    active = [t for t in ([v % n for v in c] for c in gens) if any(t)]
+    for i in range(rows):
+        c, rest = None, []
+        for a in active:
+            if not a[0]:
+                rest.append(a)
+            elif c is None:
+                c = a
+            else:  # unimodular step: gcd(c[0], a[0]) into c, 0 into a
+                x, y, g = _xgcd(c[0], a[0])
+                cg, ag = c[0] // g, a[0] // g
+                c, a = ([(x * u + y * v) % n for u, v in zip(c, a)],
+                        [(cg * v - ag * u) % n for u, v in zip(c, a)])
+                rest.append(a)
+        if c is not None:
+            s, _, g = _xgcd(c[0], n)
+            p = [0] * i + [s * v % n for v in c]
+            # the multiples of c that vanish at row i mod n are those of (n/g)*c
+            rest.append([n // g * v % n for v in c])
+            for col in pivots.values():
+                q = col[i] // g
+                if q:
+                    for k in range(i, rows):
+                        col[k] = (col[k] - q * p[k]) % n
+            pivots[i] = p
+        active = [a[1:] for a in rest if any(a[1:])]
+    return pivots
 
 
 def _solve_right_int(A_rows: list[list[int]], rows: int, cols: int,
@@ -360,57 +400,42 @@ def _kernel_int(A_rows: list[list[int]], rows: int, cols: int) -> list[list[int]
 def colspan_canonical(m: Mat) -> Mat:
     """Canonical generating set of the column span, as a matrix.
 
-    Over Z this is the nonzero part of the column HNF (a basis).  Over
-    Z/n it is computed from the Hermite form of the lifted span, which
-    contains n*Z^rows; the result has at most `rows` columns and is a
-    deterministic, usually minimal, generating set.
+    The nonzero columns of the column HNF of the span over Z, and of
+    span + n*Z^rows over Z/n and F_p; over Z and F_p they are a basis.
     """
     n = m.ring.modulus
-    work = m.row_list()
-    cols = m.cols
     if n is not None:
-        # append n*I columns: the lifted span always contains n*Z^rows
-        for j in range(m.rows):
-            for i in range(m.rows):
-                work[i].append(n if i == j else 0)
-        cols = m.cols + m.rows
-    H, _, pivots = _col_hnf(m.rows, cols, work)
-    keep = []
-    for (_, pc) in pivots:
-        col = [H[i][pc] for i in range(m.rows)]
-        col = [m.ring.normalize(v) for v in col]
-        if any(col):
-            keep.append(col)
-    ent = tuple(keep[j][i] for i in range(m.rows) for j in range(len(keep)))
-    return Mat(m.ring, m.rows, len(keep), ent)
+        return _from_cols(m.ring, m.rows, list(_hnf_mod(n, m.rows, m.columns()).values()))
+    H, _, pivots = _col_hnf(m.rows, m.cols, m.row_list())
+    return _from_cols(m.ring, m.rows, [[H[i][pc] for i in range(m.rows)] for (_, pc) in pivots])
 
 
 # -- public solving interface -----------------------------------------
 
 
 def solve_right(A: Mat, B: Mat) -> Mat | None:
-    """Some X with A @ X = B exactly, or None; deterministic."""
+    """Some X with A @ X = B exactly, or None; deterministic.
+
+    Over Z/n and F_p, X is the canonical reduced solution: each column
+    is reduced modulo the Hermite form of the kernel of A.
+    """
     A._check_same_ring(B)
     if A.rows != B.rows:
         raise MatrixError("solve_right: row count mismatch")
     n = A.ring.modulus
-    b_cols = [B.col_values(j) for j in range(B.cols)]
+    r, c, k = A.rows, A.cols, B.cols
     if n is None:
-        sols = _solve_right_int(A.row_list(), A.rows, A.cols, b_cols)
-        if sols is None:
-            return None
-        ent = tuple(sols[j][i] for i in range(A.cols) for j in range(B.cols))
-        return Mat(A.ring, A.cols, B.cols, ent)
-    # lift: solve [A | n*I] X' = B over Z, keep the first block mod n
-    work = A.row_list()
-    for i in range(A.rows):
-        for j in range(A.rows):
-            work[i].append(n if i == j else 0)
-    sols = _solve_right_int(work, A.rows, A.cols + A.rows, b_cols)
-    if sols is None:
+        sols = _solve_right_int(A.row_list(), r, c, B.columns())
+        return None if sols is None else _from_cols(A.ring, c, sols)
+    # the columns of [[A, -B], [0, I_k], [I_c, 0]] span the (x, y) with
+    # A x = B y; AX = B is solvable iff every y-row has pivot 1
+    gens = [a + [0] * k + [int(i == j) for i in range(c)] for j, a in enumerate(A.columns())]
+    gens += [[-v for v in b] + [int(i == j) for i in range(k)] + [0] * c
+             for j, b in enumerate(B.columns())]
+    pivots = _hnf_mod(n, r + k + c, gens)
+    if not all(r + j in pivots and pivots[r + j][r + j] == 1 for j in range(k)):
         return None
-    ent = tuple(sols[j][i] for i in range(A.cols) for j in range(B.cols))
-    return Mat(A.ring, A.cols, B.cols, ent)
+    return _from_cols(A.ring, c, [pivots[r + j][r + k:] for j in range(k)])
 
 
 def solve_left(A: Mat, B: Mat) -> Mat | None:
@@ -422,27 +447,18 @@ def solve_left(A: Mat, B: Mat) -> Mat | None:
 def kernel_right(A: Mat) -> Mat:
     """Matrix whose columns generate {x : A x = 0}; may have 0 columns.
 
-    Over Z the columns are a basis; over Z/n and F_p they are a
-    canonical generating set (a basis over F_p).
+    Over Z the columns are a basis; over Z/n and F_p they are the
+    nonzero columns of the Hermite form of {x in Z^c : A x = 0 mod n}
+    (a basis over F_p).
     """
     n = A.ring.modulus
+    c = A.cols
     if n is None:
-        cols = _kernel_int(A.row_list(), A.rows, A.cols)
-        ent = tuple(cols[j][i] for i in range(A.cols) for j in range(len(cols)))
-        return Mat(A.ring, A.cols, len(cols), ent)
-    work = A.row_list()
-    for i in range(A.rows):
-        for j in range(A.rows):
-            work[i].append(n if i == j else 0)
-    cols = _kernel_int(work, A.rows, A.cols + A.rows)
-    proj = []
-    for col in cols:
-        head = [A.ring.normalize(v) for v in col[: A.cols]]
-        if any(head):
-            proj.append(head)
-    ent = tuple(proj[j][i] for i in range(A.cols) for j in range(len(proj)))
-    raw = Mat(A.ring, A.cols, len(proj), ent)
-    return colspan_canonical(raw)
+        return _from_cols(A.ring, c, _kernel_int(A.row_list(), A.rows, c))
+    # the pivots of [A; I_c] below row A.rows carry the kernel lattice
+    gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(A.columns())]
+    pivots = _hnf_mod(n, A.rows + c, gens)
+    return _from_cols(A.ring, c, [p[A.rows:] for i, p in pivots.items() if i >= A.rows])
 
 
 def kernel_left(A: Mat) -> Mat:

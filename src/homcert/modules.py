@@ -206,9 +206,9 @@ def dualize_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap(nstar, mstar, coeffs.transpose())
 
 
-def canonical_double_dual_map(m: FPModule) -> ModuleMap:
-    """Evaluation map M -> M**, generator e_i |-> (phi |-> phi(e_i))."""
-    mstar, K = dual_data(m)
+def canonical_double_dual_map(m: FPModule, mstar: FPModule, K: Mat) -> ModuleMap:
+    """Evaluation map M -> M**, generator e_i |-> (phi |-> phi(e_i)),
+    given (M*, K) = dual_data(M)."""
     mstarstar, K2 = dual_data(mstar)
     # the i'th generator of M evaluates the dual generators to column i of K
     evaluation_rows = K.transpose()  # rank0 x k, row i is e_i's functional on M*

@@ -1,8 +1,8 @@
 """Tier-1 smoke run of the benchmark harness.
 
-Runs `bench/run.py --tiny` untraced on the certify and cli workloads,
-so a change that breaks what the benchmark drives fails the test suite
-and not only the benchmark.  The full self-test of the harness is
+Runs `bench/run.py --tiny` untraced on every workload, so a change that
+breaks what the benchmark drives, or an output its independent checks
+reject, fails the test suite and not only the benchmark.  The full self-test of the harness is
 `python3 -m pytest bench/test_bench.py`.
 """
 
@@ -16,7 +16,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["certify", "cli"])
+@pytest.mark.parametrize("workload", ["elim", "certify", "cli"])
 def test_bench_tiny_run_has_no_failed_case(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,

@@ -210,3 +210,14 @@ def test_unknown_command_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_nonzero_square_across_a_tail_seam_exits_2(capsys, tmp_path):
+    bad = tmp_path / "seam.json"
+    bad.write_text('{"version": "1", "ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
+                   '"payload": {"side": "left", "ranks": [[0, 1], [1, 1]], '
+                   '"diffs": [[0, {"rows": 1, "cols": 1, "entries": [[1]]}]], '
+                   '"tail_below": {"direction": -1, "threshold": 0, "period": 1}}}')
+    code, out, err = run(capsys, "homology", str(bad), "--window=-2..0")
+    assert code == 2 and out == ""
+    assert "d^2 != 0" in err and "Traceback" not in err

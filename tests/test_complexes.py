@@ -26,6 +26,31 @@ def test_square_zero_enforced():
                 {-1: Mat(ZZ, 1, 1, (1,)), 0: Mat(ZZ, 1, 1, (1,))})
 
 
+@pytest.mark.parametrize("tails", [{"tail_below": PeriodicTail(-1, 0, 1)},
+                                   {"tail_above": PeriodicTail(1, 1, 1)}])
+def test_square_zero_enforced_across_tail_seams(tails):
+    # d^0 = [1] repeated: the product across the threshold is [1]
+    one = Mat(Zmod(4), 1, 1, (1,))
+    with pytest.raises(ComplexError):
+        Complex(Zmod(4), "left", {0: 1, 1: 1}, {0: one}, **tails)
+
+
+def test_square_zero_enforced_where_a_period_wraps():
+    # d^-1 d^-2 = A B = 0, but the tail repeats d^-2 after d^-1: B A != 0
+    a = Mat(ZZ, 2, 2, (0, 1, 0, 0))
+    b = Mat(ZZ, 2, 2, (1, 0, 0, 0))
+    with pytest.raises(ComplexError):
+        Complex(ZZ, "left", {-2: 2, -1: 2, 0: 2}, {-2: b, -1: a},
+                tail_below=PeriodicTail(-1, -2, 2))
+
+
+def test_tail_differential_shape_enforced():
+    # the folded d^-1 is d^0, a 2x1 matrix, but maps rank 1 to rank 1
+    with pytest.raises(ComplexError, match="is 2x1, expected 1x1"):
+        Complex(ZZ, "left", {0: 1, 1: 2}, {0: Mat(ZZ, 2, 1, (0, 0))},
+                tail_below=PeriodicTail(-1, 0, 1))
+
+
 def test_shape_of_differentials_enforced():
     with pytest.raises(ComplexError):
         Complex(ZZ, "left", {0: 2, 1: 1}, {0: Mat(ZZ, 1, 1, (1,))})

@@ -80,6 +80,17 @@ def test_parse_rejects_broken_differential():
         parse_document(text)
 
 
+def test_parse_rejects_nonzero_square_across_a_tail_seam():
+    payload = {"side": "left", "ranks": [[0, 1], [1, 1]],
+               "diffs": [[0, {"rows": 1, "cols": 1, "entries": [[1]]}]],
+               "tail_below": {"direction": -1, "threshold": 0, "period": 1},
+               "tail_above": None}
+    text = json.dumps({"version": "1", "ring": {"kind": "Zmod", "n": 4},
+                       "kind": "complex", "payload": payload})
+    with pytest.raises(DocumentError, match="d\\^2"):
+        parse_document(text)
+
+
 def test_parse_rejects_component_shape_mismatch():
     cx = {"side": "left", "ranks": [[0, 1]], "diffs": [],
           "tail_below": None, "tail_above": None}
@@ -117,6 +128,11 @@ def test_generator_package_mu_is_validated():
     tampered = text.replace(block, block.replace("1\n        ]", "3\n        ]", 1))
     with pytest.raises(DocumentError, match="double-dual"):
         parse_document(tampered)
+    dual_gens = ('"dual_gens": {\n      "cols": 1,\n      "entries": [\n        [\n          2\n'
+                 '        ]\n      ]')
+    assert dual_gens in text
+    with pytest.raises(DocumentError, match="stored dual"):
+        parse_document(text.replace(dual_gens, dual_gens.replace("2\n", "0\n", 1)))
     # the untampered package parses and rebuilds the same module
     doc = parse_document(text)
     assert doc.payload.module == FPModule.cyclic(Zmod(4), "left", 2)

@@ -23,7 +23,7 @@ def test_certificate_for_2_3_relation():
     rel = FlatRelation(ZZ, Mat(ZZ, 1, 2, (2, 3)), Mat(ZZ, 1, 2, (3, -2)))
     cert = flat_certificate(rel)
     assert check_certificate(rel, cert)
-    assert cert.ast.col_values(0) in ([3, -2], [-3, 2])
+    assert cert.ast.columns()[0] in ([3, -2], [-3, 2])
     assert cert.q.row_list() in ([[1]], [[-1]])
 
 

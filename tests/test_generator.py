@@ -1,5 +1,6 @@
 import random
 
+from homcert import documents, generator, modules
 from homcert.complexes import Complex, PeriodicTail, homology
 from homcert.generator import (build_generator, compactness_probe,
                                double_dual_check, h0_hom_equivalence,
@@ -62,6 +63,24 @@ def test_comparison_is_the_double_dual_evaluation():
             pkg = build_generator(random_fp_module(rng, ring))
             _, k2 = dual_data(pkg.dual)
             assert pkg.comparison == k2.transpose() @ pkg.mu.matrix
+
+
+def test_build_and_parse_compute_the_dual_twice(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return dual_data(m)
+
+    for mod in (modules, generator, documents):
+        monkeypatch.setattr(mod, "dual_data", counted)
+    m = FPModule.cyclic(Zmod(4), "left", 2)
+    pkg = build_generator(m)
+    assert len(calls) <= 2
+    calls.clear()
+    text = documents.emit_document(documents.make_document(m.ring, "generator_package", pkg))
+    assert documents.parse_document(text).payload.mu == pkg.mu
+    assert len(calls) <= 2
 
 
 def test_generator_package_for_torsion_over_Z_has_zero_dual():

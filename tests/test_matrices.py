@@ -32,7 +32,7 @@ def test_kernel_of_integer_row():
     k = kernel_right(Mat(ZZ, 1, 2, (2, 3)))
     assert k.cols == 1
     assert (Mat(ZZ, 1, 2, (2, 3)) @ k).is_zero()
-    assert k.col_values(0) in ([3, -2], [-3, 2])
+    assert k.columns()[0] in ([3, -2], [-3, 2])
 
 
 def test_kernel_of_zero_row_is_full():
@@ -171,3 +171,95 @@ def test_arithmetic_matches_integers_mod_6(a, b, c):
     assert (m + n)[0, 0] == (a + b) % 6
     assert (m @ n)[0, 0] == (a * b) % 6
     assert m.scale(c)[0, 0] == (a * c) % 6
+
+
+# -- modular elimination, checked by enumeration and multiplication -----
+
+MOD_RINGS = [Fp(5), Fp(7), Zmod(4), Zmod(8), Zmod(12)]
+
+
+@st.composite
+def small_mod_matrix(draw, max_rows=3, max_cols=3):
+    ring = draw(st.sampled_from(MOD_RINGS))
+    r = draw(st.integers(0, max_rows))
+    c = draw(st.integers(0, max_cols))
+    ent = draw(st.lists(st.integers(0, ring.n - 1), min_size=r * c, max_size=r * c))
+    return Mat(ring, r, c, tuple(ent))
+
+
+def _all_vectors(n, length):
+    vecs = [()]
+    for _ in range(length):
+        vecs = [v + (x,) for v in vecs for x in range(n)]
+    return vecs
+
+
+def _image(a):
+    """{A x : x in (Z/n)^c} by enumeration."""
+    n = a.ring.n
+    rows = a.row_list()
+    return {tuple(sum(u * v for u, v in zip(row, x)) % n for row in rows)
+            for x in _all_vectors(n, a.cols)}
+
+
+@given(small_mod_matrix())
+@settings(max_examples=80, deadline=None)
+def test_kernel_right_spans_the_enumerated_kernel(a):
+    n = a.ring.n
+    k = kernel_right(a)
+    assert k.rows == a.cols and (a @ k).is_zero()
+    zeros = (0,) * a.rows
+    rows = a.row_list()
+    kernel = {x for x in _all_vectors(n, a.cols)
+              if tuple(sum(u * v for u, v in zip(row, x)) % n for row in rows) == zeros}
+    assert _image(k) == kernel
+
+
+@given(small_mod_matrix(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_right_is_none_iff_no_solution_is_enumerated(a, data):
+    n = a.ring.n
+    k = data.draw(st.integers(0, 2))
+    ent = data.draw(st.lists(st.integers(0, n - 1), min_size=a.rows * k,
+                             max_size=a.rows * k))
+    b = Mat(a.ring, a.rows, k, tuple(ent))
+    if data.draw(st.booleans()):  # make it solvable half the time
+        xs = data.draw(st.lists(st.integers(0, n - 1), min_size=a.cols * k,
+                                max_size=a.cols * k))
+        b = a @ Mat(a.ring, a.cols, k, tuple(xs))
+    image = _image(a)
+    solvable = all(tuple(col) in image for col in b.columns())
+    x = solve_right(a, b)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert a @ x == b
+
+
+@given(small_mod_matrix(max_rows=4, max_cols=4), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_colspan_canonical_ignores_generator_order_and_redundancy(a, rnd):
+    canon = colspan_canonical(a)
+    cols = a.columns()
+    rnd.shuffle(cols)
+    weights = [rnd.randrange(a.ring.n) for _ in cols]
+    redundant = [sum(w * c[i] for w, c in zip(weights, cols)) for i in range(a.rows)]
+
+    def from_cols(cs):
+        return Mat(a.ring, len(cs), a.rows, tuple(v for c in cs for v in c)).transpose()
+
+    assert colspan_canonical(from_cols(cols)) == canon
+    assert colspan_canonical(from_cols(cols + [redundant])) == canon
+    assert colspan_canonical(a.hstack(from_cols([redundant]))) == canon
+
+
+@pytest.mark.parametrize("ring", [Fp(7), Zmod(4), Zmod(12)], ids=str)
+def test_kernel_and_solve_at_32_by_34(ring):
+    rng = random.Random(32)
+    a = random_matrix(rng, ring, 32, 34)
+    k = kernel_right(a)
+    # the index of the kernel lattice is at most n^32 < n^33, so at
+    # least two of its 34 Hermite pivots are below n
+    assert k.cols >= 2 and (a @ k).is_zero()
+    b = a @ random_matrix(rng, ring, 34, 3)
+    x = solve_right(a, b)
+    assert x is not None and a @ x == b

@@ -70,18 +70,20 @@ def test_double_dual_map_iso_over_self_injective_rings():
     for ring in (Zmod(4), Fp(5)):
         for _ in range(30):
             m = random_fp_module(rng, ring)
-            mu = canonical_double_dual_map(m)
+            mu = canonical_double_dual_map(m, *dual_data(m))
             assert mu.is_well_defined()
             assert mu.is_isomorphism()
 
 
 def test_double_dual_map_on_free_over_Z_is_iso():
-    mu = canonical_double_dual_map(FPModule.free(ZZ, "left", 2))
+    m = FPModule.free(ZZ, "left", 2)
+    mu = canonical_double_dual_map(m, *dual_data(m))
     assert mu.is_isomorphism()
 
 
 def test_double_dual_kills_torsion_over_Z():
-    mu = canonical_double_dual_map(FPModule.cyclic(ZZ, "left", 6))
+    m = FPModule.cyclic(ZZ, "left", 6)
+    mu = canonical_double_dual_map(m, *dual_data(m))
     assert mu.is_zero_map()
 
 
