@@ -14,7 +14,7 @@ import sys
 
 from .complexes import ComplexError, dualize_complex, homology, split_exactness_check
 from .documents import (Document, DocumentError, emit_document, make_document,
-                        module_to_json, parse_document)
+                        module_to_json, parse_document, unlimited_int_digits)
 from .duality import decompose_resolution, dualize_chain_map, rebuild_verify
 from .flatness import (EngineConfig, FlatRelation, cycle_flatness_probe,
                        flat_certificate, pd_bound_collapse)
@@ -251,15 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # exact integers can outgrow Python's default int <-> str digit limit
-    sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with unlimited_int_digits():  # text output prints exact integers too
+            return args.func(args)
     except (UsageError, DocumentError, MatrixError, ComplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ term j to term j+1.  Fixed sign conventions:
 * suspension: (S^i C)^j = C^(j+i) with differential (-1)^i d;
   consequently H^j(S C) = H^(j+1)(C);
 * cone(f: X -> Y): term X^(j+1) (+) Y^j with differential
-  [[-d_X, 0], [f, d_Y]];
+  [[-d_X, 0], [f, d_Y]]; only the complex is built, not the triangle
+  maps Y -> cone -> S X;
 * dual: (C~)^j = (C^(-j))~ with differential the transpose of
   d^(-j-1), no sign, so dualizing twice is the identity on the nose;
 * Hom complex: d(f) = d_Q o f - (-1)^n f o d_X for f of degree n; the
@@ -271,10 +272,11 @@ def dualize_complex(c: Complex) -> Complex:
     return Complex(c.ring, opposite(c.side), ranks, diffs, below, above)
 
 
-def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
-    """Mapping cone with the canonical triangle maps.
+def cone(f: ChainMap) -> Complex:
+    """Mapping cone of f: X -> Y, the complex alone.
 
-    Returns (cone, include: Y -> cone, project: cone -> S X).
+    Its term in degree j is X^(j+1) (+) Y^j; d^2 = 0 holds exactly when
+    f is a chain map, which the constructor checks.
     """
     X, Y = f.source, f.target
     if not (X.is_bounded and Y.is_bounded):
@@ -287,34 +289,15 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
         span = c.support()
         if span:
             degs.update(range(span[0] + shift, span[1] + 1 + shift))
-    ranks = {}
-    diffs = {}
-    for j in sorted(degs):
-        r = X.rank(j + 1) + Y.rank(j)
-        if r:
-            ranks[j] = r
-    for j in sorted(degs):
-        if ranks.get(j, 0) == 0 or ranks.get(j + 1, 0) == 0:
-            continue
-        diffs[j] = assemble_blocks(
-            ring,
-            [[X.diff(j + 1).scale(-1), None], [f.component(j + 1), Y.diff(j)]],
-            [X.rank(j + 2), Y.rank(j + 1)],
-            [X.rank(j + 1), Y.rank(j)],
-        )
-    cne = Complex(ring, X.side, ranks, diffs)
-    include = ChainMap(Y, cne, {
-        j: assemble_blocks(ring, [[None], [Mat.identity(ring, Y.rank(j))]],
-                           [X.rank(j + 1), Y.rank(j)], [Y.rank(j)])
-        for j in ranks if Y.rank(j) > 0
-    })
-    sx = suspension(X, 1)
-    project = ChainMap(cne, sx, {
-        j: assemble_blocks(ring, [[Mat.identity(ring, X.rank(j + 1)), None]],
-                           [X.rank(j + 1)], [X.rank(j + 1), Y.rank(j)])
-        for j in ranks if X.rank(j + 1) > 0
-    })
-    return cne, include, project
+    ranks = {j: X.rank(j + 1) + Y.rank(j) for j in sorted(degs)}
+    ranks = {j: r for j, r in ranks.items() if r}
+    diffs = {j: assemble_blocks(
+        ring,
+        [[X.diff(j + 1).scale(-1), None], [f.component(j + 1), Y.diff(j)]],
+        [X.rank(j + 2), Y.rank(j + 1)],
+        [X.rank(j + 1), Y.rank(j)],
+    ) for j in ranks if j + 1 in ranks}
+    return Complex(ring, X.side, ranks, diffs)
 
 
 def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], list[ChainMap]]:

@@ -16,6 +16,9 @@ the error message).
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,6 +41,28 @@ PAYLOAD_KINDS = (
 
 class DocumentError(ValueError):
     pass
+
+
+_digits_lock = threading.Lock()
+_digits_state = {"users": 0, "saved": 0}
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's int <-> str digit limit, which exact integers
+    outgrow, while any caller is inside; the last one out restores it."""
+    with _digits_lock:
+        if not _digits_state["users"]:
+            _digits_state["saved"] = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _digits_state["users"] += 1
+    try:
+        yield
+    finally:
+        with _digits_lock:
+            _digits_state["users"] -= 1
+            if not _digits_state["users"]:
+                sys.set_int_max_str_digits(_digits_state["saved"])
 
 
 @dataclass(frozen=True)
@@ -173,6 +198,7 @@ def make_document(ring: RingDescriptor, kind: str, payload: Any) -> Document:
     return Document(FORMAT_VERSION, ring, kind, payload)
 
 
+@unlimited_int_digits()
 def emit_document(doc: Document) -> str:
     body = _ENCODERS[doc.kind](doc.payload)
     obj = {
@@ -350,6 +376,7 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
                             bool(obj.get("complete", False)))
 
 
+@unlimited_int_digits()
 def parse_document(text: str) -> Document:
     try:
         obj = json.loads(text)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .matrices import Mat, MatrixError, solve_right
 from .modules import FPModule, ModuleMap, dual_data, opposite
-from .complexes import (ChainMap, Complex, PeriodicTail, cone, cycle_module,
-                        dualize_complex, suspension)
+from .complexes import (ChainMap, Complex, ComplexError, PeriodicTail, cone,
+                        cycle_module, dualize_complex, suspension)
 from .verdicts import Verdict
 
 
@@ -82,6 +82,10 @@ def kernel_as_dual(q: Complex) -> tuple[FPModule, ModuleMap]:
 # -- build trees ------------------------------------------------------
 
 
+class _AttachingMapError(ComplexError):
+    """args: (message, the cone node whose attaching map fails)."""
+
+
 @dataclass(frozen=True)
 class BuildTree:
     """kind: leaf | cone | susp.
@@ -91,6 +95,7 @@ class BuildTree:
     susp: shift + one child.
     cone: two children (source, target) and attaching components; the
       node evaluates to cone(ChainMap(source, target, components)).
+    evaluate is one post-order pass that builds each node once.
     """
 
     kind: str
@@ -102,15 +107,19 @@ class BuildTree:
     residual: bool = False
 
     def evaluate(self) -> Complex:
+        """This node's complex, from its children's built ones.  A cone
+        node first checks its components commute wherever one is nonzero."""
         if self.kind == "leaf":
             return self.payload
+        built = [c.evaluate() for c in self.children]
         if self.kind == "susp":
-            return suspension(self.children[0].evaluate(), self.shift)
+            return suspension(built[0], self.shift)
         if self.kind == "cone":
-            src = self.children[0].evaluate()
-            tgt = self.children[1].evaluate()
-            f = ChainMap(src, tgt, self.components or {})
-            return cone(f)[0]
+            comps = self.components or {}
+            f = ChainMap(built[0], built[1], comps)
+            if comps and not f.commutes(min(comps) - 1, max(comps)):
+                raise _AttachingMapError("attaching map is not a chain map", self)
+            return cone(f)
         raise ValueError(f"cannot evaluate node kind {self.kind!r}")
 
     def leaves(self) -> list["BuildTree"]:
@@ -206,33 +215,21 @@ def decompose_resolution(q: Complex, depth: int = 8, floor: int = -32) -> BuildT
 
 
 def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
-    """Evaluate the tree and compare with its claimed target.
+    """Evaluate the tree once and compare it with its claimed target.
 
-    The decomposition reproduces the target exactly, so the homotopy
-    equivalence witness is the identity pair with zero homotopies;
-    cone nodes additionally verify their attaching components commute.
+    The single pass of BuildTree.evaluate checks the attaching map of
+    every cone node, at any depth, before building that cone; a failure
+    names the support of the failing node's target.  The decomposition
+    reproduces the target exactly, so the homotopy equivalence witness
+    is the identity pair with zero homotopies.
     """
     lo, hi = window
     window_relative = tree.has_residual()
-
-    def walk(node: BuildTree) -> Verdict | None:
-        if node.kind == "cone":
-            src = node.children[0].evaluate()
-            tgt = node.children[1].evaluate()
-            f = ChainMap(src, tgt, node.components or {})
-            if not f.commutes(lo - 1, hi + 1):
-                return Verdict(False, "attaching_map_not_chain_map", {},
-                               window_relative)
-        for c in node.children:
-            bad = walk(c)
-            if bad is not None:
-                return bad
-        return None
-
-    bad = walk(tree)
-    if bad is not None:
-        return bad
-    built = tree.evaluate()
+    try:
+        built = tree.evaluate()
+    except _AttachingMapError as exc:
+        return Verdict(False, "attaching_map_not_chain_map",
+                       {"support": exc.args[1].target.support()}, window_relative)
     for j in range(lo, hi + 1):
         if built.rank(j) != tree.target.rank(j) or built.diff(j) != tree.target.diff(j):
             return Verdict(False, "rebuild_mismatch", {"degree": j}, window_relative)

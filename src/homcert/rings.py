@@ -57,13 +57,6 @@ class RingDescriptor:
             return x
         return x % self.n
 
-    def is_unit(self, x: int) -> bool:
-        if self.n is None:
-            return x in (1, -1)
-        import math
-
-        return math.gcd(x, self.n) == 1
-
     def __str__(self) -> str:
         if self.kind == "Z":
             return "Z"

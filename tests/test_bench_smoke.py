@@ -2,7 +2,10 @@
 
 Runs `bench/run.py --tiny` untraced on every workload, so a change that
 breaks what the benchmark drives, or an output its independent checks
-reject, fails the test suite and not only the benchmark.  The full self-test of the harness is
+reject, fails the test suite and not only the benchmark.  One traced
+tiny `cli` run checks that the tracer still finds the methods it wraps
+by name (`BuildTree.evaluate`, `Mat.__post_init__`,
+`Complex.__post_init__`).  The full self-test of the harness is
 `python3 -m pytest bench/test_bench.py`.
 """
 
@@ -16,13 +19,25 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["elim", "certify", "cli"])
-def test_bench_tiny_run_has_no_failed_case(workload):
+def _tiny_run(workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--trace", "0", "--tiny"],
+         "--seed", "1", "--seconds", "1", "--trace", str(trace), "--tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, proc.stdout
     assert result["attempted"] >= 1
+    return result
+
+
+@pytest.mark.parametrize("workload", ["elim", "certify", "cli"])
+def test_bench_tiny_run_has_no_failed_case(workload):
+    _tiny_run(workload, trace=0)
+
+
+def test_bench_traced_tiny_cli_run_sees_the_wrapped_methods():
+    metrics = _tiny_run("cli", trace=1)["metrics"]
+    assert metrics["duality.evaluate_calls"]["value"] > 0
+    assert metrics["matrices.mat_new"]["value"] > 0
+    assert metrics["complexes.complex_new"]["value"] > 0

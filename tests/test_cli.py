@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -188,7 +189,8 @@ def test_string_rank_exits_2(capsys, tmp_path):
     assert code == 2 and "rank must be an integer" in err
 
 
-def test_entries_beyond_the_default_digit_limit_round_trip(capsys, tmp_path):
+def test_entries_beyond_the_default_digit_limit_round_trip(capsys, tmp_path,
+                                                           default_digit_limit):
     # Python refuses int <-> str conversions past 4300 digits by default
     digits = "7" * 5000
     module = tmp_path / "huge.json"
@@ -198,6 +200,15 @@ def test_entries_beyond_the_default_digit_limit_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "resolve", str(module))
     assert code == 0
     assert digits in out
+
+
+def test_cli_leaves_the_digit_limit_as_it_found_it(capsys, tmp_path, default_digit_limit):
+    assert run(capsys, "resolve", fx("module_z_cyclic6"))[0] == 0
+    assert run(capsys, "--format", "text", "resolve", fx("module_z_cyclic6"))[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert run(capsys, "resolve", str(bad))[0] == 2
+    assert sys.get_int_max_str_digits() == default_digit_limit
 
 
 def test_seed_flag_is_gone(capsys):

@@ -112,7 +112,7 @@ def test_dual_of_periodic_complex():
 def test_cone_of_identity_is_contractible():
     for ring in RINGS:
         c = random_bounded_complex(random.Random(5), ring)
-        cn, _, _ = cone(ChainMap.identity(c))
+        cn = cone(ChainMap.identity(c))
         h = contraction(cn)
         assert h is not None
         span = cn.support() or (0, 0)
@@ -124,9 +124,9 @@ def test_cone_long_exact_degenerates_to_shift():
     ring = ZZ
     y = two_term(ring, 3)
     zero = Complex.zero(ring, "left")
-    cn, _, _ = cone(ChainMap(zero, y, {}))
+    cn = cone(ChainMap(zero, y, {}))
     assert cn.same_as(y, -3, 3)
-    cn2, _, _ = cone(ChainMap(y, zero, {}))
+    cn2 = cone(ChainMap(y, zero, {}))
     assert cn2.same_as(suspension(y, 1), -3, 3)
 
 

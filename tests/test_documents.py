@@ -1,11 +1,13 @@
 import json
 import pathlib
+import sys
+import threading
 
 import pytest
 
 from homcert.complexes import Complex
 from homcert.documents import (DocumentError, emit_document, make_document,
-                               parse_document)
+                               parse_document, unlimited_int_digits)
 from homcert.matrices import Mat
 from homcert.modules import FPModule
 from homcert.rings import Zmod, ZZ
@@ -174,3 +176,49 @@ def test_parse_rejects_non_integer_tail_and_shift():
             '"shift": false, "children": [], "components": [], "residual": false}}')
     with pytest.raises(DocumentError, match="shift must be an integer"):
         parse_document(tree)
+
+
+def test_entries_beyond_the_default_digit_limit_round_trip(default_digit_limit):
+    m = Mat(ZZ, 1, 1, (10**5000,))  # 5,001 digits
+    text = emit_document(make_document(ZZ, "matrix", m))
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    assert parse_document(text).payload == m
+    assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+def test_digit_limit_stays_lifted_until_the_last_caller_leaves(default_digit_limit):
+    # two callers (say, two threads) whose lifts overlap without nesting
+    first, second = unlimited_int_digits(), unlimited_int_digits()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert sys.get_int_max_str_digits() == 0
+    second.__exit__(None, None, None)
+    assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+def test_concurrent_callers_never_see_the_limit_restored_early(default_digit_limit):
+    m = Mat(ZZ, 1, 1, (10**5000,))
+    doc = make_document(ZZ, "matrix", m)
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(20):
+                assert parse_document(emit_document(doc)).payload == m
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sys.get_int_max_str_digits() == default_digit_limit

@@ -1,6 +1,10 @@
 import random
+from dataclasses import replace
 
-from homcert.complexes import ChainMap, Complex, dualize_complex
+import pytest
+
+from homcert import duality
+from homcert.complexes import ChainMap, Complex, cone, dualize_complex
 from homcert.duality import (decompose_resolution, dualize_chain_map,
                              duality_roundtrip_check, kernel_as_dual,
                              rebuild_verify)
@@ -109,3 +113,100 @@ def test_dual_complex_degrees():
     q = Complex(ZZ, "left", {-2: 1, 0: 2}, {})
     d = dualize_complex(q)
     assert d.rank(2) == 1 and d.rank(0) == 2 and d.side == "right"
+
+
+# -- rebuild_verify on tampered trees and its cost --------------------
+
+
+def _cone_paths(tree, path=()):
+    if tree.kind == "cone":
+        yield path
+    for i, child in enumerate(tree.children):
+        yield from _cone_paths(child, path + (i,))
+
+
+def _node(tree, path):
+    for i in path:
+        tree = tree.children[i]
+    return tree
+
+
+def _replace_at(tree, path, **changes):
+    if not path:
+        return replace(tree, **changes)
+    kids = list(tree.children)
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], **changes)
+    return replace(tree, children=tuple(kids))
+
+
+def _z_resolution():
+    # a non-minimal free resolution of Z of length 5: long enough for
+    # nested glueing cones, with nonzero differentials so that a
+    # tampered glueing map fails to commute
+    nil = Mat(ZZ, 2, 2, (0, 1, 0, 0))
+    diffs = {j: nil for j in range(-4, 0)}
+    diffs[-5] = Mat(ZZ, 2, 1, (1, 0))
+    ranks = {j: 2 for j in range(-4, 1)}
+    ranks[-5] = 1
+    return Complex(ZZ, "right", ranks, diffs)
+
+
+def _tampering_cases():
+    p, _ = resolve_module(FPModule.cyclic(Zmod(4), "right", 2))
+    yield decompose_resolution(p, depth=4), (-6, 0)
+    q = _z_resolution()
+    yield decompose_resolution(q), q.support()
+
+
+def _break_attaching_map(tree, path):
+    node = _node(tree, path)
+    bad = {j: m + Mat.identity(m.ring, m.rows) for j, m in node.components.items()}
+    return _replace_at(tree, path, components=bad), node.target.support()
+
+
+def test_rebuild_verify_refuses_a_bad_root_attaching_map():
+    for tree, window in _tampering_cases():
+        assert rebuild_verify(tree, window).ok
+        bad, span = _break_attaching_map(tree, ())
+        v = rebuild_verify(bad, window)
+        assert not v.ok and v.code == "attaching_map_not_chain_map"
+        assert v.details == {"support": span}
+
+
+def test_rebuild_verify_refuses_a_bad_nested_attaching_map():
+    for tree, window in _tampering_cases():
+        # the deepest cone whose attaching map can fail to commute
+        path = max((p for p in _cone_paths(tree) if -1 in _node(tree, p).components),
+                   key=len)
+        assert len(path) >= 3
+        bad, span = _break_attaching_map(tree, path)
+        v = rebuild_verify(bad, window)
+        assert not v.ok and v.code == "attaching_map_not_chain_map"
+        assert v.details == {"support": span}
+
+
+def test_rebuild_verify_names_the_mismatching_degree():
+    for tree, (lo, hi) in _tampering_cases():
+        q = tree.target
+        ranks = {j: q.rank(j) for j in range(lo, hi + 1) if q.rank(j)}
+        diffs = {j: q.diff(j) for j in range(lo, hi) if j != -3}
+        wrong = replace(tree, target=Complex(q.ring, q.side, ranks, diffs))
+        v = rebuild_verify(wrong, (lo, hi))
+        assert not v.ok and v.code == "rebuild_mismatch"
+        assert v.details == {"degree": -3}
+
+
+@pytest.mark.parametrize("n, a", [(4, 2), (12, 4)])
+def test_rebuild_verify_builds_each_cone_once(monkeypatch, n, a):
+    calls = []
+
+    def counting_cone(f):
+        calls.append(f)
+        return cone(f)
+
+    monkeypatch.setattr(duality, "cone", counting_cone)
+    p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
+    assert not p.is_bounded
+    tree = decompose_resolution(p, depth=8)
+    assert rebuild_verify(tree, (-8, 0)).ok
+    assert len(calls) == len(list(_cone_paths(tree)))
