@@ -5,7 +5,8 @@ breaks what the benchmark drives, or an output its independent checks
 reject, fails the test suite and not only the benchmark.  One traced
 tiny `cli` run checks that the tracer still finds the methods it wraps
 by name (`BuildTree.evaluate`, `Mat.__post_init__`,
-`Complex.__post_init__`).  The full self-test of the harness is
+`Complex.__post_init__`), and one traced tiny `elim` run that it still
+counts the `matrices` entry points.  The full self-test of the harness is
 `python3 -m pytest bench/test_bench.py`.
 """
 
@@ -41,3 +42,9 @@ def test_bench_traced_tiny_cli_run_sees_the_wrapped_methods():
     assert metrics["duality.evaluate_calls"]["value"] > 0
     assert metrics["matrices.mat_new"]["value"] > 0
     assert metrics["complexes.complex_new"]["value"] > 0
+
+
+def test_bench_traced_tiny_elim_run_counts_the_matrices_entry_points():
+    metrics = _tiny_run("elim", trace=1)["metrics"]
+    for name in ("matrices.smith_calls", "matrices.colspan_calls", "matrices.kernel_calls"):
+        assert metrics[name]["value"] > 0, name

@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from homcert.matrices import (Mat, MatrixError, block_diag, colspan_canonical,
                               inverse, kernel_left, kernel_right, smith_invariants,
                               solve_left, solve_right)
+from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_invertible, random_matrix
 
@@ -263,3 +266,75 @@ def test_kernel_and_solve_at_32_by_34(ring):
     b = a @ random_matrix(rng, ring, 34, 3)
     x = solve_right(a, b)
     assert x is not None and a @ x == b
+
+
+# -- Smith invariants, checked by determinantal divisors ---------------
+
+SMITH_RINGS = [ZZ, Fp(5), Fp(7), Zmod(4), Zmod(8), Zmod(12)]
+
+
+@st.composite
+def small_matrix(draw, rings, max_rows=3, max_cols=4):
+    ring = draw(st.sampled_from(rings))
+    r = draw(st.integers(0, max_rows))
+    c = draw(st.integers(0, max_cols))
+    n = ring.modulus
+    entries = st.integers(-9, 9) if n is None else st.integers(0, n - 1)
+    return Mat(ring, r, c, tuple(draw(st.lists(entries, min_size=r * c, max_size=r * c))))
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * v * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, v in enumerate(m[0]) if v)
+
+
+def _lift(a):
+    """A itself over Z; [A | nI] over Z/n and F_p, as an integer matrix."""
+    n = a.ring.modulus
+    lifted = Mat(ZZ, a.rows, a.cols, a.entries)
+    return lifted if n is None else lifted.hstack(Mat.identity(ZZ, a.rows).scale(n))
+
+
+def _smith_by_minors(a):
+    """d_k / d_(k-1), d_k the gcd of the k x k minors, while d_k != 0."""
+    rows = a.row_list()
+    out, prev = [], 1
+    for k in range(1, min(a.rows, a.cols) + 1):
+        d = 0
+        for rs in combinations(range(a.rows), k):
+            for cs in combinations(range(a.cols), k):
+                d = gcd(d, _det([[rows[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
+
+
+@given(small_matrix(SMITH_RINGS))
+@settings(max_examples=150, deadline=None)
+def test_smith_invariants_match_determinantal_divisors(a):
+    lifted = _lift(a)
+    assert smith_invariants(lifted) == _smith_by_minors(lifted)
+
+
+@given(small_matrix(MOD_RINGS, max_cols=3))
+@settings(max_examples=80, deadline=None)
+def test_abelian_invariants_order_matches_the_enumerated_span(a):
+    free, torsion = FPModule(a.ring, "left", a).abelian_invariants()
+    assert free == 0 and all(t > 1 for t in torsion)
+    assert prod(torsion) * len(_image(a)) == a.ring.n ** a.rows
+
+
+@pytest.mark.parametrize("ring", SMITH_RINGS, ids=str)
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_invariants_and_spans_of_empty_and_zero_matrices(ring, shape):
+    z = Mat.zero(ring, *shape)
+    n = ring.modulus
+    rows = shape[0]
+    assert FPModule(ring, "left", z).abelian_invariants() == (
+        (rows, ()) if n is None else (0, (n,) * rows))
+    assert smith_invariants(_lift(z)) == ([] if n is None else [n] * rows)
+    assert colspan_canonical(z) == Mat.zero(ring, rows, 0)
