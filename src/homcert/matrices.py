@@ -1,12 +1,15 @@
 """Exact matrices and exact linear algebra over the supported rings.
 
-Kernels, solves and canonical column spans come from a column Hermite
-normal form (HNF).  Over Z it is the integer HNF with a unimodular
-transform.  Over Z/n and F_p it is the HNF of the lattice span + n*Z^r,
-computed with every entry in [0, n) (Domich, Kannan & Trotter 1987;
-Cohen, GTM 138, Alg. 2.4.8); over F_p that is Gauss-Jordan elimination.
-An HNF is determined by its lattice, so modular kernels and spans do
-not depend on the generators they were computed from.
+One column Hermite normal form (HNF) core, `_hnf`, serves every ring.
+Over Z it is the integer HNF; over Z/n and F_p it is the HNF of the
+lattice span + n*Z^r, computed with every entry in [0, n) (Domich,
+Kannan & Trotter 1987; Cohen, GTM 138, Alg. 2.4.8); over F_p that is
+Gauss-Jordan elimination.  Canonical column spans and Smith invariants
+come from it over every ring, and kernels and solves over Z/n and F_p.
+Only Z kernels and solves still use `_col_hnf`, which also returns the
+unimodular transform.  An HNF is determined by its lattice, so spans,
+Smith invariants and modular kernels do not depend on the generators
+they were computed from.
 
 The pivoting rule is fixed: rows are processed top to bottom, the
 pivot is the gcd of the surviving entries in the row, pivots are
@@ -17,6 +20,7 @@ All outputs are therefore deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, prod
 
 from .rings import RingDescriptor
 
@@ -316,19 +320,24 @@ def _from_cols(ring: RingDescriptor, rows: int, cols: list[list[int]]) -> Mat:
     return Mat(ring, rows, len(cols), tuple(col[i] for i in range(rows) for col in cols))
 
 
-def _hnf_mod(n: int, rows: int, gens: list[list[int]]) -> dict[int, list[int]]:
-    """Column HNF of span(gens) + n*Z^rows, with every entry kept in [0, n).
+def _hnf(n: int | None, rows: int, gens: list[list[int]]) -> dict[int, list[int]]:
+    """Column HNF of span(gens) over Z (n is None), or of span(gens) + n*Z^rows
+    with every entry kept in [0, n).
 
-    Returns {row: column} for the pivots g < n, in row order; the other
-    rows have pivot n, whose HNF column n*e_row is zero mod n.  Each g
-    divides n, a pivot column is zero above its row, and each pivot row
-    holds entries in [0, g) in the earlier pivot columns.  Over a prime
-    every g is 1: this is Gauss-Jordan elimination.
+    Returns {row: column} for the pivots, in row order; mod n, these are
+    the pivots g < n, and the other rows have pivot n, whose HNF column
+    n*e_row is zero mod n.  Pivots are positive (mod n each divides n),
+    a pivot column is zero above its row, and each pivot row holds
+    entries in [0, g) in the earlier pivot columns.  Over a prime every
+    g is 1: this is Gauss-Jordan elimination.
     """
     pivots: dict[int, list[int]] = {}
-    # active columns hold entries from row i down and span, with n*Z,
+    # active columns hold entries from row i down and span (with n*Z)
     # the part of the lattice that vanishes above row i
-    active = [t for t in ([v % n for v in c] for c in gens) if any(t)]
+    if n is None:
+        active = [list(c) for c in gens if any(c)]
+    else:
+        active = [t for t in ([v % n for v in c] for c in gens) if any(t)]
     for i in range(rows):
         c, rest = None, []
         for a in active:
@@ -339,17 +348,28 @@ def _hnf_mod(n: int, rows: int, gens: list[list[int]]) -> dict[int, list[int]]:
             else:  # unimodular step: gcd(c[0], a[0]) into c, 0 into a
                 x, y, g = _xgcd(c[0], a[0])
                 cg, ag = c[0] // g, a[0] // g
-                c, a = ([(x * u + y * v) % n for u, v in zip(c, a)],
-                        [(cg * v - ag * u) % n for u, v in zip(c, a)])
+                if n is None:
+                    c, a = ([x * u + y * v for u, v in zip(c, a)],
+                            [cg * v - ag * u for u, v in zip(c, a)])
+                else:
+                    c, a = ([(x * u + y * v) % n for u, v in zip(c, a)],
+                            [(cg * v - ag * u) % n for u, v in zip(c, a)])
                 rest.append(a)
         if c is not None:
-            s, _, g = _xgcd(c[0], n)
-            p = [0] * i + [s * v % n for v in c]
-            # the multiples of c that vanish at row i mod n are those of (n/g)*c
-            rest.append([n // g * v % n for v in c])
+            if n is None:
+                g = abs(c[0])
+                p = [0] * i + (c if c[0] > 0 else [-v for v in c])
+            else:
+                s, _, g = _xgcd(c[0], n)
+                p = [0] * i + [s * v % n for v in c]
+                # the multiples of c that vanish at row i mod n are those of (n/g)*c
+                rest.append([n // g * v % n for v in c])
             for col in pivots.values():
                 q = col[i] // g
-                if q:
+                if q and n is None:
+                    for k in range(i, rows):
+                        col[k] -= q * p[k]
+                elif q:
                     for k in range(i, rows):
                         col[k] = (col[k] - q * p[k]) % n
             pivots[i] = p
@@ -403,11 +423,7 @@ def colspan_canonical(m: Mat) -> Mat:
     The nonzero columns of the column HNF of the span over Z, and of
     span + n*Z^rows over Z/n and F_p; over Z and F_p they are a basis.
     """
-    n = m.ring.modulus
-    if n is not None:
-        return _from_cols(m.ring, m.rows, list(_hnf_mod(n, m.rows, m.columns()).values()))
-    H, _, pivots = _col_hnf(m.rows, m.cols, m.row_list())
-    return _from_cols(m.ring, m.rows, [[H[i][pc] for i in range(m.rows)] for (_, pc) in pivots])
+    return _from_cols(m.ring, m.rows, list(_hnf(m.ring.modulus, m.rows, m.columns()).values()))
 
 
 # -- public solving interface -----------------------------------------
@@ -432,7 +448,7 @@ def solve_right(A: Mat, B: Mat) -> Mat | None:
     gens = [a + [0] * k + [int(i == j) for i in range(c)] for j, a in enumerate(A.columns())]
     gens += [[-v for v in b] + [int(i == j) for i in range(k)] + [0] * c
              for j, b in enumerate(B.columns())]
-    pivots = _hnf_mod(n, r + k + c, gens)
+    pivots = _hnf(n, r + k + c, gens)
     if not all(r + j in pivots and pivots[r + j][r + j] == 1 for j in range(k)):
         return None
     return _from_cols(A.ring, c, [pivots[r + j][r + k:] for j in range(k)])
@@ -457,7 +473,7 @@ def kernel_right(A: Mat) -> Mat:
         return _from_cols(A.ring, c, _kernel_int(A.row_list(), A.rows, c))
     # the pivots of [A; I_c] below row A.rows carry the kernel lattice
     gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(A.columns())]
-    pivots = _hnf_mod(n, A.rows + c, gens)
+    pivots = _hnf(n, A.rows + c, gens)
     return _from_cols(A.ring, c, [p[A.rows:] for i, p in pivots.items() if i >= A.rows])
 
 
@@ -479,84 +495,31 @@ def inverse(A: Mat) -> Mat | None:
 
 
 def smith_invariants(A: Mat) -> list[int]:
-    """Full diagonal d_1 | d_2 | ... of the Smith form of an integer matrix.
+    """Full diagonal d_1 | d_2 | ... of the Smith form; factors 1 are kept.
 
-    The length of the list is the rank of A; trivial factors 1 are kept.
-    Only defined over Z; callers over Z/n lift and adjoin n*I themselves.
+    Over Z there is one positive factor per unit of rank.  Over Z/n and
+    F_p these are the invariants of span + n*Z^rows: one factor per
+    row, each dividing n, with n for a row the span misses.  Hermite
+    forms of the matrix and of its transpose alternate until the form is
+    diagonal (Kannan & Bachem 1979); over Z they run modulo the product
+    D of the pivots of the first HNF, whose row lattice contains
+    D*Z^rank (Domich, Kannan & Trotter 1987).  This terminates: each
+    round isolates the first pivot not yet alone in its row and column,
+    or replaces it by a proper divisor, and every pivot divides n or D.
     """
-    if A.ring.modulus is not None:
-        raise MatrixError("smith_invariants is an integer-matrix primitive")
-    import math
-
-    M = [row.copy() for row in A.row_list()]
-    rows, cols = A.rows, A.cols
-    diag: list[int] = []
-    r0 = c0 = 0
-    while r0 < rows and c0 < cols:
-        piv = None
-        best = None
-        for i in range(r0, rows):
-            for j in range(c0, cols):
-                v = abs(M[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-        if piv is None:
+    n, k, gens = A.ring.modulus, A.rows, A.columns()
+    if n is None:
+        hnf = _hnf(None, A.rows, gens)
+        k, n = len(hnf), prod(c[i] for i, c in hnf.items())
+        gens = [[c[i] for c in hnf.values()] for i in range(A.rows)]
+    while True:
+        pivots = _hnf(n, k, gens)
+        if not any(any(c[i + 1:]) for i, c in pivots.items()):
             break
-        while True:
-            i0, j0 = piv
-            M[r0], M[i0] = M[i0], M[r0]
-            for row in M:
-                row[c0], row[j0] = row[j0], row[c0]
-            # division-with-remainder sweeps until row/column are clear
-            dirty = False
-            for i in range(r0 + 1, rows):
-                if M[i][c0]:
-                    q = M[i][c0] // M[r0][c0]
-                    for j in range(c0, cols):
-                        M[i][j] -= q * M[r0][j]
-                    if M[i][c0]:
-                        dirty = True
-            for j in range(c0 + 1, cols):
-                if M[r0][j]:
-                    q = M[r0][j] // M[r0][c0]
-                    for i in range(r0, rows):
-                        M[i][j] -= q * M[i][c0]
-                    if M[r0][j]:
-                        dirty = True
-            piv = None
-            best = None
-            for i in range(r0, rows):
-                for j in range(c0, cols):
-                    v = abs(M[i][j])
-                    if v and (best is None or v < best):
-                        best, piv = v, (i, j)
-            if not dirty and piv is not None and piv == (r0, c0):
-                d = abs(M[r0][c0])
-                # fold in any entry not divisible by the pivot
-                bad = None
-                for i in range(r0 + 1, rows):
-                    for j in range(c0 + 1, cols):
-                        if M[i][j] % d != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                for j in range(c0, cols):
-                    M[r0][j] += M[bad][j]
-                piv = (r0, c0)
-        diag.append(abs(M[r0][c0]))
-        r0 += 1
-        c0 += 1
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a != 0:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
+        gens = [[pivots[j][i] if j in pivots else 0 for j in range(k)] for i in range(k)]
+    diag = [pivots[i][i] if i in pivots else n for i in range(k)]
+    for i in range(k):  # a diagonal form's factors, sorted into a chain
+        for j in range(i + 1, k):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag

@@ -85,21 +85,8 @@ class FPModule:
         over Z/n and F_p the module structure is determined by the
         underlying abelian group together with the ring.
         """
-        n = self.ring.modulus
-        P = self.presentation
-        if n is None:
-            lifted = P
-        else:
-            scaled = Mat(RingDescriptor("Z"), P.rows, P.cols, P.entries)
-            block = Mat.identity(RingDescriptor("Z"), P.rows).scale(n)
-            lifted = scaled.hstack(block)
-        if n is not None:
-            diag = smith_invariants(lifted)
-        else:
-            diag = smith_invariants(Mat(RingDescriptor("Z"), P.rows, P.cols, P.entries))
-        free_rank = self.rank0 - len(diag)
-        torsion = tuple(sorted(d for d in diag if d != 1))
-        return free_rank, torsion
+        diag = smith_invariants(self.presentation)
+        return self.rank0 - len(diag), tuple(d for d in diag if d != 1)
 
     def __str__(self) -> str:
         free_rank, torsion = self.abelian_invariants()

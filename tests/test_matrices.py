@@ -118,6 +118,9 @@ def test_smith_invariants_frozen_examples():
     assert smith_invariants(Mat(ZZ, 2, 2, (2, 0, 0, 3))) == [1, 6]
     assert smith_invariants(Mat(ZZ, 2, 2, (0, 0, 0, 0))) == []
     assert smith_invariants(Mat(ZZ, 2, 3, (1, 2, 3, 4, 5, 6))) == [1, 3]
+    assert smith_invariants(Mat(Zmod(12), 2, 2, (2, 0, 0, 3))) == [1, 6]
+    assert smith_invariants(Mat(Zmod(4), 2, 1, (2, 0))) == [2, 4]
+    assert smith_invariants(Mat(Fp(5), 2, 2, (1, 2, 2, 4))) == [1, 5]
 
 
 def test_smith_invariants_divisibility():
@@ -317,7 +320,9 @@ def _smith_by_minors(a):
 @settings(max_examples=150, deadline=None)
 def test_smith_invariants_match_determinantal_divisors(a):
     lifted = _lift(a)
-    assert smith_invariants(lifted) == _smith_by_minors(lifted)
+    expected = _smith_by_minors(lifted)
+    assert smith_invariants(a) == expected
+    assert smith_invariants(lifted) == expected
 
 
 @given(small_matrix(MOD_RINGS, max_cols=3))
@@ -336,5 +341,22 @@ def test_invariants_and_spans_of_empty_and_zero_matrices(ring, shape):
     rows = shape[0]
     assert FPModule(ring, "left", z).abelian_invariants() == (
         (rows, ()) if n is None else (0, (n,) * rows))
-    assert smith_invariants(_lift(z)) == ([] if n is None else [n] * rows)
+    assert smith_invariants(z) == smith_invariants(_lift(z)) == (
+        [] if n is None else [n] * rows)
     assert colspan_canonical(z) == Mat.zero(ring, rows, 0)
+
+
+def test_z_spans_and_smith_do_not_need_the_transform_hnf(monkeypatch):
+    from homcert import matrices
+
+    rng = random.Random(41)
+    inputs = [random_matrix(rng, ZZ, rng.randint(0, 6), rng.randint(0, 7)) for _ in range(40)]
+    expected = [(colspan_canonical(a), smith_invariants(a)) for a in inputs]
+
+    def refuse(*args):
+        raise AssertionError("_col_hnf is for Z kernels and solves only")
+
+    monkeypatch.setattr(matrices, "_col_hnf", refuse)
+    assert [(colspan_canonical(a), smith_invariants(a)) for a in inputs] == expected
+    with pytest.raises(AssertionError):
+        kernel_right(Mat(ZZ, 1, 2, (2, 3)))
