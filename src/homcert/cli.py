@@ -10,6 +10,7 @@ verdict is still printed as a document), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .complexes import ComplexError, dualize_complex, homology, split_exactness_check
@@ -190,6 +191,7 @@ def cmd_split_check(args) -> int:
     return _verdict_exit(args, doc.ring, v)
 
 
+@functools.cache  # built once: it is most of the time of a cheap command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homcert",
@@ -251,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
-from .complexes import ChainMap, Complex, ComplexError, PeriodicTail
+from .complexes import ChainMap, Complex, ComplexError, PeriodicTail, dualize_complex
 from .duality import BuildTree
 from .flatness import FlatCertificate, FlatRelation
 from .generator import GeneratorPackage
@@ -32,11 +32,6 @@ from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
 FORMAT_VERSION = "1"
-
-PAYLOAD_KINDS = (
-    "matrix", "module", "complex", "chain_map", "relation", "certificate",
-    "build_tree", "verdict", "generator_package",
-)
 
 
 class DocumentError(ValueError):
@@ -179,19 +174,6 @@ def verdict_to_json(v: Verdict) -> dict:
     }
 
 
-_ENCODERS = {
-    "matrix": matrix_to_json,
-    "module": module_to_json,
-    "complex": complex_to_json,
-    "chain_map": chain_map_to_json,
-    "relation": relation_to_json,
-    "certificate": certificate_to_json,
-    "build_tree": build_tree_to_json,
-    "verdict": verdict_to_json,
-    "generator_package": package_to_json,
-}
-
-
 def make_document(ring: RingDescriptor, kind: str, payload: Any) -> Document:
     if kind not in PAYLOAD_KINDS:
         raise DocumentError(f"unknown payload kind {kind!r}")
@@ -200,7 +182,7 @@ def make_document(ring: RingDescriptor, kind: str, payload: Any) -> Document:
 
 @unlimited_int_digits()
 def emit_document(doc: Document) -> str:
-    body = _ENCODERS[doc.kind](doc.payload)
+    body = _CODECS[doc.kind][0](doc.payload)
     obj = {
         "version": doc.version,
         "ring": ring_to_json(doc.ring),
@@ -369,11 +351,28 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
     _require(dual == mstar and dual_gens == K, "stored dual is not the dual of the module")
     mu = canonical_double_dual_map(module, mstar, K)
     _require(mu.matrix == mu_matrix, "stored mu is not the canonical double-dual map")
+    _require(comparison == dual_gens, "stored comparison is not the dual generators")
+    _require(dual_complex == dualize_complex(resolution),
+             "stored dual complex is not the dual of the resolution")
     pi = ModuleMap(FPModule.free(ring, dual.side, dual.rank0), dual,
                    Mat.identity(ring, dual.rank0))
     return GeneratorPackage(module, dual, dual_gens, resolution, pi, mu,
                             dual_complex, comparison, _int(obj.get("depth", 0), "depth"),
                             bool(obj.get("complete", False)))
+
+
+_CODECS = {  # kind: (encoder, decoder)
+    "matrix": (matrix_to_json, matrix_from_json),
+    "module": (module_to_json, module_from_json),
+    "complex": (complex_to_json, complex_from_json),
+    "chain_map": (chain_map_to_json, chain_map_from_json),
+    "relation": (relation_to_json, relation_from_json),
+    "certificate": (certificate_to_json, certificate_from_json),
+    "build_tree": (build_tree_to_json, build_tree_from_json),
+    "verdict": (verdict_to_json, lambda ring, obj: verdict_from_json(obj)),
+    "generator_package": (package_to_json, package_from_json),
+}
+PAYLOAD_KINDS = tuple(_CODECS)
 
 
 @unlimited_int_digits()
@@ -389,23 +388,5 @@ def parse_document(text: str) -> Document:
     ring = ring_from_json(obj.get("ring"))
     kind = obj.get("kind")
     _require(kind in PAYLOAD_KINDS, f"unknown payload kind {kind!r}")
-    body = obj.get("payload")
-    if kind == "matrix":
-        payload = matrix_from_json(ring, body)
-    elif kind == "module":
-        payload = module_from_json(ring, body)
-    elif kind == "complex":
-        payload = complex_from_json(ring, body)
-    elif kind == "chain_map":
-        payload = chain_map_from_json(ring, body)
-    elif kind == "relation":
-        payload = relation_from_json(ring, body)
-    elif kind == "certificate":
-        payload = certificate_from_json(ring, body)
-    elif kind == "build_tree":
-        payload = build_tree_from_json(ring, body)
-    elif kind == "generator_package":
-        payload = package_from_json(ring, body)
-    else:
-        payload = verdict_from_json(body)
-    return Document(version, ring, kind, payload)
+    return Document(version, ring, kind, _CODECS[kind][1](ring, obj.get("payload")))
+

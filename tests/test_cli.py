@@ -62,6 +62,24 @@ def test_check_qiso_passes_on_orthogonal_target(capsys, tmp_path):
     assert doc.kind == "verdict" and doc.payload.ok
 
 
+def _zero_entries(m):
+    m["entries"] = [[0] * m["cols"] for _ in range(m["rows"])]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda pkg: pkg["comparison"].update(entries=[[3]]),
+    lambda pkg: [_zero_entries(d) for _, d in pkg["dual_complex"]["diffs"]],
+], ids=["comparison", "dual_complex"])
+def test_check_qiso_refuses_a_self_contradicting_package(capsys, tmp_path, tamper):
+    doc = json.loads(pathlib.Path(fx("package_z4_cyclic2")).read_text())
+    tamper(doc["payload"])
+    package = tmp_path / "p.json"
+    package.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-qiso", str(package), fx("complex_z4_0"),
+                         "--window=-3..3")
+    assert code == 2 and out == "" and "stored" in err
+
+
 def test_homology_window(capsys):
     code, out, _ = run(capsys, "homology", fx("complex_z_mult2"), "--window=-1..0")
     assert code == 0
@@ -213,6 +231,30 @@ def test_cli_leaves_the_digit_limit_as_it_found_it(capsys, tmp_path, default_dig
 
 def test_seed_flag_is_gone(capsys):
     assert run(capsys, "--seed", "3", "resolve", fx("module_z_cyclic6"))[0] == 2
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    import argparse
+    import types
+
+    from homcert import cli
+
+    built = []
+
+    def counting_parser(*args, **kwargs):
+        built.append(kwargs.get("prog"))
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse",
+                        types.SimpleNamespace(**{**vars(argparse),
+                                                 "ArgumentParser": counting_parser}))
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "resolve", fx("module_z_cyclic6"))[0] == 0
+        assert run(capsys, "dualize", fx("module_z_cyclic6"))[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == ["homcert"]
 
 
 def test_unknown_command_exits_2(capsys):

@@ -140,6 +140,19 @@ def test_generator_package_mu_is_validated():
     assert doc.payload.module == FPModule.cyclic(Zmod(4), "left", 2)
 
 
+@pytest.mark.parametrize("field, tamper, message", [
+    ("comparison", lambda m: m.update(entries=[[3]]), "comparison"),
+    ("dual_complex", lambda c: [d.update(entries=[[0]]) for _, d in c["diffs"]],
+     "dual complex"),
+])
+def test_generator_package_comparison_and_dual_complex_are_validated(field, tamper, message):
+    path = pathlib.Path(__file__).parent / "fixtures" / "package_z4_cyclic2.json"
+    doc = json.loads(path.read_text())
+    tamper(doc["payload"][field])
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(doc))
+
+
 def test_parse_rejects_string_rank():
     text = ('{"version": "1", "ring": {"kind": "Z"}, "kind": "complex", '
             '"payload": {"side": "left", "ranks": [[0, "a"]], "diffs": []}}')
