@@ -497,18 +497,18 @@ def inverse(A: Mat) -> Mat | None:
 def smith_invariants(A: Mat) -> list[int]:
     """Full diagonal d_1 | d_2 | ... of the Smith form; factors 1 are kept.
 
-    Over Z there is one positive factor per unit of rank.  Over Z/n and
-    F_p these are the invariants of span + n*Z^rows: one factor per
-    row, each dividing n, with n for a row the span misses.  Hermite
-    forms of the matrix and of its transpose alternate until the form is
-    diagonal (Kannan & Bachem 1979); over Z they run modulo the product
-    D of the pivots of the first HNF, whose row lattice contains
-    D*Z^rank (Domich, Kannan & Trotter 1987).  This terminates: each
-    round isolates the first pivot not yet alone in its row and column,
-    or replaces it by a proper divisor, and every pivot divides n or D.
+    Over Z there are rank(A) positive factors.  Over Z/n and F_p these
+    are the invariants of span + n*Z^rows: one factor per row, each
+    dividing n, with n for a row the span misses.  Hermite forms of the
+    matrix and of its transpose alternate until the form is diagonal
+    (Kannan & Bachem 1979); over Z they run modulo the product D of the
+    pivots of the first HNF, whose row lattice contains D*Z^rank
+    (Domich, Kannan & Trotter 1987).  This terminates: each round
+    isolates the first pivot not yet alone in its row and column, or
+    replaces it by a proper divisor, and every pivot divides n or D.
     """
     n, k, gens = A.ring.modulus, A.rows, A.columns()
-    if n is None:
+    if n is None:  # continue mod D on the rows of the HNF
         hnf = _hnf(None, A.rows, gens)
         k, n = len(hnf), prod(c[i] for i, c in hnf.items())
         gens = [[c[i] for c in hnf.values()] for i in range(A.rows)]
