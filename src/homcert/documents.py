@@ -207,6 +207,12 @@ def _int(value: Any, what: str) -> int:
     return value
 
 
+def _bool(value: Any, what: str) -> bool:
+    """A JSON boolean; strings, numbers and null are refused."""
+    _require(type(value) is bool, f"{what} must be a boolean, got {value!r}")
+    return value
+
+
 def ring_from_json(obj: Any) -> RingDescriptor:
     _require(isinstance(obj, dict) and "kind" in obj, "ring must be an object with a kind")
     kind = obj["kind"]
@@ -328,14 +334,17 @@ def build_tree_from_json(ring: RingDescriptor, obj: Any) -> BuildTree:
         shift=_int(obj.get("shift", 0), "shift"),
         children=tuple(build_tree_from_json(ring, c) for c in obj.get("children", [])),
         components=comps,
-        residual=bool(obj.get("residual", False)),
+        residual=_bool(obj.get("residual", False), "build tree residual"),
     )
 
 
 def verdict_from_json(obj: Any) -> Verdict:
     _require(isinstance(obj, dict), "verdict must be an object")
-    return Verdict(bool(obj.get("ok")), str(obj.get("code")),
-                   obj.get("details", {}), bool(obj.get("window_relative", False)))
+    code, details = obj.get("code"), obj.get("details", {})
+    _require(type(code) is str, f"verdict code must be a string, got {code!r}")
+    _require(type(details) is dict, f"verdict details must be an object, got {details!r}")
+    return Verdict(_bool(obj.get("ok"), "verdict ok"), code, details,
+                   _bool(obj.get("window_relative", False), "verdict window_relative"))
 
 
 def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
@@ -358,7 +367,7 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
                    Mat.identity(ring, dual.rank0))
     return GeneratorPackage(module, dual, dual_gens, resolution, pi, mu,
                             dual_complex, comparison, _int(obj.get("depth", 0), "depth"),
-                            bool(obj.get("complete", False)))
+                            _bool(obj.get("complete", False), "package complete"))
 
 
 _CODECS = {  # kind: (encoder, decoder)

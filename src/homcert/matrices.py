@@ -6,10 +6,10 @@ lattice span + n*Z^r, computed with every entry in [0, n) (Domich,
 Kannan & Trotter 1987; Cohen, GTM 138, Alg. 2.4.8); over F_p that is
 Gauss-Jordan elimination.  Canonical column spans and Smith invariants
 come from it over every ring, and kernels and solves over Z/n and F_p.
-Only Z kernels and solves still use `_col_hnf`, which also returns the
-unimodular transform.  An HNF is determined by its lattice, so spans,
-Smith invariants and modular kernels do not depend on the generators
-they were computed from.
+Z kernels and solves run it modulo delta, the determinant of a pivot
+minor found by fraction-free elimination, so no entry outgrows
+Hadamard's bound.  An HNF is determined by its lattice, so spans, Smith
+invariants and kernels do not depend on the generators they came from.
 
 The pivoting rule is fixed: rows are processed top to bottom, the
 pivot is the gcd of the surviving entries in the row, pivots are
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, prod
+from operator import mul
 
 from .rings import RingDescriptor
 
@@ -99,7 +100,7 @@ class Mat:
         return [list(self.entries[j::self.cols]) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -240,80 +241,7 @@ def assemble_blocks(ring: RingDescriptor, grid: list[list[Mat | None]],
     return Mat(ring, rows, cols, tuple(ent))
 
 
-# -- integer Hermite normal form --------------------------------------
-
-
-def _col_hnf(rows: int, cols: int, a: list[list[int]]):
-    """Column-style HNF: returns (H, U, pivots) with A*U = H, U unimodular.
-
-    H is in column echelon form with positive pivots at strictly
-    increasing rows; entries left of a pivot lie in [0, pivot).
-    pivots is the list of (row, col) pivot positions.
-    """
-    H = [row.copy() for row in a]
-    U = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    pivots: list[tuple[int, int]] = []
-    pc = 0  # next pivot column
-
-    def col_axpy(dst: int, src: int, q: int):
-        # column dst += q * column src
-        for row in H:
-            row[dst] += q * row[src]
-        for row in U:
-            row[dst] += q * row[src]
-
-    def col_swap(j1: int, j2: int):
-        for row in H:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in U:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    def col_combine(j1: int, j2: int, r: int):
-        # Replace (col j1, col j2) so that H[r][j1] = gcd, H[r][j2] = 0.
-        aa, bb = H[r][j1], H[r][j2]
-        if bb == 0:
-            return
-        if aa == 0:
-            col_swap(j1, j2)
-            return
-        if bb % aa == 0:
-            col_axpy(j2, j1, -(bb // aa))
-            return
-        x, y, g = _xgcd(aa, bb)
-        ag, bg = aa // g, bb // g
-        for M in (H, U):
-            for row in M:
-                v1, v2 = row[j1], row[j2]
-                row[j1] = x * v1 + y * v2
-                row[j2] = -bg * v1 + ag * v2
-
-    for r in range(rows):
-        j0 = None
-        for j in range(pc, cols):
-            if H[r][j] != 0:
-                j0 = j
-                break
-        if j0 is None:
-            continue
-        if j0 != pc:
-            col_swap(pc, j0)
-        for j in range(pc + 1, cols):
-            col_combine(pc, j, r)
-        if H[r][pc] < 0:
-            for row in H:
-                row[pc] = -row[pc]
-            for row in U:
-                row[pc] = -row[pc]
-        g = H[r][pc]
-        for j in range(pc):
-            q = H[r][j] // g
-            if q:
-                col_axpy(j, pc, -q)
-        pivots.append((r, pc))
-        pc += 1
-        if pc == cols:
-            break
-    return H, U, pivots
+# -- Hermite normal form ---------------------------------------------
 
 
 def _from_cols(ring: RingDescriptor, rows: int, cols: list[list[int]]) -> Mat:
@@ -377,44 +305,96 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]]) -> dict[int, list[int]
     return pivots
 
 
-def _solve_right_int(A_rows: list[list[int]], rows: int, cols: int,
-                     b_cols: list[list[int]]):
-    """Solve A X = B over Z columnwise; returns list of solution columns or None."""
-    H, U, pivots = _col_hnf(rows, cols, A_rows)
-    sols = []
-    for b in b_cols:
-        resid = b.copy()
-        y = [0] * cols
-        ok = True
-        for (pr, pcj) in pivots:
-            g = H[pr][pcj]
-            if resid[pr] % g != 0:
-                ok = False
-                break
-            q = resid[pr] // g
-            y[pcj] = q
-            if q:
-                for i in range(pr, rows):
-                    resid[i] -= q * H[i][pcj]
-        if not ok or any(resid):
-            return None
-        x = [sum(U[i][j] * y[j] for j in range(cols)) for i in range(cols)]
-        sols.append(x)
-    return sols
+def _modular_kernel(n: int, rows: int, cols: list[list[int]]) -> dict[int, list[int]]:
+    """Hermite form of {x in Z^c : A x = 0 mod n}, A given by its columns.
+
+    Returns {i: column} for the pivots below n; every other pivot is n,
+    with HNF column n*e_i.
+    """
+    c = len(cols)
+    # the pivots of [A; I_c] below the rows of A carry the kernel lattice
+    gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(cols)]
+    return {i - rows: p[rows:] for i, p in _hnf(n, rows + c, gens).items() if i >= rows}
 
 
-def _kernel_int(A_rows: list[list[int]], rows: int, cols: int) -> list[list[int]]:
-    """Basis of the integer right kernel, as a list of columns."""
-    _, U, pivots = _col_hnf(rows, cols, A_rows)
-    rank = len(pivots)
-    out = []
-    for j in range(rank, cols):
-        col = [U[i][j] for i in range(cols)]
-        lead = next((v for v in col if v != 0), 0)
-        if lead < 0:
-            col = [-v for v in col]
-        out.append(col)
-    return out
+def _modular_solve(n: int, rows: int, a_cols: list[list[int]],
+                   b_cols: list[list[int]]) -> list[list[int]] | None:
+    """Solution columns of A X = B mod n, reduced modulo the kernel's HNF, or None."""
+    c, k = len(a_cols), len(b_cols)
+    # the columns of [[A, -B], [0, I_k], [I_c, 0]] span the (x, y) with
+    # A x = B y; AX = B is solvable iff every y-row has pivot 1
+    gens = [a + [0] * k + [int(i == j) for i in range(c)] for j, a in enumerate(a_cols)]
+    gens += [[-v for v in b] + [int(i == j) for i in range(k)] + [0] * c
+             for j, b in enumerate(b_cols)]
+    pivots = _hnf(n, rows + k + c, gens)
+    if not all(rows + j in pivots and pivots[rows + j][rows + j] == 1 for j in range(k)):
+        return None
+    return [pivots[rows + j][rows + k:] for j in range(k)]
+
+
+def _bareiss(m: list[list[int]], c: int) -> tuple[int, list[int], list[int]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows m, in place.
+
+    Pivots are taken in the first c columns, left to right, and deleted
+    from m once eliminated (each would hold d in its pivot row, else 0).
+    Returns (d, pivot columns, free columns): the rows of m then hold the
+    free columns followed by the columns from c on, and the rows below
+    the rank are zero in the free columns.  Every entry stays a minor of
+    the input, so each division is exact; d is +-det of the pivot minor.
+    """
+    d, piv, free = 1, [], []
+    for j in range(c):
+        t, jj = len(piv), len(free)  # jj: where column j now sits
+        p = next((i for i in range(t, len(m)) if m[i][jj]), None)
+        if p is None:
+            free.append(j)
+            continue
+        m[t], m[p] = m[p], m[t]
+        prow, g = m[t], m[t][jj]
+        for i, row in enumerate(m):
+            if i != t:
+                a = row[jj]
+                if a or g != d:
+                    row = m[i] = [(g * x - a * y) // d for x, y in zip(row, prow)]
+                del row[jj]
+        del prow[jj]
+        d = g
+        piv.append(j)
+    return d, piv, free
+
+
+def _z_reduce(A: Mat, B: Mat | None):
+    """Reduce A x = b over Z, for each column b of B, to a congruence modulo a minor.
+
+    One Bareiss pass over [A | B] gives the pivot columns, delta = |det A1|
+    of the pivot minor, X = delta A1^-1 A2 and Y = delta A1^-1 B.  The
+    integer x with A x = b project injectively onto their free
+    coordinates x2, which are the solutions of X x2 = Y mod delta, and
+    x1 = (Y - X x2) / delta (Cohen, GTM 138, 2.4.3).  Returns None when
+    some b is not in the rational span of A, and otherwise (delta, rank,
+    X columns, Y columns, lift), where lift(x2, y) is that x.
+    """
+    c, k = A.cols, 0 if B is None else B.cols
+    m = A.row_list() if B is None else [a + b for a, b in zip(A.row_list(), B.row_list())]
+    d, piv, free = _bareiss(m, c)
+    rank, f = len(piv), len(free)
+    if k and any(any(row) for row in m[rank:]):
+        return None
+    s, delta = (1, d) if d > 0 else (-1, -d)
+    xrows = [[s * v for v in row[:f]] for row in m[:rank]]
+    xcols = [[row[i] for row in xrows] for i in range(f)]
+    ycols = [[s * row[f + l] for row in m[:rank]] for l in range(k)]
+
+    def lift(x2: list[int], y: list[int]) -> list[int]:
+        x = [0] * c
+        for j, e in zip(free, x2):
+            x[j] = e
+        for j, yt, row in zip(piv, y, xrows):
+            x[j], rem = divmod(yt - sum(map(mul, row, x2)), delta)
+            assert not rem, "inexact division in a Z kernel or solve"
+        return x
+
+    return delta, rank, xcols, ycols, lift
 
 
 def colspan_canonical(m: Mat) -> Mat:
@@ -432,26 +412,29 @@ def colspan_canonical(m: Mat) -> Mat:
 def solve_right(A: Mat, B: Mat) -> Mat | None:
     """Some X with A @ X = B exactly, or None; deterministic.
 
-    Over Z/n and F_p, X is the canonical reduced solution: each column
-    is reduced modulo the Hermite form of the kernel of A.
+    X is the canonical reduced solution: the free coordinates of each
+    column (over Z, those off the leftmost pivot columns; over Z/n and
+    F_p, all of them) are reduced modulo the Hermite form of the kernel
+    of A, so X depends only on the set of solutions.
     """
     A._check_same_ring(B)
     if A.rows != B.rows:
         raise MatrixError("solve_right: row count mismatch")
     n = A.ring.modulus
-    r, c, k = A.rows, A.cols, B.cols
+    if not B.cols or A.is_zero():
+        return Mat.zero(A.ring, A.cols, B.cols) if B.is_zero() else None
     if n is None:
-        sols = _solve_right_int(A.row_list(), r, c, B.columns())
-        return None if sols is None else _from_cols(A.ring, c, sols)
-    # the columns of [[A, -B], [0, I_k], [I_c, 0]] span the (x, y) with
-    # A x = B y; AX = B is solvable iff every y-row has pivot 1
-    gens = [a + [0] * k + [int(i == j) for i in range(c)] for j, a in enumerate(A.columns())]
-    gens += [[-v for v in b] + [int(i == j) for i in range(k)] + [0] * c
-             for j, b in enumerate(B.columns())]
-    pivots = _hnf(n, r + k + c, gens)
-    if not all(r + j in pivots and pivots[r + j][r + j] == 1 for j in range(k)):
-        return None
-    return _from_cols(A.ring, c, [pivots[r + j][r + k:] for j in range(k)])
+        red = _z_reduce(A, B)
+        if red is None:
+            return None
+        delta, rank, xcols, ycols, lift = red
+        # x2 = 0 is reduced, so it is the canonical x2 whenever it solves
+        x2s = ([[0] * len(xcols)] * len(ycols) if all(v % delta == 0 for y in ycols for v in y)
+               else _modular_solve(delta, rank, xcols, ycols))
+        sols = None if x2s is None else [lift(v, y) for v, y in zip(x2s, ycols)]
+    else:
+        sols = _modular_solve(n, A.rows, A.columns(), B.columns())
+    return None if sols is None else _from_cols(A.ring, A.cols, sols)
 
 
 def solve_left(A: Mat, B: Mat) -> Mat | None:
@@ -463,18 +446,25 @@ def solve_left(A: Mat, B: Mat) -> Mat | None:
 def kernel_right(A: Mat) -> Mat:
     """Matrix whose columns generate {x : A x = 0}; may have 0 columns.
 
-    Over Z the columns are a basis; over Z/n and F_p they are the
-    nonzero columns of the Hermite form of {x in Z^c : A x = 0 mod n}
-    (a basis over F_p).
+    Over Z the columns are the basis whose free coordinates (those off
+    the leftmost independent columns of A) are the Hermite form of the
+    kernel's projection onto them; over Z/n and F_p they are the nonzero
+    columns of the Hermite form of {x in Z^c : A x = 0 mod n} (a basis
+    over F_p).  Either way they depend only on the kernel.
     """
+    if A.is_zero():
+        return Mat.identity(A.ring, A.cols)
     n = A.ring.modulus
-    c = A.cols
     if n is None:
-        return _from_cols(A.ring, c, _kernel_int(A.row_list(), A.rows, c))
-    # the pivots of [A; I_c] below row A.rows carry the kernel lattice
-    gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(A.columns())]
-    pivots = _hnf(n, A.rows + c, gens)
-    return _from_cols(A.ring, c, [p[A.rows:] for i, p in pivots.items() if i >= A.rows])
+        delta, rank, xcols, _, lift = _z_reduce(A, None)
+        f = len(xcols)
+        h = _modular_kernel(delta, rank, xcols) if delta > 1 and f else {}
+        # a row without a pivot below delta has the Hermite column delta*e_i
+        cols = [lift(h[i] if i in h else [delta * (l == i) for l in range(f)], [0] * rank)
+                for i in range(f)]
+    else:
+        cols = list(_modular_kernel(n, A.rows, A.columns()).values())
+    return _from_cols(A.ring, A.cols, cols)
 
 
 def kernel_left(A: Mat) -> Mat:

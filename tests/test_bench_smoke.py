@@ -6,7 +6,8 @@ reject, fails the test suite and not only the benchmark.  One traced
 tiny `cli` run checks that the tracer still finds the methods it wraps
 by name (`BuildTree.evaluate`, `Mat.__post_init__`,
 `Complex.__post_init__`), and one traced tiny `elim` run that it still
-counts the `matrices` entry points.  The full self-test of the harness is
+counts the `matrices` entry points and that no output entry outgrows
+32 bits.  The full self-test of the harness is
 `python3 -m pytest bench/test_bench.py`.
 """
 
@@ -48,3 +49,6 @@ def test_bench_traced_tiny_elim_run_counts_the_matrices_entry_points():
     metrics = _tiny_run("elim", trace=1)["metrics"]
     for name in ("matrices.smith_calls", "matrices.colspan_calls", "matrices.kernel_calls"):
         assert metrics[name]["value"] > 0, name
+    # Z kernels and solves stay near Hadamard's bound; an unreduced
+    # unimodular transform read 113 bits here
+    assert metrics["results.out_max_bits"]["value"] <= 32

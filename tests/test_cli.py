@@ -164,6 +164,15 @@ def test_wrong_document_kind_exits_2(capsys):
     assert code == 2 and "expected" in err
 
 
+def test_verdict_with_coercible_fields_exits_2(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "verdict_sample.json").read_text())
+    doc["payload"].update(ok="false", code=7, window_relative="no")
+    bad = tmp_path / "verdict.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "resolve", str(bad))
+    assert code == 2 and "verdict code must be a string" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "resolve", str(FIXTURES / "nope.json"))
     assert code == 2

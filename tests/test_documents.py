@@ -191,6 +191,41 @@ def test_parse_rejects_non_integer_tail_and_shift():
         parse_document(tree)
 
 
+def _fixture_json(name: str) -> dict:
+    return json.loads((pathlib.Path(__file__).parent / "fixtures" / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ok", "false", "verdict ok must be a boolean"),
+    ("ok", None, "verdict ok must be a boolean"),
+    ("window_relative", "no", "verdict window_relative must be a boolean"),
+    ("code", 7, "verdict code must be a string"),
+    ("details", ["window"], "verdict details must be an object"),
+])
+def test_verdict_fields_must_have_their_json_types(field, value, message):
+    doc = _fixture_json("verdict_sample")
+    if value is None:
+        del doc["payload"][field]
+    else:
+        doc["payload"][field] = value
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(doc))
+
+
+def test_package_complete_must_be_a_boolean():
+    doc = _fixture_json("package_z4_cyclic2")
+    doc["payload"]["complete"] = 0
+    with pytest.raises(DocumentError, match="package complete must be a boolean"):
+        parse_document(json.dumps(doc))
+
+
+def test_build_tree_residual_must_be_a_boolean():
+    doc = _fixture_json("tree_z_cyclic6")
+    doc["payload"]["children"][0]["residual"] = "false"
+    with pytest.raises(DocumentError, match="build tree residual must be a boolean"):
+        parse_document(json.dumps(doc))
+
+
 def test_entries_beyond_the_default_digit_limit_round_trip(default_digit_limit):
     m = Mat(ZZ, 1, 1, (10**5000,))  # 5,001 digits
     text = emit_document(make_document(ZZ, "matrix", m))

@@ -90,7 +90,7 @@ GOLDEN_CLI = {
     "generator module_z4_cyclic2": "d7fdf0f9eb8976929f04e729d16625bcdcbae36c9beea4f78d4009d85a46685d",
     "decompose module_z4_cyclic2": "7486aa07db16d1e13e689174560d855aea4f489b74c9c0e89fb40ac6ecad09e5",
     "resolve module_z_0": "b143c911f61322b41874c7504e58b3b961aeab97f1fb8192ce616efd6e9fc763",
-    "generator module_z_0": "f3e549e99dac8847e43efd2440aadc11a673a3f4720e6e6c627af6c5427eeebd",
+    "generator module_z_0": "2aea7c252023e5dd008b9396b0eb52f100744ed98bc4bfce2ff3f73efafa40a3",
     "decompose module_z_0": "a95ace2a271f3fe9695df2ec2c3a3f15aeb300e53883213536cc2ab0ab44b3a3",
     "resolve module_z_1": "cd40722b68d09a5fa88971b693ded36d313434c4abe95b3c9285b868d31a9038",
     "generator module_z_1": "3f82d587df2818f1532333060419cc13b29cc86fbcd3bf4b72061560ed80dd3a",

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,19 +344,95 @@ def test_invariants_and_spans_of_empty_and_zero_matrices(ring, shape):
     assert smith_invariants(z) == smith_invariants(_lift(z)) == (
         [] if n is None else [n] * rows)
     assert colspan_canonical(z) == Mat.zero(ring, rows, 0)
+    cols = shape[1]
+    assert kernel_right(z) == Mat.identity(ring, cols)
+    assert solve_right(z, Mat.zero(ring, rows, 2)) == Mat.zero(ring, cols, 2)
+    if rows:
+        assert solve_right(z, Mat(ring, rows, 1, (1,) + (0,) * (rows - 1))) is None
 
 
-def test_z_spans_and_smith_do_not_need_the_transform_hnf(monkeypatch):
+def test_z_kernels_and_solves_never_run_the_integer_hnf(monkeypatch):
+    # _hnf(None, ...) serves Z spans and Smith invariants; on [A; I] its
+    # active columns grow without bound, so Z kernels and solves work
+    # modulo a minor's determinant instead
     from homcert import matrices
 
     rng = random.Random(41)
     inputs = [random_matrix(rng, ZZ, rng.randint(0, 6), rng.randint(0, 7)) for _ in range(40)]
     expected = [(colspan_canonical(a), smith_invariants(a)) for a in inputs]
+    calls = []
+    hnf = matrices._hnf
 
-    def refuse(*args):
-        raise AssertionError("_col_hnf is for Z kernels and solves only")
+    def recording(n, rows, gens):
+        calls.append(n)
+        return hnf(n, rows, gens)
 
-    monkeypatch.setattr(matrices, "_col_hnf", refuse)
+    monkeypatch.setattr(matrices, "_hnf", recording)
     assert [(colspan_canonical(a), smith_invariants(a)) for a in inputs] == expected
-    with pytest.raises(AssertionError):
-        kernel_right(Mat(ZZ, 1, 2, (2, 3)))
+    assert None in calls
+    calls.clear()
+    for a in inputs:
+        k = kernel_right(a)
+        assert (a @ k).is_zero()
+        b = a @ random_matrix(rng, ZZ, a.cols, 2)
+        assert a @ solve_right(a, b) == b
+    assert calls and None not in calls
+
+
+# -- Z kernels and solves: canonical and within Hadamard's bound -----------
+
+
+def _hadamard(a):
+    """A bound on every minor of a: the product of its nonzero row norms."""
+    return prod(max(1, isqrt(sum(v * v for v in row)) + 1) for row in a.row_list())
+
+
+def _rank_deficient(rng, rows, cols, rank, bound=4):
+    return random_matrix(rng, ZZ, rows, rank, bound) @ random_matrix(rng, ZZ, rank, cols, bound)
+
+
+def _nonsingular(rng, n):
+    while True:
+        g = random_matrix(rng, ZZ, n, n, 3)
+        if len(smith_invariants(g)) == n:
+            return g
+
+
+def test_z_kernel_and_solve_do_not_depend_on_the_rows_of_a():
+    rng = random.Random(53)
+    for _ in range(300):
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        a = _rank_deficient(rng, r, c, rng.randint(1, min(r, c)))
+        b = a @ random_matrix(rng, ZZ, c, 2)
+        g = _nonsingular(rng, r)
+        assert kernel_right(g @ a) == kernel_right(a)
+        assert solve_right(g @ a, g @ b) == solve_right(a, b)
+
+
+def _check_z_kernel_and_solve(a, b):
+    """A K = 0 and A X = B, with every entry within Hadamard's bound
+    times the number of free columns (plus one for B)."""
+    k, x = kernel_right(a), solve_right(a, b)
+    free = a.cols - colspan_canonical(a.transpose()).cols
+    assert k.cols == free and (a @ k).is_zero()
+    assert x is not None and a @ x == b
+    assert all(abs(v) <= free * _hadamard(a) for v in k.entries)
+    assert all(abs(v) <= (free + 1) * _hadamard(a.hstack(b)) for v in x.entries)
+
+
+def test_z_kernel_and_solve_entries_stay_within_hadamards_bound():
+    rng = random.Random(59)
+    for _ in range(150):
+        r, c = rng.randint(1, 7), rng.randint(1, 8)
+        full = rng.random() < 0.5
+        a = (random_matrix(rng, ZZ, r, c, 9) if full
+             else _rank_deficient(rng, r, c, rng.randint(1, min(r, c))))
+        _check_z_kernel_and_solve(a, a @ random_matrix(rng, ZZ, c, 2, 9))
+
+
+@pytest.mark.parametrize("rank", [32, 27])
+def test_z_kernel_and_solve_at_32_by_34(rank):
+    rng = random.Random(34)
+    a = (random_matrix(rng, ZZ, 32, 34, 9) if rank == 32
+         else _rank_deficient(rng, 32, 34, rank, 3))
+    _check_z_kernel_and_solve(a, a @ random_matrix(rng, ZZ, 34, 3, 9))
