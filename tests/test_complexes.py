@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -177,6 +178,16 @@ def test_split_exactness_detects_homology():
     assert not v.ok and v.code == "not_exact"
 
 
+@pytest.mark.parametrize("pad", [(1, 3), (3, 1)], ids=["low", "high"])
+def test_split_exactness_window_too_small(pad):
+    c = random_contractible_complex(random.Random(17), ZZ)
+    span = c.support()
+    window = (span[0] - pad[0], span[1] + pad[1])
+    v = split_exactness_check(c, window)
+    assert not v.ok and v.code == "window_too_small" and not v.window_relative
+    assert v.details == {"support": span, "window": window}
+
+
 def test_split_exactness_exact_not_split_negative_control():
     ring = Zmod(4)
     two = Mat(ring, 1, 1, (2,))
@@ -196,3 +207,43 @@ def test_chain_map_commutation_check():
     bad = ChainMap(c, c, {-1: Mat(ZZ, 1, 1, (3,)), 0: Mat(ZZ, 1, 1, (5,))})
     assert good.commutes(-2, 2)
     assert not bad.commutes(-2, 2)
+
+
+# Recorded digests of null_homotopy_witness output (components, or None
+# when there is no homotopy) on seeded maps: null-homotopic maps,
+# identities, scalar multiples of identities and identities of
+# contractible complexes.  Any change of the solved system or of its
+# block order shows here.
+NULL_HOMOTOPY_RINGS = {"Z": ZZ, "F7": Fp(7), "Z4": Zmod(4), "Z12": Zmod(12)}
+NULL_HOMOTOPY_DIGESTS = {
+    "F7": "ddb74c47b52c17208c97b614630a296888baf0bba0deedf4421688a64d46b208",
+    "Z": "c7f3b5a4260c1a122e166da52df537fa2d29fd44e5e3c020c54a216b2ac1a338",
+    "Z12": "19175902619e5332f7631c0681ae1c6469861dbb409b86e0daae405382c0a0d0",
+    "Z4": "311f78f4df8b3591359d6c7ca3f80254322b0295e3dcc465df94c8292e7e9331",
+}
+
+
+def _seeded_maps(ring_name):
+    ring = NULL_HOMOTOPY_RINGS[ring_name]
+    rng = random.Random(f"null-homotopy/{ring_name}")
+    for _ in range(10):
+        x = random_bounded_complex(rng, ring)
+        y = random_bounded_complex(rng, ring)
+        yield random_null_homotopic_map(rng, x, y)
+        yield ChainMap.identity(x)
+        a = rng.randint(2, 5)
+        yield ChainMap(x, x, {j: m.scale(a) for j, m in ChainMap.identity(x).components.items()})
+        yield ChainMap.identity(random_contractible_complex(rng, ring))
+
+
+def null_homotopy_digest(ring_name: str) -> str:
+    found = [null_homotopy_witness(f) for f in _seeded_maps(ring_name)]
+    text = repr([None if h is None else
+                 sorted((j, m.rows, m.cols, m.entries) for j, m in h.components.items())
+                 for h in found])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("ring_name", sorted(NULL_HOMOTOPY_RINGS))
+def test_null_homotopy_witness_bytes_are_pinned(ring_name):
+    assert null_homotopy_digest(ring_name) == NULL_HOMOTOPY_DIGESTS[ring_name]

@@ -134,3 +134,25 @@ def test_pd_collapse_detects_homology():
     c = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
     v = pd_bound_collapse(c, EngineConfig.for_ring(ZZ), (-4, 3))
     assert not v.ok and v.code == "not_exact"
+
+
+def test_pd_collapse_cycle_not_projective():
+    # the periodic Z/4 complex ... -> Z/4 --2--> Z/4 -> ... is exact with
+    # every cycle Z/2, which is not projective
+    ring = Zmod(4)
+    c = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))},
+                tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
+    v = pd_bound_collapse(c, EngineConfig.for_ring(ring), (-4, 4))
+    assert not v.ok and v.code == "cycle_not_projective" and not v.window_relative
+    assert v.details["degree"] == -3
+    assert isinstance(v.details["cycle"], str)
+
+
+def test_pd_collapse_split_check_failed_on_a_window_too_small():
+    c = random_contractible_complex(random.Random(2), ZZ)
+    span = c.support()
+    window = (span[0] - 1, span[1] + 3)
+    v = pd_bound_collapse(c, EngineConfig.for_ring(ZZ), window)
+    assert not v.ok and v.code == "split_check_failed"
+    assert v.details == {"inner": "window_too_small",
+                         "details": {"support": span, "window": window}}

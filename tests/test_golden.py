@@ -1,8 +1,9 @@
 """Golden digests of emitted documents.
 
 Pins the exact bytes of the `resolve`, `generator` and `decompose`
-output on every fixture module, and of the verdict documents of the
-HomClasses checks on seeded inputs, as sha256 digests.  A refactor
+output on every fixture module, of the verdict documents of the
+HomClasses checks on seeded inputs, and of `split-check` (with and
+without `--bound`) verdicts on fixture complexes, as sha256 digests.  A refactor
 that is meant to keep behaviour must leave every digest unchanged; a
 change that deliberately alters a canonical form regenerates them with
 
@@ -67,6 +68,17 @@ def verdict_digest(ring_name: str, seed: int) -> str:
                         for v in verdicts))
 
 
+def split_digest(case: str) -> str:
+    """Digest of the `split-check` verdict for "fixture window [bound]"."""
+    fixture, window, *bound = case.split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["split-check", str(FIXTURES / f"{fixture}.json"),
+                     f"--window={window}"] + [f"--bound={b}" for b in bound])
+    assert code in (0, 1)
+    return _sha(out.getvalue())
+
+
 GOLDEN_CLI = {
     "resolve module_f5_0": "eee67367da7370f4dbcb2f6a319be060377b9f49d02da286e19c0620ff078922",
     "generator module_f5_0": "b6cba6091dfc44dedb6ceb5633b67f3d122688be9696c78f8ae78c2736577c6c",
@@ -126,6 +138,25 @@ GOLDEN_VERDICTS = {
 }
 
 
+# one case per failure code of split_exactness_check and pd_bound_collapse
+GOLDEN_SPLIT = {
+    "complex_z4_periodic -4..4": "a7c1ddb7c61988d45a55ca7309f298a05f7b8b936edd6242c4a285cb79bd77c9",
+    "complex_z4_periodic -4..4 0": "78978fb834f49d18c87bebcbd28d587659c854e64884f35ed48c0c8ae1018431",
+    "complex_z_mult2 -4..3": "a97b65b3af19a4b5d9025fe72f3d18e5db2bc6b1304daba8a76707d78acdd121",
+    "complex_z_mult2 -4..3 1": "c5f50b9a53ff791ff9dba0b2ecbe6fac18a6585e3a77469c9c074bf04feba2b6",
+    "contractible_z -1..5": "d8159b758c3f0dc9ffd2d9bd9f14fa32d45b78245c1d00a23cef01b2dc094b41",
+    "contractible_z -1..5 0": "4aa3a13516cee812333d9c0c2227276f8874625a8cad666621254864732917e7",
+    "contractible_z -5..2": "1e65fe0b33452367e21f64560776e34ad4af93c3ad2c6006ec6dfb9875d9da6b",
+    "contractible_z -6..5 16": "f681ddfa25e4a6decd871a0a208394399f2a41c483c4b2fb1d8c85d22d325f95",
+    "contractible_z4 -4..6": "164a372fc18a196a3f08d61992fbf2659f8261b4cfc09f463cb2bec87178ad49",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SPLIT))
+def test_split_check_digest(case):
+    assert split_digest(case) == GOLDEN_SPLIT[case]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("module", MODULES)
 def test_cli_output_digest(command, module):
@@ -147,4 +178,7 @@ if __name__ == "__main__":
     for ring_name in sorted(RINGS):
         for seed in SEEDS:
             print(f'    "{ring_name} {seed}": "{verdict_digest(ring_name, seed)}",')
+    print("}\n\nGOLDEN_SPLIT = {")
+    for case in sorted(GOLDEN_SPLIT):
+        print(f'    "{case}": "{split_digest(case)}",')
     print("}")
