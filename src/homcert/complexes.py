@@ -12,7 +12,8 @@ term j to term j+1.  Fixed sign conventions:
   d^(-j-1), no sign, so dualizing twice is the identity on the nose;
 * Hom complex: d(f) = d_Q o f - (-1)^n f o d_X for f of degree n; the
   one construction of Hom complexes is homspaces.hom_fp_complex, which
-  takes free terms as modules with empty presentations.
+  takes free terms as modules with empty presentations; null homotopies
+  are solved there, in degree -1.
 
 A complex is either bounded (explicit finite support) or carries
 eventually-periodic tails; tail evaluation is a pure lookup, so values
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import Mat, MatrixError, assemble_blocks, kernel_right, solve_right
-from .modules import FPModule, opposite, subquotient_module
+from .modules import FPModule, is_projective, opposite, subquotient_module
 from .rings import RingDescriptor
 from .verdicts import Verdict
 
@@ -181,14 +182,10 @@ class ChainMap:
         return True
 
     @staticmethod
-    def identity(c: Complex, lo: int | None = None, hi: int | None = None) -> "ChainMap":
-        if lo is None or hi is None:
-            span = c.support()
-            if span is None:
-                return ChainMap(c, c, {})
-            lo, hi = span
-        comps = {j: Mat.identity(c.ring, c.rank(j)) for j in range(lo, hi + 1) if c.rank(j) > 0}
-        return ChainMap(c, c, comps)
+    def identity(c: Complex) -> "ChainMap":
+        """The identity on the explicit terms of c."""
+        return ChainMap(c, c, {j: Mat.identity(c.ring, r)
+                               for j, r in sorted(c.ranks.items()) if r > 0})
 
     def compose(self, first: "ChainMap") -> "ChainMap":
         degs = set(self.components) | set(first.components)
@@ -211,17 +208,11 @@ class Homotopy:
             return self.components[j]
         return Mat.zero(self.source.ring, self.target.rank(j - 1), self.source.rank(j))
 
-    def bounds(self, f: ChainMap, g: ChainMap | None, lo: int, hi: int) -> bool:
-        """Check f - g = d s + s d in [lo, hi] (g omitted means 0)."""
-        for j in range(lo, hi + 1):
-            want = f.component(j)
-            if g is not None:
-                want = want - g.component(j)
-            got = (self.target.diff(j - 1) @ self.component(j)
-                   + self.component(j + 1) @ self.source.diff(j))
-            if want != got:
-                return False
-        return True
+    def bounds(self, f: ChainMap, lo: int, hi: int) -> bool:
+        """Check f = d s + s d in [lo, hi]."""
+        return all(f.component(j) == self.target.diff(j - 1) @ self.component(j)
+                   + self.component(j + 1) @ self.source.diff(j)
+                   for j in range(lo, hi + 1))
 
 
 # -- elementary constructions -----------------------------------------
@@ -367,151 +358,75 @@ def homology(c: Complex, j: int) -> FPModule:
 class CycleData:
     module: FPModule
     inclusion: Mat  # term_rank x gens, columns are the cycle generators
-    sigma: Mat | None  # gens x rank(j-1); the surjection from term j-1 when exact at j
 
 
 def cycle_module(c: Complex, j: int) -> CycleData:
     U = kernel_right(c.diff(j))
-    pres = subquotient_module(c.ring, c.side, U, Mat.zero(c.ring, U.rows, 0))
-    sigma = solve_right(U, c.diff(j - 1))
-    return CycleData(pres, U, sigma)
+    return CycleData(subquotient_module(c.ring, c.side, U, Mat.zero(c.ring, U.rows, 0)), U)
 
 
 # -- homotopies -------------------------------------------------------
 
 
-def null_homotopy_witness(f: ChainMap, window: tuple[int, int] | None = None) -> Homotopy | None:
-    """Solve f = d s + s d exactly; None when the system has no solution."""
+def null_homotopy_witness(f: ChainMap) -> Homotopy | None:
+    """Solve f = d s + s d exactly; None when the system has no solution.
+
+    s is a degree -1 element of Hom(X, Y), where the Hom differential is
+    d(s) = d_Y s + s d_X, so the system is that differential with the
+    components of f, a degree 0 element, as right-hand side.
+    """
+    from .homspaces import free_terms, hom_fp_complex
+
     X, Y = f.source, f.target
     if not (X.is_bounded and Y.is_bounded):
-        if window is None:
-            raise ComplexError("null homotopy of unbounded complexes needs a window")
-        X = X.restrict(*window)
-        Y = Y.restrict(*window)
-        f = ChainMap(X, Y, {j: f.component(j) for j in range(window[0], window[1] + 1)
-                            if not f.component(j).is_zero()})
-    ring = X.ring
-    spans = [s for s in (X.support(), Y.support()) if s]
-    if not spans:
-        return Homotopy(X, Y, {})
-    lo = min(s[0] for s in spans)
-    hi = max(s[1] for s in spans)
-    unknown_degrees = [j for j in range(lo, hi + 1) if X.rank(j) and Y.rank(j - 1)]
-    sizes = {j: X.rank(j) * Y.rank(j - 1) for j in unknown_degrees}
-    eq_degrees = [j for j in range(lo, hi + 1) if X.rank(j) and Y.rank(j)]
-    grid: list[list[Mat | None]] = []
-    rhs_blocks: list[list[Mat | None]] = []
-    for j in eq_degrees:
-        row: list[Mat | None] = [None] * len(unknown_degrees)
-        if j in sizes:
-            # d_Y^(j-1) s^j
-            row[unknown_degrees.index(j)] = (
-                Mat.identity(ring, X.rank(j)).kron(Y.diff(j - 1)))
-        if (j + 1) in sizes:
-            # s^(j+1) d_X^j
-            row[unknown_degrees.index(j + 1)] = (
-                X.diff(j).transpose().kron(Mat.identity(ring, Y.rank(j))))
-        grid.append(row)
-        rhs_blocks.append([f.component(j).vec()])
-    if not unknown_degrees:
-        # nothing to solve with: f must already vanish
-        if all(f.component(j).is_zero() for j in eq_degrees):
-            return Homotopy(X, Y, {})
+        raise ComplexError("null homotopy requires bounded complexes")
+    hom = hom_fp_complex(*free_terms(X), Y, (-1, -1))
+    s = solve_right(hom.ambient_diff(-1), hom.join(0, f.components))
+    if s is None:
         return None
-    system = assemble_blocks(
-        ring, grid,
-        [X.rank(j) * Y.rank(j) for j in eq_degrees],
-        [sizes[j] for j in unknown_degrees],
-    )
-    rhs = assemble_blocks(ring, rhs_blocks, [X.rank(j) * Y.rank(j) for j in eq_degrees], [1])
-    sol = solve_right(system, rhs)
-    if sol is None:
-        return None
-    comps = {}
-    offset = 0
-    for j in unknown_degrees:
-        size = sizes[j]
-        block = sol.submatrix(range(offset, offset + size), range(1))
-        comps[j] = Mat.unvec(ring, block, Y.rank(j - 1), X.rank(j))
-        offset += size
-    return Homotopy(X, Y, comps)
+    return Homotopy(X, Y, hom.split(-1, s))
 
 
-def contraction(c: Complex, window: tuple[int, int] | None = None) -> Homotopy | None:
+def contraction(c: Complex) -> Homotopy | None:
     """Null homotopy of the identity; exists iff the complex is contractible."""
-    return null_homotopy_witness(ChainMap.identity(c), window)
+    return null_homotopy_witness(ChainMap.identity(c))
 
 
 # -- split exactness --------------------------------------------------
 
 
 def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
-    """Homology vanishing, then projective cycles, then an assembled
-    null homotopy of the identity built from the cycle splittings."""
-    from .modules import is_projective
+    """Split exactness of c inside the window.
 
+    A bounded complex of projectives is split exact exactly when it is
+    contractible; when the window covers its support the witness is a
+    null homotopy of the identity (contraction).  Otherwise homology must
+    vanish and every cycle module must be projective inside the window,
+    and the verdict names the first degree where either fails; a bounded
+    complex the window does not cover then fails with window_too_small,
+    and a periodic one passes relative to the window.
+    """
     lo, hi = window
+    span = c.support()
+    covered = c.is_bounded and (span is None or (lo + 1 < span[0] and span[1] < hi - 1))
+    if covered:
+        homotopy = contraction(c)
+        if homotopy is not None:
+            return Verdict(True, "split_exact", {"homotopy": homotopy})
     window_relative = not c.is_bounded
     for j in range(lo + 1, hi):
         h = homology(c, j)
         if not h.is_zero():
             return Verdict(False, "not_exact", {"degree": j, "homology": h},
                            window_relative)
-    cycles: dict[int, CycleData] = {}
-    sections: dict[int, Mat] = {}
     for j in range(lo + 1, hi):
-        cd = cycle_module(c, j)
-        cycles[j] = cd
-        sec = is_projective(cd.module)
-        if sec is None:
-            return Verdict(False, "exact_not_split",
-                           {"degree": j, "cycle": cd.module}, window_relative)
-        sections[j] = sec.matrix
-    # assemble the contraction: with Z^(j+1) projective the sequence
-    # 0 -> Z^j -> C^j -> Z^(j+1) -> 0 splits; tau lifts the cycle
-    # generators through d and rho retracts onto Z^j, and
-    # s^j = tau_(j-1) rho_j satisfies d s + s d = id.
-    inner_lo, inner_hi = lo + 2, hi - 2
-    if window_relative and inner_hi < inner_lo:
-        return Verdict(True, "split_exact", {"cycles": cycles}, True)
-    comps: dict[int, Mat] = {}
-    taus: dict[int, Mat] = {}
-    for j in range(lo + 1, hi - 1):
-        # tau_j : Z^(j+1) -> C^j with sigma-bar tau = id
-        cd_next = cycles[j + 1]
-        lift = solve_right(c.diff(j), cd_next.inclusion)
-        if lift is None:
-            return Verdict(False, "not_exact", {"degree": j + 1}, window_relative)
-        taus[j] = lift @ sections[j + 1]
-    if not window_relative:
-        span = c.support()
-        if span is None:
-            return Verdict(True, "split_exact", {"homotopy": Homotopy(c, c, {})})
-        clo, chi = span
-        if clo <= lo + 1 or chi >= hi - 1:
-            return Verdict(False, "window_too_small",
-                           {"support": span, "window": window})
-        for j in range(clo, chi + 1):
-            cd = cycles[j]
-            # rho_j : C^j -> Z^j with iota rho = id - tau sigma-bar
-            sigma_bar = solve_right(cycles[j + 1].inclusion, c.diff(j)) \
-                if (j + 1) in cycles else Mat.zero(c.ring, 0, c.rank(j))
-            tau_mat = taus.get(j)
-            if tau_mat is None:
-                tau_mat = Mat.zero(c.ring, c.rank(j), sigma_bar.rows)
-            complement = Mat.identity(c.ring, c.rank(j)) - tau_mat @ sigma_bar
-            rho = solve_right(cd.inclusion, complement)
-            if rho is None:
-                return Verdict(False, "splitting_assembly_failed", {"degree": j})
-            tau_prev = taus.get(j - 1)
-            if tau_prev is None:
-                tau_prev = Mat.zero(c.ring, c.rank(j - 1), cd.module.rank0)
-            s = tau_prev @ rho
-            if not s.is_zero():
-                comps[j] = s
-        hom = Homotopy(c, c, comps)
-        ident = ChainMap.identity(c)
-        if not hom.bounds(ident, None, clo - 1, chi + 1):
-            return Verdict(False, "homotopy_identity_failed", {})
-        return Verdict(True, "split_exact", {"homotopy": hom, "cycles": cycles})
-    return Verdict(True, "split_exact", {"cycles": cycles}, True)
+        cycle = cycle_module(c, j).module
+        if is_projective(cycle) is None:
+            return Verdict(False, "exact_not_split", {"degree": j, "cycle": cycle},
+                           window_relative)
+    if covered:
+        raise ComplexError("exact complex with projective cycles has no "
+                           "contraction; solver invariant broken")
+    if c.is_bounded:
+        return Verdict(False, "window_too_small", {"support": span, "window": window})
+    return Verdict(True, "split_exact", {"window": window}, True)

@@ -32,6 +32,10 @@ from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
 FORMAT_VERSION = "1"
+# Dimensions, degrees, shifts and depths beyond this are refused: at the
+# limit a dense matrix has 2**24 cells and a degree span 2**13 steps;
+# much larger values end in an OverflowError, a MemoryError or a hang.
+SIZE_LIMIT = 1 << 12
 
 
 class DocumentError(ValueError):
@@ -158,7 +162,7 @@ def _jsonable(value: Any) -> Any:
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (str, int, bool)) or value is None:
+    if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if hasattr(value, "__dataclass_fields__"):
         return {f: _jsonable(getattr(value, f)) for f in value.__dataclass_fields__}
@@ -200,10 +204,12 @@ def _require(cond: bool, message: str):
         raise DocumentError(message)
 
 
-def _int(value: Any, what: str) -> int:
-    """A JSON integer; strings, floats and booleans (a bool is an int
-    in Python) are refused."""
+def _int(value: Any, what: str, limit: int | None = SIZE_LIMIT) -> int:
+    """A JSON integer at most `limit` in absolute value (None: any);
+    strings, floats and booleans (a bool is an int in Python) are refused."""
     _require(type(value) is int, f"{what} must be an integer, got {value!r}")
+    _require(limit is None or abs(value) <= limit,
+             f"{what} must be at most {limit} in absolute value")
     return value
 
 
@@ -213,6 +219,16 @@ def _bool(value: Any, what: str) -> bool:
     return value
 
 
+def _pairs(obj: dict, field: str, what: str) -> list[tuple[int, Any]]:
+    """The [degree, value] pairs of a list field; a missing field is empty."""
+    value = obj.get(field, [])
+    message = f"{field} must be [degree, {what}] pairs"
+    _require(isinstance(value, list), message)
+    for pair in value:
+        _require(isinstance(pair, list) and len(pair) == 2, message)
+    return [(_int(j, "degree"), v) for j, v in value]
+
+
 def ring_from_json(obj: Any) -> RingDescriptor:
     _require(isinstance(obj, dict) and "kind" in obj, "ring must be an object with a kind")
     kind = obj["kind"]
@@ -220,9 +236,9 @@ def ring_from_json(obj: Any) -> RingDescriptor:
         if kind == "Z":
             return ZZ
         if kind == "Zmod":
-            return Zmod(_int(obj.get("n"), "ring modulus"))
+            return Zmod(_int(obj.get("n"), "ring modulus", None))
         if kind == "Fp":
-            return Fp(_int(obj.get("n"), "ring modulus"))
+            return Fp(_int(obj.get("n"), "ring modulus", None))
     except ValueError as exc:
         raise DocumentError(f"bad ring parameters: {exc}") from exc
     raise DocumentError(f"unknown ring kind {kind!r}")
@@ -239,7 +255,7 @@ def matrix_from_json(ring: RingDescriptor, obj: Any) -> Mat:
         _require(isinstance(row, list) and len(row) == cols,
                  f"matrix rows must have {cols} entries")
         for e in row:
-            _int(e, "matrix entry")
+            _int(e, "matrix entry", None)
             _require(ring.normalize(e) == e,
                      f"entry {e} is not a canonical representative over {ring}")
             flat.append(e)
@@ -269,14 +285,8 @@ def complex_from_json(ring: RingDescriptor, obj: Any) -> Complex:
     _require(isinstance(obj, dict), "complex must be an object")
     side = obj.get("side")
     _require(side in ("left", "right"), "complex side must be left or right")
-    ranks = {}
-    for pair in obj.get("ranks", []):
-        _require(isinstance(pair, list) and len(pair) == 2, "ranks must be [degree, rank] pairs")
-        ranks[_int(pair[0], "degree")] = _int(pair[1], "rank")
-    diffs = {}
-    for pair in obj.get("diffs", []):
-        _require(isinstance(pair, list) and len(pair) == 2, "diffs must be [degree, matrix] pairs")
-        diffs[_int(pair[0], "degree")] = matrix_from_json(ring, pair[1])
+    ranks = {j: _int(r, "rank") for j, r in _pairs(obj, "ranks", "rank")}
+    diffs = {j: matrix_from_json(ring, m) for j, m in _pairs(obj, "diffs", "matrix")}
     try:
         return Complex(ring, side, ranks, diffs,
                        tail_from_json(obj.get("tail_below")),
@@ -290,11 +300,8 @@ def chain_map_from_json(ring: RingDescriptor, obj: Any) -> ChainMap:
     src = complex_from_json(ring, obj.get("source"))
     tgt = complex_from_json(ring, obj.get("target"))
     comps = {}
-    for pair in obj.get("components", []):
-        _require(isinstance(pair, list) and len(pair) == 2,
-                 "components must be [degree, matrix] pairs")
-        j = _int(pair[0], "degree")
-        m = matrix_from_json(ring, pair[1])
+    for j, value in _pairs(obj, "components", "matrix"):
+        m = matrix_from_json(ring, value)
         _require(m.rows == tgt.rank(j) and m.cols == src.rank(j),
                  f"component in degree {j} has shape {m.rows}x{m.cols}, expected "
                  f"{tgt.rank(j)}x{src.rank(j)}")
@@ -320,20 +327,21 @@ def certificate_from_json(ring: RingDescriptor, obj: Any) -> FlatCertificate:
 def build_tree_from_json(ring: RingDescriptor, obj: Any) -> BuildTree:
     _require(isinstance(obj, dict), "build tree must be an object")
     kind = obj.get("kind")
-    _require(kind in ("leaf", "cone", "susp"), f"unknown node kind {kind!r}")
-    comps = {}
-    for pair in obj.get("components", []):
-        _require(isinstance(pair, list) and len(pair) == 2,
-                 "components must be [degree, matrix] pairs")
-        comps[_int(pair[0], "degree")] = matrix_from_json(ring, pair[1])
+    _require(kind in ("leaf", "susp", "cone"), f"unknown node kind {kind!r}")
+    arity = ("leaf", "susp", "cone").index(kind)  # the number of children
+    payload, children = obj.get("payload"), obj.get("children", [])
+    _require(isinstance(children, list) and len(children) == arity
+             and (payload is not None) == (kind == "leaf"),
+             f"bad {kind} node: a leaf has a payload and no children, a susp "
+             "node has 1 child and a cone node 2, neither with a payload")
     return BuildTree(
         kind,
         complex_from_json(ring, obj.get("target")),
-        payload=(complex_from_json(ring, obj["payload"])
-                 if obj.get("payload") is not None else None),
+        payload=complex_from_json(ring, payload) if payload is not None else None,
         shift=_int(obj.get("shift", 0), "shift"),
-        children=tuple(build_tree_from_json(ring, c) for c in obj.get("children", [])),
-        components=comps,
+        children=tuple(build_tree_from_json(ring, c) for c in children),
+        components={j: matrix_from_json(ring, m)
+                    for j, m in _pairs(obj, "components", "matrix")},
         residual=_bool(obj.get("residual", False), "build tree residual"),
     )
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import Mat, MatrixError, colspan_canonical, kernel_right, solve_right
-from .modules import FPModule, is_projective
-from .complexes import Complex, cycle_module, homology, split_exactness_check
+from .modules import FPModule
+from .complexes import Complex, homology, split_exactness_check
 from .homspaces import hom_vanishing
 from .rings import RingDescriptor
 from .verdicts import Verdict
@@ -153,34 +153,30 @@ def cycle_flatness_probe(q: Complex, j: int, rel: FlatRelation) -> Verdict:
 
 def pd_bound_collapse(q: Complex, config: EngineConfig,
                       window: tuple[int, int]) -> Verdict:
-    """Conclude cycle projectivity from exactness plus the pd bound.
+    """Split exactness read through the projective-dimension bound.
 
     Dimension shifting along 0 -> Z^j -> Q^j -> ... -> Z^(j+N) -> 0
-    forces pd Z^j <= 0 once pd Z^(j+N) <= N; each cycle in the safe
-    range is then verified projective directly and the splittings are
-    assembled into a null-homotopy by the split-exactness pipeline.
+    forces pd Z^j <= 0 once pd Z^(j+N) <= N, so in an exact window at
+    least N + 2 wide every cycle below hi - N is projective.  The window
+    width is checked here; everything else is one split-exactness check,
+    whose witness (a null homotopy of the identity) is passed on.  Its
+    failures read as the collapse sees them: a homology degree, a cycle
+    that is not projective below hi - N, or the inner verdict otherwise.
     """
     lo, hi = window
     n = config.bound
     if hi - lo < n + 2:
         return Verdict(False, "window_too_narrow",
                        {"width": hi - lo, "needed": n + 2})
-    for j in range(lo + 1, hi):
-        if not homology(q, j).is_zero():
-            return Verdict(False, "not_exact", {"degree": j})
-    sections = {}
-    for j in range(lo + 1, hi - n):
-        cd = cycle_module(q, j)
-        section = is_projective(cd.module)
-        if section is None:
-            return Verdict(False, "cycle_not_projective",
-                           {"degree": j, "cycle": str(cd.module)})
-        sections[j] = section
     inner = split_exactness_check(q, window)
-    if not inner.ok:
-        return Verdict(False, "split_check_failed",
-                       {"inner": inner.code, "details": inner.details},
-                       inner.window_relative)
-    details = dict(inner.details)
-    details["sections"] = sections
-    return Verdict(True, "collapsed", details, inner.window_relative)
+    if inner.ok:
+        return Verdict(True, "collapsed", inner.details, inner.window_relative)
+    if inner.code == "not_exact":
+        return Verdict(False, "not_exact", {"degree": inner.details["degree"]})
+    if inner.code == "exact_not_split" and inner.details["degree"] < hi - n:
+        return Verdict(False, "cycle_not_projective",
+                       {"degree": inner.details["degree"],
+                        "cycle": str(inner.details["cycle"])})
+    return Verdict(False, "split_check_failed",
+                   {"inner": inner.code, "details": inner.details},
+                   inner.window_relative)

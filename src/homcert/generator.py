@@ -27,7 +27,7 @@ from .modules import (FPModule, ModuleMap, canonical_double_dual_map, dual_data,
                       modules_isomorphic)
 from .complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
                         homology, suspension)
-from .homspaces import hom_fp_complex, hom_into_complex, induced_h0_map
+from .homspaces import free_terms, hom_fp_complex, hom_into_complex, induced_h0_map
 from .verdicts import Verdict
 
 
@@ -158,12 +158,6 @@ def double_dual_check(pkg: GeneratorPackage, window: tuple[int, int] = (-8, 2)) 
     return Verdict(True, "double_dual_identity", {"window": window})
 
 
-def _free_terms(x: Complex) -> tuple[dict[int, FPModule], dict[int, Mat]]:
-    """A bounded free complex as Hom-source terms and differentials."""
-    terms = {j: FPModule.free(x.ring, x.side, r) for j, r in x.ranks.items()}
-    return terms, dict(x.diffs)
-
-
 def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
                                window: tuple[int, int] = (-4, 4)) -> Verdict:
     """Exactness of Hom(cone(comparison), Q) inside the window.
@@ -185,7 +179,7 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
             return Verdict(False, "window_too_small",
                            {"needed_depth": top, "have": pkg.depth},
                            window_relative=True)
-    terms, diffs = _free_terms(pkg.dual_complex.restrict(0, top))
+    terms, diffs = free_terms(pkg.dual_complex.restrict(0, top))
     terms[-1] = pkg.module
     if pkg.comparison.rows and pkg.comparison.cols:
         diffs[-1] = pkg.comparison
@@ -206,7 +200,7 @@ def hom_classes(pkg: GeneratorPackage, q: Complex, shift: int = 0):
     span = q.support()
     top = (span[1] if span else 0) + abs(shift) + 2
     x = suspension(pkg.dual_complex.restrict(0, top), shift)
-    sub = hom_fp_complex(*_free_terms(x), q, (-2, 2))
+    sub = hom_fp_complex(*free_terms(x), q, (-2, 2))
     return sub.homology_data(0), sub
 
 

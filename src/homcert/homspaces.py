@@ -91,6 +91,12 @@ class SubComplex:
         return self.homology_data(n)[0]
 
 
+def free_terms(x: Complex) -> tuple[dict[int, FPModule], dict[int, Mat]]:
+    """A bounded free complex as Hom-source terms and differentials."""
+    terms = {j: FPModule.free(x.ring, x.side, r) for j, r in x.ranks.items()}
+    return terms, dict(x.diffs)
+
+
 def hom_term_gens(m: FPModule, target_rank: int) -> Mat:
     """Generators of Hom(M, R^q) inside the free module of q x rank0
     matrices, columns being vectorized matrices.

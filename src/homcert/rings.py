@@ -12,18 +12,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# Miller-Rabin to these bases decides primality exactly below
+# _PRIME_BOUND (Sorenson and Webster 2015); larger F_p moduli are refused.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Exact for p < _PRIME_BOUND: p is a strong probable prime to every base."""
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -42,8 +53,8 @@ class RingDescriptor:
             if self.n is None or self.n < 2:
                 raise ValueError("Zmod requires a modulus n >= 2")
         elif self.kind == "Fp":
-            if self.n is None or not _is_prime(self.n):
-                raise ValueError(f"Fp requires a prime, got {self.n!r}")
+            if self.n is None or not (self.n < _PRIME_BOUND and _is_prime(self.n)):
+                raise ValueError(f"Fp requires a prime below {_PRIME_BOUND}, got {self.n!r}")
         else:
             raise ValueError(f"unknown ring kind {self.kind!r}")
 

@@ -103,7 +103,7 @@ def test_criterion_5_split_exactness_pipeline():
         ok = ok and v.ok and v.code == "collapsed"
         if ok:
             hom = v.details["homotopy"]
-            ok = hom.bounds(ChainMap.identity(c), None, span[0] - 1, span[1] + 1)
+            ok = hom.bounds(ChainMap.identity(c), span[0] - 1, span[1] + 1)
         if not ok:
             break
     report(5, "exact scrambled complexes collapse to null homotopies", ok)

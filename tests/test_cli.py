@@ -212,6 +212,20 @@ def test_string_rank_exits_2(capsys, tmp_path):
     assert code == 2 and "rank must be an integer" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("ranks", 5, "ranks must be [degree,"),
+    ("diffs", 5, "diffs must be [degree,"),
+    ("ranks", [[-2, 1], [-1, 1], [0, 2**64], [1, 1], [2, 1]], "rank must be at most"),
+])
+def test_malformed_pairs_field_exits_2(capsys, tmp_path, field, value, message):
+    doc = json.loads(pathlib.Path(fx("complex_z_0")).read_text())
+    doc["payload"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "homology", str(bad), "--window=0..0")
+    assert code == 2 and out == "" and message in err
+
+
 def test_entries_beyond_the_default_digit_limit_round_trip(capsys, tmp_path,
                                                            default_digit_limit):
     # Python refuses int <-> str conversions past 4300 digits by default

@@ -117,7 +117,7 @@ def test_cone_of_identity_is_contractible():
         h = contraction(cn)
         assert h is not None
         span = cn.support() or (0, 0)
-        assert h.bounds(ChainMap.identity(cn), None, span[0] - 1, span[1] + 1)
+        assert h.bounds(ChainMap.identity(cn), span[0] - 1, span[1] + 1)
 
 
 def test_cone_long_exact_degenerates_to_shift():
@@ -153,7 +153,7 @@ def test_null_homotopy_witness_found_and_verified():
         f = random_null_homotopic_map(rng, x, y)
         h = null_homotopy_witness(f)
         assert h is not None
-        assert h.bounds(f, None, -4, 4)
+        assert h.bounds(f, -4, 4)
 
 
 def test_nonzero_class_has_no_null_homotopy():
@@ -170,7 +170,41 @@ def test_split_exactness_positive():
         v = split_exactness_check(c, (span[0] - 2, span[1] + 2))
         assert v.ok and v.code == "split_exact"
         hom = v.details["homotopy"]
-        assert hom.bounds(ChainMap.identity(c), None, span[0] - 1, span[1] + 1)
+        assert hom.bounds(ChainMap.identity(c), span[0] - 1, span[1] + 1)
+
+
+def test_passing_bounded_split_check_only_solves_for_a_contraction(monkeypatch):
+    import homcert.complexes as cx
+
+    def refuse(*args):
+        raise AssertionError("a contractible complex needs no homology or projectivity test")
+
+    monkeypatch.setattr(cx, "homology", refuse)
+    monkeypatch.setattr(cx, "is_projective", refuse)
+    rng = random.Random(13)
+    for ring in RINGS:
+        c = random_contractible_complex(rng, ring)
+        span = c.support()
+        v = split_exactness_check(c, (span[0] - 2, span[1] + 2))
+        assert v.ok and list(v.details) == ["homotopy"]
+
+
+def test_null_homotopy_of_unbounded_complexes_is_refused():
+    ring = Zmod(4)
+    c = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))},
+                tail_below=PeriodicTail(-1, 0, 1))
+    with pytest.raises(ComplexError, match="bounded"):
+        contraction(c)
+
+
+def test_periodic_split_exact_complex_passes_relative_to_the_window():
+    # ... -> Z/4 --1--> Z/4 --0--> Z/4 --1--> ... has cycles 0 and Z/4
+    ring = Zmod(4)
+    c = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (1,))},
+                tail_below=PeriodicTail(-1, 0, 2), tail_above=PeriodicTail(1, 1, 2))
+    v = split_exactness_check(c, (-4, 4))
+    assert v.ok and v.code == "split_exact" and v.window_relative
+    assert v.details == {"window": (-4, 4)}
 
 
 def test_split_exactness_detects_homology():

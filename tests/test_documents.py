@@ -226,6 +226,64 @@ def test_build_tree_residual_must_be_a_boolean():
         parse_document(json.dumps(doc))
 
 
+@pytest.mark.parametrize("fixture, field, message", [
+    ("complex_z_0", "ranks", "ranks must be \\[degree, rank\\] pairs"),
+    ("complex_z_0", "diffs", "diffs must be \\[degree, matrix\\] pairs"),
+    ("chain_map_z", "components", "components must be \\[degree, matrix\\] pairs"),
+    ("tree_z_cyclic6", "components", "components must be \\[degree, matrix\\] pairs"),
+    ("tree_z_cyclic6", "children", "bad cone node"),
+], ids=["ranks", "diffs", "chain_map_components", "tree_components", "tree_children"])
+@pytest.mark.parametrize("value", [5, None, {"0": 1}, "ab"])
+def test_pair_and_children_fields_must_be_lists(fixture, field, message, value):
+    doc = _fixture_json(fixture)
+    doc["payload"][field] = value
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda t: t["children"][0].update(payload=None), "bad leaf node"),
+    (lambda t: t["children"][0].update(children=[t["children"][1]]), "bad leaf node"),
+    (lambda t: t["children"].pop(), "bad cone node"),
+    (lambda t: t.update(payload=t["target"]), "bad cone node"),
+    (lambda t: t.update(kind="susp"), "bad susp node"),
+], ids=["leaf_without_payload", "leaf_with_child", "cone_with_one_child",
+        "cone_with_payload", "susp_with_two_children"])
+def test_build_tree_nodes_have_their_arity(tamper, message):
+    doc = _fixture_json("tree_z_cyclic6")
+    tamper(doc["payload"])
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fixture, tamper, message", [
+    ("complex_z_0", lambda p: p["ranks"].append([0, 2**64]), "rank must be at most 4096"),
+    ("complex_z_0", lambda p: p["ranks"].append([-2**64, 1]), "degree must be at most 4096"),
+    ("complex_z4_periodic", lambda p: p["tail_below"].update(period=2**64),
+     "tail period must be at most 4096"),
+    ("matrix_z", lambda p: p.update(rows=5000, entries=[[0] * p["cols"]] * 5000),
+     "matrix rows must be at most 4096"),
+    ("tree_z_cyclic6", lambda p: p.update(shift=-2**64), "shift must be at most 4096"),
+], ids=["rank", "degree", "tail_period", "matrix_rows", "shift"])
+def test_sizes_beyond_the_limit_are_refused(fixture, tamper, message):
+    doc = _fixture_json(fixture)
+    tamper(doc["payload"])
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(doc))
+
+
+def test_large_prime_moduli_are_decided_at_once():
+    doc = _fixture_json("module_f5_0")
+    doc["ring"]["n"] = 2**61 - 1  # prime: trial division would take 2**29 steps
+    assert parse_document(json.dumps(doc)).ring.n == 2**61 - 1
+    doc["ring"]["n"] = 2**61 + 1  # divisible by 3
+    with pytest.raises(DocumentError, match="Fp requires a prime"):
+        parse_document(json.dumps(doc))
+    doc["ring"]["n"] = 2**89 - 1  # prime, beyond the exact Miller-Rabin bound
+    with pytest.raises(DocumentError, match="prime below"):
+        parse_document(json.dumps(doc))
+
+
 def test_entries_beyond_the_default_digit_limit_round_trip(default_digit_limit):
     m = Mat(ZZ, 1, 1, (10**5000,))  # 5,001 digits
     text = emit_document(make_document(ZZ, "matrix", m))

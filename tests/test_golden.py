@@ -138,17 +138,25 @@ GOLDEN_VERDICTS = {
 }
 
 
-# one case per failure code of split_exactness_check and pd_bound_collapse
+# one case per failure code of split_exactness_check and pd_bound_collapse,
+# and the passing verdicts (a null homotopy of the identity) on the
+# contractible fixtures
 GOLDEN_SPLIT = {
-    "complex_z4_periodic -4..4": "a7c1ddb7c61988d45a55ca7309f298a05f7b8b936edd6242c4a285cb79bd77c9",
     "complex_z4_periodic -4..4 0": "78978fb834f49d18c87bebcbd28d587659c854e64884f35ed48c0c8ae1018431",
-    "complex_z_mult2 -4..3": "a97b65b3af19a4b5d9025fe72f3d18e5db2bc6b1304daba8a76707d78acdd121",
+    "complex_z4_periodic -4..4": "a7c1ddb7c61988d45a55ca7309f298a05f7b8b936edd6242c4a285cb79bd77c9",
     "complex_z_mult2 -4..3 1": "c5f50b9a53ff791ff9dba0b2ecbe6fac18a6585e3a77469c9c074bf04feba2b6",
-    "contractible_z -1..5": "d8159b758c3f0dc9ffd2d9bd9f14fa32d45b78245c1d00a23cef01b2dc094b41",
+    "complex_z_mult2 -4..3": "a97b65b3af19a4b5d9025fe72f3d18e5db2bc6b1304daba8a76707d78acdd121",
+    "contractible_f5 -6..5 0": "17e0629864b7a56c51c363b65e0e75def61204a4c2b6d6d2beb75b49ff7a1b26",
+    "contractible_f5 -6..5": "c71f6178337985da11c8a88b0eb2b9b42fc183b55851f527095f5ed9e2132730",
     "contractible_z -1..5 0": "4aa3a13516cee812333d9c0c2227276f8874625a8cad666621254864732917e7",
+    "contractible_z -1..5": "d8159b758c3f0dc9ffd2d9bd9f14fa32d45b78245c1d00a23cef01b2dc094b41",
     "contractible_z -5..2": "1e65fe0b33452367e21f64560776e34ad4af93c3ad2c6006ec6dfb9875d9da6b",
+    "contractible_z -6..5 1": "1c48f202757321a3ef937a2b870e48358af1a6b260077863125e2cb641a0a6a9",
     "contractible_z -6..5 16": "f681ddfa25e4a6decd871a0a208394399f2a41c483c4b2fb1d8c85d22d325f95",
+    "contractible_z -6..5": "9faee175f21ec99a1289a40612256fc0cec87f9b3568bce68c7f8062a1e12a44",
     "contractible_z4 -4..6": "164a372fc18a196a3f08d61992fbf2659f8261b4cfc09f463cb2bec87178ad49",
+    "contractible_z4 -6..5 0": "b321be4cbaa5947e05d268177f26c044198a48dd654f6abef3ecf607c99bd6a5",
+    "contractible_z4 -6..5": "38dbee1522eda2aa2f250fd89ee3e80563d3f17ec4241b8da4d5526948306e92",
 }
 
 
