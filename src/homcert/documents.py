@@ -327,8 +327,9 @@ def certificate_from_json(ring: RingDescriptor, obj: Any) -> FlatCertificate:
 def build_tree_from_json(ring: RingDescriptor, obj: Any) -> BuildTree:
     _require(isinstance(obj, dict), "build tree must be an object")
     kind = obj.get("kind")
-    _require(kind in ("leaf", "susp", "cone"), f"unknown node kind {kind!r}")
-    arity = ("leaf", "susp", "cone").index(kind)  # the number of children
+    kinds = ("leaf", "susp", "cone")  # indexed by their number of children
+    _require(kind in kinds, f"unknown node kind {kind!r}")
+    arity = kinds.index(kind)
     payload, children = obj.get("payload"), obj.get("children", [])
     _require(isinstance(children, list) and len(children) == arity
              and (payload is not None) == (kind == "leaf"),

@@ -24,7 +24,8 @@ SWAPS = [None, True, 0, -1, 1.5, "x", [], {}]
 HUGE = st.one_of(st.integers(min_value=2**63, max_value=2**256),
                  st.integers(max_value=-2**63, min_value=-2**256),
                  st.just(10**5000))
-# per payload kind, the commands that read it (one input argument)
+# per payload kind, the commands that read it (one input argument); other
+# kinds go to dualize, which refuses them
 COMMANDS = {
     "module": [["resolve"], ["generator"], ["decompose"], ["dualize"]],
     "complex": [["homology", "--window=-2..2"], ["split-check", "--window=-4..4"],
