@@ -14,8 +14,9 @@ import functools
 import sys
 
 from .complexes import ComplexError, dualize_complex, homology, split_exactness_check
-from .documents import (Document, DocumentError, emit_document, make_document,
-                        module_to_json, parse_document, unlimited_int_digits)
+from .documents import (SIZE_LIMIT, Document, DocumentError, emit_document,
+                        make_document, module_to_json, parse_document,
+                        unlimited_int_digits)
 from .duality import decompose_resolution, dualize_chain_map, rebuild_verify
 from .flatness import (EngineConfig, FlatRelation, cycle_flatness_probe,
                        flat_certificate, pd_bound_collapse)
@@ -23,6 +24,12 @@ from .generator import build_generator, resolve_module, verify_generator_quasi_i
 from .matrices import MatrixError
 from .modules import FPModule, dualize_module
 from .verdicts import Verdict
+
+
+# Build trees much deeper than this overflow Python's recursion limit
+# while they are evaluated (depth 170 does); a periodic resolution
+# decomposes to this depth in under a second.
+MAX_DECOMPOSE_DEPTH = 100
 
 
 class UsageError(ValueError):
@@ -37,12 +44,15 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise UsageError(f"window must look like a..b, got {text!r}") from exc
     if lo > hi:
         raise UsageError(f"empty window {text!r}")
+    if max(-lo, hi) > SIZE_LIMIT:
+        raise UsageError(f"window endpoints must be at most {SIZE_LIMIT} "
+                         f"in absolute value, got {text!r}")
     return lo, hi
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers >= low, so a bad value is a usage
-    error (exit 2) rather than a failure deep in the computation."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type for integers in [low, high], so a bad value is a
+    usage error (exit 2) rather than a failure deep in the computation."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -50,6 +60,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return parse
 
@@ -238,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose",
                        help="build tree of a resolution over single-free leaves")
     p.add_argument("input")
-    p.add_argument("--depth", type=depth, default=8)
+    p.add_argument("--depth", type=_int_at_least(1, MAX_DECOMPOSE_DEPTH), default=8)
     p.add_argument("--window", default=None)
     p.set_defaults(func=cmd_decompose)
 

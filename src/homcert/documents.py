@@ -3,9 +3,10 @@
 One document carries one payload (matrix, module, complex, chain map,
 relation, certificate, build tree, generator package or verdict) plus
 the ring, so no ambient configuration is needed to interpret it.
-Emission is deterministic (sorted keys, fixed indentation, trailing
-newline), making documents diff-able and the emit/parse round trip
-byte-stable.
+Emission is deterministic: compact JSON (no whitespace between
+tokens) with sorted keys and a trailing newline, written by CPython's C
+encoder, so the emit/parse round trip is byte-stable.  A build tree
+stores its target complex on the root only.
 
 Parsing validates invariants, not just syntax: matrix entries must be
 canonical representatives, presentation shapes must match, and d^2 = 0
@@ -31,7 +32,7 @@ from .modules import FPModule, ModuleMap, canonical_double_dual_map, dual_data
 from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 # Dimensions, degrees, shifts and depths beyond this are refused: at the
 # limit a dense matrix has 2**24 cells and a degree span 2**13 steps;
 # much larger values end in an OverflowError, a MemoryError or a hang.
@@ -121,17 +122,21 @@ def certificate_to_json(cert: FlatCertificate) -> dict:
     return {"ast": matrix_to_json(cert.ast), "q": matrix_to_json(cert.q)}
 
 
-def build_tree_to_json(tree: BuildTree) -> dict:
-    return {
+def build_tree_to_json(tree: BuildTree, root: bool = True) -> dict:
+    """Only the root stores its target: every inner node's complex is
+    built from its children."""
+    node = {
         "kind": tree.kind,
-        "target": complex_to_json(tree.target),
         "payload": complex_to_json(tree.payload) if tree.payload is not None else None,
         "shift": tree.shift,
         "components": [[j, matrix_to_json(m)]
                        for j, m in sorted((tree.components or {}).items())],
-        "children": [build_tree_to_json(c) for c in tree.children],
+        "children": [build_tree_to_json(c, False) for c in tree.children],
         "residual": tree.residual,
     }
+    if root:
+        node["target"] = complex_to_json(tree.target)
+    return node
 
 
 def package_to_json(pkg: GeneratorPackage) -> dict:
@@ -193,7 +198,8 @@ def emit_document(doc: Document) -> str:
         "kind": doc.kind,
         "payload": body,
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # without indent, CPython serializes through its C encoder
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- decoding ---------------------------------------------------------
@@ -324,8 +330,10 @@ def certificate_from_json(ring: RingDescriptor, obj: Any) -> FlatCertificate:
                            matrix_from_json(ring, obj.get("q")))
 
 
-def build_tree_from_json(ring: RingDescriptor, obj: Any) -> BuildTree:
+def build_tree_from_json(ring: RingDescriptor, obj: Any, root: bool = True) -> BuildTree:
     _require(isinstance(obj, dict), "build tree must be an object")
+    _require(("target" in obj) == root,
+             "a build tree stores a target on its root and on no other node")
     kind = obj.get("kind")
     kinds = ("leaf", "susp", "cone")  # indexed by their number of children
     _require(kind in kinds, f"unknown node kind {kind!r}")
@@ -337,10 +345,10 @@ def build_tree_from_json(ring: RingDescriptor, obj: Any) -> BuildTree:
              "node has 1 child and a cone node 2, neither with a payload")
     return BuildTree(
         kind,
-        complex_from_json(ring, obj.get("target")),
+        complex_from_json(ring, obj["target"]) if root else None,
         payload=complex_from_json(ring, payload) if payload is not None else None,
         shift=_int(obj.get("shift", 0), "shift"),
-        children=tuple(build_tree_from_json(ring, c) for c in children),
+        children=tuple(build_tree_from_json(ring, c, False) for c in children),
         components={j: matrix_from_json(ring, m)
                     for j, m in _pairs(obj, "components", "matrix")},
         residual=_bool(obj.get("residual", False), "build tree residual"),
@@ -395,6 +403,13 @@ PAYLOAD_KINDS = tuple(_CODECS)
 
 @unlimited_int_digits()
 def parse_document(text: str) -> Document:
+    try:  # json.loads and the build-tree decoder recurse on nesting
+        return _parse(text)
+    except RecursionError:
+        raise DocumentError("document is nested too deeply") from None
+
+
+def _parse(text: str) -> Document:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -18,7 +18,7 @@ leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .matrices import Mat, MatrixError, solve_right
 from .modules import FPModule, ModuleMap, dual_data, opposite
@@ -83,13 +83,15 @@ def kernel_as_dual(q: Complex) -> tuple[FPModule, ModuleMap]:
 
 
 class _AttachingMapError(ComplexError):
-    """args: (message, the cone node whose attaching map fails)."""
+    """args: (message, the support of the failing cone node)."""
 
 
 @dataclass(frozen=True)
 class BuildTree:
     """kind: leaf | cone | susp.
 
+    target: the complex the tree claims to build; only the root carries
+      one, since every inner node's complex is built from its children.
     leaf: payload is the complex itself (a single free, the zero
       complex, or a window-relative residual resolution tail).
     susp: shift + one child.
@@ -99,7 +101,7 @@ class BuildTree:
     """
 
     kind: str
-    target: Complex
+    target: Complex | None = None
     payload: Complex | None = None
     shift: int = 0
     children: tuple["BuildTree", ...] = ()
@@ -118,7 +120,8 @@ class BuildTree:
             comps = self.components or {}
             f = ChainMap(built[0], built[1], comps)
             if comps and not f.commutes(min(comps) - 1, max(comps)):
-                raise _AttachingMapError("attaching map is not a chain map", self)
+                raise _AttachingMapError("attaching map is not a chain map",
+                                         _cone_support(*built))
             return cone(f)
         raise ValueError(f"cannot evaluate node kind {self.kind!r}")
 
@@ -138,8 +141,17 @@ class BuildTree:
         return any(leaf.residual for leaf in self.leaves())
 
 
+def _cone_support(x: Complex, y: Complex) -> tuple[int, int] | None:
+    """The support of cone(f: X -> Y), whose degree j is X^(j+1) (+) Y^j."""
+    sx, sy = x.support(), y.support()
+    spans = ([(sx[0] - 1, sx[1] - 1)] if sx else []) + ([sy] if sy else [])
+    if not spans:
+        return None
+    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+
+
 def _leaf(c: Complex, residual: bool = False) -> BuildTree:
-    return BuildTree("leaf", c, payload=c, residual=residual)
+    return BuildTree("leaf", payload=c, residual=residual)
 
 
 def decompose_resolution(q: Complex, depth: int = 8, floor: int = -32) -> BuildTree:
@@ -151,8 +163,15 @@ def decompose_resolution(q: Complex, depth: int = 8, floor: int = -32) -> BuildT
     leftover is recorded as a residual window-relative leaf,
     materialized down to floor so the tree evaluates to a bounded
     complex (rebuild comparisons below floor are meaningless, which
-    the residual flag already declares).
+    the residual flag already declares).  The root's target is Q, or
+    the payload when the root is itself a leaf.
     """
+    tree = _decompose(q, depth, floor)
+    return replace(tree, target=tree.payload if tree.kind == "leaf" else q)
+
+
+def _decompose(q: Complex, depth: int, floor: int) -> BuildTree:
+    """decompose_resolution without targets."""
     ring = q.ring
     side = q.side
     span = q.support()
@@ -168,7 +187,7 @@ def decompose_resolution(q: Complex, depth: int = 8, floor: int = -32) -> BuildT
     r0 = q.rank(0)
     r1 = q.rank(-1)
     top = BuildTree(
-        "cone", q.restrict(-1, 0),
+        "cone",
         children=(_leaf(Complex.single(ring, side, r1, 0)),
                   _leaf(Complex.single(ring, side, r0, 0))),
         components={0: q.diff(-1)} if r0 and r1 else {})
@@ -202,15 +221,12 @@ def decompose_resolution(q: Complex, depth: int = 8, floor: int = -32) -> BuildT
                           tail_below=PeriodicTail(-1, t2, tail.period))
     if shifted.support() is None:
         return top
-    subtree = decompose_resolution(shifted, depth - 1, floor)
     # (S^i C)^j = C^(j+i): shift 2 places shifted's degree 0 at -2
-    lower = BuildTree("susp", suspension(shifted, 2), shift=2, children=(subtree,))
+    lower = BuildTree("susp", shift=2, children=(_decompose(shifted, depth - 1, floor),))
     glue = q.diff(-2)
     return BuildTree(
-        "cone", q,
-        children=(BuildTree("susp", suspension(suspension(shifted, 2), -1),
-                            shift=-1, children=(lower,)),
-                  top),
+        "cone",
+        children=(BuildTree("susp", shift=-1, children=(lower,)), top),
         components={-1: glue} if glue.rows and glue.cols else {})
 
 
@@ -219,9 +235,10 @@ def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
 
     The single pass of BuildTree.evaluate checks the attaching map of
     every cone node, at any depth, before building that cone; a failure
-    names the support of the failing node's target.  The decomposition
-    reproduces the target exactly, so the homotopy equivalence witness
-    is the identity pair with zero homotopies.
+    names the support of the cone the failing node would build, taken
+    from its built children.  The decomposition reproduces the target
+    exactly, so the homotopy equivalence witness is the identity pair
+    with zero homotopies.
     """
     lo, hi = window
     window_relative = tree.has_residual()
@@ -229,7 +246,7 @@ def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
         built = tree.evaluate()
     except _AttachingMapError as exc:
         return Verdict(False, "attaching_map_not_chain_map",
-                       {"support": exc.args[1].target.support()}, window_relative)
+                       {"support": exc.args[1]}, window_relative)
     for j in range(lo, hi + 1):
         if built.rank(j) != tree.target.rank(j) or built.diff(j) != tree.target.diff(j):
             return Verdict(False, "rebuild_mismatch", {"degree": j}, window_relative)

@@ -3,11 +3,14 @@
 Deterministic: seeded samplers plus hand-picked documents, emitted
 through the canonical serializer.  Run from the repository root:
 
-    python3 tests/make_fixtures.py
+    PYTHONPATH=src python3 tests/make_fixtures.py [OUTPUT_DIR]
+
+OUTPUT_DIR defaults to tests/fixtures.
 """
 
 import pathlib
 import random
+import sys
 
 from homcert.complexes import Complex, PeriodicTail
 from homcert.documents import emit_document, make_document
@@ -26,8 +29,8 @@ HERE = pathlib.Path(__file__).parent / "fixtures"
 RINGS = {"z": ZZ, "f5": Fp(5), "z4": Zmod(4)}
 
 
-def main():
-    HERE.mkdir(exist_ok=True)
+def main(out: pathlib.Path = HERE):
+    out.mkdir(exist_ok=True)
     rng = random.Random(20260823)
     docs = {}
 
@@ -80,9 +83,9 @@ def main():
         ZZ, "verdict", Verdict(True, "split_exact", {"window": [-2, 2]}))
 
     for name, doc in sorted(docs.items()):
-        (HERE / f"{name}.json").write_text(emit_document(doc))
-    print(f"wrote {len(docs)} fixtures to {HERE}")
+        (out / f"{name}.json").write_text(emit_document(doc))
+    print(f"wrote {len(docs)} fixtures to {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*map(pathlib.Path, sys.argv[1:2]))

@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from homcert.cli import main
-from homcert.documents import parse_document
+from homcert.cli import MAX_DECOMPOSE_DEPTH, main
+from homcert.documents import FORMAT_VERSION, SIZE_LIMIT, parse_document
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+DOC = '{"version": "%s", ' % FORMAT_VERSION  # the head of a hand-written document
 
 
 def fx(name: str) -> str:
@@ -105,7 +106,7 @@ def test_flat_cert_free_case(capsys, tag):
 def test_flat_cert_cycle_hypothesis_failure_exits_1(capsys, tmp_path):
     rel = tmp_path / "rel.json"
     rel.write_text(json.dumps({
-        "version": "1", "ring": {"kind": "Zmod", "n": 4}, "kind": "relation",
+        "version": FORMAT_VERSION, "ring": {"kind": "Zmod", "n": 4}, "kind": "relation",
         "payload": {"a": {"rows": 1, "cols": 1, "entries": [[2]]},
                     "z": {"rows": 1, "cols": 1, "entries": [[2]]}}}))
     code, out, _ = run(capsys, "flat-cert", str(rel), fx("complex_z4_periodic"),
@@ -190,6 +191,47 @@ def test_bad_window_exits_2(capsys):
     assert code == 2 and "window" in err
 
 
+@pytest.mark.parametrize("window", [f"-{SIZE_LIMIT + 1}..0", f"0..{10**8}",
+                                    "-100000000..100000000"])
+def test_window_beyond_the_size_limit_exits_2(capsys, window):
+    # a window of +-10**8 on a periodic complex would take the homology of
+    # every degree in it
+    code, out, err = run(capsys, "split-check", fx("complex_z4_periodic"),
+                         f"--window={window}")
+    assert code == 2 and out == ""
+    assert f"at most {SIZE_LIMIT}" in err
+
+
+def test_decompose_depth_limit(capsys):
+    module = fx("module_z4_cyclic2")  # its resolution is periodic
+    code, out, _ = run(capsys, "decompose", module, "--depth", str(MAX_DECOMPOSE_DEPTH))
+    assert code == 0
+    tree = out_doc(out).payload
+    assert tree.has_residual() and tree.free_leaf_count() == 2 * MAX_DECOMPOSE_DEPTH
+    code, out, err = run(capsys, "decompose", module, "--depth",
+                         str(MAX_DECOMPOSE_DEPTH + 1))
+    assert code == 2 and out == ""
+    assert f"--depth: must be <= {MAX_DECOMPOSE_DEPTH}" in err
+
+
+def test_format_version_1_exits_2(capsys, tmp_path):
+    doc = json.loads(pathlib.Path(fx("module_z_cyclic6")).read_text())
+    doc["version"] = "1"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "resolve", str(old))
+    assert code == 2 and out == ""
+    assert "unsupported format version '1'" in err
+
+
+def test_deeply_nested_document_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "homology", str(deep), "--window=0..0")
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["resolve", "generator", "decompose"])
 def test_negative_depth_exits_2(capsys, command):
     code, out, err = run(capsys, command, fx("module_z_cyclic6"), "--depth", "-3")
@@ -206,7 +248,7 @@ def test_negative_bound_exits_2(capsys):
 
 def test_string_rank_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"version": "1", "ring": {"kind": "Z"}, "kind": "complex", '
+    bad.write_text(DOC + '"ring": {"kind": "Z"}, "kind": "complex", '
                    '"payload": {"side": "left", "ranks": [[0, "a"]], "diffs": []}}')
     code, _, err = run(capsys, "homology", str(bad), "--window=0..0")
     assert code == 2 and "rank must be an integer" in err
@@ -231,7 +273,7 @@ def test_entries_beyond_the_default_digit_limit_round_trip(capsys, tmp_path,
     # Python refuses int <-> str conversions past 4300 digits by default
     digits = "7" * 5000
     module = tmp_path / "huge.json"
-    module.write_text('{"version": "1", "ring": {"kind": "Z"}, "kind": "module", '
+    module.write_text(DOC + '"ring": {"kind": "Z"}, "kind": "module", '
                       '"payload": {"side": "left", "presentation": '
                       f'{{"rows": 1, "cols": 1, "entries": [[{digits}]]}}}}}}')
     code, out, _ = run(capsys, "resolve", str(module))
@@ -286,7 +328,7 @@ def test_help_exits_0(capsys):
 
 def test_nonzero_square_across_a_tail_seam_exits_2(capsys, tmp_path):
     bad = tmp_path / "seam.json"
-    bad.write_text('{"version": "1", "ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
+    bad.write_text(DOC + '"ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
                    '"payload": {"side": "left", "ranks": [[0, 1], [1, 1]], '
                    '"diffs": [[0, {"rows": 1, "cols": 1, "entries": [[1]]}]], '
                    '"tail_below": {"direction": -1, "threshold": 0, "period": 1}}}')

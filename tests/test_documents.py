@@ -6,13 +6,14 @@ import threading
 import pytest
 
 from homcert.complexes import Complex
-from homcert.documents import (DocumentError, emit_document, make_document,
-                               parse_document, unlimited_int_digits)
+from homcert.documents import (FORMAT_VERSION, DocumentError, emit_document,
+                               make_document, parse_document, unlimited_int_digits)
 from homcert.matrices import Mat
 from homcert.modules import FPModule
 from homcert.rings import Zmod, ZZ
 
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
+DOC = '{"version": "%s", ' % FORMAT_VERSION  # the head of a hand-written document
 
 
 def test_fixture_corpus_is_large_enough():
@@ -32,7 +33,7 @@ def test_emitted_documents_end_with_newline_and_sorted_keys():
     assert text.endswith("\n")
     obj = json.loads(text)
     assert list(obj) == sorted(obj)
-    assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_parse_reports_syntax_position():
@@ -44,25 +45,27 @@ def test_parse_rejects_unknown_version_and_kind():
     base = '{"version": "%s", "ring": {"kind": "Z"}, "kind": "%s", "payload": {}}'
     with pytest.raises(DocumentError, match="version"):
         parse_document(base % ("99", "matrix"))
+    with pytest.raises(DocumentError, match="unsupported format version '1'"):
+        parse_document(base % ("1", "matrix"))
     with pytest.raises(DocumentError, match="payload kind"):
-        parse_document(base % ("1", "novel"))
+        parse_document(base % (FORMAT_VERSION, "novel"))
 
 
 def test_parse_rejects_unknown_ring():
     with pytest.raises(DocumentError, match="ring"):
-        parse_document('{"version": "1", "ring": {"kind": "Q"}, '
+        parse_document(DOC + '"ring": {"kind": "Q"}, '
                        '"kind": "matrix", "payload": {}}')
 
 
 def test_parse_rejects_noncanonical_entries():
-    text = ('{"version": "1", "ring": {"kind": "Zmod", "n": 4}, "kind": "matrix", '
+    text = (DOC + '"ring": {"kind": "Zmod", "n": 4}, "kind": "matrix", '
             '"payload": {"rows": 1, "cols": 1, "entries": [[5]]}}')
     with pytest.raises(DocumentError, match="canonical"):
         parse_document(text)
 
 
 def test_parse_rejects_wrong_entry_count():
-    text = ('{"version": "1", "ring": {"kind": "Z"}, "kind": "matrix", '
+    text = (DOC + '"ring": {"kind": "Z"}, "kind": "matrix", '
             '"payload": {"rows": 2, "cols": 2, "entries": [[1, 2]]}}')
     with pytest.raises(DocumentError, match="entry rows"):
         parse_document(text)
@@ -76,7 +79,7 @@ def test_parse_rejects_broken_differential():
                   [0, {"rows": 1, "cols": 1, "entries": [[1]]}]],
         "tail_below": None, "tail_above": None,
     }
-    text = json.dumps({"version": "1", "ring": {"kind": "Z"},
+    text = json.dumps({"version": FORMAT_VERSION, "ring": {"kind": "Z"},
                        "kind": "complex", "payload": payload})
     with pytest.raises(DocumentError, match="d\\^2"):
         parse_document(text)
@@ -87,7 +90,7 @@ def test_parse_rejects_nonzero_square_across_a_tail_seam():
                "diffs": [[0, {"rows": 1, "cols": 1, "entries": [[1]]}]],
                "tail_below": {"direction": -1, "threshold": 0, "period": 1},
                "tail_above": None}
-    text = json.dumps({"version": "1", "ring": {"kind": "Zmod", "n": 4},
+    text = json.dumps({"version": FORMAT_VERSION, "ring": {"kind": "Zmod", "n": 4},
                        "kind": "complex", "payload": payload})
     with pytest.raises(DocumentError, match="d\\^2"):
         parse_document(text)
@@ -98,7 +101,7 @@ def test_parse_rejects_component_shape_mismatch():
           "tail_below": None, "tail_above": None}
     payload = {"source": cx, "target": cx,
                "components": [[0, {"rows": 2, "cols": 1, "entries": [[1], [0]]}]]}
-    text = json.dumps({"version": "1", "ring": {"kind": "Z"},
+    text = json.dumps({"version": FORMAT_VERSION, "ring": {"kind": "Z"},
                        "kind": "chain_map", "payload": payload})
     with pytest.raises(DocumentError, match="degree 0"):
         parse_document(text)
@@ -107,7 +110,7 @@ def test_parse_rejects_component_shape_mismatch():
 def test_parse_rejects_relation_that_does_not_sum_to_zero():
     payload = {"a": {"rows": 1, "cols": 1, "entries": [[1]]},
                "z": {"rows": 1, "cols": 1, "entries": [[1]]}}
-    text = json.dumps({"version": "1", "ring": {"kind": "Z"},
+    text = json.dumps({"version": FORMAT_VERSION, "ring": {"kind": "Z"},
                        "kind": "relation", "payload": payload})
     with pytest.raises(DocumentError):
         parse_document(text)
@@ -125,16 +128,15 @@ def test_periodic_tails_survive_roundtrip():
 def test_generator_package_mu_is_validated():
     path = pathlib.Path(__file__).parent / "fixtures" / "package_z4_cyclic2.json"
     text = path.read_text()
-    block = '"mu": {\n      "cols": 1,\n      "entries": [\n        [\n          1\n        ]\n      ]'
+    block = '"mu":{"cols":1,"entries":[[1]]'
     assert block in text
-    tampered = text.replace(block, block.replace("1\n        ]", "3\n        ]", 1))
+    tampered = text.replace(block, block.replace("[[1]]", "[[3]]"))
     with pytest.raises(DocumentError, match="double-dual"):
         parse_document(tampered)
-    dual_gens = ('"dual_gens": {\n      "cols": 1,\n      "entries": [\n        [\n          2\n'
-                 '        ]\n      ]')
+    dual_gens = '"dual_gens":{"cols":1,"entries":[[2]]'
     assert dual_gens in text
     with pytest.raises(DocumentError, match="stored dual"):
-        parse_document(text.replace(dual_gens, dual_gens.replace("2\n", "0\n", 1)))
+        parse_document(text.replace(dual_gens, dual_gens.replace("[[2]]", "[[0]]")))
     # the untampered package parses and rebuilds the same module
     doc = parse_document(text)
     assert doc.payload.module == FPModule.cyclic(Zmod(4), "left", 2)
@@ -154,7 +156,7 @@ def test_generator_package_comparison_and_dual_complex_are_validated(field, tamp
 
 
 def test_parse_rejects_string_rank():
-    text = ('{"version": "1", "ring": {"kind": "Z"}, "kind": "complex", '
+    text = (DOC + '"ring": {"kind": "Z"}, "kind": "complex", '
             '"payload": {"side": "left", "ranks": [[0, "a"]], "diffs": []}}')
     with pytest.raises(DocumentError, match="rank must be an integer"):
         parse_document(text)
@@ -163,7 +165,7 @@ def test_parse_rejects_string_rank():
 @pytest.mark.parametrize("field,value", [("rows", "1"), ("cols", 1.0), ("rows", True)])
 def test_parse_rejects_non_integer_shape(field, value):
     payload = {"rows": 1, "cols": 1, "entries": [[1]], field: value}
-    text = json.dumps({"version": "1", "ring": {"kind": "Z"}, "kind": "matrix",
+    text = json.dumps({"version": FORMAT_VERSION, "ring": {"kind": "Z"}, "kind": "matrix",
                        "payload": payload})
     with pytest.raises(DocumentError, match=f"matrix {field} must be an integer"):
         parse_document(text)
@@ -171,20 +173,20 @@ def test_parse_rejects_non_integer_shape(field, value):
 
 @pytest.mark.parametrize("ring", ['{"kind": "Z"}', '{"kind": "Zmod", "n": 4}'])
 def test_parse_rejects_boolean_matrix_entry(ring):
-    text = (f'{{"version": "1", "ring": {ring}, "kind": "matrix", '
+    text = (DOC + f'"ring": {ring}, "kind": "matrix", '
             '"payload": {"rows": 1, "cols": 2, "entries": [[true, 0]]}}')
     with pytest.raises(DocumentError, match="matrix entry must be an integer"):
         parse_document(text)
 
 
 def test_parse_rejects_non_integer_tail_and_shift():
-    tail = ('{"version": "1", "ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
+    tail = (DOC + '"ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
             '"payload": {"side": "left", "ranks": [[0, 1]], "diffs": [], '
             '"tail_below": {"direction": -1, "threshold": "0", "period": 1}}}')
     with pytest.raises(DocumentError, match="tail threshold must be an integer"):
         parse_document(tail)
     zero = '{"side": "left", "ranks": [], "diffs": []}'
-    tree = ('{"version": "1", "ring": {"kind": "Z"}, "kind": "build_tree", '
+    tree = (DOC + '"ring": {"kind": "Z"}, "kind": "build_tree", '
             f'"payload": {{"kind": "leaf", "target": {zero}, "payload": {zero}, '
             '"shift": false, "children": [], "components": [], "residual": false}}')
     with pytest.raises(DocumentError, match="shift must be an integer"):
@@ -254,6 +256,33 @@ def test_build_tree_nodes_have_their_arity(tamper, message):
     tamper(doc["payload"])
     with pytest.raises(DocumentError, match=message):
         parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda t: t.pop("target"),
+    lambda t: t["children"][0].update(target=t["target"]),
+    lambda t: t["children"][1].update(target=None),
+], ids=["root_without_target", "leaf_with_target", "leaf_with_null_target"])
+def test_build_tree_stores_its_target_on_the_root_only(tamper):
+    doc = _fixture_json("tree_z_cyclic6")
+    tamper(doc["payload"])
+    with pytest.raises(DocumentError, match="target on its root and on no other node"):
+        parse_document(json.dumps(doc))
+
+
+def test_deeply_nested_documents_are_refused():
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        parse_document("[" * 100_000 + "]" * 100_000)
+
+
+def test_make_fixtures_reproduces_the_corpus(tmp_path, capsys):
+    import make_fixtures
+
+    make_fixtures.main(tmp_path)
+    made = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in made] == [p.name for p in FIXTURES]
+    for path, fixture in zip(made, FIXTURES):
+        assert path.read_bytes() == fixture.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("fixture, tamper, message", [

@@ -161,7 +161,7 @@ def _tampering_cases():
 def _break_attaching_map(tree, path):
     node = _node(tree, path)
     bad = {j: m + Mat.identity(m.ring, m.rows) for j, m in node.components.items()}
-    return _replace_at(tree, path, components=bad), node.target.support()
+    return _replace_at(tree, path, components=bad), node.evaluate().support()
 
 
 def test_rebuild_verify_refuses_a_bad_root_attaching_map():

@@ -76,7 +76,7 @@ def mutated(draw):
         else:
             _at(obj, path[:-1])[path[-1]] = new
     with unlimited_int_digits():
-        return name, json.dumps(obj, indent=2, sort_keys=True) + "\n", how != "drop"
+        return name, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", how != "drop"
 
 
 @FUZZ

@@ -80,61 +80,61 @@ def split_digest(case: str) -> str:
 
 
 GOLDEN_CLI = {
-    "resolve module_f5_0": "eee67367da7370f4dbcb2f6a319be060377b9f49d02da286e19c0620ff078922",
-    "generator module_f5_0": "b6cba6091dfc44dedb6ceb5633b67f3d122688be9696c78f8ae78c2736577c6c",
-    "decompose module_f5_0": "5d6160b40aa53e5b6268f5781d7b42c6090137f5f8c39b3d9cd3bbfe338922d1",
-    "resolve module_f5_1": "753f4eb93ff1fc19a9d0de77ecd5b499e46b47cb5e1a6373b6168870ed62b7ca",
-    "generator module_f5_1": "5295f1966ed3e21b2ed3d6c5786413a1ba68628882dfd0e3bfa0a7b17a3506fb",
-    "decompose module_f5_1": "b0ccbda670cfe3ffe43b4bc6fe2e0ef21c32d92ad9f85699932cd67d4b53a3ad",
-    "resolve module_f5_2": "1359795c3fd505610246e89aa8f0d2aa656d1535750dc4c5760c9f31d7dbd6c4",
-    "generator module_f5_2": "9a2297e2f18149e7a5f6ce59f19d4101f709c7d6462dd2321459a5bf280875fe",
-    "decompose module_f5_2": "c5110bc43dac5777a094693b8062ad55d8d3dd9200245decdea5bd2ccdb71797",
-    "resolve module_z4_0": "f0c1c669e08a39f4ef89772201215bdba2a5f0a1ee11d2171067a0295741a6ce",
-    "generator module_z4_0": "6d5399764821e901cf7baffe57fc82f61e38c311b8ce8a01493971f2be1e0041",
-    "decompose module_z4_0": "9ebb66f05c035777de7ca009ad16407d388b6bdd5b023c67310ec928dc813073",
-    "resolve module_z4_1": "2e62456d0195ae3a610ffad957ecf3420633396866f5034edfd04b73a56e1c18",
-    "generator module_z4_1": "80f306ac84ee42bf1b94ece842231b616e00c8c33f94520034b2cc901e3b7af3",
-    "decompose module_z4_1": "98c0276109e35e04fcbded03d7b9fbf7312596716c04392089cad6a0fc4ee9d3",
-    "resolve module_z4_2": "81572a3b0f464d4d8c25c054f0c475dbaa6ef50b710d9e8fa8b0d18163d2c7b4",
-    "generator module_z4_2": "2a3c71c70fc5a769b0727d91e53fab3675d986d03d7dd43d8eeec018df178671",
-    "decompose module_z4_2": "2277a5eb62498b7d68ff4bb459702c1fda5663831846fb11ad504d238884ce02",
-    "resolve module_z4_cyclic2": "4943f5ee96757c4239393e252a14840f1ce067a64f1a09ee4e68ca7aaa68ecd6",
-    "generator module_z4_cyclic2": "d7fdf0f9eb8976929f04e729d16625bcdcbae36c9beea4f78d4009d85a46685d",
-    "decompose module_z4_cyclic2": "7486aa07db16d1e13e689174560d855aea4f489b74c9c0e89fb40ac6ecad09e5",
-    "resolve module_z_0": "b143c911f61322b41874c7504e58b3b961aeab97f1fb8192ce616efd6e9fc763",
-    "generator module_z_0": "2aea7c252023e5dd008b9396b0eb52f100744ed98bc4bfce2ff3f73efafa40a3",
-    "decompose module_z_0": "a95ace2a271f3fe9695df2ec2c3a3f15aeb300e53883213536cc2ab0ab44b3a3",
-    "resolve module_z_1": "cd40722b68d09a5fa88971b693ded36d313434c4abe95b3c9285b868d31a9038",
-    "generator module_z_1": "3f82d587df2818f1532333060419cc13b29cc86fbcd3bf4b72061560ed80dd3a",
-    "decompose module_z_1": "d8bca29fbf4122b786f1e522a53e6775e919eac7a1e3fc01499cd6a3e688835d",
-    "resolve module_z_2": "90f11b2b02a6ef349bfe0b2060d4d66c3ba2d91d26b481aa45dd1c4663da12ff",
-    "generator module_z_2": "5596fa9addf422cac96a8a174e3531b641585573351a49420d10cf83b388332a",
-    "decompose module_z_2": "993ae555f3f600fd7763400e4b9c56fca7d4de9b996da979eb233efdc7879d82",
-    "resolve module_z_cyclic6": "7cc24a2d11bb9566409467e2a184381f43b0880c79fecc58976b47be90afe8b3",
-    "generator module_z_cyclic6": "b1e8cf2e348cc790cefeec71050ac41ec319840f56bb7d020464cfed1d7ddebf",
-    "decompose module_z_cyclic6": "1a6673551c8974c3f7740413397607046cd038cdf47114711011d2e371cfe2e0",
-    "resolve module_z_right6": "58c1572a524df8cddadf0bdcdae7f8857f45dc48da1ca2b4923bc50cfc71d677",
-    "generator module_z_right6": "eb495544eea5e5f118ad90e1aa8a3aed71934a21aa524c193a302d681bcab71f",
-    "decompose module_z_right6": "ade4cd690c113a97f33f6f7bb09d4a0d3301f726acf9971c41afb230ba6046a0",
+    "resolve module_f5_0": "8ac9c8230678887e0efa9b9f1450fc731d315dbc1669930c676a9d9e5c53cf0f",
+    "generator module_f5_0": "c60b302062e229f777290d8fd8ecc42e03df742ee87ce11ab60220b5cc87dbe5",
+    "decompose module_f5_0": "3d6dcd007441233456f6548a9f74aeee645586c15f963b206503d895ca221e5b",
+    "resolve module_f5_1": "a4b1c2c287768f3f9b6cdadd4c536d2d1481497bc200a69891d75767e714e76a",
+    "generator module_f5_1": "bd6d664dd446f5ec948156884c60bfcb3e2736234ee61bd3875658f664b4ee51",
+    "decompose module_f5_1": "5a4b6c15e3b297d656aef58876e60be726e7d595d0f565c2aa3f2a0dd30f1518",
+    "resolve module_f5_2": "39ad78ffd6b8137ce3eb03108bfb04d974aa01ab9eeaf9ee23680186e0ab7b46",
+    "generator module_f5_2": "950b531477c837f7fc9d6dcb933ac3f012542483eff032e93ec124e3c8a8a4f3",
+    "decompose module_f5_2": "936908393831259be2ef067c8b206c8325cfae2d0bf09cdbd1d91c7180874489",
+    "resolve module_z4_0": "3d493e3848dd014dd49d3e545ae9222adf18157b5e31ba1f8a34976f77588634",
+    "generator module_z4_0": "28c6c097f2aeacc657e58261f51008035173a0ff1001d58f25d84c39edaafe3e",
+    "decompose module_z4_0": "6889a762042611b9f980ef6152aa4cc7e559bd2d5df7aa38b0e262061baf153a",
+    "resolve module_z4_1": "59c30d11e087148b3bf12f48c918adbd8d41e65b93d651343c5c0529c8340ede",
+    "generator module_z4_1": "693f0b8a74bc906598d224c9d2c7660a39101620859b7309b5f521ad1dee0653",
+    "decompose module_z4_1": "229d9beb386529fcff0440a8ea8c5076c26947a3198db12c5b15d5c89956d9bb",
+    "resolve module_z4_2": "bdb4fcdd0637e1bef74c4f66da25cc7575edfde564af53045173295fb132b3c6",
+    "generator module_z4_2": "945447c1bd371ef41426c09b5fc7a6beb93457476e73e5e9739dc674a0ccde53",
+    "decompose module_z4_2": "53dac5aaab078f71d29636d0e0c0c15ba0dca60f25df2dfd5d72ea9449ab6c25",
+    "resolve module_z4_cyclic2": "57053b842190919d02fdc9a7437ec3c71a1589637e96b2f03e9954686478277c",
+    "generator module_z4_cyclic2": "02e89d0230bf830a8e755965749a069a7f52b838d355f1b6eda87975aba3dee4",
+    "decompose module_z4_cyclic2": "563f27990fa3ff4a1d8cc3897c92110e3173c80b425951fe8aee9b1faa17cf47",
+    "resolve module_z_0": "f90586ee84e9de43eb19090b7bc1d705f1b1f2a7632ecafd13a6bad3ccccabeb",
+    "generator module_z_0": "c346fd00736ad641f99faacb502bb592a2cad2248b5359dd6b6e145e3b7d56bc",
+    "decompose module_z_0": "9874caa407cbdd42384bc64202df2f22b49cfd2dc74e6440f4cd4b8aa7982e40",
+    "resolve module_z_1": "b641bfb2ac0fc130f980567de36325766b69680f4847dfe8c9e4c108a4f0e902",
+    "generator module_z_1": "1b302afdedc718ffbd360eddbe7ce15d3783449cf06d0559c633f3f1b713503e",
+    "decompose module_z_1": "545a74466bc8dcaa859838d9d8ed393685a6a2f185280209025399604b53e0ec",
+    "resolve module_z_2": "47248d628aebbe54f5bd1dc3746aafbbfb28c0b9443d2f6ee3294549d2f3b4bb",
+    "generator module_z_2": "b3161583413a52586e07158dad562faa7fae833bad39d509bc932ed6d6619391",
+    "decompose module_z_2": "7a28ae459f87a19632b46d43305716db48e4c18ed6522802a0319d48e03db8f7",
+    "resolve module_z_cyclic6": "e93b3d6e795bb69df0710df7fe4c85055c4287833ffe52b79f363b5d9b069541",
+    "generator module_z_cyclic6": "41139b1bfbe79e084a6b164412dcfac4e0b107f8bd738e5893660aa231d6dd0b",
+    "decompose module_z_cyclic6": "4f98ffb1a01cf8b033a7da191c0833eb00d50ebae95bc8902b646b7b3bb7ca93",
+    "resolve module_z_right6": "33ab1d72577ce65ab4c129f5808f4f134e5c1950f09e724cdb64648dd08572be",
+    "generator module_z_right6": "a19d95cdd2bb6ccf2671428848001b41ff9ff30a534cea71d50c41e28c60c1ef",
+    "decompose module_z_right6": "6b50230e0fb452174fa7c79dc4dd26c7236c79c29b01b8ffd79f6461e8ca05c7",
 }
 
 GOLDEN_VERDICTS = {
-    "F5 0": "2365b29eae2628771a663f746e071c8d25565331f2526594319d8c1e9bf9edb8",
-    "F5 1": "2365b29eae2628771a663f746e071c8d25565331f2526594319d8c1e9bf9edb8",
-    "F5 2": "ed39804a750242e522f330bd70f3ebdcc2e129a288506e8041d4e08e7c7e699d",
-    "F5 3": "0cfeb8dae7105fadc74260fc419ae11eaea0d8c953df985f018270934980a08c",
-    "Z 0": "2d4d32da71b974d855b2c93bc58bfdbe94ca452934fdc4d8ed79150e4f53dc0b",
-    "Z 1": "4450a6b4c8f445fead3a15e0187f91c6758c36dfa37d1ca0d7b6add5ea93fa7d",
-    "Z 2": "4450a6b4c8f445fead3a15e0187f91c6758c36dfa37d1ca0d7b6add5ea93fa7d",
-    "Z 3": "c3ef57804a722eb63fc4dea53ee3d6178d94c42a89e499c6466abc1b56386190",
-    "Z12 0": "73885f6e055bb359763fa8d349bbef9cc199cd6df7f3ed0937076cb20cc8d82b",
-    "Z12 1": "933aa37eafa53c7c203d8c2a2375e6b72d3333756131d394493ed640598b983f",
-    "Z12 2": "dfa6e77693a63292d748b7889eb9c1df89c34313dba0efedd6b3abe89d8fb952",
-    "Z12 3": "37d9358cb56017f1298e48b03d4b767deea7be07a71b5c8a4d5bab265ea25dba",
-    "Z4 0": "befda88665107a9ed724a553dcf38a3a28d5c4065fa59e6ef71681ed18c8d18b",
-    "Z4 1": "a64b62e3fe022fbd01a4489eae9c341728f945c204a9110a5e27686d4bd139a5",
-    "Z4 2": "9a6b21e4482a95e71e0013ae7ce81f3366f8b79e7bbe40a8d35cf502b9744592",
-    "Z4 3": "ab3116ea8bf0f23bbfd67cdd5d9d220bcf9ba20cb8b45c7fee4e9b48979b5552",
+    "F5 0": "9904c132df6dd4d442749dd1dc58cc0367737b88ad32730e8c06f01243661e49",
+    "F5 1": "9904c132df6dd4d442749dd1dc58cc0367737b88ad32730e8c06f01243661e49",
+    "F5 2": "6c1f19853d07179791c730c254106df1f748972f2350095e933e5d8680d12056",
+    "F5 3": "04707272f4a52906227ed8f5506049cc0d55291b08685213b975fecd56234d61",
+    "Z 0": "ea2436bdef3e0515e16e2458ef1eca402911904dd7a216677e64257fca21226a",
+    "Z 1": "28c8a0f9415c54bf1ae9999b530dc4715fcae549e3cd84d6e871ab7a794802e7",
+    "Z 2": "28c8a0f9415c54bf1ae9999b530dc4715fcae549e3cd84d6e871ab7a794802e7",
+    "Z 3": "b0cfe64e90a843ee5177fd4dc35146915926e13f44e5399712212916ba1f2628",
+    "Z12 0": "e63bdb61e88f3913153c6e4ce817d9fffdeeebb46a327912d3d99cddf73eeb7a",
+    "Z12 1": "daf0548604dc9f714a8b5b5eb1d2261bb3bc8e8117d13d037e75ef9b7ca30d6a",
+    "Z12 2": "1c9f875406270b0e07775cf9745cfcd3b12f775b40b5e0bd4944225ea1776ba1",
+    "Z12 3": "100d917fd80fba5be483d03e72325d0a6d1dd21c2bc27114b38e7d2fc0ea1885",
+    "Z4 0": "555df436a163ab477d793ba67ca90ae8f4e6f302018605455a4c1833c1e0bc49",
+    "Z4 1": "0536af7b4156d588332fb3fe89195586801ee6bac3ece83bf12b389117819e86",
+    "Z4 2": "85671dc8339b5aba85375a9651e351180a24c3199ec09805136f5e5b9f14dabb",
+    "Z4 3": "5978b828ffd73f8b7e22331740867e7f89aea855a05ac80c384695db9de56fe9",
 }
 
 
@@ -142,21 +142,21 @@ GOLDEN_VERDICTS = {
 # and the passing verdicts (a null homotopy of the identity) on the
 # contractible fixtures
 GOLDEN_SPLIT = {
-    "complex_z4_periodic -4..4 0": "78978fb834f49d18c87bebcbd28d587659c854e64884f35ed48c0c8ae1018431",
-    "complex_z4_periodic -4..4": "a7c1ddb7c61988d45a55ca7309f298a05f7b8b936edd6242c4a285cb79bd77c9",
-    "complex_z_mult2 -4..3 1": "c5f50b9a53ff791ff9dba0b2ecbe6fac18a6585e3a77469c9c074bf04feba2b6",
-    "complex_z_mult2 -4..3": "a97b65b3af19a4b5d9025fe72f3d18e5db2bc6b1304daba8a76707d78acdd121",
-    "contractible_f5 -6..5 0": "17e0629864b7a56c51c363b65e0e75def61204a4c2b6d6d2beb75b49ff7a1b26",
-    "contractible_f5 -6..5": "c71f6178337985da11c8a88b0eb2b9b42fc183b55851f527095f5ed9e2132730",
-    "contractible_z -1..5 0": "4aa3a13516cee812333d9c0c2227276f8874625a8cad666621254864732917e7",
-    "contractible_z -1..5": "d8159b758c3f0dc9ffd2d9bd9f14fa32d45b78245c1d00a23cef01b2dc094b41",
-    "contractible_z -5..2": "1e65fe0b33452367e21f64560776e34ad4af93c3ad2c6006ec6dfb9875d9da6b",
-    "contractible_z -6..5 1": "1c48f202757321a3ef937a2b870e48358af1a6b260077863125e2cb641a0a6a9",
-    "contractible_z -6..5 16": "f681ddfa25e4a6decd871a0a208394399f2a41c483c4b2fb1d8c85d22d325f95",
-    "contractible_z -6..5": "9faee175f21ec99a1289a40612256fc0cec87f9b3568bce68c7f8062a1e12a44",
-    "contractible_z4 -4..6": "164a372fc18a196a3f08d61992fbf2659f8261b4cfc09f463cb2bec87178ad49",
-    "contractible_z4 -6..5 0": "b321be4cbaa5947e05d268177f26c044198a48dd654f6abef3ecf607c99bd6a5",
-    "contractible_z4 -6..5": "38dbee1522eda2aa2f250fd89ee3e80563d3f17ec4241b8da4d5526948306e92",
+    "complex_z4_periodic -4..4": "72c36fb105bbf54d469f9f01e19eea03e3c640384d2f47ed7aff78c3a24def02",
+    "complex_z4_periodic -4..4 0": "b5066204994e568f4da98ecbbe938e094b8f3961a4a8d62fc444efb68c64d02b",
+    "complex_z_mult2 -4..3": "58f40e022ac7d295564402f92d4b4e4b49f180616211376d32b6d766d91b6e68",
+    "complex_z_mult2 -4..3 1": "aae1b7347cd1c27ff3457bd1b72bed7272160edf012993a00c4accc70b8b9888",
+    "contractible_f5 -6..5": "45f8ae1320d78ea9ee33ebb9faaadad84dda5ed122ceb81fe69c3cb69a8344b3",
+    "contractible_f5 -6..5 0": "7160eda2f491dc4d2e74f1f02d5af003126269bd997e7d0b2efc7d6045013e20",
+    "contractible_z -1..5": "637a8e6407ec6e67f1e8fa4bb69d2e9019e579edb6ea22edf12399ad42e7dbab",
+    "contractible_z -1..5 0": "d0b064c44d0abb54285faf23bf7a7ab3084d3c0d8186a3b7a52b9fa6664261fc",
+    "contractible_z -5..2": "b6fa8db2b2460da9469bb97da5130766380b16838df5b5a249367067f322bb9e",
+    "contractible_z -6..5": "003553868c7fdcb8f75d318c246510a26ee022b7c6b379b14f21d06dc6ff0f11",
+    "contractible_z -6..5 1": "7a6b8650fa3cbf48a3205e83ce95099906197c2500f83f5082b6702a0299261a",
+    "contractible_z -6..5 16": "61560d2e83898ff06f5760e9c28e4424423dd4a98bb63d3c32cbad81fb432f72",
+    "contractible_z4 -4..6": "0e284d9afc4f95bbca6e6aca95e182accb4b81e376263a9baafc043b57aacfc6",
+    "contractible_z4 -6..5": "3344f8f398bab5fa41d6640ad7c12d3c332a63de904672460397c6e04396182b",
+    "contractible_z4 -6..5 0": "6cf6b8a104768f4914ac862b4b6ae556ba1c6db136ba29ad65a39d39f8482493",
 }
 
 
