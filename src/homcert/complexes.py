@@ -18,6 +18,13 @@ term j to term j+1.  Fixed sign conventions:
 A complex is either bounded (explicit finite support) or carries
 eventually-periodic tails; tail evaluation is a pure lookup, so values
 are immutable and freely shareable between threads.
+
+The public `Complex(...)` constructor checks every shape and the
+product d^(j+1) d^j = 0 in every degree.  `suspension` and `cone`
+build from complexes that passed it and skip it (`Complex._trusted`):
+shifting and negating keeps both, and a cone checks that its map is a
+chain map instead, which for checked X and Y is equivalent to d^2 = 0
+on the cone.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ from .verdicts import Verdict
 
 class ComplexError(ValueError):
     pass
+
+
+class ChainMapError(ComplexError):
+    """A map that must be a chain map does not commute with the differentials."""
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,16 @@ class Complex:
             prod = self.diff(j + 1) @ self.diff(j)
             if not prod.is_zero():
                 raise ComplexError(f"d^2 != 0 at degree {j}: product {prod.row_list()}")
+
+    @classmethod
+    def _trusted(cls, ring: RingDescriptor, side: str, ranks: dict[int, int],
+                 diffs: dict[int, Mat], tail_below: PeriodicTail | None = None,
+                 tail_above: PeriodicTail | None = None) -> "Complex":
+        """A Complex whose shapes and d^2 = 0 already hold, unchecked."""
+        c = object.__new__(cls)
+        c.__dict__.update(ring=ring, side=side, ranks=ranks, diffs=diffs,
+                          tail_below=tail_below, tail_above=tail_above)
+        return c
 
     # -- evaluation ----------------------------------------------------
 
@@ -226,8 +247,8 @@ def suspension(c: Complex, i: int = 1) -> Complex:
         if t is None:
             return None
         return PeriodicTail(t.direction, t.threshold - i, t.period)
-    return Complex(c.ring, c.side, ranks, diffs,
-                   shift_tail(c.tail_below), shift_tail(c.tail_above))
+    return Complex._trusted(c.ring, c.side, ranks, diffs,
+                            shift_tail(c.tail_below), shift_tail(c.tail_above))
 
 
 def dualize_complex(c: Complex) -> Complex:
@@ -266,14 +287,21 @@ def dualize_complex(c: Complex) -> Complex:
 def cone(f: ChainMap) -> Complex:
     """Mapping cone of f: X -> Y, the complex alone.
 
-    Its term in degree j is X^(j+1) (+) Y^j; d^2 = 0 holds exactly when
-    f is a chain map, which the constructor checks.
+    Its term in degree j is X^(j+1) (+) Y^j.  Its d^2 in degree j is
+    [[d_X^(j+2) d_X^(j+1), 0], [d_Y^(j+1) f^(j+1) - f^(j+2) d_X^(j+1),
+    d_Y^(j+1) d_Y^j]], so for checked X and Y it vanishes exactly when f
+    is a chain map.  That is checked from one degree below the lowest
+    component to the highest (ChainMapError), the block shapes are
+    checked by assemble_blocks, and the d^2 product is not formed.
     """
     X, Y = f.source, f.target
     if not (X.is_bounded and Y.is_bounded):
         raise ComplexError("cone requires bounded complexes")
     if X.ring != Y.ring:
         raise MatrixError("cone across different rings")
+    comps = f.components
+    if comps and not f.commutes(min(comps) - 1, max(comps)):
+        raise ChainMapError("cone of a map that is not a chain map")
     ring = X.ring
     degs = set()
     for c, shift in ((X, -1), (Y, 0)):
@@ -288,7 +316,7 @@ def cone(f: ChainMap) -> Complex:
         [X.rank(j + 2), Y.rank(j + 1)],
         [X.rank(j + 1), Y.rank(j)],
     ) for j in ranks if j + 1 in ranks}
-    return Complex(ring, X.side, ranks, diffs)
+    return Complex._trusted(ring, X.side, ranks, diffs)
 
 
 def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], list[ChainMap]]:

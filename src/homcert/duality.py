@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 from .matrices import Mat, MatrixError, solve_right
 from .modules import FPModule, ModuleMap, dual_data, opposite
-from .complexes import (ChainMap, Complex, ComplexError, PeriodicTail, cone,
-                        cycle_module, dualize_complex, suspension)
+from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, PeriodicTail,
+                        cone, cycle_module, dualize_complex, suspension)
 from .verdicts import Verdict
 
 
@@ -109,20 +109,20 @@ class BuildTree:
     residual: bool = False
 
     def evaluate(self) -> Complex:
-        """This node's complex, from its children's built ones.  A cone
-        node first checks its components commute wherever one is nonzero."""
+        """This node's complex, from its children's built ones.  cone
+        checks that a cone node's components form a chain map; a failure
+        is raised again with the support of the cone it would build."""
         if self.kind == "leaf":
             return self.payload
         built = [c.evaluate() for c in self.children]
         if self.kind == "susp":
             return suspension(built[0], self.shift)
         if self.kind == "cone":
-            comps = self.components or {}
-            f = ChainMap(built[0], built[1], comps)
-            if comps and not f.commutes(min(comps) - 1, max(comps)):
+            try:
+                return cone(ChainMap(built[0], built[1], self.components or {}))
+            except ChainMapError as exc:
                 raise _AttachingMapError("attaching map is not a chain map",
-                                         _cone_support(*built))
-            return cone(f)
+                                         _cone_support(*built)) from exc
         raise ValueError(f"cannot evaluate node kind {self.kind!r}")
 
     def leaves(self) -> list["BuildTree"]:

@@ -19,7 +19,7 @@ module map into a free complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .matrices import (Mat, MatrixError, assemble_blocks, block_diag,
     kernel_left, kernel_right, solve_right)
@@ -37,12 +37,13 @@ class SubComplex:
     ring: RingDescriptor
     side: str
     ambient_ranks: dict[int, int]
-    gens: dict[int, Mat]  # ambient_ranks[n] x (number of generators)
     ambient_diffs: dict[int, Mat]  # ambient_ranks[n+1] x ambient_ranks[n]
     # layouts[n] lists (i, r0, qr): the block Hom(R^r0, Q^(i+n)) of the
     # degree-n ambient module for source term i, qr x r0 matrices
     # vectorized column-major, in increasing i
     layouts: dict[int, list[tuple[int, int, int]]]
+    terms: dict[int, FPModule]  # the source terms, whose Hom modules gens_at spans
+    _gens: dict[int, Mat] = field(default_factory=dict, compare=False, repr=False)
 
     def ambient_rank(self, n: int) -> int:
         return self.ambient_ranks.get(n, 0)
@@ -69,9 +70,14 @@ class SubComplex:
         return Mat.column(self.ring, entries)
 
     def gens_at(self, n: int) -> Mat:
-        if n in self.gens:
-            return self.gens[n]
-        return Mat.zero(self.ring, self.ambient_rank(n), 0)
+        """Generators of the degree-n term, ambient_rank(n) x (number of
+        generators): one block of hom_term_gens per layout entry, built
+        on first use, since solving in the ambient module never reads them."""
+        g = self._gens.get(n)
+        if g is None:
+            g = self._gens[n] = block_diag(self.ring, [hom_term_gens(self.terms[i], qr)
+                                                      for (i, _, qr) in self.layouts.get(n, [])])
+        return g
 
     def ambient_diff(self, n: int) -> Mat:
         if n in self.ambient_diffs:
@@ -120,7 +126,7 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
     Koszul sign as for free Hom complexes: d(f) = d_Q f - (-1)^n f d.
     """
     if not terms:
-        return SubComplex(q.ring, q.side, {}, {}, {}, {})
+        return SubComplex(q.ring, q.side, {}, {}, {}, terms)
     ring = q.ring
     for m in terms.values():
         if m.ring != ring:
@@ -129,7 +135,6 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
     span = (min(terms), max(terms))
     layouts: dict[int, list[tuple[int, int, int]]] = {}
     ambient_ranks: dict[int, int] = {}
-    gens: dict[int, Mat] = {}
     for n in range(lo, hi + 2):
         layout = []
         for i in range(span[0], span[1] + 1):
@@ -140,11 +145,8 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
                 layout.append((i, r0, qr))
         layouts[n] = layout
         amb = sum(r0 * qr for (_, r0, qr) in layout)
-        if amb == 0:
-            continue
-        ambient_ranks[n] = amb
-        gens[n] = block_diag(ring, [hom_term_gens(terms[i], qr)
-                                        for (i, _, qr) in layout])
+        if amb:
+            ambient_ranks[n] = amb
     ambient_diffs: dict[int, Mat] = {}
     for n in range(lo, hi + 1):
         if not ambient_ranks.get(n) or not ambient_ranks.get(n + 1):
@@ -170,7 +172,7 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
             [r0 * qr for (_, r0, qr) in tgt],
             [r0 * qr for (_, r0, qr) in src],
         )
-    return SubComplex(ring, q.side, ambient_ranks, gens, ambient_diffs, layouts)
+    return SubComplex(ring, q.side, ambient_ranks, ambient_diffs, layouts, terms)
 
 
 def hom_into_complex(m: FPModule, q: Complex, window: tuple[int, int]) -> SubComplex:

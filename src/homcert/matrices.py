@@ -15,6 +15,14 @@ The pivoting rule is fixed: rows are processed top to bottom, the
 pivot is the gcd of the surviving entries in the row, pivots are
 positive, and entries left of a pivot are reduced into [0, pivot).
 All outputs are therefore deterministic.
+
+The public `Mat(...)` constructor checks the shape and reduces every
+entry to its canonical residue.  Results whose entries are canonical
+by construction go through the private `Mat._trusted` instead, which
+stores them unchecked: products and Kronecker products (reduced as
+they are computed), scalings, transposes, submatrices, zero and
+identity matrices, assembled blocks and the columns the Hermite core
+returns.
 """
 
 from __future__ import annotations
@@ -63,6 +71,14 @@ class Mat:
         norm = self.ring.normalize
         object.__setattr__(self, "entries", tuple(norm(e) for e in self.entries))
 
+    @classmethod
+    def _trusted(cls, ring: RingDescriptor, rows: int, cols: int,
+                 entries: tuple[int, ...]) -> "Mat":
+        """A Mat from a tuple of rows*cols canonical entries, unchecked."""
+        m = object.__new__(cls)
+        m.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)
+        return m
+
     # -- construction helpers ------------------------------------------
 
     @staticmethod
@@ -76,11 +92,15 @@ class Mat:
 
     @staticmethod
     def zero(ring: RingDescriptor, rows: int, cols: int) -> "Mat":
-        return Mat(ring, rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise MatrixError("negative dimension")
+        return Mat._trusted(ring, rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def identity(ring: RingDescriptor, n: int) -> "Mat":
-        return Mat(ring, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        if n < 0:
+            raise MatrixError("negative dimension")
+        return Mat._trusted(ring, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @staticmethod
     def column(ring: RingDescriptor, values: list[int]) -> "Mat":
@@ -122,7 +142,10 @@ class Mat:
         return Mat(self.ring, self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, c: int) -> "Mat":
-        return Mat(self.ring, self.rows, self.cols, tuple(c * a for a in self.entries))
+        n = self.ring.modulus
+        ent = (tuple(c * a for a in self.entries) if n is None
+               else tuple(c * a % n for a in self.entries))
+        return Mat._trusted(self.ring, self.rows, self.cols, ent)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_same_ring(other)
@@ -132,21 +155,26 @@ class Mat:
             )
         a, b = self.entries, other.entries
         n, m, k = self.rows, other.cols, self.cols
+        mod = self.ring.modulus
         out = [0] * (n * m)
         for i in range(n):
             base = i * k
+            orow = i * m
             for l in range(k):
                 coeff = a[base + l]
                 if coeff:
                     brow = l * m
-                    orow = i * m
                     for j in range(m):
                         out[orow + j] += coeff * b[brow + j]
-        return Mat(self.ring, n, m, tuple(out))
+            if mod is not None:
+                for j in range(orow, orow + m):
+                    out[j] %= mod
+        return Mat._trusted(self.ring, n, m, tuple(out))
 
     def transpose(self) -> "Mat":
-        return Mat(self.ring, self.cols, self.rows,
-                   tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        c, ent = self.cols, self.entries
+        return Mat._trusted(self.ring, c, self.rows,
+                            tuple(e for j in range(c) for e in ent[j::c]))
 
     # -- assembly ------------------------------------------------------
 
@@ -168,13 +196,14 @@ class Mat:
 
     def submatrix(self, row_range: range, col_range: range) -> "Mat":
         ent = tuple(self[i, j] for i in row_range for j in col_range)
-        return Mat(self.ring, len(row_range), len(col_range), ent)
+        return Mat._trusted(self.ring, len(row_range), len(col_range), ent)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; vec(A X B) = kron(B^T, A) vec(X), vec column-major."""
         self._check_same_ring(other)
         r = self.rows * other.rows
         c = self.cols * other.cols
+        n = self.ring.modulus
         ent = [0] * (r * c)
         for i1 in range(self.rows):
             for j1 in range(self.cols):
@@ -183,8 +212,10 @@ class Mat:
                     continue
                 for i2 in range(other.rows):
                     for j2 in range(other.cols):
-                        ent[(i1 * other.rows + i2) * c + (j1 * other.cols + j2)] = a * other[i2, j2]
-        return Mat(self.ring, r, c, tuple(ent))
+                        v = a * other[i2, j2]
+                        ent[(i1 * other.rows + i2) * c + (j1 * other.cols + j2)] = (
+                            v if n is None else v % n)
+        return Mat._trusted(self.ring, r, c, tuple(ent))
 
     def vec(self) -> "Mat":
         """Column-major vectorization as a column."""
@@ -206,22 +237,15 @@ class Mat:
 
 
 def block_diag(ring: RingDescriptor, blocks: list[Mat]) -> Mat:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    ent = [0] * (rows * cols)
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                ent[(r0 + i) * cols + (c0 + j)] = b[i, j]
-        r0 += b.rows
-        c0 += b.cols
-    return Mat(ring, rows, cols, tuple(ent))
+    grid = [[b if i == k else None for k in range(len(blocks))] for i, b in enumerate(blocks)]
+    return assemble_blocks(ring, grid, [b.rows for b in blocks], [b.cols for b in blocks])
 
 
 def assemble_blocks(ring: RingDescriptor, grid: list[list[Mat | None]],
                     row_sizes: list[int], col_sizes: list[int]) -> Mat:
-    """Assemble a block matrix; None blocks are zero."""
+    """Assemble a block matrix over ring; None blocks are zero."""
+    if min(row_sizes, default=0) < 0 or min(col_sizes, default=0) < 0:
+        raise MatrixError("negative dimension")
     rows = sum(row_sizes)
     cols = sum(col_sizes)
     ent = [0] * (rows * cols)
@@ -231,21 +255,25 @@ def assemble_blocks(ring: RingDescriptor, grid: list[list[Mat | None]],
         for bj, cs in enumerate(col_sizes):
             blk = grid[bi][bj]
             if blk is not None:
+                if blk.ring != ring:
+                    raise MatrixError(f"ring mismatch: block over {blk.ring} "
+                                      f"in a matrix over {ring}")
                 if blk.rows != rs or blk.cols != cs:
                     raise MatrixError("block size mismatch")
                 for i in range(rs):
-                    for j in range(cs):
-                        ent[(r0 + i) * cols + (c0 + j)] = blk[i, j]
+                    start = (r0 + i) * cols + c0
+                    ent[start:start + cs] = blk.entries[i * cs:(i + 1) * cs]
             c0 += cs
         r0 += rs
-    return Mat(ring, rows, cols, tuple(ent))
+    return Mat._trusted(ring, rows, cols, tuple(ent))
 
 
 # -- Hermite normal form ---------------------------------------------
 
 
 def _from_cols(ring: RingDescriptor, rows: int, cols: list[list[int]]) -> Mat:
-    return Mat(ring, rows, len(cols), tuple(col[i] for i in range(rows) for col in cols))
+    """The matrix with the given columns, each of canonical entries."""
+    return Mat._trusted(ring, rows, len(cols), tuple(col[i] for i in range(rows) for col in cols))
 
 
 def _hnf(n: int | None, rows: int, gens: list[list[int]]) -> dict[int, list[int]]:

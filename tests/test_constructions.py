@@ -107,7 +107,7 @@ def test_mat_results_are_canonical(ring):
         a = random_matrix(rng, ring, r, k, bound=40)
         b = random_matrix(rng, ring, k, c, bound=40)
         results = [a @ b, a.scale(rng.randint(-30, 30)), a.transpose(),
-                   Mat.zero(ring, r, c), a.kron(b),
+                   Mat.zero(ring, r, c), Mat.identity(ring, c), a.kron(b),
                    a.submatrix(range(r), range(k // 2, k)),
                    assemble_blocks(ring, [[a, None], [None, b]], [r, k], [k, c]),
                    block_diag(ring, [a, b]), kernel_right(a), colspan_canonical(a)]
@@ -121,3 +121,8 @@ def test_mat_results_are_canonical(ring):
             Mat.zero(ring, *bad)
         with pytest.raises(MatrixError):
             Mat(ring, *bad, ())
+    with pytest.raises(MatrixError):
+        Mat.identity(ring, -1)
+    for sizes in (([-1], [1]), ([1], [-1]), ([2, -1], [0])):
+        with pytest.raises(MatrixError):
+            assemble_blocks(ring, [[None] * len(sizes[1])] * len(sizes[0]), *sizes)

@@ -5,7 +5,7 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homcert.matrices import (Mat, MatrixError, block_diag, colspan_canonical,
+from homcert.matrices import (Mat, MatrixError, assemble_blocks, block_diag, colspan_canonical,
                               inverse, kernel_left, kernel_right, smith_invariants,
                               solve_left, solve_right)
 from homcert.modules import FPModule
@@ -154,6 +154,18 @@ def test_block_diag_shapes():
     d = block_diag(ZZ, [a, b])
     assert (d.rows, d.cols) == (3, 3)
     assert d.row_list() == [[1, 2, 0], [0, 0, 3], [0, 0, 4]]
+    assert block_diag(ZZ, []) == Mat(ZZ, 0, 0)
+
+
+def test_blocks_over_another_ring_are_refused():
+    # read over F3, the Z/4 entry 3 would silently become 0
+    three = Mat(Zmod(4), 1, 1, (3,))
+    with pytest.raises(MatrixError, match="ring"):
+        block_diag(Fp(3), [three])
+    with pytest.raises(MatrixError, match="ring"):
+        assemble_blocks(Fp(3), [[None, three]], [1], [1, 1])
+    with pytest.raises(MatrixError, match="ring"):
+        assemble_blocks(ZZ, [[Mat.identity(Zmod(4), 1)]], [1], [1])
 
 
 def test_kron_vec_identity():
