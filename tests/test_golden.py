@@ -2,8 +2,10 @@
 
 Pins the exact bytes of the `resolve`, `generator` and `decompose`
 output on every fixture module, of the verdict documents of the
-HomClasses checks on seeded inputs, and of `split-check` (with and
-without `--bound`) verdicts on fixture complexes, as sha256 digests.  A refactor
+HomClasses checks on seeded inputs, of `split-check` (with and
+without `--bound`) verdicts on fixture complexes, and of the kernels,
+solves, canonical spans and Smith invariants of seeded `elim`-sized
+matrices, as sha256 digests.  A refactor
 that is meant to keep behaviour must leave every digest unchanged; a
 change that deliberately alters a canonical form regenerates them with
 
@@ -22,6 +24,8 @@ import pytest
 
 from homcert.cli import main
 from homcert.documents import emit_document, make_document
+from homcert.matrices import (Mat, colspan_canonical, kernel_right, smith_invariants,
+                              solve_right)
 from homcert.generator import (build_generator, compactness_probe,
                                h0_hom_equivalence, suspension_homology_chain)
 from homcert.modules import FPModule
@@ -33,6 +37,8 @@ MODULES = sorted(p.stem for p in FIXTURES.glob("module_*.json"))
 COMMANDS = ("resolve", "generator", "decompose")
 RINGS = {"Z": ZZ, "F5": Fp(5), "Z4": Zmod(4), "Z12": Zmod(12)}
 SEEDS = (0, 1, 2, 3)
+ELIM_RINGS = {"Z": ZZ, "F7": Fp(7), "Z4": Zmod(4), "Z12": Zmod(12)}
+ELIM_KINDS = ("full", "deficient")
 
 
 def _sha(text: str) -> str:
@@ -77,6 +83,31 @@ def split_digest(case: str) -> str:
                      f"--window={window}"] + [f"--bound={b}" for b in bound])
     assert code in (0, 1)
     return _sha(out.getvalue())
+
+
+def elim_digest(ring_name: str, kind: str) -> str:
+    """One digest over the kernel, two solves (the first solvable),
+    canonical span and Smith invariants of seeded n x (n+2) matrices,
+    n = 8..16, as in the `elim` workload: entries up to 9, or products
+    through rank n-4..n-1 of entries up to 3.  A first row (4, 6, 0, ...)
+    is put on top, so that over Z and Z/12 the first two leads do not
+    divide each other."""
+    ring = ELIM_RINGS[ring_name]
+    rng = random.Random(f"elim/{ring_name}/{kind}")
+    out = []
+    for n in range(8, 17):
+        if kind == "full":
+            a = random_matrix(rng, ring, n, n + 2, 9)
+        else:
+            rank = n - rng.randint(1, 4)
+            a = random_matrix(rng, ring, n, rank, 3) @ random_matrix(rng, ring, rank, n + 2, 3)
+        a = Mat(ring, 1, n + 2, (4, 6) + (0,) * n).vstack(a)
+        b = a @ random_matrix(rng, ring, n + 2, 1, 9)
+        for m in (kernel_right(a), solve_right(a, b), colspan_canonical(a),
+                  solve_right(a, random_matrix(rng, ring, n + 1, 1, 9))):
+            out.append(None if m is None else (m.rows, m.cols, m.entries))
+        out.append(smith_invariants(a))
+    return _sha(repr(out))
 
 
 GOLDEN_CLI = {
@@ -160,9 +191,27 @@ GOLDEN_SPLIT = {
 }
 
 
+GOLDEN_ELIM = {
+    "F7 deficient": "7350d2029b46c0f676261d3cb0118a1b5f1040a1fa7bcc8eb357f9de03913070",
+    "F7 full": "61a8eecc878cbcbf98aae52d46bfaf01557929ae5b068dd30866309b30a746b6",
+    "Z deficient": "66031cbc84b2ed1d3027a88610acc5419613b409246f304566d9df083cac88bb",
+    "Z full": "e988a31e659d79d3243dbba2f55f603dd566465e7a139b72db1eb1c1bf0f49ce",
+    "Z12 deficient": "aacbd1754d9430becdd81df1eac14833824a734daa1e68ec0f8e8024694e8933",
+    "Z12 full": "ad7ce7d23f83ce899206c8386aa82e91ffff4fb7fe598b3211fac6c139d70594",
+    "Z4 deficient": "bd19d0250416dd0ebc4d189444e31362c418a7d78a343396ae8c5770246fbff5",
+    "Z4 full": "77cd4e0eee4be921b5cc8b33650e384a74e4184314cb193912b1aacc12e07367",
+}
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_SPLIT))
 def test_split_check_digest(case):
     assert split_digest(case) == GOLDEN_SPLIT[case]
+
+
+@pytest.mark.parametrize("kind", ELIM_KINDS)
+@pytest.mark.parametrize("ring_name", sorted(ELIM_RINGS))
+def test_elimination_digest(ring_name, kind):
+    assert elim_digest(ring_name, kind) == GOLDEN_ELIM[f"{ring_name} {kind}"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -189,4 +238,8 @@ if __name__ == "__main__":
     print("}\n\nGOLDEN_SPLIT = {")
     for case in sorted(GOLDEN_SPLIT):
         print(f'    "{case}": "{split_digest(case)}",')
+    print("}\n\nGOLDEN_ELIM = {")
+    for ring_name in sorted(ELIM_RINGS):
+        for kind in ELIM_KINDS:
+            print(f'    "{ring_name} {kind}": "{elim_digest(ring_name, kind)}",')
     print("}")
