@@ -276,16 +276,27 @@ def _from_cols(ring: RingDescriptor, rows: int, cols: list[list[int]]) -> Mat:
     return Mat._trusted(ring, rows, len(cols), tuple(col[i] for i in range(rows) for col in cols))
 
 
-def _hnf(n: int | None, rows: int, gens: list[list[int]]) -> dict[int, list[int]]:
+def _hnf(n: int | None, rows: int, gens: list[list[int]],
+         start: int = 0) -> dict[int, list[int]]:
     """Column HNF of span(gens) over Z (n is None), or of span(gens) + n*Z^rows
     with every entry kept in [0, n).
 
-    Returns {row: column} for the pivots, in row order; mod n, these are
-    the pivots g < n, and the other rows have pivot n, whose HNF column
-    n*e_row is zero mod n.  Pivots are positive (mod n each divides n),
-    a pivot column is zero above its row, and each pivot row holds
-    entries in [0, g) in the earlier pivot columns.  Over a prime every
-    g is 1: this is Gauss-Jordan elimination.
+    Returns {row: column} for the pivots at rows >= start, in row order;
+    mod n, these are the pivots g < n, and the other rows have pivot n,
+    whose HNF column n*e_row is zero mod n.  Pivots are positive (mod n
+    each divides n), a pivot column is zero above its row, and each
+    pivot row holds entries in [0, g) in the earlier pivot columns that
+    are returned.  Over a prime every g is 1: this is Gauss-Jordan
+    elimination.  Rows above start are eliminated alike, but their pivot
+    columns are neither kept nor reduced: no later pivot changes the
+    pivots below start.
+
+    In each row the first column with a nonzero lead is the pivot
+    candidate c; mod n it is first scaled to the lead g = gcd(c[0], n).
+    Every other column whose lead g divides is cleared by subtracting a
+    multiple of c, which leaves c as it is; a lead that g does not
+    divide goes through one extended-gcd step, which replaces c and
+    lowers g.
     """
     pivots: dict[int, list[int]] = {}
     # active columns hold entries from row i down and span (with n*Z)
@@ -297,39 +308,46 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]]) -> dict[int, list[int]
     for i in range(rows):
         c, rest = None, []
         for a in active:
-            if not a[0]:
+            a0 = a[0]
+            if not a0:
                 rest.append(a)
             elif c is None:
-                c = a
-            else:  # unimodular step: gcd(c[0], a[0]) into c, 0 into a
-                x, y, g = _xgcd(c[0], a[0])
-                cg, ag = c[0] // g, a[0] // g
+                c, g = a, a0
+                if n is not None:
+                    # the multiples of c that vanish at row i mod n are those
+                    # of (n/g)*c, and s*c has lead g = gcd(c[0], n)
+                    s, _, g = _xgcd(a0, n)
+                    if g > 1:
+                        rest.append([n // g * v % n for v in a])
+                    c = [s * v % n for v in a]
+            elif not a0 % g:
+                q = a0 // g
+                rest.append([v - q * u for u, v in zip(c, a)] if n is None
+                            else [(v - q * u) % n for u, v in zip(c, a)])
+            else:  # unimodular step: gcd(g, a[0]) into c, 0 into a
+                x, y, h = _xgcd(g, a0)
+                cg, ag = g // h, a0 // h
                 if n is None:
                     c, a = ([x * u + y * v for u, v in zip(c, a)],
                             [cg * v - ag * u for u, v in zip(c, a)])
                 else:
                     c, a = ([(x * u + y * v) % n for u, v in zip(c, a)],
                             [(cg * v - ag * u) % n for u, v in zip(c, a)])
+                    if h > 1:  # h divides n: c needs no scaling, only (n/h)*c
+                        rest.append([n // h * v % n for v in c])
                 rest.append(a)
+                g = h
         if c is not None:
-            if n is None:
-                g = abs(c[0])
-                p = [0] * i + (c if c[0] > 0 else [-v for v in c])
-            else:
-                s, _, g = _xgcd(c[0], n)
-                p = [0] * i + [s * v % n for v in c]
-                # the multiples of c that vanish at row i mod n are those of (n/g)*c
-                rest.append([n // g * v % n for v in c])
+            if g < 0:
+                c, g = [-v for v in c], -g
             for col in pivots.values():
                 q = col[i] // g
-                if q and n is None:
-                    for k in range(i, rows):
-                        col[k] -= q * p[k]
-                elif q:
-                    for k in range(i, rows):
-                        col[k] = (col[k] - q * p[k]) % n
-            pivots[i] = p
-        active = [a[1:] for a in rest if any(a[1:])]
+                if q:
+                    col[i:] = ([u - q * v for u, v in zip(col[i:], c)] if n is None
+                               else [(u - q * v) % n for u, v in zip(col[i:], c)])
+            if i >= start:
+                pivots[i] = [0] * i + c
+        active = [t for t in (a[1:] for a in rest) if any(t)]
     return pivots
 
 
@@ -342,7 +360,7 @@ def _modular_kernel(n: int, rows: int, cols: list[list[int]]) -> dict[int, list[
     c = len(cols)
     # the pivots of [A; I_c] below the rows of A carry the kernel lattice
     gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(cols)]
-    return {i - rows: p[rows:] for i, p in _hnf(n, rows + c, gens).items() if i >= rows}
+    return {i - rows: p[rows:] for i, p in _hnf(n, rows + c, gens, rows).items()}
 
 
 def _modular_solve(n: int, rows: int, a_cols: list[list[int]],
@@ -354,7 +372,7 @@ def _modular_solve(n: int, rows: int, a_cols: list[list[int]],
     gens = [a + [0] * k + [int(i == j) for i in range(c)] for j, a in enumerate(a_cols)]
     gens += [[-v for v in b] + [int(i == j) for i in range(k)] + [0] * c
              for j, b in enumerate(b_cols)]
-    pivots = _hnf(n, rows + k + c, gens)
+    pivots = _hnf(n, rows + k + c, gens, rows)
     if not all(rows + j in pivots and pivots[rows + j][rows + j] == 1 for j in range(k)):
         return None
     return [pivots[rows + j][rows + k:] for j in range(k)]

@@ -3,9 +3,9 @@ from itertools import combinations
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from homcert.matrices import (Mat, MatrixError, assemble_blocks, block_diag, colspan_canonical,
+from homcert.matrices import (Mat, MatrixError, _hnf, assemble_blocks, block_diag, colspan_canonical,
                               inverse, kernel_left, kernel_right, smith_invariants,
                               solve_left, solve_right)
 from homcert.modules import FPModule
@@ -375,9 +375,9 @@ def test_z_kernels_and_solves_never_run_the_integer_hnf(monkeypatch):
     calls = []
     hnf = matrices._hnf
 
-    def recording(n, rows, gens):
+    def recording(n, rows, gens, *rest):
         calls.append(n)
-        return hnf(n, rows, gens)
+        return hnf(n, rows, gens, *rest)
 
     monkeypatch.setattr(matrices, "_hnf", recording)
     assert [(colspan_canonical(a), smith_invariants(a)) for a in inputs] == expected
@@ -389,6 +389,40 @@ def test_z_kernels_and_solves_never_run_the_integer_hnf(monkeypatch):
         b = a @ random_matrix(rng, ZZ, a.cols, 2)
         assert a @ solve_right(a, b) == b
     assert calls and None not in calls
+
+
+# -- the Hermite core --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [None, 12])
+def test_hnf_of_leads_that_do_not_divide_each_other(n):
+    # (4, 1) and (6, 0) span the lattice of index 6 whose HNF has pivots
+    # 2 and 3, mod 12 as over Z; row 0 needs an extended-gcd step
+    assert _hnf(n, 2, [[4, 1], [6, 0]]) == {0: [2, 2], 1: [0, 3]}
+    assert _hnf(n, 2, [[6, 0], [4, 1]], 1) == {1: [0, 3]}
+
+
+HNF_RINGS = [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12)]
+
+
+@st.composite
+def hnf_input(draw):
+    ring = draw(st.sampled_from(HNF_RINGS))
+    rows = draw(st.integers(0, 6))
+    lo, hi = (-9, 9) if ring.modulus is None else (0, ring.n - 1)
+    gens = draw(st.lists(st.lists(st.integers(lo, hi), min_size=rows, max_size=rows),
+                         max_size=7))
+    return ring.modulus, rows, gens, draw(st.integers(0, rows))
+
+
+@given(hnf_input())
+@example((None, 3, [[4, 1, 0], [6, 0, 1], [0, 2, 5]], 1))
+@example((12, 3, [[4, 1, 0], [6, 0, 1], [0, 2, 5]], 1))
+@settings(max_examples=200, deadline=None)
+def test_hnf_from_a_start_row_keeps_the_full_pivots_at_and_below_it(case):
+    n, rows, gens, start = case
+    full = _hnf(n, rows, gens)
+    assert _hnf(n, rows, gens, start) == {i: p for i, p in full.items() if i >= start}
 
 
 # -- Z kernels and solves: canonical and within Hadamard's bound -----------
