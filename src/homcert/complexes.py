@@ -24,7 +24,9 @@ product d^(j+1) d^j = 0 in every degree.  `suspension` and `cone`
 build from complexes that passed it and skip it (`Complex._trusted`):
 shifting and negating keeps both, and a cone checks that its map is a
 chain map instead, which for checked X and Y is equivalent to d^2 = 0
-on the cone.
+on the cone.  `ChainMap(...)` checks that each component is over the
+ring of its source and target and has shape target rank x source rank
+in its degree.
 """
 
 from __future__ import annotations
@@ -189,6 +191,17 @@ class ChainMap:
     target: Complex
     components: dict[int, Mat]
 
+    def __post_init__(self):
+        ring, tgt, src = self.source.ring, self.target, self.source
+        if tgt.ring != ring:
+            raise MatrixError(f"chain map from a complex over {ring} to one over {tgt.ring}")
+        for j, m in self.components.items():
+            if m.ring != ring:
+                raise MatrixError(f"component in degree {j} is over {m.ring}, expected {ring}")
+            if m.rows != tgt.rank(j) or m.cols != src.rank(j):
+                raise MatrixError(f"component in degree {j} has shape {m.rows}x{m.cols}, "
+                                  f"expected {tgt.rank(j)}x{src.rank(j)}")
+
     def component(self, j: int) -> Mat:
         if j in self.components:
             return self.components[j]
@@ -297,8 +310,6 @@ def cone(f: ChainMap) -> Complex:
     X, Y = f.source, f.target
     if not (X.is_bounded and Y.is_bounded):
         raise ComplexError("cone requires bounded complexes")
-    if X.ring != Y.ring:
-        raise MatrixError("cone across different rings")
     comps = f.components
     if comps and not f.commutes(min(comps) - 1, max(comps)):
         raise ChainMapError("cone of a map that is not a chain map")

@@ -305,14 +305,11 @@ def chain_map_from_json(ring: RingDescriptor, obj: Any) -> ChainMap:
     _require(isinstance(obj, dict), "chain map must be an object")
     src = complex_from_json(ring, obj.get("source"))
     tgt = complex_from_json(ring, obj.get("target"))
-    comps = {}
-    for j, value in _pairs(obj, "components", "matrix"):
-        m = matrix_from_json(ring, value)
-        _require(m.rows == tgt.rank(j) and m.cols == src.rank(j),
-                 f"component in degree {j} has shape {m.rows}x{m.cols}, expected "
-                 f"{tgt.rank(j)}x{src.rank(j)}")
-        comps[j] = m
-    return ChainMap(src, tgt, comps)
+    comps = {j: matrix_from_json(ring, m) for j, m in _pairs(obj, "components", "matrix")}
+    try:
+        return ChainMap(src, tgt, comps)
+    except MatrixError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def relation_from_json(ring: RingDescriptor, obj: Any) -> FlatRelation:

@@ -195,8 +195,11 @@ class Mat:
         return Mat(self.ring, self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def submatrix(self, row_range: range, col_range: range) -> "Mat":
-        ent = tuple(self[i, j] for i in row_range for j in col_range)
-        return Mat._trusted(self.ring, len(row_range), len(col_range), ent)
+        r, c, ent = self.rows, self.cols, self.entries
+        if not all(0 <= i < r for i in row_range) or not all(0 <= j < c for j in col_range):
+            raise MatrixError(f"submatrix {row_range} x {col_range} outside a {r}x{c} matrix")
+        return Mat._trusted(self.ring, len(row_range), len(col_range),
+                            tuple(ent[i * c + j] for i in row_range for j in col_range))
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; vec(A X B) = kron(B^T, A) vec(X), vec column-major."""

@@ -8,7 +8,7 @@ from homcert.complexes import (ChainMap, Complex, ComplexError, Homotopy,
                                finite_coproduct, homology,
                                null_homotopy_witness, split_exactness_check,
                                suspension)
-from homcert.matrices import Mat
+from homcert.matrices import Mat, MatrixError
 from homcert.modules import FPModule, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_contractible_complex,
@@ -241,6 +241,21 @@ def test_chain_map_commutation_check():
     bad = ChainMap(c, c, {-1: Mat(ZZ, 1, 1, (3,)), 0: Mat(ZZ, 1, 1, (5,))})
     assert good.commutes(-2, 2)
     assert not bad.commutes(-2, 2)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)
+def test_chain_map_components_are_checked_where_built(ring):
+    x, one = Complex.single(ring, "left", 1, 0), Mat.identity(ring, 1)
+    assert ChainMap(x, x, {0: one}).component(0) == one
+    with pytest.raises(MatrixError, match="degree 5 has shape 1x1, expected 0x0"):
+        ChainMap(x, x, {5: one})
+    with pytest.raises(MatrixError, match="degree 0 has shape 1x2, expected 1x1"):
+        ChainMap(x, two_term(ring, 2), {0: Mat.zero(ring, 1, 2)})
+    other = Zmod(4) if ring == ZZ else ZZ
+    with pytest.raises(MatrixError, match="degree 0 is over"):
+        ChainMap(x, x, {0: Mat.identity(other, 1)})
+    with pytest.raises(MatrixError, match="to one over"):
+        ChainMap(x, Complex.single(other, "left", 1, 0), {})
 
 
 # Recorded digests of null_homotopy_witness output (components, or None

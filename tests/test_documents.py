@@ -103,7 +103,7 @@ def test_parse_rejects_component_shape_mismatch():
                "components": [[0, {"rows": 2, "cols": 1, "entries": [[1], [0]]}]]}
     text = json.dumps({"version": FORMAT_VERSION, "ring": {"kind": "Z"},
                        "kind": "chain_map", "payload": payload})
-    with pytest.raises(DocumentError, match="degree 0"):
+    with pytest.raises(DocumentError, match="^component in degree 0 has shape 2x1, expected 1x1$"):
         parse_document(text)
 
 

@@ -25,6 +25,16 @@ def test_shape_mismatch_rejected():
         Mat(ZZ, 2, 2, (1, 2, 3))
 
 
+def test_submatrix_indices_stay_inside_the_shape():
+    m = Mat(ZZ, 2, 2, (1, 2, 3, 4))
+    assert m.submatrix(range(1, 2), [0]) == Mat(ZZ, 1, 1, (3,))
+    assert m.submatrix(range(0), range(2)) == Mat(ZZ, 0, 2)
+    for rows, cols in [(range(1), range(3)), (range(-1, 0), range(2)),
+                       (range(3), range(2)), ([0], [2])]:
+        with pytest.raises(MatrixError, match="outside a 2x2 matrix"):
+            m.submatrix(rows, cols)
+
+
 def test_matmul_and_identity():
     a = Mat(ZZ, 2, 3, (1, 2, 3, 4, 5, 6))
     assert Mat.identity(ZZ, 2) @ a == a
