@@ -14,7 +14,15 @@ invariants and kernels do not depend on the generators they came from.
 The pivoting rule is fixed: rows are processed top to bottom, the
 pivot is the gcd of the surviving entries in the row, pivots are
 positive, and entries left of a pivot are reduced into [0, pivot).
-All outputs are therefore deterministic.
+All outputs are therefore deterministic.  Within a row the first
+column with a nonzero lead is the pivot candidate (mod n scaled once
+to the lead g = gcd(lead, n)), and each other column whose lead g
+divides is cleared by one subtraction, which makes one new column and
+leaves the candidate alone; only a lead that g does not divide takes
+the two-column extended-gcd step.  Kernels and solves read only the
+pivots below the rows of A in [A; I] and [[A, -B], [0, I], [I, 0]],
+so the core takes a start row and neither keeps nor back-reduces the
+pivot columns above it.
 
 The public `Mat(...)` constructor checks the shape and reduces every
 entry to its canonical residue.  Results whose entries are canonical
@@ -291,8 +299,8 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
     pivot row holds entries in [0, g) in the earlier pivot columns that
     are returned.  Over a prime every g is 1: this is Gauss-Jordan
     elimination.  Rows above start are eliminated alike, but their pivot
-    columns are neither kept nor reduced: no later pivot changes the
-    pivots below start.
+    columns are neither kept nor reduced; a pivot column is reduced only
+    by the pivots below it, so those returned are the full form's.
 
     In each row the first column with a nonzero lead is the pivot
     candidate c; mod n it is first scaled to the lead g = gcd(c[0], n).
@@ -317,8 +325,8 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
             elif c is None:
                 c, g = a, a0
                 if n is not None:
-                    # the multiples of c that vanish at row i mod n are those
-                    # of (n/g)*c, and s*c has lead g = gcd(c[0], n)
+                    # s*c has lead g = gcd(c[0], n); with (n/g)*c, the
+                    # multiples of c that vanish at row i mod n, it spans c
                     s, _, g = _xgcd(a0, n)
                     if g > 1:
                         rest.append([n // g * v % n for v in a])
