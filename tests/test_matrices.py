@@ -5,9 +5,9 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcert.matrices import (Mat, MatrixError, _hnf, assemble_blocks, block_diag, colspan_canonical,
-                              inverse, kernel_left, kernel_right, smith_invariants,
-                              solve_left, solve_right)
+from homcert.matrices import (Mat, MatrixError, _hnf, assemble_blocks, block_diag,
+                              colspan_canonical, inverse, kernel_left, kernel_right,
+                              smith_invariants, solve_left, solve_right)
 from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_invertible, random_matrix
