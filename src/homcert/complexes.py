@@ -5,9 +5,11 @@ term j to term j+1.  Fixed sign conventions:
 
 * suspension: (S^i C)^j = C^(j+i) with differential (-1)^i d;
   consequently H^j(S C) = H^(j+1)(C);
-* cone(f: X -> Y): term X^(j+1) (+) Y^j with differential
-  [[-d_X, 0], [f, d_Y]]; only the complex is built, not the triangle
-  maps Y -> cone -> S X;
+* twisted sum of L and Y by g (g^j: L^j -> Y^(j+1)): term L^j (+) Y^j
+  with differential [[d_L, 0], [g, d_Y]];
+* cone(f: X -> Y): the twisted sum of S X and Y by g^(j-1) = f^j, so
+  term X^(j+1) (+) Y^j with differential [[-d_X, 0], [f, d_Y]]; only
+  the complex is built, not the triangle maps Y -> cone -> S X;
 * dual: (C~)^j = (C^(-j))~ with differential the transpose of
   d^(-j-1), no sign, so dualizing twice is the identity on the nose;
 * Hom complex: d(f) = d_Q o f - (-1)^n f o d_X for f of degree n; the
@@ -20,13 +22,12 @@ eventually-periodic tails; tail evaluation is a pure lookup, so values
 are immutable and freely shareable between threads.
 
 The public `Complex(...)` constructor checks every shape and the
-product d^(j+1) d^j = 0 in every degree.  `suspension` and `cone`
-build from complexes that passed it and skip it (`Complex._trusted`):
-shifting and negating keeps both, and a cone checks that its map is a
-chain map instead, which for checked X and Y is equivalent to d^2 = 0
-on the cone.  `ChainMap(...)` checks that each component is over the
-ring of its source and target and has shape target rank x source rank
-in its degree.
+product d^(j+1) d^j = 0 in every degree.  `suspension` and
+`twisted_sum` (so `cone`) build from complexes that passed it and skip
+it (`Complex._trusted`): shifting and negating keeps both, and a
+twisted sum checks d_Y g + g d_L = 0 instead, which for checked L and Y
+is d^2 = 0 on the sum.  `ChainMap(...)`, `Homotopy(...)` and
+`twisted_sum` check each component's ring and its shape in its degree.
 """
 
 from __future__ import annotations
@@ -166,14 +167,6 @@ class Complex:
         diffs = {j: self.diff(j) for j in range(lo, hi) if self.rank(j) > 0 and self.rank(j + 1) > 0}
         return Complex(self.ring, self.side, ranks, diffs)
 
-    def same_as(self, other: "Complex", lo: int, hi: int) -> bool:
-        if self.ring != other.ring:
-            return False
-        for j in range(lo, hi + 1):
-            if self.rank(j) != other.rank(j) or self.diff(j) != other.diff(j):
-                return False
-        return True
-
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -185,6 +178,22 @@ class Complex:
         return Complex(ring, side, {degree: rank}, {})
 
 
+def _check_components(what: str, source: Complex, target: Complex,
+                      components: dict[int, Mat], shift: int):
+    """Each component j, a map source^j -> target^(j+shift), is over the
+    ring of source and target and has the shape of its degree."""
+    ring = source.ring
+    if target.ring != ring:
+        raise MatrixError(f"{what} from a complex over {ring} to one over {target.ring}")
+    for j, m in components.items():
+        rows, cols = target.rank(j + shift), source.rank(j)
+        if m.ring != ring:
+            raise MatrixError(f"component in degree {j} is over {m.ring}, expected {ring}")
+        if m.rows != rows or m.cols != cols:
+            raise MatrixError(f"component in degree {j} has shape {m.rows}x{m.cols}, "
+                              f"expected {rows}x{cols}")
+
+
 @dataclass(frozen=True)
 class ChainMap:
     source: Complex
@@ -192,15 +201,7 @@ class ChainMap:
     components: dict[int, Mat]
 
     def __post_init__(self):
-        ring, tgt, src = self.source.ring, self.target, self.source
-        if tgt.ring != ring:
-            raise MatrixError(f"chain map from a complex over {ring} to one over {tgt.ring}")
-        for j, m in self.components.items():
-            if m.ring != ring:
-                raise MatrixError(f"component in degree {j} is over {m.ring}, expected {ring}")
-            if m.rows != tgt.rank(j) or m.cols != src.rank(j):
-                raise MatrixError(f"component in degree {j} has shape {m.rows}x{m.cols}, "
-                                  f"expected {tgt.rank(j)}x{src.rank(j)}")
+        _check_components("chain map", self.source, self.target, self.components, 0)
 
     def component(self, j: int) -> Mat:
         if j in self.components:
@@ -236,6 +237,9 @@ class Homotopy:
     source: Complex
     target: Complex
     components: dict[int, Mat]  # degree j -> s^j : source^j -> target^(j-1)
+
+    def __post_init__(self):
+        _check_components("homotopy", self.source, self.target, self.components, -1)
 
     def component(self, j: int) -> Mat:
         if j in self.components:
@@ -297,37 +301,61 @@ def dualize_complex(c: Complex) -> Complex:
     return Complex(c.ring, opposite(c.side), ranks, diffs, below, above)
 
 
+def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
+    """Terms L^j (+) Y^j, differential [[d_L^j, 0], [g^j, d_Y^j]] with
+    g^j: L^j -> Y^(j+1).
+
+    Its d^2 in degree j is [[d_L d_L, 0], [d_Y^(j+1) g^j + g^(j+1) d_L^j,
+    d_Y d_Y]], so for checked L and Y it vanishes exactly when
+    d_Y g + g d_L = 0.  That is checked from one degree below the lowest
+    component to the highest (ChainMapError) instead of forming d^2.  A
+    block matrix is built only in degrees where L and Y meet; every other
+    differential is L's, Y's or g's Mat.
+    """
+    if not (L.is_bounded and Y.is_bounded):
+        raise ComplexError("twisted sum requires bounded complexes")
+    _check_components("twisting map", L, Y, g, 1)
+    ring = L.ring
+
+    def twist(j: int) -> Mat:
+        return g[j] if j in g else Mat.zero(ring, Y.rank(j + 1), L.rank(j))
+
+    # d_Y g = -(g d_L), compared as ChainMap.commutes compares: no
+    # checked Mat is built
+    for j in range(min(g) - 1, max(g) + 1) if g else ():
+        if Y.diff(j + 1) @ twist(j) != (twist(j + 1) @ L.diff(j)).scale(-1):
+            raise ChainMapError(f"twisting map fails d g + g d = 0 in degree {j}")
+    # both are bounded, so a degree missing from ranks has rank 0
+    lr, yr = L.ranks, Y.ranks
+    ranks = {j: lr.get(j, 0) + yr.get(j, 0) for j in sorted(lr.keys() | yr.keys())}
+    ranks = {j: r for j, r in ranks.items() if r}
+    diffs = {}
+    for j in ranks:
+        if j + 1 not in ranks:
+            continue
+        rows, cols = (lr.get(j + 1, 0), yr.get(j + 1, 0)), (lr.get(j, 0), yr.get(j, 0))
+        if not (rows[0] or cols[0]):
+            diffs[j] = Y.diff(j)
+        elif not (rows[1] or cols[1]):
+            diffs[j] = L.diff(j)
+        elif not (rows[0] or cols[1]):
+            diffs[j] = twist(j)
+        else:
+            diffs[j] = assemble_blocks(ring, [[L.diff(j), None], [g.get(j), Y.diff(j)]],
+                                       rows, cols)
+    return Complex._trusted(ring, L.side, ranks, diffs)
+
+
 def cone(f: ChainMap) -> Complex:
     """Mapping cone of f: X -> Y, the complex alone.
 
-    Its term in degree j is X^(j+1) (+) Y^j.  Its d^2 in degree j is
-    [[d_X^(j+2) d_X^(j+1), 0], [d_Y^(j+1) f^(j+1) - f^(j+2) d_X^(j+1),
-    d_Y^(j+1) d_Y^j]], so for checked X and Y it vanishes exactly when f
-    is a chain map.  That is checked from one degree below the lowest
-    component to the highest (ChainMapError), the block shapes are
-    checked by assemble_blocks, and the d^2 product is not formed.
+    Its term in degree j is X^(j+1) (+) Y^j: the twisted sum of S X and
+    Y by g^(j-1) = f^j, whose condition d_Y g + g d_(S X) = 0 is
+    d_Y f - f d_X = 0, so the twisted sum checks that f is a chain map
+    from one degree below its lowest component to its highest.
     """
-    X, Y = f.source, f.target
-    if not (X.is_bounded and Y.is_bounded):
-        raise ComplexError("cone requires bounded complexes")
-    comps = f.components
-    if comps and not f.commutes(min(comps) - 1, max(comps)):
-        raise ChainMapError("cone of a map that is not a chain map")
-    ring = X.ring
-    degs = set()
-    for c, shift in ((X, -1), (Y, 0)):
-        span = c.support()
-        if span:
-            degs.update(range(span[0] + shift, span[1] + 1 + shift))
-    ranks = {j: X.rank(j + 1) + Y.rank(j) for j in sorted(degs)}
-    ranks = {j: r for j, r in ranks.items() if r}
-    diffs = {j: assemble_blocks(
-        ring,
-        [[X.diff(j + 1).scale(-1), None], [f.component(j + 1), Y.diff(j)]],
-        [X.rank(j + 2), Y.rank(j + 1)],
-        [X.rank(j + 1), Y.rank(j)],
-    ) for j in ranks if j + 1 in ranks}
-    return Complex._trusted(ring, X.side, ranks, diffs)
+    return twisted_sum(suspension(f.source, 1), f.target,
+                       {j - 1: m for j, m in f.components.items()})
 
 
 def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], list[ChainMap]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .matrices import Mat, MatrixError, solve_right
 from .modules import FPModule, ModuleMap, dual_data, opposite
 from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, PeriodicTail,
-                        cone, cycle_module, dualize_complex, suspension)
+                        cycle_module, dualize_complex, suspension, twisted_sum)
 from .verdicts import Verdict
 
 
@@ -97,7 +97,8 @@ class BuildTree:
     susp: shift + one child.
     cone: two children (source, target) and attaching components; the
       node evaluates to cone(ChainMap(source, target, components)).
-    evaluate is one post-order pass that builds each node once.
+    evaluate is one post-order pass that builds each node once, with
+    every shift pushed down to the leaves.
     """
 
     kind: str
@@ -108,21 +109,31 @@ class BuildTree:
     components: dict[int, Mat] | None = None
     residual: bool = False
 
-    def evaluate(self) -> Complex:
-        """This node's complex, from its children's built ones.  cone
-        checks that a cone node's components form a chain map; a failure
-        is raised again with the support of the cone it would build."""
+    def evaluate(self, shift: int = 0) -> Complex:
+        """S^shift of this node's complex, built once from its children.
+
+        Shifts are pushed to the leaves: a susp node adds its shift, and
+        a cone node uses S^i cone(f) = cone((-1)^i S^i f), the twisted
+        sum of S^(i+1) of its source and S^i of its target by
+        g^(j-1-i) = (-1)^i f^j.  Above the leaves no differential is
+        negated or re-indexed.  twisted_sum checks that a cone node's
+        components form a chain map; a failure is raised again with the
+        support of the unshifted cone the node would build.
+        """
         if self.kind == "leaf":
-            return self.payload
-        built = [c.evaluate() for c in self.children]
+            return suspension(self.payload, shift) if shift else self.payload
         if self.kind == "susp":
-            return suspension(built[0], self.shift)
+            return self.children[0].evaluate(shift + self.shift)
         if self.kind == "cone":
+            src = self.children[0].evaluate(shift + 1)
+            tgt = self.children[1].evaluate(shift)
+            g = {j - 1 - shift: m.scale(-1) if shift % 2 else m
+                 for j, m in (self.components or {}).items()}
             try:
-                return cone(ChainMap(built[0], built[1], self.components or {}))
+                return twisted_sum(src, tgt, g)
             except ChainMapError as exc:
                 raise _AttachingMapError("attaching map is not a chain map",
-                                         _cone_support(*built)) from exc
+                                         _shifted_support(src, tgt, shift)) from exc
         raise ValueError(f"cannot evaluate node kind {self.kind!r}")
 
     def leaves(self) -> list["BuildTree"]:
@@ -141,13 +152,12 @@ class BuildTree:
         return any(leaf.residual for leaf in self.leaves())
 
 
-def _cone_support(x: Complex, y: Complex) -> tuple[int, int] | None:
-    """The support of cone(f: X -> Y), whose degree j is X^(j+1) (+) Y^j."""
-    sx, sy = x.support(), y.support()
-    spans = ([(sx[0] - 1, sx[1] - 1)] if sx else []) + ([sy] if sy else [])
+def _shifted_support(x: Complex, y: Complex, shift: int) -> tuple[int, int] | None:
+    """The support of the twisted sum of x and y, moved up by shift."""
+    spans = [s for s in (x.support(), y.support()) if s]
     if not spans:
         return None
-    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+    return min(lo for lo, _ in spans) + shift, max(hi for _, hi in spans) + shift
 
 
 def _leaf(c: Complex, residual: bool = False) -> BuildTree:

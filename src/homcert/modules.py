@@ -75,9 +75,6 @@ class FPModule:
         """True when every column lies in the span of the relations."""
         return solve_right(self.presentation, columns) is not None
 
-    def elements_equal(self, x: Mat, y: Mat) -> bool:
-        return self.contains_in_relations(x - y)
-
     def abelian_invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion invariant factors) of the underlying group.
 
@@ -123,12 +120,6 @@ class ModuleMap:
     def is_well_defined(self) -> bool:
         image_of_relations = self.matrix @ self.source.presentation
         return self.target.contains_in_relations(image_of_relations)
-
-    def is_zero_map(self) -> bool:
-        return self.target.contains_in_relations(self.matrix)
-
-    def equals(self, other: "ModuleMap") -> bool:
-        return self.target.contains_in_relations(self.matrix - other.matrix)
 
     def compose(self, first: "ModuleMap") -> "ModuleMap":
         """self o first."""

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from homcert import duality
-from homcert.complexes import ChainMap, Complex, cone, dualize_complex
+from homcert.complexes import ChainMap, Complex, dualize_complex, twisted_sum
 from homcert.duality import (decompose_resolution, dualize_chain_map,
                              duality_roundtrip_check, kernel_as_dual,
                              rebuild_verify)
@@ -198,13 +198,14 @@ def test_rebuild_verify_names_the_mismatching_degree():
 
 @pytest.mark.parametrize("n, a", [(4, 2), (12, 4)])
 def test_rebuild_verify_builds_each_cone_once(monkeypatch, n, a):
+    # twisted_sum is the one primitive every cone node is built with
     calls = []
 
-    def counting_cone(f):
-        calls.append(f)
-        return cone(f)
+    def counting_twisted_sum(left, right, g):
+        calls.append(g)
+        return twisted_sum(left, right, g)
 
-    monkeypatch.setattr(duality, "cone", counting_cone)
+    monkeypatch.setattr(duality, "twisted_sum", counting_twisted_sum)
     p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
     assert not p.is_bounded
     tree = decompose_resolution(p, depth=8)
