@@ -22,12 +22,14 @@ eventually-periodic tails; tail evaluation is a pure lookup, so values
 are immutable and freely shareable between threads.
 
 The public `Complex(...)` constructor checks every shape and the
-product d^(j+1) d^j = 0 in every degree.  `suspension` and
-`twisted_sum` (so `cone`) build from complexes that passed it and skip
-it (`Complex._trusted`): shifting and negating keeps both, and a
-twisted sum checks d_Y g + g d_L = 0 instead, which for checked L and Y
-is d^2 = 0 on the sum.  `ChainMap(...)`, `Homotopy(...)` and
-`twisted_sum` check each component's ring and its shape in its degree.
+product d^(j+1) d^j = 0 in every degree, including next to an explicit
+entry inside a tail's region.  `suspension`, `Complex.restrict` and
+`twisted_sum` (so `cone` and `finite_coproduct`) build from complexes
+that passed it and skip it (`Complex._trusted`): shifting, negating and
+brutal truncation keep both, and a twisted sum checks
+d_Y g + g d_L = 0 instead, which for checked L and Y is d^2 = 0 on the
+sum.  `ChainMap(...)`, `Homotopy(...)` and `twisted_sum` check each
+component's ring and its shape in its degree.
 """
 
 from __future__ import annotations
@@ -101,11 +103,16 @@ class Complex:
         for j, r in self.ranks.items():
             if r < 0:
                 raise ComplexError(f"negative rank in degree {j}")
-        # one period on each side of a tail threshold covers the seam and
-        # every differential and product the tail repeats
+        tails = [t for t in (self.tail_below, self.tail_above) if t is not None]
+        # an explicit entry in a degree a tail maps replaces the repeated
+        # one there, so the differentials into and out of it are checked
+        # too; one period on each side of a tail threshold covers the
+        # seam and every differential and product the tail repeats
+        inside = [j for j in self.ranks if any(t.maps(j) for t in tails)]
+        inside += [j for j in self.diffs if any(t.maps_diff(j) for t in tails)]
         degrees = sorted(set(self.diffs).union(
-            *(range(t.threshold - t.period - 1, t.threshold + t.period + 1)
-              for t in (self.tail_below, self.tail_above) if t is not None)))
+            *(range(t.threshold - t.period - 1, t.threshold + t.period + 1) for t in tails),
+            *((j - 1, j) for j in inside)))
         for j in degrees:
             d = self.diff(j)
             if d.ring != self.ring:
@@ -165,7 +172,7 @@ class Complex:
         """Bounded brutal truncation to degrees [lo, hi]."""
         ranks = {j: self.rank(j) for j in range(lo, hi + 1) if self.rank(j) > 0}
         diffs = {j: self.diff(j) for j in range(lo, hi) if self.rank(j) > 0 and self.rank(j + 1) > 0}
-        return Complex(self.ring, self.side, ranks, diffs)
+        return Complex._trusted(self.ring, self.side, ranks, diffs)
 
     # -- constructors --------------------------------------------------
 
@@ -359,50 +366,33 @@ def cone(f: ChainMap) -> Complex:
 
 
 def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], list[ChainMap]]:
+    """The direct sum of bounded complexes with its injections and
+    projections.
+
+    The sum is a fold of untwisted sums (twisted_sum by g = {}), which
+    refuses an unbounded summand (ComplexError) and mixed rings
+    (MatrixError).  Each injection is an identity block at the running
+    offset of its summand, and each projection is its transpose.
+    """
     if not summands:
         raise ComplexError("empty coproduct needs an ambient ring")
-    ring = summands[0].ring
-    side = summands[0].side
+    total = Complex.zero(summands[0].ring, summands[0].side)
     for c in summands:
-        if c.ring != ring:
-            raise MatrixError("coproduct across different rings")
-        if not c.is_bounded:
-            raise ComplexError("coproduct requires bounded complexes")
-    degs = set()
-    for c in summands:
-        span = c.support()
-        if span:
-            degs.update(range(span[0], span[1] + 1))
-    ranks = {j: sum(c.rank(j) for c in summands) for j in degs}
-    ranks = {j: r for j, r in ranks.items() if r}
-    diffs = {}
-    for j in degs:
-        if ranks.get(j, 0) and ranks.get(j + 1, 0):
-            diffs[j] = assemble_blocks(
-                ring,
-                [[summands[i].diff(j) if i == k else None for k in range(len(summands))]
-                 for i in range(len(summands))],
-                [c.rank(j + 1) for c in summands],
-                [c.rank(j) for c in summands],
-            )
-    total = Complex(ring, side, ranks, diffs)
+        total = twisted_sum(total, c, {})
+    ring = total.ring
+    offsets: dict[int, int] = {}
     injections = []
     projections = []
-    for idx, c in enumerate(summands):
+    for c in summands:
         inj = {}
-        prj = {}
-        for j in degs:
-            if ranks.get(j, 0) == 0:
-                continue
-            cols = [[Mat.identity(ring, c.rank(j))] if k == idx else [None]
-                    for k in range(len(summands))]
-            inj_m = assemble_blocks(ring, cols, [s.rank(j) for s in summands], [c.rank(j)])
-            prj_m = inj_m.transpose()
-            if c.rank(j):
-                inj[j] = inj_m
-                prj[j] = prj_m
+        for j, r in c.ranks.items():
+            if r:
+                at = offsets.get(j, 0)
+                inj[j] = assemble_blocks(ring, [[None], [Mat.identity(ring, r)], [None]],
+                                         [at, r, total.rank(j) - at - r], [r])
+                offsets[j] = at + r
         injections.append(ChainMap(c, total, inj))
-        projections.append(ChainMap(total, c, prj))
+        projections.append(ChainMap(total, c, {j: m.transpose() for j, m in inj.items()}))
     return total, injections, projections
 
 

@@ -1,4 +1,4 @@
-"""Duality on complexes of frees and the recursive build decomposition.
+"""Duality on complexes of frees and the build decomposition.
 
 Dualizing a complex of finite-rank frees twice returns the original
 complex on the nose under this library's sign-free convention, so the
@@ -7,23 +7,23 @@ check verifies this degreewise together with contravariance on test
 maps.
 
 A free resolution Q of a module (degrees <= 0) decomposes as an
-iterated cone: the top two terms Q^0 and Q^-1 split off as single-free
-leaves, and the rest is the double suspension of a free resolution of
-the cycle module Z^-1 Q, which recurses.  The decomposition reproduces
-Q exactly (not merely up to homotopy), so the rebuild witnesses are
-identities; over rings where resolutions do not terminate the
-recursion stops at a declared depth with a window-relative residual
-leaf.
+iterated cone: level k splits off Q^-2k and Q^-2k-1 as single-free
+leaves and glues them to level k + 1, the double suspension of a free
+resolution of the cycle module Z^-2k-1 Q.  Every level reads its ranks
+and differentials from Q itself, so no intermediate complex is built.
+The decomposition reproduces Q exactly (not merely up to homotopy), so
+the rebuild witnesses are identities; over rings where resolutions do
+not terminate the levels stop at a declared depth with a
+window-relative residual leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .matrices import Mat, MatrixError, solve_right
-from .modules import FPModule, ModuleMap, dual_data, opposite
-from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, PeriodicTail,
-                        cycle_module, dualize_complex, suspension, twisted_sum)
+from .matrices import Mat, MatrixError
+from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, dualize_complex,
+                        suspension, twisted_sum)
 from .verdicts import Verdict
 
 
@@ -57,26 +57,6 @@ def duality_roundtrip_check(g: Complex, window: tuple[int, int],
             if twice.component(j) != test_map.component(j):
                 return Verdict(False, "dual_not_involutive", {"degree": j})
     return Verdict(True, "roundtrip_identity", {"window": window})
-
-
-def kernel_as_dual(q: Complex) -> tuple[FPModule, ModuleMap]:
-    """M = coker of the dualized bottom differential, and M* = Z^-1 Q.
-
-    Returns (M, iso: M* -> Z^-1 Q expressed on cycle generators).
-    """
-    pres = q.diff(-1).transpose()  # Q^0* -> Q^-1*, presenting M on Q^-1*
-    m = FPModule(q.ring, opposite(q.side), pres)
-    mstar, k = dual_data(m)
-    cd = cycle_module(q, -1)
-    # generators of M* are rows of k: functionals on Q^-1* generators,
-    # i.e. columns in Q^-1 lying in the kernel of d^-1: cycles
-    candidates = k.transpose()
-    coords = solve_right(cd.inclusion, candidates) if cd.inclusion.cols else \
-        Mat.zero(q.ring, 0, candidates.cols)
-    if coords is None:
-        raise MatrixError("dual generators are not cycles; solver invariant broken")
-    iso = ModuleMap(mstar, cd.module, coords)
-    return m, iso
 
 
 # -- build trees ------------------------------------------------------
@@ -160,84 +140,73 @@ def _shifted_support(x: Complex, y: Complex, shift: int) -> tuple[int, int] | No
     return min(lo for lo, _ in spans) + shift, max(hi for _, hi in spans) + shift
 
 
+# how far below its level's top degree a residual leaf of a periodic
+# resolution is materialized
+RESIDUAL_FLOOR = -32
+
+
 def _leaf(c: Complex, residual: bool = False) -> BuildTree:
     return BuildTree("leaf", payload=c, residual=residual)
 
 
-def decompose_resolution(q: Complex, depth: int = 8, floor: int = -32) -> BuildTree:
+def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
     """Cone tree over single-free leaves that evaluates back to Q.
 
-    Each level splits off Q^0 and Q^-1 and recurses on the double
-    desuspension of the rest, which is again a free resolution (of the
-    cycle module Z^-1 Q).  depth bounds the number of levels; a
-    leftover is recorded as a residual window-relative leaf,
-    materialized down to floor so the tree evaluates to a bounded
-    complex (rebuild comparisons below floor are meaningless, which
-    the residual flag already declares).  The root's target is Q, or
-    the payload when the root is itself a leaf.
+    Level k splits off Q^-2k and Q^-2k-1 as its top cone and glues it
+    to level k + 1, the double desuspension of the part of Q below,
+    which is again a free resolution (of the cycle module Z^-2k-1 Q).
+    Every level reads its ranks and differentials straight from Q, whose
+    tails supply the periodic degrees.  depth bounds the number of
+    levels; a leftover is recorded as a residual window-relative leaf,
+    materialized down to RESIDUAL_FLOOR below its level's top degree so
+    the tree evaluates to a bounded complex (rebuild comparisons below
+    that are meaningless, which the residual flag already declares).
+    The root's target is Q, or the payload when the root is itself a
+    leaf.
     """
-    tree = _decompose(q, depth, floor)
-    return replace(tree, target=tree.payload if tree.kind == "leaf" else q)
-
-
-def _decompose(q: Complex, depth: int, floor: int) -> BuildTree:
-    """decompose_resolution without targets."""
-    ring = q.ring
-    side = q.side
+    ring, side = q.ring, q.side
     span = q.support()
     if span is None:
-        return _leaf(Complex.zero(ring, side))
-    lo = span[0]
-    if span[1] > 0:
+        zero = Complex.zero(ring, side)
+        return BuildTree("leaf", target=zero, payload=zero)
+    if span[1] > 0 or q.tail_above is not None:
         raise MatrixError("resolution must live in degrees <= 0")
-    if lo == 0 and q.is_bounded:
-        return _leaf(q)
-    if depth <= 0:
-        return _leaf(q if q.is_bounded else q.restrict(floor, 0), residual=True)
-    r0 = q.rank(0)
-    r1 = q.rank(-1)
-    top = BuildTree(
-        "cone",
-        children=(_leaf(Complex.single(ring, side, r1, 0)),
-                  _leaf(Complex.single(ring, side, r0, 0))),
-        components={0: q.diff(-1)} if r0 and r1 else {})
-    # the double desuspension of the part below degree -1
-    lower_ranks = {}
-    lower_diffs = {}
-    if q.is_bounded:
-        for j in range(lo, -1):
-            if q.rank(j):
-                lower_ranks[j + 2] = q.rank(j)
-        for j in range(lo, -2):
-            d = q.diff(j)
-            if d.rows and d.cols:
-                lower_diffs[j + 2] = d
-        shifted = Complex(ring, side, lower_ranks, lower_diffs)
-    else:
-        tail = q.tail_below
-        # slide the folded threshold down so its explicit block stays
-        # inside the materialized degrees <= -1
-        t2 = tail.threshold + 2
-        while t2 > -tail.period:
-            t2 -= tail.period
-        for j in range(t2, 1):
-            if q.rank(j - 2):
-                lower_ranks[j] = q.rank(j - 2)
-        for j in range(t2, 0):
-            d = q.diff(j - 2)
-            if d.rows and d.cols:
-                lower_diffs[j] = d
-        shifted = Complex(ring, side, lower_ranks, lower_diffs,
-                          tail_below=PeriodicTail(-1, t2, tail.period))
-    if shifted.support() is None:
-        return top
-    # (S^i C)^j = C^(j+i): shift 2 places shifted's degree 0 at -2
-    lower = BuildTree("susp", shift=2, children=(_decompose(shifted, depth - 1, floor),))
-    glue = q.diff(-2)
-    return BuildTree(
-        "cone",
-        children=(BuildTree("susp", shift=-1, children=(lower,)), top),
-        components={-1: glue} if glue.rows and glue.cols else {})
+    bounded, lo = q.is_bounded, span[0]
+    levels = []  # (top cone, map glueing the level below to it) per level
+    k = 0
+    while True:
+        top_degree = -2 * k
+        single = bounded and lo == top_degree
+        if single or k >= depth:
+            # the rest of Q from this level down: a single free, or what
+            # depth leaves over, as a residual leaf
+            if k == 0 and bounded:
+                rest = q
+            else:
+                low = lo if bounded else top_degree + RESIDUAL_FLOOR
+                rest = suspension(q.restrict(low, top_degree), top_degree)
+            bottom = _leaf(rest, residual=not single)
+            break
+        r0, r1 = q.rank(top_degree), q.rank(top_degree - 1)
+        top = BuildTree(
+            "cone",
+            children=(_leaf(Complex.single(ring, side, r1, 0)),
+                      _leaf(Complex.single(ring, side, r0, 0))),
+            components={0: q.diff(top_degree - 1)} if r0 and r1 else {})
+        if bounded and lo > top_degree - 2:
+            bottom = top
+            break
+        levels.append((top, q.diff(top_degree - 2)))
+        k += 1
+    tree = bottom
+    for top, glue in reversed(levels):
+        # (S^i C)^j = C^(j+i): shift 2 places the lower level's degree 0 at -2
+        lower = BuildTree("susp", shift=2, children=(tree,))
+        tree = BuildTree(
+            "cone",
+            children=(BuildTree("susp", shift=-1, children=(lower,)), top),
+            components={-1: glue} if glue.rows and glue.cols else {})
+    return replace(tree, target=tree.payload if tree.kind == "leaf" else q)
 
 
 def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:

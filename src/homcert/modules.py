@@ -218,21 +218,3 @@ def is_projective(m: FPModule) -> ModuleMap | None:
     S = Mat.identity(m.ring, m.rank0) + P @ Y
     assert (S @ P).is_zero()
     return ModuleMap(m, FPModule.free(m.ring, m.side, m.rank0), S)
-
-
-def syzygy(m: FPModule) -> FPModule:
-    """Kernel of the generator cover R^rank0 -> M, presented on the
-    columns of the presentation matrix."""
-    return FPModule(m.ring, m.side, kernel_right(m.presentation))
-
-
-def projective_dimension(m: FPModule, bound: int = 16) -> int | None:
-    """Exact projective dimension if <= bound, else None ("exceeds bound")."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    current = m
-    for d in range(bound + 1):
-        if is_projective(current) is not None:
-            return d
-        current = syzygy(current)
-    return None

@@ -335,3 +335,26 @@ def test_nonzero_square_across_a_tail_seam_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "homology", str(bad), "--window=-2..0")
     assert code == 2 and out == ""
     assert "d^2 != 0" in err and "Traceback" not in err
+
+
+def test_decompose_of_an_upper_tail_exits_2(capsys, tmp_path):
+    upper = tmp_path / "upper.json"
+    upper.write_text(DOC + '"ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
+                     '"payload": {"side": "left", "ranks": [[-1, 1], [0, 1]], '
+                     '"diffs": [[-1, {"rows": 1, "cols": 1, "entries": [[2]]}]], '
+                     '"tail_above": {"direction": 1, "threshold": 0, "period": 1}}}')
+    code, out, err = run(capsys, "decompose", str(upper))
+    assert code == 2 and out == ""
+    assert "resolution must live in degrees <= 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["homology", "--window=-6..-4"], ["decompose"]])
+def test_rank_inside_a_tail_that_the_tail_does_not_fit_exits_2(capsys, tmp_path, argv):
+    bad = tmp_path / "inside.json"
+    bad.write_text(DOC + '"ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
+                   '"payload": {"side": "left", "ranks": [[0, 1], [-1, 1], [-5, 3]], '
+                   '"diffs": [[-1, {"rows": 1, "cols": 1, "entries": [[2]]}]], '
+                   '"tail_below": {"direction": -1, "threshold": -1, "period": 1}}}')
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 2 and out == ""
+    assert "differential in degree -6 is 1x1, expected 3x1" in err

@@ -8,7 +8,7 @@ from homcert.complexes import (ChainMap, Complex, ComplexError, Homotopy,
                                finite_coproduct, homology,
                                null_homotopy_witness, split_exactness_check,
                                suspension)
-from homcert.matrices import Mat, MatrixError
+from homcert.matrices import Mat, MatrixError, block_diag
 from homcert.modules import FPModule, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_contractible_complex,
@@ -55,6 +55,30 @@ def test_tail_differential_shape_enforced():
     with pytest.raises(ComplexError, match="is 2x1, expected 1x1"):
         Complex(ZZ, "left", {0: 1, 1: 2}, {0: Mat(ZZ, 2, 1, (0, 0))},
                 tail_below=PeriodicTail(-1, 0, 1))
+
+
+@pytest.mark.parametrize("ranks, tails, message", [
+    # rank 3 in degree -5 replaces the repeated rank 1, so the repeated
+    # d^-6 = [2] no longer fits into it
+    ({0: 1, -1: 1, -5: 3}, {"tail_below": PeriodicTail(-1, -1, 1)},
+     "in degree -6 is 1x1, expected 3x1"),
+    ({-1: 1, 0: 1, 4: 3}, {"tail_above": PeriodicTail(1, 0, 1)},
+     "in degree 3 is 1x1, expected 3x1"),
+])
+def test_explicit_ranks_inside_a_tail_are_checked(ranks, tails, message):
+    two = Mat(Zmod(4), 1, 1, (2,))
+    with pytest.raises(ComplexError, match=message):
+        Complex(Zmod(4), "left", ranks, {-1: two}, **tails)
+
+
+def test_explicit_differentials_inside_a_tail_are_checked():
+    # the repeated d is N with N^2 = 0; an explicit d^-5 = X has N X = 0
+    # but X N != 0, so the square fails below it, at degree -6
+    n = Mat(ZZ, 2, 2, (0, 1, 0, 0))
+    x = Mat(ZZ, 2, 2, (1, 0, 0, 0))
+    with pytest.raises(ComplexError, match="d\\^2 != 0 at degree -6"):
+        Complex(ZZ, "left", {0: 2, -1: 2}, {-1: n, -5: x},
+                tail_below=PeriodicTail(-1, -1, 1))
 
 
 def test_shape_of_differentials_enforced():
@@ -148,6 +172,35 @@ def test_finite_coproduct_ranks_add():
         for j in range(-3, 4):
             want = Mat.identity(ZZ, piece.rank(j))
             assert proj.component(j) @ inj.component(j) == want
+
+
+def test_finite_coproduct_is_the_block_diagonal_sum():
+    rng = random.Random(83)
+    for ring in RINGS + [Zmod(12)]:
+        for _ in range(10):
+            summands = [random_bounded_complex(rng, ring) for _ in range(rng.randint(1, 4))]
+            total, injections, projections = finite_coproduct(summands)
+            for j in range(-4, 5):
+                ranks = [c.rank(j) for c in summands]
+                assert total.rank(j) == sum(ranks)
+                assert total.diff(j) == block_diag(ring, [c.diff(j) for c in summands])
+                ident = block_diag(ring, [Mat.identity(ring, r) for r in ranks])
+                for i, (inj, proj) in enumerate(zip(injections, projections)):
+                    block = range(sum(ranks[:i]), sum(ranks[:i + 1]))
+                    assert inj.component(j) == ident.submatrix(range(ident.rows), block)
+                    assert proj.component(j) == ident.submatrix(block, range(ident.cols))
+
+
+def test_finite_coproduct_refusals():
+    ring = Zmod(4)
+    periodic = Complex(ring, "left", {0: 1, -1: 1}, {-1: Mat(ring, 1, 1, (2,))},
+                       tail_below=PeriodicTail(-1, -1, 1))
+    with pytest.raises(ComplexError, match="ambient ring"):
+        finite_coproduct([])
+    with pytest.raises(ComplexError, match="bounded"):
+        finite_coproduct([two_term(ring, 2), periodic])
+    with pytest.raises(MatrixError, match="over Z/4 to one over Z"):
+        finite_coproduct([two_term(ring, 2), two_term(ZZ, 2)])
 
 
 def test_null_homotopy_witness_found_and_verified():

@@ -1,9 +1,10 @@
 """Values built from checked values stay valid under the public checks.
 
-`suspension`, `cone` and `BuildTree.evaluate` results, and the results
-of `Mat` arithmetic and assembly, must pass the public `Complex` and
-`Mat` constructors again unchanged, over Z, F_7, Z/4 and Z/12 (and Z/8
-for resolutions).  A cone of a map that is not a chain map is refused.
+`suspension`, `cone`, `Complex.restrict` and `BuildTree.evaluate`
+results, and the results of `Mat` arithmetic and assembly, must pass
+the public `Complex` and `Mat` constructors again unchanged, over Z,
+F_7, Z/4 and Z/12 (and Z/8 for resolutions).  A cone of a map that is
+not a chain map is refused.
 """
 
 import random
@@ -77,6 +78,7 @@ def test_suspensions_and_cones_revalidate(ring, rng, shift):
     c = cone(f)
     _revalidates(c)
     _revalidates(suspension(x, shift))
+    _revalidates(x.restrict(shift - 1, shift + 1))
     _revalidates(suspension(c, shift))
     # a cone whose source is itself a cone
     _revalidates(cone(random_null_homotopic_map(rng, c, suspension(y, shift))))
@@ -89,6 +91,7 @@ def test_build_tree_nodes_revalidate(na, depth, shift):
     n, a = na
     p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
     _revalidates(suspension(p, shift))
+    _revalidates(p.restrict(-2 * depth - 3, shift - 2))
     stack = [decompose_resolution(p, depth=depth)]
     while stack:
         node = stack.pop()

@@ -2,15 +2,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homcert import duality
-from homcert.complexes import ChainMap, Complex, dualize_complex, twisted_sum
-from homcert.duality import (decompose_resolution, dualize_chain_map,
-                             duality_roundtrip_check, kernel_as_dual,
-                             rebuild_verify)
+from homcert.complexes import (ChainMap, Complex, PeriodicTail, dualize_complex,
+                               twisted_sum)
+from homcert.documents import emit_document, make_document
+from homcert.duality import (BuildTree, _leaf, decompose_resolution, dualize_chain_map,
+                             duality_roundtrip_check, rebuild_verify)
 from homcert.generator import resolve_module
-from homcert.matrices import Mat
-from homcert.modules import FPModule, modules_isomorphic
+from homcert.matrices import Mat, MatrixError
+from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_fp_module,
                               random_null_homotopic_map)
@@ -56,24 +58,6 @@ def test_dualization_contravariant_on_compositions():
             assert lhs.component(j) == fstar.component(j) @ gstar.component(j)
 
 
-def test_kernel_as_dual_two_term():
-    # Q = (Z --2--> Z): M = coker(2) on the dual side, M* = Z^-1 Q = 2Z... = 0
-    q = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
-    m, iso = kernel_as_dual(q)
-    assert m.side == "right"
-    assert modules_isomorphic(m, FPModule.cyclic(ZZ, "right", 2))
-    assert iso.is_well_defined()
-    assert iso.is_isomorphism()
-
-
-def test_kernel_as_dual_over_z4():
-    ring = Zmod(4)
-    q = Complex(ring, "left", {-1: 1, 0: 1}, {-1: Mat(ring, 1, 1, (2,))})
-    m, iso = kernel_as_dual(q)
-    assert modules_isomorphic(m, FPModule.cyclic(ring, "right", 2))
-    assert iso.is_isomorphism()
-
-
 def test_decompose_two_term_resolution():
     q = Complex(ZZ, "right", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
     tree = decompose_resolution(q)
@@ -107,6 +91,136 @@ def test_decompose_periodic_resolution_window_relative():
     assert tree.has_residual()
     v = rebuild_verify(tree, (-6, 0))
     assert v.ok and v.window_relative
+
+
+# -- the level loop against the recursion it replaced -----------------
+
+
+# The recursive decomposition that rebuilt the part of Q below degree -1
+# as a new complex at every level, kept as the reference: on
+# resolutions and bounded complexes the level loop must give the same
+# tree bytes and the same verdicts.
+def _decompose(q: Complex, depth: int, floor: int) -> BuildTree:
+    """decompose_resolution without targets."""
+    ring = q.ring
+    side = q.side
+    span = q.support()
+    if span is None:
+        return _leaf(Complex.zero(ring, side))
+    lo = span[0]
+    if span[1] > 0:
+        raise MatrixError("resolution must live in degrees <= 0")
+    if lo == 0 and q.is_bounded:
+        return _leaf(q)
+    if depth <= 0:
+        return _leaf(q if q.is_bounded else q.restrict(floor, 0), residual=True)
+    r0 = q.rank(0)
+    r1 = q.rank(-1)
+    top = BuildTree(
+        "cone",
+        children=(_leaf(Complex.single(ring, side, r1, 0)),
+                  _leaf(Complex.single(ring, side, r0, 0))),
+        components={0: q.diff(-1)} if r0 and r1 else {})
+    # the double desuspension of the part below degree -1
+    lower_ranks = {}
+    lower_diffs = {}
+    if q.is_bounded:
+        for j in range(lo, -1):
+            if q.rank(j):
+                lower_ranks[j + 2] = q.rank(j)
+        for j in range(lo, -2):
+            d = q.diff(j)
+            if d.rows and d.cols:
+                lower_diffs[j + 2] = d
+        shifted = Complex(ring, side, lower_ranks, lower_diffs)
+    else:
+        tail = q.tail_below
+        # slide the folded threshold down so its explicit block stays
+        # inside the materialized degrees <= -1
+        t2 = tail.threshold + 2
+        while t2 > -tail.period:
+            t2 -= tail.period
+        for j in range(t2, 1):
+            if q.rank(j - 2):
+                lower_ranks[j] = q.rank(j - 2)
+        for j in range(t2, 0):
+            d = q.diff(j - 2)
+            if d.rows and d.cols:
+                lower_diffs[j] = d
+        shifted = Complex(ring, side, lower_ranks, lower_diffs,
+                          tail_below=PeriodicTail(-1, t2, tail.period))
+    if shifted.support() is None:
+        return top
+    # (S^i C)^j = C^(j+i): shift 2 places shifted's degree 0 at -2
+    lower = BuildTree("susp", shift=2, children=(_decompose(shifted, depth - 1, floor),))
+    glue = q.diff(-2)
+    return BuildTree(
+        "cone",
+        children=(BuildTree("susp", shift=-1, children=(lower,)), top),
+        components={-1: glue} if glue.rows and glue.cols else {})
+
+
+def _reference_tree(q, depth, floor=-32):
+    tree = _decompose(q, depth, floor)
+    return replace(tree, target=tree.payload if tree.kind == "leaf" else q)
+
+
+def _with_zero_entries(rng, c):
+    """c with explicit zero ranks in some of its rank-0 degrees and a 0 x r
+    differential out of some rank-r degree into a rank-0 one."""
+    ranks = dict(c.ranks)
+    diffs = dict(c.diffs)
+    for j in range(-9, 1):
+        if c.rank(j) == 0 and rng.random() < 0.3:
+            ranks[j] = 0
+        elif c.rank(j) and c.rank(j + 1) == 0 and j < 0 and rng.random() < 0.3:
+            diffs[j] = Mat.zero(c.ring, 0, c.rank(j))
+    return Complex(c.ring, c.side, ranks, diffs, c.tail_below, c.tail_above)
+
+
+DECOMPOSE_RINGS = [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(9), Zmod(12)]
+
+
+@given(st.sampled_from(DECOMPOSE_RINGS), st.randoms(use_true_random=False),
+       st.integers(-1, 10), st.sampled_from(["module", "cyclic", "bounded"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_level_loop_matches_the_recursive_decomposition(ring, rng, depth, source):
+    side = rng.choice(["left", "right"])
+    if source == "module":
+        q, _ = resolve_module(random_fp_module(rng, ring, side))
+    elif source == "cyclic":
+        n = ring.modulus or rng.randint(0, 6)
+        q, _ = resolve_module(FPModule.cyclic(ring, side, rng.randint(0, n)))
+    else:
+        q = random_bounded_complex(rng, ring, side, lo=-7, hi=0)
+    q = _with_zero_entries(rng, q)
+    got, want = decompose_resolution(q, depth), _reference_tree(q, depth)
+    assert (emit_document(make_document(ring, "build_tree", got))
+            == emit_document(make_document(ring, "build_tree", want)))
+    span = q.support() or (0, 0)
+    for window in (span, (-24, 0)):
+        assert rebuild_verify(got, window) == rebuild_verify(want, window)
+
+
+def test_explicit_entries_inside_a_lower_tail_rebuild():
+    # d^-5 = 0 overrides the repeated [2]; the reference's sliding
+    # threshold folded it away again and so rebuilt a different complex
+    ring = Zmod(4)
+    q = Complex(ring, "left", {0: 1, -1: 1},
+                {-1: Mat(ring, 1, 1, (2,)), -5: Mat(ring, 1, 1, (0,))},
+                tail_below=PeriodicTail(-1, -1, 1))
+    v = rebuild_verify(decompose_resolution(q), (-16, 0))
+    assert v.ok and v.code == "rebuilt_identically" and v.window_relative
+    v = rebuild_verify(_reference_tree(q, 8), (-16, 0))
+    assert not v.ok and v.code == "rebuild_mismatch"
+
+
+def test_decompose_refuses_an_upper_tail():
+    ring = Zmod(4)
+    q = Complex(ring, "left", {-1: 1, 0: 1}, {-1: Mat(ring, 1, 1, (2,))},
+                tail_above=PeriodicTail(1, 0, 1))
+    with pytest.raises(MatrixError, match="degrees <= 0"):
+        decompose_resolution(q)
 
 
 def test_dual_complex_degrees():
