@@ -108,8 +108,8 @@ class Complex:
         # one there, so the differentials into and out of it are checked
         # too; one period on each side of a tail threshold covers the
         # seam and every differential and product the tail repeats
-        inside = [j for j in self.ranks if any(t.maps(j) for t in tails)]
-        inside += [j for j in self.diffs if any(t.maps_diff(j) for t in tails)]
+        inside = [j for j in self.ranks.keys() | self.diffs.keys()
+                  if any(t.maps(j) for t in tails)]
         degrees = sorted(set(self.diffs).union(
             *(range(t.threshold - t.period - 1, t.threshold + t.period + 1) for t in tails),
             *((j - 1, j) for j in inside)))
