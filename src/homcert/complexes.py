@@ -19,17 +19,23 @@ term j to term j+1.  Fixed sign conventions:
 
 A complex is either bounded (explicit finite support) or carries
 eventually-periodic tails; tail evaluation is a pure lookup, so values
-are immutable and freely shareable between threads.
+are immutable and freely shareable between threads.  One fold rule
+serves ranks and differentials: an explicit entry, an explicit zero
+rank included, replaces the repeated one; a lower tail repeats each
+differential with its source term and an upper tail with its target
+term; the two tails of a complex may not overlap.
 
-The public `Complex(...)` constructor checks every shape and the
-product d^(j+1) d^j = 0 in every degree, including next to an explicit
-entry inside a tail's region.  `suspension`, `Complex.restrict` and
-`twisted_sum` (so `cone` and `finite_coproduct`) build from complexes
-that passed it and skip it (`Complex._trusted`): shifting, negating and
-brutal truncation keep both, and a twisted sum checks
-d_Y g + g d_L = 0 instead, which for checked L and Y is d^2 = 0 on the
-sum.  `ChainMap(...)`, `Homotopy(...)` and `twisted_sum` check each
-component's ring and its shape in its degree.
+The public `Complex(...)` constructor checks the side, every shape and
+the product d^(j+1) d^j = 0 in every degree: beyond a tail's farthest
+explicit entry the checks repeat with the period, so one band per tail
+covers the tail.  `suspension`, `Complex.restrict`, `dualize_complex`
+and `twisted_sum` (so `cone` and `finite_coproduct`) build from
+complexes that passed it and skip it (`Complex._trusted`): shifting,
+negating, transposing and brutal truncation keep both, and a twisted
+sum checks d_Y g + g d_L = 0 instead, which for checked L and Y is
+d^2 = 0 on the sum.  `ChainMap(...)`, `Homotopy(...)` and `twisted_sum`
+check that source and target are on one side, and each component's
+ring and its shape in its degree.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ class PeriodicTail:
     direction -1 extends below (the explicit block
     [threshold, threshold+period) repeats towards -infinity);
     direction +1 extends above ((threshold-period, threshold] repeats
-    towards +infinity).
+    towards +infinity).  A lower tail repeats each differential with its
+    source term and an upper tail with its target term, so d^j folds
+    with j in a lower tail and with j + 1 in an upper one.
     """
 
     direction: int
@@ -78,17 +86,6 @@ class PeriodicTail:
             return self.threshold + ((j - self.threshold) % self.period)
         return self.threshold - ((self.threshold - j) % self.period)
 
-    # the degree-j differential maps term j to term j+1, so for an upper
-    # tail the differential at the threshold itself already points into
-    # the tail and must fold one period lower than the terms do
-    def maps_diff(self, j: int) -> bool:
-        return j < self.threshold if self.direction == -1 else j >= self.threshold
-
-    def fold_diff(self, j: int) -> int:
-        if self.direction == -1:
-            return self.threshold + ((j - self.threshold) % self.period)
-        return self.threshold - self.period + ((j - self.threshold) % self.period)
-
 
 @dataclass(frozen=True)
 class Complex:
@@ -100,19 +97,31 @@ class Complex:
     tail_above: PeriodicTail | None = None
 
     def __post_init__(self):
+        if self.side not in ("left", "right"):
+            raise ComplexError(f"side must be 'left' or 'right', got {self.side!r}")
         for j, r in self.ranks.items():
             if r < 0:
                 raise ComplexError(f"negative rank in degree {j}")
-        tails = [t for t in (self.tail_below, self.tail_above) if t is not None]
-        # an explicit entry in a degree a tail maps replaces the repeated
-        # one there, so the differentials into and out of it are checked
-        # too; one period on each side of a tail threshold covers the
-        # seam and every differential and product the tail repeats
-        inside = [j for j in self.ranks.keys() | self.diffs.keys()
-                  if any(t.maps(j) for t in tails)]
-        degrees = sorted(set(self.diffs).union(
-            *(range(t.threshold - t.period - 1, t.threshold + t.period + 1) for t in tails),
-            *((j - 1, j) for j in inside)))
+        below, above = self.tail_below, self.tail_above
+        if below is not None and below.direction != -1 \
+                or above is not None and above.direction != 1:
+            raise ComplexError("tail_below must have direction -1 and tail_above +1")
+        if below is not None and above is not None and below.threshold > above.threshold:
+            raise ComplexError(f"tails overlap: tail_below at {below.threshold} is above "
+                               f"tail_above at {above.threshold}")
+        # beyond a tail's farthest explicit entry every degree repeats
+        # with its period, so one band per tail checks the whole tail:
+        # one period (plus the two degrees a product reads) past that
+        # entry, through one period past the threshold.  Then every
+        # differential a product reads has been shape-checked here or
+        # repeats one that has, or is a zero of the right shape.
+        degrees = set(self.diffs)
+        for t in (below, above):
+            if t is not None:
+                ends = [t.threshold, *(j for j in self.ranks.keys() | self.diffs.keys()
+                                       if t.maps(j))]
+                degrees.update(range(min(ends) - t.period - 2, max(ends) + t.period + 1))
+        degrees = sorted(degrees)
         for j in degrees:
             d = self.diff(j)
             if d.ring != self.ring:
@@ -150,12 +159,14 @@ class Complex:
     def diff(self, j: int) -> Mat:
         if j in self.diffs:
             return self.diffs[j]
-        for tail in (self.tail_below, self.tail_above):
-            if tail is not None and tail.maps_diff(j):
-                folded = self.diffs.get(tail.fold_diff(j))
-                if folded is not None:
-                    return folded
-        return Mat.zero(self.ring, self.rank(j + 1), self.rank(j))
+        d = None
+        for tail, e in ((self.tail_below, 0), (self.tail_above, 1)):
+            # a lower tail repeats d^j with its source term j, an upper
+            # tail with its target term j + 1
+            if tail is not None and tail.maps(j + e):
+                d = self.diffs.get(tail.fold(j + e) - e)
+                break
+        return d if d is not None else Mat.zero(self.ring, self.rank(j + 1), self.rank(j))
 
     @property
     def is_bounded(self) -> bool:
@@ -187,8 +198,11 @@ class Complex:
 
 def _check_components(what: str, source: Complex, target: Complex,
                       components: dict[int, Mat], shift: int):
-    """Each component j, a map source^j -> target^(j+shift), is over the
-    ring of source and target and has the shape of its degree."""
+    """Source and target are on one side, and each component j, a map
+    source^j -> target^(j+shift), is over the ring of source and target
+    and has the shape of its degree."""
+    if target.side != source.side:
+        raise ComplexError(f"{what} from a {source.side} complex to a {target.side} one")
     ring = source.ring
     if target.ring != ring:
         raise MatrixError(f"{what} from a complex over {ring} to one over {target.ring}")
@@ -229,15 +243,6 @@ class ChainMap:
         return ChainMap(c, c, {j: Mat.identity(c.ring, r)
                                for j, r in sorted(c.ranks.items()) if r > 0})
 
-    def compose(self, first: "ChainMap") -> "ChainMap":
-        degs = set(self.components) | set(first.components)
-        comps = {}
-        for j in degs:
-            m = self.component(j) @ first.component(j)
-            if not m.is_zero():
-                comps[j] = m
-        return ChainMap(first.source, self.target, comps)
-
 
 @dataclass(frozen=True)
 class Homotopy:
@@ -276,36 +281,21 @@ def suspension(c: Complex, i: int = 1) -> Complex:
 
 
 def dualize_complex(c: Complex) -> Complex:
-    ranks = {-j: r for j, r in c.ranks.items() if r}
-    diffs = {-j - 1: d.transpose() for j, d in c.diffs.items()}
+    """(C~)^j = (C^(-j))~ with differential the transpose of d^(-j-1).
 
-    def flip_tail(t: PeriodicTail | None) -> PeriodicTail | None:
-        if t is None:
-            return None
-        return PeriodicTail(-t.direction, -t.threshold, t.period)
+    Negating the degrees of every explicit entry (explicit zero ranks
+    included), transposing and flipping the tails gives that in every
+    degree, tails included, because an upper tail folds d^j with its
+    target term and the lower tail it becomes folds it with its source.
+    The degreewise transpose of a checked complex is checked, so the
+    dual is built trusted.
+    """
+    def flip(t: PeriodicTail | None) -> PeriodicTail | None:
+        return None if t is None else PeriodicTail(-t.direction, -t.threshold, t.period)
 
-    below = flip_tail(c.tail_above)
-    above = flip_tail(c.tail_below)
-    # tail folding indexes into the explicit block next to the flipped
-    # threshold; copy whatever that block needs from the original tails
-    for tail in (below, above):
-        if tail is None:
-            continue
-        if tail.direction == -1:
-            rank_block = range(tail.threshold, tail.threshold + tail.period)
-            diff_block = rank_block
-        else:
-            rank_block = range(tail.threshold - tail.period + 1, tail.threshold + 1)
-            diff_block = range(tail.threshold - tail.period, tail.threshold)
-        for j in rank_block:
-            r = c.rank(-j)
-            if r and j not in ranks:
-                ranks[j] = r
-        for j in diff_block:
-            d = c.diff(-j - 1)
-            if d.rows and d.cols and j not in diffs:
-                diffs[j] = d.transpose()
-    return Complex(c.ring, opposite(c.side), ranks, diffs, below, above)
+    return Complex._trusted(c.ring, opposite(c.side), {-j: r for j, r in c.ranks.items()},
+                            {-j - 1: d.transpose() for j, d in c.diffs.items()},
+                            flip(c.tail_above), flip(c.tail_below))
 
 
 def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:

@@ -27,16 +27,12 @@ from .complexes import ChainMap, Complex, ComplexError, PeriodicTail, dualize_co
 from .duality import BuildTree
 from .flatness import FlatCertificate, FlatRelation
 from .generator import GeneratorPackage
-from .matrices import Mat, MatrixError
+from .matrices import SIZE_LIMIT, Mat, MatrixError
 from .modules import FPModule, ModuleMap, canonical_double_dual_map, dual_data
 from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
 FORMAT_VERSION = "2"
-# Dimensions, degrees, shifts and depths beyond this are refused: at the
-# limit a dense matrix has 2**24 cells and a degree span 2**13 steps;
-# much larger values end in an OverflowError, a MemoryError or a hang.
-SIZE_LIMIT = 1 << 12
 
 
 class DocumentError(ValueError):
@@ -308,7 +304,7 @@ def chain_map_from_json(ring: RingDescriptor, obj: Any) -> ChainMap:
     comps = {j: matrix_from_json(ring, m) for j, m in _pairs(obj, "components", "matrix")}
     try:
         return ChainMap(src, tgt, comps)
-    except MatrixError as exc:
+    except (MatrixError, ComplexError) as exc:
         raise DocumentError(str(exc)) from exc
 
 
@@ -377,9 +373,7 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
     _require(comparison == dual_gens, "stored comparison is not the dual generators")
     _require(dual_complex == dualize_complex(resolution),
              "stored dual complex is not the dual of the resolution")
-    pi = ModuleMap(FPModule.free(ring, dual.side, dual.rank0), dual,
-                   Mat.identity(ring, dual.rank0))
-    return GeneratorPackage(module, dual, dual_gens, resolution, pi, mu,
+    return GeneratorPackage(module, dual, dual_gens, resolution, mu,
                             dual_complex, comparison, _int(obj.get("depth", 0), "depth"),
                             _bool(obj.get("complete", False), "package complete"))
 

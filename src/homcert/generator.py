@@ -37,7 +37,6 @@ class GeneratorPackage:
     dual: FPModule
     dual_gens: Mat  # rows are the generators of M* as functionals on M
     resolution: Complex  # P, degrees <= 0, resolving M*
-    pi: ModuleMap  # free cover P^0 -> M*, the identity on generators
     mu: ModuleMap  # M -> M**
     dual_complex: Complex  # P*, degrees >= 0
     comparison: Mat  # P*^0-rank x M-generator matrix, the attaching map
@@ -95,22 +94,14 @@ def build_generator(m: FPModule, depth: int = 24) -> GeneratorPackage:
     """Construct the package for M; depth bounds the resolution search."""
     mstar, K = dual_data(m)
     mu = canonical_double_dual_map(m, mstar, K)
-    k = mstar.rank0
-    ring = m.ring
-    side = mstar.side
     # the comparison map is (dual generators of M**)^T composed with mu,
     # which is K itself: generator e_i of M evaluates the dual
     # generators to column i of K
-    if k == 0:
-        p = Complex.zero(ring, side)
-        return GeneratorPackage(
-            m, mstar, K, p,
-            ModuleMap(FPModule.free(ring, side, 0), mstar, Mat.zero(ring, 0, 0)),
-            mu, Complex.zero(ring, m.side), K, depth, True)
+    if mstar.rank0 == 0:
+        return GeneratorPackage(m, mstar, K, Complex.zero(m.ring, mstar.side), mu,
+                                Complex.zero(m.ring, m.side), K, depth, True)
     p, complete = resolve_module(mstar, depth)
-    pstar = dualize_complex(p)
-    pi = ModuleMap(FPModule.free(ring, side, k), mstar, Mat.identity(ring, k))
-    return GeneratorPackage(m, mstar, K, p, pi, mu, pstar, K, depth, complete)
+    return GeneratorPackage(m, mstar, K, p, mu, dualize_complex(p), K, depth, complete)
 
 
 def _trusted_resolution_floor(pkg: GeneratorPackage) -> int | None:
@@ -123,7 +114,7 @@ def _trusted_resolution_floor(pkg: GeneratorPackage) -> int | None:
 
 
 def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) -> Verdict:
-    """pi is a quasi-isomorphism: H^0(P) = M*, H^j(P) = 0 for j < 0."""
+    """P resolves M*: H^0(P) = M*, H^j(P) = 0 for j < 0."""
     lo, hi = window
     hi = min(hi, 0)
     floor = _trusted_resolution_floor(pkg)
@@ -229,7 +220,7 @@ def h0_hom_equivalence(pkg: GeneratorPackage, q: Complex) -> Verdict:
     f = induced_h0_map(src_data, tgt_data, push)
     if f is None:
         return Verdict(False, "comparison_does_not_descend", {})
-    if not f.is_well_defined() or not f.is_isomorphism():
+    if not f.is_isomorphism():
         return Verdict(False, "h0_not_isomorphic",
                        {"source": str(src_data[0]), "target": str(tgt_data[0])})
     return Verdict(True, "h0_equivalence",
@@ -279,7 +270,7 @@ def compactness_probe(pkg: GeneratorPackage, qs: list[Complex]) -> Verdict:
     for _, f in summand_maps:
         matrix = matrix.hstack(f.matrix)
     canonical = ModuleMap(direct_sum, tgt_data[0], matrix)
-    if not canonical.is_well_defined() or not canonical.is_isomorphism():
+    if not canonical.is_isomorphism():
         return Verdict(False, "coproduct_not_respected",
                        {"source": str(direct_sum), "target": str(tgt_data[0])})
     return Verdict(True, "coproduct_respected", {"family": len(qs)})

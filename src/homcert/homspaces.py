@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import (Mat, MatrixError, assemble_blocks, block_diag,
+from .matrices import (SIZE_LIMIT, Mat, MatrixError, assemble_blocks, block_diag,
     kernel_left, kernel_right, solve_right)
 from .modules import FPModule, ModuleMap, subquotient_module
 from .complexes import Complex
@@ -124,6 +124,8 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
     terms[i] sits in degree i; diffs[i] acts on generators, sending
     term i into term i+1 (and must carry relations into relations).
     Koszul sign as for free Hom complexes: d(f) = d_Q f - (-1)^n f d.
+    An ambient differential of more than SIZE_LIMIT**2 cells is refused
+    (MatrixError) before any block is built.
     """
     if not terms:
         return SubComplex(q.ring, q.side, {}, {}, {}, terms)
@@ -147,6 +149,13 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
         amb = sum(r0 * qr for (_, r0, qr) in layout)
         if amb:
             ambient_ranks[n] = amb
+    # refused before any block is built: a larger ambient differential
+    # does not fit in memory as a dense matrix
+    for n in range(lo, hi + 1):
+        cells = ambient_ranks.get(n, 0) * ambient_ranks.get(n + 1, 0)
+        if cells > SIZE_LIMIT ** 2:
+            raise MatrixError(f"the Hom differential in degree {n} would have {cells} "
+                              f"cells, more than {SIZE_LIMIT ** 2}")
     ambient_diffs: dict[int, Mat] = {}
     for n in range(lo, hi + 1):
         if not ambient_ranks.get(n) or not ambient_ranks.get(n + 1):
@@ -180,15 +189,14 @@ def hom_into_complex(m: FPModule, q: Complex, window: tuple[int, int]) -> SubCom
     return hom_fp_complex({0: m}, {}, q, window)
 
 
-def hom_vanishing(m: FPModule, q: Complex, degrees: list[int],
-                  pad: int = 1) -> tuple[bool, int | None]:
+def hom_vanishing(m: FPModule, q: Complex, degrees: list[int]) -> tuple[bool, int | None]:
     """Whether H^j Hom(M, Q) = 0 for every j in degrees.
 
     Returns (all_zero, first failing degree).  Each degree is computed
-    on its own small window; pad widens the window past the degree.
+    on its own window, one degree wider on each side than H^j reads.
     """
     for j in degrees:
-        sub = hom_into_complex(m, q, (j - 1 - pad, j + pad))
+        sub = hom_into_complex(m, q, (j - 2, j + 1))
         if not sub.homology(j).is_zero():
             return False, j
     return True, None

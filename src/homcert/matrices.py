@@ -41,6 +41,11 @@ from operator import mul
 
 from .rings import RingDescriptor
 
+# Dimensions, degrees, shifts and depths beyond this are refused: at the
+# limit a dense matrix has 2**24 cells and a degree span 2**13 steps;
+# much larger values end in an OverflowError, a MemoryError or a hang.
+SIZE_LIMIT = 1 << 12
+
 
 class MatrixError(ValueError):
     """Dimension or ring mismatch."""

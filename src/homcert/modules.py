@@ -127,10 +127,6 @@ class ModuleMap:
             raise MatrixError("composition shape mismatch")
         return ModuleMap(first.source, self.target, self.matrix @ first.matrix)
 
-    @staticmethod
-    def identity(m: FPModule) -> "ModuleMap":
-        return ModuleMap(m, m, Mat.identity(m.ring, m.rank0))
-
     def is_injective(self) -> bool:
         W = kernel_right(self.matrix.hstack(self.target.presentation))
         head = W.submatrix(range(self.source.rank0), range(W.cols))

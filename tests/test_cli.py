@@ -1,11 +1,17 @@
 import json
 import pathlib
+import random
 import sys
 
 import pytest
 
+from homcert import homspaces
 from homcert.cli import MAX_DECOMPOSE_DEPTH, main
-from homcert.documents import FORMAT_VERSION, SIZE_LIMIT, parse_document
+from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_document,
+                               parse_document)
+from homcert.flatness import FlatRelation
+from homcert.matrices import kernel_right
+from homcert.samplers import random_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 DOC = '{"version": "%s", ' % FORMAT_VERSION  # the head of a hand-written document
@@ -115,6 +121,29 @@ def test_flat_cert_cycle_hypothesis_failure_exits_1(capsys, tmp_path):
     doc = out_doc(out)
     assert doc.kind == "verdict"
     assert doc.payload.code == "hom_hypothesis_fails"
+
+
+@pytest.mark.parametrize("tag", ["z", "f5", "z4"])
+def test_flat_cert_certifies_a_relation_among_boundaries(capsys, tmp_path, tag):
+    # a . z = 0 with z = d^(j-1) w k^T for a kernel basis k of the row a,
+    # so the columns of z are boundaries in degree j
+    x = parse_document(pathlib.Path(fx(f"contractible_{tag}")).read_text()).payload
+    ring, rng = x.ring, random.Random(tag)
+    lo, hi = x.support()
+    j = min(k for k in range(lo + 1, hi + 1) if x.rank(k - 1) and x.rank(k))
+    a = random_matrix(rng, ring, 1, 3)
+    k = kernel_right(a)
+    z = x.diff(j - 1) @ random_matrix(rng, ring, x.rank(j - 1), k.cols, 3) @ k.transpose()
+    assert not z.is_zero()
+    rel = tmp_path / "rel.json"
+    rel.write_text(emit_document(make_document(ring, "relation", FlatRelation(ring, a, z))))
+    code, out, _ = run(capsys, "flat-cert", str(rel), fx(f"contractible_{tag}"),
+                       f"--degree={j}")
+    assert code == 0
+    doc = out_doc(out)
+    assert doc.kind == "certificate"
+    ast, q = doc.payload.ast, doc.payload.q
+    assert z == q @ ast.transpose() and (a @ ast).is_zero()
 
 
 def test_decompose_right_module(capsys):
@@ -358,3 +387,27 @@ def test_rank_inside_a_tail_that_the_tail_does_not_fit_exits_2(capsys, tmp_path,
     code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
     assert code == 2 and out == ""
     assert "differential in degree -6 is 1x1, expected 3x1" in err
+
+
+def test_chain_map_between_sides_exits_2(capsys, tmp_path):
+    doc = json.loads(pathlib.Path(fx("chain_map_z")).read_text())
+    doc["payload"]["target"]["side"] = "right"
+    path = tmp_path / "sides.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "dualize", str(path))
+    assert code == 2 and out == ""
+    assert "from a left complex to a right one" in err and "Traceback" not in err
+
+
+def test_a_hom_complex_beyond_the_size_limit_exits_2(capsys, tmp_path, monkeypatch):
+    # ranks 64 in degrees 0 and 1: the contraction's Hom differential in
+    # degree -1 would be 8192 x 4096
+    def refuse(*args):
+        raise AssertionError("a block was built")
+    monkeypatch.setattr(homspaces, "assemble_blocks", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(DOC + '"ring": {"kind": "Z"}, "kind": "complex", '
+                    '"payload": {"side": "left", "ranks": [[0, 64], [1, 64]]}}')
+    code, out, err = run(capsys, "split-check", str(path), "--window=-2..3")
+    assert code == 2 and out == ""
+    assert f"33554432 cells, more than {SIZE_LIMIT ** 2}" in err

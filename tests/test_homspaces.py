@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
+from homcert import homspaces
 from homcert.complexes import Complex, PeriodicTail
 from homcert.generator import build_generator, hom_classes
 from homcert.homspaces import (hom_fp_complex, hom_into_complex, hom_term_gens,
                                hom_vanishing)
-from homcert.matrices import Mat, colspan_canonical, kernel_right
+from homcert.matrices import SIZE_LIMIT, Mat, MatrixError, colspan_canonical, kernel_right
 from homcert.modules import FPModule, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_bounded_complex, random_fp_module, random_matrix
@@ -150,3 +153,17 @@ def test_split_and_join_are_inverse_on_the_block_layout():
                 assert (blocks[i].rows, blocks[i].cols) == (qr, r0)
                 assert q.rank(i + n) == qr and x.rank(i) == r0
             assert sub.join(n, blocks) == col
+
+
+def test_an_oversized_hom_complex_is_refused_before_any_block(monkeypatch):
+    # ranks 4096 in degrees 0 and 1: Hom^-1 has rank 4096^2 and Hom^0
+    # rank 2 * 4096^2, so d^-1 would have 2^49 cells
+    def refuse(*args):
+        raise AssertionError("a block was built")
+    for name in ("assemble_blocks", "block_diag"):
+        monkeypatch.setattr(homspaces, name, refuse)
+    monkeypatch.setattr(Mat, "identity", staticmethod(refuse))
+    monkeypatch.setattr(Mat, "kron", refuse)
+    x = Complex(ZZ, "left", {0: SIZE_LIMIT, 1: SIZE_LIMIT}, {})
+    with pytest.raises(MatrixError, match=f"degree -1 would have {2 ** 49} cells"):
+        hom_fp_complex(free_terms(x), {}, x, (-1, -1))

@@ -108,3 +108,17 @@ def test_cli_dual_keeps_an_explicit_zero_rank(capsys, tmp_path):
     assert main(["dualize", str(path)]) == 0
     dual = parse_document(capsys.readouterr().out).payload
     assert [dual.rank(j) for j in range(-3, 4)] == [0, 0, 1, 0, 1, 1, 1]
+
+
+def test_overlapping_tails_are_refused():
+    two = Mat(Zmod(4), 1, 1, (2,))
+    with pytest.raises(ComplexError, match="tails overlap"):
+        Complex(Zmod(4), "left", {0: 1, 1: 1}, {0: two},
+                tail_below=PeriodicTail(-1, 2, 1), tail_above=PeriodicTail(1, 1, 1))
+
+
+@pytest.mark.parametrize("tails", [{"tail_below": PeriodicTail(1, 0, 1)},
+                                   {"tail_above": PeriodicTail(-1, 0, 1)}])
+def test_a_tail_in_the_other_slot_is_refused(tails):
+    with pytest.raises(ComplexError, match="direction"):
+        Complex(ZZ, "left", {0: 1}, {}, **tails)
