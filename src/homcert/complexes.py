@@ -41,6 +41,7 @@ ring and its shape in its degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .matrices import Mat, MatrixError, assemble_blocks, kernel_right, solve_right
 from .modules import FPModule, is_projective, opposite, subquotient_module
@@ -181,8 +182,8 @@ class Complex:
 
     def restrict(self, lo: int, hi: int) -> "Complex":
         """Bounded brutal truncation to degrees [lo, hi]."""
-        ranks = {j: self.rank(j) for j in range(lo, hi + 1) if self.rank(j) > 0}
-        diffs = {j: self.diff(j) for j in range(lo, hi) if self.rank(j) > 0 and self.rank(j + 1) > 0}
+        ranks = {j: r for j in range(lo, hi + 1) if (r := self.rank(j)) > 0}
+        diffs = {j: self.diff(j) for j in ranks if j + 1 in ranks}
         return Complex._trusted(self.ring, self.side, ranks, diffs)
 
     # -- constructors --------------------------------------------------
@@ -422,13 +423,19 @@ def null_homotopy_witness(f: ChainMap) -> Homotopy | None:
     d(s) = d_Y s + s d_X, so the system is that differential with the
     components of f, a degree 0 element, as right-hand side.
     """
+    return _null_homotopy(f.source, f.target, lambda: f.components)
+
+
+def _null_homotopy(X: Complex, Y: Complex,
+                   components: Callable[[], dict[int, Mat]]) -> Homotopy | None:
+    """null_homotopy_witness of the map X -> Y with the given components,
+    which are built only after the Hom complex has passed its size guard."""
     from .homspaces import free_terms, hom_fp_complex
 
-    X, Y = f.source, f.target
     if not (X.is_bounded and Y.is_bounded):
         raise ComplexError("null homotopy requires bounded complexes")
     hom = hom_fp_complex(*free_terms(X), Y, (-1, -1))
-    s = solve_right(hom.ambient_diff(-1), hom.join(0, f.components))
+    s = solve_right(hom.ambient_diff(-1), hom.join(0, components()))
     if s is None:
         return None
     return Homotopy(X, Y, hom.split(-1, s))
@@ -436,7 +443,7 @@ def null_homotopy_witness(f: ChainMap) -> Homotopy | None:
 
 def contraction(c: Complex) -> Homotopy | None:
     """Null homotopy of the identity; exists iff the complex is contractible."""
-    return null_homotopy_witness(ChainMap.identity(c))
+    return _null_homotopy(c, c, lambda: ChainMap.identity(c).components)
 
 
 # -- split exactness --------------------------------------------------

@@ -24,6 +24,15 @@ pivots below the rows of A in [A; I] and [[A, -B], [0, I], [I, 0]],
 so the core takes a start row and neither keeps nor back-reduces the
 pivot columns above it.
 
+Mod n the core packs each column into one int of fixed-width slots, one
+entry per slot, so a column step is one big-integer multiply-add and
+one slotwise reduction mod n (a Barrett step with an exact quotient)
+instead of a loop over the entries.  The slots are 4*bits(n) + 2 bits
+wide, which keeps that reduction exact and stops any slot carrying into
+the next as long as every slot entering it is at most 2*(n-1)**2; the
+coefficients of every step lie in [0, n) so that this holds.  Over Z
+the core works on lists.
+
 The public `Mat(...)` constructor checks the shape and reduces every
 entry to its canonical residue.  Results whose entries are canonical
 by construction go through the private `Mat._trusted` instead, which
@@ -313,14 +322,76 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
     multiple of c, which leaves c as it is; a lead that g does not
     divide goes through one extended-gcd step, which replaces c and
     lowers g.
+
+    Mod n each column is one int of w-bit slots, slot j holding the
+    entry j rows below the current row: the lead is a & lead, the next
+    row is a >> w, and a zero column is 0.  Each new column is one
+    multiply-add of such ints with coefficients in [0, n), so every slot
+    entering `red` is at most 2*(n-1)**2 < 2**k / n, k = 3*bits(n) + 1.
+    `red` reduces all slots mod n at once by a Barrett step (Barrett
+    1986) whose quotient is exact: with m = ceil(2**k / n),
+    floor(x*m / 2**k) = floor(x / n) for every x <= 2**k / n, and then
+    x*m < 2**w, w = 4*bits(n) + 2, so the product stays inside its slot.
+    A larger slot could come out wrong or carry into the next one.
     """
-    pivots: dict[int, list[int]] = {}
+    if n is None:
+        return _int_hnf(rows, gens, start)
+    b = n.bit_length()
+    k, w = 3 * b + 1, 4 * b + 2
+    m, lead = -(-(1 << k) // n), (1 << w) - 1
+    qmask = ((1 << w * rows) - 1) // lead * ((1 << w - k) - 1)  # 2**(w-k) - 1 in each slot
+
+    def red(x: int) -> int:
+        return x - (x * m >> k & qmask) * n
+
+    pivots: dict[int, int] = {}
     # active columns hold entries from row i down and span (with n*Z)
     # the part of the lattice that vanishes above row i
-    if n is None:
-        active = [list(c) for c in gens if any(c)]
-    else:
-        active = [t for t in ([v % n for v in c] for c in gens) if any(t)]
+    active = []
+    for col in gens:
+        a = 0
+        for v in reversed(col):
+            a = a << w | v % n
+        if a:
+            active.append(a)
+    for i in range(rows):
+        c, rest = 0, []
+        for a in active:
+            a0 = a & lead
+            if not a0:
+                rest.append(a)
+            elif not c:
+                # s*c has lead g = gcd(c[0], n); with (n/g)*c, the
+                # multiples of c that vanish at row i mod n, it spans c
+                s, _, g = _xgcd(a0, n)
+                if g > 1:
+                    rest.append(red(n // g * a))
+                c = red(s % n * a)
+            elif not a0 % g:
+                rest.append(red(a + (n - a0 // g) * c))
+            else:  # unimodular step: gcd(g, a[0]) into c, 0 into a
+                x, y, h = _xgcd(g, a0)
+                c, a = red(x % n * c + y % n * a), red(g // h * a + (n - a0 // h) * c)
+                if h > 1:  # h divides n: c needs no scaling, only (n/h)*c
+                    rest.append(red(n // h * c))
+                rest.append(a)
+                g = h
+        if c:
+            c <<= w * i  # pivot columns keep every row, zero above their own
+            for p, col in pivots.items():
+                q = (col >> w * i & lead) // g
+                if q:
+                    pivots[p] = red(col + (n - q) * c)
+            if i >= start:
+                pivots[i] = c
+        active = [t for a in rest if (t := a >> w)]
+    return {i: [col >> j & lead for j in range(0, w * rows, w)] for i, col in pivots.items()}
+
+
+def _int_hnf(rows: int, gens: list[list[int]], start: int) -> dict[int, list[int]]:
+    """`_hnf` over Z: the same steps on lists, with no reduction and no scaling."""
+    pivots: dict[int, list[int]] = {}
+    active = [list(c) for c in gens if any(c)]
     for i in range(rows):
         c, rest = None, []
         for a in active:
@@ -329,28 +400,14 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
                 rest.append(a)
             elif c is None:
                 c, g = a, a0
-                if n is not None:
-                    # s*c has lead g = gcd(c[0], n); with (n/g)*c, the
-                    # multiples of c that vanish at row i mod n, it spans c
-                    s, _, g = _xgcd(a0, n)
-                    if g > 1:
-                        rest.append([n // g * v % n for v in a])
-                    c = [s * v % n for v in a]
             elif not a0 % g:
                 q = a0 // g
-                rest.append([v - q * u for u, v in zip(c, a)] if n is None
-                            else [(v - q * u) % n for u, v in zip(c, a)])
+                rest.append([v - q * u for u, v in zip(c, a)])
             else:  # unimodular step: gcd(g, a[0]) into c, 0 into a
                 x, y, h = _xgcd(g, a0)
                 cg, ag = g // h, a0 // h
-                if n is None:
-                    c, a = ([x * u + y * v for u, v in zip(c, a)],
-                            [cg * v - ag * u for u, v in zip(c, a)])
-                else:
-                    c, a = ([(x * u + y * v) % n for u, v in zip(c, a)],
-                            [(cg * v - ag * u) % n for u, v in zip(c, a)])
-                    if h > 1:  # h divides n: c needs no scaling, only (n/h)*c
-                        rest.append([n // h * v % n for v in c])
+                c, a = ([x * u + y * v for u, v in zip(c, a)],
+                        [cg * v - ag * u for u, v in zip(c, a)])
                 rest.append(a)
                 g = h
         if c is not None:
@@ -359,8 +416,7 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
             for col in pivots.values():
                 q = col[i] // g
                 if q:
-                    col[i:] = ([u - q * v for u, v in zip(col[i:], c)] if n is None
-                               else [(u - q * v) % n for u, v in zip(col[i:], c)])
+                    col[i:] = [u - q * v for u, v in zip(col[i:], c)]
             if i >= start:
                 pivots[i] = [0] * i + c
         active = [t for t in (a[1:] for a in rest) if any(t)]

@@ -10,7 +10,7 @@ from homcert.cli import MAX_DECOMPOSE_DEPTH, main
 from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_document,
                                parse_document)
 from homcert.flatness import FlatRelation
-from homcert.matrices import kernel_right
+from homcert.matrices import Mat, kernel_right
 from homcert.samplers import random_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -411,3 +411,17 @@ def test_a_hom_complex_beyond_the_size_limit_exits_2(capsys, tmp_path, monkeypat
     code, out, err = run(capsys, "split-check", str(path), "--window=-2..3")
     assert code == 2 and out == ""
     assert f"33554432 cells, more than {SIZE_LIMIT ** 2}" in err
+
+
+def test_a_contraction_beyond_the_size_limit_builds_no_identity(capsys, tmp_path, monkeypatch):
+    # ranks 4096 in degrees 0 and 1: the identity alone would hold 2 * 4096**2
+    # entries, and the Hom differential in degree -1 would have 2**49 cells
+    def refuse(*args):
+        raise AssertionError("an identity was built")
+    monkeypatch.setattr(Mat, "identity", staticmethod(refuse))
+    path = tmp_path / "big.json"
+    path.write_text(DOC + '"ring": {"kind": "Z"}, "kind": "complex", "payload": '
+                    f'{{"side": "left", "ranks": [[0, {SIZE_LIMIT}], [1, {SIZE_LIMIT}]]}}}}')
+    code, out, err = run(capsys, "split-check", str(path), "--window=-2..3")
+    assert code == 2 and out == ""
+    assert f"{2 ** 49} cells, more than {SIZE_LIMIT ** 2}" in err

@@ -5,7 +5,7 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcert.matrices import (Mat, MatrixError, _hnf, assemble_blocks, block_diag,
+from homcert.matrices import (Mat, MatrixError, _hnf, _xgcd, assemble_blocks, block_diag,
                               colspan_canonical, inverse, kernel_left, kernel_right,
                               smith_invariants, solve_left, solve_right)
 from homcert.modules import FPModule
@@ -412,7 +412,7 @@ def test_hnf_of_leads_that_do_not_divide_each_other(n):
     assert _hnf(n, 2, [[6, 0], [4, 1]], 1) == {1: [0, 3]}
 
 
-HNF_RINGS = [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12)]
+HNF_RINGS = [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12), Zmod(36), Fp(2**61 - 1)]
 
 
 @st.composite
@@ -433,6 +433,111 @@ def test_hnf_from_a_start_row_keeps_the_full_pivots_at_and_below_it(case):
     n, rows, gens, start = case
     full = _hnf(n, rows, gens)
     assert _hnf(n, rows, gens, start) == {i: p for i, p in full.items() if i >= start}
+
+
+# The packed core against the list-based one it replaced: moduli on each
+# side of bit-length boundaries, one (255) whose extended-gcd steps reach
+# slot values near 1.05 * n**2, a Mersenne prime and a modulus above
+# 2**100 (2**100 + 7 = 6841 * ...), so that slot widths of every size
+# are exercised.
+PACKED_MODULI = [2, 3, 4, 7, 8, 9, 12, 15, 16, 17, 36, 255, 2**61 - 1, 2**100 + 7]
+
+
+def _list_hnf(n: int | None, rows: int, gens: list[list[int]],
+              start: int = 0) -> dict[int, list[int]]:
+    """The list-based Hermite core the packed one replaced, kept verbatim."""
+    pivots: dict[int, list[int]] = {}
+    # active columns hold entries from row i down and span (with n*Z)
+    # the part of the lattice that vanishes above row i
+    if n is None:
+        active = [list(c) for c in gens if any(c)]
+    else:
+        active = [t for t in ([v % n for v in c] for c in gens) if any(t)]
+    for i in range(rows):
+        c, rest = None, []
+        for a in active:
+            a0 = a[0]
+            if not a0:
+                rest.append(a)
+            elif c is None:
+                c, g = a, a0
+                if n is not None:
+                    # s*c has lead g = gcd(c[0], n); with (n/g)*c, the
+                    # multiples of c that vanish at row i mod n, it spans c
+                    s, _, g = _xgcd(a0, n)
+                    if g > 1:
+                        rest.append([n // g * v % n for v in a])
+                    c = [s * v % n for v in a]
+            elif not a0 % g:
+                q = a0 // g
+                rest.append([v - q * u for u, v in zip(c, a)] if n is None
+                            else [(v - q * u) % n for u, v in zip(c, a)])
+            else:  # unimodular step: gcd(g, a[0]) into c, 0 into a
+                x, y, h = _xgcd(g, a0)
+                cg, ag = g // h, a0 // h
+                if n is None:
+                    c, a = ([x * u + y * v for u, v in zip(c, a)],
+                            [cg * v - ag * u for u, v in zip(c, a)])
+                else:
+                    c, a = ([(x * u + y * v) % n for u, v in zip(c, a)],
+                            [(cg * v - ag * u) % n for u, v in zip(c, a)])
+                    if h > 1:  # h divides n: c needs no scaling, only (n/h)*c
+                        rest.append([n // h * v % n for v in c])
+                rest.append(a)
+                g = h
+        if c is not None:
+            if g < 0:
+                c, g = [-v for v in c], -g
+            for col in pivots.values():
+                q = col[i] // g
+                if q:
+                    col[i:] = ([u - q * v for u, v in zip(col[i:], c)] if n is None
+                               else [(u - q * v) % n for u, v in zip(col[i:], c)])
+            if i >= start:
+                pivots[i] = [0] * i + c
+        active = [t for t in (a[1:] for a in rest) if any(t)]
+    return pivots
+
+
+@st.composite
+def packed_input(draw):
+    n = draw(st.sampled_from(PACKED_MODULI))
+    rows = draw(st.integers(0, 7))
+    # n - 1 everywhere fills every slot as far as a column step can;
+    # divisors of n as leads force scalings, annihilators and
+    # extended-gcd steps; entries outside [0, n) come from Z reductions
+    special = [0, 1, n - 1, n, -1] + [d for d in (2, 3, 4, 6, 6841) if n % d == 0]
+    entry = st.one_of(st.sampled_from(special), st.integers(-2 * n, 2 * n))
+    gens = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), max_size=8))
+    return n, rows, gens
+
+
+def _check_packed(n, rows, gens):
+    for start in range(rows + 1):
+        assert _hnf(n, rows, gens, start) == _list_hnf(n, rows, gens, start)
+
+
+@given(packed_input())
+@example((255, 2, [[68, 254], [4, 254]]))
+@settings(max_examples=400, deadline=None)
+def test_packed_hnf_matches_the_list_core_from_every_start_row(case):
+    _check_packed(*case)
+
+
+@pytest.mark.parametrize("n", PACKED_MODULI)
+def test_packed_hnf_matches_the_list_core_on_full_slots(n):
+    # every entry n - 1 but the leads: n/p, for p the least prime factor
+    # of n, and then a small a that n/p does not divide, so the step is
+    # an extended-gcd one (over a prime n/p = 1 and there is none)
+    p = next((d for d in range(2, 7000) if n % d == 0), n)
+    for rows in range(7):
+        full = [n - 1] * rows
+        _check_packed(n, rows, [])
+        _check_packed(n, rows, [[0] * rows, [n] * rows])
+        _check_packed(n, rows, [full] * 3)
+        for a in range(1, 9) if rows else ():
+            tail = [n - 1] * (rows - 1)
+            _check_packed(n, rows, [[0] * rows, [n // p] + tail, [a] + tail, full])
 
 
 # -- Z kernels and solves: canonical and within Hadamard's bound -----------
