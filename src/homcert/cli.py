@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Callable
 
 from .complexes import ComplexError, dualize_complex, homology, split_exactness_check
 from .documents import (SIZE_LIMIT, Document, DocumentError, emit_document,
@@ -85,15 +86,17 @@ def _module_invariants(m: FPModule) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _print(args, doc: Document, text: str):
+def _print(args, doc: Document, text: Callable[[], str]):
+    """Write doc in machine format, or the summary text() in text
+    format; the summary is built only when it is printed."""
     if args.format == "machine":
         sys.stdout.write(emit_document(doc))
     else:
-        print(text)
+        print(text())
 
 
 def _verdict_exit(args, ring, v: Verdict) -> int:
-    _print(args, make_document(ring, "verdict", v), str(v))
+    _print(args, make_document(ring, "verdict", v), lambda: str(v))
     return 0 if v.ok else 1
 
 
@@ -103,7 +106,7 @@ def cmd_resolve(args) -> int:
     span = c.support()
     note = "complete" if complete else f"periodic/truncated at depth {args.depth}"
     _print(args, make_document(doc.ring, "complex", c),
-           f"resolution in degrees {span[0]}..{span[1]} ({note})"
+           lambda: f"resolution in degrees {span[0]}..{span[1]} ({note})"
            if span else "zero resolution")
     return 0
 
@@ -112,17 +115,17 @@ def cmd_dualize(args) -> int:
     doc = _read_doc(args.input, "module", "complex", "chain_map")
     if doc.kind == "module":
         out = make_document(doc.ring, "module", dualize_module(doc.payload))
-        text = f"dual module: {_module_invariants(out.payload)}"
+        text = lambda: f"dual module: {_module_invariants(out.payload)}"
     elif doc.kind == "complex":
         out = make_document(doc.ring, "complex", dualize_complex(doc.payload))
-        text = "dual complex"
+        text = lambda: "dual complex"
     else:
         f = doc.payload
         spans = [s for s in (f.source.support(), f.target.support()) if s]
         lo = -max((s[1] for s in spans), default=0)
         hi = -min((s[0] for s in spans), default=0)
         out = make_document(doc.ring, "chain_map", dualize_chain_map(f, lo, hi))
-        text = f"dual chain map in degrees {lo}..{hi}"
+        text = lambda: f"dual chain map in degrees {lo}..{hi}"
     _print(args, out, text)
     return 0
 
@@ -133,7 +136,7 @@ def cmd_generator(args) -> int:
     span = pkg.resolution.support()
     reach = f" to degree {span[0]}" if span else " (zero dual)"
     _print(args, make_document(doc.ring, "generator_package", pkg),
-           f"package for {_module_invariants(pkg.module)}; resolution "
+           lambda: f"package for {_module_invariants(pkg.module)}; resolution "
            f"{'complete' if pkg.complete else 'periodic'}{reach}")
     return 0
 
@@ -153,7 +156,7 @@ def cmd_homology(args) -> int:
     details = {str(j): module_to_json(m) for j, m in mods.items()}
     v = Verdict(True, "homology_computed", details)
     _print(args, make_document(doc.ring, "verdict", v),
-           "\n".join(f"H^{j} = {_module_invariants(m)}" for j, m in mods.items()))
+           lambda: "\n".join(f"H^{j} = {_module_invariants(m)}" for j, m in mods.items()))
     return 0
 
 
@@ -163,14 +166,14 @@ def cmd_flat_cert(args) -> int:
     if args.complex is None:
         cert = flat_certificate(rel)
         _print(args, make_document(doc.ring, "certificate", cert),
-               f"certificate with {cert.ast.cols} witnesses")
+               lambda: f"certificate with {cert.ast.cols} witnesses")
         return 0
     qdoc = _read_doc(args.complex, "complex")
     v = cycle_flatness_probe(qdoc.payload, args.degree, rel)
     if v.ok:
         cert = v.details["certificate"].certificate
         _print(args, make_document(doc.ring, "certificate", cert),
-               f"certified in degree {args.degree} with {cert.ast.cols} witnesses")
+               lambda: f"certified in degree {args.degree} with {cert.ast.cols} witnesses")
         return 0
     return _verdict_exit(args, doc.ring, v)
 
@@ -188,8 +191,8 @@ def cmd_decompose(args) -> int:
     if not v.ok:
         return _verdict_exit(args, doc.ring, v)
     _print(args, make_document(doc.ring, "build_tree", tree),
-           f"{tree.free_leaf_count()} free leaves"
-           + ("; residual window-relative leaf" if tree.has_residual() else ""))
+           lambda: f"{v.details['free_leaves']} free leaves"
+           + ("; residual window-relative leaf" if v.window_relative else ""))
     return 0
 
 

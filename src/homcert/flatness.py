@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .matrices import Mat, MatrixError, colspan_canonical, kernel_right, solve_right
 from .modules import FPModule
-from .complexes import Complex, homology, split_exactness_check
+from .complexes import Complex, is_exact_at, split_exactness_check
 from .homspaces import hom_vanishing
 from .rings import RingDescriptor
 from .verdicts import Verdict
@@ -118,7 +118,7 @@ def cycle_flatness_probe(q: Complex, j: int, rel: FlatRelation) -> Verdict:
         raise MatrixError("relation columns do not live in the degree-j term")
     if not (d_out @ rel.z).is_zero():
         return Verdict(False, "not_cycles", {"degree": j})
-    if not homology(q, j).is_zero():
+    if not is_exact_at(q, j):
         return Verdict(False, "not_exact", {"degree": j})
     # the module spanned by the z's, presented on them
     relations = colspan_canonical(kernel_right(rel.z))

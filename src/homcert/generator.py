@@ -26,7 +26,7 @@ from .matrices import Mat, block_diag, kernel_right
 from .modules import (FPModule, ModuleMap, canonical_double_dual_map, dual_data,
                       modules_isomorphic)
 from .complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
-                        homology, suspension)
+                        homology, is_exact_at, suspension)
 from .homspaces import free_terms, hom_fp_complex, hom_into_complex, induced_h0_map
 from .verdicts import Verdict
 
@@ -127,7 +127,7 @@ def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) 
                        {"computed": str(h0), "expected": str(pkg.dual)},
                        window_relative)
     for j in range(lo, min(hi, -1) + 1):
-        if not homology(pkg.resolution, j).is_zero():
+        if not is_exact_at(pkg.resolution, j):
             return Verdict(False, "not_exact_below", {"degree": j}, window_relative)
     return Verdict(True, "quasi_isomorphism", {"window": (lo, hi)}, window_relative)
 
@@ -176,7 +176,7 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
         diffs[-1] = pkg.comparison
     sub = hom_fp_complex(terms, diffs, q, (lo - 1, hi + 1))
     for n in range(lo, hi + 1):
-        if not sub.homology(n).is_zero():
+        if not sub.is_exact_at(n):
             return Verdict(False, "hom_not_exact", {"degree": n})
     return Verdict(True, "hom_exact", {"window": window})
 

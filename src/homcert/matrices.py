@@ -370,10 +370,13 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
             elif not a0 % g:
                 rest.append(red(a + (n - a0 // g) * c))
             else:  # unimodular step: gcd(g, a[0]) into c, 0 into a
+                # the annihilator (n/h)*c of the new c needs no column:
+                # with c' = x*c + y*a and a' = (g/h)*a - (a0/h)*c,
+                # (n/h)*c' = y*(n/g)*a' + (n/g)*c, and (n/g)*c is already
+                # spanned: appended with the candidate (n*c if g = 1
+                # there), or by this identity at the step before
                 x, y, h = _xgcd(g, a0)
                 c, a = red(x % n * c + y % n * a), red(g // h * a + (n - a0 // h) * c)
-                if h > 1:  # h divides n: c needs no scaling, only (n/h)*c
-                    rest.append(red(n // h * c))
                 rest.append(a)
                 g = h
         if c:

@@ -176,6 +176,48 @@ def test_split_check_with_bound_runs_collapse(capsys, tag="z"):
     assert out_doc(out).payload.code == "collapsed"
 
 
+# -- text summaries ----------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["homology", fx("complex_z_mult2"), "--window=-1..0"], "H^-1 = 0\nH^0 = R/(2)\n"),
+    (["dualize", fx("module_z4_cyclic2")], "dual module: R/(2)\n"),
+    (["generator", fx("module_z4_cyclic2")],
+     "package for R/(2); resolution complete to degree -2\n"),
+    (["decompose", fx("module_z4_cyclic2")],
+     "16 free leaves; residual window-relative leaf\n"),
+    (["decompose", fx("module_z_right6")], "2 free leaves\n"),
+], ids=["homology", "dualize", "generator", "decompose-z4", "decompose-z"])
+def test_text_summary_is_built_only_in_text_format(capsys, monkeypatch, argv, text):
+    # the machine bytes of generator and decompose are pinned by the
+    # golden digests; here machine output must not change when building
+    # a summary is refused, and decompose walks its tree for the free
+    # leaves and the residual flag once, in its check, in either format
+    from homcert import cli
+    from homcert.duality import BuildTree
+
+    code, machine, _ = run(capsys, *argv)
+    assert code == 0 and out_doc(machine).version == FORMAT_VERSION
+    walks = []
+    for name in ("free_leaf_count", "has_residual"):
+        walk = getattr(BuildTree, name)
+        monkeypatch.setattr(BuildTree, name,
+                            lambda t, name=name, walk=walk: walks.append(name) or walk(t))
+    invariants = cli._module_invariants
+
+    def refuse(m):
+        raise AssertionError("a text summary was built in machine format")
+
+    expected_walks = ["has_residual", "free_leaf_count"] if argv[0] == "decompose" else []
+    monkeypatch.setattr(cli, "_module_invariants", refuse)
+    assert run(capsys, *argv) == (0, machine, "")
+    assert walks == expected_walks
+    walks.clear()
+    monkeypatch.setattr(cli, "_module_invariants", invariants)
+    assert run(capsys, "--format", "text", *argv) == (0, text, "")
+    assert walks == expected_walks
+
+
 # -- machine output is itself round-trip stable ------------------------
 
 

@@ -1,9 +1,11 @@
 import random
+from functools import partial
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from homcert import homspaces
-from homcert.complexes import Complex, PeriodicTail
+from homcert.complexes import Complex, PeriodicTail, homology_data, is_exact_at
 from homcert.generator import build_generator, hom_classes
 from homcert.homspaces import (hom_fp_complex, hom_into_complex, hom_term_gens,
                                hom_vanishing)
@@ -18,8 +20,8 @@ def test_hom_from_free_recovers_homology():
     ring = ZZ
     q = Complex(ring, "left", {-1: 1, 0: 1}, {-1: Mat(ring, 1, 1, (2,))})
     sub = hom_into_complex(FPModule.free(ring, "left", 1), q, (-3, 3))
-    assert modules_isomorphic(sub.homology(0), FPModule.cyclic(ring, "left", 2))
-    assert sub.homology(-1).is_zero()
+    assert modules_isomorphic(sub.homology_data(0)[0], FPModule.cyclic(ring, "left", 2))
+    assert sub.homology_data(-1)[0].is_zero()
 
 
 def test_hom_from_torsion_into_free_target_vanishes():
@@ -29,7 +31,7 @@ def test_hom_from_torsion_into_free_target_vanishes():
     m = FPModule.cyclic(ring, "left", 2)
     sub = hom_into_complex(m, q, (-2, 3))
     for n in range(-1, 3):
-        assert sub.homology(n).is_zero()
+        assert sub.homology_data(n)[0].is_zero()
 
 
 def test_hom_from_torsion_sees_torsion_target():
@@ -39,8 +41,8 @@ def test_hom_from_torsion_sees_torsion_target():
     q = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))})
     m = FPModule.cyclic(ring, "left", 2)
     sub = hom_into_complex(m, q, (-1, 2))
-    assert modules_isomorphic(sub.homology(0), m)
-    assert modules_isomorphic(sub.homology(1), m)
+    assert modules_isomorphic(sub.homology_data(0)[0], m)
+    assert modules_isomorphic(sub.homology_data(1)[0], m)
 
 
 def test_hom_vanishing_on_orthogonal_target():
@@ -70,7 +72,7 @@ def test_hom_fp_complex_free_terms_agree_with_hom_into_complex():
         a = hom_into_complex(m, q, (-3, 3))
         b = hom_fp_complex({0: m}, {}, q, (-3, 3))
         for n in range(-2, 3):
-            assert modules_isomorphic(a.homology(n), b.homology(n))
+            assert modules_isomorphic(a.homology_data(n)[0], b.homology_data(n)[0])
 
 
 def test_hom_fp_complex_of_two_term_source():
@@ -83,8 +85,8 @@ def test_hom_fp_complex_of_two_term_source():
     q = Complex(ring, "left", {0: 1}, {})
     sub = hom_fp_complex(terms, diffs, q, (-2, 3))
     # H^0 = Hom(coker 2, Z) = 0; H^1 = Z/2
-    assert sub.homology(0).is_zero()
-    assert modules_isomorphic(sub.homology(1), FPModule.cyclic(ring, "left", 2))
+    assert sub.homology_data(0)[0].is_zero()
+    assert modules_isomorphic(sub.homology_data(1)[0], FPModule.cyclic(ring, "left", 2))
 
 
 def test_hom_into_periodic_complex_is_window_computable():
@@ -95,7 +97,7 @@ def test_hom_into_periodic_complex_is_window_computable():
     m = FPModule.free(ring, "left", 1)
     sub = hom_into_complex(m, q.restrict(-4, 4), (-3, 3))
     for n in range(-2, 3):
-        assert sub.homology(n).is_zero()
+        assert sub.homology_data(n)[0].is_zero()
 
 
 def free_terms(c):
@@ -112,7 +114,7 @@ def test_hom_fp_complex_differential_square_zero_and_h0():
     c = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
     sub = hom_fp_complex(free_terms(c), c.diffs, c, (-2, 2))
     assert_square_zero(sub, -2, 2)
-    assert not sub.homology(0).is_zero()
+    assert not sub.homology_data(0)[0].is_zero()
 
 
 def test_hom_fp_complex_square_zero_on_random_and_generator_sources():
@@ -167,3 +169,56 @@ def test_an_oversized_hom_complex_is_refused_before_any_block(monkeypatch):
     x = Complex(ZZ, "left", {0: SIZE_LIMIT, 1: SIZE_LIMIT}, {})
     with pytest.raises(MatrixError, match=f"degree -1 would have {2 ** 49} cells"):
         hom_fp_complex(free_terms(x), {}, x, (-1, -1))
+
+
+EXACTNESS_RINGS = [ZZ, Fp(7), Zmod(4), Zmod(8), Zmod(12)]
+
+
+def assert_exactness_agrees(exact, data, degrees) -> list[bool]:
+    """The containment test against the homology module, degree by
+    degree; returns the exactness of each degree."""
+    out = []
+    for j in degrees:
+        out.append(exact(j))
+        assert out[-1] == data(j)[0].is_zero(), j
+    return out
+
+
+@pytest.mark.parametrize("ring", EXACTNESS_RINGS, ids=str)
+def test_exactness_agrees_with_homology_on_multiplication_by_two(ring):
+    # R --2--> R in degrees -1, 0: d^-1 has no boundaries (d^-2 has 0
+    # columns) and over Z and F_7 no cycles either (its kernel has 0
+    # columns); H^0 = R/2, zero only over F_7
+    two = Complex(ring, "left", {-1: 1, 0: 1}, {-1: Mat(ring, 1, 1, (2,))})
+    exact = assert_exactness_agrees(partial(is_exact_at, two), partial(homology_data, two),
+                                    range(-3, 3))
+    assert exact[3] == (ring == Fp(7))
+    assert two.diff(-2).cols == 0
+    if ring in (ZZ, Fp(7)):
+        assert kernel_right(two.diff(-1)).cols == 0
+    # Hom(R, Q) = Q
+    sub = hom_into_complex(FPModule.free(ring, "left", 1), two, (-3, 3))
+    assert assert_exactness_agrees(sub.is_exact_at, sub.homology_data, range(-2, 3)) \
+        == exact[1:]
+
+
+def test_exactness_agrees_with_homology_on_a_hom_complex_with_h0_z2():
+    # Hom(C, C) for C = (Z --2--> Z) is Hom(Z/2, Z/2) in degree 0 and
+    # Ext^1(Z/2, Z/2) in degree 1, both Z/2
+    c = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
+    sub = hom_fp_complex(free_terms(c), c.diffs, c, (-2, 2))
+    exact = assert_exactness_agrees(sub.is_exact_at, sub.homology_data, range(-1, 3))
+    assert exact == [True, False, False, True]
+    assert modules_isomorphic(sub.homology_data(0)[0], FPModule.cyclic(ZZ, "left", 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXACTNESS_RINGS), st.integers(0, 2 ** 32))
+def test_exactness_agrees_with_homology_on_random_complexes(ring, seed):
+    rng = random.Random(seed)
+    q = random_bounded_complex(rng, ring)
+    assert_exactness_agrees(partial(is_exact_at, q), partial(homology_data, q), range(-4, 5))
+    x = random_bounded_complex(rng, ring, max_pieces=2)
+    for sub in (hom_into_complex(random_fp_module(rng, ring, max_rank=2), q, (-3, 3)),
+                hom_fp_complex(free_terms(x), x.diffs, q, (-3, 3))):
+        assert_exactness_agrees(sub.is_exact_at, sub.homology_data, range(-2, 3))
