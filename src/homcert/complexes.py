@@ -197,6 +197,13 @@ class Complex:
         return Complex(ring, side, {degree: rank}, {})
 
 
+def first_difference(a: Complex, b: Complex, lo: int, hi: int) -> int | None:
+    """The first degree in [lo, hi] where a and b differ in rank or in
+    differential, or None when they agree on the whole range."""
+    return next((j for j in range(lo, hi + 1)
+                 if a.rank(j) != b.rank(j) or a.diff(j) != b.diff(j)), None)
+
+
 def _check_components(what: str, source: Complex, target: Complex,
                       components: dict[int, Mat], shift: int):
     """Source and target are on one side, and each component j, a map
@@ -396,15 +403,19 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], 
 # homology command and the report of a non-exact degree.
 
 
-def _cycles_and_boundaries(c: Complex, j: int) -> tuple[Mat, Mat]:
-    """(cycle generators, boundary generators) in degree j, as columns
-    of the term C^j."""
-    return kernel_right(c.diff(j)), c.diff(j - 1)
+def cycles_and_boundaries(d: Mat, d_in: Mat, u: Mat | None = None,
+                          u_in: Mat | None = None) -> tuple[Mat, Mat]:
+    """(cycle generators, boundary generators) of one degree, as ambient
+    columns: d leaves the degree and d_in enters it; u and u_in generate
+    the term and the term below, None where a term is the whole ambient
+    module (always for a Complex)."""
+    cycles = kernel_right(d) if u is None else u @ kernel_right(d @ u)
+    return cycles, d_in if u_in is None else d_in @ u_in
 
 
 def homology_data(c: Complex, j: int) -> tuple[FPModule, Mat, Mat]:
     """(H^j as a module on the kernel generators, cycle gens, boundary gens)."""
-    U, V = _cycles_and_boundaries(c, j)
+    U, V = cycles_and_boundaries(c.diff(j), c.diff(j - 1))
     return subquotient_module(c.ring, c.side, U, V), U, V
 
 
@@ -420,19 +431,8 @@ def is_exact_at(c: Complex, j: int) -> bool:
     Z, exact over Z, Z/n and F_p; Y is the exactness witness.  No
     homology module is built.
     """
-    U, V = _cycles_and_boundaries(c, j)
+    U, V = cycles_and_boundaries(c.diff(j), c.diff(j - 1))
     return solve_right(V, U) is not None
-
-
-@dataclass(frozen=True)
-class CycleData:
-    module: FPModule
-    inclusion: Mat  # term_rank x gens, columns are the cycle generators
-
-
-def cycle_module(c: Complex, j: int) -> CycleData:
-    U = kernel_right(c.diff(j))
-    return CycleData(subquotient_module(c.ring, c.side, U, Mat.zero(c.ring, U.rows, 0)), U)
 
 
 # -- homotopies -------------------------------------------------------
@@ -451,12 +451,12 @@ def null_homotopy_witness(f: ChainMap) -> Homotopy | None:
 def _null_homotopy(X: Complex, Y: Complex,
                    components: Callable[[], dict[int, Mat]]) -> Homotopy | None:
     """null_homotopy_witness of the map X -> Y with the given components,
-    which are built only after the Hom complex has passed its size guard."""
+    which are built only after the size guard of ambient_diff(-1) passed."""
     from .homspaces import free_terms, hom_fp_complex
 
     if not (X.is_bounded and Y.is_bounded):
         raise ComplexError("null homotopy requires bounded complexes")
-    hom = hom_fp_complex(*free_terms(X), Y, (-1, -1))
+    hom = hom_fp_complex(*free_terms(X), Y)
     s = solve_right(hom.ambient_diff(-1), hom.join(0, components()))
     if s is None:
         return None
@@ -490,12 +490,14 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
         if homotopy is not None:
             return Verdict(True, "split_exact", {"homotopy": homotopy})
     window_relative = not c.is_bounded
+    cycles = {}
     for j in range(lo + 1, hi):
-        if not is_exact_at(c, j):
-            return Verdict(False, "not_exact", {"degree": j, "homology": homology(c, j)},
-                           window_relative)
-    for j in range(lo + 1, hi):
-        cycle = cycle_module(c, j).module
+        cycles[j], boundaries = cycles_and_boundaries(c.diff(j), c.diff(j - 1))
+        if solve_right(boundaries, cycles[j]) is None:
+            h = subquotient_module(c.ring, c.side, cycles[j], boundaries)
+            return Verdict(False, "not_exact", {"degree": j, "homology": h}, window_relative)
+    for j, z in cycles.items():
+        cycle = subquotient_module(c.ring, c.side, z, Mat.zero(c.ring, z.rows, 0))
         if is_projective(cycle) is None:
             return Verdict(False, "exact_not_split", {"degree": j, "cycle": cycle},
                            window_relative)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from .matrices import Mat, MatrixError
 from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, dualize_complex,
-                        suspension, twisted_sum)
+                        first_difference, suspension, twisted_sum)
 from .verdicts import Verdict
 
 
@@ -44,10 +44,9 @@ def duality_roundtrip_check(g: Complex, window: tuple[int, int],
                             test_map: ChainMap | None = None) -> Verdict:
     """G** = G degreewise; optional contravariance on a test map."""
     lo, hi = window
-    roundtrip = dualize_complex(dualize_complex(g))
-    for j in range(lo, hi + 1):
-        if roundtrip.rank(j) != g.rank(j) or roundtrip.diff(j) != g.diff(j):
-            return Verdict(False, "double_dual_mismatch", {"degree": j})
+    bad = first_difference(dualize_complex(dualize_complex(g)), g, lo, hi)
+    if bad is not None:
+        return Verdict(False, "double_dual_mismatch", {"degree": bad})
     if test_map is not None:
         once = dualize_chain_map(test_map, lo, hi)
         if not once.commutes(lo, hi - 1):
@@ -217,7 +216,8 @@ def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
     names the support of the cone the failing node would build, taken
     from its built children.  The decomposition reproduces the target
     exactly, so the homotopy equivalence witness is the identity pair
-    with zero homotopies.
+    with zero homotopies.  A residual tree is compared from its lowest
+    built degree up; the verdict reports the window compared.
     """
     lo, hi = window
     window_relative = tree.has_residual()
@@ -226,9 +226,11 @@ def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
     except _AttachingMapError as exc:
         return Verdict(False, "attaching_map_not_chain_map",
                        {"support": exc.args[1]}, window_relative)
-    for j in range(lo, hi + 1):
-        if built.rank(j) != tree.target.rank(j) or built.diff(j) != tree.target.diff(j):
-            return Verdict(False, "rebuild_mismatch", {"degree": j}, window_relative)
+    if window_relative and built.support() is not None:
+        lo = max(lo, built.support()[0])
+    bad = first_difference(built, tree.target, lo, hi)
+    if bad is not None:
+        return Verdict(False, "rebuild_mismatch", {"degree": bad}, window_relative)
     return Verdict(True, "rebuilt_identically",
-                   {"window": window, "free_leaves": tree.free_leaf_count()},
+                   {"window": (lo, hi), "free_leaves": tree.free_leaf_count()},
                    window_relative)

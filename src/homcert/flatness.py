@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .matrices import Mat, MatrixError, colspan_canonical, kernel_right, solve_right
 from .modules import FPModule
 from .complexes import Complex, is_exact_at, split_exactness_check
-from .homspaces import hom_vanishing
+from .homspaces import hom_into_complex
 from .rings import RingDescriptor
 from .verdicts import Verdict
 
@@ -123,9 +123,8 @@ def cycle_flatness_probe(q: Complex, j: int, rel: FlatRelation) -> Verdict:
     # the module spanned by the z's, presented on them
     relations = colspan_canonical(kernel_right(rel.z))
     m = FPModule(ring, q.side, relations)
-    ok, bad = hom_vanishing(m, q, [j])
-    if not ok:
-        return Verdict(False, "hom_hypothesis_fails", {"degree": bad})
+    if not hom_into_complex(m, q).is_exact_at(j):
+        return Verdict(False, "hom_hypothesis_fails", {"degree": j})
     # lift: F with d^(j-1) F = Z and F (relations of M) = 0
     mcount = rel.length
     rank_below = q.rank(j - 1)

@@ -26,7 +26,7 @@ from .matrices import Mat, block_diag, kernel_right
 from .modules import (FPModule, ModuleMap, canonical_double_dual_map, dual_data,
                       modules_isomorphic)
 from .complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
-                        homology, is_exact_at, suspension)
+                        first_difference, homology, is_exact_at, suspension)
 from .homspaces import free_terms, hom_fp_complex, hom_into_complex, induced_h0_map
 from .verdicts import Verdict
 
@@ -140,22 +140,20 @@ def double_dual_check(pkg: GeneratorPackage, window: tuple[int, int] = (-8, 2)) 
     the double dual agrees with P degreewise, which makes each
     component an invertible (identity) matrix.
     """
-    lo, hi = window
-    roundtrip = dualize_complex(pkg.dual_complex)
-    for j in range(lo, hi + 1):
-        if roundtrip.rank(j) != pkg.resolution.rank(j) \
-                or roundtrip.diff(j) != pkg.resolution.diff(j):
-            return Verdict(False, "double_dual_mismatch", {"degree": j})
+    bad = first_difference(dualize_complex(pkg.dual_complex), pkg.resolution, *window)
+    if bad is not None:
+        return Verdict(False, "double_dual_mismatch", {"degree": bad})
     return Verdict(True, "double_dual_identity", {"window": window})
 
 
 def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
                                window: tuple[int, int] = (-4, 4)) -> Verdict:
-    """Exactness of Hom(cone(comparison), Q) inside the window.
+    """Exactness of Hom(cone(comparison), Q) in the degrees of the window.
 
     The cone has M in degree -1 and P* in degrees >= 0; its Hom
     complex into Q being exact says precomposition with the comparison
-    map is a quasi-isomorphism Hom(P*, Q) -> Hom(M, Q).
+    map is a quasi-isomorphism Hom(P*, Q) -> Hom(M, Q).  The window
+    bounds the degrees checked, and so the truncation of P* used.
     """
     lo, hi = window
     span = q.support()
@@ -174,7 +172,7 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
     terms[-1] = pkg.module
     if pkg.comparison.rows and pkg.comparison.cols:
         diffs[-1] = pkg.comparison
-    sub = hom_fp_complex(terms, diffs, q, (lo - 1, hi + 1))
+    sub = hom_fp_complex(terms, diffs, q)
     for n in range(lo, hi + 1):
         if not sub.is_exact_at(n):
             return Verdict(False, "hom_not_exact", {"degree": n})
@@ -184,29 +182,31 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
 def hom_classes(pkg: GeneratorPackage, q: Complex, shift: int = 0):
     """homology_data for chain maps S^shift P* -> Q modulo homotopy.
 
-    Returns (H^0 data triple, the Hom complex) computed on a window
-    just wide enough around degree 0; the source is the truncation of
-    P* that can reach Q there, suspended.
+    Returns (H^0 data triple, the Hom complex); the source is the
+    truncation of P* that can reach Q in Hom degrees -1 and 0, the only
+    ones H^0 builds, suspended.  None when the package is incomplete and
+    P does not reach top(Q) + |shift| + 4 degrees down.
     """
     span = q.support()
     top = (span[1] if span else 0) + abs(shift) + 2
+    if not pkg.complete:
+        have = pkg.resolution.support()
+        if have is None or -have[0] < top + 2:
+            return None
     x = suspension(pkg.dual_complex.restrict(0, top), shift)
-    sub = hom_fp_complex(*free_terms(x), q, (-2, 2))
+    sub = hom_fp_complex(*free_terms(x), q)
     return sub.homology_data(0), sub
 
 
 def h0_hom_equivalence(pkg: GeneratorPackage, q: Complex) -> Verdict:
     """HomClasses(P*, Q) = H^0 Hom(M, Q) through the comparison map."""
-    span = q.support()
     if not q.is_bounded:
         return Verdict(False, "unbounded_target", {})
-    if not pkg.complete:
-        need = (span[1] if span else 0) + 4
-        have = pkg.resolution.support()
-        if have is None or -have[0] < need:
-            return Verdict(False, "window_too_small", {}, window_relative=True)
-    src_data, src_sub = hom_classes(pkg, q)
-    tgt_sub = hom_into_complex(pkg.module, q, (-2, 2))
+    classes = hom_classes(pkg, q)
+    if classes is None:
+        return Verdict(False, "window_too_small", {}, window_relative=True)
+    src_data, src_sub = classes
+    tgt_sub = hom_into_complex(pkg.module, q)
     tgt_data = tgt_sub.homology_data(0)
 
     def push(col: Mat) -> Mat:
@@ -232,8 +232,10 @@ def suspension_homology_chain(pkg: GeneratorPackage, q: Complex,
     """HomClasses(S^i P*, Q) = H^(-i) Q for each i; meaningful when M
     is the ring itself, where P* is the ring in degree 0."""
     for i in shifts:
-        (left, _, _), _ = hom_classes(pkg, q, shift=i)
-        right = homology(q, -i)
+        classes = hom_classes(pkg, q, shift=i)
+        if classes is None:
+            return Verdict(False, "window_too_small", {}, window_relative=True)
+        left, right = classes[0][0], homology(q, -i)
         if not modules_isomorphic(left, right):
             return Verdict(False, "chain_mismatch",
                            {"shift": i, "left": str(left), "right": str(right)})
@@ -251,10 +253,12 @@ def compactness_probe(pkg: GeneratorPackage, qs: list[Complex]) -> Verdict:
         return Verdict(True, "coproduct_respected", {"note": "empty family"})
     ring = pkg.ring
     total, injections, _ = finite_coproduct(qs)
-    tgt_data, tgt_sub = hom_classes(pkg, total)
+    classes = [hom_classes(pkg, x) for x in (total, *qs)]
+    if None in classes:
+        return Verdict(False, "window_too_small", {}, window_relative=True)
+    (tgt_data, tgt_sub), *summands = classes
     summand_maps = []
-    for idx, (qi, inj) in enumerate(zip(qs, injections)):
-        src_data, src_sub = hom_classes(pkg, qi)
+    for idx, ((src_data, src_sub), inj) in enumerate(zip(summands, injections)):
 
         def push(col: Mat, src_sub=src_sub, inj=inj) -> Mat:
             return tgt_sub.join(0, {i: inj.component(i) @ f

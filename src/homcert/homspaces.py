@@ -6,9 +6,13 @@ module of all q x r0 matrices as the kernel of vec(F) |-> vec(F P).
 Stringing these together over the terms of a target complex Q gives a
 complex of submodules of free modules; its homology is the honest Hom
 homology.  Cycles and boundaries are generating columns of a common
-ambient free module: exactness in a degree is one solve, every cycle a
+ambient free module (complexes.cycles_and_boundaries, as for a complex
+of frees): exactness in a degree is one solve, every cycle a
 combination of boundaries, and the homology module, where one is
-wanted, is their subquotient presentation.
+wanted, is their subquotient presentation.  No degree window is
+chosen: each degree's layout, generators and ambient differential are
+built the first time a caller reads them, and H^n reads the ambient
+differentials of degrees n - 1 and n only.
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the
@@ -23,41 +27,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .matrices import (SIZE_LIMIT, Mat, MatrixError, assemble_blocks, block_diag,
-    kernel_left, kernel_right, solve_right)
+    kernel_left, solve_right)
 from .modules import FPModule, ModuleMap, subquotient_module
-from .complexes import Complex
-from .rings import RingDescriptor
+from .complexes import Complex, cycles_and_boundaries
 
 
 @dataclass(frozen=True)
 class SubComplex:
-    """A complex whose degree-n term is the span of given columns
-    inside an ambient free module, with differentials restricted from
-    ambient maps that preserve the spans."""
+    """Hom(X, Q): the degree-n term is the span of gens_at(n) in an
+    ambient free module, and the differential is restricted from
+    ambient_diff(n).  Each degree is built on first use and cached."""
 
-    ring: RingDescriptor
-    side: str
-    ambient_ranks: dict[int, int]
-    ambient_diffs: dict[int, Mat]  # ambient_ranks[n+1] x ambient_ranks[n]
-    # layouts[n] lists (i, r0, qr): the block Hom(R^r0, Q^(i+n)) of the
-    # degree-n ambient module for source term i, qr x r0 matrices
-    # vectorized column-major, in increasing i
-    layouts: dict[int, list[tuple[int, int, int]]]
-    terms: dict[int, FPModule]  # the source terms, whose Hom modules gens_at spans
-    _gens: dict[int, Mat] = field(default_factory=dict, compare=False, repr=False)
+    terms: dict[int, FPModule]  # source term i in degree i, in increasing i
+    diffs: dict[int, Mat]  # diffs[i]: term i -> term i+1, on generators
+    q: Complex
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def layout(self, n: int) -> tuple[tuple[int, int, int], ...]:
+        """(i, r0, qr) per source term i with a nonzero block
+        Hom(R^r0, Q^(i+n)) of the degree-n ambient module, qr x r0
+        matrices vectorized column-major, in increasing i."""
+        key = ("layout", n)
+        if key not in self._cache:
+            self._cache[key] = tuple((i, m.rank0, qr) for i, m in self.terms.items()
+                                     if m.rank0 and (qr := self.q.rank(i + n)))
+        return self._cache[key]
 
     def ambient_rank(self, n: int) -> int:
-        return self.ambient_ranks.get(n, 0)
+        return sum(r0 * qr for (_, r0, qr) in self.layout(n))
 
     def split(self, n: int, col: Mat) -> dict[int, Mat]:
         """Cut a degree-n ambient column into its blocks, keyed by the
         source degree i, each as a qr x r0 matrix."""
         blocks = {}
         offset = 0
-        for (i, r0, qr) in self.layouts.get(n, []):
+        for (i, r0, qr) in self.layout(n):
             size = r0 * qr
             piece = col.submatrix(range(offset, offset + size), [0])
-            blocks[i] = Mat.unvec(self.ring, piece, qr, r0)
+            blocks[i] = Mat.unvec(self.q.ring, piece, qr, r0)
             offset += size
         return blocks
 
@@ -65,38 +72,64 @@ class SubComplex:
         """Inverse of split: blocks missing from the dict are zero, and
         blocks outside the degree-n layout are dropped."""
         entries: list[int] = []
-        for (i, r0, qr) in self.layouts.get(n, []):
+        for (i, r0, qr) in self.layout(n):
             block = blocks.get(i)
             entries.extend(block.vec().entries if block is not None else (0,) * (r0 * qr))
-        return Mat.column(self.ring, entries)
+        return Mat.column(self.q.ring, entries)
 
-    def gens_at(self, n: int) -> Mat:
-        """Generators of the degree-n term, ambient_rank(n) x (number of
-        generators): one block of hom_term_gens per layout entry, built
-        on first use, since solving in the ambient module never reads them."""
-        g = self._gens.get(n)
-        if g is None:
-            g = self._gens[n] = block_diag(self.ring, [hom_term_gens(self.terms[i], qr)
-                                                      for (i, _, qr) in self.layouts.get(n, [])])
-        return g
+    def gens_at(self, n: int) -> Mat | None:
+        """Generators of the degree-n term as ambient columns, one block
+        of hom_term_gens per layout entry; None when every term of the
+        layout is free, so the term is the whole ambient module."""
+        key = ("gens", n)
+        if key not in self._cache:
+            layout = self.layout(n)
+            self._cache[key] = None if all(self.terms[i].rank1 == 0 for (i, _, _) in layout) \
+                else block_diag(self.q.ring, [hom_term_gens(self.terms[i], qr)
+                                              for (i, _, qr) in layout])
+        return self._cache[key]
 
     def ambient_diff(self, n: int) -> Mat:
-        if n in self.ambient_diffs:
-            return self.ambient_diffs[n]
-        return Mat.zero(self.ring, self.ambient_rank(n + 1), self.ambient_rank(n))
+        """The ambient map from degree n to n+1, with the Koszul sign
+        d(f) = d_Q f - (-1)^n f d.  One of more than SIZE_LIMIT**2 cells
+        does not fit in memory as a dense matrix and is refused
+        (MatrixError) before any of its blocks is built."""
+        key = ("diff", n)
+        if key in self._cache:
+            return self._cache[key]
+        src, tgt = self.layout(n), self.layout(n + 1)
+        rows, cols = [r0 * qr for (_, r0, qr) in tgt], [r0 * qr for (_, r0, qr) in src]
+        cells = sum(rows) * sum(cols)
+        if cells > SIZE_LIMIT ** 2:
+            raise MatrixError(f"the Hom differential in degree {n} would have {cells} "
+                              f"cells, more than {SIZE_LIMIT ** 2}")
+        ring = self.q.ring
+        tgt_index = {i: pos for pos, (i, _, _) in enumerate(tgt)}
+        grid: list[list[Mat | None]] = [[None] * len(src) for _ in tgt]
+        for spos, (i, r0, qr) in enumerate(src):
+            if i in tgt_index:
+                dq = self.q.diff(i + n)
+                if not dq.is_zero():
+                    grid[tgt_index[i]][spos] = Mat.identity(ring, r0).kron(dq)
+            if (i - 1) in tgt_index:
+                t = self.diffs.get(i - 1)
+                if t is not None and not t.is_zero():
+                    m = t.transpose().kron(Mat.identity(ring, qr)).scale(1 if n % 2 else -1)
+                    prev = grid[tgt_index[i - 1]][spos]
+                    grid[tgt_index[i - 1]][spos] = m if prev is None else prev + m
+        d = self._cache[key] = assemble_blocks(ring, grid, rows, cols)
+        return d
 
     def _cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
-        """(cycle generator columns, boundary generator columns), both in
-        the degree-n ambient free module."""
-        u = self.gens_at(n)
-        cycles = u @ kernel_right(self.ambient_diff(n) @ u)
-        return cycles, self.ambient_diff(n - 1) @ self.gens_at(n - 1)
+        return cycles_and_boundaries(self.ambient_diff(n), self.ambient_diff(n - 1),
+                                     self.gens_at(n), self.gens_at(n - 1))
 
     def homology_data(self, n: int) -> tuple[FPModule, Mat, Mat]:
         """(H^n, cycle generator columns, boundary generator columns),
         both sets of columns in the degree-n ambient free module."""
         cycles, boundaries = self._cycles_and_boundaries(n)
-        return subquotient_module(self.ring, self.side, cycles, boundaries), cycles, boundaries
+        h = subquotient_module(self.q.ring, self.q.side, cycles, boundaries)
+        return h, cycles, boundaries
 
     def is_exact_at(self, n: int) -> bool:
         """H^n = 0: every cycle is a boundary, decided by one solve as in
@@ -126,88 +159,23 @@ def hom_term_gens(m: FPModule, target_rank: int) -> Mat:
 
 
 def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
-                   q: Complex, window: tuple[int, int]) -> SubComplex:
+                   q: Complex) -> SubComplex:
     """Total Hom complex of a bounded complex of f.p. modules into Q.
 
     terms[i] sits in degree i; diffs[i] acts on generators, sending
     term i into term i+1 (and must carry relations into relations).
     Koszul sign as for free Hom complexes: d(f) = d_Q f - (-1)^n f d.
-    An ambient differential of more than SIZE_LIMIT**2 cells is refused
-    (MatrixError) before any block is built.
+    Nothing is built here: every degree is built when first read.
     """
-    if not terms:
-        return SubComplex(q.ring, q.side, {}, {}, {}, terms)
-    ring = q.ring
     for m in terms.values():
-        if m.ring != ring:
+        if m.ring != q.ring:
             raise MatrixError("Hom needs source and target over the same ring")
-    lo, hi = window
-    span = (min(terms), max(terms))
-    layouts: dict[int, list[tuple[int, int, int]]] = {}
-    ambient_ranks: dict[int, int] = {}
-    for n in range(lo, hi + 2):
-        layout = []
-        for i in range(span[0], span[1] + 1):
-            if i not in terms:
-                continue
-            r0, qr = terms[i].rank0, q.rank(i + n)
-            if r0 and qr:
-                layout.append((i, r0, qr))
-        layouts[n] = layout
-        amb = sum(r0 * qr for (_, r0, qr) in layout)
-        if amb:
-            ambient_ranks[n] = amb
-    # refused before any block is built: a larger ambient differential
-    # does not fit in memory as a dense matrix
-    for n in range(lo, hi + 1):
-        cells = ambient_ranks.get(n, 0) * ambient_ranks.get(n + 1, 0)
-        if cells > SIZE_LIMIT ** 2:
-            raise MatrixError(f"the Hom differential in degree {n} would have {cells} "
-                              f"cells, more than {SIZE_LIMIT ** 2}")
-    ambient_diffs: dict[int, Mat] = {}
-    for n in range(lo, hi + 1):
-        if not ambient_ranks.get(n) or not ambient_ranks.get(n + 1):
-            continue
-        src = layouts[n]
-        tgt = layouts[n + 1]
-        tgt_index = {i: pos for pos, (i, _, _) in enumerate(tgt)}
-        grid: list[list[Mat | None]] = [[None] * len(src) for _ in tgt]
-        sgn = -1 if n % 2 else 1
-        for spos, (i, r0, qr) in enumerate(src):
-            if i in tgt_index:
-                dq = q.diff(i + n)
-                if not dq.is_zero():
-                    grid[tgt_index[i]][spos] = Mat.identity(ring, r0).kron(dq)
-            if (i - 1) in tgt_index:
-                t = diffs.get(i - 1)
-                if t is not None and not t.is_zero():
-                    m = t.transpose().kron(Mat.identity(ring, qr)).scale(-sgn)
-                    prev = grid[tgt_index[i - 1]][spos]
-                    grid[tgt_index[i - 1]][spos] = m if prev is None else prev + m
-        ambient_diffs[n] = assemble_blocks(
-            ring, grid,
-            [r0 * qr for (_, r0, qr) in tgt],
-            [r0 * qr for (_, r0, qr) in src],
-        )
-    return SubComplex(ring, q.side, ambient_ranks, ambient_diffs, layouts, terms)
+    return SubComplex(dict(sorted(terms.items())), diffs, q)
 
 
-def hom_into_complex(m: FPModule, q: Complex, window: tuple[int, int]) -> SubComplex:
+def hom_into_complex(m: FPModule, q: Complex) -> SubComplex:
     """Hom(M, Q) with M placed in degree 0."""
-    return hom_fp_complex({0: m}, {}, q, window)
-
-
-def hom_vanishing(m: FPModule, q: Complex, degrees: list[int]) -> tuple[bool, int | None]:
-    """Whether H^j Hom(M, Q) = 0 for every j in degrees.
-
-    Returns (all_zero, first failing degree).  Each degree is computed
-    on its own window, one degree wider on each side than H^j reads.
-    """
-    for j in degrees:
-        sub = hom_into_complex(m, q, (j - 2, j + 1))
-        if not sub.is_exact_at(j):
-            return False, j
-    return True, None
+    return hom_fp_complex({0: m}, {}, q)
 
 
 def induced_h0_map(src: tuple[FPModule, Mat, Mat], tgt: tuple[FPModule, Mat, Mat],

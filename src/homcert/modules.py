@@ -121,23 +121,15 @@ class ModuleMap:
         image_of_relations = self.matrix @ self.source.presentation
         return self.target.contains_in_relations(image_of_relations)
 
-    def compose(self, first: "ModuleMap") -> "ModuleMap":
-        """self o first."""
-        if first.target.rank0 != self.source.rank0:
-            raise MatrixError("composition shape mismatch")
-        return ModuleMap(first.source, self.target, self.matrix @ first.matrix)
-
-    def is_injective(self) -> bool:
-        W = kernel_right(self.matrix.hstack(self.target.presentation))
-        head = W.submatrix(range(self.source.rank0), range(W.cols))
-        return self.source.contains_in_relations(head)
-
-    def is_surjective(self) -> bool:
-        stacked = self.matrix.hstack(self.target.presentation)
-        return solve_right(stacked, Mat.identity(self.ring, self.target.rank0)) is not None
-
     def is_isomorphism(self) -> bool:
-        return self.is_well_defined() and self.is_surjective() and self.is_injective()
+        """Well defined, surjective and injective."""
+        stacked = self.matrix.hstack(self.target.presentation)
+        if not self.is_well_defined() \
+                or solve_right(stacked, Mat.identity(self.ring, self.target.rank0)) is None:
+            return False
+        W = kernel_right(stacked)
+        return self.source.contains_in_relations(
+            W.submatrix(range(self.source.rank0), range(W.cols)))
 
 
 def subquotient_module(ring: RingDescriptor, side: str, gens: Mat, zeros: Mat) -> FPModule:

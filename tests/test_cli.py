@@ -285,6 +285,16 @@ def test_decompose_depth_limit(capsys):
     assert f"--depth: must be <= {MAX_DECOMPOSE_DEPTH}" in err
 
 
+@pytest.mark.parametrize("window", ["-49..0", "-4096..0"])
+def test_decompose_window_below_the_residual_floor_passes(capsys, window):
+    # the residual leaf of the periodic Z/4 resolution is built down to
+    # degree -48, so a window reaching below it is compared from there
+    module = fx("module_z4_cyclic2")
+    code, out, _ = run(capsys, "decompose", module, f"--window={window}")
+    assert code == 0
+    assert out == run(capsys, "decompose", module, "--window=-48..0")[1]
+
+
 def test_format_version_1_exits_2(capsys, tmp_path):
     doc = json.loads(pathlib.Path(fx("module_z_cyclic6")).read_text())
     doc["version"] = "1"

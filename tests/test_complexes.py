@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from homcert import complexes
 from homcert.complexes import (ChainMap, Complex, ComplexError, Homotopy,
                                PeriodicTail, cone, contraction, dualize_complex,
-                               finite_coproduct, homology,
+                               finite_coproduct, first_difference, homology,
                                null_homotopy_witness, split_exactness_check,
                                suspension, twisted_sum)
-from homcert.matrices import Mat, MatrixError, block_diag
+from homcert.generator import resolve_module
+from homcert.matrices import Mat, MatrixError, block_diag, kernel_right
 from homcert.modules import FPModule, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_contractible_complex,
@@ -303,6 +305,32 @@ def test_split_exactness_exact_not_split_negative_control():
     assert v.window_relative
     cyc = v.details["cycle"]
     assert modules_isomorphic(cyc, FPModule.cyclic(ring, "left", 2))
+
+
+def test_split_exactness_computes_each_kernel_once(monkeypatch):
+    # the Z/4 resolution of Z/2 (2 in every degree) is exact and not
+    # split; the cycles of the exactness loop serve the projectivity loop
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return kernel_right(a)
+
+    monkeypatch.setattr(complexes, "kernel_right", counting)
+    p, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
+    v = split_exactness_check(p, (-6, 0))
+    assert v.code == "exact_not_split" and v.details["degree"] == -5
+    assert len(calls) == 5
+
+
+def test_first_difference_names_the_lowest_differing_degree():
+    c = two_term(ZZ, 2, lo=-2)
+    assert first_difference(c, c, -5, 5) is None
+    assert first_difference(c, two_term(ZZ, 3, lo=-2), -5, 5) == -2
+    # d^-3 is 1x0 into c's degree -2 and 0x0 in the other
+    assert first_difference(c, two_term(ZZ, 2, lo=-1), -5, 5) == -3
+    assert first_difference(c, two_term(ZZ, 2, lo=-1), 0, 5) == 0
+    assert first_difference(c, two_term(ZZ, 2, lo=-1), 1, 5) is None
 
 
 def test_chain_map_commutation_check():

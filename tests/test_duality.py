@@ -8,8 +8,8 @@ from homcert import duality
 from homcert.complexes import (ChainMap, Complex, PeriodicTail, dualize_complex,
                                twisted_sum)
 from homcert.documents import emit_document, make_document
-from homcert.duality import (BuildTree, _leaf, decompose_resolution, dualize_chain_map,
-                             duality_roundtrip_check, rebuild_verify)
+from homcert.duality import (RESIDUAL_FLOOR, BuildTree, _leaf, decompose_resolution,
+                             dualize_chain_map, duality_roundtrip_check, rebuild_verify)
 from homcert.generator import resolve_module
 from homcert.matrices import Mat, MatrixError
 from homcert.modules import FPModule
@@ -325,3 +325,19 @@ def test_rebuild_verify_builds_each_cone_once(monkeypatch, n, a):
     tree = decompose_resolution(p, depth=8)
     assert rebuild_verify(tree, (-8, 0)).ok
     assert len(calls) == len(list(_cone_paths(tree)))
+
+
+def test_rebuild_verify_compares_a_residual_tree_where_it_is_built():
+    # depth 8 leaves a residual leaf at -16, built down to -16 + RESIDUAL_FLOOR
+    p, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
+    tree = decompose_resolution(p, depth=8)
+    floor = -16 + RESIDUAL_FLOOR
+    v = rebuild_verify(tree, (floor - 1, 0))
+    assert v.ok and v.window_relative and v.details["window"] == (floor, 0)
+    assert rebuild_verify(tree, (floor, 0)).details["window"] == (floor, 0)
+    # a wrong target degree above the floor still fails
+    q = p.restrict(floor - 8, 0)
+    diffs = {j: m for j, m in q.diffs.items() if j != floor + 4}
+    wrong = replace(tree, target=Complex(q.ring, q.side, q.ranks, diffs))
+    v = rebuild_verify(wrong, (floor - 1, 0))
+    assert not v.ok and v.code == "rebuild_mismatch" and v.details == {"degree": floor + 4}

@@ -155,6 +155,22 @@ def test_depth_truncated_package_reports_window_relative():
     assert not v.ok and v.code == "window_too_small" and v.window_relative
 
 
+def test_every_hom_classes_check_refuses_a_too_shallow_package():
+    # P of depth 1 ends at degree -1, and Q reaches degree 1: every
+    # HomClasses check needs P down to top(Q) + |shift| + 4
+    ring = Zmod(4)
+    pkg = build_generator(FPModule.cyclic(ring, "left", 2), depth=1)
+    assert not pkg.complete
+    two = Mat(ring, 1, 1, (2,))
+    q = Complex(ring, "left", {-1: 1, 0: 1, 1: 1}, {-1: two, 0: two})
+    for v in (h0_hom_equivalence(pkg, q), compactness_probe(pkg, [q]),
+              compactness_probe(pkg, [q, Complex.single(ring, "left", 1)]),
+              suspension_homology_chain(pkg, q, range(-1, 2))):
+        assert not v.ok and v.code == "window_too_small" and v.window_relative
+    full = build_generator(FPModule.cyclic(ring, "left", 2))
+    assert full.complete and compactness_probe(full, [q]).ok
+
+
 def test_compactness_probe_finite_coproducts():
     rng = random.Random(41)
     for ring in RINGS:

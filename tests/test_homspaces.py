@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from homcert import homspaces
-from homcert.complexes import Complex, PeriodicTail, homology_data, is_exact_at
+from homcert.complexes import Complex, PeriodicTail, homology, homology_data, is_exact_at
 from homcert.generator import build_generator, hom_classes
-from homcert.homspaces import (hom_fp_complex, hom_into_complex, hom_term_gens,
-                               hom_vanishing)
-from homcert.matrices import SIZE_LIMIT, Mat, MatrixError, colspan_canonical, kernel_right
+from homcert.homspaces import hom_fp_complex, hom_into_complex, hom_term_gens
+from homcert.matrices import (SIZE_LIMIT, Mat, MatrixError, assemble_blocks,
+                              colspan_canonical, kernel_right)
 from homcert.modules import FPModule, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_bounded_complex, random_fp_module, random_matrix
@@ -19,7 +19,7 @@ def test_hom_from_free_recovers_homology():
     # Hom(R, Q) = Q, so its homology is the homology of Q
     ring = ZZ
     q = Complex(ring, "left", {-1: 1, 0: 1}, {-1: Mat(ring, 1, 1, (2,))})
-    sub = hom_into_complex(FPModule.free(ring, "left", 1), q, (-3, 3))
+    sub = hom_into_complex(FPModule.free(ring, "left", 1), q)
     assert modules_isomorphic(sub.homology_data(0)[0], FPModule.cyclic(ring, "left", 2))
     assert sub.homology_data(-1)[0].is_zero()
 
@@ -29,7 +29,7 @@ def test_hom_from_torsion_into_free_target_vanishes():
     ring = ZZ
     q = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))})
     m = FPModule.cyclic(ring, "left", 2)
-    sub = hom_into_complex(m, q, (-2, 3))
+    sub = hom_into_complex(m, q)
     for n in range(-1, 3):
         assert sub.homology_data(n)[0].is_zero()
 
@@ -40,7 +40,7 @@ def test_hom_from_torsion_sees_torsion_target():
     ring = Zmod(4)
     q = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))})
     m = FPModule.cyclic(ring, "left", 2)
-    sub = hom_into_complex(m, q, (-1, 2))
+    sub = hom_into_complex(m, q)
     assert modules_isomorphic(sub.homology_data(0)[0], m)
     assert modules_isomorphic(sub.homology_data(1)[0], m)
 
@@ -51,8 +51,7 @@ def test_hom_vanishing_on_orthogonal_target():
     q = Complex(ring, "left", {0: 1}, {})
     m = FPModule.cyclic(ring, "left", 2)
     # M = Z/6 / (2) = Z/2; Hom(Z/2, Z/6) = Z/2 != 0, so no vanishing
-    ok, bad = hom_vanishing(m, q, [0])
-    assert not ok and bad == 0
+    assert not hom_into_complex(m, q).is_exact_at(0)
 
 
 def test_hom_vanishing_positive_case():
@@ -60,8 +59,8 @@ def test_hom_vanishing_positive_case():
     ring = ZZ
     q = Complex(ring, "left", {-1: 1, 0: 1}, {-1: Mat(ring, 1, 1, (7,))})
     m = FPModule.cyclic(ring, "left", 5)
-    ok, bad = hom_vanishing(m, q, [-1, 0])
-    assert ok and bad is None
+    sub = hom_into_complex(m, q)
+    assert sub.is_exact_at(-1) and sub.is_exact_at(0)
 
 
 def test_hom_fp_complex_free_terms_agree_with_hom_into_complex():
@@ -69,8 +68,8 @@ def test_hom_fp_complex_free_terms_agree_with_hom_into_complex():
     for ring in (ZZ, Fp(5), Zmod(4)):
         q = random_bounded_complex(rng, ring)
         m = FPModule.free(ring, "left", 2)
-        a = hom_into_complex(m, q, (-3, 3))
-        b = hom_fp_complex({0: m}, {}, q, (-3, 3))
+        a = hom_into_complex(m, q)
+        b = hom_fp_complex({0: m}, {}, q)
         for n in range(-2, 3):
             assert modules_isomorphic(a.homology_data(n)[0], b.homology_data(n)[0])
 
@@ -83,7 +82,7 @@ def test_hom_fp_complex_of_two_term_source():
     terms = {-1: free, 0: free}
     diffs = {-1: Mat(ring, 1, 1, (2,))}
     q = Complex(ring, "left", {0: 1}, {})
-    sub = hom_fp_complex(terms, diffs, q, (-2, 3))
+    sub = hom_fp_complex(terms, diffs, q)
     # H^0 = Hom(coker 2, Z) = 0; H^1 = Z/2
     assert sub.homology_data(0)[0].is_zero()
     assert modules_isomorphic(sub.homology_data(1)[0], FPModule.cyclic(ring, "left", 2))
@@ -95,7 +94,7 @@ def test_hom_into_periodic_complex_is_window_computable():
     q = Complex(ring, "left", {0: 1, 1: 1}, {0: two},
                 tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
     m = FPModule.free(ring, "left", 1)
-    sub = hom_into_complex(m, q.restrict(-4, 4), (-3, 3))
+    sub = hom_into_complex(m, q.restrict(-4, 4))
     for n in range(-2, 3):
         assert sub.homology_data(n)[0].is_zero()
 
@@ -112,7 +111,7 @@ def assert_square_zero(sub, lo, hi):
 def test_hom_fp_complex_differential_square_zero_and_h0():
     # Hom(C, C) for C = (Z --2--> Z): H^0 contains the identity class
     c = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
-    sub = hom_fp_complex(free_terms(c), c.diffs, c, (-2, 2))
+    sub = hom_fp_complex(free_terms(c), c.diffs, c)
     assert_square_zero(sub, -2, 2)
     assert not sub.homology_data(0)[0].is_zero()
 
@@ -123,7 +122,7 @@ def test_hom_fp_complex_square_zero_on_random_and_generator_sources():
         for _ in range(4):
             x = random_bounded_complex(rng, ring)
             q = random_bounded_complex(rng, ring)
-            assert_square_zero(hom_fp_complex(free_terms(x), x.diffs, q, (-3, 3)), -3, 3)
+            assert_square_zero(hom_fp_complex(free_terms(x), x.diffs, q), -3, 3)
             pkg = build_generator(random_fp_module(rng, ring, max_rank=2))
             for shift in (-1, 0, 1):
                 _, sub = hom_classes(pkg, q, shift)
@@ -146,12 +145,12 @@ def test_split_and_join_are_inverse_on_the_block_layout():
     for ring in (ZZ, Zmod(12)):
         x = random_bounded_complex(rng, ring)
         q = random_bounded_complex(rng, ring)
-        sub = hom_fp_complex(free_terms(x), x.diffs, q, (-2, 2))
+        sub = hom_fp_complex(free_terms(x), x.diffs, q)
         for n in range(-2, 3):
             col = random_matrix(rng, ring, sub.ambient_rank(n), 1)
             blocks = sub.split(n, col)
-            assert sorted(blocks) == [i for (i, _, _) in sub.layouts[n]]
-            for (i, r0, qr) in sub.layouts[n]:
+            assert sorted(blocks) == [i for (i, _, _) in sub.layout(n)]
+            for (i, r0, qr) in sub.layout(n):
                 assert (blocks[i].rows, blocks[i].cols) == (qr, r0)
                 assert q.rank(i + n) == qr and x.rank(i) == r0
             assert sub.join(n, blocks) == col
@@ -168,7 +167,7 @@ def test_an_oversized_hom_complex_is_refused_before_any_block(monkeypatch):
     monkeypatch.setattr(Mat, "kron", refuse)
     x = Complex(ZZ, "left", {0: SIZE_LIMIT, 1: SIZE_LIMIT}, {})
     with pytest.raises(MatrixError, match=f"degree -1 would have {2 ** 49} cells"):
-        hom_fp_complex(free_terms(x), {}, x, (-1, -1))
+        hom_fp_complex(free_terms(x), {}, x).ambient_diff(-1)
 
 
 EXACTNESS_RINGS = [ZZ, Fp(7), Zmod(4), Zmod(8), Zmod(12)]
@@ -197,7 +196,7 @@ def test_exactness_agrees_with_homology_on_multiplication_by_two(ring):
     if ring in (ZZ, Fp(7)):
         assert kernel_right(two.diff(-1)).cols == 0
     # Hom(R, Q) = Q
-    sub = hom_into_complex(FPModule.free(ring, "left", 1), two, (-3, 3))
+    sub = hom_into_complex(FPModule.free(ring, "left", 1), two)
     assert assert_exactness_agrees(sub.is_exact_at, sub.homology_data, range(-2, 3)) \
         == exact[1:]
 
@@ -206,7 +205,7 @@ def test_exactness_agrees_with_homology_on_a_hom_complex_with_h0_z2():
     # Hom(C, C) for C = (Z --2--> Z) is Hom(Z/2, Z/2) in degree 0 and
     # Ext^1(Z/2, Z/2) in degree 1, both Z/2
     c = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
-    sub = hom_fp_complex(free_terms(c), c.diffs, c, (-2, 2))
+    sub = hom_fp_complex(free_terms(c), c.diffs, c)
     exact = assert_exactness_agrees(sub.is_exact_at, sub.homology_data, range(-1, 3))
     assert exact == [True, False, False, True]
     assert modules_isomorphic(sub.homology_data(0)[0], FPModule.cyclic(ZZ, "left", 2))
@@ -219,6 +218,67 @@ def test_exactness_agrees_with_homology_on_random_complexes(ring, seed):
     q = random_bounded_complex(rng, ring)
     assert_exactness_agrees(partial(is_exact_at, q), partial(homology_data, q), range(-4, 5))
     x = random_bounded_complex(rng, ring, max_pieces=2)
-    for sub in (hom_into_complex(random_fp_module(rng, ring, max_rank=2), q, (-3, 3)),
-                hom_fp_complex(free_terms(x), x.diffs, q, (-3, 3))):
+    for sub in (hom_into_complex(random_fp_module(rng, ring, max_rank=2), q),
+                hom_fp_complex(free_terms(x), x.diffs, q)):
         assert_exactness_agrees(sub.is_exact_at, sub.homology_data, range(-2, 3))
+
+
+# -- degrees built on first use ---------------------------------------
+
+
+def _z4_two_chain():
+    # Z/4 --2--> Z/4 --2--> Z/4 in degrees -1..1
+    ring = Zmod(4)
+    two = Mat(ring, 1, 1, (2,))
+    return Complex(ring, "left", {-1: 1, 0: 1, 1: 1}, {-1: two, 0: two})
+
+
+def test_hom_classes_builds_only_the_differentials_h0_reads(monkeypatch):
+    built = []
+
+    def counting(ring, grid, rows, cols):
+        built.append((sum(rows), sum(cols)))
+        return assemble_blocks(ring, grid, rows, cols)
+
+    monkeypatch.setattr(homspaces, "assemble_blocks", counting)
+    pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
+    (h0, _, _), sub = hom_classes(pkg, _z4_two_chain())
+    # H^0 reads the ambient differentials of degrees -1 and 0, each once
+    assert len(built) == 2
+    assert built == [(sub.ambient_rank(1), sub.ambient_rank(0)),
+                     (sub.ambient_rank(0), sub.ambient_rank(-1))]
+    assert not h0.is_zero()
+
+
+def test_an_all_free_hom_complex_multiplies_by_no_identity(monkeypatch):
+    # every term is the whole ambient module: no generator block is
+    # built, and exactness is one kernel and one solve with no product
+    rng = random.Random(13)
+    products = []
+    matmul = Mat.__matmul__
+
+    def recording(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    for ring in EXACTNESS_RINGS:
+        x = random_bounded_complex(rng, ring, max_pieces=2)
+        q = random_bounded_complex(rng, ring)
+        sub = hom_fp_complex(free_terms(x), x.diffs, q)
+        monkeypatch.setattr(Mat, "__matmul__", recording)
+        exact = [sub.is_exact_at(n) for n in range(-3, 4)]
+        monkeypatch.setattr(Mat, "__matmul__", matmul)
+        assert all(sub.gens_at(n) is None for n in range(-4, 4))
+        assert exact == [sub.homology_data(n)[0].is_zero() for n in range(-3, 4)]
+    assert products == []
+
+
+@pytest.mark.parametrize("ring", EXACTNESS_RINGS, ids=str)
+def test_hom_from_the_ring_has_the_homology_of_its_target_in_every_degree(ring):
+    rng = random.Random(f"hom-from-R/{ring}")
+    for _ in range(4):
+        q = random_bounded_complex(rng, ring)
+        span = q.support() or (0, 0)
+        sub = hom_into_complex(FPModule.free(ring, "left", 1), q)
+        for n in range(span[0] - 3, span[1] + 4):
+            assert modules_isomorphic(sub.homology_data(n)[0], homology(q, n)), n

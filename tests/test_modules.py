@@ -43,7 +43,7 @@ def test_projective_section_splits_presentation():
     proj = ModuleMap(FPModule.free(m.ring, m.side, m.rank0), m,
                      Mat.identity(m.ring, m.rank0))
     # two maps into M agree when their difference lies in M's relations
-    assert m.contains_in_relations(proj.compose(sec).matrix - Mat.identity(m.ring, m.rank0))
+    assert m.contains_in_relations(proj.matrix @ sec.matrix - Mat.identity(m.ring, m.rank0))
 
 
 def test_dual_of_torsion_over_Z_vanishes():
@@ -123,3 +123,16 @@ def test_elements_equal_respects_relations(ring):
     y = Mat(ring, 1, 1, (2,)) if ring.modulus != 5 else x
     # x and y are equal in M when x - y lies in the relations
     assert m.contains_in_relations(x - y)
+
+
+def test_is_isomorphism_needs_well_defined_surjective_and_injective():
+    ring = Zmod(4)
+    z2, z4 = FPModule.cyclic(ring, "left", 2), FPModule.free(ring, "left", 1)
+    one, two = Mat(ring, 1, 1, (1,)), Mat(ring, 1, 1, (2,))
+    assert ModuleMap(z2, z2, one).is_isomorphism()
+    assert ModuleMap(z4, z4, Mat(ring, 1, 1, (3,))).is_isomorphism()
+    assert not ModuleMap(z2, z4, one).is_isomorphism()  # not well defined
+    assert not ModuleMap(z4, z4, two).is_isomorphism()  # not surjective
+    assert not ModuleMap(z4, z2, one).is_isomorphism()  # not injective
+    z2_twice = FPModule(ring, "left", Mat(ring, 2, 2, (2, 0, 0, 2)))
+    assert not ModuleMap(z2_twice, z2, Mat(ring, 1, 2, (1, 0))).is_isomorphism()
