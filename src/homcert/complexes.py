@@ -403,19 +403,15 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], 
 # homology command and the report of a non-exact degree.
 
 
-def cycles_and_boundaries(d: Mat, d_in: Mat, u: Mat | None = None,
-                          u_in: Mat | None = None) -> tuple[Mat, Mat]:
-    """(cycle generators, boundary generators) of one degree, as ambient
-    columns: d leaves the degree and d_in enters it; u and u_in generate
-    the term and the term below, None where a term is the whole ambient
-    module (always for a Complex)."""
-    cycles = kernel_right(d) if u is None else u @ kernel_right(d @ u)
-    return cycles, d_in if u_in is None else d_in @ u_in
+def cycles_and_boundaries(c: Complex, j: int) -> tuple[Mat, Mat]:
+    """(cycle generators, boundary generators) of degree j, as columns of
+    the term c^j."""
+    return kernel_right(c.diff(j)), c.diff(j - 1)
 
 
 def homology_data(c: Complex, j: int) -> tuple[FPModule, Mat, Mat]:
     """(H^j as a module on the kernel generators, cycle gens, boundary gens)."""
-    U, V = cycles_and_boundaries(c.diff(j), c.diff(j - 1))
+    U, V = cycles_and_boundaries(c, j)
     return subquotient_module(c.ring, c.side, U, V), U, V
 
 
@@ -431,7 +427,7 @@ def is_exact_at(c: Complex, j: int) -> bool:
     Z, exact over Z, Z/n and F_p; Y is the exactness witness.  No
     homology module is built.
     """
-    U, V = cycles_and_boundaries(c.diff(j), c.diff(j - 1))
+    U, V = cycles_and_boundaries(c, j)
     return solve_right(V, U) is not None
 
 
@@ -492,7 +488,7 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
     window_relative = not c.is_bounded
     cycles = {}
     for j in range(lo + 1, hi):
-        cycles[j], boundaries = cycles_and_boundaries(c.diff(j), c.diff(j - 1))
+        cycles[j], boundaries = cycles_and_boundaries(c, j)
         if solve_right(boundaries, cycles[j]) is None:
             h = subquotient_module(c.ring, c.side, cycles[j], boundaries)
             return Verdict(False, "not_exact", {"degree": j, "homology": h}, window_relative)

@@ -217,7 +217,8 @@ def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
     from its built children.  The decomposition reproduces the target
     exactly, so the homotopy equivalence witness is the identity pair
     with zero homotopies.  A residual tree is compared from its lowest
-    built degree up; the verdict reports the window compared.
+    built degree up (window_too_small wholly below it); the verdict
+    reports the window compared.
     """
     lo, hi = window
     window_relative = tree.has_residual()
@@ -227,7 +228,11 @@ def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
         return Verdict(False, "attaching_map_not_chain_map",
                        {"support": exc.args[1]}, window_relative)
     if window_relative and built.support() is not None:
-        lo = max(lo, built.support()[0])
+        floor = built.support()[0]
+        lo = max(lo, floor)
+        if lo > hi:
+            return Verdict(False, "window_too_small", {"window": window, "floor": floor},
+                           window_relative)
     bad = first_difference(built, tree.target, lo, hi)
     if bad is not None:
         return Verdict(False, "rebuild_mismatch", {"degree": bad}, window_relative)

@@ -7,7 +7,8 @@ exists (columns of the kernel of the row a); for a cycle module Z^j of
 an exact complex, the relation is first lifted through the surjection
 sigma : Q^(j-1) -> Z^j, certified in the free term, and pushed back
 down, exactly when the Hom-vanishing hypothesis H^j Hom(M, Q) = 0
-holds for the module M spanned by the z's.
+holds for the module M spanned by the z's; the lift is a column of the
+solve that decides that hypothesis in the Hom complex.
 
 All certificates re-verify through an independent checker that only
 multiplies matrices.
@@ -106,44 +107,33 @@ def cycle_flatness_probe(q: Complex, j: int, rel: FlatRelation) -> Verdict:
     """Certify a relation among cycles in Z^j of an exact complex.
 
     Pipeline: exactness at j; the Hom-vanishing hypothesis for the
-    module spanned by the z's; the sigma-factorization lift; the free
-    certificate in the term below; push-down.  Failure of the
-    hypothesis is reported with the non-vanishing Hom degree (the
-    expected outcome for complexes not orthogonal to the generators).
+    module M spanned by the z's; the free certificate in the term
+    below; push-down.  Z is a degree-j cycle of Hom(M, Q), so the solve
+    deciding H^j Hom(M, Q) = 0, with vec(Z) appended, lifts Z = d F to
+    F in Hom(M, Q^(j-1)).  Failure of the hypothesis is reported with
+    the non-vanishing Hom degree (the expected outcome for complexes
+    not orthogonal to the generators).
     """
     ring = q.ring
-    d_in = q.diff(j - 1)
-    d_out = q.diff(j)
     if rel.z.rows != q.rank(j):
         raise MatrixError("relation columns do not live in the degree-j term")
-    if not (d_out @ rel.z).is_zero():
+    if not (q.diff(j) @ rel.z).is_zero():
         return Verdict(False, "not_cycles", {"degree": j})
     if not is_exact_at(q, j):
         return Verdict(False, "not_exact", {"degree": j})
     # the module spanned by the z's, presented on them
-    relations = colspan_canonical(kernel_right(rel.z))
-    m = FPModule(ring, q.side, relations)
-    if not hom_into_complex(m, q).is_exact_at(j):
-        return Verdict(False, "hom_hypothesis_fails", {"degree": j})
-    # lift: F with d^(j-1) F = Z and F (relations of M) = 0
-    mcount = rel.length
-    rank_below = q.rank(j - 1)
-    top = Mat.identity(ring, mcount).kron(d_in)
-    rhs_top = rel.z.vec()
-    if relations.cols:
-        bottom = relations.transpose().kron(Mat.identity(ring, rank_below))
-        system = top.vstack(bottom)
-        rhs = rhs_top.vstack(Mat.zero(ring, bottom.rows, 1))
-    else:
-        system = top
-        rhs = rhs_top
-    sol = solve_right(system, rhs)
+    m = FPModule(ring, q.side, colspan_canonical(kernel_right(rel.z)))
+    hom = hom_into_complex(m, q)
+    cycles, boundaries = hom.cycles_and_boundaries(j)
+    sol = solve_right(boundaries, cycles.hstack(rel.z.vec()))
     if sol is None:
-        return Verdict(False, "lift_failed", {"degree": j})
-    lift = Mat.unvec(ring, sol, rank_below, mcount)
-    pushed = FlatRelation(ring, rel.a, lift)
-    free_cert = flat_certificate(pushed)
-    final = FlatCertificate(free_cert.ast, d_in @ free_cert.q)
+        return Verdict(False, "hom_hypothesis_fails", {"degree": j})
+    y = sol.submatrix(range(sol.rows), [sol.cols - 1])
+    u = hom.gens_at(j - 1)
+    lift = hom.split(j - 1, y if u is None else u @ y).get(
+        0, Mat.zero(ring, q.rank(j - 1), rel.length))
+    free_cert = flat_certificate(FlatRelation(ring, rel.a, lift))
+    final = FlatCertificate(free_cert.ast, q.diff(j - 1) @ free_cert.q)
     if not check_certificate(rel, final):
         return Verdict(False, "certificate_check_failed", {"degree": j})
     return Verdict(True, "certified",

@@ -114,13 +114,17 @@ def _trusted_resolution_floor(pkg: GeneratorPackage) -> int | None:
 
 
 def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) -> Verdict:
-    """P resolves M*: H^0(P) = M*, H^j(P) = 0 for j < 0."""
+    """P resolves M*: H^0(P) = M*, H^j(P) = 0 for j < 0, from the floor
+    of a truncated resolution up (window_too_small wholly below it)."""
     lo, hi = window
     hi = min(hi, 0)
     floor = _trusted_resolution_floor(pkg)
     window_relative = floor is not None and lo < floor
     if window_relative:
         lo = floor
+        if lo > hi:
+            return Verdict(False, "window_too_small", {"window": window, "floor": floor},
+                           window_relative)
     h0 = homology(pkg.resolution, 0)
     if not modules_isomorphic(h0, pkg.dual):
         return Verdict(False, "degree_zero_mismatch",

@@ -6,13 +6,14 @@ module of all q x r0 matrices as the kernel of vec(F) |-> vec(F P).
 Stringing these together over the terms of a target complex Q gives a
 complex of submodules of free modules; its homology is the honest Hom
 homology.  Cycles and boundaries are generating columns of a common
-ambient free module (complexes.cycles_and_boundaries, as for a complex
-of frees): exactness in a degree is one solve, every cycle a
-combination of boundaries, and the homology module, where one is
-wanted, is their subquotient presentation.  No degree window is
-chosen: each degree's layout, generators and ambient differential are
-built the first time a caller reads them, and H^n reads the ambient
-differentials of degrees n - 1 and n only.
+ambient free module (SubComplex.cycles_and_boundaries), so each Hom
+question is one solve against the boundaries: exactness, a preimage of
+given cycles (the flatness lift), or the coordinates of pushed cycles
+(induced_h0_map).  The homology module, where one is wanted, is their
+subquotient presentation.  No degree window is chosen: each degree's
+layout, generators and ambient differential are built the first time a
+caller reads them, and H^n reads the ambient differentials of degrees
+n - 1 and n only.
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the
@@ -27,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .matrices import (SIZE_LIMIT, Mat, MatrixError, assemble_blocks, block_diag,
-    kernel_left, solve_right)
+    kernel_left, kernel_right, solve_right)
 from .modules import FPModule, ModuleMap, subquotient_module
-from .complexes import Complex, cycles_and_boundaries
+from .complexes import Complex
 
 
 @dataclass(frozen=True)
@@ -120,21 +121,32 @@ class SubComplex:
         d = self._cache[key] = assemble_blocks(ring, grid, rows, cols)
         return d
 
-    def _cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
-        return cycles_and_boundaries(self.ambient_diff(n), self.ambient_diff(n - 1),
-                                     self.gens_at(n), self.gens_at(n - 1))
+    def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
+        """(cycle generators, boundary generators) of degree n as ambient
+        columns.  ambient_diff(n) @ gens_at(n) is formed once per degree:
+        its kernel gives the cycles at n, and it is the boundaries at n + 1."""
+        u = self.gens_at(n)
+        cycles = kernel_right(self._restricted_diff(n))
+        return (cycles if u is None else u @ cycles), self._restricted_diff(n - 1)
+
+    def _restricted_diff(self, n: int) -> Mat:
+        key = ("restricted", n)
+        if key not in self._cache:
+            u = self.gens_at(n)
+            self._cache[key] = self.ambient_diff(n) if u is None else self.ambient_diff(n) @ u
+        return self._cache[key]
 
     def homology_data(self, n: int) -> tuple[FPModule, Mat, Mat]:
         """(H^n, cycle generator columns, boundary generator columns),
         both sets of columns in the degree-n ambient free module."""
-        cycles, boundaries = self._cycles_and_boundaries(n)
+        cycles, boundaries = self.cycles_and_boundaries(n)
         h = subquotient_module(self.q.ring, self.q.side, cycles, boundaries)
         return h, cycles, boundaries
 
     def is_exact_at(self, n: int) -> bool:
         """H^n = 0: every cycle is a boundary, decided by one solve as in
         complexes.is_exact_at, without building H^n."""
-        cycles, boundaries = self._cycles_and_boundaries(n)
+        cycles, boundaries = self.cycles_and_boundaries(n)
         return solve_right(boundaries, cycles) is not None
 
 
@@ -184,22 +196,19 @@ def induced_h0_map(src: tuple[FPModule, Mat, Mat], tgt: tuple[FPModule, Mat, Mat
 
     src and tgt are homology_data triples; push maps an ambient column
     of the source degree to an ambient column of the target degree and
-    must carry cycles to cycles and boundaries to boundaries.  Returns
-    None when some pushed cycle is not expressible (push does not
-    descend).
+    must carry cycles to cycles and boundaries to boundaries.  All
+    pushed cycles are expressed in the target's cycles and boundaries
+    by one solve, whose top block (the cycle coordinates) is the map.
+    Returns None when some pushed cycle is not expressible (push does
+    not descend).
     """
     s_mod, s_cycles, _ = src
     t_mod, t_cycles, t_bounds = tgt
-    cols = []
-    stacked = t_cycles.hstack(t_bounds)
-    for c in range(s_cycles.cols):
-        pushed = push(s_cycles.submatrix(range(s_cycles.rows), [c]))
-        x = solve_right(stacked, pushed)
-        if x is None:
-            return None
-        cols.append([x.entries[r] for r in range(t_cycles.cols)])
-    ring = s_mod.ring
-    matrix = Mat(ring, t_cycles.cols, s_cycles.cols,
-                 tuple(cols[c][r] for r in range(t_cycles.cols)
-                       for c in range(s_cycles.cols)))
-    return ModuleMap(s_mod, t_mod, matrix)
+    cols = [push(s_cycles.submatrix(range(s_cycles.rows), [c])).entries
+            for c in range(s_cycles.cols)]
+    pushed = Mat(s_mod.ring, t_cycles.rows, len(cols),
+                 tuple(col[r] for r in range(t_cycles.rows) for col in cols))
+    x = solve_right(t_cycles.hstack(t_bounds), pushed)
+    if x is None:
+        return None
+    return ModuleMap(s_mod, t_mod, x.submatrix(range(t_cycles.cols), range(s_cycles.cols)))

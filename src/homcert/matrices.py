@@ -210,12 +210,6 @@ class Mat:
                         + list(other.entries[i * other.cols : (i + 1) * other.cols]))
         return Mat.from_rows(self.ring, rows) if rows else Mat(self.ring, 0, self.cols + other.cols)
 
-    def vstack(self, other: "Mat") -> "Mat":
-        self._check_same_ring(other)
-        if self.cols != other.cols:
-            raise MatrixError("column count mismatch in vstack")
-        return Mat(self.ring, self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def submatrix(self, row_range: range, col_range: range) -> "Mat":
         r, c, ent = self.rows, self.cols, self.entries
         if not all(0 <= i < r for i in row_range) or not all(0 <= j < c for j in col_range):
@@ -591,18 +585,6 @@ def kernel_right(A: Mat) -> Mat:
 def kernel_left(A: Mat) -> Mat:
     """Matrix whose rows generate {x : x A = 0}; may have 0 rows."""
     return kernel_right(A.transpose()).transpose()
-
-
-def inverse(A: Mat) -> Mat | None:
-    """Two-sided inverse of a square matrix, or None."""
-    if A.rows != A.cols:
-        return None
-    X = solve_right(A, Mat.identity(A.ring, A.rows))
-    if X is None:
-        return None
-    if (X @ A) != Mat.identity(A.ring, A.rows):
-        return None
-    return X
 
 
 def smith_invariants(A: Mat) -> list[int]:

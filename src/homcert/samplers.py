@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .matrices import Mat, kernel_right
+from .matrices import Mat, kernel_right, solve_right
 from .modules import FPModule
 from .complexes import ChainMap, Complex
 from .rings import RingDescriptor
@@ -66,13 +66,12 @@ def scramble_complex(rng: random.Random, c: Complex) -> Complex:
         return c
     lo, hi = span
     change = {j: random_invertible(rng, c.ring, c.rank(j)) for j in range(lo, hi + 1)}
-    from .matrices import inverse
     ranks = {j: c.rank(j) for j in range(lo, hi + 1) if c.rank(j)}
     diffs = {}
     for j in range(lo, hi):
         d = c.diff(j)
         if d.rows and d.cols:
-            diffs[j] = inverse(change[j + 1]) @ d @ change[j]
+            diffs[j] = solve_right(change[j + 1], d @ change[j])
     return Complex(c.ring, c.side, ranks, diffs)
 
 

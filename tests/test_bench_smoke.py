@@ -7,7 +7,11 @@ tiny `cli` run checks that the tracer still finds the methods it wraps
 by name (`BuildTree.evaluate`, `Mat.__post_init__`,
 `Complex.__post_init__`), and one traced tiny `elim` run that it still
 counts the `matrices` entry points and that no output entry outgrows
-32 bits.  The full self-test of the harness is
+32 bits.  One traced tiny `certify` run checks that it still counts
+the homology and solve entry points (`complexes.homology_data`,
+`matrices.solve_right`) that the acceptance pipelines reach, so a
+signature change the tracer cannot follow fails here.  The full
+self-test of the harness is
 `python3 -m pytest bench/test_bench.py`.
 """
 
@@ -52,3 +56,9 @@ def test_bench_traced_tiny_elim_run_counts_the_matrices_entry_points():
     # Z kernels and solves stay near Hadamard's bound; an unreduced
     # unimodular transform read 113 bits here
     assert metrics["results.out_max_bits"]["value"] <= 32
+
+
+def test_bench_traced_tiny_certify_run_counts_homology_and_solves():
+    metrics = _tiny_run("certify", trace=1)["metrics"]
+    assert metrics["complexes.homology_calls"]["value"] > 0
+    assert metrics["matrices.solve_calls"]["value"] > 0

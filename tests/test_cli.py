@@ -295,6 +295,19 @@ def test_decompose_window_below_the_residual_floor_passes(capsys, window):
     assert out == run(capsys, "decompose", module, "--window=-48..0")[1]
 
 
+def test_decompose_window_wholly_below_the_residual_floor_exits_1(capsys):
+    # the residual leaf is built down to degree -48: nothing in -100..-60
+    # is compared, so the rebuild is not certified there
+    module = fx("module_z4_cyclic2")
+    code, out, _ = run(capsys, "decompose", module, "--window=-100..-60")
+    assert code == 1
+    v = out_doc(out).payload
+    assert not v.ok and v.code == "window_too_small" and v.window_relative
+    assert v.details == {"window": [-100, -60], "floor": -48}
+    code, out, _ = run(capsys, "--format", "text", "decompose", module, "--window=-100..-60")
+    assert code == 1 and out.startswith("FAIL: window_too_small")
+
+
 def test_format_version_1_exits_2(capsys, tmp_path):
     doc = json.loads(pathlib.Path(fx("module_z_cyclic6")).read_text())
     doc["version"] = "1"

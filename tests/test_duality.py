@@ -341,3 +341,14 @@ def test_rebuild_verify_compares_a_residual_tree_where_it_is_built():
     wrong = replace(tree, target=Complex(q.ring, q.side, q.ranks, diffs))
     v = rebuild_verify(wrong, (floor - 1, 0))
     assert not v.ok and v.code == "rebuild_mismatch" and v.details == {"degree": floor + 4}
+
+
+def test_rebuild_verify_fails_a_window_wholly_below_the_residual_floor():
+    p, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
+    tree = decompose_resolution(p, depth=8)
+    floor = -16 + RESIDUAL_FLOOR
+    v = rebuild_verify(tree, (floor - 40, floor - 1))
+    assert not v.ok and v.code == "window_too_small" and v.window_relative
+    assert v.details == {"window": (floor - 40, floor - 1), "floor": floor}
+    # a window that reaches the floor still compares its one degree
+    assert rebuild_verify(tree, (floor - 40, floor)).details["window"] == (floor, floor)

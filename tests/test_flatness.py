@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from homcert import complexes, flatness, homspaces
 from homcert.complexes import Complex, PeriodicTail
 from homcert.flatness import (EngineConfig, FlatCertificate, FlatRelation,
                               check_certificate, cycle_flatness_probe,
                               flat_certificate, pd_bound_collapse)
-from homcert.matrices import Mat, MatrixError
+from homcert.matrices import Mat, MatrixError, kernel_right
 from homcert.rings import Fp, Zmod, ZZ
-from homcert.samplers import random_contractible_complex, random_relation
+from homcert.samplers import random_contractible_complex, random_matrix, random_relation
 
 RINGS = [ZZ, Fp(5), Zmod(4)]
 
@@ -74,6 +75,18 @@ def test_cycle_probe_certifies_on_exact_complex():
     assert v.ok and v.code == "certified"
     cert = v.details["certificate"].certificate
     assert check_certificate(rel, cert)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)
+def test_cycle_probe_with_no_term_below_lifts_to_the_empty_map(ring):
+    # Z --1--> Z is exact at 0, so its only cycle there is 0; Hom(M, Q^-1)
+    # has no block at all, and the lift is the 0 x 2 matrix
+    q = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (1,))})
+    rel = FlatRelation(ring, Mat(ring, 1, 2, (1, 3)), Mat(ring, 1, 2, (0, 0)))
+    v = cycle_flatness_probe(q, 0, rel)
+    assert v.ok and v.code == "certified"
+    assert (v.details["certificate"].lift.rows, v.details["certificate"].lift.cols) == (0, 2)
+    assert check_certificate(rel, v.details["certificate"].certificate)
 
 
 def test_cycle_probe_rejects_non_cycles():
@@ -156,3 +169,47 @@ def test_pd_collapse_split_check_failed_on_a_window_too_small():
     assert not v.ok and v.code == "split_check_failed"
     assert v.details == {"inner": "window_too_small",
                          "details": {"support": span, "window": window}}
+
+
+PROBE_RINGS = [ZZ, Fp(7), Zmod(4), Zmod(8), Zmod(12)]
+
+
+def _boundary_relation(rng, ring, c):
+    """(j, a relation a . z = 0 among boundaries z in degree j of c)."""
+    lo, hi = c.support()
+    j = rng.choice([k for k in range(lo + 1, hi + 1) if c.rank(k - 1) and c.rank(k)])
+    a = random_matrix(rng, ring, 1, rng.randint(1, 3), 5)
+    k = kernel_right(a)
+    z = c.diff(j - 1) @ random_matrix(rng, ring, c.rank(j - 1), k.cols, 3) @ k.transpose()
+    return j, FlatRelation(ring, a, z)
+
+
+@pytest.mark.parametrize("ring", PROBE_RINGS, ids=str)
+def test_cycle_probe_certifies_seeded_relations_with_a_lift(ring):
+    rng = random.Random(f"cycle-probe/{ring}")
+    for _ in range(20):
+        c = random_contractible_complex(rng, ring)
+        j, rel = _boundary_relation(rng, ring, c)
+        v = cycle_flatness_probe(c, j, rel)
+        assert v.ok and v.code == "certified", (v.code, v.details)
+        cert = v.details["certificate"]
+        assert check_certificate(rel, cert.certificate)
+        # the lift F lies in Hom(M, Q^(j-1)) for the module M the z's
+        # span, and d^(j-1) F = Z
+        assert c.diff(j - 1) @ cert.lift == rel.z
+        assert (cert.lift @ kernel_right(rel.z)).is_zero()
+
+
+def test_a_certified_cycle_probe_makes_three_solves(monkeypatch):
+    # exactness of Q at j, then one solve in Hom(M, Q) for the hypothesis
+    # and the lift together, then the free certificate
+    calls = []
+    for mod in (flatness, homspaces, complexes):
+        def counting(a, b, solve=mod.solve_right):
+            calls.append((a.rows, a.cols, b.cols))
+            return solve(a, b)
+        monkeypatch.setattr(mod, "solve_right", counting)
+    q = exact_three_term()
+    rel = FlatRelation(ZZ, Mat(ZZ, 1, 2, (2, -1)), Mat(ZZ, 2, 2, (1, 2, 2, 4)))
+    assert cycle_flatness_probe(q, -1, rel).ok
+    assert len(calls) == 3

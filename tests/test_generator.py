@@ -179,3 +179,14 @@ def test_compactness_probe_finite_coproducts():
               for _ in range(3)]
         v = compactness_probe(pkg, qs)
         assert v.ok, (ring, v.code, v.details)
+
+
+def test_verify_resolution_fails_a_window_wholly_below_its_floor():
+    # depth 1 stops the periodic Z/4 resolution at degree -1, so only
+    # degree 0 is trusted and (-20, -10) would check no degree
+    pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2), depth=1)
+    v = verify_resolution(pkg, (-20, -10))
+    assert not v.ok and v.code == "window_too_small" and v.window_relative
+    assert v.details == {"window": (-20, -10), "floor": 0}
+    v = verify_resolution(pkg, (-20, 0))
+    assert v.ok and v.window_relative and v.details["window"] == (0, 0)

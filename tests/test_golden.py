@@ -101,7 +101,7 @@ def elim_digest(ring_name: str, kind: str) -> str:
         else:
             rank = n - rng.randint(1, 4)
             a = random_matrix(rng, ring, n, rank, 3) @ random_matrix(rng, ring, rank, n + 2, 3)
-        a = Mat(ring, 1, n + 2, (4, 6) + (0,) * n).vstack(a)
+        a = Mat(ring, n + 1, n + 2, (4, 6) + (0,) * n + a.entries)
         b = a @ random_matrix(rng, ring, n + 2, 1, 9)
         for m in (kernel_right(a), solve_right(a, b), colspan_canonical(a),
                   solve_right(a, random_matrix(rng, ring, n + 1, 1, 9))):

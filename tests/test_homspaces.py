@@ -4,7 +4,7 @@ from functools import partial
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from homcert import homspaces
+from homcert import generator, homspaces
 from homcert.complexes import Complex, PeriodicTail, homology, homology_data, is_exact_at
 from homcert.generator import build_generator, hom_classes
 from homcert.homspaces import hom_fp_complex, hom_into_complex, hom_term_gens
@@ -282,3 +282,54 @@ def test_hom_from_the_ring_has_the_homology_of_its_target_in_every_degree(ring):
         sub = hom_into_complex(FPModule.free(ring, "left", 1), q)
         for n in range(span[0] - 3, span[1] + 4):
             assert modules_isomorphic(sub.homology_data(n)[0], homology(q, n)), n
+
+
+def test_each_restricted_differential_is_formed_once(monkeypatch):
+    # the Hom complex of the cone of M -> P* has M = Z/4/(2) in degree -1
+    # and frees above it, so its layouts mix a presented term with free
+    # ones; ambient_diff(n) @ gens_at(n) serves the cycles at n and the
+    # boundaries at n + 1, and is formed once
+    subs, products = [], []
+    monkeypatch.setattr(generator, "hom_fp_complex",
+                        lambda *args: subs.append(hom_fp_complex(*args)) or subs[-1])
+    matmul = Mat.__matmul__
+
+    def recording(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", recording)
+    pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
+    assert generator.verify_generator_quasi_iso(pkg, _z4_two_chain(), (-3, 3)).ok
+    monkeypatch.setattr(Mat, "__matmul__", matmul)
+    (sub,) = subs
+    mixed = [n for n in range(-4, 4) if sub.gens_at(n) is not None and sub.layout(n + 1)]
+    assert mixed
+    for n in mixed:
+        d, u = sub.ambient_diff(n), sub.gens_at(n)
+        assert sum(a is d and b is u for a, b in products) == 1, n
+
+
+def test_induced_h0_map_is_one_solve(monkeypatch):
+    pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
+    q = _z4_two_chain()
+    src, src_sub = hom_classes(pkg, q)
+    tgt_sub = hom_into_complex(pkg.module, q)
+    tgt = tgt_sub.homology_data(0)
+
+    def push(col):
+        f0 = src_sub.split(0, col).get(0)
+        return tgt_sub.join(0, {} if f0 is None else {0: f0 @ pkg.comparison})
+
+    solves = []
+    solve = homspaces.solve_right
+    monkeypatch.setattr(homspaces, "solve_right", lambda a, b: solves.append(b.cols) or solve(a, b))
+    f = homspaces.induced_h0_map(src, tgt, push)
+    assert solves == [src[1].cols] and src[1].cols > 1
+    # column by column, the same map
+    s_cycles, (_, t_cycles, t_bounds) = src[1], tgt
+    for c in range(s_cycles.cols):
+        x = solve(t_cycles.hstack(t_bounds), push(s_cycles.submatrix(range(s_cycles.rows), [c])))
+        assert x.submatrix(range(t_cycles.cols), [0]) == \
+            f.matrix.submatrix(range(t_cycles.cols), [c])
+    assert f.is_isomorphism()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homcert.matrices import (Mat, MatrixError, _hnf, _xgcd, assemble_blocks, block_diag,
-                              colspan_canonical, inverse, kernel_left, kernel_right,
+                              colspan_canonical, kernel_left, kernel_right,
                               smith_invariants, solve_left, solve_right)
 from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
@@ -148,14 +148,9 @@ def test_inverse_of_random_invertible(ring):
     for _ in range(25):
         n = rng.randint(1, 4)
         u = random_invertible(rng, ring, n)
-        v = inverse(u)
+        v = solve_right(u, Mat.identity(ring, n))
         assert u @ v == Mat.identity(ring, n)
         assert v @ u == Mat.identity(ring, n)
-
-
-def test_inverse_rejects_singular():
-    assert inverse(Mat(ZZ, 1, 1, (2,))) is None
-    assert inverse(Mat(ZZ, 2, 2, (1, 2, 2, 4))) is None
 
 
 def test_block_diag_shapes():
