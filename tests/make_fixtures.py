@@ -60,6 +60,8 @@ def main(out: pathlib.Path = HERE):
         ZZ, "module", FPModule.cyclic(ZZ, "left", 6))
     docs["module_z4_cyclic2"] = make_document(
         Zmod(4), "module", FPModule.cyclic(Zmod(4), "left", 2))
+    docs["module_z12_cyclic4"] = make_document(
+        Zmod(12), "module", FPModule.cyclic(Zmod(12), "left", 4))
     docs["module_z_right6"] = make_document(
         ZZ, "module", FPModule.cyclic(ZZ, "right", 6))
     docs["complex_z_mult2"] = make_document(

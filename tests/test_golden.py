@@ -1,7 +1,8 @@
 """Golden digests of emitted documents.
 
 Pins the exact bytes of the `resolve`, `generator` and `decompose`
-output on every fixture module, of the verdict documents of the
+output on every fixture module, of `decompose --depth 100` on the
+periodic cyclic modules Z/4 / (2) and Z/12 / (4), of the verdict documents of the
 HomClasses checks on seeded inputs, of `split-check` (with and
 without `--bound`) verdicts on fixture complexes, and of the kernels,
 solves, canonical spans and Smith invariants of seeded `elim`-sized
@@ -45,10 +46,10 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def cli_digest(command: str, module: str) -> str:
+def cli_digest(command: str, module: str, *options: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, str(FIXTURES / f"{module}.json")])
+        code = main([command, str(FIXTURES / f"{module}.json"), *options])
     assert code == 0
     return _sha(out.getvalue())
 
@@ -120,6 +121,9 @@ GOLDEN_CLI = {
     "resolve module_f5_2": "39ad78ffd6b8137ce3eb03108bfb04d974aa01ab9eeaf9ee23680186e0ab7b46",
     "generator module_f5_2": "950b531477c837f7fc9d6dcb933ac3f012542483eff032e93ec124e3c8a8a4f3",
     "decompose module_f5_2": "936908393831259be2ef067c8b206c8325cfae2d0bf09cdbd1d91c7180874489",
+    "resolve module_z12_cyclic4": "8911c14016d8b912ae0f01bcb1897d936320662036fee5f9b39bb17507ca71c9",
+    "generator module_z12_cyclic4": "f8017a84b51ad93a96ac73286fc7777a894554e3831821e194b239edd5f60243",
+    "decompose module_z12_cyclic4": "06ec3e57b64c6e55517d0186572f51fa380bf3dbeff15b4b9c6bf42fcf80dfc1",
     "resolve module_z4_0": "3d493e3848dd014dd49d3e545ae9222adf18157b5e31ba1f8a34976f77588634",
     "generator module_z4_0": "28c6c097f2aeacc657e58261f51008035173a0ff1001d58f25d84c39edaafe3e",
     "decompose module_z4_0": "6889a762042611b9f980ef6152aa4cc7e559bd2d5df7aa38b0e262061baf153a",
@@ -147,6 +151,13 @@ GOLDEN_CLI = {
     "resolve module_z_right6": "33ab1d72577ce65ab4c129f5808f4f134e5c1950f09e724cdb64648dd08572be",
     "generator module_z_right6": "a19d95cdd2bb6ccf2671428848001b41ff9ff30a534cea71d50c41e28c60c1ef",
     "decompose module_z_right6": "6b50230e0fb452174fa7c79dc4dd26c7236c79c29b01b8ffd79f6461e8ca05c7",
+}
+
+# the deepest decomposition the CLI allows, on periodic resolutions:
+# 100 cone levels over a residual leaf
+GOLDEN_DEEP_DECOMPOSE = {
+    "module_z12_cyclic4": "70066aa172f9870989ea4295fd8814462423736140f1afa47fdd229f314b663f",
+    "module_z4_cyclic2": "66de49555e42563a2b283ba410cd505f5117951e3f62a7988dbc9bb4ce3963c6",
 }
 
 GOLDEN_VERDICTS = {
@@ -220,6 +231,11 @@ def test_cli_output_digest(command, module):
     assert cli_digest(command, module) == GOLDEN_CLI[f"{command} {module}"]
 
 
+@pytest.mark.parametrize("module", sorted(GOLDEN_DEEP_DECOMPOSE))
+def test_deep_decompose_digest(module):
+    assert cli_digest("decompose", module, "--depth", "100") == GOLDEN_DEEP_DECOMPOSE[module]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("ring_name", sorted(RINGS))
 def test_verdict_digest(ring_name, seed):
@@ -231,6 +247,9 @@ if __name__ == "__main__":
     for module in MODULES:
         for command in COMMANDS:
             print(f'    "{command} {module}": "{cli_digest(command, module)}",')
+    print("}\n\nGOLDEN_DEEP_DECOMPOSE = {")
+    for module in sorted(GOLDEN_DEEP_DECOMPOSE):
+        print(f'    "{module}": "{cli_digest("decompose", module, "--depth", "100")}",')
     print("}\n\nGOLDEN_VERDICTS = {")
     for ring_name in sorted(RINGS):
         for seed in SEEDS:
