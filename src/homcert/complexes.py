@@ -36,6 +36,12 @@ sum checks d_Y g + g d_L = 0 instead, which for checked L and Y is
 d^2 = 0 on the sum.  `ChainMap(...)`, `Homotopy(...)` and `twisted_sum`
 check that source and target are on one side, and each component's
 ring and its shape in its degree.
+
+A twisted sum has one form: nonzero ranks in increasing degree and a
+differential for exactly each adjacent pair of terms.  `restrict` gives
+it too; both mark what they build and `suspension` keeps the mark.  A
+twisted sum whose larger summand is marked costs what the degrees of
+its smaller summand cost, so iterated cones build in linear time.
 """
 
 from __future__ import annotations
@@ -96,6 +102,10 @@ class Complex:
     diffs: dict[int, Mat]
     tail_below: PeriodicTail | None = None
     tail_above: PeriodicTail | None = None
+    # True on a complex known to be in twisted_sum's form: set by
+    # restrict and twisted_sum, kept by suspension.  Not a field, so it
+    # takes no part in ==; a public Complex is never marked.
+    _sum_form = False
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -140,11 +150,13 @@ class Complex:
     @classmethod
     def _trusted(cls, ring: RingDescriptor, side: str, ranks: dict[int, int],
                  diffs: dict[int, Mat], tail_below: PeriodicTail | None = None,
-                 tail_above: PeriodicTail | None = None) -> "Complex":
-        """A Complex whose shapes and d^2 = 0 already hold, unchecked."""
+                 tail_above: PeriodicTail | None = None,
+                 sum_form: bool = False) -> "Complex":
+        """A Complex whose shapes and d^2 = 0 already hold, unchecked;
+        sum_form marks one in twisted_sum's form."""
         c = object.__new__(cls)
         c.__dict__.update(ring=ring, side=side, ranks=ranks, diffs=diffs,
-                          tail_below=tail_below, tail_above=tail_above)
+                          tail_below=tail_below, tail_above=tail_above, _sum_form=sum_form)
         return c
 
     # -- evaluation ----------------------------------------------------
@@ -184,7 +196,7 @@ class Complex:
         """Bounded brutal truncation to degrees [lo, hi]."""
         ranks = {j: r for j in range(lo, hi + 1) if (r := self.rank(j)) > 0}
         diffs = {j: self.diff(j) for j in ranks if j + 1 in ranks}
-        return Complex._trusted(self.ring, self.side, ranks, diffs)
+        return Complex._trusted(self.ring, self.side, ranks, diffs, sum_form=True)
 
     # -- constructors --------------------------------------------------
 
@@ -284,8 +296,8 @@ def suspension(c: Complex, i: int = 1) -> Complex:
         if t is None:
             return None
         return PeriodicTail(t.direction, t.threshold - i, t.period)
-    return Complex._trusted(c.ring, c.side, ranks, diffs,
-                            shift_tail(c.tail_below), shift_tail(c.tail_above))
+    return Complex._trusted(c.ring, c.side, ranks, diffs, shift_tail(c.tail_below),
+                            shift_tail(c.tail_above), sum_form=c._sum_form)
 
 
 def dualize_complex(c: Complex) -> Complex:
@@ -313,30 +325,54 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
     Its d^2 in degree j is [[d_L d_L, 0], [d_Y^(j+1) g^j + g^(j+1) d_L^j,
     d_Y d_Y]], so for checked L and Y it vanishes exactly when
     d_Y g + g d_L = 0.  That is checked from one degree below the lowest
-    component to the highest (ChainMapError) instead of forming d^2.  A
-    block matrix is built only in degrees where L and Y meet; every other
-    differential is L's, Y's or g's Mat.
+    component to the highest (ChainMapError) instead of forming d^2; an
+    absent component makes its side zero, so no product is formed for it.
+
+    The result has nonzero ranks only, in increasing degree, and a
+    differential for exactly each pair of adjacent terms.  When the
+    summand with more explicit degrees is marked as having that form
+    (Complex._sum_form), the sum starts from copies of its ranks and
+    differentials and recomputes only the degrees within one step of the
+    other summand's terms, so the cost follows the smaller summand;
+    otherwise every degree is computed.  A block matrix is built only in
+    degrees where L and Y meet; every other differential is L's, Y's or
+    g's Mat.
     """
     if not (L.is_bounded and Y.is_bounded):
         raise ComplexError("twisted sum requires bounded complexes")
     _check_components("twisting map", L, Y, g, 1)
     ring = L.ring
 
-    def twist(j: int) -> Mat:
-        return g[j] if j in g else Mat.zero(ring, Y.rank(j + 1), L.rank(j))
-
     # d_Y g = -(g d_L), compared as ChainMap.commutes compares: no
-    # checked Mat is built
+    # checked Mat is built.  Both sides map L^j to Y^(j+2); where either
+    # is zero there is nothing to compare.
     for j in range(min(g) - 1, max(g) + 1) if g else ():
-        if Y.diff(j + 1) @ twist(j) != (twist(j + 1) @ L.diff(j)).scale(-1):
+        if not (L.rank(j) and Y.rank(j + 2)):
+            continue
+        if j in g and j + 1 in g:
+            ok = Y.diff(j + 1) @ g[j] == (g[j + 1] @ L.diff(j)).scale(-1)
+        elif j in g:
+            ok = (Y.diff(j + 1) @ g[j]).is_zero()
+        else:
+            ok = j + 1 not in g or (g[j + 1] @ L.diff(j)).is_zero()
+        if not ok:
             raise ChainMapError(f"twisting map fails d g + g d = 0 in degree {j}")
     # both are bounded, so a degree missing from ranks has rank 0
     lr, yr = L.ranks, Y.ranks
-    ranks = {j: lr.get(j, 0) + yr.get(j, 0) for j in sorted(lr.keys() | yr.keys())}
-    ranks = {j: r for j, r in ranks.items() if r}
-    diffs = {}
-    for j in ranks:
-        if j + 1 not in ranks:
+    big, small = (L, Y) if len(lr) >= len(yr) else (Y, L)
+    if big._sum_form:
+        # where the smaller summand has no term the larger one's rank and
+        # differential stand as they are
+        ranks, diffs, touched = dict(big.ranks), dict(big.diffs), small.ranks.keys()
+    else:
+        ranks, diffs, touched = {}, {}, lr.keys() | yr.keys()
+    for j in sorted(touched):
+        if r := lr.get(j, 0) + yr.get(j, 0):
+            ranks[j] = r
+    if list(ranks) != sorted(ranks):
+        ranks = dict(sorted(ranks.items()))
+    for j in sorted({j - 1 for j in touched}.union(touched)):
+        if j not in ranks or j + 1 not in ranks:
             continue
         rows, cols = (lr.get(j + 1, 0), yr.get(j + 1, 0)), (lr.get(j, 0), yr.get(j, 0))
         if not (rows[0] or cols[0]):
@@ -344,11 +380,11 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
         elif not (rows[1] or cols[1]):
             diffs[j] = L.diff(j)
         elif not (rows[0] or cols[1]):
-            diffs[j] = twist(j)
+            diffs[j] = g[j] if j in g else Mat.zero(ring, rows[1], cols[0])
         else:
             diffs[j] = assemble_blocks(ring, [[L.diff(j), None], [g.get(j), Y.diff(j)]],
                                        rows, cols)
-    return Complex._trusted(ring, L.side, ranks, diffs)
+    return Complex._trusted(ring, L.side, ranks, diffs, sum_form=True)
 
 
 def cone(f: ChainMap) -> Complex:

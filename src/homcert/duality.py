@@ -20,6 +20,7 @@ window-relative residual leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .matrices import Mat, MatrixError
 from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, dualize_complex,
@@ -98,6 +99,12 @@ class BuildTree:
         negated or re-indexed.  twisted_sum checks that a cone node's
         components form a chain map; a failure is raised again with the
         support of the unshifted cone the node would build.
+
+        A cone node's complex is a twisted sum, marked with its form, so
+        the cone above it copies it and recomputes only the degrees next
+        to its other child: the differentials read and formed are linear
+        in the degrees of the tree, not in depth times degrees.  Only a
+        dict copy per cone node still grows with the lower level.
         """
         if self.kind == "leaf":
             return suspension(self.payload, shift) if shift else self.payload
@@ -115,13 +122,15 @@ class BuildTree:
                                          _shifted_support(src, tgt, shift)) from exc
         raise ValueError(f"cannot evaluate node kind {self.kind!r}")
 
-    def leaves(self) -> list["BuildTree"]:
-        if self.kind == "leaf":
-            return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+    def leaves(self) -> Iterator["BuildTree"]:
+        """The leaves from left to right, in one walk over the tree."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.kind == "leaf":
+                yield node
+            else:
+                stack.extend(reversed(node.children))
 
     def free_leaf_count(self) -> int:
         return sum(1 for leaf in self.leaves()
@@ -187,10 +196,12 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
             bottom = _leaf(rest, residual=not single)
             break
         r0, r1 = q.rank(top_degree), q.rank(top_degree - 1)
+        # Complex.single(ring, side, r, 0) without its checks, which Q's
+        # ring, side and ranks have passed
         top = BuildTree(
             "cone",
-            children=(_leaf(Complex.single(ring, side, r1, 0)),
-                      _leaf(Complex.single(ring, side, r0, 0))),
+            children=(_leaf(Complex._trusted(ring, side, {0: r1}, {})),
+                      _leaf(Complex._trusted(ring, side, {0: r0}, {}))),
             components={0: q.diff(top_degree - 1)} if r0 and r1 else {})
         if bounded and lo > top_degree - 2:
             bottom = top

@@ -266,8 +266,11 @@ def _z_resolution():
 
 
 def _tampering_cases():
-    p, _ = resolve_module(FPModule.cyclic(Zmod(4), "right", 2))
-    yield decompose_resolution(p, depth=4), (-6, 0)
+    # over Z/4, Z/12 and Z; an attaching map has one component, so the
+    # check forms one product on each side of it
+    for n, a in ((4, 2), (12, 4)):
+        p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
+        yield decompose_resolution(p, depth=4), (-6, 0)
     q = _z_resolution()
     yield decompose_resolution(q), q.support()
 
@@ -325,6 +328,29 @@ def test_rebuild_verify_builds_each_cone_once(monkeypatch, n, a):
     tree = decompose_resolution(p, depth=8)
     assert rebuild_verify(tree, (-8, 0)).ok
     assert len(calls) == len(list(_cone_paths(tree)))
+
+
+def test_rebuild_verify_cost_grows_linearly_with_depth(monkeypatch):
+    # each cone node recomputes only the degrees of its top cone, so
+    # rebuilding 8 times as many levels reads at most 10 times as many
+    # differentials; recomputing every lower degree at every node reads
+    # 17 times as many
+    diff, calls = Complex.diff, []
+
+    def counting_diff(c, j):
+        calls.append(j)
+        return diff(c, j)
+
+    def diffs_to_rebuild(depth):
+        p, _ = resolve_module(FPModule.cyclic(Zmod(4), "right", 2), depth)
+        tree = decompose_resolution(p, depth)
+        calls.clear()
+        monkeypatch.setattr(Complex, "diff", counting_diff)
+        assert rebuild_verify(tree, tree.target.support()).ok
+        monkeypatch.setattr(Complex, "diff", diff)
+        return len(calls)
+
+    assert diffs_to_rebuild(64) <= 10 * diffs_to_rebuild(8)
 
 
 def test_rebuild_verify_compares_a_residual_tree_where_it_is_built():

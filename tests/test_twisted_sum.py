@@ -5,14 +5,17 @@ Over Z, F_5, Z/4 and Z/12: `cone` equals the per-degree block formula
 it replaced in every degree, including degrees where only the source or
 only the target is nonzero; a tree evaluated at shift i equals the i'th
 suspension of the tree evaluated at 0; and a map that is not a chain
-map is refused with ChainMapError.
+map is refused with ChainMapError.  Over Z, F_7, Z/4, Z/8 and Z/12,
+`twisted_sum` equals, rank order included, a loop over every degree
+(`_loop_twisted_sum`), whatever form its summands' ranks and
+differentials take.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homcert.complexes import (ChainMap, ChainMapError, Complex, cone, suspension,
-                               twisted_sum)
+from homcert.complexes import (ChainMap, ChainMapError, Complex, ComplexError,
+                               _check_components, cone, suspension, twisted_sum)
 from homcert.duality import decompose_resolution
 from homcert.generator import resolve_module
 from homcert.matrices import Mat, MatrixError, assemble_blocks
@@ -22,6 +25,8 @@ from homcert.samplers import (random_bounded_complex, random_matrix,
                               random_null_homotopic_map)
 
 RINGS = [ZZ, Fp(5), Zmod(4), Zmod(12)]
+SUM_RINGS = [ZZ, Fp(7), Zmod(4), Zmod(8), Zmod(12)]
+CHECK_RINGS = [ZZ, Zmod(4), Zmod(12)]
 CHECKS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
@@ -57,6 +62,126 @@ def _random_components(rng, x: Complex, y: Complex) -> dict[int, Mat]:
         if x.rank(j) and y.rank(j) and rng.random() < 0.5:
             comps[j] = random_matrix(rng, x.ring, y.rank(j), x.rank(j), 3)
     return comps
+
+
+def _loop_twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
+    """The reference twisted sum: every degree of both summands in one
+    loop, absent components of g as zero matrices."""
+    if not (L.is_bounded and Y.is_bounded):
+        raise ComplexError("twisted sum requires bounded complexes")
+    _check_components("twisting map", L, Y, g, 1)
+    ring = L.ring
+
+    def twist(j: int) -> Mat:
+        return g[j] if j in g else Mat.zero(ring, Y.rank(j + 1), L.rank(j))
+
+    # d_Y g = -(g d_L), compared as ChainMap.commutes compares: no
+    # checked Mat is built
+    for j in range(min(g) - 1, max(g) + 1) if g else ():
+        if Y.diff(j + 1) @ twist(j) != (twist(j + 1) @ L.diff(j)).scale(-1):
+            raise ChainMapError(f"twisting map fails d g + g d = 0 in degree {j}")
+    # both are bounded, so a degree missing from ranks has rank 0
+    lr, yr = L.ranks, Y.ranks
+    ranks = {j: lr.get(j, 0) + yr.get(j, 0) for j in sorted(lr.keys() | yr.keys())}
+    ranks = {j: r for j, r in ranks.items() if r}
+    diffs = {}
+    for j in ranks:
+        if j + 1 not in ranks:
+            continue
+        rows, cols = (lr.get(j + 1, 0), yr.get(j + 1, 0)), (lr.get(j, 0), yr.get(j, 0))
+        if not (rows[0] or cols[0]):
+            diffs[j] = Y.diff(j)
+        elif not (rows[1] or cols[1]):
+            diffs[j] = L.diff(j)
+        elif not (rows[0] or cols[1]):
+            diffs[j] = twist(j)
+        else:
+            diffs[j] = assemble_blocks(ring, [[L.diff(j), None], [g.get(j), Y.diff(j)]],
+                                       rows, cols)
+    return Complex._trusted(ring, L.side, ranks, diffs)
+
+
+# -- twisted_sum against the loop over every degree -------------------
+
+
+def _summand(rng, ring, pieces: int, width: int) -> Complex:
+    """A random bounded complex in degrees -width..width; with two or
+    more pieces, half the time a second one lies two degrees below its
+    support, so a gap splits it."""
+    c = random_bounded_complex(rng, ring, max_pieces=pieces, lo=-width, hi=width)
+    if pieces > 1 and rng.random() < 0.5:
+        lo, hi = c.support()
+        far = random_bounded_complex(rng, ring, max_pieces=pieces, lo=-width, hi=width)
+        c = _loop_twisted_sum(c, suspension(far, hi - lo + 4), {})
+    return c
+
+
+def _reform(rng, c: Complex) -> Complex:
+    """c, equal in every degree, in a random form a public Complex may
+    take: the form twisted_sum returns (c.restrict), or ranks in
+    increasing or random order, explicit zero ranks, and differentials
+    either for exactly each pair of adjacent explicit degrees or at
+    random: 0 x k, k x 0 and 0 x 0 ones added, and zero ones between
+    nonzero terms left out."""
+    span = c.support() or (0, 0)
+    if rng.random() < 0.4:
+        return c.restrict(*span)
+    degrees = list(range(span[0] - 2, span[1] + 3))
+    if rng.random() < 0.5:
+        rng.shuffle(degrees)
+    zeros = rng.random() < 0.7
+    ranks = {j: c.rank(j) for j in degrees if c.rank(j) or zeros and rng.random() < 0.5}
+    if rng.random() < 0.3:
+        return Complex(c.ring, c.side, ranks, {j: c.diff(j) for j in ranks if j + 1 in ranks})
+    diffs = {}
+    for j in degrees:
+        d = c.diff(j)
+        if d.rows and d.cols:
+            if not (d.is_zero() and rng.random() < 0.5):
+                diffs[j] = d
+        elif rng.random() < 0.3:
+            diffs[j] = d
+    return Complex(c.ring, c.side, ranks, diffs)
+
+
+@given(st.sampled_from(SUM_RINGS), st.randoms(use_true_random=False), st.booleans(),
+       st.booleans())
+@settings(CHECKS, max_examples=300)
+def test_twisted_sum_equals_the_loop_over_every_degree(ring, rng, twisted, left_larger):
+    # one summand has up to six pieces and may have a gap, the other at
+    # most two; a twisted sum glues them along a chain map f: X -> Y as
+    # cone(f) does, with L = S X and g^(j-1) = f^j
+    big, small = _summand(rng, ring, 6, 4), _summand(rng, ring, 2, 2)
+    x, y = (big, small) if left_larger else (small, big)
+    g = {}
+    if twisted:
+        f = random_null_homotopic_map(rng, suspension(x, -1), y)
+        g = {j - 1: m for j, m in f.components.items()}
+    else:
+        x = suspension(x, rng.randint(-3, 3))
+    # suspending twice keeps every value and passes the form through
+    # suspension, as cone(f) passes S X
+    L, Y = (suspension(suspension(c, 1), -1) if rng.random() < 0.3 else c
+            for c in (_reform(rng, x), _reform(rng, y)))
+    # components on a zero term are zero matrices of their shape
+    for j in range(-12, 12):
+        if not (L.rank(j) and Y.rank(j + 1)) and rng.random() < 0.2:
+            g[j] = Mat.zero(ring, Y.rank(j + 1), L.rank(j))
+    got, want = twisted_sum(L, Y, g), _loop_twisted_sum(L, Y, g)
+    assert got == want and list(got.ranks) == list(want.ranks)
+    # an arbitrary extra component: refused by both, or summed alike
+    meet = [j for j in sorted(L.ranks) if L.rank(j) and Y.rank(j + 1)]
+    if meet:
+        j = rng.choice(meet)
+        g[j] = random_matrix(rng, ring, Y.rank(j + 1), L.rank(j), 3)
+        try:
+            want = _loop_twisted_sum(L, Y, g)
+        except ChainMapError:
+            with pytest.raises(ChainMapError):
+                twisted_sum(L, Y, g)
+        else:
+            got = twisted_sum(L, Y, g)
+            assert got == want and list(got.ranks) == list(want.ranks)
 
 
 # -- cone against the reference formula -------------------------------
@@ -117,6 +242,43 @@ def test_twisted_sum_checks_its_components(ring):
     # g^0 d_L^-1 = -1 but d_Y^0 g^-1 = 0: fails one degree below the lowest
     with pytest.raises(ChainMapError):
         twisted_sum(suspension(y, 1), suspension(x, -1), {0: one})
+
+
+@pytest.mark.parametrize("ring", CHECK_RINGS, ids=str)
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 2), (2, 6), (3, 4)])
+def test_a_component_on_one_side_only_is_refused_when_its_product_is_not_zero(ring, a, b):
+    # g^0 = b with no g^1 forms only d_Y^1 g^0 = ab; with no g^-1 the
+    # check in degree -1 forms only g^0 d_L^-1 = ba.  Each must vanish
+    # in the ring: ab = 4 does over Z/4, ab = 12 over Z/4 and Z/12.
+    da, gb = Mat(ring, 1, 1, (a,)), {0: Mat(ring, 1, 1, (b,))}
+    one = Complex.single(ring, "left", 1, 0)
+    cases = [(one, Complex(ring, "left", {1: 1, 2: 1}, {1: da})),
+             (Complex(ring, "left", {-1: 1, 0: 1}, {-1: da}), Complex.single(ring, "left", 1, 1))]
+    for L, Y in cases:
+        if ring.normalize(a * b):
+            with pytest.raises(ChainMapError):
+                twisted_sum(L, Y, gb)
+        else:
+            assert twisted_sum(L, Y, gb) == _loop_twisted_sum(L, Y, gb)
+
+
+@pytest.mark.parametrize("ring", CHECK_RINGS, ids=str)
+def test_a_degree_gap_inside_the_twist(ring):
+    # X is R -2-> R in degrees 0, 1 and again in 3, 4: the cone of its
+    # identity has g in degrees -1, 0 and 2, 3 and a gap at 1, where
+    # neither side is formed
+    two = Mat(ring, 1, 1, (2,))
+    x = Complex(ring, "left", {0: 1, 1: 1, 3: 1, 4: 1}, {0: two, 3: two})
+    identity = ChainMap.identity(x)
+    c = cone(identity)
+    assert c == reference_cone(identity)
+    assert c == _loop_twisted_sum(suspension(x), x, {j - 1: m for j, m in
+                                                     identity.components.items()})
+    # without its components in degrees 1 and 3 the map fails to commute
+    # with d in degree 0 (d f^0 = 2, f^1 d = 0) over each ring
+    partial = ChainMap(x, x, {j: m for j, m in identity.components.items() if j in (0, 4)})
+    with pytest.raises(ChainMapError, match="degree -1"):
+        cone(partial)
 
 
 # -- shifts pushed to the leaves --------------------------------------
