@@ -185,8 +185,12 @@ def cmd_decompose(args) -> int:
     else:
         q = doc.payload
     tree = decompose_resolution(q, args.depth)
-    span = tree.target.support() or (0, 0)
-    window = _parse_window(args.window) if args.window else (span[0], span[1])
+    if args.window:
+        window = _parse_window(args.window)
+    elif tree.target.is_bounded:
+        window = tree.target.support() or (0, 0)
+    else:  # every level of a periodic target: its explicit band is only the top
+        window = (-2 * args.depth - 1, 0)
     v = rebuild_verify(tree, window)
     if not v.ok:
         return _verdict_exit(args, doc.ring, v)

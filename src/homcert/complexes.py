@@ -47,9 +47,9 @@ its smaller summand cost, so iterated cones build in linear time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-from .matrices import Mat, MatrixError, assemble_blocks, kernel_right, solve_right
+from .matrices import Mat, MatrixError, assemble_blocks, echelon, kernel_right, solve_right
 from .modules import FPModule, is_projective, opposite, subquotient_module
 from .rings import RingDescriptor
 from .verdicts import Verdict
@@ -467,6 +467,18 @@ def is_exact_at(c: Complex, j: int) -> bool:
     return solve_right(V, U) is not None
 
 
+def exactness_sweep(c: Complex, lo: int, hi: int) -> Iterator[tuple[int, Mat, bool]]:
+    """(j, cycle generators, H^j(c) = 0) for j = lo..hi, each decided as
+    in is_exact_at.  Each differential is eliminated once: the form of
+    d^j gives the cycles at j and then the solve at j + 1."""
+    below = echelon(c.diff(lo - 1))
+    for j in range(lo, hi + 1):
+        here = echelon(c.diff(j))
+        cycles = here.kernel()
+        yield j, cycles, below.solve(cycles) is not None
+        below = here
+
+
 # -- homotopies -------------------------------------------------------
 
 
@@ -523,11 +535,11 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
             return Verdict(True, "split_exact", {"homotopy": homotopy})
     window_relative = not c.is_bounded
     cycles = {}
-    for j in range(lo + 1, hi):
-        cycles[j], boundaries = cycles_and_boundaries(c, j)
-        if solve_right(boundaries, cycles[j]) is None:
-            h = subquotient_module(c.ring, c.side, cycles[j], boundaries)
+    for j, z, exact in exactness_sweep(c, lo + 1, hi - 1):
+        if not exact:
+            h = subquotient_module(c.ring, c.side, z, c.diff(j - 1))
             return Verdict(False, "not_exact", {"degree": j, "homology": h}, window_relative)
+        cycles[j] = z
     for j, z in cycles.items():
         cycle = subquotient_module(c.ring, c.side, z, Mat.zero(c.ring, z.rows, 0))
         if is_projective(cycle) is None:

@@ -209,15 +209,17 @@ def _require(cond: bool, message: str):
 def _int(value: Any, what: str, limit: int | None = SIZE_LIMIT) -> int:
     """A JSON integer at most `limit` in absolute value (None: any);
     strings, floats and booleans (a bool is an int in Python) are refused."""
-    _require(type(value) is int, f"{what} must be an integer, got {value!r}")
-    _require(limit is None or abs(value) <= limit,
-             f"{what} must be at most {limit} in absolute value")
+    if type(value) is not int:
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    if limit is not None and abs(value) > limit:
+        raise DocumentError(f"{what} must be at most {limit} in absolute value")
     return value
 
 
 def _bool(value: Any, what: str) -> bool:
     """A JSON boolean; strings, numbers and null are refused."""
-    _require(type(value) is bool, f"{what} must be a boolean, got {value!r}")
+    if type(value) is not bool:
+        raise DocumentError(f"{what} must be a boolean, got {value!r}")
     return value
 
 
@@ -247,21 +249,29 @@ def ring_from_json(obj: Any) -> RingDescriptor:
 
 
 def matrix_from_json(ring: RingDescriptor, obj: Any) -> Mat:
+    """A matrix of canonical entries; each row is checked in one pass and
+    only a failing row is walked again, to name its first bad entry."""
     _require(isinstance(obj, dict), "matrix must be an object")
     rows, cols = _int(obj.get("rows"), "matrix rows"), _int(obj.get("cols"), "matrix cols")
     entries = obj.get("entries")
-    _require(isinstance(entries, list) and len(entries) == rows,
-             f"matrix needs {rows} entry rows")
-    flat = []
+    if not (isinstance(entries, list) and len(entries) == rows):
+        raise DocumentError(f"matrix needs {rows} entry rows")
+    n = ring.modulus
+    flat: list[int] = []
     for row in entries:
-        _require(isinstance(row, list) and len(row) == cols,
-                 f"matrix rows must have {cols} entries")
-        for e in row:
-            _int(e, "matrix entry", None)
-            _require(ring.normalize(e) == e,
-                     f"entry {e} is not a canonical representative over {ring}")
-            flat.append(e)
-    return Mat(ring, rows, cols, tuple(flat))
+        if not (isinstance(row, list) and len(row) == cols):
+            raise DocumentError(f"matrix rows must have {cols} entries")
+        if not (all(type(e) is int for e in row) if n is None
+                else all(type(e) is int and 0 <= e < n for e in row)):
+            for e in row:
+                _int(e, "matrix entry", None)
+                if ring.normalize(e) != e:
+                    raise DocumentError(
+                        f"entry {e} is not a canonical representative over {ring}")
+        flat.extend(row)
+    if cols < 0:  # a negative cols fails every row's length, so here rows = 0
+        raise MatrixError("negative dimension")
+    return Mat._trusted(ring, rows, cols, tuple(flat))
 
 
 def module_from_json(ring: RingDescriptor, obj: Any) -> FPModule:
@@ -329,13 +339,14 @@ def build_tree_from_json(ring: RingDescriptor, obj: Any, root: bool = True) -> B
              "a build tree stores a target on its root and on no other node")
     kind = obj.get("kind")
     kinds = ("leaf", "susp", "cone")  # indexed by their number of children
-    _require(kind in kinds, f"unknown node kind {kind!r}")
+    if kind not in kinds:
+        raise DocumentError(f"unknown node kind {kind!r}")
     arity = kinds.index(kind)
     payload, children = obj.get("payload"), obj.get("children", [])
-    _require(isinstance(children, list) and len(children) == arity
-             and (payload is not None) == (kind == "leaf"),
-             f"bad {kind} node: a leaf has a payload and no children, a susp "
-             "node has 1 child and a cone node 2, neither with a payload")
+    if not (isinstance(children, list) and len(children) == arity
+            and (payload is not None) == (kind == "leaf")):
+        raise DocumentError(f"bad {kind} node: a leaf has a payload and no children, a susp "
+                            "node has 1 child and a cone node 2, neither with a payload")
     return BuildTree(
         kind,
         complex_from_json(ring, obj["target"]) if root else None,
@@ -351,8 +362,10 @@ def build_tree_from_json(ring: RingDescriptor, obj: Any, root: bool = True) -> B
 def verdict_from_json(obj: Any) -> Verdict:
     _require(isinstance(obj, dict), "verdict must be an object")
     code, details = obj.get("code"), obj.get("details", {})
-    _require(type(code) is str, f"verdict code must be a string, got {code!r}")
-    _require(type(details) is dict, f"verdict details must be an object, got {details!r}")
+    if type(code) is not str:
+        raise DocumentError(f"verdict code must be a string, got {code!r}")
+    if type(details) is not dict:
+        raise DocumentError(f"verdict details must be an object, got {details!r}")
     return Verdict(_bool(obj.get("ok"), "verdict ok"), code, details,
                    _bool(obj.get("window_relative", False), "verdict window_relative"))
 
@@ -408,9 +421,11 @@ def _parse(text: str) -> Document:
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _require(isinstance(obj, dict), "document must be a JSON object")
     version = obj.get("version")
-    _require(version == FORMAT_VERSION, f"unsupported format version {version!r}")
+    if version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported format version {version!r}")
     ring = ring_from_json(obj.get("ring"))
     kind = obj.get("kind")
-    _require(kind in PAYLOAD_KINDS, f"unknown payload kind {kind!r}")
+    if kind not in PAYLOAD_KINDS:
+        raise DocumentError(f"unknown payload kind {kind!r}")
     return Document(version, ring, kind, _CODECS[kind][1](ring, obj.get("payload")))
 

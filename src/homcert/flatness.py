@@ -124,8 +124,8 @@ def cycle_flatness_probe(q: Complex, j: int, rel: FlatRelation) -> Verdict:
     # the module spanned by the z's, presented on them
     m = FPModule(ring, q.side, colspan_canonical(kernel_right(rel.z)))
     hom = hom_into_complex(m, q)
-    cycles, boundaries = hom.cycles_and_boundaries(j)
-    sol = solve_right(boundaries, cycles.hstack(rel.z.vec()))
+    cycles, _ = hom.cycles_and_boundaries(j)
+    sol = hom.form(j - 1).solve(cycles.hstack(rel.z.vec()))
     if sol is None:
         return Verdict(False, "hom_hypothesis_fails", {"degree": j})
     y = sol.submatrix(range(sol.rows), [sol.cols - 1])

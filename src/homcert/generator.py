@@ -26,7 +26,7 @@ from .matrices import Mat, block_diag, kernel_right
 from .modules import (FPModule, ModuleMap, canonical_double_dual_map, dual_data,
                       modules_isomorphic)
 from .complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
-                        first_difference, homology, is_exact_at, suspension)
+                        exactness_sweep, first_difference, homology, suspension)
 from .homspaces import free_terms, hom_fp_complex, hom_into_complex, induced_h0_map
 from .verdicts import Verdict
 
@@ -130,8 +130,8 @@ def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) 
         return Verdict(False, "degree_zero_mismatch",
                        {"computed": str(h0), "expected": str(pkg.dual)},
                        window_relative)
-    for j in range(lo, min(hi, -1) + 1):
-        if not is_exact_at(pkg.resolution, j):
+    for j, _, exact in exactness_sweep(pkg.resolution, lo, min(hi, -1)):
+        if not exact:
             return Verdict(False, "not_exact_below", {"degree": j}, window_relative)
     return Verdict(True, "quasi_isomorphism", {"window": (lo, hi)}, window_relative)
 

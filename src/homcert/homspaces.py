@@ -9,11 +9,15 @@ homology.  Cycles and boundaries are generating columns of a common
 ambient free module (SubComplex.cycles_and_boundaries), so each Hom
 question is one solve against the boundaries: exactness, a preimage of
 given cycles (the flatness lift), or the coordinates of pushed cycles
-(induced_h0_map).  The homology module, where one is wanted, is their
-subquotient presentation.  No degree window is chosen: each degree's
-layout, generators and ambient differential are built the first time a
-caller reads them, and H^n reads the ambient differentials of degrees
-n - 1 and n only.
+(induced_h0_map).  Each degree's restricted differential is eliminated
+once (SubComplex.form): that one elimination gives the cycles in its
+degree and answers the solves in the degree above, so a sweep over
+degrees eliminates each differential once, and a degree whose ambient
+module is zero is exact without building anything.  The homology
+module, where one is wanted, is their subquotient presentation.  No
+degree window is chosen: each degree's layout, generators and ambient
+differential are built the first time a caller reads them, and H^n
+reads the ambient differentials of degrees n - 1 and n only.
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import (SIZE_LIMIT, Mat, MatrixError, assemble_blocks, block_diag,
-    kernel_left, kernel_right, solve_right)
+from .matrices import (SIZE_LIMIT, Echelon, Mat, MatrixError, assemble_blocks, block_diag,
+    echelon, kernel_left, solve_right)
 from .modules import FPModule, ModuleMap, subquotient_module
 from .complexes import Complex
 
@@ -81,14 +85,25 @@ class SubComplex:
     def gens_at(self, n: int) -> Mat | None:
         """Generators of the degree-n term as ambient columns, one block
         of hom_term_gens per layout entry; None when every term of the
-        layout is free, so the term is the whole ambient module."""
+        layout is free, so the term is the whole ambient module.  A
+        presented term's functionals (hom_term_gens into R^1) are
+        eliminated once, whatever degrees the term appears in."""
         key = ("gens", n)
         if key not in self._cache:
             layout = self.layout(n)
             self._cache[key] = None if all(self.terms[i].rank1 == 0 for (i, _, _) in layout) \
-                else block_diag(self.q.ring, [hom_term_gens(self.terms[i], qr)
-                                              for (i, _, qr) in layout])
+                else block_diag(self.q.ring, [self._term_gens(i, qr) for (i, _, qr) in layout])
         return self._cache[key]
+
+    def _term_gens(self, i: int, qr: int) -> Mat:
+        m = self.terms[i]
+        if m.rank1 == 0:
+            return Mat.identity(self.q.ring, qr * m.rank0)
+        key = ("functionals", i)
+        if key not in self._cache:
+            self._cache[key] = hom_term_gens(m, 1)
+        k = self._cache[key]
+        return k if qr == 1 else k.kron(Mat.identity(self.q.ring, qr))
 
     def ambient_diff(self, n: int) -> Mat:
         """The ambient map from degree n to n+1, with the Koszul sign
@@ -121,20 +136,25 @@ class SubComplex:
         d = self._cache[key] = assemble_blocks(ring, grid, rows, cols)
         return d
 
-    def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
-        """(cycle generators, boundary generators) of degree n as ambient
-        columns.  ambient_diff(n) @ gens_at(n) is formed once per degree:
-        its kernel gives the cycles at n, and it is the boundaries at n + 1."""
-        u = self.gens_at(n)
-        cycles = kernel_right(self._restricted_diff(n))
-        return (cycles if u is None else u @ cycles), self._restricted_diff(n - 1)
-
-    def _restricted_diff(self, n: int) -> Mat:
-        key = ("restricted", n)
+    def form(self, n: int) -> Echelon:
+        """The elimination of the degree-n differential restricted to the
+        term, ambient_diff(n) @ gens_at(n), made once per degree: its
+        kernel gives the cycles at n, and its solves the preimages of
+        the boundaries at n + 1."""
+        key = ("form", n)
         if key not in self._cache:
             u = self.gens_at(n)
-            self._cache[key] = self.ambient_diff(n) if u is None else self.ambient_diff(n) @ u
+            self._cache[key] = echelon(self.ambient_diff(n) if u is None
+                                       else self.ambient_diff(n) @ u)
         return self._cache[key]
+
+    def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
+        """(cycle generators, boundary generators) of degree n as ambient
+        columns: the kernel of form(n), pushed into the ambient module,
+        and the matrix of form(n - 1)."""
+        u = self.gens_at(n)
+        cycles = self.form(n).kernel()
+        return (cycles if u is None else u @ cycles), self.form(n - 1).matrix
 
     def homology_data(self, n: int) -> tuple[FPModule, Mat, Mat]:
         """(H^n, cycle generator columns, boundary generator columns),
@@ -144,10 +164,13 @@ class SubComplex:
         return h, cycles, boundaries
 
     def is_exact_at(self, n: int) -> bool:
-        """H^n = 0: every cycle is a boundary, decided by one solve as in
-        complexes.is_exact_at, without building H^n."""
-        cycles, boundaries = self.cycles_and_boundaries(n)
-        return solve_right(boundaries, cycles) is not None
+        """H^n = 0: every cycle is a boundary, decided by one solve against
+        form(n - 1) as in complexes.is_exact_at, without building H^n.
+        A degree whose layout is empty has H^n = 0 and builds nothing."""
+        if not self.layout(n):
+            return True
+        cycles, _ = self.cycles_and_boundaries(n)
+        return self.form(n - 1).solve(cycles) is not None
 
 
 def free_terms(x: Complex) -> tuple[dict[int, FPModule], dict[int, Mat]]:

@@ -19,10 +19,16 @@ column with a nonzero lead is the pivot candidate (mod n scaled once
 to the lead g = gcd(lead, n)), and each other column whose lead g
 divides is cleared by one subtraction, which makes one new column and
 leaves the candidate alone; only a lead that g does not divide takes
-the two-column extended-gcd step.  Kernels and solves read only the
-pivots below the rows of A in [A; I] and [[A, -B], [0, I], [I, 0]],
-so the core takes a start row and neither keeps nor back-reduces the
-pivot columns above it.
+the two-column extended-gcd step.
+
+One elimination of [A; I_c] serves the kernel of A and every solve
+against it (`echelon`; Cohen, GTM 138, 2.4): the pivots below the rows
+of A are the kernel's Hermite form, and those at the rows of A, kept
+packed and not back-reduced, are an echelon basis of {(A x, x)} that
+each right-hand side b is cleared against; the x left over is reduced
+by the kernel's pivots, which makes it the canonical solution.  So the
+core takes a start row and back-reduces only the pivot columns from it
+down.  No larger system is ever stacked for a solve.
 
 Mod n the core packs each column into one int of fixed-width slots, one
 entry per slot, so a column step is one big-integer multiply-add and
@@ -296,7 +302,7 @@ def _from_cols(ring: RingDescriptor, rows: int, cols: list[list[int]]) -> Mat:
 
 
 def _hnf(n: int | None, rows: int, gens: list[list[int]],
-         start: int = 0) -> dict[int, list[int]]:
+         start: int = 0, packed: bool = False):
     """Column HNF of span(gens) over Z (n is None), or of span(gens) + n*Z^rows
     with every entry kept in [0, n).
 
@@ -306,9 +312,16 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
     each divides n), a pivot column is zero above its row, and each
     pivot row holds entries in [0, g) in the earlier pivot columns that
     are returned.  Over a prime every g is 1: this is Gauss-Jordan
-    elimination.  Rows above start are eliminated alike, but their pivot
-    columns are neither kept nor reduced; a pivot column is reduced only
-    by the pivots below it, so those returned are the full form's.
+    elimination.  Rows above start are eliminated alike, and their pivot
+    columns are not reduced; a pivot column is reduced only by the pivots
+    below it, so those returned are the full form's.
+
+    packed (mod n only) returns (pivots, (w, lead, red)) instead: per
+    row, its pivot column packed from that row down (slot 0 holds g), or
+    0 where the pivot is n.  Above start the column is as found, and
+    these columns are an echelon basis of the lattice modulo the part
+    below; from start on it is the returned one.  w, lead and red are
+    the slot width and mask and the slotwise reduction.
 
     In each row the first column with a nonzero lead is the pivot
     candidate c; mod n it is first scaled to the lead g = gcd(c[0], n).
@@ -338,6 +351,7 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
     def red(x: int) -> int:
         return x - (x * m >> k & qmask) * n
 
+    found = [0] * rows  # packed: each row's pivot column from that row down
     pivots: dict[int, int] = {}
     # active columns hold entries from row i down and span (with n*Z)
     # the part of the lattice that vanishes above row i
@@ -373,15 +387,20 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
                 c, a = red(x % n * c + y % n * a), red(g // h * a + (n - a0 // h) * c)
                 rest.append(a)
                 g = h
-        if c:
+        if c and i < start:
+            found[i] = c
+        elif c:
             c <<= w * i  # pivot columns keep every row, zero above their own
             for p, col in pivots.items():
                 q = (col >> w * i & lead) // g
                 if q:
                     pivots[p] = red(col + (n - q) * c)
-            if i >= start:
-                pivots[i] = c
+            pivots[i] = c
         active = [t for a in rest if (t := a >> w)]
+    if packed:
+        for i, col in pivots.items():
+            found[i] = col >> w * i
+        return found, (w, lead, red)
     return {i: [col >> j & lead for j in range(0, w * rows, w)] for i, col in pivots.items()}
 
 
@@ -418,33 +437,6 @@ def _int_hnf(rows: int, gens: list[list[int]], start: int) -> dict[int, list[int
                 pivots[i] = [0] * i + c
         active = [t for t in (a[1:] for a in rest) if any(t)]
     return pivots
-
-
-def _modular_kernel(n: int, rows: int, cols: list[list[int]]) -> dict[int, list[int]]:
-    """Hermite form of {x in Z^c : A x = 0 mod n}, A given by its columns.
-
-    Returns {i: column} for the pivots below n; every other pivot is n,
-    with HNF column n*e_i.
-    """
-    c = len(cols)
-    # the pivots of [A; I_c] below the rows of A carry the kernel lattice
-    gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(cols)]
-    return {i - rows: p[rows:] for i, p in _hnf(n, rows + c, gens, rows).items()}
-
-
-def _modular_solve(n: int, rows: int, a_cols: list[list[int]],
-                   b_cols: list[list[int]]) -> list[list[int]] | None:
-    """Solution columns of A X = B mod n, reduced modulo the kernel's HNF, or None."""
-    c, k = len(a_cols), len(b_cols)
-    # the columns of [[A, -B], [0, I_k], [I_c, 0]] span the (x, y) with
-    # A x = B y; AX = B is solvable iff every y-row has pivot 1
-    gens = [a + [0] * k + [int(i == j) for i in range(c)] for j, a in enumerate(a_cols)]
-    gens += [[-v for v in b] + [int(i == j) for i in range(k)] + [0] * c
-             for j, b in enumerate(b_cols)]
-    pivots = _hnf(n, rows + k + c, gens, rows)
-    if not all(rows + j in pivots and pivots[rows + j][rows + j] == 1 for j in range(k)):
-        return None
-    return [pivots[rows + j][rows + k:] for j in range(k)]
 
 
 def _bareiss(m: list[list[int]], c: int) -> tuple[int, list[int], list[int]]:
@@ -524,32 +516,155 @@ def colspan_canonical(m: Mat) -> Mat:
 # -- public solving interface -----------------------------------------
 
 
-def solve_right(A: Mat, B: Mat) -> Mat | None:
-    """Some X with A @ X = B exactly, or None; deterministic.
+class _ModForm:
+    """[A; I_c] eliminated once mod n, for A with r rows given by its c columns.
 
-    X is the canonical reduced solution: the free coordinates of each
-    column (over Z, those off the leftmost pivot columns; over Z/n and
-    F_p, all of them) are reduced modulo the Hermite form of the kernel
-    of A, so X depends only on the set of solutions.
+    The lattice is {(A x, x)} + n*Z^(r+c).  Its pivots at the rows of A
+    are an echelon basis of it modulo the part that vanishes on those
+    rows, which is {(0, x) : A x = 0 mod n}: the pivots below are the
+    Hermite form of the kernel (Cohen, GTM 138, 2.4).
     """
-    A._check_same_ring(B)
-    if A.rows != B.rows:
-        raise MatrixError("solve_right: row count mismatch")
-    n = A.ring.modulus
-    if not B.cols or A.is_zero():
-        return Mat.zero(A.ring, A.cols, B.cols) if B.is_zero() else None
-    if n is None:
-        red = _z_reduce(A, B)
-        if red is None:
-            return None
-        delta, rank, xcols, ycols, lift = red
-        # x2 = 0 is reduced, so it is the canonical x2 whenever it solves
-        x2s = ([[0] * len(xcols)] * len(ycols) if all(v % delta == 0 for y in ycols for v in y)
-               else _modular_solve(delta, rank, xcols, ycols))
-        sols = None if x2s is None else [lift(v, y) for v, y in zip(x2s, ycols)]
-    else:
-        sols = _modular_solve(n, A.rows, A.columns(), B.columns())
-    return None if sols is None else _from_cols(A.ring, A.cols, sols)
+
+    def __init__(self, n: int, r: int, a_cols: list[list[int]]):
+        c = len(a_cols)
+        gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(a_cols)]
+        # per row of [A; I_c]: its pivot column packed from that row down, or 0
+        self.pivots, (self.w, self.lead, self.red) = _hnf(n, r + c, gens, r, True)
+        self.n, self.r = n, r
+
+    @property
+    def kernel(self) -> dict[int, list[int]]:
+        """{j: column} for the kernel's pivots g < n, j indexing x."""
+        r, w, lead, c = self.r, self.w, self.lead, len(self.pivots) - self.r
+        return {j: [0] * j + [p >> w * s & lead for s in range(c - j)]
+                for j, p in enumerate(self.pivots[r:]) if p}
+
+    def solve(self, b_cols: list[list[int]]) -> list[list[int]] | None:
+        """The x with A x = b mod n for each b, reduced by the kernel's
+        pivots, or None when some b is not in the span."""
+        n, r, w, lead, red, pivots = self.n, self.r, self.w, self.lead, self.red, self.pivots
+        sols = []
+        for b in b_cols:
+            t = 0
+            for v in reversed(b):
+                t = t << w | -v % n
+            # (-b, 0) less multiples of the pivots at A's rows ends at
+            # (0, x), so (b, x) is in the lattice: A x = b
+            for p in pivots[:r]:
+                if not t:
+                    break
+                t0 = t & lead
+                if t0:
+                    if not p or t0 % (g := p & lead):
+                        return None
+                    t = red(t + (n - t0 // g) * p)
+                t >>= w
+            x = []
+            for p in pivots[r:]:
+                t0 = t & lead
+                if p and t0 >= (g := p & lead):  # t0 into [0, g)
+                    t = red(t + (n - t0 // g) * p)
+                    t0 = t & lead
+                x.append(t0)
+                t >>= w
+            sols.append(x)
+        return sols
+
+
+class Echelon:
+    """The kernel of A and every solve A X = B, from one elimination.
+
+    Over Z/n and F_p that elimination is the column Hermite form of
+    [A; I_c] mod n (`_ModForm`): its pivots below A's rows are the
+    kernel's Hermite form, and each column b is solved by clearing
+    (-b, 0) against the pivots at A's rows and reducing the x left over
+    by the kernel's pivots.  Over Z each solve reduces [A | B] by one
+    Bareiss pass (`_z_reduce`), and the form of X mod delta serves the
+    kernel and every solve alike.  Nothing is eliminated before the
+    first question that needs it.
+    """
+
+    def __init__(self, A: Mat):
+        self.matrix = A
+        self._zero = A.is_zero()
+        self._form: _ModForm | None = None
+        self._z = None  # over Z: (delta, rank, X columns, lift) of A's Bareiss pass
+
+    def _packed(self) -> _ModForm:
+        if self._form is None:
+            A, n = self.matrix, self.matrix.ring.modulus
+            if n is None:
+                delta, rank, xcols, _ = self._z
+                self._form = _ModForm(delta, rank, xcols)
+            else:
+                self._form = _ModForm(n, A.rows, A.columns())
+        return self._form
+
+    def kernel(self) -> Mat:
+        """Matrix whose columns generate {x : A x = 0}; may have 0 columns.
+
+        Over Z the columns are the basis whose free coordinates (those
+        off the leftmost independent columns of A) are the Hermite form
+        of the kernel's projection onto them; over Z/n and F_p they are
+        the nonzero columns of the Hermite form of
+        {x in Z^c : A x = 0 mod n} (a basis over F_p).  Either way they
+        depend only on the kernel.
+        """
+        A = self.matrix
+        if self._zero:
+            return Mat.identity(A.ring, A.cols)
+        if A.ring.modulus is not None:
+            return _from_cols(A.ring, A.cols, list(self._packed().kernel.values()))
+        if self._z is None:
+            delta, rank, xcols, _, lift = _z_reduce(A, None)
+            self._z = delta, rank, xcols, lift
+        delta, rank, xcols, lift = self._z
+        f = len(xcols)
+        h = self._packed().kernel if delta > 1 and f else {}
+        # a row without a pivot below delta has the Hermite column delta*e_i
+        cols = [lift(h[i] if i in h else [delta * (l == i) for l in range(f)], [0] * rank)
+                for i in range(f)]
+        return _from_cols(A.ring, A.cols, cols)
+
+    def solve(self, B: Mat) -> Mat | None:
+        """Some X with A @ X = B exactly, or None; deterministic.
+
+        X is the canonical reduced solution: the free coordinates of each
+        column (over Z, those off the leftmost pivot columns; over Z/n
+        and F_p, all of them) are reduced modulo the Hermite form of the
+        kernel of A, so X depends only on the set of solutions.
+        """
+        A = self.matrix
+        A._check_same_ring(B)
+        if A.rows != B.rows:
+            raise MatrixError("solve_right: row count mismatch")
+        if not B.cols or self._zero:
+            return Mat.zero(A.ring, A.cols, B.cols) if B.is_zero() else None
+        if A.ring.modulus is not None:
+            sols = self._packed().solve(B.columns())
+        else:
+            red = _z_reduce(A, B)
+            if red is None:
+                return None
+            delta, rank, xcols, ycols, lift = red
+            if self._z is None:
+                self._z = delta, rank, xcols, lift
+            # x2 = 0 is reduced, so it is the canonical x2 whenever it solves
+            x2s = ([[0] * len(xcols)] * len(ycols) if all(v % delta == 0 for y in ycols for v in y)
+                   else self._packed().solve(ycols))
+            sols = None if x2s is None else [lift(v, y) for v, y in zip(x2s, ycols)]
+        return None if sols is None else _from_cols(A.ring, A.cols, sols)
+
+
+def echelon(A: Mat) -> Echelon:
+    """The elimination of A that answers its kernel and every solve
+    against it: keep it where one matrix is asked more than once."""
+    return Echelon(A)
+
+
+def solve_right(A: Mat, B: Mat) -> Mat | None:
+    """Some X with A @ X = B exactly, or None (Echelon.solve)."""
+    return Echelon(A).solve(B)
 
 
 def solve_left(A: Mat, B: Mat) -> Mat | None:
@@ -559,27 +674,8 @@ def solve_left(A: Mat, B: Mat) -> Mat | None:
 
 
 def kernel_right(A: Mat) -> Mat:
-    """Matrix whose columns generate {x : A x = 0}; may have 0 columns.
-
-    Over Z the columns are the basis whose free coordinates (those off
-    the leftmost independent columns of A) are the Hermite form of the
-    kernel's projection onto them; over Z/n and F_p they are the nonzero
-    columns of the Hermite form of {x in Z^c : A x = 0 mod n} (a basis
-    over F_p).  Either way they depend only on the kernel.
-    """
-    if A.is_zero():
-        return Mat.identity(A.ring, A.cols)
-    n = A.ring.modulus
-    if n is None:
-        delta, rank, xcols, _, lift = _z_reduce(A, None)
-        f = len(xcols)
-        h = _modular_kernel(delta, rank, xcols) if delta > 1 and f else {}
-        # a row without a pivot below delta has the Hermite column delta*e_i
-        cols = [lift(h[i] if i in h else [delta * (l == i) for l in range(f)], [0] * rank)
-                for i in range(f)]
-    else:
-        cols = list(_modular_kernel(n, A.rows, A.columns()).values())
-    return _from_cols(A.ring, A.cols, cols)
+    """Matrix whose columns generate {x : A x = 0} (Echelon.kernel)."""
+    return Echelon(A).kernel()
 
 
 def kernel_left(A: Mat) -> Mat:

@@ -20,6 +20,7 @@ from .matrices import (
     Mat,
     MatrixError,
     colspan_canonical,
+    echelon,
     kernel_left,
     kernel_right,
     smith_invariants,
@@ -122,12 +123,15 @@ class ModuleMap:
         return self.target.contains_in_relations(image_of_relations)
 
     def is_isomorphism(self) -> bool:
-        """Well defined, surjective and injective."""
-        stacked = self.matrix.hstack(self.target.presentation)
-        if not self.is_well_defined() \
-                or solve_right(stacked, Mat.identity(self.ring, self.target.rank0)) is None:
+        """Well defined, surjective and injective: [f | P_N] reaches every
+        generator of N, and its kernel, read from the same elimination,
+        projects into the relations of M."""
+        if not self.is_well_defined():
             return False
-        W = kernel_right(stacked)
+        form = echelon(self.matrix.hstack(self.target.presentation))
+        if form.solve(Mat.identity(self.ring, self.target.rank0)) is None:
+            return False
+        W = form.kernel()
         return self.source.contains_in_relations(
             W.submatrix(range(self.source.rank0), range(W.cols)))
 

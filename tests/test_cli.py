@@ -308,6 +308,44 @@ def test_decompose_window_wholly_below_the_residual_floor_exits_1(capsys):
     assert code == 1 and out.startswith("FAIL: window_too_small")
 
 
+def test_decompose_checks_every_level_of_a_periodic_target(capsys, monkeypatch):
+    # a zero glue map at level 4 is still a chain map, and the tree it
+    # gives agrees with Q on Q's explicit band (-2, 0); by default the
+    # rebuild is compared on every level the depth-8 tree builds
+    from dataclasses import replace
+
+    from homcert import cli
+    from homcert.duality import decompose_resolution, rebuild_verify
+    from homcert.generator import resolve_module
+    from homcert.modules import FPModule
+    from homcert.rings import Zmod
+
+    def unglue(tree, level):
+        if not level:
+            return replace(tree, components={})
+        outer = tree.children[0]  # S^-1 S^2 of the level below
+        (inner,) = outer.children
+        (lower,) = inner.children
+        inner = replace(inner, children=(unglue(lower, level - 1),))
+        return replace(tree, children=(replace(outer, children=(inner,)),) + tree.children[1:])
+
+    q, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2), 8)
+    tampered = unglue(decompose_resolution(q, 8), 4)
+    assert rebuild_verify(tampered, (-2, 0)).ok
+    assert rebuild_verify(tampered, (-17, 0)).code == "rebuild_mismatch"
+    module = fx("module_z4_cyclic2")
+    code, good, _ = run(capsys, "decompose", module)
+    assert code == 0
+    monkeypatch.setattr(cli, "decompose_resolution", lambda q, depth: tampered)
+    code, out, _ = run(capsys, "decompose", module)
+    assert code == 1
+    v = out_doc(out).payload
+    assert v.code == "rebuild_mismatch" and v.details == {"degree": -10}
+    # an explicit window still overrides the default
+    code, out, _ = run(capsys, "decompose", module, "--window=-2..0")
+    assert code == 0 and out != good
+
+
 def test_format_version_1_exits_2(capsys, tmp_path):
     doc = json.loads(pathlib.Path(fx("module_z_cyclic6")).read_text())
     doc["version"] = "1"

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from homcert import complexes
+from homcert import matrices
 from homcert.complexes import (ChainMap, Complex, ComplexError, Homotopy,
                                PeriodicTail, cone, contraction, dualize_complex,
                                finite_coproduct, first_difference, homology,
                                null_homotopy_witness, split_exactness_check,
                                suspension, twisted_sum)
 from homcert.generator import resolve_module
-from homcert.matrices import Mat, MatrixError, block_diag, kernel_right
+from homcert.matrices import Mat, MatrixError, block_diag
 from homcert.modules import FPModule, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_contractible_complex,
@@ -309,18 +309,23 @@ def test_split_exactness_exact_not_split_negative_control():
 
 def test_split_exactness_computes_each_kernel_once(monkeypatch):
     # the Z/4 resolution of Z/2 (2 in every degree) is exact and not
-    # split; the cycles of the exactness loop serve the projectivity loop
+    # split; the cycles of the exactness loop serve the projectivity loop,
+    # and each differential is eliminated once for its kernel and the
+    # solve in the degree above
     calls = []
+    hnf = matrices._hnf
 
-    def counting(a):
-        calls.append(a)
-        return kernel_right(a)
+    def counting(n, rows, gens, *rest):
+        calls.append((rows, gens))
+        return hnf(n, rows, gens, *rest)
 
-    monkeypatch.setattr(complexes, "kernel_right", counting)
     p, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
+    monkeypatch.setattr(matrices, "_hnf", counting)
     v = split_exactness_check(p, (-6, 0))
     assert v.code == "exact_not_split" and v.details["degree"] == -5
-    assert len(calls) == 5
+    # [d; I] for d^-6 .. d^-1, then the cycle module at -5: the kernel and
+    # the span of subquotient_module (its projectivity system is zero mod 4)
+    assert calls == [(2, [[2, 1]])] * 7 + [(1, [[2]])]
 
 
 def test_first_difference_names_the_lowest_differing_degree():

@@ -179,6 +179,37 @@ def test_parse_rejects_boolean_matrix_entry(ring):
         parse_document(text)
 
 
+@pytest.mark.parametrize("ring,entries,message", [
+    ('{"kind": "Zmod", "n": 4}', [[0, 1], [3, 4], [True, "2"]],
+     "entry 4 is not a canonical representative over Z/4"),
+    ('{"kind": "Zmod", "n": 4}', [[0, 1], ["2", -1], [0, 5]],
+     "matrix entry must be an integer, got '2'"),
+    ('{"kind": "Fp", "n": 5}', [[1, -1], [2.0, 7]],
+     "entry -1 is not a canonical representative over F5"),
+    ('{"kind": "Z"}', [[-9, 10 ** 30], [None, 1.5]],
+     "matrix entry must be an integer, got None"),
+])
+def test_parse_names_the_first_bad_entry(ring, entries, message):
+    payload = json.dumps({"rows": len(entries), "cols": 2, "entries": entries})
+    text = DOC + f'"ring": {ring}, "kind": "matrix", "payload": {payload}}}'
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert str(info.value) == message
+
+
+def test_parse_refuses_a_negative_column_count():
+    # with no rows no entry check sees cols; with rows, each row's length does
+    from homcert.matrices import MatrixError
+
+    head = DOC + '"ring": {"kind": "Zmod", "n": 4}, "kind": "matrix", "payload": '
+    with pytest.raises(MatrixError, match="negative dimension"):
+        parse_document(head + '{"rows": 0, "cols": -1, "entries": []}}')
+    with pytest.raises(DocumentError, match="matrix rows must have -1 entries"):
+        parse_document(head + '{"rows": 1, "cols": -1, "entries": [[]]}}')
+    assert parse_document(head + '{"rows": 0, "cols": 3, "entries": []}}').payload \
+        == Mat.zero(Zmod(4), 0, 3)
+
+
 def test_parse_rejects_non_integer_tail_and_shift():
     tail = (DOC + '"ring": {"kind": "Zmod", "n": 4}, "kind": "complex", '
             '"payload": {"side": "left", "ranks": [[0, 1]], "diffs": [], '

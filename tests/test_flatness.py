@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homcert import complexes, flatness, homspaces
+from homcert import matrices
 from homcert.complexes import Complex, PeriodicTail
 from homcert.flatness import (EngineConfig, FlatCertificate, FlatRelation,
                               check_certificate, cycle_flatness_probe,
@@ -202,14 +202,21 @@ def test_cycle_probe_certifies_seeded_relations_with_a_lift(ring):
 
 def test_a_certified_cycle_probe_makes_three_solves(monkeypatch):
     # exactness of Q at j, then one solve in Hom(M, Q) for the hypothesis
-    # and the lift together, then the free certificate
+    # and the lift together, then the free certificate; over Z every
+    # kernel and every solve is one Bareiss pass, over [A | B] for a solve
     calls = []
-    for mod in (flatness, homspaces, complexes):
-        def counting(a, b, solve=mod.solve_right):
-            calls.append((a.rows, a.cols, b.cols))
-            return solve(a, b)
-        monkeypatch.setattr(mod, "solve_right", counting)
+    bareiss = matrices._bareiss
+
+    def counting(m, c):
+        calls.append("solve" if m and len(m[0]) > c else "kernel")
+        return bareiss(m, c)
+
+    monkeypatch.setattr(matrices, "_bareiss", counting)
     q = exact_three_term()
     rel = FlatRelation(ZZ, Mat(ZZ, 1, 2, (2, -1)), Mat(ZZ, 2, 2, (1, 2, 2, 4)))
     assert cycle_flatness_probe(q, -1, rel).ok
-    assert len(calls) == 3
+    # kernels: the cycles of Q at j, the relations of the z's, the
+    # functionals of M (once, though M appears in two Hom degrees), the
+    # cycles of Hom(M, Q) at j, the free certificate's row kernel
+    assert calls == ["kernel", "solve", "kernel", "kernel", "kernel", "solve",
+                     "kernel", "solve"]

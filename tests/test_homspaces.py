@@ -333,3 +333,53 @@ def test_induced_h0_map_is_one_solve(monkeypatch):
         assert x.submatrix(range(t_cycles.cols), [0]) == \
             f.matrix.submatrix(range(t_cycles.cols), [c])
     assert f.is_isomorphism()
+
+
+def test_a_quasi_iso_sweep_eliminates_each_restricted_differential_once(monkeypatch):
+    # the cone of M -> P* for M = Z/4/(2) against Z/4 --2--> Z/4 --2--> Z/4:
+    # the form of degree n serves the cycles at n and the solve at n + 1,
+    # and the functionals of M are eliminated once for all its degrees
+    from homcert import matrices
+
+    subs, formed, eliminated = [], [], []
+    monkeypatch.setattr(generator, "hom_fp_complex",
+                        lambda *args: subs.append(hom_fp_complex(*args)) or subs[-1])
+    echelon, hnf = homspaces.echelon, matrices._hnf
+    monkeypatch.setattr(homspaces, "echelon", lambda a: formed.append(a) or echelon(a))
+
+    def recording(n, rows, gens, *rest):
+        eliminated.append((rows, gens))
+        return hnf(n, rows, gens, *rest)
+
+    pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
+    monkeypatch.setattr(matrices, "_hnf", recording)
+    assert generator.verify_generator_quasi_iso(pkg, _z4_two_chain(), (-4, 4)).ok
+    (sub,) = subs
+    presented = pkg.module.presentation.transpose()
+
+    def stacked(a):  # the columns of [A; I], as the core receives them
+        return (a.rows + a.cols, [col + [int(i == j) for i in range(a.cols)]
+                                  for j, col in enumerate(a.columns())])
+
+    nonzero = [a for a in formed if not a.is_zero()]
+    assert len(nonzero) >= 4
+    assert sorted(eliminated) == sorted([stacked(presented)] + [stacked(a) for a in nonzero])
+    # one form per degree, each built from that degree's restricted differential
+    assert len(formed) == len({id(a) for a in formed})
+    zero_ambient = [n for n in range(-4, 5) if not sub.layout(n)]
+    assert zero_ambient
+
+
+def test_a_zero_ambient_degree_is_exact_without_building_anything(monkeypatch):
+    pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
+    _, sub = hom_classes(pkg, _z4_two_chain())
+    empty = [n for n in range(-8, 9) if not sub.layout(n)]
+    assert empty
+
+    def refuse(*args):
+        raise AssertionError("built a block for a zero ambient module")
+
+    monkeypatch.setattr(homspaces, "assemble_blocks", refuse)
+    monkeypatch.setattr(homspaces, "block_diag", refuse)
+    monkeypatch.setattr(homspaces, "echelon", refuse)
+    assert all(sub.is_exact_at(n) for n in empty)

@@ -5,9 +5,10 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcert.matrices import (Mat, MatrixError, _hnf, _xgcd, assemble_blocks, block_diag,
-                              colspan_canonical, kernel_left, kernel_right,
-                              smith_invariants, solve_left, solve_right)
+from homcert.matrices import (Mat, MatrixError, _from_cols, _hnf, _xgcd, _z_reduce,
+                              assemble_blocks, block_diag, colspan_canonical, echelon,
+                              kernel_left, kernel_right, smith_invariants, solve_left,
+                              solve_right)
 from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_invertible, random_matrix
@@ -533,6 +534,122 @@ def test_packed_hnf_matches_the_list_core_on_full_slots(n):
         for a in range(1, 9) if rows else ():
             tail = [n - 1] * (rows - 1)
             _check_packed(n, rows, [[0] * rows, [n // p] + tail, [a] + tail, full])
+
+
+# -- one form of [A; I] against the stacked system it replaced ---------------
+
+
+def _modular_kernel(n: int, rows: int, cols: list[list[int]]) -> dict[int, list[int]]:
+    """Hermite form of {x in Z^c : A x = 0 mod n}, A given by its columns.
+
+    Returns {i: column} for the pivots below n; every other pivot is n,
+    with HNF column n*e_i.
+    """
+    c = len(cols)
+    # the pivots of [A; I_c] below the rows of A carry the kernel lattice
+    gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(cols)]
+    return {i - rows: p[rows:] for i, p in _hnf(n, rows + c, gens, rows).items()}
+
+
+def _modular_solve(n: int, rows: int, a_cols: list[list[int]],
+                   b_cols: list[list[int]]) -> list[list[int]] | None:
+    """Solution columns of A X = B mod n, reduced modulo the kernel's HNF, or None."""
+    c, k = len(a_cols), len(b_cols)
+    # the columns of [[A, -B], [0, I_k], [I_c, 0]] span the (x, y) with
+    # A x = B y; AX = B is solvable iff every y-row has pivot 1
+    gens = [a + [0] * k + [int(i == j) for i in range(c)] for j, a in enumerate(a_cols)]
+    gens += [[-v for v in b] + [int(i == j) for i in range(k)] + [0] * c
+             for j, b in enumerate(b_cols)]
+    pivots = _hnf(n, rows + k + c, gens, rows)
+    if not all(rows + j in pivots and pivots[rows + j][rows + j] == 1 for j in range(k)):
+        return None
+    return [pivots[rows + j][rows + k:] for j in range(k)]
+
+
+def _stacked_solve(A: Mat, B: Mat) -> Mat | None:
+    """The solve through the stacked system that the form replaced, kept verbatim."""
+    A._check_same_ring(B)
+    if A.rows != B.rows:
+        raise MatrixError("solve_right: row count mismatch")
+    n = A.ring.modulus
+    if not B.cols or A.is_zero():
+        return Mat.zero(A.ring, A.cols, B.cols) if B.is_zero() else None
+    if n is None:
+        red = _z_reduce(A, B)
+        if red is None:
+            return None
+        delta, rank, xcols, ycols, lift = red
+        # x2 = 0 is reduced, so it is the canonical x2 whenever it solves
+        x2s = ([[0] * len(xcols)] * len(ycols) if all(v % delta == 0 for y in ycols for v in y)
+               else _modular_solve(delta, rank, xcols, ycols))
+        sols = None if x2s is None else [lift(v, y) for v, y in zip(x2s, ycols)]
+    else:
+        sols = _modular_solve(n, A.rows, A.columns(), B.columns())
+    return None if sols is None else _from_cols(A.ring, A.cols, sols)
+
+
+def _stacked_kernel(A: Mat) -> Mat:
+    """The kernel as it was computed beside the stacked solve, kept verbatim."""
+    if A.is_zero():
+        return Mat.identity(A.ring, A.cols)
+    n = A.ring.modulus
+    if n is None:
+        delta, rank, xcols, _, lift = _z_reduce(A, None)
+        f = len(xcols)
+        h = _modular_kernel(delta, rank, xcols) if delta > 1 and f else {}
+        # a row without a pivot below delta has the Hermite column delta*e_i
+        cols = [lift(h[i] if i in h else [delta * (l == i) for l in range(f)], [0] * rank)
+                for i in range(f)]
+    else:
+        cols = list(_modular_kernel(n, A.rows, A.columns()).values())
+    return _from_cols(A.ring, A.cols, cols)
+
+
+FORM_RINGS = ([ZZ] + [Zmod(n) for n in range(2, 37)]
+              + [Fp(p) for p in (2, 3, 5, 7, 2**61 - 1)])
+
+
+@st.composite
+def form_input(draw):
+    """(A, B) with B = A X for a drawn X, an arbitrary B (often not in the
+    span), a zero A, a rank-deficient A, and empty shapes."""
+    ring = draw(st.sampled_from(FORM_RINGS))
+    n = ring.modulus
+    entry = st.integers(-9, 9) if n is None else st.one_of(
+        st.sampled_from([0, 1, n - 1] + [d for d in (2, 3, 4, 6) if n % d == 0 and d < n]),
+        st.integers(0, n - 1))
+    rows, cols, k = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 4))
+
+    def matrix(r, c):
+        return Mat(ring, r, c, tuple(draw(st.lists(entry, min_size=r * c, max_size=r * c))))
+
+    shape = draw(st.sampled_from(["any", "zero", "deficient"]))
+    if shape == "zero":
+        a = Mat.zero(ring, rows, cols)
+    elif shape == "deficient":
+        rank = draw(st.integers(0, min(rows, cols)))
+        a = matrix(rows, rank) @ matrix(rank, cols)
+    else:
+        a = matrix(rows, cols)
+    b = a @ matrix(cols, k) if draw(st.booleans()) else matrix(rows, k)
+    return a, b
+
+
+@given(form_input())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_the_form_solves_and_kernels_as_the_stacked_system_did(case):
+    a, b = case
+    expected = _stacked_solve(a, b)
+    assert solve_right(a, b) == expected
+    assert kernel_right(a) == _stacked_kernel(a)
+    # one form answers both, in either order and repeatedly
+    form = echelon(a)
+    assert form.kernel() == _stacked_kernel(a)
+    assert form.solve(b) == expected and form.solve(b) == expected
+    form = echelon(a)
+    assert form.solve(b) == expected and form.kernel() == _stacked_kernel(a)
+    if expected is not None:
+        assert a @ expected == b
 
 
 # -- Z kernels and solves: canonical and within Hadamard's bound -----------
