@@ -463,17 +463,18 @@ def is_exact_at(c: Complex, j: int) -> bool:
     Z, exact over Z, Z/n and F_p; Y is the exactness witness.  No
     homology module is built.
     """
-    U, V = cycles_and_boundaries(c, j)
-    return solve_right(V, U) is not None
+    return next(exactness_sweep(c, j, j))[2]
 
 
 def exactness_sweep(c: Complex, lo: int, hi: int) -> Iterator[tuple[int, Mat, bool]]:
     """(j, cycle generators, H^j(c) = 0) for j = lo..hi, each decided as
     in is_exact_at.  Each differential is eliminated once: the form of
-    d^j gives the cycles at j and then the solve at j + 1."""
+    d^j gives the cycles at j and then the solve at j + 1, and a d^j
+    equal to d^(j-1), as in a periodic tail, reuses its form."""
     below = echelon(c.diff(lo - 1))
     for j in range(lo, hi + 1):
-        here = echelon(c.diff(j))
+        d = c.diff(j)
+        here = below if d == below.matrix else echelon(d)
         cycles = here.kernel()
         yield j, cycles, below.solve(cycles) is not None
         below = here

@@ -17,7 +17,10 @@ module is zero is exact without building anything.  The homology
 module, where one is wanted, is their subquotient presentation.  No
 degree window is chosen: each degree's layout, generators and ambient
 differential are built the first time a caller reads them, and H^n
-reads the ambient differentials of degrees n - 1 and n only.
+reads the ambient differentials of degrees n - 1 and n only.  An
+ambient differential has only two kinds of block, I (x) d_Q and
+t^T (x) I, and is written entry by entry into one list, with no block
+matrix built on the way.
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the
@@ -31,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import (SIZE_LIMIT, Echelon, Mat, MatrixError, assemble_blocks, block_diag,
-    echelon, kernel_left, solve_right)
+from .matrices import (SIZE_LIMIT, Echelon, Mat, MatrixError, block_diag, echelon, kernel_left,
+    solve_right)
 from .modules import FPModule, ModuleMap, subquotient_module
 from .complexes import Complex
 
@@ -107,33 +110,43 @@ class SubComplex:
 
     def ambient_diff(self, n: int) -> Mat:
         """The ambient map from degree n to n+1, with the Koszul sign
-        d(f) = d_Q f - (-1)^n f d.  One of more than SIZE_LIMIT**2 cells
-        does not fit in memory as a dense matrix and is refused
-        (MatrixError) before any of its blocks is built."""
+        d(f) = d_Q f - (-1)^n f d, written straight into one entry list:
+        block (i, i) is I_r0 (x) d_Q^(i+n), r0 copies of d_Q down the
+        diagonal, and block (i - 1, i) is -(-1)^n t^T (x) I_qr for the
+        source differential t = diffs[i - 1], each entry on the diagonal
+        of a qr x qr sub-block.  One of more than SIZE_LIMIT**2 cells does
+        not fit in memory as a dense matrix and is refused (MatrixError)
+        before anything is allocated."""
         key = ("diff", n)
         if key in self._cache:
             return self._cache[key]
-        src, tgt = self.layout(n), self.layout(n + 1)
-        rows, cols = [r0 * qr for (_, r0, qr) in tgt], [r0 * qr for (_, r0, qr) in src]
-        cells = sum(rows) * sum(cols)
-        if cells > SIZE_LIMIT ** 2:
-            raise MatrixError(f"the Hom differential in degree {n} would have {cells} "
+        rows, cols = self.ambient_rank(n + 1), self.ambient_rank(n)
+        if rows * cols > SIZE_LIMIT ** 2:
+            raise MatrixError(f"the Hom differential in degree {n} would have {rows * cols} "
                               f"cells, more than {SIZE_LIMIT ** 2}")
-        ring = self.q.ring
-        tgt_index = {i: pos for pos, (i, _, _) in enumerate(tgt)}
-        grid: list[list[Mat | None]] = [[None] * len(src) for _ in tgt]
-        for spos, (i, r0, qr) in enumerate(src):
-            if i in tgt_index:
-                dq = self.q.diff(i + n)
-                if not dq.is_zero():
-                    grid[tgt_index[i]][spos] = Mat.identity(ring, r0).kron(dq)
-            if (i - 1) in tgt_index:
-                t = self.diffs.get(i - 1)
-                if t is not None and not t.is_zero():
-                    m = t.transpose().kron(Mat.identity(ring, qr)).scale(1 if n % 2 else -1)
-                    prev = grid[tgt_index[i - 1]][spos]
-                    grid[tgt_index[i - 1]][spos] = m if prev is None else prev + m
-        d = self._cache[key] = assemble_blocks(ring, grid, rows, cols)
+        mod, sign = self.q.ring.modulus, 1 if n % 2 else -1
+        top, r = {}, 0  # first row of each target block
+        for (i, r0, qr) in self.layout(n + 1):
+            top[i], r = r, r + r0 * qr
+        ent = [0] * (rows * cols)
+        c0 = 0
+        for (i, r0, qr) in self.layout(n):
+            if i in top and not (dq := self.q.diff(i + n)).is_zero():  # I_r0 (x) d_Q
+                e, h = dq.entries, dq.rows
+                for a in range(r0):
+                    for k in range(h):
+                        at = (top[i] + a * h + k) * cols + c0 + a * qr
+                        ent[at:at + qr] = e[k * qr:(k + 1) * qr]
+            t = self.diffs.get(i - 1)
+            if i - 1 in top and t is not None:  # sign * t^T (x) I_qr
+                for b in range(r0):
+                    for a in range(t.cols):
+                        if v := t.entries[b * t.cols + a]:
+                            at = (top[i - 1] + a * qr) * cols + c0 + b * qr
+                            ent[at:at + qr * (cols + 1):cols + 1] = \
+                                [sign * v if mod is None else sign * v % mod] * qr
+            c0 += r0 * qr
+        d = self._cache[key] = Mat._trusted(self.q.ring, rows, cols, tuple(ent))
         return d
 
     def form(self, n: int) -> Echelon:
@@ -202,9 +215,14 @@ def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],
     Koszul sign as for free Hom complexes: d(f) = d_Q f - (-1)^n f d.
     Nothing is built here: every degree is built when first read.
     """
-    for m in terms.values():
-        if m.ring != q.ring:
+    for x in [*terms.values(), *diffs.values()]:
+        if x.ring != q.ring:
             raise MatrixError("Hom needs source and target over the same ring")
+    for i, t in diffs.items():
+        shape = tuple(terms[j].rank0 if j in terms else 0 for j in (i + 1, i))
+        if (t.rows, t.cols) != shape:
+            raise MatrixError(f"the source differential in degree {i} is {t.rows}x{t.cols}, "
+                              f"expected {shape[0]}x{shape[1]}")
     return SubComplex(dict(sorted(terms.items())), diffs, q)
 
 

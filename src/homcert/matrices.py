@@ -226,21 +226,20 @@ class Mat:
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product; vec(A X B) = kron(B^T, A) vec(X), vec column-major."""
         self._check_same_ring(other)
-        r = self.rows * other.rows
-        c = self.cols * other.cols
+        p, q, b = other.rows, other.cols, other.entries
+        c = self.cols * q
         n = self.ring.modulus
-        ent = [0] * (r * c)
+        ent = [0] * (self.rows * p * c)
         for i1 in range(self.rows):
-            for j1 in range(self.cols):
-                a = self[i1, j1]
+            for j1, a in enumerate(self.entries[i1 * self.cols:(i1 + 1) * self.cols]):
                 if a == 0:
                     continue
-                for i2 in range(other.rows):
-                    for j2 in range(other.cols):
-                        v = a * other[i2, j2]
-                        ent[(i1 * other.rows + i2) * c + (j1 * other.cols + j2)] = (
-                            v if n is None else v % n)
-        return Mat._trusted(self.ring, r, c, tuple(ent))
+                for i2 in range(p):
+                    row = b[i2 * q:(i2 + 1) * q]
+                    at = (i1 * p + i2) * c + j1 * q
+                    ent[at:at + q] = row if a == 1 else (
+                        [a * v for v in row] if n is None else [a * v % n for v in row])
+        return Mat._trusted(self.ring, self.rows * p, c, tuple(ent))
 
     def vec(self) -> "Mat":
         """Column-major vectorization as a column."""

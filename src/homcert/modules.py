@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import (
+    Echelon,
     Mat,
     MatrixError,
     colspan_canonical,
@@ -24,7 +25,6 @@ from .matrices import (
     kernel_left,
     kernel_right,
     smith_invariants,
-    solve_left,
     solve_right,
 )
 from .rings import RingDescriptor
@@ -94,9 +94,11 @@ class FPModule:
 
 
 def modules_isomorphic(m1: FPModule, m2: FPModule) -> bool:
+    """Same ring and side, and equal presentations or equal invariants."""
     if m1.ring != m2.ring or m1.side != m2.side:
         return False
-    return m1.abelian_invariants() == m2.abelian_invariants()
+    return m1.presentation == m2.presentation or \
+        m1.abelian_invariants() == m2.abelian_invariants()
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,19 @@ def subquotient_module(ring: RingDescriptor, side: str, gens: Mat, zeros: Mat) -
 # -- duality -----------------------------------------------------------
 
 
-def dual_data(m: FPModule) -> tuple[FPModule, Mat]:
-    """(M*, K): K's rows are the generators of M* as functionals on M."""
+def _dual_form(m: FPModule) -> tuple[FPModule, Mat, Echelon]:
+    """dual_data(M) and the one elimination of K^T behind it: its kernel
+    is the relations among the generators of M*, and its solves express
+    functionals on M* in those generators."""
     K = kernel_left(m.presentation)  # k x rank0
-    rel_rows = kernel_left(K)  # r x k, rows are relations among the generators
-    mstar = FPModule(m.ring, opposite(m.side), colspan_canonical(rel_rows.transpose()))
-    return mstar, K
+    form = echelon(K.transpose())
+    return FPModule(m.ring, opposite(m.side), colspan_canonical(form.kernel())), K, form
+
+
+def dual_data(m: FPModule) -> tuple[FPModule, Mat]:
+    """(M*, K): K's rows are the generators of M* as functionals on M,
+    and M* is presented by the kernel of one form, echelon(K^T)."""
+    return _dual_form(m)[:2]
 
 
 def dualize_module(m: FPModule) -> FPModule:
@@ -167,25 +176,25 @@ def dualize_module(m: FPModule) -> FPModule:
 
 def dualize_map(f: ModuleMap) -> ModuleMap:
     """Hom(-, R) applied to f: M -> N gives f*: N* -> M*."""
-    mstar, K_m = dual_data(f.source)
+    mstar, _, form = _dual_form(f.source)
     nstar, K_n = dual_data(f.target)
     pulled = K_n @ f.matrix  # each row is a functional on M
-    coeffs = solve_left(K_m, pulled)
+    coeffs = form.solve(pulled.transpose())
     if coeffs is None:
         raise MatrixError("dual functional not expressible; solver invariant broken")
-    return ModuleMap(nstar, mstar, coeffs.transpose())
+    return ModuleMap(nstar, mstar, coeffs)
 
 
 def canonical_double_dual_map(m: FPModule, mstar: FPModule, K: Mat) -> ModuleMap:
     """Evaluation map M -> M**, generator e_i |-> (phi |-> phi(e_i)),
     given (M*, K) = dual_data(M)."""
-    mstarstar, K2 = dual_data(mstar)
-    # the i'th generator of M evaluates the dual generators to column i of K
-    evaluation_rows = K.transpose()  # rank0 x k, row i is e_i's functional on M*
-    coeffs = solve_left(K2, evaluation_rows)
+    mstarstar, _, form = _dual_form(mstar)
+    # the i'th generator of M evaluates the dual generators to column i of
+    # K, which is K2^T X for the generators K2 of M** and the map's matrix X
+    coeffs = form.solve(K)
     if coeffs is None:
         raise MatrixError("double-dual evaluation not expressible; solver invariant broken")
-    return ModuleMap(m, mstarstar, coeffs.transpose())
+    return ModuleMap(m, mstarstar, coeffs)
 
 
 # -- projectivity and dimension ---------------------------------------

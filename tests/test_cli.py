@@ -2,10 +2,10 @@ import json
 import pathlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 
-from homcert import homspaces
 from homcert.cli import MAX_DECOMPOSE_DEPTH, main
 from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_document,
                                parse_document)
@@ -502,18 +502,22 @@ def test_chain_map_between_sides_exits_2(capsys, tmp_path):
     assert "from a left complex to a right one" in err and "Traceback" not in err
 
 
-def test_a_hom_complex_beyond_the_size_limit_exits_2(capsys, tmp_path, monkeypatch):
+def test_a_hom_complex_beyond_the_size_limit_exits_2(capsys, tmp_path):
     # ranks 64 in degrees 0 and 1: the contraction's Hom differential in
-    # degree -1 would be 8192 x 4096
-    def refuse(*args):
-        raise AssertionError("a block was built")
-    monkeypatch.setattr(homspaces, "assemble_blocks", refuse)
+    # degree -1 would be 8192 x 4096, an entry list of 256 MB; the guard
+    # fires before it is allocated
     path = tmp_path / "big.json"
     path.write_text(DOC + '"ring": {"kind": "Z"}, "kind": "complex", '
                     '"payload": {"side": "left", "ranks": [[0, 64], [1, 64]]}}')
-    code, out, err = run(capsys, "split-check", str(path), "--window=-2..3")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "split-check", str(path), "--window=-2..3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2 and out == ""
     assert f"33554432 cells, more than {SIZE_LIMIT ** 2}" in err
+    assert peak < 2 ** 22, peak
 
 
 def test_a_contraction_beyond_the_size_limit_builds_no_identity(capsys, tmp_path, monkeypatch):

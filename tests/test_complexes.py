@@ -6,7 +6,8 @@ import pytest
 from homcert import matrices
 from homcert.complexes import (ChainMap, Complex, ComplexError, Homotopy,
                                PeriodicTail, cone, contraction, dualize_complex,
-                               finite_coproduct, first_difference, homology,
+                               exactness_sweep, finite_coproduct, first_difference,
+                               homology, is_exact_at,
                                null_homotopy_witness, split_exactness_check,
                                suspension, twisted_sum)
 from homcert.generator import resolve_module
@@ -323,9 +324,54 @@ def test_split_exactness_computes_each_kernel_once(monkeypatch):
     monkeypatch.setattr(matrices, "_hnf", counting)
     v = split_exactness_check(p, (-6, 0))
     assert v.code == "exact_not_split" and v.details["degree"] == -5
-    # [d; I] for d^-6 .. d^-1, then the cycle module at -5: the kernel and
-    # the span of subquotient_module (its projectivity system is zero mod 4)
-    assert calls == [(2, [[2, 1]])] * 7 + [(1, [[2]])]
+    # [d; I] once for d^-6 .. d^-1, which are all equal, then the cycle
+    # module at -5: the kernel and the span of subquotient_module (its
+    # projectivity system is zero mod 4)
+    assert calls == [(2, [[2, 1]])] * 2 + [(1, [[2]])]
+
+
+def _z4_periodic():
+    # ... -> Z/4 --2--> Z/4 --2--> Z/4 -> ... in every degree: each
+    # differential is the one Mat folded from both tails
+    ring = Zmod(4)
+    return Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))},
+                   tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
+
+
+def _counting_hnf(monkeypatch):
+    calls = []
+    hnf = matrices._hnf
+
+    def counting(n, rows, gens, *rest):
+        calls.append((rows, gens))
+        return hnf(n, rows, gens, *rest)
+
+    monkeypatch.setattr(matrices, "_hnf", counting)
+    return calls
+
+
+def test_a_periodic_sweep_eliminates_its_repeated_differential_once(monkeypatch):
+    c = _z4_periodic()
+    calls = _counting_hnf(monkeypatch)
+    v = split_exactness_check(c, (-4, 4))
+    assert v.code == "exact_not_split" and v.details["degree"] == -3
+    # [2; 1] once for the sweep over d^-4 .. d^3, then the cycle module at
+    # -3: its kernel (the same [2; 1]) and its span
+    assert calls == [(2, [[2, 1]])] * 2 + [(1, [[2]])]
+
+
+@pytest.mark.parametrize("j", [-3, 0, 1, 4])
+def test_is_exact_at_is_one_step_of_the_sweep(monkeypatch, j):
+    c = _z4_periodic()
+    assert c.diff(j - 1) is c.diff(j)
+    calls = _counting_hnf(monkeypatch)
+    assert is_exact_at(c, j)
+    assert calls == [(2, [[2, 1]])]
+    rng = random.Random(j)
+    for ring in (ZZ, Fp(7), Zmod(4), Zmod(12)):
+        q = random_bounded_complex(rng, ring)
+        assert is_exact_at(q, j) == next(exactness_sweep(q, j, j))[2] \
+            == homology(q, j).is_zero()
 
 
 def test_first_difference_names_the_lowest_differing_degree():

@@ -161,13 +161,14 @@ def test_an_oversized_hom_complex_is_refused_before_any_block(monkeypatch):
     # rank 2 * 4096^2, so d^-1 would have 2^49 cells
     def refuse(*args):
         raise AssertionError("a block was built")
-    for name in ("assemble_blocks", "block_diag"):
-        monkeypatch.setattr(homspaces, name, refuse)
+    x = Complex(ZZ, "left", {0: SIZE_LIMIT, 1: SIZE_LIMIT}, {})
+    sub = hom_fp_complex(free_terms(x), {}, x)
+    monkeypatch.setattr(homspaces, "block_diag", refuse)
+    monkeypatch.setattr(Mat, "_trusted", classmethod(refuse))
     monkeypatch.setattr(Mat, "identity", staticmethod(refuse))
     monkeypatch.setattr(Mat, "kron", refuse)
-    x = Complex(ZZ, "left", {0: SIZE_LIMIT, 1: SIZE_LIMIT}, {})
     with pytest.raises(MatrixError, match=f"degree -1 would have {2 ** 49} cells"):
-        hom_fp_complex(free_terms(x), {}, x).ambient_diff(-1)
+        sub.ambient_diff(-1)
 
 
 EXACTNESS_RINGS = [ZZ, Fp(7), Zmod(4), Zmod(8), Zmod(12)]
@@ -235,12 +236,16 @@ def _z4_two_chain():
 
 def test_hom_classes_builds_only_the_differentials_h0_reads(monkeypatch):
     built = []
+    ambient_diff = homspaces.SubComplex.ambient_diff
 
-    def counting(ring, grid, rows, cols):
-        built.append((sum(rows), sum(cols)))
-        return assemble_blocks(ring, grid, rows, cols)
+    def counting(sub, n):
+        fresh = ("diff", n) not in sub._cache
+        d = ambient_diff(sub, n)
+        if fresh:
+            built.append((d.rows, d.cols))
+        return d
 
-    monkeypatch.setattr(homspaces, "assemble_blocks", counting)
+    monkeypatch.setattr(homspaces.SubComplex, "ambient_diff", counting)
     pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
     (h0, _, _), sub = hom_classes(pkg, _z4_two_chain())
     # H^0 reads the ambient differentials of degrees -1 and 0, each once
@@ -379,7 +384,111 @@ def test_a_zero_ambient_degree_is_exact_without_building_anything(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a block for a zero ambient module")
 
-    monkeypatch.setattr(homspaces, "assemble_blocks", refuse)
+    monkeypatch.setattr(Mat, "_trusted", classmethod(refuse))
     monkeypatch.setattr(homspaces, "block_diag", refuse)
     monkeypatch.setattr(homspaces, "echelon", refuse)
     assert all(sub.is_exact_at(n) for n in empty)
+
+
+# -- the ambient differential, written from its Kronecker blocks -------
+
+
+def _kron_ambient_diff(sub, n):
+    """SubComplex.ambient_diff as it was built block by block from
+    Mat.identity, kron, transpose, scale and assemble_blocks (without
+    its cache and size guard): the reference of the direct assembly."""
+    src, tgt = sub.layout(n), sub.layout(n + 1)
+    rows, cols = [r0 * qr for (_, r0, qr) in tgt], [r0 * qr for (_, r0, qr) in src]
+    ring = sub.q.ring
+    tgt_index = {i: pos for pos, (i, _, _) in enumerate(tgt)}
+    grid = [[None] * len(src) for _ in tgt]
+    for spos, (i, r0, qr) in enumerate(src):
+        if i in tgt_index:
+            dq = sub.q.diff(i + n)
+            if not dq.is_zero():
+                grid[tgt_index[i]][spos] = Mat.identity(ring, r0).kron(dq)
+        if (i - 1) in tgt_index:
+            t = sub.diffs.get(i - 1)
+            if t is not None and not t.is_zero():
+                m = t.transpose().kron(Mat.identity(ring, qr)).scale(1 if n % 2 else -1)
+                prev = grid[tgt_index[i - 1]][spos]
+                grid[tgt_index[i - 1]][spos] = m if prev is None else prev + m
+    return assemble_blocks(ring, grid, rows, cols)
+
+
+AMBIENT_RINGS = [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12)]
+
+
+def _random_source(rng, ring):
+    """Terms in consecutive degrees, each free or presented (rank 0
+    included), and between neighbours a differential that is absent,
+    zero or random."""
+    lo = rng.randint(-2, 0)
+    terms = {i: FPModule.free(ring, "left", rng.randint(0, 3)) if rng.random() < 0.5
+             else random_fp_module(rng, ring, max_rank=3)
+             for i in range(lo, lo + rng.randint(1, 4))}
+    diffs = {}
+    for i in terms:
+        if i + 1 in terms:
+            shape = (terms[i + 1].rank0, terms[i].rank0)
+            kind = rng.choice(("absent", "zero", "random"))
+            if kind != "absent":
+                diffs[i] = (Mat.zero(ring, *shape) if kind == "zero"
+                            else random_matrix(rng, ring, *shape))
+    return terms, diffs
+
+
+@pytest.mark.parametrize("ring", AMBIENT_RINGS, ids=str)
+def test_ambient_diff_equals_the_kronecker_assembly(ring):
+    rng = random.Random(f"ambient/{ring}")
+    seen = set()
+    for _ in range(40):
+        q = random_bounded_complex(rng, ring)
+        terms, diffs = _random_source(rng, ring)
+        sub = hom_fp_complex(terms, diffs, q)
+        span = q.support() or (0, 0)
+        for n in range(span[0] - max(terms) - 2, span[1] - min(terms) + 2):
+            d = sub.ambient_diff(n)
+            assert d == _kron_ambient_diff(sub, n), n
+            src, tgt = {i for (i, _, _) in sub.layout(n)}, {i for (i, _, _) in sub.layout(n + 1)}
+            seen.add(("empty", not src, not tgt))
+            seen.update(("presented", n % 2) for i in src & tgt if terms[i].rank1)
+            for i in src:
+                if i - 1 in tgt:
+                    t = diffs.get(i - 1)
+                    seen.add(("t", n % 2, "absent" if t is None else "zero" if t.is_zero()
+                              else "random"))
+    # every kind of t under a nonempty block and presented terms, both
+    # with either sign, and layouts empty on either side
+    assert seen >= {("presented", 0), ("presented", 1),
+                    ("empty", True, False), ("empty", False, True), ("empty", False, False)}
+    assert seen >= {("t", p, kind) for p in (0, 1) for kind in ("absent", "zero", "random")}
+
+
+def test_a_source_differential_of_the_wrong_shape_or_ring_is_refused():
+    ring = Zmod(4)
+    free = partial(FPModule.free, ring, "left")
+    q = Complex(ring, "left", {0: 1}, {})
+    with pytest.raises(MatrixError, match="degree -1 is 1x2, expected 1x1"):
+        hom_fp_complex({-1: free(1), 0: free(1)}, {-1: Mat.zero(ring, 1, 2)}, q)
+    with pytest.raises(MatrixError, match="degree 0 is 1x1, expected 0x1"):
+        hom_fp_complex({0: free(1)}, {0: Mat.zero(ring, 1, 1)}, q)
+    with pytest.raises(MatrixError, match="same ring"):
+        hom_fp_complex({-1: free(1), 0: free(1)}, {-1: Mat.identity(ZZ, 1)}, q)
+
+
+def test_a_free_hom_complex_builds_no_identity_and_no_kron(monkeypatch):
+    rng = random.Random(31)
+    subs = []
+    for ring in AMBIENT_RINGS:
+        x = random_bounded_complex(rng, ring, max_pieces=2)
+        q = random_bounded_complex(rng, ring)
+        subs.append(hom_fp_complex(free_terms(x), x.diffs, q))
+
+    def refuse(*args):
+        raise AssertionError("an identity or a Kronecker product was built")
+
+    monkeypatch.setattr(Mat, "identity", staticmethod(refuse))
+    monkeypatch.setattr(Mat, "kron", refuse)
+    built = [sub.ambient_diff(n) for sub in subs for n in range(-5, 5)]
+    assert any(not d.is_zero() for d in built)

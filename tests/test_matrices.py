@@ -186,6 +186,38 @@ def test_kron_vec_identity():
         assert Mat.unvec(ring, x.vec(), 2, 3) == x
 
 
+def _entry_kron(a, b):
+    """Mat.kron entry by entry through __getitem__: the reference of the
+    slice-written product."""
+    r, c = a.rows * b.rows, a.cols * b.cols
+    n = a.ring.modulus
+    ent = [0] * (r * c)
+    for i1 in range(a.rows):
+        for j1 in range(a.cols):
+            x = a[i1, j1]
+            if x == 0:
+                continue
+            for i2 in range(b.rows):
+                for j2 in range(b.cols):
+                    v = x * b[i2, j2]
+                    ent[(i1 * b.rows + i2) * c + (j1 * b.cols + j2)] = v if n is None else v % n
+    return Mat(a.ring, r, c, tuple(ent))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12)]),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 2 ** 32), st.booleans())
+def test_kron_equals_the_entrywise_product(ring, r1, c1, r2, c2, seed, identity):
+    rng = random.Random(seed)
+    a = random_matrix(rng, ring, r1, c1, bound=20)
+    b = Mat.identity(ring, r2) if identity else random_matrix(rng, ring, r2, c2, bound=20)
+    for x, y in ((a, b), (b, a), (a, a.transpose())):
+        k = x.kron(y)
+        assert k == _entry_kron(x, y)
+        assert type(k.entries) is tuple
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
 @settings(max_examples=60)
 def test_arithmetic_matches_integers_mod_6(a, b, c):

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from homcert.matrices import Mat
+from homcert import modules
+from homcert.generator import build_generator, verify_resolution
+from homcert.matrices import Mat, colspan_canonical, kernel_left, solve_left
 from homcert.modules import (FPModule, ModuleMap, canonical_double_dual_map,
                              dual_data, dualize_map, dualize_module, is_projective,
-                             modules_isomorphic, subquotient_module)
+                             modules_isomorphic, opposite, subquotient_module)
 from homcert.rings import Fp, Zmod, ZZ
-from homcert.samplers import random_fp_module
+from homcert.samplers import random_fp_module, random_matrix
 
 RINGS = [ZZ, Fp(5), Zmod(4)]
 
@@ -136,3 +138,69 @@ def test_is_isomorphism_needs_well_defined_surjective_and_injective():
     assert not ModuleMap(z4, z2, one).is_isomorphism()  # not injective
     z2_twice = FPModule(ring, "left", Mat(ring, 2, 2, (2, 0, 0, 2)))
     assert not ModuleMap(z2_twice, z2, Mat(ring, 1, 2, (1, 0))).is_isomorphism()
+
+
+def _counting_smith(monkeypatch):
+    calls = []
+    smith = modules.smith_invariants
+    monkeypatch.setattr(modules, "smith_invariants", lambda a: calls.append(a) or smith(a))
+    return calls
+
+
+def test_equal_presentations_are_isomorphic_without_smith(monkeypatch):
+    calls = _counting_smith(monkeypatch)
+    pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
+    # H^0(P) and M* come out with one canonical presentation
+    assert verify_resolution(pkg).ok
+    assert calls == []
+    m = FPModule.cyclic(ZZ, "left", 6)
+    assert modules_isomorphic(m, FPModule.cyclic(ZZ, "left", 6))
+    assert not modules_isomorphic(m, FPModule.cyclic(ZZ, "right", 6))
+    assert calls == []
+
+
+def test_different_presentations_still_go_through_smith(monkeypatch):
+    calls = _counting_smith(monkeypatch)
+    ring = Zmod(4)
+    z2 = FPModule.cyclic(ring, "left", 2)
+    assert modules_isomorphic(z2, FPModule(ring, "left", Mat(ring, 1, 2, (2, 2))))
+    assert len(calls) == 2
+    assert not modules_isomorphic(z2, FPModule.free(ring, "left", 1))
+    assert len(calls) == 4
+
+
+def _reference_dual_data(m):
+    """dual_data as two left kernels, K and the relations among its rows."""
+    K = kernel_left(m.presentation)
+    rel_rows = kernel_left(K)
+    return FPModule(m.ring, opposite(m.side), colspan_canonical(rel_rows.transpose())), K
+
+
+def _reference_double_dual_map(m, mstar, K):
+    """canonical_double_dual_map as a left solve against the generators
+    of M**, which eliminates them apart from their relations."""
+    mstarstar, K2 = _reference_dual_data(mstar)
+    coeffs = solve_left(K2, K.transpose())
+    return ModuleMap(m, mstarstar, coeffs.transpose())
+
+
+def _reference_dualize_map(f):
+    mstar, K_m = _reference_dual_data(f.source)
+    nstar, K_n = _reference_dual_data(f.target)
+    coeffs = solve_left(K_m, K_n @ f.matrix)
+    return ModuleMap(nstar, mstar, coeffs.transpose())
+
+
+@pytest.mark.parametrize("ring", [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12)], ids=str)
+def test_duals_from_one_form_equal_the_two_kernel_reference(ring):
+    rng = random.Random(f"duals/{ring}")
+    for _ in range(40):
+        m = random_fp_module(rng, ring, max_rank=4)
+        assert dual_data(m) == _reference_dual_data(m)
+        mstar, K = dual_data(m)
+        assert canonical_double_dual_map(m, mstar, K) == _reference_double_dual_map(m, mstar, K)
+        # maps into M that are well defined: from a free module, and a scalar
+        free = FPModule.free(ring, "left", rng.randint(0, 3))
+        for f in (ModuleMap(free, m, random_matrix(rng, ring, m.rank0, free.rank0)),
+                  ModuleMap(m, m, Mat.identity(ring, m.rank0).scale(rng.randint(0, 5)))):
+            assert dualize_map(f) == _reference_dualize_map(f)
