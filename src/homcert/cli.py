@@ -23,7 +23,7 @@ from .flatness import (EngineConfig, FlatRelation, cycle_flatness_probe,
                        flat_certificate, pd_bound_collapse)
 from .generator import build_generator, resolve_module, verify_generator_quasi_iso
 from .matrices import MatrixError
-from .modules import FPModule, dualize_module
+from .modules import FPModule, dual_data
 from .verdicts import Verdict
 
 
@@ -114,7 +114,7 @@ def cmd_resolve(args) -> int:
 def cmd_dualize(args) -> int:
     doc = _read_doc(args.input, "module", "complex", "chain_map")
     if doc.kind == "module":
-        out = make_document(doc.ring, "module", dualize_module(doc.payload))
+        out = make_document(doc.ring, "module", dual_data(doc.payload)[0])
         text = lambda: f"dual module: {_module_invariants(out.payload)}"
     elif doc.kind == "complex":
         out = make_document(doc.ring, "complex", dualize_complex(doc.payload))

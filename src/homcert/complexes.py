@@ -204,10 +204,6 @@ class Complex:
     def zero(ring: RingDescriptor, side: str) -> "Complex":
         return Complex(ring, side, {}, {})
 
-    @staticmethod
-    def single(ring: RingDescriptor, side: str, rank: int, degree: int = 0) -> "Complex":
-        return Complex(ring, side, {degree: rank}, {})
-
 
 def first_difference(a: Complex, b: Complex, lo: int, hi: int) -> int | None:
     """The first degree in [lo, hi] where a and b differ in rank or in
@@ -329,14 +325,14 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
     absent component makes its side zero, so no product is formed for it.
 
     The result has nonzero ranks only, in increasing degree, and a
-    differential for exactly each pair of adjacent terms.  When the
-    summand with more explicit degrees is marked as having that form
-    (Complex._sum_form), the sum starts from copies of its ranks and
-    differentials and recomputes only the degrees within one step of the
-    other summand's terms, so the cost follows the smaller summand;
-    otherwise every degree is computed.  A block matrix is built only in
-    degrees where L and Y meet; every other differential is L's, Y's or
-    g's Mat.
+    differential for exactly each pair of adjacent terms.  The summand
+    with more explicit degrees is brought to that form (restrict) unless
+    it is marked as having it (Complex._sum_form); the sum starts from
+    copies of its ranks and differentials and recomputes only the degrees
+    within one step of the other summand's terms, so for a marked larger
+    summand the cost follows the smaller one.  A block matrix is built
+    only in degrees where L and Y meet; every other differential is L's,
+    Y's or g's Mat.
     """
     if not (L.is_bounded and Y.is_bounded):
         raise ComplexError("twisted sum requires bounded complexes")
@@ -360,12 +356,11 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
     # both are bounded, so a degree missing from ranks has rank 0
     lr, yr = L.ranks, Y.ranks
     big, small = (L, Y) if len(lr) >= len(yr) else (Y, L)
-    if big._sum_form:
-        # where the smaller summand has no term the larger one's rank and
-        # differential stand as they are
-        ranks, diffs, touched = dict(big.ranks), dict(big.diffs), small.ranks.keys()
-    else:
-        ranks, diffs, touched = {}, {}, lr.keys() | yr.keys()
+    if not big._sum_form:
+        big = big.restrict(*(big.support() or (0, -1)))
+    # where the smaller summand has no term the larger one's rank and
+    # differential stand as they are
+    ranks, diffs, touched = dict(big.ranks), dict(big.diffs), small.ranks.keys()
     for j in sorted(touched):
         if r := lr.get(j, 0) + yr.get(j, 0):
             ranks[j] = r
@@ -439,15 +434,9 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], 
 # homology command and the report of a non-exact degree.
 
 
-def cycles_and_boundaries(c: Complex, j: int) -> tuple[Mat, Mat]:
-    """(cycle generators, boundary generators) of degree j, as columns of
-    the term c^j."""
-    return kernel_right(c.diff(j)), c.diff(j - 1)
-
-
 def homology_data(c: Complex, j: int) -> tuple[FPModule, Mat, Mat]:
-    """(H^j as a module on the kernel generators, cycle gens, boundary gens)."""
-    U, V = cycles_and_boundaries(c, j)
+    """(H^j on the kernel generators, cycle gens, boundary gens), as columns of c^j."""
+    U, V = kernel_right(c.diff(j)), c.diff(j - 1)
     return subquotient_module(c.ring, c.side, U, V), U, V
 
 

@@ -28,7 +28,7 @@ from .duality import BuildTree
 from .flatness import FlatCertificate, FlatRelation
 from .generator import GeneratorPackage
 from .matrices import SIZE_LIMIT, Mat, MatrixError
-from .modules import FPModule, ModuleMap, canonical_double_dual_map, dual_data
+from .modules import FPModule, canonical_double_dual_map, dual_data
 from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
@@ -155,8 +155,6 @@ def _jsonable(value: Any) -> Any:
         return matrix_to_json(value)
     if isinstance(value, FPModule):
         return module_to_json(value)
-    if isinstance(value, ModuleMap):
-        return matrix_to_json(value.matrix)
     if isinstance(value, Complex):
         return complex_to_json(value)
     if isinstance(value, (list, tuple)):

@@ -196,7 +196,7 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
             bottom = _leaf(rest, residual=not single)
             break
         r0, r1 = q.rank(top_degree), q.rank(top_degree - 1)
-        # Complex.single(ring, side, r, 0) without its checks, which Q's
+        # Complex(ring, side, {0: r}, {}) without its checks, which Q's
         # ring, side and ranks have passed
         top = BuildTree(
             "cone",

@@ -76,7 +76,7 @@ def resolve_module(m: FPModule, depth: int = 24) -> tuple[Complex, bool]:
         j = len(seq)
         for period in range(1, j):
             prev = seq[j - 1 - period]
-            if prev.rows == nxt.rows and prev.cols == nxt.cols and prev == nxt:
+            if prev == nxt:
                 tail = PeriodicTail(-1, -(j - 1), period)
                 complete = True
                 break

@@ -83,13 +83,13 @@ class SubComplex:
         for (i, r0, qr) in self.layout(n):
             block = blocks.get(i)
             entries.extend(block.vec().entries if block is not None else (0,) * (r0 * qr))
-        return Mat.column(self.q.ring, entries)
+        return Mat(self.q.ring, len(entries), 1, tuple(entries))
 
     def gens_at(self, n: int) -> Mat | None:
         """Generators of the degree-n term as ambient columns, one block
-        of hom_term_gens per layout entry; None when every term of the
+        of _term_gens per layout entry; None when every term of the
         layout is free, so the term is the whole ambient module.  A
-        presented term's functionals (hom_term_gens into R^1) are
+        presented term's functionals (its generators of Hom(M, R)) are
         eliminated once, whatever degrees the term appears in."""
         key = ("gens", n)
         if key not in self._cache:
@@ -99,12 +99,16 @@ class SubComplex:
         return self._cache[key]
 
     def _term_gens(self, i: int, qr: int) -> Mat:
+        """Generators of Hom(M, R^q), M = terms[i] and q = qr, as vectorized
+        q x rank0 matrices.  Hom(M, R^q) = Hom(M, R)^q: the rows of a map F
+        are functionals on M, so F = C K for the generators K of M* and
+        vec(C K) = (K^T (x) I_q) vec(C)."""
         m = self.terms[i]
         if m.rank1 == 0:
             return Mat.identity(self.q.ring, qr * m.rank0)
         key = ("functionals", i)
         if key not in self._cache:
-            self._cache[key] = hom_term_gens(m, 1)
+            self._cache[key] = kernel_left(m.presentation).transpose()
         k = self._cache[key]
         return k if qr == 1 else k.kron(Mat.identity(self.q.ring, qr))
 
@@ -190,20 +194,6 @@ def free_terms(x: Complex) -> tuple[dict[int, FPModule], dict[int, Mat]]:
     """A bounded free complex as Hom-source terms and differentials."""
     terms = {j: FPModule.free(x.ring, x.side, r) for j, r in x.ranks.items()}
     return terms, dict(x.diffs)
-
-
-def hom_term_gens(m: FPModule, target_rank: int) -> Mat:
-    """Generators of Hom(M, R^q) inside the free module of q x rank0
-    matrices, columns being vectorized matrices.
-
-    Hom(M, R^q) = Hom(M, R)^q: the rows of a map F are functionals on
-    M, so F = C K for the generators K of M* and vec(C K) = (K^T (x) I_q)
-    vec(C).
-    """
-    ring = m.ring
-    if m.rank1 == 0:
-        return Mat.identity(ring, target_rank * m.rank0)
-    return kernel_left(m.presentation).transpose().kron(Mat.identity(ring, target_rank))
 
 
 def hom_fp_complex(terms: dict[int, FPModule], diffs: dict[int, Mat],

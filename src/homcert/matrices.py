@@ -130,10 +130,6 @@ class Mat:
             raise MatrixError("negative dimension")
         return Mat._trusted(ring, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def column(ring: RingDescriptor, values: list[int]) -> "Mat":
-        return Mat(ring, len(values), 1, tuple(values))
-
     # -- access --------------------------------------------------------
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -244,7 +240,7 @@ class Mat:
     def vec(self) -> "Mat":
         """Column-major vectorization as a column."""
         vals = [self[i, j] for j in range(self.cols) for i in range(self.rows)]
-        return Mat.column(self.ring, vals)
+        return Mat(self.ring, len(vals), 1, tuple(vals))
 
     @staticmethod
     def unvec(ring: RingDescriptor, v: "Mat", rows: int, cols: int) -> "Mat":
@@ -252,12 +248,6 @@ class Mat:
             raise MatrixError("unvec shape mismatch")
         ent = tuple(v.entries[j * rows + i] for i in range(rows) for j in range(cols))
         return Mat(ring, rows, cols, ent)
-
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"<{self.rows}x{self.cols} empty>"
-        return "\n".join(" ".join(str(self[i, j]) for j in range(self.cols))
-                         for i in range(self.rows))
 
 
 def block_diag(ring: RingDescriptor, blocks: list[Mat]) -> Mat:
@@ -664,12 +654,6 @@ def echelon(A: Mat) -> Echelon:
 def solve_right(A: Mat, B: Mat) -> Mat | None:
     """Some X with A @ X = B exactly, or None (Echelon.solve)."""
     return Echelon(A).solve(B)
-
-
-def solve_left(A: Mat, B: Mat) -> Mat | None:
-    """Some X with X @ A = B exactly, or None."""
-    xt = solve_right(A.transpose(), B.transpose())
-    return None if xt is None else xt.transpose()
 
 
 def kernel_right(A: Mat) -> Mat:

@@ -170,10 +170,6 @@ def dual_data(m: FPModule) -> tuple[FPModule, Mat]:
     return _dual_form(m)[:2]
 
 
-def dualize_module(m: FPModule) -> FPModule:
-    return dual_data(m)[0]
-
-
 def dualize_map(f: ModuleMap) -> ModuleMap:
     """Hom(-, R) applied to f: M -> N gives f*: N* -> M*."""
     mstar, _, form = _dual_form(f.source)

@@ -262,6 +262,16 @@ def test_bad_window_exits_2(capsys):
     assert code == 2 and "window" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("homology", fx("complex_z_mult2"), "--window=3..1"), "empty window"),
+    (("resolve", fx("module_z_cyclic6"), "--depth", "abc"), "expected an integer"),
+])
+def test_empty_window_and_non_integer_depth_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("window", [f"-{SIZE_LIMIT + 1}..0", f"0..{10**8}",
                                     "-100000000..100000000"])
 def test_window_beyond_the_size_limit_exits_2(capsys, window):

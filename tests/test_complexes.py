@@ -205,11 +205,11 @@ def test_finite_coproduct_refusals():
     with pytest.raises(MatrixError, match="over Z/4 to one over Z"):
         finite_coproduct([two_term(ring, 2), two_term(ZZ, 2)])
     with pytest.raises(ComplexError, match="from a left complex to a right one"):
-        finite_coproduct([Complex.single(ZZ, "left", 1), Complex.single(ZZ, "right", 1)])
+        finite_coproduct([Complex(ZZ, "left", {0: 1}, {}), Complex(ZZ, "right", {0: 1}, {})])
 
 
 def test_sides_are_checked_where_complexes_are_built_and_combined():
-    left, right = Complex.single(ZZ, "left", 1), Complex.single(ZZ, "right", 1)
+    left, right = Complex(ZZ, "left", {0: 1}, {}), Complex(ZZ, "right", {0: 1}, {})
     with pytest.raises(ComplexError, match="side must be 'left' or 'right'"):
         Complex(ZZ, "up", {0: 1}, {})
     for build in (lambda: ChainMap(right, left, {}), lambda: Homotopy(left, right, {}),
@@ -394,7 +394,7 @@ def test_chain_map_commutation_check():
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)
 def test_chain_map_components_are_checked_where_built(ring):
-    x, one = Complex.single(ring, "left", 1, 0), Mat.identity(ring, 1)
+    x, one = Complex(ring, "left", {0: 1}, {}), Mat.identity(ring, 1)
     assert ChainMap(x, x, {0: one}).component(0) == one
     with pytest.raises(MatrixError, match="degree 5 has shape 1x1, expected 0x0"):
         ChainMap(x, x, {5: one})
@@ -404,7 +404,7 @@ def test_chain_map_components_are_checked_where_built(ring):
     with pytest.raises(MatrixError, match="degree 0 is over"):
         ChainMap(x, x, {0: Mat.identity(other, 1)})
     with pytest.raises(MatrixError, match="to one over"):
-        ChainMap(x, Complex.single(other, "left", 1, 0), {})
+        ChainMap(x, Complex(other, "left", {0: 1}, {}), {})
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)

@@ -52,11 +52,11 @@ def _two_term(ring, lo):
 def test_cone_of_a_non_chain_map_is_refused(ring):
     one = Mat.identity(ring, 1)
     # f^0 d_X^-1 = 1 but d_Y^-1 f^-1 = 0: fails below the lowest component
-    x, y = _two_term(ring, -1), Complex.single(ring, "left", 1, 0)
+    x, y = _two_term(ring, -1), Complex(ring, "left", {0: 1}, {})
     with pytest.raises(ComplexError):
         cone(ChainMap(x, y, {0: one}))
     # d_Y^0 f^0 = 1 but f^1 d_X^0 = 0: fails at the highest component
-    x, y = Complex.single(ring, "left", 1, 0), _two_term(ring, 0)
+    x, y = Complex(ring, "left", {0: 1}, {}), _two_term(ring, 0)
     with pytest.raises(ComplexError):
         cone(ChainMap(x, y, {0: one}))
     # a chain map plus the identity in one degree of a nonzero differential

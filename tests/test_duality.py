@@ -118,8 +118,8 @@ def _decompose(q: Complex, depth: int, floor: int) -> BuildTree:
     r1 = q.rank(-1)
     top = BuildTree(
         "cone",
-        children=(_leaf(Complex.single(ring, side, r1, 0)),
-                  _leaf(Complex.single(ring, side, r0, 0))),
+        children=(_leaf(Complex(ring, side, {0: r1}, {})),
+                  _leaf(Complex(ring, side, {0: r0}, {}))),
         components={0: q.diff(-1)} if r0 and r1 else {})
     # the double desuspension of the part below degree -1
     lower_ranks = {}

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 from homcert import documents, generator, modules
 from homcert.complexes import Complex, PeriodicTail, homology
@@ -164,7 +165,7 @@ def test_every_hom_classes_check_refuses_a_too_shallow_package():
     two = Mat(ring, 1, 1, (2,))
     q = Complex(ring, "left", {-1: 1, 0: 1, 1: 1}, {-1: two, 0: two})
     for v in (h0_hom_equivalence(pkg, q), compactness_probe(pkg, [q]),
-              compactness_probe(pkg, [q, Complex.single(ring, "left", 1)]),
+              compactness_probe(pkg, [q, Complex(ring, "left", {0: 1}, {})]),
               suspension_homology_chain(pkg, q, range(-1, 2))):
         assert not v.ok and v.code == "window_too_small" and v.window_relative
     full = build_generator(FPModule.cyclic(ring, "left", 2))
@@ -190,3 +191,33 @@ def test_verify_resolution_fails_a_window_wholly_below_its_floor():
     assert v.details == {"window": (-20, -10), "floor": 0}
     v = verify_resolution(pkg, (-20, 0))
     assert v.ok and v.window_relative and v.details["window"] == (0, 0)
+
+
+def test_failing_verdicts_of_tampered_packages_and_refused_targets():
+    # each package is the one for M = R over Z with one field replaced, so
+    # exactly the property that field carries fails
+    pkg = build_generator(FPModule.free(ZZ, "left", 1))
+    q = Complex(ZZ, "left", {0: 1}, {})
+    doubled = replace(pkg, comparison=pkg.comparison.scale(2))
+    z4 = Zmod(4)
+    two = Mat(z4, 1, 1, (2,))
+    periodic = Complex(z4, "left", {0: 1, 1: 1}, {0: two}, tail_below=PeriodicTail(-1, 0, 1),
+                       tail_above=PeriodicTail(1, 1, 1))
+    z4_pkg = build_generator(FPModule.cyclic(z4, "left", 2))
+    cases = [
+        (verify_generator_quasi_iso(doubled, q), "hom_not_exact", {"degree"}),
+        (h0_hom_equivalence(doubled, q), "h0_not_isomorphic", {"source", "target"}),
+        (verify_resolution(replace(pkg, dual=FPModule.cyclic(ZZ, "right", 2))),
+         "degree_zero_mismatch", {"computed", "expected"}),
+        (verify_resolution(replace(pkg, resolution=Complex(ZZ, "right", {0: 1, -1: 1}, {}),
+                                   complete=True)), "not_exact_below", {"degree"}),
+        (double_dual_check(replace(pkg, dual_complex=Complex(ZZ, "left", {0: 2}, {}))),
+         "double_dual_mismatch", {"degree"}),
+        (verify_generator_quasi_iso(z4_pkg, periodic), "unbounded_target", set()),
+        (h0_hom_equivalence(z4_pkg, periodic), "unbounded_target", set()),
+    ]
+    for v, code, keys in cases:
+        assert (v.ok, v.code, set(v.details)) == (False, code, keys)
+    assert cases[4][0].details["degree"] == -1
+    v = verify_generator_quasi_iso(pkg, Complex.zero(ZZ, "left"))
+    assert v.ok and v.code == "hom_exact" and v.details["note"] == "zero target"

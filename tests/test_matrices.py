@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from homcert.matrices import (Mat, MatrixError, _from_cols, _hnf, _xgcd, _z_reduce,
                               assemble_blocks, block_diag, colspan_canonical, echelon,
-                              kernel_left, kernel_right, smith_invariants, solve_left,
-                              solve_right)
+                              kernel_left, kernel_right, smith_invariants, solve_right)
 from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_invertible, random_matrix
@@ -94,13 +93,6 @@ def test_solve_right_exactness(ring):
 def test_solve_right_reports_unsolvable():
     assert solve_right(Mat(ZZ, 1, 1, (2,)), Mat(ZZ, 1, 1, (1,))) is None
     assert solve_right(Mat(Zmod(4), 1, 1, (2,)), Mat(Zmod(4), 1, 1, (1,))) is None
-
-
-def test_solve_left_transposes_correctly():
-    a = Mat(ZZ, 2, 2, (1, 2, 0, 3))
-    b = Mat(ZZ, 1, 2, (1, 5))
-    x = solve_left(a, b)
-    assert x is not None and x @ a == b
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

@@ -4,9 +4,9 @@ import pytest
 
 from homcert import modules
 from homcert.generator import build_generator, verify_resolution
-from homcert.matrices import Mat, colspan_canonical, kernel_left, solve_left
+from homcert.matrices import Mat, colspan_canonical, kernel_left, solve_right
 from homcert.modules import (FPModule, ModuleMap, canonical_double_dual_map,
-                             dual_data, dualize_map, dualize_module, is_projective,
+                             dual_data, dualize_map, is_projective,
                              modules_isomorphic, opposite, subquotient_module)
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_fp_module, random_matrix
@@ -63,8 +63,9 @@ def test_dual_of_z2_over_z4():
 
 def test_dual_swaps_sides():
     m = FPModule.cyclic(Zmod(4), "left", 2)
-    assert dualize_module(m).side == "right"
-    assert dualize_module(dualize_module(m)).side == "left"
+    mstar = dual_data(m)[0]
+    assert mstar.side == "right"
+    assert dual_data(mstar)[0].side == "left"
 
 
 def test_double_dual_map_iso_over_self_injective_rings():
@@ -177,18 +178,16 @@ def _reference_dual_data(m):
 
 
 def _reference_double_dual_map(m, mstar, K):
-    """canonical_double_dual_map as a left solve against the generators
-    of M**, which eliminates them apart from their relations."""
+    """canonical_double_dual_map as a solve X^T K2 = K^T against the
+    generators of M**, which eliminates them apart from their relations."""
     mstarstar, K2 = _reference_dual_data(mstar)
-    coeffs = solve_left(K2, K.transpose())
-    return ModuleMap(m, mstarstar, coeffs.transpose())
+    return ModuleMap(m, mstarstar, solve_right(K2.transpose(), K))
 
 
 def _reference_dualize_map(f):
     mstar, K_m = _reference_dual_data(f.source)
     nstar, K_n = _reference_dual_data(f.target)
-    coeffs = solve_left(K_m, K_n @ f.matrix)
-    return ModuleMap(nstar, mstar, coeffs.transpose())
+    return ModuleMap(nstar, mstar, solve_right(K_m.transpose(), (K_n @ f.matrix).transpose()))
 
 
 @pytest.mark.parametrize("ring", [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12)], ids=str)

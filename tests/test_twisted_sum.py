@@ -184,6 +184,17 @@ def test_twisted_sum_equals_the_loop_over_every_degree(ring, rng, twisted, left_
             assert got == want and list(got.ranks) == list(want.ranks)
 
 
+@pytest.mark.parametrize("ring", SUM_RINGS, ids=str)
+def test_twisted_sum_with_a_larger_summand_of_explicit_zero_ranks(ring):
+    # an unmarked larger summand is restricted to its support first; with
+    # no nonzero rank that is the empty complex
+    zeros = Complex(ring, "left", {j: 0 for j in (2, -2, 0, 1, -1)}, {0: Mat.zero(ring, 0, 0)})
+    small = Complex(ring, "left", {-1: 1, 0: 1}, {-1: Mat(ring, 1, 1, (2,))})
+    for L, Y in ((zeros, small), (small, zeros), (zeros, zeros)):
+        got, want = twisted_sum(L, Y, {}), _loop_twisted_sum(L, Y, {})
+        assert got == want and list(got.ranks) == list(want.ranks)
+
+
 # -- cone against the reference formula -------------------------------
 
 
@@ -230,7 +241,7 @@ def test_a_map_that_is_not_a_chain_map_is_refused(ring, rng, offset):
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_twisted_sum_checks_its_components(ring):
     one = Mat.identity(ring, 1)
-    x = Complex.single(ring, "left", 1, 0)
+    x = Complex(ring, "left", {0: 1}, {})
     y = Complex(ring, "left", {0: 1, 1: 1}, {0: one})
     # g^0: x^0 -> y^1, and d_Y^1 = 0: d_Y g + g d_L = 0 holds
     assert twisted_sum(x, y, {0: one}).ranks == {0: 2, 1: 1}
@@ -251,9 +262,9 @@ def test_a_component_on_one_side_only_is_refused_when_its_product_is_not_zero(ri
     # check in degree -1 forms only g^0 d_L^-1 = ba.  Each must vanish
     # in the ring: ab = 4 does over Z/4, ab = 12 over Z/4 and Z/12.
     da, gb = Mat(ring, 1, 1, (a,)), {0: Mat(ring, 1, 1, (b,))}
-    one = Complex.single(ring, "left", 1, 0)
+    one = Complex(ring, "left", {0: 1}, {})
     cases = [(one, Complex(ring, "left", {1: 1, 2: 1}, {1: da})),
-             (Complex(ring, "left", {-1: 1, 0: 1}, {-1: da}), Complex.single(ring, "left", 1, 1))]
+             (Complex(ring, "left", {-1: 1, 0: 1}, {-1: da}), Complex(ring, "left", {1: 1}, {}))]
     for L, Y in cases:
         if ring.normalize(a * b):
             with pytest.raises(ChainMapError):
