@@ -1,6 +1,8 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from homcert import documents, generator, modules
 from homcert.complexes import Complex, PeriodicTail, homology
 from homcert.generator import (build_generator, compactness_probe,
@@ -89,6 +91,35 @@ def test_generator_package_for_torsion_over_Z_has_zero_dual():
     assert pkg.dual.is_zero()
     assert pkg.resolution.support() is None
     assert verify_resolution(pkg).ok
+
+
+def _empty_package_json(ring, module, rank0):
+    """The package text of a module whose dual is zero: M* has no
+    generators, and its resolution and P* are zero complexes."""
+    empty = f'{{"cols":{rank0},"entries":[],"rows":0}}'
+    zero = '"diffs":[],"ranks":[],"side":"{}","tail_above":null,"tail_below":null'
+    return ('{"kind":"generator_package","payload":{'
+            f'"comparison":{empty},"complete":true,"depth":24,'
+            '"dual":{"presentation":{"cols":0,"entries":[],"rows":0},"side":"right"},'
+            f'"dual_complex":{{{zero.format("left")}}},"dual_gens":{empty},'
+            f'"module":{{"presentation":{module},"side":"left"}},"mu":{empty},'
+            f'"resolution":{{{zero.format("right")}}}}},"ring":{ring},"version":"2"}}\n')
+
+
+@pytest.mark.parametrize("ring, presentation, text", [
+    (ZZ, Mat(ZZ, 1, 1, (6,)),
+     _empty_package_json('{"kind":"Z"}', '{"cols":1,"entries":[[6]],"rows":1}', 1)),
+    (Zmod(4), Mat.zero(Zmod(4), 0, 0),
+     _empty_package_json('{"kind":"Zmod","n":4}', '{"cols":0,"entries":[],"rows":0}', 0)),
+    (Zmod(4), Mat(Zmod(4), 1, 1, (1,)),
+     _empty_package_json('{"kind":"Zmod","n":4}', '{"cols":1,"entries":[[1]],"rows":1}', 1)),
+    (Fp(5), Mat.zero(Fp(5), 0, 2),
+     _empty_package_json('{"kind":"Fp","n":5}', '{"cols":2,"entries":[],"rows":0}', 0)),
+], ids=["Z/6 over Z", "0 over Z/4", "Z/4/(1)", "0 over F5"])
+def test_package_bytes_of_modules_with_zero_dual(ring, presentation, text):
+    pkg = build_generator(FPModule(ring, "left", presentation))
+    assert documents.emit_document(documents.make_document(ring, "generator_package", pkg)) == text
+    assert verify_resolution(pkg).ok and double_dual_check(pkg).ok
 
 
 def test_dual_complex_lives_in_nonnegative_degrees():

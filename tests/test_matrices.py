@@ -155,6 +155,19 @@ def test_block_diag_shapes():
     assert block_diag(ZZ, []) == Mat(ZZ, 0, 0)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_hstack_with_no_rows_or_no_columns_on_either_side(ring):
+    a = Mat(ring, 2, 2, (1, 2, 3, 5))
+    empty = Mat.zero(ring, 2, 0)
+    assert a.hstack(empty) == a and empty.hstack(a) == a
+    assert empty.hstack(empty) == empty
+    assert Mat.zero(ring, 0, 2).hstack(Mat.zero(ring, 0, 3)) == Mat(ring, 0, 5)
+    assert Mat.zero(ring, 0, 0).hstack(Mat.zero(ring, 0, 0)) == Mat(ring, 0, 0)
+    assert a.hstack(Mat(ring, 2, 1, (7, 11))) == Mat(ring, 2, 3, (1, 2, 7, 3, 5, 11))
+    with pytest.raises(MatrixError, match="row count"):
+        Mat.zero(ring, 0, 1).hstack(Mat.zero(ring, 1, 0))
+
+
 def test_blocks_over_another_ring_are_refused():
     # read over F3, the Z/4 entry 3 would silently become 0
     three = Mat(Zmod(4), 1, 1, (3,))

@@ -27,6 +27,14 @@ def test_free_module_is_projective_with_identity_section():
     assert sec is not None
 
 
+@pytest.mark.parametrize("ring", [ZZ, Fp(5), Zmod(4), Zmod(12)], ids=str)
+@pytest.mark.parametrize("relations", [0, 1, 3])
+def test_modules_on_no_generators_are_zero_and_projective(ring, relations):
+    m = FPModule(ring, "right", Mat.zero(ring, 0, relations))
+    assert m.is_zero()
+    assert is_projective(m) == ModuleMap(m, FPModule.free(ring, "right", 0), Mat.zero(ring, 0, 0))
+
+
 def test_torsion_module_not_projective_over_Z():
     assert is_projective(FPModule.cyclic(ZZ, "left", 4)) is None
 
