@@ -207,9 +207,12 @@ class Complex:
 
 def first_difference(a: Complex, b: Complex, lo: int, hi: int) -> int | None:
     """The first degree in [lo, hi] where a and b differ in rank or in
-    differential, or None when they agree on the whole range."""
-    return next((j for j in range(lo, hi + 1)
-                 if a.rank(j) != b.rank(j) or a.diff(j) != b.diff(j)), None)
+    differential, or None when they agree on the whole range.  A term
+    whose rank differs is named itself, not the differential into it,
+    which differs in shape only; d^hi is named when only the term above
+    the window differs."""
+    return next((j for j in range(lo, hi + 1) if a.rank(j) != b.rank(j)
+                 or (j == hi or a.rank(j + 1) == b.rank(j + 1)) and a.diff(j) != b.diff(j)), None)
 
 
 def _check_components(what: str, source: Complex, target: Complex,
@@ -394,14 +397,13 @@ def cone(f: ChainMap) -> Complex:
                        {j - 1: m for j, m in f.components.items()})
 
 
-def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], list[ChainMap]]:
-    """The direct sum of bounded complexes with its injections and
-    projections.
+def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap]]:
+    """The direct sum of bounded complexes with its injections.
 
     The sum is a fold of untwisted sums (twisted_sum by g = {}), which
     refuses an unbounded summand (ComplexError) and mixed rings
     (MatrixError).  Each injection is an identity block at the running
-    offset of its summand, and each projection is its transpose.
+    offset of its summand; the projections are their transposes.
     """
     if not summands:
         raise ComplexError("empty coproduct needs an ambient ring")
@@ -411,7 +413,6 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], 
     ring = total.ring
     offsets: dict[int, int] = {}
     injections = []
-    projections = []
     for c in summands:
         inj = {}
         for j, r in c.ranks.items():
@@ -421,8 +422,7 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap], 
                                          [at, r, total.rank(j) - at - r], [r])
                 offsets[j] = at + r
         injections.append(ChainMap(c, total, inj))
-        projections.append(ChainMap(total, c, {j: m.transpose() for j, m in inj.items()}))
-    return total, injections, projections
+    return total, injections
 
 
 # -- homology and cycles ----------------------------------------------

@@ -63,7 +63,6 @@ def unlimited_int_digits():
 
 @dataclass(frozen=True)
 class Document:
-    version: str
     ring: RingDescriptor
     kind: str
     payload: Any
@@ -180,14 +179,14 @@ def verdict_to_json(v: Verdict) -> dict:
 def make_document(ring: RingDescriptor, kind: str, payload: Any) -> Document:
     if kind not in PAYLOAD_KINDS:
         raise DocumentError(f"unknown payload kind {kind!r}")
-    return Document(FORMAT_VERSION, ring, kind, payload)
+    return Document(ring, kind, payload)
 
 
 @unlimited_int_digits()
 def emit_document(doc: Document) -> str:
     body = _CODECS[doc.kind][0](doc.payload)
     obj = {
-        "version": doc.version,
+        "version": FORMAT_VERSION,
         "ring": ring_to_json(doc.ring),
         "kind": doc.kind,
         "payload": body,
@@ -425,5 +424,5 @@ def _parse(text: str) -> Document:
     kind = obj.get("kind")
     if kind not in PAYLOAD_KINDS:
         raise DocumentError(f"unknown payload kind {kind!r}")
-    return Document(version, ring, kind, _CODECS[kind][1](ring, obj.get("payload")))
+    return Document(ring, kind, _CODECS[kind][1](ring, obj.get("payload")))
 

@@ -96,10 +96,7 @@ def build_generator(m: FPModule, depth: int = 24) -> GeneratorPackage:
     mu = canonical_double_dual_map(m, mstar, K)
     # the comparison map is (dual generators of M**)^T composed with mu,
     # which is K itself: generator e_i of M evaluates the dual
-    # generators to column i of K
-    if mstar.rank0 == 0:
-        return GeneratorPackage(m, mstar, K, Complex.zero(m.ring, mstar.side), mu,
-                                Complex.zero(m.ring, m.side), K, depth, True)
+    # generators to column i of K; for M* = 0, P and P* are zero
     p, complete = resolve_module(mstar, depth)
     return GeneratorPackage(m, mstar, K, p, mu, dualize_complex(p), K, depth, complete)
 
@@ -256,7 +253,7 @@ def compactness_probe(pkg: GeneratorPackage, qs: list[Complex]) -> Verdict:
     if not qs:
         return Verdict(True, "coproduct_respected", {"note": "empty family"})
     ring = pkg.ring
-    total, injections, _ = finite_coproduct(qs)
+    total, injections = finite_coproduct(qs)
     classes = [hom_classes(pkg, x) for x in (total, *qs)]
     if None in classes:
         return Verdict(False, "window_too_small", {}, window_relative=True)

@@ -15,12 +15,14 @@ degree and answers the solves in the degree above, so a sweep over
 degrees eliminates each differential once, and a degree whose ambient
 module is zero is exact without building anything.  The homology
 module, where one is wanted, is their subquotient presentation.  No
-degree window is chosen: each degree's layout, generators and ambient
-differential are built the first time a caller reads them, and H^n
-reads the ambient differentials of degrees n - 1 and n only.  An
-ambient differential has only two kinds of block, I (x) d_Q and
+degree window is chosen: each degree's layout, generators and form are
+built the first time a caller reads them, and H^n reads the forms of
+degrees n - 1 and n only.  An ambient differential is built on the way
+to its form and not kept; it has only two kinds of block, I (x) d_Q and
 t^T (x) I, and is written entry by entry into one list, with no block
-matrix built on the way.
+matrix built on the way.  A presented term M = coker(P) contributes the
+generators K^T of Hom(M, R), the kernel of P^T, eliminated once per
+term.
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import (SIZE_LIMIT, Echelon, Mat, MatrixError, block_diag, echelon, kernel_left,
-    solve_right)
+from .matrices import (SIZE_LIMIT, Echelon, Mat, MatrixError, block_diag, echelon,
+    kernel_right, solve_right)
 from .modules import FPModule, ModuleMap, subquotient_module
 from .complexes import Complex
 
@@ -44,7 +46,8 @@ from .complexes import Complex
 class SubComplex:
     """Hom(X, Q): the degree-n term is the span of gens_at(n) in an
     ambient free module, and the differential is restricted from
-    ambient_diff(n).  Each degree is built on first use and cached."""
+    ambient_diff(n).  Each degree's layout, generators and form are
+    built on first use and cached."""
 
     terms: dict[int, FPModule]  # source term i in degree i, in increasing i
     diffs: dict[int, Mat]  # diffs[i]: term i -> term i+1, on generators
@@ -102,13 +105,13 @@ class SubComplex:
         """Generators of Hom(M, R^q), M = terms[i] and q = qr, as vectorized
         q x rank0 matrices.  Hom(M, R^q) = Hom(M, R)^q: the rows of a map F
         are functionals on M, so F = C K for the generators K of M* and
-        vec(C K) = (K^T (x) I_q) vec(C)."""
+        vec(C K) = (K^T (x) I_q) vec(C), where K^T is the kernel of P^T."""
         m = self.terms[i]
         if m.rank1 == 0:
             return Mat.identity(self.q.ring, qr * m.rank0)
         key = ("functionals", i)
         if key not in self._cache:
-            self._cache[key] = kernel_left(m.presentation).transpose()
+            self._cache[key] = kernel_right(m.presentation.transpose())
         k = self._cache[key]
         return k if qr == 1 else k.kron(Mat.identity(self.q.ring, qr))
 
@@ -120,10 +123,9 @@ class SubComplex:
         source differential t = diffs[i - 1], each entry on the diagonal
         of a qr x qr sub-block.  One of more than SIZE_LIMIT**2 cells does
         not fit in memory as a dense matrix and is refused (MatrixError)
-        before anything is allocated."""
-        key = ("diff", n)
-        if key in self._cache:
-            return self._cache[key]
+        before anything is allocated.  Not cached: form(n) keeps the
+        elimination it is read for, and complexes._null_homotopy reads
+        degree -1 once."""
         rows, cols = self.ambient_rank(n + 1), self.ambient_rank(n)
         if rows * cols > SIZE_LIMIT ** 2:
             raise MatrixError(f"the Hom differential in degree {n} would have {rows * cols} "
@@ -150,8 +152,7 @@ class SubComplex:
                             ent[at:at + qr * (cols + 1):cols + 1] = \
                                 [sign * v if mod is None else sign * v % mod] * qr
             c0 += r0 * qr
-        d = self._cache[key] = Mat._trusted(self.q.ring, rows, cols, tuple(ent))
-        return d
+        return Mat._trusted(self.q.ring, rows, cols, tuple(ent))
 
     def form(self, n: int) -> Echelon:
         """The elimination of the degree-n differential restricted to the

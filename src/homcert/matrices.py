@@ -44,8 +44,8 @@ entry to its canonical residue.  Results whose entries are canonical
 by construction go through the private `Mat._trusted` instead, which
 stores them unchecked: products and Kronecker products (reduced as
 they are computed), scalings, transposes, submatrices, zero and
-identity matrices, assembled blocks and the columns the Hermite core
-returns.
+identity matrices, assembled and stacked blocks and the columns the
+Hermite core returns.
 """
 
 from __future__ import annotations
@@ -206,11 +206,12 @@ class Mat:
         self._check_same_ring(other)
         if self.rows != other.rows:
             raise MatrixError("row count mismatch in hstack")
-        rows = []
+        a, b, p, q = self.entries, other.entries, self.cols, other.cols
+        ent: list[int] = []
         for i in range(self.rows):
-            rows.append(list(self.entries[i * self.cols : (i + 1) * self.cols])
-                        + list(other.entries[i * other.cols : (i + 1) * other.cols]))
-        return Mat.from_rows(self.ring, rows) if rows else Mat(self.ring, 0, self.cols + other.cols)
+            ent += a[i * p:(i + 1) * p]
+            ent += b[i * q:(i + 1) * q]
+        return Mat._trusted(self.ring, self.rows, p + q, tuple(ent))
 
     def submatrix(self, row_range: range, col_range: range) -> "Mat":
         r, c, ent = self.rows, self.cols, self.entries
@@ -659,11 +660,6 @@ def solve_right(A: Mat, B: Mat) -> Mat | None:
 def kernel_right(A: Mat) -> Mat:
     """Matrix whose columns generate {x : A x = 0} (Echelon.kernel)."""
     return Echelon(A).kernel()
-
-
-def kernel_left(A: Mat) -> Mat:
-    """Matrix whose rows generate {x : x A = 0}; may have 0 rows."""
-    return kernel_right(A.transpose()).transpose()
 
 
 def smith_invariants(A: Mat) -> list[int]:

@@ -7,9 +7,9 @@ bookkeeping over the supported commutative rings, but it is tracked so
 dualization typechecks: duals live on the opposite side.
 
 Dualizing a module M means Hom(M, R): its elements are the row vectors
-x with x P = 0, so generators of the dual are a generating set of the
-left kernel of P, and relations among those are one further left
-kernel.
+x with x P = 0, so generators of the dual are the rows of K, where K^T
+generates the kernel of P^T, and the relations among those rows are the
+kernel of K^T.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .matrices import (
     MatrixError,
     colspan_canonical,
     echelon,
-    kernel_left,
     kernel_right,
     smith_invariants,
     solve_right,
@@ -68,8 +67,6 @@ class FPModule:
         return FPModule(ring, side, Mat.from_rows(ring, [[annihilator]]))
 
     def is_zero(self) -> bool:
-        if self.rank0 == 0:
-            return True
         return solve_right(self.presentation, Mat.identity(self.ring, self.rank0)) is not None
 
     def contains_in_relations(self, columns: Mat) -> bool:
@@ -158,10 +155,11 @@ def subquotient_module(ring: RingDescriptor, side: str, gens: Mat, zeros: Mat) -
 def _dual_form(m: FPModule) -> tuple[FPModule, Mat, Echelon]:
     """dual_data(M) and the one elimination of K^T behind it: its kernel
     is the relations among the generators of M*, and its solves express
-    functionals on M* in those generators."""
-    K = kernel_left(m.presentation)  # k x rank0
-    form = echelon(K.transpose())
-    return FPModule(m.ring, opposite(m.side), colspan_canonical(form.kernel())), K, form
+    functionals on M* in those generators.  K^T is the right kernel of
+    P^T: x P = 0 exactly when P^T x^T = 0."""
+    form = echelon(kernel_right(m.presentation.transpose()))  # rank0 x k
+    return (FPModule(m.ring, opposite(m.side), colspan_canonical(form.kernel())),
+            form.matrix.transpose(), form)
 
 
 def dual_data(m: FPModule) -> tuple[FPModule, Mat]:
@@ -204,8 +202,6 @@ def is_projective(m: FPModule) -> ModuleMap | None:
     linear system P Y P = -P in the entries of Y.
     """
     P = m.presentation
-    if m.rank0 == 0:
-        return ModuleMap(m, FPModule.free(m.ring, m.side, 0), Mat.zero(m.ring, 0, 0))
     system = P.transpose().kron(P)  # vec(P Y P) = kron(P^T, P) vec(Y)
     rhs = (-P).vec()
     sol = solve_right(system, rhs)

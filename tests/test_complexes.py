@@ -166,9 +166,10 @@ def test_cone_long_exact_degenerates_to_shift():
 def test_finite_coproduct_ranks_add():
     a = two_term(ZZ, 2)
     b = two_term(ZZ, 3, lo=0)
-    total, injections, projections = finite_coproduct([a, b])
+    total, injections = finite_coproduct([a, b])
     assert total.rank(-1) == 1 and total.rank(0) == 2 and total.rank(1) == 1
-    for inj, proj, piece in zip(injections, projections, (a, b)):
+    for inj, piece in zip(injections, (a, b)):
+        proj = ChainMap(total, piece, {j: m.transpose() for j, m in inj.components.items()})
         assert inj.commutes(-3, 3)
         assert proj.commutes(-3, 3)
         assert inj.source is piece
@@ -182,16 +183,18 @@ def test_finite_coproduct_is_the_block_diagonal_sum():
     for ring in RINGS + [Zmod(12)]:
         for _ in range(10):
             summands = [random_bounded_complex(rng, ring) for _ in range(rng.randint(1, 4))]
-            total, injections, projections = finite_coproduct(summands)
+            total, injections = finite_coproduct(summands)
             for j in range(-4, 5):
                 ranks = [c.rank(j) for c in summands]
                 assert total.rank(j) == sum(ranks)
                 assert total.diff(j) == block_diag(ring, [c.diff(j) for c in summands])
                 ident = block_diag(ring, [Mat.identity(ring, r) for r in ranks])
-                for i, (inj, proj) in enumerate(zip(injections, projections)):
+                for i, inj in enumerate(injections):
                     block = range(sum(ranks[:i]), sum(ranks[:i + 1]))
                     assert inj.component(j) == ident.submatrix(range(ident.rows), block)
-                    assert proj.component(j) == ident.submatrix(block, range(ident.cols))
+                    proj = inj.component(j).transpose()
+                    assert proj == ident.submatrix(block, range(ident.cols))
+                    assert proj @ inj.component(j) == Mat.identity(ring, ranks[i])
 
 
 def test_finite_coproduct_refusals():
@@ -378,10 +381,16 @@ def test_first_difference_names_the_lowest_differing_degree():
     c = two_term(ZZ, 2, lo=-2)
     assert first_difference(c, c, -5, 5) is None
     assert first_difference(c, two_term(ZZ, 3, lo=-2), -5, 5) == -2
-    # d^-3 is 1x0 into c's degree -2 and 0x0 in the other
-    assert first_difference(c, two_term(ZZ, 2, lo=-1), -5, 5) == -3
+    # d^-3 differs in shape only (1x0 against 0x0): the term it maps
+    # into, degree -2, is named
+    assert first_difference(c, two_term(ZZ, 2, lo=-1), -5, 5) == -2
     assert first_difference(c, two_term(ZZ, 2, lo=-1), 0, 5) == 0
     assert first_difference(c, two_term(ZZ, 2, lo=-1), 1, 5) is None
+    # only the term above the window differs: d^hi is named
+    longer = Complex(ZZ, "left", {-2: 1, -1: 1, 0: 1}, {-2: c.diff(-2)})
+    assert first_difference(c, longer, -5, -1) == -1
+    assert first_difference(c, longer, -5, -2) is None
+    assert first_difference(c, longer, -5, 0) == 0
 
 
 def test_chain_map_commutation_check():

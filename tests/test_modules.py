@@ -4,7 +4,7 @@ import pytest
 
 from homcert import modules
 from homcert.generator import build_generator, verify_resolution
-from homcert.matrices import Mat, colspan_canonical, kernel_left, solve_right
+from homcert.matrices import Mat, colspan_canonical, kernel_right, solve_right
 from homcert.modules import (FPModule, ModuleMap, canonical_double_dual_map,
                              dual_data, dualize_map, is_projective,
                              modules_isomorphic, opposite, subquotient_module)
@@ -176,6 +176,11 @@ def test_different_presentations_still_go_through_smith(monkeypatch):
     assert len(calls) == 2
     assert not modules_isomorphic(z2, FPModule.free(ring, "left", 1))
     assert len(calls) == 4
+
+
+def kernel_left(a):
+    """Rows generating {x : x a = 0}."""
+    return kernel_right(a.transpose()).transpose()
 
 
 def _reference_dual_data(m):
