@@ -47,9 +47,9 @@ its smaller summand cost, so iterated cones build in linear time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
-from .matrices import Mat, MatrixError, assemble_blocks, echelon, kernel_right, solve_right
+from .matrices import Echelon, Mat, MatrixError, assemble_blocks, echelon
 from .modules import FPModule, is_projective, opposite, subquotient_module
 from .rings import RingDescriptor
 from .verdicts import Verdict
@@ -429,44 +429,69 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap]]:
 #
 # H^j is presented on the cycle generators Z = ker d^j modulo the
 # boundaries B = im d^(j-1) (subquotient_module).  Exactness needs no
-# module: it is the containment span Z in span B, one solve.  The
-# module is built only where it is wanted: H^0 comparisons, the
-# homology command and the report of a non-exact degree.
+# module: it is the containment span Z in span B, one solve
+# d^(j-1) Y = Z whose Y is the witness.  The module is built only where
+# it is wanted: H^0 comparisons, the homology command and the report of
+# a non-exact degree.  Forms asks both, for complexes and Hom complexes.
+
+
+class Forms:
+    """One elimination per degree: form(n) eliminates restricted(n), the
+    differential on the generators gens_at(n) (None: the whole ambient
+    module, of rank ambient_rank(n)).  Its kernel gives the cycles at n,
+    its solves exactness at n + 1, and it is the form below when the two
+    differentials are equal.  The hooks read q; SubComplex overrides them."""
+
+    def __init__(self, q: Complex):
+        self.q, self._cache = q, {}
+
+    def restricted(self, n: int) -> Mat:
+        return self.q.diff(n)
+
+    def gens_at(self, n: int) -> Mat | None:
+        return None
+
+    def ambient_rank(self, n: int) -> int:
+        return self.q.rank(n)
+
+    def form(self, n: int) -> Echelon:
+        key = ("form", n)
+        if key not in self._cache:
+            d, below = self.restricted(n), self._cache.get(("form", n - 1))
+            self._cache[key] = below if below is not None and d == below.matrix else echelon(d)
+        return self._cache[key]
+
+    def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
+        """(cycle generators, boundary generators) of degree n as ambient
+        columns: the kernel of form(n), pushed through gens_at(n), and
+        the matrix of form(n - 1), formed first for form(n) to reuse."""
+        boundaries = self.form(n - 1).matrix
+        u, cycles = self.gens_at(n), self.form(n).kernel()
+        return (cycles if u is None else u @ cycles), boundaries
+
+    def homology_data(self, n: int) -> tuple[FPModule, Mat, Mat]:
+        """(H^n on the cycle generators, cycle gens, boundary gens)."""
+        cycles, boundaries = self.cycles_and_boundaries(n)
+        return subquotient_module(self.q.ring, self.q.side, cycles, boundaries), cycles, boundaries
+
+    def exactness(self, n: int) -> tuple[Mat, Mat | None]:
+        """(Z, Y): the cycle generators Z at n and a solution Y of
+        form(n - 1).matrix @ Y = Z, the witness of H^n = 0, or None."""
+        cycles, _ = self.cycles_and_boundaries(n)
+        return cycles, self.form(n - 1).solve(cycles)
+
+    def is_exact_at(self, n: int) -> bool:
+        """H^n = 0, without building H^n; a zero ambient module builds nothing."""
+        return not self.ambient_rank(n) or self.exactness(n)[1] is not None
 
 
 def homology_data(c: Complex, j: int) -> tuple[FPModule, Mat, Mat]:
     """(H^j on the kernel generators, cycle gens, boundary gens), as columns of c^j."""
-    U, V = kernel_right(c.diff(j)), c.diff(j - 1)
-    return subquotient_module(c.ring, c.side, U, V), U, V
+    return Forms(c).homology_data(j)
 
 
 def homology(c: Complex, j: int) -> FPModule:
     return homology_data(c, j)[0]
-
-
-def is_exact_at(c: Complex, j: int) -> bool:
-    """H^j(c) = 0: every cycle is a boundary.
-
-    (span Z + span B) / span B vanishes exactly when span Z lies in
-    span B, so this is one solve d^(j-1) Y = Z for the cycle generators
-    Z, exact over Z, Z/n and F_p; Y is the exactness witness.  No
-    homology module is built.
-    """
-    return next(exactness_sweep(c, j, j))[2]
-
-
-def exactness_sweep(c: Complex, lo: int, hi: int) -> Iterator[tuple[int, Mat, bool]]:
-    """(j, cycle generators, H^j(c) = 0) for j = lo..hi, each decided as
-    in is_exact_at.  Each differential is eliminated once: the form of
-    d^j gives the cycles at j and then the solve at j + 1, and a d^j
-    equal to d^(j-1), as in a periodic tail, reuses its form."""
-    below = echelon(c.diff(lo - 1))
-    for j in range(lo, hi + 1):
-        d = c.diff(j)
-        here = below if d == below.matrix else echelon(d)
-        cycles = here.kernel()
-        yield j, cycles, below.solve(cycles) is not None
-        below = here
 
 
 # -- homotopies -------------------------------------------------------
@@ -491,7 +516,7 @@ def _null_homotopy(X: Complex, Y: Complex,
     if not (X.is_bounded and Y.is_bounded):
         raise ComplexError("null homotopy requires bounded complexes")
     hom = hom_fp_complex(*free_terms(X), Y)
-    s = solve_right(hom.ambient_diff(-1), hom.join(0, components()))
+    s = hom.form(-1).solve(hom.join(0, components()))
     if s is None:
         return None
     return Homotopy(X, Y, hom.split(-1, s))
@@ -514,7 +539,8 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
     vanish and every cycle module must be projective inside the window,
     and the verdict names the first degree where either fails; a bounded
     complex the window does not cover then fails with window_too_small,
-    and a periodic one passes relative to the window.
+    and a periodic one passes relative to the window if it has an
+    interior degree (window_too_small otherwise: nothing was checked).
     """
     lo, hi = window
     span = c.support()
@@ -524,11 +550,14 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
         if homotopy is not None:
             return Verdict(True, "split_exact", {"homotopy": homotopy})
     window_relative = not c.is_bounded
-    cycles = {}
-    for j, z, exact in exactness_sweep(c, lo + 1, hi - 1):
-        if not exact:
-            h = subquotient_module(c.ring, c.side, z, c.diff(j - 1))
-            return Verdict(False, "not_exact", {"degree": j, "homology": h}, window_relative)
+    if window_relative and hi - lo < 2:
+        return Verdict(False, "window_too_small", {"window": window}, True)
+    forms, cycles = Forms(c), {}
+    for j in range(lo + 1, hi):
+        z, y = forms.exactness(j)
+        if y is None:
+            return Verdict(False, "not_exact", {"degree": j, "homology": forms.homology_data(j)[0]},
+                           window_relative)
         cycles[j] = z
     for j, z in cycles.items():
         cycle = subquotient_module(c.ring, c.side, z, Mat.zero(c.ring, z.rows, 0))

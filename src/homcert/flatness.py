@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .matrices import Mat, MatrixError, colspan_canonical, kernel_right, solve_right
 from .modules import FPModule
-from .complexes import Complex, is_exact_at, split_exactness_check
+from .complexes import Complex, Forms, split_exactness_check
 from .homspaces import hom_into_complex
 from .rings import RingDescriptor
 from .verdicts import Verdict
@@ -119,7 +119,7 @@ def cycle_flatness_probe(q: Complex, j: int, rel: FlatRelation) -> Verdict:
         raise MatrixError("relation columns do not live in the degree-j term")
     if not (q.diff(j) @ rel.z).is_zero():
         return Verdict(False, "not_cycles", {"degree": j})
-    if not is_exact_at(q, j):
+    if not Forms(q).is_exact_at(j):
         return Verdict(False, "not_exact", {"degree": j})
     # the module spanned by the z's, presented on them
     m = FPModule(ring, q.side, colspan_canonical(kernel_right(rel.z)))

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .matrices import Mat, block_diag, kernel_right
 from .modules import (FPModule, ModuleMap, canonical_double_dual_map, dual_data,
                       modules_isomorphic)
-from .complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
-                        exactness_sweep, first_difference, homology, suspension)
+from .complexes import (Complex, Forms, PeriodicTail, dualize_complex, finite_coproduct,
+                        first_difference, homology, suspension)
 from .homspaces import free_terms, hom_fp_complex, hom_into_complex, induced_h0_map
 from .verdicts import Verdict
 
@@ -110,6 +110,11 @@ def _trusted_resolution_floor(pkg: GeneratorPackage) -> int | None:
     return span[0] + 1 if span else 0
 
 
+def _reaches(pkg: GeneratorPackage, depth: int) -> bool:
+    """P is complete, or its explicit terms reach `depth` degrees down."""
+    return pkg.complete or (have := pkg.resolution.support()) is not None and -have[0] >= depth
+
+
 def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) -> Verdict:
     """P resolves M*: H^0(P) = M*, H^j(P) = 0 for j < 0, from the floor
     of a truncated resolution up (window_too_small wholly below it)."""
@@ -127,8 +132,9 @@ def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) 
         return Verdict(False, "degree_zero_mismatch",
                        {"computed": str(h0), "expected": str(pkg.dual)},
                        window_relative)
-    for j, _, exact in exactness_sweep(pkg.resolution, lo, min(hi, -1)):
-        if not exact:
+    forms = Forms(pkg.resolution)
+    for j in range(lo, min(hi, -1) + 1):
+        if not forms.is_exact_at(j):
             return Verdict(False, "not_exact_below", {"degree": j}, window_relative)
     return Verdict(True, "quasi_isomorphism", {"window": (lo, hi)}, window_relative)
 
@@ -163,12 +169,9 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
     if not q.is_bounded:
         return Verdict(False, "unbounded_target", {})
     top = span[1] - lo + 2  # free degrees beyond this cannot hit Q inside the window
-    if not pkg.complete:
-        have = pkg.resolution.support()
-        if have is None or -have[0] < top:
-            return Verdict(False, "window_too_small",
-                           {"needed_depth": top, "have": pkg.depth},
-                           window_relative=True)
+    if not _reaches(pkg, top):
+        return Verdict(False, "window_too_small", {"needed_depth": top, "have": pkg.depth},
+                       window_relative=True)
     terms, diffs = free_terms(pkg.dual_complex.restrict(0, top))
     terms[-1] = pkg.module
     if pkg.comparison.rows and pkg.comparison.cols:
@@ -190,10 +193,8 @@ def hom_classes(pkg: GeneratorPackage, q: Complex, shift: int = 0):
     """
     span = q.support()
     top = (span[1] if span else 0) + abs(shift) + 2
-    if not pkg.complete:
-        have = pkg.resolution.support()
-        if have is None or -have[0] < top + 2:
-            return None
+    if not _reaches(pkg, top + 2):
+        return None
     x = suspension(pkg.dual_complex.restrict(0, top), shift)
     sub = hom_fp_complex(*free_terms(x), q)
     return sub.homology_data(0), sub

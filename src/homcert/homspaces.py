@@ -5,15 +5,17 @@ q x r0 matrix F with F P = 0, so Hom(M, R^q) sits inside the free
 module of all q x r0 matrices as the kernel of vec(F) |-> vec(F P).
 Stringing these together over the terms of a target complex Q gives a
 complex of submodules of free modules; its homology is the honest Hom
-homology.  Cycles and boundaries are generating columns of a common
-ambient free module (SubComplex.cycles_and_boundaries), so each Hom
-question is one solve against the boundaries: exactness, a preimage of
-given cycles (the flatness lift), or the coordinates of pushed cycles
+homology, computed by complexes.Forms, the engine that serves complexes
+too, through three hooks: the ambient rank, the generators of each term
+and the restricted differential.  Cycles and boundaries are generating
+columns of a common ambient free module, so each Hom question is one
+solve against the boundaries: exactness, a preimage of given cycles
+(the flatness lift), or the coordinates of pushed cycles
 (induced_h0_map).  Each degree's restricted differential is eliminated
-once (SubComplex.form): that one elimination gives the cycles in its
-degree and answers the solves in the degree above, so a sweep over
-degrees eliminates each differential once, and a degree whose ambient
-module is zero is exact without building anything.  The homology
+once (Forms.form): that one elimination gives the cycles in its degree
+and answers the solves in the degree above, one equal to the
+differential below reuses its form, and a degree whose ambient module
+is zero is exact without building anything.  The homology
 module, where one is wanted, is their subquotient presentation.  No
 degree window is chosen: each degree's layout, generators and form are
 built the first time a caller reads them, and H^n reads the forms of
@@ -36,18 +38,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import (SIZE_LIMIT, Echelon, Mat, MatrixError, block_diag, echelon,
-    kernel_right, solve_right)
-from .modules import FPModule, ModuleMap, subquotient_module
-from .complexes import Complex
+from .matrices import SIZE_LIMIT, Mat, MatrixError, block_diag, kernel_right, solve_right
+from .modules import FPModule, ModuleMap
+from .complexes import Complex, Forms
 
 
 @dataclass(frozen=True)
-class SubComplex:
-    """Hom(X, Q): the degree-n term is the span of gens_at(n) in an
-    ambient free module, and the differential is restricted from
-    ambient_diff(n).  Each degree's layout, generators and form are
-    built on first use and cached."""
+class SubComplex(Forms):
+    """Hom(X, Q), a complexes.Forms: the degree-n term is the span of
+    gens_at(n) in an ambient free module, and the differential is
+    restricted from ambient_diff(n).  Each degree's layout, generators
+    and form are built on first use and cached."""
 
     terms: dict[int, FPModule]  # source term i in degree i, in increasing i
     diffs: dict[int, Mat]  # diffs[i]: term i -> term i+1, on generators
@@ -124,8 +125,7 @@ class SubComplex:
         of a qr x qr sub-block.  One of more than SIZE_LIMIT**2 cells does
         not fit in memory as a dense matrix and is refused (MatrixError)
         before anything is allocated.  Not cached: form(n) keeps the
-        elimination it is read for, and complexes._null_homotopy reads
-        degree -1 once."""
+        elimination it is read for."""
         rows, cols = self.ambient_rank(n + 1), self.ambient_rank(n)
         if rows * cols > SIZE_LIMIT ** 2:
             raise MatrixError(f"the Hom differential in degree {n} would have {rows * cols} "
@@ -154,41 +154,10 @@ class SubComplex:
             c0 += r0 * qr
         return Mat._trusted(self.q.ring, rows, cols, tuple(ent))
 
-    def form(self, n: int) -> Echelon:
-        """The elimination of the degree-n differential restricted to the
-        term, ambient_diff(n) @ gens_at(n), made once per degree: its
-        kernel gives the cycles at n, and its solves the preimages of
-        the boundaries at n + 1."""
-        key = ("form", n)
-        if key not in self._cache:
-            u = self.gens_at(n)
-            self._cache[key] = echelon(self.ambient_diff(n) if u is None
-                                       else self.ambient_diff(n) @ u)
-        return self._cache[key]
-
-    def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
-        """(cycle generators, boundary generators) of degree n as ambient
-        columns: the kernel of form(n), pushed into the ambient module,
-        and the matrix of form(n - 1)."""
+    def restricted(self, n: int) -> Mat:
+        """ambient_diff(n) @ gens_at(n), the differential on the term's generators."""
         u = self.gens_at(n)
-        cycles = self.form(n).kernel()
-        return (cycles if u is None else u @ cycles), self.form(n - 1).matrix
-
-    def homology_data(self, n: int) -> tuple[FPModule, Mat, Mat]:
-        """(H^n, cycle generator columns, boundary generator columns),
-        both sets of columns in the degree-n ambient free module."""
-        cycles, boundaries = self.cycles_and_boundaries(n)
-        h = subquotient_module(self.q.ring, self.q.side, cycles, boundaries)
-        return h, cycles, boundaries
-
-    def is_exact_at(self, n: int) -> bool:
-        """H^n = 0: every cycle is a boundary, decided by one solve against
-        form(n - 1) as in complexes.is_exact_at, without building H^n.
-        A degree whose layout is empty has H^n = 0 and builds nothing."""
-        if not self.layout(n):
-            return True
-        cycles, _ = self.cycles_and_boundaries(n)
-        return self.form(n - 1).solve(cycles) is not None
+        return self.ambient_diff(n) if u is None else self.ambient_diff(n) @ u
 
 
 def free_terms(x: Complex) -> tuple[dict[int, FPModule], dict[int, Mat]]:

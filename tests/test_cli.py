@@ -169,6 +169,15 @@ def test_split_check_failure_exits_1(capsys):
     assert not out_doc(out).payload.ok
 
 
+@pytest.mark.parametrize("window", ["0..1", "0..0"])
+def test_split_check_of_a_periodic_complex_without_an_interior_degree_exits_1(capsys, window):
+    code, out, _ = run(capsys, "split-check", fx("complex_z4_periodic"), f"--window={window}")
+    assert code == 1
+    verdict = out_doc(out).payload
+    assert verdict.code == "window_too_small" and verdict.window_relative
+    assert verdict.details == {"window": [int(x) for x in window.split("..")]}
+
+
 def test_split_check_with_bound_runs_collapse(capsys, tag="z"):
     code, out, _ = run(capsys, "split-check", fx(f"contractible_{tag}"),
                        "--window=-6..5", "--bound=1")

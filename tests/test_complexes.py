@@ -4,10 +4,9 @@ import random
 import pytest
 
 from homcert import matrices
-from homcert.complexes import (ChainMap, Complex, ComplexError, Homotopy,
+from homcert.complexes import (ChainMap, Complex, ComplexError, Forms, Homotopy,
                                PeriodicTail, cone, contraction, dualize_complex,
-                               exactness_sweep, finite_coproduct, first_difference,
-                               homology, is_exact_at,
+                               finite_coproduct, first_difference, homology,
                                null_homotopy_witness, split_exactness_check,
                                suspension, twisted_sum)
 from homcert.generator import resolve_module
@@ -298,6 +297,19 @@ def test_split_exactness_window_too_small(pad):
     assert v.details == {"support": span, "window": window}
 
 
+@pytest.mark.parametrize("window", [(0, 1), (0, 0), (3, 1)])
+def test_split_exactness_of_a_periodic_complex_needs_an_interior_degree(window):
+    # no degree strictly inside the window: nothing would be checked
+    v = split_exactness_check(_z4_periodic(), window)
+    assert not v.ok and v.code == "window_too_small" and v.window_relative
+    assert v.details == {"window": window}
+
+
+def test_split_exactness_of_a_periodic_complex_checks_one_interior_degree():
+    v = split_exactness_check(_z4_periodic(), (0, 2))
+    assert v.code == "exact_not_split" and v.details["degree"] == 1
+
+
 def test_split_exactness_exact_not_split_negative_control():
     ring = Zmod(4)
     two = Mat(ring, 1, 1, (2,))
@@ -368,13 +380,15 @@ def test_is_exact_at_is_one_step_of_the_sweep(monkeypatch, j):
     c = _z4_periodic()
     assert c.diff(j - 1) is c.diff(j)
     calls = _counting_hnf(monkeypatch)
-    assert is_exact_at(c, j)
+    assert Forms(c).is_exact_at(j)
     assert calls == [(2, [[2, 1]])]
     rng = random.Random(j)
     for ring in (ZZ, Fp(7), Zmod(4), Zmod(12)):
         q = random_bounded_complex(rng, ring)
-        assert is_exact_at(q, j) == next(exactness_sweep(q, j, j))[2] \
-            == homology(q, j).is_zero()
+        # a fresh engine and one that has swept the degrees below agree
+        sweep = Forms(q)
+        steps = [sweep.is_exact_at(k) for k in range(j - 3, j + 1)]
+        assert Forms(q).is_exact_at(j) == steps[-1] == homology(q, j).is_zero()
 
 
 def test_first_difference_names_the_lowest_differing_degree():

@@ -12,6 +12,15 @@ way: Z/12 = Z/4 x F_3 and Z/36 = Z/4 x Z/9 (two repeated primes).
     so the first degree a failing verdict names is the least degree
     either reduction names, a homology degree whenever either reduction
     has one.
+  * Hom-exactness: Hom(M, Q) over Z/n is the product of the Hom
+    complexes of the reductions, so it is exact in a degree exactly
+    when both are.
+
+Base change Z -> F_p is a second oracle on one integer matrix A: the
+rank of A mod p counts the Smith factors of A over Z that p does not
+divide, so the F_p Smith invariants of A mod p are a 1 for each of
+those and p in every other row.  It pits the integer Smith form
+against the packed modular core.
 
 Inputs are seeded; each test runs in well under a second.
 """
@@ -22,9 +31,11 @@ from math import gcd
 import pytest
 
 from homcert.complexes import Complex, split_exactness_check
+from homcert.homspaces import hom_into_complex
 from homcert.matrices import Mat, smith_invariants
-from homcert.rings import Fp, Zmod
-from homcert.samplers import random_bounded_complex, random_matrix
+from homcert.modules import FPModule
+from homcert.rings import Fp, Zmod, ZZ
+from homcert.samplers import random_bounded_complex, random_fp_module, random_matrix
 
 FACTORINGS = {12: (Zmod(4), Fp(3)), 36: (Zmod(4), Zmod(9))}
 
@@ -71,3 +82,36 @@ def test_split_exactness_verdicts_factor_through_the_prime_powers(n):
         assert (v.code, v.details["degree"]) == want, c
     # not vacuous: each reduction fails alone somewhere, and some pass both
     assert {(False, False, True), (False, True, False), (True, True, True)} <= outcomes
+
+
+@pytest.mark.parametrize("n", sorted(FACTORINGS))
+def test_hom_exactness_factors_through_the_prime_powers(n):
+    rng = random.Random(f"crt-hom/{n}")
+    ring, factors = Zmod(n), FACTORINGS[n]
+    outcomes = set()
+    for _ in range(300):
+        m = random_fp_module(rng, ring, max_rank=2)
+        q = random_bounded_complex(rng, ring)
+        whole = hom_into_complex(m, q)
+        parts = [hom_into_complex(FPModule(f, m.side, reduce_mat(m.presentation, f)),
+                                  reduce_complex(q, f)) for f in factors]
+        for j in range(-2, 3):
+            exact = (whole.is_exact_at(j), *(p.is_exact_at(j) for p in parts))
+            outcomes.add(exact)
+            assert exact[0] == all(exact[1:]), (m, q, j)
+    # not vacuous: each reduction fails alone somewhere, and some pass both
+    assert {(False, False, True), (False, True, False), (True, True, True)} <= outcomes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_smith_invariants_mod_p_count_the_integer_factors_p_does_not_divide(p):
+    rng = random.Random(f"base-change/{p}")
+    divided = 0
+    for _ in range(1000):
+        a = random_matrix(rng, ZZ, rng.randint(0, 5), rng.randint(0, 5))
+        factors = smith_invariants(a)
+        units = sum(d % p != 0 for d in factors)
+        divided += units < len(factors)
+        assert smith_invariants(reduce_mat(a, Fp(p))) == [1] * units + [p] * (a.rows - units), a
+    # not vacuous: p divides some nonzero integer factor
+    assert divided
