@@ -14,7 +14,7 @@ import functools
 import sys
 from typing import Callable
 
-from .complexes import ComplexError, dualize_complex, homology, split_exactness_check
+from .complexes import ComplexError, Forms, dualize_complex, split_exactness_check
 from .documents import (SIZE_LIMIT, Document, DocumentError, emit_document,
                         make_document, module_to_json, parse_document,
                         unlimited_int_digits)
@@ -120,12 +120,8 @@ def cmd_dualize(args) -> int:
         out = make_document(doc.ring, "complex", dualize_complex(doc.payload))
         text = lambda: "dual complex"
     else:
-        f = doc.payload
-        spans = [s for s in (f.source.support(), f.target.support()) if s]
-        lo = -max((s[1] for s in spans), default=0)
-        hi = -min((s[0] for s in spans), default=0)
-        out = make_document(doc.ring, "chain_map", dualize_chain_map(f, lo, hi))
-        text = lambda: f"dual chain map in degrees {lo}..{hi}"
+        out = make_document(doc.ring, "chain_map", dualize_chain_map(doc.payload))
+        text = lambda: f"dual chain map, components in degrees {sorted(out.payload.components)}"
     _print(args, out, text)
     return 0
 
@@ -152,7 +148,8 @@ def cmd_check_qiso(args) -> int:
 def cmd_homology(args) -> int:
     doc = _read_doc(args.input, "complex")
     lo, hi = _parse_window(args.window)
-    mods = {j: homology(doc.payload, j) for j in range(lo, hi + 1)}
+    forms = Forms(doc.payload)
+    mods = {j: forms.homology_data(j)[0] for j in range(lo, hi + 1)}
     details = {str(j): module_to_json(m) for j, m in mods.items()}
     v = Verdict(True, "homology_computed", details)
     _print(args, make_document(doc.ring, "verdict", v),

@@ -33,9 +33,11 @@ and `twisted_sum` (so `cone` and `finite_coproduct`) build from
 complexes that passed it and skip it (`Complex._trusted`): shifting,
 negating, transposing and brutal truncation keep both, and a twisted
 sum checks d_Y g + g d_L = 0 instead, which for checked L and Y is
-d^2 = 0 on the sum.  `ChainMap(...)`, `Homotopy(...)` and `twisted_sum`
-check that source and target are on one side, and each component's
-ring and its shape in its degree.
+d^2 = 0 on the sum.  Chain maps, homotopies and twisting maps share
+`_GradedMap`, which checks that source and target are on one side, and
+each component's ring and its shape in its degree.  Their conditions
+relate components j and j + 1, so they can fail only in degrees j - 1
+and j for each component j: read there, each is total, with no window.
 
 A twisted sum has one form: nonzero ranks in increasing degree and a
 differential for exactly each adjacent pair of terms.  `restrict` gives
@@ -215,46 +217,47 @@ def first_difference(a: Complex, b: Complex, lo: int, hi: int) -> int | None:
                  or (j == hi or a.rank(j + 1) == b.rank(j + 1)) and a.diff(j) != b.diff(j)), None)
 
 
-def _check_components(what: str, source: Complex, target: Complex,
-                      components: dict[int, Mat], shift: int):
-    """Source and target are on one side, and each component j, a map
-    source^j -> target^(j+shift), is over the ring of source and target
-    and has the shape of its degree."""
-    if target.side != source.side:
-        raise ComplexError(f"{what} from a {source.side} complex to a {target.side} one")
-    ring = source.ring
-    if target.ring != ring:
-        raise MatrixError(f"{what} from a complex over {ring} to one over {target.ring}")
-    for j, m in components.items():
-        rows, cols = target.rank(j + shift), source.rank(j)
-        if m.ring != ring:
-            raise MatrixError(f"component in degree {j} is over {m.ring}, expected {ring}")
-        if m.rows != rows or m.cols != cols:
-            raise MatrixError(f"component in degree {j} has shape {m.rows}x{m.cols}, "
-                              f"expected {rows}x{cols}")
-
-
 @dataclass(frozen=True)
-class ChainMap:
+class _GradedMap:
+    """Finitely many components, the one in degree j a map
+    source^j -> target^(j + _shift); an absent component is zero."""
+
     source: Complex
     target: Complex
     components: dict[int, Mat]
+    # not fields: the degree of the map and its name in errors
+    _shift = 0
+    _what = "chain map"
 
     def __post_init__(self):
-        _check_components("chain map", self.source, self.target, self.components, 0)
+        source, target, ring = self.source, self.target, self.source.ring
+        if target.side != source.side:
+            raise ComplexError(f"{self._what} from a {source.side} complex to a {target.side} one")
+        if target.ring != ring:
+            raise MatrixError(f"{self._what} from a complex over {ring} to one over {target.ring}")
+        for j, m in self.components.items():
+            rows, cols = target.rank(j + self._shift), source.rank(j)
+            if m.ring != ring:
+                raise MatrixError(f"component in degree {j} is over {m.ring}, expected {ring}")
+            if m.rows != rows or m.cols != cols:
+                raise MatrixError(f"component in degree {j} has shape {m.rows}x{m.cols}, "
+                                  f"expected {rows}x{cols}")
 
     def component(self, j: int) -> Mat:
-        if j in self.components:
-            return self.components[j]
-        return Mat.zero(self.source.ring, self.target.rank(j), self.source.rank(j))
+        m = self.components.get(j)
+        return m if m is not None else \
+            Mat.zero(self.source.ring, self.target.rank(j + self._shift), self.source.rank(j))
 
-    def commutes(self, lo: int, hi: int) -> bool:
-        for j in range(lo, hi + 1):
-            lhs = self.target.diff(j) @ self.component(j)
-            rhs = self.component(j + 1) @ self.source.diff(j)
-            if lhs != rhs:
-                return False
-        return True
+    def degrees(self) -> list[int]:
+        """j - 1 and j for each component j, in increasing order."""
+        return sorted({k for j in self.components for k in (j - 1, j)})
+
+
+class ChainMap(_GradedMap):
+    def commutes(self) -> bool:
+        """d f = f d in every degree."""
+        return all(self.target.diff(j) @ self.component(j)
+                   == self.component(j + 1) @ self.source.diff(j) for j in self.degrees())
 
     @staticmethod
     def identity(c: Complex) -> "ChainMap":
@@ -263,25 +266,22 @@ class ChainMap:
                                for j, r in sorted(c.ranks.items()) if r > 0})
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    source: Complex
-    target: Complex
-    components: dict[int, Mat]  # degree j -> s^j : source^j -> target^(j-1)
+class Homotopy(_GradedMap):
+    """Components s^j : source^j -> target^(j-1)."""
 
-    def __post_init__(self):
-        _check_components("homotopy", self.source, self.target, self.components, -1)
+    _shift, _what = -1, "homotopy"
 
-    def component(self, j: int) -> Mat:
-        if j in self.components:
-            return self.components[j]
-        return Mat.zero(self.source.ring, self.target.rank(j - 1), self.source.rank(j))
-
-    def bounds(self, f: ChainMap, lo: int, hi: int) -> bool:
-        """Check f = d s + s d in [lo, hi]."""
+    def bounds(self, f: ChainMap) -> bool:
+        """f = d s + s d in every degree: next to a component of s, or at one of f."""
         return all(f.component(j) == self.target.diff(j - 1) @ self.component(j)
                    + self.component(j + 1) @ self.source.diff(j)
-                   for j in range(lo, hi + 1))
+                   for j in sorted(f.components.keys() | self.degrees()))
+
+
+class _TwistingMap(_GradedMap):
+    """twisted_sum's g, with components g^j: L^j -> Y^(j+1)."""
+
+    _shift, _what = 1, "twisting map"
 
 
 # -- elementary constructions -----------------------------------------
@@ -323,9 +323,9 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
 
     Its d^2 in degree j is [[d_L d_L, 0], [d_Y^(j+1) g^j + g^(j+1) d_L^j,
     d_Y d_Y]], so for checked L and Y it vanishes exactly when
-    d_Y g + g d_L = 0.  That is checked from one degree below the lowest
-    component to the highest (ChainMapError) instead of forming d^2; an
-    absent component makes its side zero, so no product is formed for it.
+    d_Y g + g d_L = 0.  g is checked as a _TwistingMap, and the condition
+    in its degrees (ChainMapError) instead of forming d^2; an absent
+    component makes its side zero, so no product is formed for it.
 
     The result has nonzero ranks only, in increasing degree, and a
     differential for exactly each pair of adjacent terms.  The summand
@@ -339,13 +339,12 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
     """
     if not (L.is_bounded and Y.is_bounded):
         raise ComplexError("twisted sum requires bounded complexes")
-    _check_components("twisting map", L, Y, g, 1)
     ring = L.ring
 
     # d_Y g = -(g d_L), compared as ChainMap.commutes compares: no
     # checked Mat is built.  Both sides map L^j to Y^(j+2); where either
     # is zero there is nothing to compare.
-    for j in range(min(g) - 1, max(g) + 1) if g else ():
+    for j in _TwistingMap(L, Y, g).degrees():
         if not (L.rank(j) and Y.rank(j + 2)):
             continue
         if j in g and j + 1 in g:
@@ -391,7 +390,7 @@ def cone(f: ChainMap) -> Complex:
     Its term in degree j is X^(j+1) (+) Y^j: the twisted sum of S X and
     Y by g^(j-1) = f^j, whose condition d_Y g + g d_(S X) = 0 is
     d_Y f - f d_X = 0, so the twisted sum checks that f is a chain map
-    from one degree below its lowest component to its highest.
+    in every degree, as f.commutes() does.
     """
     return twisted_sum(suspension(f.source, 1), f.target,
                        {j - 1: m for j, m in f.components.items()})

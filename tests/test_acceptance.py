@@ -28,7 +28,7 @@ from homcert.samplers import (random_bounded_complex, random_contractible_comple
                               random_fp_module, random_null_homotopic_map,
                               random_relation)
 
-RINGS = [ZZ, Fp(5), Zmod(4)]
+RINGS = [ZZ, Fp(5), Zmod(4), Zmod(12)]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -48,14 +48,14 @@ def test_criterion_1_generator_construction():
             ok = ok and double_dual_check(pkg).ok
             if not ok:
                 break
-    report(1, "generator construction over Z, F5, Z/4", ok)
+    report(1, "generator construction over Z, F5, Z/4, Z/12", ok)
 
 
 def test_criterion_2_comparison_quasi_isomorphism():
     rng = random.Random(102)
     ok = True
     for i in range(100):
-        ring = RINGS[i % 3]
+        ring = RINGS[i % len(RINGS)]
         m = random_fp_module(rng, ring, max_rank=2)
         q = random_bounded_complex(rng, ring, max_length=3, lo=-1, hi=1)
         v = verify_generator_quasi_iso(build_generator(m), q, (-4, 4))
@@ -95,17 +95,18 @@ def test_criterion_4_flat_certificates():
 def test_criterion_5_split_exactness_pipeline():
     rng = random.Random(105)
     ok = True
-    for _ in range(50):
-        c = random_contractible_complex(rng, ZZ)
-        span = c.support()
-        v = pd_bound_collapse(c, EngineConfig.for_ring(ZZ),
-                              (span[0] - 2, span[1] + 2))
-        ok = ok and v.ok and v.code == "collapsed"
-        if ok:
-            hom = v.details["homotopy"]
-            ok = hom.bounds(ChainMap.identity(c), span[0] - 1, span[1] + 1)
-        if not ok:
-            break
+    for ring in (ZZ, Zmod(12)):
+        for _ in range(50):
+            c = random_contractible_complex(rng, ring)
+            span = c.support()
+            v = pd_bound_collapse(c, EngineConfig.for_ring(ring),
+                                  (span[0] - 2, span[1] + 2))
+            ok = ok and v.ok and v.code == "collapsed"
+            if ok:
+                hom = v.details["homotopy"]
+                ok = hom.bounds(ChainMap.identity(c))
+            if not ok:
+                break
     report(5, "exact scrambled complexes collapse to null homotopies", ok)
 
 
@@ -123,7 +124,20 @@ def test_criterion_6_periodic_negative_control():
     rel = FlatRelation(ring, Mat(ring, 1, 1, (2,)), two)
     pv = cycle_flatness_probe(c, 0, rel)
     hypothesis_refused = not pv.ok and pv.code == "hom_hypothesis_fails"
-    report(6, "periodic Z/4 complex rejected without the hypothesis",
+    # over Z/12, d alternating 6 (odd degrees) and 2 (even): exact, and
+    # the cycles 2R = ker 6 in degree -3, the first checked, are R/6,
+    # which is not projective
+    ring = Zmod(12)
+    six, two = Mat(ring, 1, 1, (6,)), Mat(ring, 1, 1, (2,))
+    c12 = Complex(ring, "left", {-1: 1, 0: 1, 1: 1}, {-1: six, 0: two},
+                  tail_below=PeriodicTail(-1, -1, 2), tail_above=PeriodicTail(1, 1, 2))
+    exact_everywhere = exact_everywhere and all(homology(c12, j).is_zero()
+                                                for j in range(-8, 9))
+    v = split_exactness_check(c12, (-4, 4))
+    split_refused = split_refused and (
+        not v.ok and v.code == "exact_not_split" and v.details["degree"] == -3
+        and modules_isomorphic(v.details["cycle"], FPModule.cyclic(ring, "left", 6)))
+    report(6, "periodic Z/4 and Z/12 complexes rejected without the hypothesis",
            exact_everywhere and split_refused and hypothesis_refused)
 
 
@@ -141,8 +155,10 @@ def test_criterion_7_decomposition():
             ok = ok and tree.free_leaf_count() == -span[0] + 1
         if not ok:
             break
-    if ok:
-        p, _ = resolve_module(FPModule.cyclic(Zmod(4), "right", 2))
+    for n, a in ((4, 2), (12, 4)):
+        if not ok:
+            break
+        p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
         tree = decompose_resolution(p, depth=4)
         v = rebuild_verify(tree, (-6, 0))
         ok = v.ok and v.window_relative and tree.has_residual()
@@ -153,7 +169,7 @@ def test_criterion_8_duality_roundtrip_and_functoriality():
     rng = random.Random(108)
     ok = True
     for i in range(300):
-        ring = RINGS[i % 3]
+        ring = RINGS[i % len(RINGS)]
         g = random_bounded_complex(rng, ring)
         ok = ok and duality_roundtrip_check(g, (-4, 4)).ok
         if not ok:
@@ -161,7 +177,7 @@ def test_criterion_8_duality_roundtrip_and_functoriality():
     for i in range(100):
         if not ok:
             break
-        ring = RINGS[i % 3]
+        ring = RINGS[i % len(RINGS)]
         x = random_bounded_complex(rng, ring)
         y = random_bounded_complex(rng, ring)
         z = random_bounded_complex(rng, ring)
@@ -170,9 +186,9 @@ def test_criterion_8_duality_roundtrip_and_functoriality():
         gf = ChainMap(x, z, {j: g.component(j) @ f.component(j)
                              for j in range(-5, 6)
                              if not (g.component(j) @ f.component(j)).is_zero()})
-        lhs = dualize_chain_map(gf, -5, 5)
-        fstar = dualize_chain_map(f, -5, 5)
-        gstar = dualize_chain_map(g, -5, 5)
+        lhs = dualize_chain_map(gf)
+        fstar = dualize_chain_map(f)
+        gstar = dualize_chain_map(g)
         ok = all(lhs.component(j) == fstar.component(j) @ gstar.component(j)
                  for j in range(-5, 6))
     report(8, "dualization is an involution and contravariant", ok)

@@ -7,8 +7,9 @@ import tracemalloc
 import pytest
 
 from homcert.cli import MAX_DECOMPOSE_DEPTH, main
+from homcert.complexes import ChainMap
 from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_document,
-                               parse_document)
+                               module_to_json, parse_document)
 from homcert.flatness import FlatRelation
 from homcert.matrices import Mat, kernel_right
 from homcert.samplers import random_matrix
@@ -49,6 +50,19 @@ def test_dualize_accepts_three_kinds(capsys, name):
     assert code == 0
     assert out_doc(out).kind == parse_document(
         pathlib.Path(fx(name)).read_text()).kind
+
+
+def test_dualize_keeps_a_component_in_a_tail_degree(capsys, tmp_path):
+    # a map of the periodic Z/4 complex whose one component sits in
+    # degree 5, in its upper tail, beyond the explicit terms 0 and 1: the
+    # dual carries its transpose in degree -5
+    doc = parse_document(pathlib.Path(fx("complex_z4_periodic")).read_text())
+    c, three = doc.payload, Mat(doc.ring, 1, 1, (3,))
+    path = tmp_path / "tail_map.json"
+    path.write_text(emit_document(make_document(doc.ring, "chain_map",
+                                                ChainMap(c, c, {5: three}))))
+    code, out, _ = run(capsys, "dualize", str(path))
+    assert code == 0 and out_doc(out).payload.components == {-5: three}
 
 
 def test_generator_emits_package(capsys):
@@ -100,6 +114,27 @@ def test_homology_text_format(capsys):
     assert code == 0
     assert "H^0 = R/(2)" in out
     assert "H^-1 = 0" in out
+
+
+def test_homology_asks_one_engine_for_the_whole_window(capsys, monkeypatch):
+    # the periodic Z/4 fixture repeats one differential in every degree:
+    # one engine for the window eliminates it once, then each of the 101
+    # degrees costs two eliminations for its homology module (the kernel
+    # of [Z | B] and its canonical span), 203 in all; an engine per
+    # degree eliminated the differential again in every degree (303)
+    from homcert import matrices
+    from homcert.complexes import homology
+    from homcert.verdicts import Verdict
+
+    doc = parse_document(pathlib.Path(fx("complex_z4_periodic")).read_text())
+    want = {str(j): module_to_json(homology(doc.payload, j)) for j in range(-50, 51)}
+    calls = []
+    hnf = matrices._hnf
+    monkeypatch.setattr(matrices, "_hnf", lambda *args: calls.append(args) or hnf(*args))
+    code, out, _ = run(capsys, "homology", fx("complex_z4_periodic"), "--window=-50..50")
+    assert code == 0 and len(calls) == 203
+    assert out == emit_document(make_document(doc.ring, "verdict",
+                                              Verdict(True, "homology_computed", want)))
 
 
 @pytest.mark.parametrize("tag", ["z", "f5", "z4"])

@@ -147,8 +147,7 @@ def test_cone_of_identity_is_contractible():
         cn = cone(ChainMap.identity(c))
         h = contraction(cn)
         assert h is not None
-        span = cn.support() or (0, 0)
-        assert h.bounds(ChainMap.identity(cn), span[0] - 1, span[1] + 1)
+        assert h.bounds(ChainMap.identity(cn))
 
 
 def test_cone_long_exact_degenerates_to_shift():
@@ -169,8 +168,8 @@ def test_finite_coproduct_ranks_add():
     assert total.rank(-1) == 1 and total.rank(0) == 2 and total.rank(1) == 1
     for inj, piece in zip(injections, (a, b)):
         proj = ChainMap(total, piece, {j: m.transpose() for j, m in inj.components.items()})
-        assert inj.commutes(-3, 3)
-        assert proj.commutes(-3, 3)
+        assert inj.commutes()
+        assert proj.commutes()
         assert inj.source is piece
         for j in range(-3, 4):
             want = Mat.identity(ZZ, piece.rank(j))
@@ -228,7 +227,7 @@ def test_null_homotopy_witness_found_and_verified():
         f = random_null_homotopic_map(rng, x, y)
         h = null_homotopy_witness(f)
         assert h is not None
-        assert h.bounds(f, -4, 4)
+        assert h.bounds(f)
 
 
 def test_nonzero_class_has_no_null_homotopy():
@@ -245,7 +244,7 @@ def test_split_exactness_positive():
         v = split_exactness_check(c, (span[0] - 2, span[1] + 2))
         assert v.ok and v.code == "split_exact"
         hom = v.details["homotopy"]
-        assert hom.bounds(ChainMap.identity(c), span[0] - 1, span[1] + 1)
+        assert hom.bounds(ChainMap.identity(c))
 
 
 def test_passing_bounded_split_check_only_solves_for_a_contraction(monkeypatch):
@@ -411,8 +410,48 @@ def test_chain_map_commutation_check():
     c = two_term(ZZ, 2)
     good = ChainMap(c, c, {-1: Mat(ZZ, 1, 1, (3,)), 0: Mat(ZZ, 1, 1, (3,))})
     bad = ChainMap(c, c, {-1: Mat(ZZ, 1, 1, (3,)), 0: Mat(ZZ, 1, 1, (5,))})
-    assert good.commutes(-2, 2)
-    assert not bad.commutes(-2, 2)
+    assert good.commutes()
+    assert not bad.commutes()
+
+
+def _commutes_in(f: ChainMap, lo: int, hi: int) -> bool:
+    """d f = f d in the degrees of a window only, as commutes once was."""
+    return all(f.target.diff(j) @ f.component(j) == f.component(j + 1) @ f.source.diff(j)
+               for j in range(lo, hi + 1))
+
+
+def test_commutes_reads_every_degree_not_a_window():
+    # R --2--> R in degrees 3, 4 with f^3 = 1, f^4 = 3: d f^3 = 2 and
+    # f^4 d = 6 differ in degree 3 only, one degree above the window
+    # (-2, 2) the commutation test once passed
+    c = two_term(ZZ, 2, lo=3)
+    f = ChainMap(c, c, {3: Mat(ZZ, 1, 1, (1,)), 4: Mat(ZZ, 1, 1, (3,))})
+    assert _commutes_in(f, -2, 2) and not _commutes_in(f, 3, 3)
+    assert f.degrees() == [2, 3, 4]
+    assert not f.commutes()
+    assert ChainMap(c, c, {3: Mat(ZZ, 1, 1, (3,)), 4: Mat(ZZ, 1, 1, (3,))}).commutes()
+
+
+def _bounds_in(s: Homotopy, f: ChainMap, lo: int, hi: int) -> bool:
+    """f = d s + s d in the degrees of a window only, as bounds once was."""
+    return all(f.component(j) == s.target.diff(j - 1) @ s.component(j)
+               + s.component(j + 1) @ s.source.diff(j) for j in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=str)
+def test_bounds_reads_every_degree_not_a_window(ring):
+    # R --2--> R in degrees -1, 0 and s^0 = 1: d s + s d is 2 in both
+    # degrees.  Without its component in degree -1 the map fails only
+    # there, the degree below the lowest component of s.
+    y, two = two_term(ring, 2), Mat(ring, 1, 1, (2,))
+    s = Homotopy(y, y, {0: Mat.identity(ring, 1)})
+    assert s.bounds(ChainMap(y, y, {-1: two, 0: two}))
+    f = ChainMap(y, y, {0: two})
+    assert _bounds_in(s, f, 0, 4) and not _bounds_in(s, f, -1, -1)
+    assert not s.bounds(f)
+    # the degrees of f's own components are read too: s = 0 bounds only 0
+    zero = Homotopy(y, y, {})
+    assert zero.bounds(ChainMap(y, y, {})) and not zero.bounds(f)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)

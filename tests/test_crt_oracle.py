@@ -15,6 +15,16 @@ way: Z/12 = Z/4 x F_3 and Z/36 = Z/4 x Z/9 (two repeated primes).
   * Hom-exactness: Hom(M, Q) over Z/n is the product of the Hom
     complexes of the reductions, so it is exact in a degree exactly
     when both are.
+  * Quasi-isomorphism verdicts: the package of M reduces to packages
+    of the reductions of M, homotopy equivalent to the ones built over
+    each factor, so Hom(cone, Q) is exact in a degree exactly when it
+    is over both factors.  The comparison map is scaled by a random c,
+    which over a factor stays a quasi-isomorphism only where c acts
+    invertibly on the homology, so failing verdicts are compared too.
+  * Canonical spans: the span of a matrix over Z/n, reduced modulo a
+    prime power q, is the span of the matrix reduced modulo q.  The
+    canonical forms differ as matrices, so they are compared after
+    canonicalizing.
 
 Base change Z -> F_p is a second oracle on one integer matrix A: the
 rank of A mod p counts the Smith factors of A over Z that p does not
@@ -26,13 +36,15 @@ Inputs are seeded; each test runs in well under a second.
 """
 
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from homcert.complexes import Complex, split_exactness_check
+from homcert.generator import build_generator, verify_generator_quasi_iso
 from homcert.homspaces import hom_into_complex
-from homcert.matrices import Mat, smith_invariants
+from homcert.matrices import Mat, colspan_canonical, smith_invariants
 from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_bounded_complex, random_fp_module, random_matrix
@@ -101,6 +113,51 @@ def test_hom_exactness_factors_through_the_prime_powers(n):
             assert exact[0] == all(exact[1:]), (m, q, j)
     # not vacuous: each reduction fails alone somewhere, and some pass both
     assert {(False, False, True), (False, True, False), (True, True, True)} <= outcomes
+
+
+@pytest.mark.parametrize("n", sorted(FACTORINGS))
+def test_quasi_iso_verdicts_factor_through_the_prime_powers(n):
+    rng = random.Random(f"crt-qiso/{n}")
+    ring, factors = Zmod(n), FACTORINGS[n]
+    compared, outcomes = 0, set()
+    for _ in range(300):
+        m = random_fp_module(rng, ring, max_rank=2)
+        q = random_bounded_complex(rng, ring, max_length=3, lo=-1, hi=1)
+        c = rng.randrange(1, n)
+        pkgs = [build_generator(m), *(build_generator(FPModule(f, m.side,
+                                                               reduce_mat(m.presentation, f)))
+                                      for f in factors)]
+        if not all(pkg.complete for pkg in pkgs):
+            continue
+        targets = [q, *(reduce_complex(q, f) for f in factors)]
+        v, *parts = [verify_generator_quasi_iso(replace(pkg, comparison=pkg.comparison.scale(c)),
+                                                target, (-4, 4))
+                     for pkg, target in zip(pkgs, targets)]
+        compared += 1
+        outcomes.add((v.ok, *(p.ok for p in parts)))
+        failing = [p.details["degree"] for p in parts if not p.ok]
+        want = (False, "hom_not_exact", min(failing)) if failing else (True, "hom_exact", None)
+        assert (v.ok, v.code, v.details.get("degree")) == want, (m, q, c)
+    # not vacuous: cases were compared, each reduction fails alone
+    # somewhere, and some pass both
+    assert compared
+    assert {(False, False, True), (False, True, False), (True, True, True)} <= outcomes
+
+
+@pytest.mark.parametrize("n", sorted(FACTORINGS))
+def test_canonical_spans_reduce_to_the_canonical_spans_of_the_factors(n):
+    rng = random.Random(f"crt-span/{n}")
+    ring, factors = Zmod(n), FACTORINGS[n]
+    differs = 0
+    for _ in range(1000):
+        a = random_matrix(rng, ring, rng.randint(0, 5), rng.randint(0, 5))
+        span = colspan_canonical(a)
+        for f in factors:
+            want = colspan_canonical(reduce_mat(a, f))
+            assert colspan_canonical(reduce_mat(span, f)) == want, (a, f)
+            differs += reduce_mat(span, f) != want
+    # not vacuous: the reduced form is often not the factor's own
+    assert differs
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

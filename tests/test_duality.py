@@ -14,7 +14,7 @@ from homcert.generator import resolve_module
 from homcert.matrices import Mat, MatrixError
 from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
-from homcert.samplers import (random_bounded_complex, random_fp_module,
+from homcert.samplers import (random_bounded_complex, random_fp_module, random_matrix,
                               random_null_homotopic_map)
 
 RINGS = [ZZ, Fp(5), Zmod(4)]
@@ -51,11 +51,59 @@ def test_dualization_contravariant_on_compositions():
         gf = ChainMap(x, z, {j: g.component(j) @ f.component(j)
                              for j in range(-5, 6)
                              if not (g.component(j) @ f.component(j)).is_zero()})
-        lhs = dualize_chain_map(gf, -5, 5)
-        fstar = dualize_chain_map(f, -5, 5)
-        gstar = dualize_chain_map(g, -5, 5)
+        lhs = dualize_chain_map(gf)
+        fstar = dualize_chain_map(f)
+        gstar = dualize_chain_map(g)
         for j in range(-5, 6):
             assert lhs.component(j) == fstar.component(j) @ gstar.component(j)
+
+
+DUAL_RINGS = [ZZ, Fp(5), Zmod(4), Zmod(12)]
+
+
+def _windowed_dual(f: ChainMap, lo: int, hi: int) -> ChainMap:
+    """The dual as it was built: the nonzero transposes f^-j for j in
+    [lo, hi] only."""
+    comps = {}
+    for j in range(lo, hi + 1):
+        m = f.component(-j).transpose()
+        if m.rows and m.cols and not m.is_zero():
+            comps[j] = m
+    return ChainMap(dualize_complex(f.target), dualize_complex(f.source), comps)
+
+
+def _random_map(rng, x: Complex, y: Complex) -> ChainMap:
+    """Random components, a chain map or not, some of them zero."""
+    return ChainMap(x, y, {j: random_matrix(rng, x.ring, y.rank(j), x.rank(j), 3)
+                           for j in range(-5, 6) if x.rank(j) and y.rank(j)
+                           and rng.random() < 0.6})
+
+
+@pytest.mark.parametrize("ring", DUAL_RINGS, ids=str)
+def test_dual_map_equals_the_windowed_construction_over_both_supports(ring):
+    rng = random.Random(f"dual-map/{ring}")
+    for _ in range(40):
+        x, y = random_bounded_complex(rng, ring), random_bounded_complex(rng, ring)
+        for f in (random_null_homotopic_map(rng, x, y), _random_map(rng, x, y)):
+            # the window cmd_dualize derived from the two supports
+            spans = [s for s in (x.support(), y.support()) if s]
+            lo = -max((s[1] for s in spans), default=0)
+            hi = -min((s[0] for s in spans), default=0)
+            assert dualize_chain_map(f) == _windowed_dual(f, lo, hi)
+
+
+def test_a_test_map_failing_outside_the_window_is_refused():
+    # R --2--> R in degrees 6, 7 with f^6 = 1, f^7 = 3 is not a chain
+    # map; its dual fails in degree -7, far outside G's window (-4, 4),
+    # inside which the windowed dual had no component at all
+    g = random_bounded_complex(random.Random(3), ZZ)
+    x = Complex(ZZ, "left", {6: 1, 7: 1}, {6: Mat(ZZ, 1, 1, (2,))})
+    f = ChainMap(x, x, {6: Mat(ZZ, 1, 1, (1,)), 7: Mat(ZZ, 1, 1, (3,))})
+    assert _windowed_dual(f, -4, 4).components == {}
+    v = duality_roundtrip_check(g, (-4, 4), test_map=f)
+    assert not v.ok and v.code == "dual_map_not_chain_map"
+    ok = ChainMap(x, x, {6: Mat(ZZ, 1, 1, (3,)), 7: Mat(ZZ, 1, 1, (3,))})
+    assert duality_roundtrip_check(g, (-4, 4), test_map=ok).code == "roundtrip_identity"
 
 
 def test_decompose_two_term_resolution():

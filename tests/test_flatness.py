@@ -134,7 +134,7 @@ def test_pd_collapse_on_contractible_complexes():
         assert v.ok and v.code == "collapsed", (ring, v.code, v.details)
         hom = v.details["homotopy"]
         from homcert.complexes import ChainMap
-        assert hom.bounds(ChainMap.identity(c), span[0] - 1, span[1] + 1)
+        assert hom.bounds(ChainMap.identity(c))
 
 
 def test_pd_collapse_window_too_narrow():
