@@ -182,18 +182,12 @@ def cmd_decompose(args) -> int:
     else:
         q = doc.payload
     tree = decompose_resolution(q, args.depth)
-    if args.window:
-        window = _parse_window(args.window)
-    elif tree.target.is_bounded:
-        window = tree.target.support() or (0, 0)
-    else:  # every level of a periodic target: its explicit band is only the top
-        window = (-2 * args.depth - 1, 0)
-    v = rebuild_verify(tree, window)
+    v = rebuild_verify(tree)
     if not v.ok:
         return _verdict_exit(args, doc.ring, v)
     _print(args, make_document(doc.ring, "build_tree", tree),
            lambda: f"{v.details['free_leaves']} free leaves"
-           + ("; residual window-relative leaf" if v.window_relative else ""))
+           + ("; residual leaf" if tree.has_residual() else ""))
     return 0
 
 
@@ -252,10 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flat_cert)
 
     p = sub.add_parser("decompose",
-                       help="build tree of a resolution over single-free leaves")
+                       help="build tree over single frees, checked in every degree")
     p.add_argument("input")
     p.add_argument("--depth", type=_int_at_least(1, MAX_DECOMPOSE_DEPTH), default=8)
-    p.add_argument("--window", default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("split-check",

@@ -23,31 +23,33 @@ are immutable and freely shareable between threads.  One fold rule
 serves ranks and differentials: an explicit entry, an explicit zero
 rank included, replaces the repeated one; a lower tail repeats each
 differential with its source term and an upper tail with its target
-term; the two tails of a complex may not overlap.
+term; the two tails of a complex may not overlap.  Past the explicit
+entries both tails repeat: `first_difference` compares in every degree.
 
 The public `Complex(...)` constructor checks the side, every shape and
 the product d^(j+1) d^j = 0 in every degree: beyond a tail's farthest
 explicit entry the checks repeat with the period, so one band per tail
-covers the tail.  `suspension`, `Complex.restrict`, `dualize_complex`
-and `twisted_sum` (so `cone` and `finite_coproduct`) build from
-complexes that passed it and skip it (`Complex._trusted`): shifting,
-negating, transposing and brutal truncation keep both, and a twisted
-sum checks d_Y g + g d_L = 0 instead, which for checked L and Y is
-d^2 = 0 on the sum.  Chain maps, homotopies and twisting maps share
+covers the tail.  `suspension`, `Complex.restrict` and `.below`,
+`dualize_complex` and `twisted_sum` (so `cone`, `finite_coproduct`)
+build from complexes that passed it and skip it (`Complex._trusted`):
+shifting, negating, transposing and brutal truncation keep both, and a
+twisted sum checks d_Y g + g d_L = 0 instead, which for checked L and Y
+is d^2 = 0 on the sum.  Chain maps, homotopies and twisting maps share
 `_GradedMap`, which checks that source and target are on one side, and
 each component's ring and its shape in its degree.  Their conditions
 relate components j and j + 1, so they can fail only in degrees j - 1
 and j for each component j: read there, each is total, with no window.
 
-A twisted sum has one form: nonzero ranks in increasing degree and a
-differential for exactly each adjacent pair of terms.  `restrict` gives
-it too; both mark what they build and `suspension` keeps the mark.  A
-twisted sum whose larger summand is marked costs what the degrees of
-its smaller summand cost, so iterated cones build in linear time.
+A twisted sum has one form: nonzero ranks in increasing degree, a
+differential for exactly each adjacent pair of terms, and L's lower tail.
+`restrict` and `below` give it too; all mark what they build and
+`suspension` keeps the mark.  A sum whose larger summand is marked costs
+what its smaller summand's degrees cost: iterated cones take linear time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -200,6 +202,20 @@ class Complex:
         diffs = {j: self.diff(j) for j in ranks if j + 1 in ranks}
         return Complex._trusted(self.ring, self.side, ranks, diffs, sum_form=True)
 
+    def below(self, hi: int) -> "Complex":
+        """Brutal truncation to degrees <= hi, the lower tail kept: its block
+        moves a whole period below hi and the degree under the tail's farthest
+        explicit entry (whose rank can shape the zero differential below it),
+        and the degrees from there up to hi are written out."""
+        t = self.tail_below
+        if t is None:
+            return self.restrict(min(self.ranks, default=hi), hi)
+        lo = min(hi + 1, t.threshold, *(j for j in self.ranks.keys() | self.diffs.keys()
+                                        if t.maps(j))) - 1 - t.period
+        c = self.restrict(lo, hi)
+        return Complex._trusted(self.ring, self.side, c.ranks, c.diffs,
+                                PeriodicTail(-1, lo, t.period), sum_form=True)
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -207,14 +223,18 @@ class Complex:
         return Complex(ring, side, {}, {})
 
 
-def first_difference(a: Complex, b: Complex, lo: int, hi: int) -> int | None:
-    """The first degree in [lo, hi] where a and b differ in rank or in
-    differential, or None when they agree on the whole range.  A term
-    whose rank differs is named itself, not the differential into it,
-    which differs in shape only; d^hi is named when only the term above
-    the window differs."""
-    return next((j for j in range(lo, hi + 1) if a.rank(j) != b.rank(j)
-                 or (j == hi or a.rank(j + 1) == b.rank(j + 1)) and a.diff(j) != b.diff(j)), None)
+def first_difference(a: Complex, b: Complex) -> int | None:
+    """The first degree where a and b differ in rank or in differential,
+    or None when they agree in every degree: beyond the hull of their
+    explicit entries and tail thresholds both repeat with the lcm p of
+    their periods, so the hull widened by p + 2 on each side decides.  A
+    term whose rank differs is named, not the differential into it."""
+    tails = [t for c in (a, b) for t in (c.tail_below, c.tail_above) if t is not None]
+    ends = [t.threshold for t in tails] + [j for c in (a, b) for j in (*c.ranks, *c.diffs)]
+    p = math.lcm(*(t.period for t in tails))
+    return next((j for j in range(min(ends, default=0) - p - 2, max(ends, default=0) + p + 3)
+                 if a.rank(j) != b.rank(j)
+                 or a.rank(j + 1) == b.rank(j + 1) and a.diff(j) != b.diff(j)), None)
 
 
 @dataclass(frozen=True)
@@ -272,10 +292,13 @@ class Homotopy(_GradedMap):
     _shift, _what = -1, "homotopy"
 
     def bounds(self, f: ChainMap) -> bool:
-        """f = d s + s d in every degree: next to a component of s, or at one of f."""
-        return all(f.component(j) == self.target.diff(j - 1) @ self.component(j)
-                   + self.component(j + 1) @ self.source.diff(j)
-                   for j in sorted(f.components.keys() | self.degrees()))
+        """f runs between the homotopy's complexes and f = d s + s d in
+        every degree: next to a component of s, or at one of f."""
+        return first_difference(f.source, self.source) is None \
+            and first_difference(f.target, self.target) is None \
+            and all(f.component(j) == self.target.diff(j - 1) @ self.component(j)
+                    + self.component(j + 1) @ self.source.diff(j)
+                    for j in sorted(f.components.keys() | self.degrees()))
 
 
 class _TwistingMap(_GradedMap):
@@ -327,18 +350,24 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
     in its degrees (ChainMapError) instead of forming d^2; an absent
     component makes its side zero, so no product is formed for it.
 
+    Y is bounded and L bounded above, with a lower tail only if every
+    nonzero term of Y lies above L's explicit entries and threshold.
+
     The result has nonzero ranks only, in increasing degree, and a
     differential for exactly each pair of adjacent terms.  The summand
-    with more explicit degrees is brought to that form (restrict) unless
-    it is marked as having it (Complex._sum_form); the sum starts from
-    copies of its ranks and differentials and recomputes only the degrees
-    within one step of the other summand's terms, so for a marked larger
-    summand the cost follows the smaller one.  A block matrix is built
-    only in degrees where L and Y meet; every other differential is L's,
-    Y's or g's Mat.
+    with more explicit degrees, or L with a tail, is brought to that form
+    (below) unless marked as having it (Complex._sum_form); the sum starts
+    from copies of its ranks, differentials and tail and recomputes only
+    the degrees within one step of the other summand's terms, so for a
+    marked larger summand the cost follows the smaller one.  A block
+    matrix is built only in degrees where L and Y meet; every other
+    differential is L's, Y's or g's Mat.
     """
-    if not (L.is_bounded and Y.is_bounded):
-        raise ComplexError("twisted sum requires bounded complexes")
+    t, span = L.tail_below, Y.support()
+    if not Y.is_bounded or L.tail_above is not None or t is not None and span is not None \
+            and span[0] <= max(t.threshold, *L.ranks, *L.diffs):
+        raise ComplexError("twisted sum requires a bounded Y and an L bounded above "
+                           "whose lower tail and explicit entries lie below Y's terms")
     ring = L.ring
 
     # d_Y g = -(g d_L), compared as ChainMap.commutes compares: no
@@ -355,14 +384,16 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
             ok = j + 1 not in g or (g[j + 1] @ L.diff(j)).is_zero()
         if not ok:
             raise ChainMapError(f"twisting map fails d g + g d = 0 in degree {j}")
-    # both are bounded, so a degree missing from ranks has rank 0
+    # both are bounded, or L's tail lies below the degrees read here, so
+    # a degree missing from ranks has rank 0
     lr, yr = L.ranks, Y.ranks
-    big, small = (L, Y) if len(lr) >= len(yr) else (Y, L)
+    big, small = (L, Y) if t is not None or len(lr) >= len(yr) else (Y, L)
     if not big._sum_form:
-        big = big.restrict(*(big.support() or (0, -1)))
+        big = big.below(max(big.ranks, default=0))
     # where the smaller summand has no term the larger one's rank and
     # differential stand as they are
-    ranks, diffs, touched = dict(big.ranks), dict(big.diffs), small.ranks.keys()
+    ranks, diffs = dict(big.ranks), dict(big.diffs)
+    touched = [j for j, r in small.ranks.items() if r]
     for j in sorted(touched):
         if r := lr.get(j, 0) + yr.get(j, 0):
             ranks[j] = r
@@ -381,7 +412,7 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
         else:
             diffs[j] = assemble_blocks(ring, [[L.diff(j), None], [g.get(j), Y.diff(j)]],
                                        rows, cols)
-    return Complex._trusted(ring, L.side, ranks, diffs, sum_form=True)
+    return Complex._trusted(ring, L.side, ranks, diffs, big.tail_below, sum_form=True)
 
 
 def cone(f: ChainMap) -> Complex:

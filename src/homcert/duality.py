@@ -13,8 +13,8 @@ resolution of the cycle module Z^-2k-1 Q.  Every level reads its ranks
 and differentials from Q itself, so no intermediate complex is built.
 The decomposition reproduces Q exactly (not merely up to homotopy), so
 the rebuild witnesses are identities; over rings where resolutions do
-not terminate the levels stop at a declared depth with a
-window-relative residual leaf.
+not terminate the levels stop at a declared depth with a residual leaf
+that keeps Q's periodic tail, so the rebuild is compared in every degree.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ def dualize_chain_map(f: ChainMap) -> ChainMap:
                     {-j: m.transpose() for j, m in f.components.items() if not m.is_zero()})
 
 
-def duality_roundtrip_check(g: Complex, window: tuple[int, int],
-                            test_map: ChainMap | None = None) -> Verdict:
-    """G** = G degreewise inside the window, which G's tails need;
-    optional contravariance on a test map, checked in every degree."""
-    lo, hi = window
-    bad = first_difference(dualize_complex(dualize_complex(g)), g, lo, hi)
+def duality_roundtrip_check(g: Complex, test_map: ChainMap | None = None) -> Verdict:
+    """G** = G and, optionally, contravariance on a test map, each
+    checked in every degree."""
+    bad = first_difference(dualize_complex(dualize_complex(g)), g)
     if bad is not None:
         return Verdict(False, "double_dual_mismatch", {"degree": bad})
     if test_map is not None:
@@ -51,7 +49,7 @@ def duality_roundtrip_check(g: Complex, window: tuple[int, int],
         for j in sorted(twice.components.keys() | test_map.components.keys()):
             if twice.component(j) != test_map.component(j):
                 return Verdict(False, "dual_not_involutive", {"degree": j})
-    return Verdict(True, "roundtrip_identity", {"window": window})
+    return Verdict(True, "roundtrip_identity", {})
 
 
 # -- build trees ------------------------------------------------------
@@ -68,7 +66,7 @@ class BuildTree:
     target: the complex the tree claims to build; only the root carries
       one, since every inner node's complex is built from its children.
     leaf: payload is the complex itself (a single free, the zero
-      complex, or a window-relative residual resolution tail).
+      complex, or a residual leaf: the rest of a resolution, tail kept).
     susp: shift + one child.
     cone: two children (source, target) and attaching components; the
       node evaluates to cone(ChainMap(source, target, components)).
@@ -143,11 +141,6 @@ def _shifted_support(x: Complex, y: Complex, shift: int) -> tuple[int, int] | No
     return min(lo for lo, _ in spans) + shift, max(hi for _, hi in spans) + shift
 
 
-# how far below its level's top degree a residual leaf of a periodic
-# resolution is materialized
-RESIDUAL_FLOOR = -32
-
-
 def _leaf(c: Complex, residual: bool = False) -> BuildTree:
     return BuildTree("leaf", payload=c, residual=residual)
 
@@ -160,12 +153,10 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
     which is again a free resolution (of the cycle module Z^-2k-1 Q).
     Every level reads its ranks and differentials straight from Q, whose
     tails supply the periodic degrees.  depth bounds the number of
-    levels; a leftover is recorded as a residual window-relative leaf,
-    materialized down to RESIDUAL_FLOOR below its level's top degree so
-    the tree evaluates to a bounded complex (rebuild comparisons below
-    that are meaningless, which the residual flag already declares).
-    The root's target is Q, or the payload when the root is itself a
-    leaf.
+    levels; a leftover is recorded as a residual leaf, the part of Q
+    from that level down (Complex.below, which keeps Q's lower tail), so
+    the tree evaluates to Q in every degree.  The root's target is Q, or
+    the payload when the root is itself a leaf.
     """
     ring, side = q.ring, q.side
     span = q.support()
@@ -183,11 +174,7 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
         if single or k >= depth:
             # the rest of Q from this level down: a single free, or what
             # depth leaves over, as a residual leaf
-            if k == 0 and bounded:
-                rest = q
-            else:
-                low = lo if bounded else top_degree + RESIDUAL_FLOOR
-                rest = suspension(q.restrict(low, top_degree), top_degree)
+            rest = q if k == 0 else suspension(q.below(top_degree), top_degree)
             bottom = _leaf(rest, residual=not single)
             break
         r0, r1 = q.rank(top_degree), q.rank(top_degree - 1)
@@ -214,7 +201,7 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
     return replace(tree, target=tree.payload if tree.kind == "leaf" else q)
 
 
-def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
+def rebuild_verify(tree: BuildTree) -> Verdict:
     """Evaluate the tree once and compare it with its claimed target.
 
     The single pass of BuildTree.evaluate checks the attaching map of
@@ -222,26 +209,14 @@ def rebuild_verify(tree: BuildTree, window: tuple[int, int]) -> Verdict:
     names the support of the cone the failing node would build, taken
     from its built children.  The decomposition reproduces the target
     exactly, so the homotopy equivalence witness is the identity pair
-    with zero homotopies.  A residual tree is compared from its lowest
-    built degree up (window_too_small wholly below it); the verdict
-    reports the window compared.
+    with zero homotopies.  The built complex and the target are compared
+    in every degree, tails included.
     """
-    lo, hi = window
-    window_relative = tree.has_residual()
     try:
         built = tree.evaluate()
     except _AttachingMapError as exc:
-        return Verdict(False, "attaching_map_not_chain_map",
-                       {"support": exc.args[1]}, window_relative)
-    if window_relative and built.support() is not None:
-        floor = built.support()[0]
-        lo = max(lo, floor)
-        if lo > hi:
-            return Verdict(False, "window_too_small", {"window": window, "floor": floor},
-                           window_relative)
-    bad = first_difference(built, tree.target, lo, hi)
+        return Verdict(False, "attaching_map_not_chain_map", {"support": exc.args[1]})
+    bad = first_difference(built, tree.target)
     if bad is not None:
-        return Verdict(False, "rebuild_mismatch", {"degree": bad}, window_relative)
-    return Verdict(True, "rebuilt_identically",
-                   {"window": (lo, hi), "free_leaves": tree.free_leaf_count()},
-                   window_relative)
+        return Verdict(False, "rebuild_mismatch", {"degree": bad})
+    return Verdict(True, "rebuilt_identically", {"free_leaves": tree.free_leaf_count()})

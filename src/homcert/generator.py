@@ -139,7 +139,7 @@ def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) 
     return Verdict(True, "quasi_isomorphism", {"window": (lo, hi)}, window_relative)
 
 
-def double_dual_check(pkg: GeneratorPackage, window: tuple[int, int] = (-8, 2)) -> Verdict:
+def double_dual_check(pkg: GeneratorPackage) -> Verdict:
     """P -> P** is the identity component by component.
 
     The dual convention carries no signs, so the canonical map is
@@ -147,10 +147,10 @@ def double_dual_check(pkg: GeneratorPackage, window: tuple[int, int] = (-8, 2)) 
     the double dual agrees with P degreewise, which makes each
     component an invertible (identity) matrix.
     """
-    bad = first_difference(dualize_complex(pkg.dual_complex), pkg.resolution, *window)
+    bad = first_difference(dualize_complex(pkg.dual_complex), pkg.resolution)
     if bad is not None:
         return Verdict(False, "double_dual_mismatch", {"degree": bad})
-    return Verdict(True, "double_dual_identity", {"window": window})
+    return Verdict(True, "double_dual_identity", {})
 
 
 def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,

@@ -229,14 +229,15 @@ def test_split_check_with_bound_runs_collapse(capsys, tag="z"):
     (["generator", fx("module_z4_cyclic2")],
      "package for R/(2); resolution complete to degree -2\n"),
     (["decompose", fx("module_z4_cyclic2")],
-     "16 free leaves; residual window-relative leaf\n"),
+     "16 free leaves; residual leaf\n"),
     (["decompose", fx("module_z_right6")], "2 free leaves\n"),
 ], ids=["homology", "dualize", "generator", "decompose-z4", "decompose-z"])
 def test_text_summary_is_built_only_in_text_format(capsys, monkeypatch, argv, text):
     # the machine bytes of generator and decompose are pinned by the
     # golden digests; here machine output must not change when building
-    # a summary is refused, and decompose walks its tree for the free
-    # leaves and the residual flag once, in its check, in either format
+    # a summary is refused, and decompose walks its tree once for the
+    # free leaves, in its check, and once more for the residual flag
+    # only in text format
     from homcert import cli
     from homcert.duality import BuildTree
 
@@ -252,14 +253,14 @@ def test_text_summary_is_built_only_in_text_format(capsys, monkeypatch, argv, te
     def refuse(m):
         raise AssertionError("a text summary was built in machine format")
 
-    expected_walks = ["has_residual", "free_leaf_count"] if argv[0] == "decompose" else []
+    decompose = argv[0] == "decompose"
     monkeypatch.setattr(cli, "_module_invariants", refuse)
     assert run(capsys, *argv) == (0, machine, "")
-    assert walks == expected_walks
+    assert walks == (["free_leaf_count"] if decompose else [])
     walks.clear()
     monkeypatch.setattr(cli, "_module_invariants", invariants)
     assert run(capsys, "--format", "text", *argv) == (0, text, "")
-    assert walks == expected_walks
+    assert walks == (["free_leaf_count", "has_residual"] if decompose else [])
 
 
 # -- machine output is itself round-trip stable ------------------------
@@ -339,33 +340,10 @@ def test_decompose_depth_limit(capsys):
     assert f"--depth: must be <= {MAX_DECOMPOSE_DEPTH}" in err
 
 
-@pytest.mark.parametrize("window", ["-49..0", "-4096..0"])
-def test_decompose_window_below_the_residual_floor_passes(capsys, window):
-    # the residual leaf of the periodic Z/4 resolution is built down to
-    # degree -48, so a window reaching below it is compared from there
-    module = fx("module_z4_cyclic2")
-    code, out, _ = run(capsys, "decompose", module, f"--window={window}")
-    assert code == 0
-    assert out == run(capsys, "decompose", module, "--window=-48..0")[1]
-
-
-def test_decompose_window_wholly_below_the_residual_floor_exits_1(capsys):
-    # the residual leaf is built down to degree -48: nothing in -100..-60
-    # is compared, so the rebuild is not certified there
-    module = fx("module_z4_cyclic2")
-    code, out, _ = run(capsys, "decompose", module, "--window=-100..-60")
-    assert code == 1
-    v = out_doc(out).payload
-    assert not v.ok and v.code == "window_too_small" and v.window_relative
-    assert v.details == {"window": [-100, -60], "floor": -48}
-    code, out, _ = run(capsys, "--format", "text", "decompose", module, "--window=-100..-60")
-    assert code == 1 and out.startswith("FAIL: window_too_small")
-
-
 def test_decompose_checks_every_level_of_a_periodic_target(capsys, monkeypatch):
     # a zero glue map at level 4 is still a chain map, and the tree it
-    # gives agrees with Q on Q's explicit band (-2, 0); by default the
-    # rebuild is compared on every level the depth-8 tree builds
+    # gives agrees with Q on Q's explicit band (-2, 0); the rebuild is
+    # compared with Q in every degree
     from dataclasses import replace
 
     from homcert import cli
@@ -385,19 +363,18 @@ def test_decompose_checks_every_level_of_a_periodic_target(capsys, monkeypatch):
 
     q, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2), 8)
     tampered = unglue(decompose_resolution(q, 8), 4)
-    assert rebuild_verify(tampered, (-2, 0)).ok
-    assert rebuild_verify(tampered, (-17, 0)).code == "rebuild_mismatch"
+    assert rebuild_verify(tampered).code == "rebuild_mismatch"
     module = fx("module_z4_cyclic2")
-    code, good, _ = run(capsys, "decompose", module)
-    assert code == 0
+    assert run(capsys, "decompose", module)[0] == 0
+    # no window narrows the comparison: --window is an unknown option
+    code, out, err = run(capsys, "decompose", module, "--window=-2..0")
+    assert code == 2 and out == "" and "--window" in err
     monkeypatch.setattr(cli, "decompose_resolution", lambda q, depth: tampered)
     code, out, _ = run(capsys, "decompose", module)
     assert code == 1
     v = out_doc(out).payload
     assert v.code == "rebuild_mismatch" and v.details == {"degree": -10}
-    # an explicit window still overrides the default
-    code, out, _ = run(capsys, "decompose", module, "--window=-2..0")
-    assert code == 0 and out != good
+    assert not v.window_relative
 
 
 def test_format_version_1_exits_2(capsys, tmp_path):

@@ -392,18 +392,57 @@ def test_is_exact_at_is_one_step_of_the_sweep(monkeypatch, j):
 
 def test_first_difference_names_the_lowest_differing_degree():
     c = two_term(ZZ, 2, lo=-2)
-    assert first_difference(c, c, -5, 5) is None
-    assert first_difference(c, two_term(ZZ, 3, lo=-2), -5, 5) == -2
+    assert first_difference(c, c) is None
+    assert first_difference(c, two_term(ZZ, 3, lo=-2)) == -2
     # d^-3 differs in shape only (1x0 against 0x0): the term it maps
     # into, degree -2, is named
-    assert first_difference(c, two_term(ZZ, 2, lo=-1), -5, 5) == -2
-    assert first_difference(c, two_term(ZZ, 2, lo=-1), 0, 5) == 0
-    assert first_difference(c, two_term(ZZ, 2, lo=-1), 1, 5) is None
-    # only the term above the window differs: d^hi is named
+    assert first_difference(c, two_term(ZZ, 2, lo=-1)) == -2
+    # only the term above c's top differs
     longer = Complex(ZZ, "left", {-2: 1, -1: 1, 0: 1}, {-2: c.diff(-2)})
-    assert first_difference(c, longer, -5, -1) == -1
-    assert first_difference(c, longer, -5, -2) is None
-    assert first_difference(c, longer, -5, 0) == 0
+    assert first_difference(c, longer) == 0
+    assert first_difference(Complex.zero(ZZ, "left"), Complex.zero(ZZ, "left")) is None
+
+
+def _z4_tailed(period: int, threshold: int) -> Complex:
+    """R --2--> R --2--> ... --2--> R (degree 0) over Z/4, its lower tail
+    written with the given period and threshold."""
+    ring = Zmod(4)
+    return Complex(ring, "left", {j: 1 for j in range(threshold, 1)},
+                   {j: Mat(ring, 1, 1, (2,)) for j in range(threshold, 0)},
+                   tail_below=PeriodicTail(-1, threshold, period))
+
+
+def test_first_difference_of_one_complex_written_with_other_periods():
+    forms = [_z4_tailed(1, -1), _z4_tailed(2, -3), _z4_tailed(3, -5), _z4_tailed(2, -8),
+             _z4_tailed(3, -4)]
+    for a in forms:
+        for b in forms:
+            assert first_difference(a, b) is None
+    # a Z/4 complex that is 2 in every degree but one of period 3 is not
+    ring = Zmod(4)
+    gap = Complex(ring, "left", {j: 1 for j in range(-6, 1)},
+                  {j: Mat(ring, 1, 1, (2,)) for j in range(-6, 0) if j != -4},
+                  tail_below=PeriodicTail(-1, -6, 3))
+    assert gap.diff(-6) == Mat(ring, 1, 1, (2,)) and gap.diff(-4) == Mat.zero(ring, 1, 1)
+    assert first_difference(forms[0], gap) == first_difference(gap, forms[2]) == -10
+
+
+def test_first_difference_outside_every_explicit_entry_and_the_old_window():
+    # both agree in -8..2; b's tail repeats its block [-20, -18), in which
+    # d^-19 is absent and so zero, and a is 2 everywhere.  The hull of
+    # their explicit entries starts at -20; the first degree of it where
+    # they differ is -23, where neither has an explicit entry.
+    ring = Zmod(4)
+    two = Mat(ring, 1, 1, (2,))
+    a = _z4_tailed(1, -1)
+    b = Complex(ring, "left", {j: 1 for j in range(-20, 1)},
+                {j: two for j in range(-20, 0) if j != -19},
+                tail_below=PeriodicTail(-1, -20, 2))
+    assert all(a.rank(j) == b.rank(j) and a.diff(j) == b.diff(j) for j in range(-8, 3))
+    bad = first_difference(a, b)
+    assert bad == first_difference(b, a) == -23
+    assert all(bad not in (*c.ranks, *c.diffs) for c in (a, b))
+    assert a.diff(bad) != b.diff(bad)
 
 
 def test_chain_map_commutation_check():
@@ -452,6 +491,17 @@ def test_bounds_reads_every_degree_not_a_window(ring):
     # the degrees of f's own components are read too: s = 0 bounds only 0
     zero = Homotopy(y, y, {})
     assert zero.bounds(ChainMap(y, y, {})) and not zero.bounds(f)
+
+
+def test_bounds_refuses_a_map_between_other_complexes():
+    # on w = Z --5--> Z, d s + s d is 5 in both degrees, so s^0 = 1 on y
+    # = Z --2--> Z does not bound 2 on w although the matrices match y's
+    y, w = two_term(ZZ, 2), two_term(ZZ, 5)
+    two = Mat(ZZ, 1, 1, (2,))
+    s = Homotopy(y, y, {0: Mat.identity(ZZ, 1)})
+    assert s.bounds(ChainMap(y, y, {-1: two, 0: two}))
+    assert not s.bounds(ChainMap(w, w, {-1: two, 0: two}))
+    assert not s.bounds(ChainMap(y, w, {-1: two}))
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4)], ids=str)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import duality
 from homcert.complexes import (ChainMap, Complex, PeriodicTail, dualize_complex,
-                               twisted_sum)
+                               first_difference, twisted_sum)
 from homcert.documents import emit_document, make_document
-from homcert.duality import (RESIDUAL_FLOOR, BuildTree, _leaf, decompose_resolution,
-                             dualize_chain_map, duality_roundtrip_check, rebuild_verify)
+from homcert.duality import (BuildTree, _leaf, decompose_resolution, dualize_chain_map,
+                             duality_roundtrip_check, rebuild_verify)
 from homcert.generator import resolve_module
 from homcert.matrices import Mat, MatrixError
 from homcert.modules import FPModule
@@ -25,8 +25,8 @@ def test_roundtrip_on_random_complexes():
     for ring in RINGS:
         for _ in range(20):
             g = random_bounded_complex(rng, ring)
-            v = duality_roundtrip_check(g, (-4, 4))
-            assert v.ok, (ring, v.code)
+            v = duality_roundtrip_check(g)
+            assert v.ok and v.details == {}, (ring, v.code)
 
 
 def test_dual_chain_map_is_chain_map_and_involutive():
@@ -36,7 +36,7 @@ def test_dual_chain_map_is_chain_map_and_involutive():
             x = random_bounded_complex(rng, ring)
             y = random_bounded_complex(rng, ring)
             f = random_null_homotopic_map(rng, x, y)
-            v = duality_roundtrip_check(x, (-4, 4), test_map=f)
+            v = duality_roundtrip_check(x, test_map=f)
             assert v.ok, (ring, v.code)
 
 
@@ -94,16 +94,16 @@ def test_dual_map_equals_the_windowed_construction_over_both_supports(ring):
 
 def test_a_test_map_failing_outside_the_window_is_refused():
     # R --2--> R in degrees 6, 7 with f^6 = 1, f^7 = 3 is not a chain
-    # map; its dual fails in degree -7, far outside G's window (-4, 4),
-    # inside which the windowed dual had no component at all
+    # map; its dual fails in degree -7, outside (-4, 4), inside which
+    # the windowed dual had no component at all
     g = random_bounded_complex(random.Random(3), ZZ)
     x = Complex(ZZ, "left", {6: 1, 7: 1}, {6: Mat(ZZ, 1, 1, (2,))})
     f = ChainMap(x, x, {6: Mat(ZZ, 1, 1, (1,)), 7: Mat(ZZ, 1, 1, (3,))})
     assert _windowed_dual(f, -4, 4).components == {}
-    v = duality_roundtrip_check(g, (-4, 4), test_map=f)
+    v = duality_roundtrip_check(g, test_map=f)
     assert not v.ok and v.code == "dual_map_not_chain_map"
     ok = ChainMap(x, x, {6: Mat(ZZ, 1, 1, (3,)), 7: Mat(ZZ, 1, 1, (3,))})
-    assert duality_roundtrip_check(g, (-4, 4), test_map=ok).code == "roundtrip_identity"
+    assert duality_roundtrip_check(g, test_map=ok).code == "roundtrip_identity"
 
 
 def test_decompose_two_term_resolution():
@@ -111,8 +111,8 @@ def test_decompose_two_term_resolution():
     tree = decompose_resolution(q)
     assert tree.free_leaf_count() == 2
     assert not tree.has_residual()
-    v = rebuild_verify(tree, (-3, 2))
-    assert v.ok and v.code == "rebuilt_identically"
+    v = rebuild_verify(tree)
+    assert v.ok and v.code == "rebuilt_identically" and v.details == {"free_leaves": 2}
 
 
 def test_decompose_counts_leaves_for_length():
@@ -123,7 +123,7 @@ def test_decompose_counts_leaves_for_length():
         assert complete
         span = p.support()
         tree = decompose_resolution(p)
-        v = rebuild_verify(tree, ((span[0] if span else 0) - 1, 1))
+        v = rebuild_verify(tree)
         assert v.ok
         length = -span[0] if span else 0
         if span:
@@ -137,8 +137,8 @@ def test_decompose_periodic_resolution_window_relative():
     assert not p.is_bounded
     tree = decompose_resolution(p, depth=4)
     assert tree.has_residual()
-    v = rebuild_verify(tree, (-6, 0))
-    assert v.ok and v.window_relative
+    v = rebuild_verify(tree)
+    assert v.ok and not v.window_relative
 
 
 # -- the level loop against the recursion it replaced -----------------
@@ -147,9 +147,10 @@ def test_decompose_periodic_resolution_window_relative():
 # The recursive decomposition that rebuilt the part of Q below degree -1
 # as a new complex at every level, kept as the reference: on
 # resolutions and bounded complexes the level loop must give the same
-# tree bytes and the same verdicts.
-def _decompose(q: Complex, depth: int, floor: int) -> BuildTree:
-    """decompose_resolution without targets."""
+# tree, node by node, and the same verdicts.
+def _decompose(q: Complex, depth: int) -> BuildTree:
+    """decompose_resolution without targets; its residual leaf is the
+    part of Q it has built itself, tail included."""
     ring = q.ring
     side = q.side
     span = q.support()
@@ -161,7 +162,7 @@ def _decompose(q: Complex, depth: int, floor: int) -> BuildTree:
     if lo == 0 and q.is_bounded:
         return _leaf(q)
     if depth <= 0:
-        return _leaf(q if q.is_bounded else q.restrict(floor, 0), residual=True)
+        return _leaf(q, residual=True)
     r0 = q.rank(0)
     r1 = q.rank(-1)
     top = BuildTree(
@@ -200,7 +201,7 @@ def _decompose(q: Complex, depth: int, floor: int) -> BuildTree:
     if shifted.support() is None:
         return top
     # (S^i C)^j = C^(j+i): shift 2 places shifted's degree 0 at -2
-    lower = BuildTree("susp", shift=2, children=(_decompose(shifted, depth - 1, floor),))
+    lower = BuildTree("susp", shift=2, children=(_decompose(shifted, depth - 1),))
     glue = q.diff(-2)
     return BuildTree(
         "cone",
@@ -208,9 +209,20 @@ def _decompose(q: Complex, depth: int, floor: int) -> BuildTree:
         components={-1: glue} if glue.rows and glue.cols else {})
 
 
-def _reference_tree(q, depth, floor=-32):
-    tree = _decompose(q, depth, floor)
+def _reference_tree(q, depth):
+    tree = _decompose(q, depth)
     return replace(tree, target=tree.payload if tree.kind == "leaf" else q)
+
+
+def _same_tree(a: BuildTree, b: BuildTree):
+    """Equal node by node, with leaf payloads equal in every degree: a
+    residual leaf with a tail may write its explicit degrees otherwise."""
+    assert (a.kind, a.shift, a.residual, a.components, len(a.children)) \
+        == (b.kind, b.shift, b.residual, b.components, len(b.children))
+    if a.kind == "leaf":
+        assert first_difference(a.payload, b.payload) is None
+    for x, y in zip(a.children, b.children):
+        _same_tree(x, y)
 
 
 def _with_zero_entries(rng, c):
@@ -243,11 +255,12 @@ def test_level_loop_matches_the_recursive_decomposition(ring, rng, depth, source
         q = random_bounded_complex(rng, ring, side, lo=-7, hi=0)
     q = _with_zero_entries(rng, q)
     got, want = decompose_resolution(q, depth), _reference_tree(q, depth)
-    assert (emit_document(make_document(ring, "build_tree", got))
-            == emit_document(make_document(ring, "build_tree", want)))
-    span = q.support() or (0, 0)
-    for window in (span, (-24, 0)):
-        assert rebuild_verify(got, window) == rebuild_verify(want, window)
+    _same_tree(got, want)
+    if q.is_bounded:
+        assert (emit_document(make_document(ring, "build_tree", got))
+                == emit_document(make_document(ring, "build_tree", want)))
+    v = rebuild_verify(got)
+    assert v == rebuild_verify(want) and v.ok and not v.window_relative
 
 
 def test_explicit_entries_inside_a_lower_tail_rebuild():
@@ -257,10 +270,43 @@ def test_explicit_entries_inside_a_lower_tail_rebuild():
     q = Complex(ring, "left", {0: 1, -1: 1},
                 {-1: Mat(ring, 1, 1, (2,)), -5: Mat(ring, 1, 1, (0,))},
                 tail_below=PeriodicTail(-1, -1, 1))
-    v = rebuild_verify(decompose_resolution(q), (-16, 0))
-    assert v.ok and v.code == "rebuilt_identically" and v.window_relative
-    v = rebuild_verify(_reference_tree(q, 8), (-16, 0))
+    for depth in range(1, 11):
+        v = rebuild_verify(decompose_resolution(q, depth))
+        assert v.ok and v.code == "rebuilt_identically" and not v.window_relative, depth
+    v = rebuild_verify(_reference_tree(q, 8))
     assert not v.ok and v.code == "rebuild_mismatch"
+
+
+def _divisors(n):
+    return [a for a in range(1, n + 1) if n % a == 0]
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 16, 18])
+def test_every_cyclic_module_over_z_n_rebuilds_in_every_degree(n):
+    # the residual leaf keeps Q's periodic tail, so no depth leaves a
+    # degree of Q uncompared
+    for a in _divisors(n):
+        for side in ("left", "right"):
+            for depth in range(1, 9):
+                q, _ = resolve_module(FPModule.cyclic(Zmod(n), side, a), depth)
+                v = rebuild_verify(decompose_resolution(q, depth))
+                assert v.ok and v.code == "rebuilt_identically", (a, side, depth, v)
+                assert not v.window_relative
+
+
+def test_a_zero_glue_map_at_any_level_is_a_rebuild_mismatch():
+    # a zero glue map is still a chain map, so the tree evaluates; the
+    # complex it builds differs from Q first in the differential d^(-2k-2)
+    # that glues level k + 1 to level k
+    q, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2), 8)
+    tree = decompose_resolution(q, 8)
+    assert rebuild_verify(tree).ok
+    for k in range(8):
+        path = (0, 0, 0) * k  # S^-1, S^2 and the cone of the level below
+        assert _node(tree, path).components
+        v = rebuild_verify(_replace_at(tree, path, components={}))
+        assert not v.ok and v.code == "rebuild_mismatch", k
+        assert v.details == {"degree": -2 * k - 2}, k
 
 
 def test_decompose_refuses_an_upper_tail():
@@ -318,9 +364,8 @@ def _tampering_cases():
     # check forms one product on each side of it
     for n, a in ((4, 2), (12, 4)):
         p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
-        yield decompose_resolution(p, depth=4), (-6, 0)
-    q = _z_resolution()
-    yield decompose_resolution(q), q.support()
+        yield decompose_resolution(p, depth=4)
+    yield decompose_resolution(_z_resolution())
 
 
 def _break_attaching_map(tree, path):
@@ -330,33 +375,32 @@ def _break_attaching_map(tree, path):
 
 
 def test_rebuild_verify_refuses_a_bad_root_attaching_map():
-    for tree, window in _tampering_cases():
-        assert rebuild_verify(tree, window).ok
+    for tree in _tampering_cases():
+        assert rebuild_verify(tree).ok
         bad, span = _break_attaching_map(tree, ())
-        v = rebuild_verify(bad, window)
+        v = rebuild_verify(bad)
         assert not v.ok and v.code == "attaching_map_not_chain_map"
         assert v.details == {"support": span}
 
 
 def test_rebuild_verify_refuses_a_bad_nested_attaching_map():
-    for tree, window in _tampering_cases():
+    for tree in _tampering_cases():
         # the deepest cone whose attaching map can fail to commute
         path = max((p for p in _cone_paths(tree) if -1 in _node(tree, p).components),
                    key=len)
         assert len(path) >= 3
         bad, span = _break_attaching_map(tree, path)
-        v = rebuild_verify(bad, window)
+        v = rebuild_verify(bad)
         assert not v.ok and v.code == "attaching_map_not_chain_map"
         assert v.details == {"support": span}
 
 
 def test_rebuild_verify_names_the_mismatching_degree():
-    for tree, (lo, hi) in _tampering_cases():
+    for tree in _tampering_cases():
         q = tree.target
-        ranks = {j: q.rank(j) for j in range(lo, hi + 1) if q.rank(j)}
-        diffs = {j: q.diff(j) for j in range(lo, hi) if j != -3}
-        wrong = replace(tree, target=Complex(q.ring, q.side, ranks, diffs))
-        v = rebuild_verify(wrong, (lo, hi))
+        diffs = {**q.diffs, -3: Mat.zero(q.ring, q.rank(-2), q.rank(-3))}
+        wrong = replace(tree, target=Complex(q.ring, q.side, q.ranks, diffs, q.tail_below))
+        v = rebuild_verify(wrong)
         assert not v.ok and v.code == "rebuild_mismatch"
         assert v.details == {"degree": -3}
 
@@ -374,7 +418,7 @@ def test_rebuild_verify_builds_each_cone_once(monkeypatch, n, a):
     p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
     assert not p.is_bounded
     tree = decompose_resolution(p, depth=8)
-    assert rebuild_verify(tree, (-8, 0)).ok
+    assert rebuild_verify(tree).ok
     assert len(calls) == len(list(_cone_paths(tree)))
 
 
@@ -394,35 +438,8 @@ def test_rebuild_verify_cost_grows_linearly_with_depth(monkeypatch):
         tree = decompose_resolution(p, depth)
         calls.clear()
         monkeypatch.setattr(Complex, "diff", counting_diff)
-        assert rebuild_verify(tree, tree.target.support()).ok
+        assert rebuild_verify(tree).ok
         monkeypatch.setattr(Complex, "diff", diff)
         return len(calls)
 
     assert diffs_to_rebuild(64) <= 10 * diffs_to_rebuild(8)
-
-
-def test_rebuild_verify_compares_a_residual_tree_where_it_is_built():
-    # depth 8 leaves a residual leaf at -16, built down to -16 + RESIDUAL_FLOOR
-    p, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
-    tree = decompose_resolution(p, depth=8)
-    floor = -16 + RESIDUAL_FLOOR
-    v = rebuild_verify(tree, (floor - 1, 0))
-    assert v.ok and v.window_relative and v.details["window"] == (floor, 0)
-    assert rebuild_verify(tree, (floor, 0)).details["window"] == (floor, 0)
-    # a wrong target degree above the floor still fails
-    q = p.restrict(floor - 8, 0)
-    diffs = {j: m for j, m in q.diffs.items() if j != floor + 4}
-    wrong = replace(tree, target=Complex(q.ring, q.side, q.ranks, diffs))
-    v = rebuild_verify(wrong, (floor - 1, 0))
-    assert not v.ok and v.code == "rebuild_mismatch" and v.details == {"degree": floor + 4}
-
-
-def test_rebuild_verify_fails_a_window_wholly_below_the_residual_floor():
-    p, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
-    tree = decompose_resolution(p, depth=8)
-    floor = -16 + RESIDUAL_FLOOR
-    v = rebuild_verify(tree, (floor - 40, floor - 1))
-    assert not v.ok and v.code == "window_too_small" and v.window_relative
-    assert v.details == {"window": (floor - 40, floor - 1), "floor": floor}
-    # a window that reaches the floor still compares its one degree
-    assert rebuild_verify(tree, (floor - 40, floor)).details["window"] == (floor, floor)

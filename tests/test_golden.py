@@ -123,7 +123,7 @@ GOLDEN_CLI = {
     "decompose module_f5_2": "936908393831259be2ef067c8b206c8325cfae2d0bf09cdbd1d91c7180874489",
     "resolve module_z12_cyclic4": "8911c14016d8b912ae0f01bcb1897d936320662036fee5f9b39bb17507ca71c9",
     "generator module_z12_cyclic4": "f8017a84b51ad93a96ac73286fc7777a894554e3831821e194b239edd5f60243",
-    "decompose module_z12_cyclic4": "06ec3e57b64c6e55517d0186572f51fa380bf3dbeff15b4b9c6bf42fcf80dfc1",
+    "decompose module_z12_cyclic4": "0a2c5184e0a2a4471524684ac5907d0db67aee0a2cb55d6f5c91d5b354bfb0c9",
     "resolve module_z4_0": "3d493e3848dd014dd49d3e545ae9222adf18157b5e31ba1f8a34976f77588634",
     "generator module_z4_0": "28c6c097f2aeacc657e58261f51008035173a0ff1001d58f25d84c39edaafe3e",
     "decompose module_z4_0": "6889a762042611b9f980ef6152aa4cc7e559bd2d5df7aa38b0e262061baf153a",
@@ -132,10 +132,10 @@ GOLDEN_CLI = {
     "decompose module_z4_1": "229d9beb386529fcff0440a8ea8c5076c26947a3198db12c5b15d5c89956d9bb",
     "resolve module_z4_2": "bdb4fcdd0637e1bef74c4f66da25cc7575edfde564af53045173295fb132b3c6",
     "generator module_z4_2": "945447c1bd371ef41426c09b5fc7a6beb93457476e73e5e9739dc674a0ccde53",
-    "decompose module_z4_2": "53dac5aaab078f71d29636d0e0c0c15ba0dca60f25df2dfd5d72ea9449ab6c25",
+    "decompose module_z4_2": "72ca54bce5d9c24f433b2da615646035453e85f2aa7fe5808aa4c0ddeb93ed88",
     "resolve module_z4_cyclic2": "57053b842190919d02fdc9a7437ec3c71a1589637e96b2f03e9954686478277c",
     "generator module_z4_cyclic2": "02e89d0230bf830a8e755965749a069a7f52b838d355f1b6eda87975aba3dee4",
-    "decompose module_z4_cyclic2": "563f27990fa3ff4a1d8cc3897c92110e3173c80b425951fe8aee9b1faa17cf47",
+    "decompose module_z4_cyclic2": "9e42ee1643d7abef10e9306aa1aac791ce3a2493bc7579158ed55931aead9070",
     "resolve module_z_0": "f90586ee84e9de43eb19090b7bc1d705f1b1f2a7632ecafd13a6bad3ccccabeb",
     "generator module_z_0": "c346fd00736ad641f99faacb502bb592a2cad2248b5359dd6b6e145e3b7d56bc",
     "decompose module_z_0": "9874caa407cbdd42384bc64202df2f22b49cfd2dc74e6440f4cd4b8aa7982e40",
@@ -154,10 +154,10 @@ GOLDEN_CLI = {
 }
 
 # the deepest decomposition the CLI allows, on periodic resolutions:
-# 100 cone levels over a residual leaf
+# 100 cone levels over a residual leaf that keeps the periodic tail
 GOLDEN_DEEP_DECOMPOSE = {
-    "module_z12_cyclic4": "70066aa172f9870989ea4295fd8814462423736140f1afa47fdd229f314b663f",
-    "module_z4_cyclic2": "66de49555e42563a2b283ba410cd505f5117951e3f62a7988dbc9bb4ce3963c6",
+    "module_z12_cyclic4": "0e4fc2d6bf982dc138b42a5f0d80b0a52c643bdf0cf4c9b705ed5bae375033b5",
+    "module_z4_cyclic2": "911afc50b6c3204a719113c7cb6f116ec72bb823f0d9abc5f6270d64c1a91e00",
 }
 
 GOLDEN_VERDICTS = {

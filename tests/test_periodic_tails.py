@@ -1,5 +1,7 @@
 """Periodic tails: the constructor checks exactly the valid complexes,
-and the dual is the degreewise transpose.
+the dual is the degreewise transpose, `first_difference` finds a
+difference exactly when one exists, and `Complex.below` keeps every
+degree up to its top.
 
 The oracle reads every degree of a wide window through `rank` and
 `diff` of an unchecked complex; periods are at most 3 and explicit data
@@ -9,11 +11,12 @@ tails repeat.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from homcert.cli import main
-from homcert.complexes import Complex, ComplexError, PeriodicTail, dualize_complex
+from homcert.complexes import (Complex, ComplexError, PeriodicTail, dualize_complex,
+                               first_difference)
 from homcert.documents import FORMAT_VERSION, parse_document
 from homcert.matrices import Mat
 from homcert.rings import Fp, Zmod, ZZ
@@ -23,13 +26,14 @@ DEGREES = st.integers(-5, 5)
 
 
 @st.composite
-def tailed_data(draw):
+def tailed_data(draw, ring=None):
     """Ranks and differentials in -5..5, explicit zero ranks included,
-    with a lower tail, an upper tail or both.  Over Z/4 the entries are
-    0 or 2, so any product of two differentials vanishes; over Z and F_5
-    the differentials are zero.  Shapes follow the explicit ranks about
-    half of the time."""
-    ring = draw(st.sampled_from([Zmod(4), ZZ, Fp(5)]))
+    with a lower tail, an upper tail or both, over the given ring or a
+    drawn one.  Over Z/4 the entries are 0 or 2, so any product of two
+    differentials vanishes; over Z and F_5 the differentials are zero.
+    Shapes follow the explicit ranks about half of the time."""
+    if ring is None:
+        ring = draw(st.sampled_from([Zmod(4), ZZ, Fp(5)]))
     entries = st.sampled_from((0, 2) if ring == Zmod(4) else (0,))
     ranks = draw(st.dictionaries(DEGREES, st.integers(0, 2), max_size=6))
     diffs = {}
@@ -75,6 +79,44 @@ def test_constructor_accepts_exactly_the_valid_tails_and_the_dual_transposes(dat
         assert d.diff(j) == c.diff(-j - 1).transpose()
     Complex(d.ring, d.side, d.ranks, d.diffs, d.tail_below, d.tail_above)
     assert dualize_complex(d) == c
+
+
+def _checked(ring, ranks, diffs, below, above) -> Complex:
+    assume(valid_on_window(ring, ranks, diffs, below, above))
+    return Complex(ring, "left", ranks, diffs, below, above)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_first_difference_finds_a_difference_exactly_when_one_exists(data):
+    # b is another drawn complex, or a written otherwise in every degree
+    a = _checked(*data.draw(tailed_data()))
+    how = data.draw(st.sampled_from(["drawn", "below", "dual twice"]))
+    if how == "drawn":
+        b = _checked(*data.draw(tailed_data(a.ring)))
+    elif how == "below":
+        assume(a.tail_above is None)
+        b = a.below(5)
+    else:
+        b = dualize_complex(dualize_complex(a))
+    differs = any(a.rank(j) != b.rank(j) or a.diff(j) != b.diff(j) for j in WINDOW)
+    j = first_difference(a, b)
+    assert (j is not None) == differs and (how == "drawn" or j is None)
+    if j is not None:
+        # a term whose rank differs is named, not the differential into it
+        assert a.rank(j) != b.rank(j) or a.rank(j + 1) == b.rank(j + 1) and a.diff(j) != b.diff(j)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tailed_data(), DEGREES)
+def test_below_keeps_every_degree_up_to_its_top(data, hi):
+    c = _checked(*data)
+    t = c.below(hi)
+    assert t.tail_above is None
+    Complex(t.ring, t.side, t.ranks, t.diffs, t.tail_below)
+    for j in WINDOW:
+        assert t.rank(j) == (c.rank(j) if j <= hi else 0), j
+        assert t.diff(j) == c.diff(j) if j < hi else t.diff(j).is_zero(), j
 
 
 def test_a_seam_hidden_by_explicit_entries_is_refused():

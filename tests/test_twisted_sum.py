@@ -8,14 +8,16 @@ suspension of the tree evaluated at 0; and a map that is not a chain
 map is refused with ChainMapError.  Over Z, F_7, Z/4, Z/8 and Z/12,
 `twisted_sum` equals, rank order included, a loop over every degree
 (`_loop_twisted_sum`), whatever form its summands' ranks and
-differentials take.
+differentials take.  With a periodic resolution over Z/n as L it equals
+that loop above L's repeating block and L below it.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcert.complexes import (ChainMap, ChainMapError, Complex, ComplexError,
-                               _TwistingMap, cone, suspension, twisted_sum)
+                               _TwistingMap, cone, dualize_complex, finite_coproduct,
+                               suspension, twisted_sum)
 from homcert.duality import decompose_resolution
 from homcert.generator import resolve_module
 from homcert.matrices import Mat, MatrixError, assemble_blocks
@@ -193,6 +195,75 @@ def test_twisted_sum_with_a_larger_summand_of_explicit_zero_ranks(ring):
     for L, Y in ((zeros, small), (small, zeros), (zeros, zeros)):
         got, want = twisted_sum(L, Y, {}), _loop_twisted_sum(L, Y, {})
         assert got == want and list(got.ranks) == list(want.ranks)
+
+
+# -- a summand with a lower tail --------------------------------------
+
+
+TAILED = [(4, 2), (8, 2), (9, 3), (12, 4), (12, 6), (16, 4)]
+
+
+def _hull(*cs: Complex) -> range:
+    """The explicit entries and tail thresholds of cs, two periods wider."""
+    tails = [t for c in cs for t in (c.tail_below, c.tail_above) if t is not None]
+    ends = [t.threshold for t in tails] + [j for c in cs for j in (*c.ranks, *c.diffs)]
+    wide = 2 * max((t.period for t in tails), default=1) + 2
+    return range(min(ends) - wide, max(ends) + wide + 1)
+
+
+@given(st.sampled_from(TAILED), st.sampled_from(["left", "right"]),
+       st.randoms(use_true_random=False), st.booleans())
+@settings(CHECKS, max_examples=150)
+def test_twisted_sum_with_a_tailed_L_equals_the_loop_above_its_block(na, side, rng, marked):
+    # L: a periodic resolution, as resolve_module writes it or cut below
+    # a top (marked), suspended.  Y: a bounded complex above L's explicit
+    # entries and threshold, sometimes with an explicit zero rank among
+    # L's degrees.  g: perhaps one component L^j -> Y^(j+1) below Y.
+    n, a = na
+    ring = Zmod(n)
+    p, _ = resolve_module(FPModule.cyclic(ring, side, a))
+    L = suspension(p.below(rng.randint(-4, 0)) if marked else p, rng.randint(-2, 2))
+    t = L.tail_below
+    top = max(t.threshold, *L.ranks, *L.diffs)
+    y = suspension(random_bounded_complex(rng, ring, side, lo=0, hi=3), -top - rng.randint(1, 2))
+    if rng.random() < 0.5:
+        y = Complex(ring, side, {**y.ranks, rng.randint(t.threshold - 3, top): 0}, y.diffs)
+    g, j = {}, y.support()[0] - 1
+    if L.rank(j) and rng.random() < 0.7:
+        g[j] = random_matrix(rng, ring, y.rank(j + 1), L.rank(j), 3)
+    try:
+        want = _loop_twisted_sum(L.restrict(t.threshold, top), y, g)
+    except ChainMapError:
+        with pytest.raises(ChainMapError):
+            twisted_sum(L, y, g)
+        return
+    got = twisted_sum(L, y, g)
+    assert got.tail_above is None and got.tail_below.period == t.period
+    Complex(ring, side, got.ranks, got.diffs, got.tail_below)
+    for j in _hull(got, L, y):
+        ref = want if j >= t.threshold else L
+        assert got.rank(j) == ref.rank(j) and got.diff(j) == ref.diff(j), j
+
+
+def test_twisted_sum_refuses_what_a_lower_tail_of_L_cannot_carry():
+    ring = Zmod(4)
+    p, _ = resolve_module(FPModule.cyclic(ring, "left", 2))  # degrees <= 0
+    single = Complex(ring, "left", {1: 1}, {})
+    assert twisted_sum(p, single, {}).tail_below == p.below(0).tail_below
+    # a Y with a tail, either tail
+    for y in (p, dualize_complex(p)):
+        with pytest.raises(ComplexError, match="bounded Y"):
+            twisted_sum(single, y, {})
+    # an L with an upper tail
+    with pytest.raises(ComplexError, match="bounded above"):
+        twisted_sum(suspension(dualize_complex(p), 3), single, {})
+    # L's explicit entries reach Y's lowest term, or Y lies inside the tail
+    for j in (0, -1, -5):
+        with pytest.raises(ComplexError, match="below Y's terms"):
+            twisted_sum(p, Complex(ring, "left", {j: 1, 1: 1}, {}), {})
+    # finite_coproduct sums as untwisted sums, so it refuses a tail too
+    with pytest.raises(ComplexError):
+        finite_coproduct([single, p])
 
 
 # -- cone against the reference formula -------------------------------
