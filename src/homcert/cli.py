@@ -16,8 +16,7 @@ from typing import Callable
 
 from .complexes import ComplexError, Forms, dualize_complex, split_exactness_check
 from .documents import (SIZE_LIMIT, Document, DocumentError, emit_document,
-                        make_document, module_to_json, parse_document,
-                        unlimited_int_digits)
+                        make_document, parse_document, unlimited_int_digits)
 from .duality import decompose_resolution, dualize_chain_map, rebuild_verify
 from .flatness import (EngineConfig, FlatRelation, cycle_flatness_probe,
                        flat_certificate, pd_bound_collapse)
@@ -150,8 +149,7 @@ def cmd_homology(args) -> int:
     lo, hi = _parse_window(args.window)
     forms = Forms(doc.payload)
     mods = {j: forms.homology_data(j)[0] for j in range(lo, hi + 1)}
-    details = {str(j): module_to_json(m) for j, m in mods.items()}
-    v = Verdict(True, "homology_computed", details)
+    v = Verdict(True, "homology_computed", {str(j): m for j, m in mods.items()})
     _print(args, make_document(doc.ring, "verdict", v),
            lambda: "\n".join(f"H^{j} = {_module_invariants(m)}" for j, m in mods.items()))
     return 0

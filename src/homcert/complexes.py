@@ -64,7 +64,12 @@ class ComplexError(ValueError):
 
 
 class ChainMapError(ComplexError):
-    """A map that must be a chain map does not commute with the differentials."""
+    """A map that must be a chain map does not commute with the differentials;
+    `degree` is where the square it forms fails."""
+
+    def __init__(self, message: str, degree: int):
+        super().__init__(message)
+        self.degree = degree
 
 
 @dataclass(frozen=True)
@@ -383,7 +388,7 @@ def twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
         else:
             ok = j + 1 not in g or (g[j + 1] @ L.diff(j)).is_zero()
         if not ok:
-            raise ChainMapError(f"twisting map fails d g + g d = 0 in degree {j}")
+            raise ChainMapError(f"twisting map fails d g + g d = 0 in degree {j}", j)
     # both are bounded, or L's tail lies below the degrees read here, so
     # a degree missing from ranks has rank 0
     lr, yr = L.ranks, Y.ranks

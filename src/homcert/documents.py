@@ -5,8 +5,16 @@ relation, certificate, build tree, generator package or verdict) plus
 the ring, so no ambient configuration is needed to interpret it.
 Emission is deterministic: compact JSON (no whitespace between
 tokens) with sorted keys and a trailing newline, written by CPython's C
-encoder, so the emit/parse round trip is byte-stable.  A build tree
-stores its target complex on the root only.
+encoder, so the emit/parse round trip is byte-stable.
+
+One encoder writes every payload and verdict detail, so a value reads the
+same wherever it appears.  A Mat is its rows, cols and row lists; a
+ModuleMap (GeneratorPackage.mu) is its matrix; a BuildTree stores its
+target on the root only.  A dataclass is its fields minus `ring`, with a
+dict-valued field as sorted [degree, value] pairs, except Verdict.details,
+which stays an object.  Dicts, lists and tuples are encoded item by item;
+any other value must be JSON-native, or json.dumps raises TypeError.
+Mat, Complex and BuildTree, the bulk of the output, are written directly.
 
 Parsing validates invariants, not just syntax: matrix entries must be
 canonical representatives, presentation shapes must match, and d^2 = 0
@@ -20,7 +28,7 @@ import json
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Any
 
 from .complexes import ChainMap, Complex, ComplexError, PeriodicTail, dualize_complex
@@ -28,7 +36,7 @@ from .duality import BuildTree
 from .flatness import FlatCertificate, FlatRelation
 from .generator import GeneratorPackage
 from .matrices import SIZE_LIMIT, Mat, MatrixError
-from .modules import FPModule, canonical_double_dual_map, dual_data
+from .modules import FPModule, ModuleMap, canonical_double_dual_map, dual_data
 from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
@@ -77,102 +85,50 @@ def ring_to_json(ring: RingDescriptor) -> dict:
     return {"kind": ring.kind, "n": ring.n}
 
 
-def matrix_to_json(m: Mat) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "entries": m.row_list()}
-
-
-def module_to_json(m: FPModule) -> dict:
-    return {"side": m.side, "presentation": matrix_to_json(m.presentation)}
-
-
-def tail_to_json(t: PeriodicTail | None) -> dict | None:
-    if t is None:
-        return None
-    return {"direction": t.direction, "threshold": t.threshold, "period": t.period}
-
-
-def complex_to_json(c: Complex) -> dict:
-    return {
-        "side": c.side,
-        "ranks": [[j, r] for j, r in sorted(c.ranks.items())],
-        "diffs": [[j, matrix_to_json(d)] for j, d in sorted(c.diffs.items())],
-        "tail_below": tail_to_json(c.tail_below),
-        "tail_above": tail_to_json(c.tail_above),
-    }
-
-
-def chain_map_to_json(f: ChainMap) -> dict:
-    return {
-        "source": complex_to_json(f.source),
-        "target": complex_to_json(f.target),
-        "components": [[j, matrix_to_json(m)] for j, m in sorted(f.components.items())],
-    }
-
-
-def relation_to_json(rel: FlatRelation) -> dict:
-    return {"a": matrix_to_json(rel.a), "z": matrix_to_json(rel.z)}
-
-
-def certificate_to_json(cert: FlatCertificate) -> dict:
-    return {"ast": matrix_to_json(cert.ast), "q": matrix_to_json(cert.q)}
-
-
-def build_tree_to_json(tree: BuildTree, root: bool = True) -> dict:
-    """Only the root stores its target: every inner node's complex is
-    built from its children."""
-    node = {
-        "kind": tree.kind,
-        "payload": complex_to_json(tree.payload) if tree.payload is not None else None,
-        "shift": tree.shift,
-        "components": [[j, matrix_to_json(m)]
-                       for j, m in sorted((tree.components or {}).items())],
-        "children": [build_tree_to_json(c, False) for c in tree.children],
-        "residual": tree.residual,
-    }
-    if root:
-        node["target"] = complex_to_json(tree.target)
-    return node
-
-
-def package_to_json(pkg: GeneratorPackage) -> dict:
-    return {
-        "module": module_to_json(pkg.module),
-        "dual": module_to_json(pkg.dual),
-        "dual_gens": matrix_to_json(pkg.dual_gens),
-        "resolution": complex_to_json(pkg.resolution),
-        "dual_complex": complex_to_json(pkg.dual_complex),
-        "mu": matrix_to_json(pkg.mu.matrix),
-        "comparison": matrix_to_json(pkg.comparison),
-        "depth": pkg.depth,
-        "complete": pkg.complete,
-    }
-
-
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion of verdict detail values to plain JSON."""
+def _encode(value: Any) -> Any:  # the rules are in the module docstring
     if isinstance(value, Mat):
-        return matrix_to_json(value)
-    if isinstance(value, FPModule):
-        return module_to_json(value)
-    if isinstance(value, Complex):
-        return complex_to_json(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (str, int, float, bool)) or value is None:
+        return {"rows": value.rows, "cols": value.cols, "entries": value.row_list()}
+    if value is None or isinstance(value, (str, int, float)):
         return value
-    if hasattr(value, "__dataclass_fields__"):
-        return {f: _jsonable(getattr(value, f)) for f in value.__dataclass_fields__}
-    return str(value)
+    if isinstance(value, Complex):
+        return {
+            "side": value.side,
+            "ranks": [[j, r] for j, r in sorted(value.ranks.items())],
+            "diffs": [[j, _encode(d)] for j, d in sorted(value.diffs.items())],
+            "tail_below": _encode(value.tail_below),
+            "tail_above": _encode(value.tail_above),
+        }
+    if isinstance(value, BuildTree):
+        return {**_encode_node(value), "target": _encode(value.target)}
+    if isinstance(value, ModuleMap):
+        return _encode(value.matrix)
+    if is_dataclass(value):
+        pairs = not isinstance(value, Verdict)  # a verdict's details stay an object
+        obj = {}
+        for name in value.__dataclass_fields__:
+            if name != "ring":
+                v = getattr(value, name)
+                if pairs and isinstance(v, dict):
+                    obj[name] = [[j, _encode(x)] for j, x in sorted(v.items())]
+                else:
+                    obj[name] = _encode(v)
+        return obj
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value  # not JSON-native: json.dumps refuses it
 
 
-def verdict_to_json(v: Verdict) -> dict:
+def _encode_node(tree: BuildTree) -> dict:
+    """A build-tree node without its target, which only the root stores."""
     return {
-        "ok": v.ok,
-        "code": v.code,
-        "details": _jsonable(v.details),
-        "window_relative": v.window_relative,
+        "kind": tree.kind,
+        "payload": _encode(tree.payload),
+        "shift": tree.shift,
+        "components": [[j, _encode(m)] for j, m in sorted((tree.components or {}).items())],
+        "children": [_encode_node(c) for c in tree.children],
+        "residual": tree.residual,
     }
 
 
@@ -184,12 +140,11 @@ def make_document(ring: RingDescriptor, kind: str, payload: Any) -> Document:
 
 @unlimited_int_digits()
 def emit_document(doc: Document) -> str:
-    body = _CODECS[doc.kind][0](doc.payload)
     obj = {
         "version": FORMAT_VERSION,
         "ring": ring_to_json(doc.ring),
         "kind": doc.kind,
-        "payload": body,
+        "payload": _encode(doc.payload),
     }
     # without indent, CPython serializes through its C encoder
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -388,18 +343,18 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
                             _bool(obj.get("complete", False), "package complete"))
 
 
-_CODECS = {  # kind: (encoder, decoder)
-    "matrix": (matrix_to_json, matrix_from_json),
-    "module": (module_to_json, module_from_json),
-    "complex": (complex_to_json, complex_from_json),
-    "chain_map": (chain_map_to_json, chain_map_from_json),
-    "relation": (relation_to_json, relation_from_json),
-    "certificate": (certificate_to_json, certificate_from_json),
-    "build_tree": (build_tree_to_json, build_tree_from_json),
-    "verdict": (verdict_to_json, lambda ring, obj: verdict_from_json(obj)),
-    "generator_package": (package_to_json, package_from_json),
+_DECODERS = {
+    "matrix": matrix_from_json,
+    "module": module_from_json,
+    "complex": complex_from_json,
+    "chain_map": chain_map_from_json,
+    "relation": relation_from_json,
+    "certificate": certificate_from_json,
+    "build_tree": build_tree_from_json,
+    "verdict": lambda ring, obj: verdict_from_json(obj),
+    "generator_package": package_from_json,
 }
-PAYLOAD_KINDS = tuple(_CODECS)
+PAYLOAD_KINDS = tuple(_DECODERS)
 
 
 @unlimited_int_digits()
@@ -424,5 +379,5 @@ def _parse(text: str) -> Document:
     kind = obj.get("kind")
     if kind not in PAYLOAD_KINDS:
         raise DocumentError(f"unknown payload kind {kind!r}")
-    return Document(ring, kind, _CODECS[kind][1](ring, obj.get("payload")))
+    return Document(ring, kind, _DECODERS[kind](ring, obj.get("payload")))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .matrices import Mat, MatrixError
-from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, dualize_complex,
+from .complexes import (ChainMap, ChainMapError, Complex, dualize_complex,
                         first_difference, suspension, twisted_sum)
 from .verdicts import Verdict
 
@@ -53,10 +53,6 @@ def duality_roundtrip_check(g: Complex, test_map: ChainMap | None = None) -> Ver
 
 
 # -- build trees ------------------------------------------------------
-
-
-class _AttachingMapError(ComplexError):
-    """args: (message, the support of the failing cone node)."""
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,8 @@ class BuildTree:
         sum of S^(i+1) of its source and S^i of its target by
         g^(j-1-i) = (-1)^i f^j.  Above the leaves no differential is
         negated or re-indexed.  twisted_sum checks that a cone node's
-        components form a chain map; a failure is raised again with the
-        support of the unshifted cone the node would build.
+        components form a chain map; its ChainMapError names the failing
+        degree of the shifted cone, so a degree of the root's complex.
 
         A cone node's complex is a twisted sum, marked with its form, so
         the cone above it copies it and recomputes only the degrees next
@@ -108,11 +104,7 @@ class BuildTree:
             tgt = self.children[1].evaluate(shift)
             g = {j - 1 - shift: m.scale(-1) if shift % 2 else m
                  for j, m in (self.components or {}).items()}
-            try:
-                return twisted_sum(src, tgt, g)
-            except ChainMapError as exc:
-                raise _AttachingMapError("attaching map is not a chain map",
-                                         _shifted_support(src, tgt, shift)) from exc
+            return twisted_sum(src, tgt, g)
         raise ValueError(f"cannot evaluate node kind {self.kind!r}")
 
     def leaves(self) -> Iterator["BuildTree"]:
@@ -131,14 +123,6 @@ class BuildTree:
 
     def has_residual(self) -> bool:
         return any(leaf.residual for leaf in self.leaves())
-
-
-def _shifted_support(x: Complex, y: Complex, shift: int) -> tuple[int, int] | None:
-    """The support of the twisted sum of x and y, moved up by shift."""
-    spans = [s for s in (x.support(), y.support()) if s]
-    if not spans:
-        return None
-    return min(lo for lo, _ in spans) + shift, max(hi for _, hi in spans) + shift
 
 
 def _leaf(c: Complex, residual: bool = False) -> BuildTree:
@@ -206,16 +190,16 @@ def rebuild_verify(tree: BuildTree) -> Verdict:
 
     The single pass of BuildTree.evaluate checks the attaching map of
     every cone node, at any depth, before building that cone; a failure
-    names the support of the cone the failing node would build, taken
-    from its built children.  The decomposition reproduces the target
-    exactly, so the homotopy equivalence witness is the identity pair
-    with zero homotopies.  The built complex and the target are compared
-    in every degree, tails included.
+    names the degree of the target where d^2 of the built complex would
+    not vanish.  The decomposition reproduces the target exactly, so the
+    homotopy equivalence witness is the identity pair with zero
+    homotopies.  The built complex and the target are compared in every
+    degree, tails included.
     """
     try:
         built = tree.evaluate()
-    except _AttachingMapError as exc:
-        return Verdict(False, "attaching_map_not_chain_map", {"support": exc.args[1]})
+    except ChainMapError as exc:
+        return Verdict(False, "attaching_map_not_chain_map", {"degree": exc.degree})
     bad = first_difference(built, tree.target)
     if bad is not None:
         return Verdict(False, "rebuild_mismatch", {"degree": bad})

@@ -160,13 +160,15 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
     The cone has M in degree -1 and P* in degrees >= 0; its Hom
     complex into Q being exact says precomposition with the comparison
     map is a quasi-isomorphism Hom(P*, Q) -> Hom(M, Q).  The window
-    bounds the degrees checked, and so the truncation of P* used.
+    bounds the degrees checked, and so the truncation of P* used.  A
+    lower tail of Q is read only in the finitely many degrees the window
+    reaches; an upper tail would need all of P*, and is refused.
     """
     lo, hi = window
     span = q.support()
     if span is None:
         return Verdict(True, "hom_exact", {"window": window, "note": "zero target"})
-    if not q.is_bounded:
+    if q.tail_above is not None:
         return Verdict(False, "unbounded_target", {})
     top = span[1] - lo + 2  # free degrees beyond this cannot hit Q inside the window
     if not _reaches(pkg, top):
@@ -201,8 +203,9 @@ def hom_classes(pkg: GeneratorPackage, q: Complex, shift: int = 0):
 
 
 def h0_hom_equivalence(pkg: GeneratorPackage, q: Complex) -> Verdict:
-    """HomClasses(P*, Q) = H^0 Hom(M, Q) through the comparison map."""
-    if not q.is_bounded:
+    """HomClasses(P*, Q) = H^0 Hom(M, Q) through the comparison map; Q
+    may have a lower tail but not an upper one, as in the check above."""
+    if q.tail_above is not None:
         return Verdict(False, "unbounded_target", {})
     classes = hom_classes(pkg, q)
     if classes is None:

@@ -5,12 +5,13 @@ import threading
 
 import pytest
 
-from homcert.complexes import Complex
+from homcert.complexes import ChainMap, Complex, Homotopy
 from homcert.documents import (FORMAT_VERSION, DocumentError, emit_document,
                                make_document, parse_document, unlimited_int_digits)
 from homcert.matrices import Mat
 from homcert.modules import FPModule
 from homcert.rings import Zmod, ZZ
+from homcert.verdicts import Verdict
 
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
 DOC = '{"version": "%s", ' % FORMAT_VERSION  # the head of a hand-written document
@@ -34,6 +35,26 @@ def test_emitted_documents_end_with_newline_and_sorted_keys():
     obj = json.loads(text)
     assert list(obj) == sorted(obj)
     assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_a_homotopy_in_a_verdict_is_encoded_as_a_chain_map_payload_is():
+    # one encoder: a Homotopy inside verdict details lists its components
+    # as the same [degree, matrix] pairs as a ChainMap payload
+    c = Complex(ZZ, "left", {-1: 1, 0: 1, 1: 1}, {})
+    components = {0: Mat(ZZ, 1, 1, (3,)), 1: Mat(ZZ, 1, 1, (-2,))}
+    payload = emit_document(make_document(ZZ, "chain_map", ChainMap(c, c, components)))
+    verdict = Verdict(True, "split_exact", {"homotopy": Homotopy(c, c, components)})
+    detail = emit_document(make_document(ZZ, "verdict", verdict))
+    mapped = json.loads(payload)["payload"]
+    assert mapped["components"] == [[0, {"rows": 1, "cols": 1, "entries": [[3]]}],
+                                    [1, {"rows": 1, "cols": 1, "entries": [[-2]]}]]
+    assert json.loads(detail)["payload"]["details"]["homotopy"] == mapped
+
+
+def test_a_detail_the_encoder_does_not_know_is_refused():
+    doc = make_document(ZZ, "verdict", Verdict(True, "odd", {"value": object()}))
+    with pytest.raises(TypeError):
+        emit_document(doc)
 
 
 def test_parse_reports_syntax_position():

@@ -368,19 +368,42 @@ def _tampering_cases():
     yield decompose_resolution(_z_resolution())
 
 
+def _shift_at(tree, path):
+    """The shift evaluate applies to the node at path: a susp node's
+    shift, and 1 for a cone's source."""
+    shift = 0
+    for i in path:
+        if tree.kind == "susp":
+            shift += tree.shift
+        elif tree.kind == "cone" and i == 0:
+            shift += 1
+        tree = tree.children[i]
+    return shift
+
+
 def _break_attaching_map(tree, path):
+    """The tree with the attaching map f: X -> Y at path plus identities,
+    and the degree of the root's complex where that fails: X^j lies in
+    degree j - 1 of the cone, so the lowest j where f fails to commute
+    gives j - 1, moved down by the node's shift."""
     node = _node(tree, path)
     bad = {j: m + Mat.identity(m.ring, m.rows) for j, m in node.components.items()}
-    return _replace_at(tree, path, components=bad), node.evaluate().support()
+    x, y = (child.evaluate() for child in node.children)
+    f = ChainMap(x, y, bad)
+    j = next(j for j in f.degrees()
+             if y.diff(j) @ f.component(j) != f.component(j + 1) @ x.diff(j))
+    degree = j - 1 - _shift_at(tree, path)
+    assert tree.target.rank(degree) > 0
+    return _replace_at(tree, path, components=bad), degree
 
 
 def test_rebuild_verify_refuses_a_bad_root_attaching_map():
     for tree in _tampering_cases():
         assert rebuild_verify(tree).ok
-        bad, span = _break_attaching_map(tree, ())
+        bad, degree = _break_attaching_map(tree, ())
         v = rebuild_verify(bad)
         assert not v.ok and v.code == "attaching_map_not_chain_map"
-        assert v.details == {"support": span}
+        assert v.details == {"degree": degree}
 
 
 def test_rebuild_verify_refuses_a_bad_nested_attaching_map():
@@ -389,10 +412,26 @@ def test_rebuild_verify_refuses_a_bad_nested_attaching_map():
         path = max((p for p in _cone_paths(tree) if -1 in _node(tree, p).components),
                    key=len)
         assert len(path) >= 3
-        bad, span = _break_attaching_map(tree, path)
+        bad, degree = _break_attaching_map(tree, path)
         v = rebuild_verify(bad)
         assert not v.ok and v.code == "attaching_map_not_chain_map"
-        assert v.details == {"support": span}
+        assert v.details == {"degree": degree}
+
+
+def test_a_bad_glue_map_names_a_degree_of_a_tailed_target():
+    # the depth-4 tree of Z/4 / (2) ends in a residual leaf with Q's
+    # lower tail; breaking the glue map of level k fails in d^2 from
+    # degree -2k - 3, a degree of Q, not a band of explicit entries
+    q, _ = resolve_module(FPModule.cyclic(Zmod(4), "right", 2))
+    tree = decompose_resolution(q, depth=4)
+    assert q.tail_below is not None and tree.has_residual()
+    for k in range(4):
+        path = (0, 0, 0) * k
+        bad, degree = _break_attaching_map(tree, path)
+        v = rebuild_verify(bad)
+        assert (v.ok, v.code, v.details) == \
+            (False, "attaching_map_not_chain_map", {"degree": -2 * k - 3}), k
+        assert degree == -2 * k - 3
 
 
 def test_rebuild_verify_names_the_mismatching_degree():

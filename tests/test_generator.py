@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from homcert import documents, generator, modules
-from homcert.complexes import Complex, PeriodicTail, homology
+from homcert.complexes import Complex, PeriodicTail, homology, suspension
 from homcert.generator import (build_generator, compactness_probe,
                                double_dual_check, h0_hom_equivalence,
                                resolve_module, suspension_homology_chain,
@@ -224,6 +224,22 @@ def test_verify_resolution_fails_a_window_wholly_below_its_floor():
     assert v.ok and v.window_relative and v.details["window"] == (0, 0)
 
 
+@pytest.mark.parametrize("n, a, b", [(4, 2, 2), (8, 2, 4), (8, 4, 2), (12, 2, 6),
+                                     (12, 3, 2), (12, 6, 4), (4, 1, 2)])
+@pytest.mark.parametrize("s", range(-1, 3))
+def test_targets_with_a_lower_tail_pass_both_checks(n, a, b, s):
+    # Q = S^s of the periodic resolution of Z/b: bounded above, with a
+    # lower tail that the window reaches only in finitely many degrees
+    ring = Zmod(n)
+    q = suspension(resolve_module(FPModule.cyclic(ring, "left", b))[0], s)
+    assert q.tail_below is not None and q.tail_above is None
+    pkg = build_generator(FPModule.cyclic(ring, "left", a))
+    v = verify_generator_quasi_iso(pkg, q)
+    assert (v.ok, v.code) == (True, "hom_exact")
+    v = h0_hom_equivalence(pkg, q)
+    assert (v.ok, v.code) == (True, "h0_equivalence")
+
+
 def test_failing_verdicts_of_tampered_packages_and_refused_targets():
     # each package is the one for M = R over Z with one field replaced, so
     # exactly the property that field carries fails
@@ -246,6 +262,9 @@ def test_failing_verdicts_of_tampered_packages_and_refused_targets():
          "double_dual_mismatch", {"degree"}),
         (verify_generator_quasi_iso(z4_pkg, periodic), "unbounded_target", set()),
         (h0_hom_equivalence(z4_pkg, periodic), "unbounded_target", set()),
+        # P* has an upper tail and no lower one
+        (verify_generator_quasi_iso(z4_pkg, z4_pkg.dual_complex), "unbounded_target", set()),
+        (h0_hom_equivalence(z4_pkg, z4_pkg.dual_complex), "unbounded_target", set()),
     ]
     for v, code, keys in cases:
         assert (v.ok, v.code, set(v.details)) == (False, code, keys)

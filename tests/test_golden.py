@@ -188,17 +188,17 @@ GOLDEN_SPLIT = {
     "complex_z4_periodic -4..4 0": "b5066204994e568f4da98ecbbe938e094b8f3961a4a8d62fc444efb68c64d02b",
     "complex_z_mult2 -4..3": "58f40e022ac7d295564402f92d4b4e4b49f180616211376d32b6d766d91b6e68",
     "complex_z_mult2 -4..3 1": "aae1b7347cd1c27ff3457bd1b72bed7272160edf012993a00c4accc70b8b9888",
-    "contractible_f5 -6..5": "45f8ae1320d78ea9ee33ebb9faaadad84dda5ed122ceb81fe69c3cb69a8344b3",
-    "contractible_f5 -6..5 0": "7160eda2f491dc4d2e74f1f02d5af003126269bd997e7d0b2efc7d6045013e20",
+    "contractible_f5 -6..5": "c0890c47c33fd4a62799f053e80f5b1cd539b38c437100835f669a59362d011f",
+    "contractible_f5 -6..5 0": "9c035f03094313d6bc5d7611035a84815f59f98ff4aa8d213f3c235eb902db2a",
     "contractible_z -1..5": "637a8e6407ec6e67f1e8fa4bb69d2e9019e579edb6ea22edf12399ad42e7dbab",
     "contractible_z -1..5 0": "d0b064c44d0abb54285faf23bf7a7ab3084d3c0d8186a3b7a52b9fa6664261fc",
     "contractible_z -5..2": "b6fa8db2b2460da9469bb97da5130766380b16838df5b5a249367067f322bb9e",
-    "contractible_z -6..5": "003553868c7fdcb8f75d318c246510a26ee022b7c6b379b14f21d06dc6ff0f11",
-    "contractible_z -6..5 1": "7a6b8650fa3cbf48a3205e83ce95099906197c2500f83f5082b6702a0299261a",
+    "contractible_z -6..5": "2cf9d879080a0c5cecd08aedbef4d0a8a9d6c96f914dc35d2ba4992a7a8b3581",
+    "contractible_z -6..5 1": "7700a5798c936cee5291057d286b232eab7403d79e64fa588b2984aa6c36acf5",
     "contractible_z -6..5 16": "61560d2e83898ff06f5760e9c28e4424423dd4a98bb63d3c32cbad81fb432f72",
     "contractible_z4 -4..6": "0e284d9afc4f95bbca6e6aca95e182accb4b81e376263a9baafc043b57aacfc6",
-    "contractible_z4 -6..5": "3344f8f398bab5fa41d6640ad7c12d3c332a63de904672460397c6e04396182b",
-    "contractible_z4 -6..5 0": "6cf6b8a104768f4914ac862b4b6ae556ba1c6db136ba29ad65a39d39f8482493",
+    "contractible_z4 -6..5": "425957959e687466dd3e631a404ae2b72910549e48d1c94eb968db793b2eed14",
+    "contractible_z4 -6..5 0": "b5c697495e96ca87d4fae0b419454cfcb78c8213446bd3dbda08c88c61561b76",
 }
 
 

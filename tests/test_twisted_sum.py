@@ -8,7 +8,8 @@ suspension of the tree evaluated at 0; and a map that is not a chain
 map is refused with ChainMapError.  Over Z, F_7, Z/4, Z/8 and Z/12,
 `twisted_sum` equals, rank order included, a loop over every degree
 (`_loop_twisted_sum`), whatever form its summands' ranks and
-differentials take.  With a periodic resolution over Z/n as L it equals
+differentials take, and refuses a twisting map the loop refuses, naming
+the same degree.  With a periodic resolution over Z/n as L it equals
 that loop above L's repeating block and L below it.
 """
 
@@ -81,7 +82,7 @@ def _loop_twisted_sum(L: Complex, Y: Complex, g: dict[int, Mat]) -> Complex:
     # checked Mat is built
     for j in range(min(g) - 1, max(g) + 1) if g else ():
         if Y.diff(j + 1) @ twist(j) != (twist(j + 1) @ L.diff(j)).scale(-1):
-            raise ChainMapError(f"twisting map fails d g + g d = 0 in degree {j}")
+            raise ChainMapError(f"twisting map fails d g + g d = 0 in degree {j}", j)
     # both are bounded, so a degree missing from ranks has rank 0
     lr, yr = L.ranks, Y.ranks
     ranks = {j: lr.get(j, 0) + yr.get(j, 0) for j in sorted(lr.keys() | yr.keys())}
@@ -178,9 +179,10 @@ def test_twisted_sum_equals_the_loop_over_every_degree(ring, rng, twisted, left_
         g[j] = random_matrix(rng, ring, Y.rank(j + 1), L.rank(j), 3)
         try:
             want = _loop_twisted_sum(L, Y, g)
-        except ChainMapError:
-            with pytest.raises(ChainMapError):
+        except ChainMapError as exc:
+            with pytest.raises(ChainMapError) as refused:
                 twisted_sum(L, Y, g)
+            assert refused.value.degree == exc.degree
         else:
             got = twisted_sum(L, Y, g)
             assert got == want and list(got.ranks) == list(want.ranks)
@@ -233,9 +235,10 @@ def test_twisted_sum_with_a_tailed_L_equals_the_loop_above_its_block(na, side, r
         g[j] = random_matrix(rng, ring, y.rank(j + 1), L.rank(j), 3)
     try:
         want = _loop_twisted_sum(L.restrict(t.threshold, top), y, g)
-    except ChainMapError:
-        with pytest.raises(ChainMapError):
+    except ChainMapError as exc:
+        with pytest.raises(ChainMapError) as refused:
             twisted_sum(L, y, g)
+        assert refused.value.degree == exc.degree
         return
     got = twisted_sum(L, y, g)
     assert got.tail_above is None and got.tail_below.period == t.period
