@@ -40,7 +40,7 @@ from .modules import FPModule, ModuleMap, canonical_double_dual_map, dual_data
 from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 
 class DocumentError(ValueError):

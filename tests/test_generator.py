@@ -103,7 +103,8 @@ def _empty_package_json(ring, module, rank0):
             '"dual":{"presentation":{"cols":0,"entries":[],"rows":0},"side":"right"},'
             f'"dual_complex":{{{zero.format("left")}}},"dual_gens":{empty},'
             f'"module":{{"presentation":{module},"side":"left"}},"mu":{empty},'
-            f'"resolution":{{{zero.format("right")}}}}},"ring":{ring},"version":"2"}}\n')
+            f'"resolution":{{{zero.format("right")}}}}},"ring":{ring},'
+            f'"version":"{documents.FORMAT_VERSION}"}}\n')
 
 
 @pytest.mark.parametrize("ring, presentation, text", [

@@ -112,71 +112,71 @@ def elim_digest(ring_name: str, kind: str) -> str:
 
 
 GOLDEN_CLI = {
-    "resolve module_f5_0": "8ac9c8230678887e0efa9b9f1450fc731d315dbc1669930c676a9d9e5c53cf0f",
-    "generator module_f5_0": "c60b302062e229f777290d8fd8ecc42e03df742ee87ce11ab60220b5cc87dbe5",
-    "decompose module_f5_0": "3d6dcd007441233456f6548a9f74aeee645586c15f963b206503d895ca221e5b",
-    "resolve module_f5_1": "a4b1c2c287768f3f9b6cdadd4c536d2d1481497bc200a69891d75767e714e76a",
-    "generator module_f5_1": "bd6d664dd446f5ec948156884c60bfcb3e2736234ee61bd3875658f664b4ee51",
-    "decompose module_f5_1": "5a4b6c15e3b297d656aef58876e60be726e7d595d0f565c2aa3f2a0dd30f1518",
-    "resolve module_f5_2": "39ad78ffd6b8137ce3eb03108bfb04d974aa01ab9eeaf9ee23680186e0ab7b46",
-    "generator module_f5_2": "950b531477c837f7fc9d6dcb933ac3f012542483eff032e93ec124e3c8a8a4f3",
-    "decompose module_f5_2": "936908393831259be2ef067c8b206c8325cfae2d0bf09cdbd1d91c7180874489",
-    "resolve module_z12_cyclic4": "8911c14016d8b912ae0f01bcb1897d936320662036fee5f9b39bb17507ca71c9",
-    "generator module_z12_cyclic4": "f8017a84b51ad93a96ac73286fc7777a894554e3831821e194b239edd5f60243",
-    "decompose module_z12_cyclic4": "0a2c5184e0a2a4471524684ac5907d0db67aee0a2cb55d6f5c91d5b354bfb0c9",
-    "resolve module_z4_0": "3d493e3848dd014dd49d3e545ae9222adf18157b5e31ba1f8a34976f77588634",
-    "generator module_z4_0": "28c6c097f2aeacc657e58261f51008035173a0ff1001d58f25d84c39edaafe3e",
-    "decompose module_z4_0": "6889a762042611b9f980ef6152aa4cc7e559bd2d5df7aa38b0e262061baf153a",
-    "resolve module_z4_1": "59c30d11e087148b3bf12f48c918adbd8d41e65b93d651343c5c0529c8340ede",
-    "generator module_z4_1": "693f0b8a74bc906598d224c9d2c7660a39101620859b7309b5f521ad1dee0653",
-    "decompose module_z4_1": "229d9beb386529fcff0440a8ea8c5076c26947a3198db12c5b15d5c89956d9bb",
-    "resolve module_z4_2": "bdb4fcdd0637e1bef74c4f66da25cc7575edfde564af53045173295fb132b3c6",
-    "generator module_z4_2": "945447c1bd371ef41426c09b5fc7a6beb93457476e73e5e9739dc674a0ccde53",
-    "decompose module_z4_2": "72ca54bce5d9c24f433b2da615646035453e85f2aa7fe5808aa4c0ddeb93ed88",
-    "resolve module_z4_cyclic2": "57053b842190919d02fdc9a7437ec3c71a1589637e96b2f03e9954686478277c",
-    "generator module_z4_cyclic2": "02e89d0230bf830a8e755965749a069a7f52b838d355f1b6eda87975aba3dee4",
-    "decompose module_z4_cyclic2": "9e42ee1643d7abef10e9306aa1aac791ce3a2493bc7579158ed55931aead9070",
-    "resolve module_z_0": "f90586ee84e9de43eb19090b7bc1d705f1b1f2a7632ecafd13a6bad3ccccabeb",
-    "generator module_z_0": "c346fd00736ad641f99faacb502bb592a2cad2248b5359dd6b6e145e3b7d56bc",
-    "decompose module_z_0": "9874caa407cbdd42384bc64202df2f22b49cfd2dc74e6440f4cd4b8aa7982e40",
-    "resolve module_z_1": "b641bfb2ac0fc130f980567de36325766b69680f4847dfe8c9e4c108a4f0e902",
-    "generator module_z_1": "1b302afdedc718ffbd360eddbe7ce15d3783449cf06d0559c633f3f1b713503e",
-    "decompose module_z_1": "545a74466bc8dcaa859838d9d8ed393685a6a2f185280209025399604b53e0ec",
-    "resolve module_z_2": "47248d628aebbe54f5bd1dc3746aafbbfb28c0b9443d2f6ee3294549d2f3b4bb",
-    "generator module_z_2": "b3161583413a52586e07158dad562faa7fae833bad39d509bc932ed6d6619391",
-    "decompose module_z_2": "7a28ae459f87a19632b46d43305716db48e4c18ed6522802a0319d48e03db8f7",
-    "resolve module_z_cyclic6": "e93b3d6e795bb69df0710df7fe4c85055c4287833ffe52b79f363b5d9b069541",
-    "generator module_z_cyclic6": "41139b1bfbe79e084a6b164412dcfac4e0b107f8bd738e5893660aa231d6dd0b",
-    "decompose module_z_cyclic6": "4f98ffb1a01cf8b033a7da191c0833eb00d50ebae95bc8902b646b7b3bb7ca93",
-    "resolve module_z_right6": "33ab1d72577ce65ab4c129f5808f4f134e5c1950f09e724cdb64648dd08572be",
-    "generator module_z_right6": "a19d95cdd2bb6ccf2671428848001b41ff9ff30a534cea71d50c41e28c60c1ef",
-    "decompose module_z_right6": "6b50230e0fb452174fa7c79dc4dd26c7236c79c29b01b8ffd79f6461e8ca05c7",
+    "resolve module_f5_0": "6339f19ded2802ed5b35c8bba542e688b24c45f22edc771ffc5095da408dee5f",
+    "generator module_f5_0": "8d2b174d7c559389ffa0778f22547d8712b4260e58cdbbabc972ddbcf7430705",
+    "decompose module_f5_0": "70dcda7f77c5ec51504ea00bd90f4041a58880713e5da91a67193cb5715adaaf",
+    "resolve module_f5_1": "850001e3407f0a497fd2913b16d38ed01e64d478164d1c2f3d70cc7931877e88",
+    "generator module_f5_1": "5a34dcf0974a4f197d5bc7ecc46eb1173f3ea35c54bc435a071720d767184343",
+    "decompose module_f5_1": "bbbe6944ed56865d08d6150a9e2fa90d61103c3b58bce51b55d5704393411688",
+    "resolve module_f5_2": "17c1a29200e568240f435db0e75de04dbf33e6f4135705a8015a72de47b43d51",
+    "generator module_f5_2": "14e4639bb6bf368b8b27a8c3a2a0a17f5f624227ece173170510f4cb697bfe06",
+    "decompose module_f5_2": "bd51351335608ff8772a7a02c06b36d8429b327938800764017900e79eabb622",
+    "resolve module_z12_cyclic4": "4e3030e844281ece50756f1f6936ce85e223b6819b0bb5f450c05b45f6238d60",
+    "generator module_z12_cyclic4": "145bd4a2933cc5ba325aaf4b4f001aaa83baa7a472578ab47eb1d3cddf446a46",
+    "decompose module_z12_cyclic4": "10dbc32c1ffaac8b1431abf62ac47d2cc7b4ae1b9d2aeb8da682ef679b80f42f",
+    "resolve module_z4_0": "6a29815e661fe27e7bb0a16a8baf062ae5d294f74f4afd37e68395b95228482e",
+    "generator module_z4_0": "00390584cda652ffc7b53ab7b425a5f05a19de9af244ba1819dd2382cbc4069b",
+    "decompose module_z4_0": "325a554934f1f85dbbecb7b7bfeb2bfc4a3772f91d21bea4bdd2606b7074202e",
+    "resolve module_z4_1": "d9b23e25233cb4684c4d8fcb3c5d76625a35793b1980089bb04109d337631d67",
+    "generator module_z4_1": "8690922d6e75209e3299d963ce6b14feace86efc5a287d2c45e447e676f4ede8",
+    "decompose module_z4_1": "165c138d10067417c0bc0eb8378e8a272ee8a9d82c7a5b94c748e7a4037baf66",
+    "resolve module_z4_2": "df0502c51cf76e5108b2c1a92536608ec4ed79c19dd9ee7fe26c655843fdae62",
+    "generator module_z4_2": "5c24a53dc3fd180e93e6b43c5fa2f121e5d4891a92eda4e409171d7359a25ca2",
+    "decompose module_z4_2": "84b01259b192d44b00887d36eb73eefe28dfa938931980fd3e85b23f72d6303b",
+    "resolve module_z4_cyclic2": "f1b276864b49a1a33f9345cf0ce6efedf82825c80498b4181252f7742e51c386",
+    "generator module_z4_cyclic2": "686e415e8dc1a91746754db8172753f051be5224b3fad4c27e0f4b4137737da8",
+    "decompose module_z4_cyclic2": "12debbf3e5a3e68378adafb9ea002a07e26eaca7a9d39f2f54eb8b5e3a53bc2e",
+    "resolve module_z_0": "f7bea0bc9a7d87185dad0b7fb6e321439cac766c08043ebb5d8986c9fa1ff4d6",
+    "generator module_z_0": "6e623475dca7f1a532ffa6c2995f4604bc12630ac697506dda8cd00ee4f20de3",
+    "decompose module_z_0": "9ee1822dcd756f0f427e39eac990330e56518f39b1fdc888b2015cf8d58c84f0",
+    "resolve module_z_1": "361859e37a5e9e3b15ab7cb873cb01c926d1ada8f50b9ecfb02fca4cfe5def60",
+    "generator module_z_1": "aeb51d47e49996f162970ebf2eb372bc4687dad8723b1518c32934f1003d8954",
+    "decompose module_z_1": "c021f7d6faf201398646ba928c9bc9617b76442f67781c2284e0506035150220",
+    "resolve module_z_2": "dd4a0866cb8fe995106b20a2d595cb7b9304aa210a22b71c0c669447b7738cb2",
+    "generator module_z_2": "44b7d06e9b40de7613d8dc9dcc0c8bc127538938d3e76128cf8877e2f0e44fa8",
+    "decompose module_z_2": "d0410b5071f1b8856bd0519b8b867d133db63aa6305b1711eeb98d2694e5d419",
+    "resolve module_z_cyclic6": "3df0beb38a9d26c2ff4ce76150fe2ed9e39ab89dc9022a88d26daa31907bc8b6",
+    "generator module_z_cyclic6": "df2f9fa2e2b161c4f66b410b03bcfb73d0732612b3b7a9342b0d244163a2d4a0",
+    "decompose module_z_cyclic6": "aaa5e2f0d6ca87da490a9ef817c20a8eb5fb3d7a573ae04fefe4ee6361975474",
+    "resolve module_z_right6": "b7ab9abbf4295c30c6ba2fc472b33c086a1ea1b636138854160c7be59f43eb84",
+    "generator module_z_right6": "6ce9beee777f5f4ea3d430f8a321edde9c06d04c8e7d7eacaf4d8be8cf185202",
+    "decompose module_z_right6": "b43c7f6b4f55540a144340f74830dd44df7394f3687d8b62c7244920ee070852",
 }
 
 # the deepest decomposition the CLI allows, on periodic resolutions:
 # 100 cone levels over a residual leaf that keeps the periodic tail
 GOLDEN_DEEP_DECOMPOSE = {
-    "module_z12_cyclic4": "0e4fc2d6bf982dc138b42a5f0d80b0a52c643bdf0cf4c9b705ed5bae375033b5",
-    "module_z4_cyclic2": "911afc50b6c3204a719113c7cb6f116ec72bb823f0d9abc5f6270d64c1a91e00",
+    "module_z12_cyclic4": "57f28ba74e1d5e6d521dc77f5f2741e049141210a75a42d34d9cd75349940400",
+    "module_z4_cyclic2": "6b7c52f47ad660897df6c2aee68ca709de92fbbb7d0959ffbfd4a1f1045b552c",
 }
 
 GOLDEN_VERDICTS = {
-    "F5 0": "9904c132df6dd4d442749dd1dc58cc0367737b88ad32730e8c06f01243661e49",
-    "F5 1": "9904c132df6dd4d442749dd1dc58cc0367737b88ad32730e8c06f01243661e49",
-    "F5 2": "6c1f19853d07179791c730c254106df1f748972f2350095e933e5d8680d12056",
-    "F5 3": "04707272f4a52906227ed8f5506049cc0d55291b08685213b975fecd56234d61",
-    "Z 0": "ea2436bdef3e0515e16e2458ef1eca402911904dd7a216677e64257fca21226a",
-    "Z 1": "28c8a0f9415c54bf1ae9999b530dc4715fcae549e3cd84d6e871ab7a794802e7",
-    "Z 2": "28c8a0f9415c54bf1ae9999b530dc4715fcae549e3cd84d6e871ab7a794802e7",
-    "Z 3": "b0cfe64e90a843ee5177fd4dc35146915926e13f44e5399712212916ba1f2628",
-    "Z12 0": "e63bdb61e88f3913153c6e4ce817d9fffdeeebb46a327912d3d99cddf73eeb7a",
-    "Z12 1": "daf0548604dc9f714a8b5b5eb1d2261bb3bc8e8117d13d037e75ef9b7ca30d6a",
-    "Z12 2": "1c9f875406270b0e07775cf9745cfcd3b12f775b40b5e0bd4944225ea1776ba1",
-    "Z12 3": "100d917fd80fba5be483d03e72325d0a6d1dd21c2bc27114b38e7d2fc0ea1885",
-    "Z4 0": "555df436a163ab477d793ba67ca90ae8f4e6f302018605455a4c1833c1e0bc49",
-    "Z4 1": "0536af7b4156d588332fb3fe89195586801ee6bac3ece83bf12b389117819e86",
-    "Z4 2": "85671dc8339b5aba85375a9651e351180a24c3199ec09805136f5e5b9f14dabb",
-    "Z4 3": "5978b828ffd73f8b7e22331740867e7f89aea855a05ac80c384695db9de56fe9",
+    "F5 0": "c9f154997c1e535698d09b435bd9c79b212fb128d8478ca7af9776b82c37bf42",
+    "F5 1": "c9f154997c1e535698d09b435bd9c79b212fb128d8478ca7af9776b82c37bf42",
+    "F5 2": "f5d2f32e810a424e5f0b4db27f59d2dc1e2c695a915dae22add29929a3c5f8dd",
+    "F5 3": "84810e842c2797d5f7e24ab3eb410ff740fc3e6d666bdc0e97dbdea063b62266",
+    "Z 0": "dcefb524836965f9457285fda5eb1d522409975b8e4292503a6bd1350f4a8db7",
+    "Z 1": "73d312564d40e96d017b43c927d65f34a8d388f40efa565c93bf7a1e862d9018",
+    "Z 2": "73d312564d40e96d017b43c927d65f34a8d388f40efa565c93bf7a1e862d9018",
+    "Z 3": "06125350bb38aca614183cc9b7419d2f0af430de99cfd6c9c9a089c70b761932",
+    "Z12 0": "4a0b9158a2578a6be25ad28bf67b6d3da1b4b6823eef146b7f48f45fd66bb166",
+    "Z12 1": "e7a0bae884f04c68218b92ae8cc5fbb0991ccd2f7f5b9fb5ff723cc2f2bea4e4",
+    "Z12 2": "bb4c1fa1d60ba8340cd5da52f431fcf12707ebd18f2f1d6f4d98a6d80e95dc2e",
+    "Z12 3": "1c7f89612b084ce3d49586f7236a3715e851bc1e814b691105b9e9d0d2373f59",
+    "Z4 0": "b22cd8e4734e40ba7ef4436cc01e256766a6299cb7bb095588eca6af95b89ddd",
+    "Z4 1": "fa08d9030b59ac31b9ac415031e3799e80eae88af0eac7036b379d86467cb59e",
+    "Z4 2": "8fe2028918f69fce81cafa00fc6190aa3853a258a848d4138d4295ff22fa8d25",
+    "Z4 3": "0cc51262b72558df80f8f5bd485bd42a0cc98dfa998b9c28af37d3a134550488",
 }
 
 
@@ -184,33 +184,33 @@ GOLDEN_VERDICTS = {
 # and the passing verdicts (a null homotopy of the identity) on the
 # contractible fixtures
 GOLDEN_SPLIT = {
-    "complex_z4_periodic -4..4": "72c36fb105bbf54d469f9f01e19eea03e3c640384d2f47ed7aff78c3a24def02",
-    "complex_z4_periodic -4..4 0": "b5066204994e568f4da98ecbbe938e094b8f3961a4a8d62fc444efb68c64d02b",
-    "complex_z_mult2 -4..3": "58f40e022ac7d295564402f92d4b4e4b49f180616211376d32b6d766d91b6e68",
-    "complex_z_mult2 -4..3 1": "aae1b7347cd1c27ff3457bd1b72bed7272160edf012993a00c4accc70b8b9888",
-    "contractible_f5 -6..5": "c0890c47c33fd4a62799f053e80f5b1cd539b38c437100835f669a59362d011f",
-    "contractible_f5 -6..5 0": "9c035f03094313d6bc5d7611035a84815f59f98ff4aa8d213f3c235eb902db2a",
-    "contractible_z -1..5": "637a8e6407ec6e67f1e8fa4bb69d2e9019e579edb6ea22edf12399ad42e7dbab",
-    "contractible_z -1..5 0": "d0b064c44d0abb54285faf23bf7a7ab3084d3c0d8186a3b7a52b9fa6664261fc",
-    "contractible_z -5..2": "b6fa8db2b2460da9469bb97da5130766380b16838df5b5a249367067f322bb9e",
-    "contractible_z -6..5": "2cf9d879080a0c5cecd08aedbef4d0a8a9d6c96f914dc35d2ba4992a7a8b3581",
-    "contractible_z -6..5 1": "7700a5798c936cee5291057d286b232eab7403d79e64fa588b2984aa6c36acf5",
-    "contractible_z -6..5 16": "61560d2e83898ff06f5760e9c28e4424423dd4a98bb63d3c32cbad81fb432f72",
-    "contractible_z4 -4..6": "0e284d9afc4f95bbca6e6aca95e182accb4b81e376263a9baafc043b57aacfc6",
-    "contractible_z4 -6..5": "425957959e687466dd3e631a404ae2b72910549e48d1c94eb968db793b2eed14",
-    "contractible_z4 -6..5 0": "b5c697495e96ca87d4fae0b419454cfcb78c8213446bd3dbda08c88c61561b76",
+    "complex_z4_periodic -4..4": "b06eeea264b0f7bf0813b84043474369ac3dc861cc58ac2db9c697c60343ce02",
+    "complex_z4_periodic -4..4 0": "f82fc3f8504181a314632e4687b8b705b11981fb260b88a702c78dbf9618f34f",
+    "complex_z_mult2 -4..3": "370636caddd0dcfa3e1983000f77984c29705f1de288a9547f61c4467e711eab",
+    "complex_z_mult2 -4..3 1": "fb3c6b818949cc5d24f20f4e0d56435555bfbf4e86865545562a6d98d97c2e6f",
+    "contractible_f5 -6..5": "0b05777008c8f806bbfdcf863e8a96bf1d2b9fb01077957bba89560d703c2d34",
+    "contractible_f5 -6..5 0": "7209f930846c899943149faa0865d003add0fd54ca49b9e0d39f4e94a99c1d8e",
+    "contractible_z -1..5": "d85b7f27fd9b51b15139a32ee5753849cc706e7fb460ae103a8d6ad925937f7d",
+    "contractible_z -1..5 0": "772cab124ce3ab8a88a60ed52c9c16701b1a18eba71070b687e645930848382f",
+    "contractible_z -5..2": "32a2d88dab1c3a65ad82a4e8fa43d6be2b6d088593d8b0e8d9f240ba41de96c7",
+    "contractible_z -6..5": "e4412ff6434c6f04992fe30fd97380af639d3b683831416893615f08295d38bd",
+    "contractible_z -6..5 1": "d9e6a1b95ee0a7bfcef4fc498620714d026c7dbdfc451747e5cd86999403e2ec",
+    "contractible_z -6..5 16": "0ae6be543a80f77a5007e8b6c9955759d3d5f9d1fffa32d3d4f6cf20da8c3f35",
+    "contractible_z4 -4..6": "a9ecdb990e62c06f300ae75dbdc2b728e1123feed663a67029c23edd307d9150",
+    "contractible_z4 -6..5": "2637b1d6427b76f9e6a514ce0db6a46f87061ddd03aa3d1dc2b1ae62ffeab0ff",
+    "contractible_z4 -6..5 0": "ad5a0477661c3409256f63ecba0d81aed29f9fff09848374a805d5db15aa4f6e",
 }
 
 
 GOLDEN_ELIM = {
-    "F7 deficient": "7350d2029b46c0f676261d3cb0118a1b5f1040a1fa7bcc8eb357f9de03913070",
     "F7 full": "61a8eecc878cbcbf98aae52d46bfaf01557929ae5b068dd30866309b30a746b6",
-    "Z deficient": "66031cbc84b2ed1d3027a88610acc5419613b409246f304566d9df083cac88bb",
+    "F7 deficient": "7350d2029b46c0f676261d3cb0118a1b5f1040a1fa7bcc8eb357f9de03913070",
     "Z full": "e988a31e659d79d3243dbba2f55f603dd566465e7a139b72db1eb1c1bf0f49ce",
-    "Z12 deficient": "aacbd1754d9430becdd81df1eac14833824a734daa1e68ec0f8e8024694e8933",
+    "Z deficient": "66031cbc84b2ed1d3027a88610acc5419613b409246f304566d9df083cac88bb",
     "Z12 full": "ad7ce7d23f83ce899206c8386aa82e91ffff4fb7fe598b3211fac6c139d70594",
-    "Z4 deficient": "bd19d0250416dd0ebc4d189444e31362c418a7d78a343396ae8c5770246fbff5",
+    "Z12 deficient": "aacbd1754d9430becdd81df1eac14833824a734daa1e68ec0f8e8024694e8933",
     "Z4 full": "77cd4e0eee4be921b5cc8b33650e384a74e4184314cb193912b1aacc12e07367",
+    "Z4 deficient": "bd19d0250416dd0ebc4d189444e31362c418a7d78a343396ae8c5770246fbff5",
 }
 
 
