@@ -471,11 +471,11 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap]]:
 
 
 class Forms:
-    """One elimination per degree: form(n) eliminates restricted(n), the
-    differential on the generators gens_at(n) (None: the whole ambient
-    module, of rank ambient_rank(n)).  Its kernel gives the cycles at n,
-    its solves exactness at n + 1, and it is the form below when the two
-    differentials are equal.  The hooks read q; SubComplex overrides them."""
+    """One elimination per differential: form(n) eliminates restricted(n),
+    the differential on the generators gens_at(n) (None: the whole ambient
+    module, of rank ambient_rank(n)).  Its kernel gives the cycles at n, its
+    solves exactness at n + 1, and it serves every degree with an equal
+    differential, as a tail's are.  The hooks read q; SubComplex overrides them."""
 
     def __init__(self, q: Complex):
         self.q, self._cache = q, {}
@@ -492,8 +492,9 @@ class Forms:
     def form(self, n: int) -> Echelon:
         key = ("form", n)
         if key not in self._cache:
-            d, below = self.restricted(n), self._cache.get(("form", n - 1))
-            self._cache[key] = below if below is not None and d == below.matrix else echelon(d)
+            d = self.restricted(n)
+            self._cache[key] = next((f for k, f in self._cache.items()
+                                     if k[0] == "form" and f.matrix == d), None) or echelon(d)
         return self._cache[key]
 
     def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
@@ -520,9 +521,10 @@ class Forms:
         return not self.ambient_rank(n) or self.exactness(n)[1] is not None
 
 
-def homology_data(c: Complex, j: int) -> tuple[FPModule, Mat, Mat]:
-    """(H^j on the kernel generators, cycle gens, boundary gens), as columns of c^j."""
-    return Forms(c).homology_data(j)
+def homology_data(c: Complex, j: int, *, forms: Forms | None = None) -> tuple[FPModule, Mat, Mat]:
+    """(H^j on the kernel generators, cycle gens, boundary gens), as columns of c^j,
+    from `forms`, an engine over c shared with other questions, or a new one."""
+    return (forms or Forms(c)).homology_data(j)
 
 
 def homology(c: Complex, j: int) -> FPModule:

@@ -8,18 +8,21 @@ tokens) with sorted keys and a trailing newline, written by CPython's C
 encoder, so the emit/parse round trip is byte-stable.
 
 One encoder writes every payload and verdict detail, so a value reads the
-same wherever it appears.  A Mat is its rows, cols and row lists; a
-ModuleMap (GeneratorPackage.mu) is its matrix; a BuildTree stores its
+same wherever it appears (a module in a verdict's details as a module
+payload).  A Mat is its rows, cols and row lists; a BuildTree stores its
 target on the root only.  A dataclass is its fields minus `ring`, with a
 dict-valued field as sorted [degree, value] pairs, except Verdict.details,
 which stays an object.  Dicts, lists and tuples are encoded item by item;
 any other value must be JSON-native, or json.dumps raises TypeError.
 Mat, Complex and BuildTree, the bulk of the output, are written directly.
+No derived value is stored: not a package's P* or double-dual map, nor
+whether a tree leaf is residual (format 2 stored them; format 3 does not).
 
 Parsing validates invariants, not just syntax: matrix entries must be
-canonical representatives, presentation shapes must match, and d^2 = 0
-is checked on the declared data (the offending product is included in
-the error message).
+canonical representatives, presentation shapes must match, d^2 = 0 is
+checked on the declared data (the offending product is included in the
+error message), and a package's dual, comparison and resolution must
+come from its module: P^0 and d^-1 are M*'s generators and presentation.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass
 from typing import Any
 
-from .complexes import ChainMap, Complex, ComplexError, PeriodicTail, dualize_complex
+from .complexes import ChainMap, Complex, ComplexError, PeriodicTail
 from .duality import BuildTree
 from .flatness import FlatCertificate, FlatRelation
 from .generator import GeneratorPackage
 from .matrices import SIZE_LIMIT, Mat, MatrixError
-from .modules import FPModule, ModuleMap, canonical_double_dual_map, dual_data
+from .modules import FPModule, dual_data
 from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
@@ -100,8 +103,6 @@ def _encode(value: Any) -> Any:  # the rules are in the module docstring
         }
     if isinstance(value, BuildTree):
         return {**_encode_node(value), "target": _encode(value.target)}
-    if isinstance(value, ModuleMap):
-        return _encode(value.matrix)
     if is_dataclass(value):
         pairs = not isinstance(value, Verdict)  # a verdict's details stay an object
         obj = {}
@@ -128,7 +129,6 @@ def _encode_node(tree: BuildTree) -> dict:
         "shift": tree.shift,
         "components": [[j, _encode(m)] for j, m in sorted((tree.components or {}).items())],
         "children": [_encode_node(c) for c in tree.children],
-        "residual": tree.residual,
     }
 
 
@@ -307,7 +307,6 @@ def build_tree_from_json(ring: RingDescriptor, obj: Any, root: bool = True) -> B
         children=tuple(build_tree_from_json(ring, c, False) for c in children),
         components={j: matrix_from_json(ring, m)
                     for j, m in _pairs(obj, "components", "matrix")},
-        residual=_bool(obj.get("residual", False), "build tree residual"),
     )
 
 
@@ -326,20 +325,17 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
     _require(isinstance(obj, dict), "generator package must be an object")
     module = module_from_json(ring, obj.get("module"))
     dual = module_from_json(ring, obj.get("dual"))
-    dual_gens = matrix_from_json(ring, obj.get("dual_gens"))
-    resolution = complex_from_json(ring, obj.get("resolution"))
-    dual_complex = complex_from_json(ring, obj.get("dual_complex"))
     comparison = matrix_from_json(ring, obj.get("comparison"))
-    mu_matrix = matrix_from_json(ring, obj.get("mu"))
+    resolution = complex_from_json(ring, obj.get("resolution"))
     mstar, K = dual_data(module)
-    _require(dual == mstar and dual_gens == K, "stored dual is not the dual of the module")
-    mu = canonical_double_dual_map(module, mstar, K)
-    _require(mu.matrix == mu_matrix, "stored mu is not the canonical double-dual map")
-    _require(comparison == dual_gens, "stored comparison is not the dual generators")
-    _require(dual_complex == dualize_complex(resolution),
-             "stored dual complex is not the dual of the resolution")
-    return GeneratorPackage(module, dual, dual_gens, resolution, mu,
-                            dual_complex, comparison, _int(obj.get("depth", 0), "depth"),
+    _require(dual == mstar, "stored dual is not the dual of the module")
+    _require(comparison == K, "stored comparison is not the dual generators of the module")
+    starts = (resolution.rank(0) == dual.rank0 and resolution.diff(-1) == dual.presentation
+              if dual.rank0 else resolution.support() is None)
+    _require(starts, "stored resolution does not start at the dual: P^0 must have the "
+                     "dual's generators and d^-1 its presentation")
+    return GeneratorPackage(module, dual, comparison, resolution,
+                            _int(obj.get("depth", 0), "depth"),
                             _bool(obj.get("complete", False), "package complete"))
 
 

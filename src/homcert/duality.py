@@ -76,7 +76,12 @@ class BuildTree:
     shift: int = 0
     children: tuple["BuildTree", ...] = ()
     components: dict[int, Mat] | None = None
-    residual: bool = False
+
+    @property
+    def residual(self) -> bool:
+        """A leaf with a tail or more than one nonzero term."""
+        c = self.payload
+        return self.kind == "leaf" and (not c.is_bounded or sum(map(bool, c.ranks.values())) > 1)
 
     def evaluate(self, shift: int = 0) -> Complex:
         """S^shift of this node's complex, built once from its children.
@@ -125,8 +130,8 @@ class BuildTree:
         return any(leaf.residual for leaf in self.leaves())
 
 
-def _leaf(c: Complex, residual: bool = False) -> BuildTree:
-    return BuildTree("leaf", payload=c, residual=residual)
+def _leaf(c: Complex) -> BuildTree:
+    return BuildTree("leaf", payload=c)
 
 
 def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
@@ -159,7 +164,7 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
             # the rest of Q from this level down: a single free, or what
             # depth leaves over, as a residual leaf
             rest = q if k == 0 else suspension(q.below(top_degree), top_degree)
-            bottom = _leaf(rest, residual=not single)
+            bottom = _leaf(rest)
             break
         r0, r1 = q.rank(top_degree), q.rank(top_degree - 1)
         # Complex(ring, side, {0: r}, {}) without its checks, which Q's

@@ -165,7 +165,7 @@ def pd_bound_collapse(q: Complex, config: EngineConfig,
     if inner.code == "exact_not_split" and inner.details["degree"] < hi - n:
         return Verdict(False, "cycle_not_projective",
                        {"degree": inner.details["degree"],
-                        "cycle": str(inner.details["cycle"])})
+                        "cycle": inner.details["cycle"]})
     return Verdict(False, "split_check_failed",
                    {"inner": inner.code, "details": inner.details},
                    inner.window_relative)

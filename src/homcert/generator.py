@@ -5,8 +5,9 @@ by finite-rank frees in degrees <= 0 (with eventual periodicity
 detected and recorded as a lazy tail), and the dual complex P* in
 degrees >= 0.  The comparison map M -> P*^0 sends a generator of M to
 its evaluation functional on the generators of M*; it extends the
-double-dual map and exhibits P* as a projective replacement for M in
-the homotopy category.
+double-dual map (modules.canonical_double_dual_map) and exhibits P* as a
+projective replacement for M in the homotopy category.  A package stores
+M, M*, the comparison, P, the depth and completeness; P* is derived.
 
 Verification entry points check, inside explicit degree windows:
   * the resolution property of P (homology M* in degree 0, zero below);
@@ -23,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import Mat, block_diag, kernel_right
-from .modules import (FPModule, ModuleMap, canonical_double_dual_map, dual_data,
-                      modules_isomorphic)
+from .modules import FPModule, ModuleMap, dual_data, modules_isomorphic
 from .complexes import (Complex, Forms, PeriodicTail, dualize_complex, finite_coproduct,
-                        first_difference, homology, suspension)
+                        first_difference, homology, homology_data, suspension)
 from .homspaces import free_terms, hom_fp_complex, hom_into_complex, induced_h0_map
 from .verdicts import Verdict
 
@@ -35,17 +35,18 @@ from .verdicts import Verdict
 class GeneratorPackage:
     module: FPModule
     dual: FPModule
-    dual_gens: Mat  # rows are the generators of M* as functionals on M
+    comparison: Mat  # M -> P*^0; its rows are M*'s generators as functionals on M
     resolution: Complex  # P, degrees <= 0, resolving M*
-    mu: ModuleMap  # M -> M**
-    dual_complex: Complex  # P*, degrees >= 0
-    comparison: Mat  # P*^0-rank x M-generator matrix, the attaching map
     depth: int
     complete: bool  # resolution exact in all degrees (finite or periodic)
 
     @property
-    def ring(self):
-        return self.module.ring
+    def dual_gens(self) -> Mat:
+        return self.comparison
+
+    @property
+    def dual_complex(self) -> Complex:  # P*, degrees >= 0
+        return dualize_complex(self.resolution)
 
 
 def resolve_module(m: FPModule, depth: int = 24) -> tuple[Complex, bool]:
@@ -93,12 +94,10 @@ def resolve_module(m: FPModule, depth: int = 24) -> tuple[Complex, bool]:
 def build_generator(m: FPModule, depth: int = 24) -> GeneratorPackage:
     """Construct the package for M; depth bounds the resolution search."""
     mstar, K = dual_data(m)
-    mu = canonical_double_dual_map(m, mstar, K)
-    # the comparison map is (dual generators of M**)^T composed with mu,
-    # which is K itself: generator e_i of M evaluates the dual
-    # generators to column i of K; for M* = 0, P and P* are zero
+    # the comparison is K, the double-dual map read in M**'s generators: e_i
+    # evaluates the dual generators to column i of K; for M* = 0, P is zero
     p, complete = resolve_module(mstar, depth)
-    return GeneratorPackage(m, mstar, K, p, mu, dualize_complex(p), K, depth, complete)
+    return GeneratorPackage(m, mstar, K, p, depth, complete)
 
 
 def _trusted_resolution_floor(pkg: GeneratorPackage) -> int | None:
@@ -116,8 +115,8 @@ def _reaches(pkg: GeneratorPackage, depth: int) -> bool:
 
 
 def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) -> Verdict:
-    """P resolves M*: H^0(P) = M*, H^j(P) = 0 for j < 0, from the floor
-    of a truncated resolution up (window_too_small wholly below it)."""
+    """P resolves M*: H^0(P) = M*, H^j(P) = 0 for j < 0, from the floor of a
+    truncated resolution up (window_too_small wholly below it), read from one engine."""
     lo, hi = window
     hi = min(hi, 0)
     floor = _trusted_resolution_floor(pkg)
@@ -127,12 +126,11 @@ def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) 
         if lo > hi:
             return Verdict(False, "window_too_small", {"window": window, "floor": floor},
                            window_relative)
-    h0 = homology(pkg.resolution, 0)
-    if not modules_isomorphic(h0, pkg.dual):
-        return Verdict(False, "degree_zero_mismatch",
-                       {"computed": str(h0), "expected": str(pkg.dual)},
-                       window_relative)
     forms = Forms(pkg.resolution)
+    h0 = homology_data(pkg.resolution, 0, forms=forms)[0]
+    if not modules_isomorphic(h0, pkg.dual):
+        return Verdict(False, "degree_zero_mismatch", {"computed": h0, "expected": pkg.dual},
+                       window_relative)
     for j in range(lo, min(hi, -1) + 1):
         if not forms.is_exact_at(j):
             return Verdict(False, "not_exact_below", {"degree": j}, window_relative)
@@ -227,9 +225,8 @@ def h0_hom_equivalence(pkg: GeneratorPackage, q: Complex) -> Verdict:
         return Verdict(False, "comparison_does_not_descend", {})
     if not f.is_isomorphism():
         return Verdict(False, "h0_not_isomorphic",
-                       {"source": str(src_data[0]), "target": str(tgt_data[0])})
-    return Verdict(True, "h0_equivalence",
-                   {"group": str(tgt_data[0])})
+                       {"source": src_data[0], "target": tgt_data[0]})
+    return Verdict(True, "h0_equivalence", {"group": tgt_data[0]})
 
 
 def suspension_homology_chain(pkg: GeneratorPackage, q: Complex,
@@ -243,7 +240,7 @@ def suspension_homology_chain(pkg: GeneratorPackage, q: Complex,
         left, right = classes[0][0], homology(q, -i)
         if not modules_isomorphic(left, right):
             return Verdict(False, "chain_mismatch",
-                           {"shift": i, "left": str(left), "right": str(right)})
+                           {"shift": i, "left": left, "right": right})
     return Verdict(True, "suspension_chain", {"shifts": (shifts.start, shifts.stop - 1)})
 
 
@@ -256,7 +253,7 @@ def compactness_probe(pkg: GeneratorPackage, qs: list[Complex]) -> Verdict:
     """
     if not qs:
         return Verdict(True, "coproduct_respected", {"note": "empty family"})
-    ring = pkg.ring
+    ring = pkg.module.ring
     total, injections = finite_coproduct(qs)
     classes = [hom_classes(pkg, x) for x in (total, *qs)]
     if None in classes:
@@ -281,5 +278,5 @@ def compactness_probe(pkg: GeneratorPackage, qs: list[Complex]) -> Verdict:
     canonical = ModuleMap(direct_sum, tgt_data[0], matrix)
     if not canonical.is_isomorphism():
         return Verdict(False, "coproduct_not_respected",
-                       {"source": str(direct_sum), "target": str(tgt_data[0])})
+                       {"source": direct_sum, "target": tgt_data[0]})
     return Verdict(True, "coproduct_respected", {"family": len(qs)})

@@ -13,8 +13,8 @@ solve against the boundaries: exactness, a preimage of given cycles
 (the flatness lift), or the coordinates of pushed cycles
 (induced_h0_map).  Each degree's restricted differential is eliminated
 once (Forms.form): that one elimination gives the cycles in its degree
-and answers the solves in the degree above, one equal to the
-differential below reuses its form, and a degree whose ambient module
+and answers the solves in the degree above, a differential equal to
+one already formed reuses its form, and a degree whose ambient module
 is zero is exact without building anything.  The homology
 module, where one is wanted, is their subquotient presentation.  No
 degree window is chosen: each degree's layout, generators and form are

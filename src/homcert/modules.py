@@ -83,12 +83,6 @@ class FPModule:
         diag = smith_invariants(self.presentation)
         return self.rank0 - len(diag), tuple(d for d in diag if d != 1)
 
-    def __str__(self) -> str:
-        free_rank, torsion = self.abelian_invariants()
-        parts = ["R"] * free_rank + [f"R/{d}" for d in torsion]
-        body = " + ".join(parts) if parts else "0"
-        return f"<{self.side} {self.ring}-module {body}>"
-
 
 def modules_isomorphic(m1: FPModule, m2: FPModule) -> bool:
     """Same ring and side, and equal presentations or equal invariants."""
@@ -181,7 +175,8 @@ def dualize_map(f: ModuleMap) -> ModuleMap:
 
 def canonical_double_dual_map(m: FPModule, mstar: FPModule, K: Mat) -> ModuleMap:
     """Evaluation map M -> M**, generator e_i |-> (phi |-> phi(e_i)),
-    given (M*, K) = dual_data(M)."""
+    given (M*, K) = dual_data(M); an isomorphism over Z/n (reflexivity).  A
+    generator package's comparison map factors through it."""
     mstarstar, _, form = _dual_form(mstar)
     # the i'th generator of M evaluates the dual generators to column i of
     # K, which is K2^T X for the generators K2 of M** and the map's matrix X

@@ -85,8 +85,13 @@ def test_check_qiso_passes_on_orthogonal_target(capsys, tmp_path):
 
 @pytest.mark.parametrize("tamper", [
     lambda pkg: pkg["comparison"].update(entries=[[3]]),
-    lambda pkg: [d.update(entries=[[0]]) for _, d in pkg["dual_complex"]["diffs"]],
-], ids=["comparison", "dual_complex"])
+    # a resolution of Z/4 / (1), not of the dual Z/4 / (2): once read as
+    # hom_exact against complex_z4_0
+    lambda pkg: pkg.update(resolution={
+        "side": "right", "ranks": [[-1, 1], [0, 1]],
+        "diffs": [[-1, {"rows": 1, "cols": 1, "entries": [[1]]}]],
+        "tail_below": None, "tail_above": None}),
+], ids=["comparison", "resolution"])
 def test_check_qiso_refuses_a_self_contradicting_package(capsys, tmp_path, tamper):
     doc = json.loads(pathlib.Path(fx("package_z4_cyclic2")).read_text())
     tamper(doc["payload"])
@@ -385,6 +390,17 @@ def test_format_version_1_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "resolve", str(old))
     assert code == 2 and out == ""
     assert "unsupported format version '1'" in err
+
+
+def test_format_version_2_exits_2(capsys, tmp_path):
+    # format 2 stored derived package and tree values that format 3 drops
+    doc = json.loads(pathlib.Path(fx("package_z4_cyclic2")).read_text())
+    doc["version"] = "2"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-qiso", str(old), fx("complex_z4_0"))
+    assert code == 2 and out == ""
+    assert "unsupported format version '2'" in err
 
 
 def test_deeply_nested_document_exits_2(capsys, tmp_path):

@@ -146,34 +146,59 @@ def test_periodic_tails_survive_roundtrip():
     assert c.rank(9) == 1 and c.diff(7)[0, 0] == 2
 
 
-def test_generator_package_mu_is_validated():
+def test_generator_package_dual_is_validated():
     path = pathlib.Path(__file__).parent / "fixtures" / "package_z4_cyclic2.json"
     text = path.read_text()
-    block = '"mu":{"cols":1,"entries":[[1]]'
-    assert block in text
-    tampered = text.replace(block, block.replace("[[1]]", "[[3]]"))
-    with pytest.raises(DocumentError, match="double-dual"):
-        parse_document(tampered)
-    dual_gens = '"dual_gens":{"cols":1,"entries":[[2]]'
-    assert dual_gens in text
+    dual = '"dual":{"presentation":{"cols":1,"entries":[[2]]'
+    assert dual in text
     with pytest.raises(DocumentError, match="stored dual"):
-        parse_document(text.replace(dual_gens, dual_gens.replace("[[2]]", "[[0]]")))
+        parse_document(text.replace(dual, dual.replace("[[2]]", "[[0]]")))
     # the untampered package parses and rebuilds the same module
     doc = parse_document(text)
     assert doc.payload.module == FPModule.cyclic(Zmod(4), "left", 2)
 
 
-@pytest.mark.parametrize("field, tamper, message", [
-    ("comparison", lambda m: m.update(entries=[[3]]), "comparison"),
-    ("dual_complex", lambda c: [d.update(entries=[[0]]) for _, d in c["diffs"]],
-     "dual complex"),
-])
-def test_generator_package_comparison_and_dual_complex_are_validated(field, tamper, message):
-    path = pathlib.Path(__file__).parent / "fixtures" / "package_z4_cyclic2.json"
-    doc = json.loads(path.read_text())
-    tamper(doc["payload"][field])
+# a resolution of Z/4 / (1), which is not the dual Z/4 / (2) of Z/4 / (2)
+WRONG_RESOLUTION = {"side": "right", "ranks": [[-1, 1], [0, 1]],
+                    "diffs": [[-1, {"rows": 1, "cols": 1, "entries": [[1]]}]],
+                    "tail_below": None, "tail_above": None}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("comparison", {"rows": 1, "cols": 1, "entries": [[3]]}, "comparison"),
+    ("resolution", WRONG_RESOLUTION, "resolution does not start at the dual"),
+], ids=["comparison", "resolution"])
+def test_generator_package_comparison_and_resolution_are_validated(field, value, message):
+    doc = _fixture_json("package_z4_cyclic2")
+    doc["payload"][field] = value
     with pytest.raises(DocumentError, match=message):
         parse_document(json.dumps(doc))
+
+
+def test_a_zero_dual_needs_a_zero_resolution():
+    # Z/6 over Z has no functionals, so P resolves 0 and is the zero complex
+    doc = _fixture_json("package_z4_cyclic2")
+    doc["ring"], doc["payload"]["module"]["side"] = {"kind": "Z"}, "left"
+    doc["payload"]["module"]["presentation"]["entries"] = [[6]]
+    doc["payload"]["dual"] = {"side": "right",
+                              "presentation": {"rows": 0, "cols": 0, "entries": []}}
+    doc["payload"]["comparison"] = {"rows": 0, "cols": 1, "entries": []}
+    zero = {"side": "right", "ranks": [], "diffs": [], "tail_below": None, "tail_above": None}
+    doc["payload"]["resolution"] = zero
+    assert parse_document(json.dumps(doc)).payload.resolution.support() is None
+    doc["payload"]["resolution"] = dict(zero, ranks=[[0, 1]])
+    with pytest.raises(DocumentError, match="resolution does not start at the dual"):
+        parse_document(json.dumps(doc))
+
+
+def test_packages_and_trees_store_no_derived_values():
+    payload = _fixture_json("package_z4_cyclic2")["payload"]
+    assert set(payload) == {"module", "dual", "comparison", "resolution", "depth", "complete"}
+    nodes = [_fixture_json("tree_z_cyclic6")["payload"]]
+    while nodes:
+        node = nodes.pop()
+        assert set(node) - {"target"} == {"kind", "payload", "shift", "components", "children"}
+        nodes.extend(node["children"])
 
 
 def test_parse_rejects_string_rank():
@@ -240,7 +265,7 @@ def test_parse_rejects_non_integer_tail_and_shift():
     zero = '{"side": "left", "ranks": [], "diffs": []}'
     tree = (DOC + '"ring": {"kind": "Z"}, "kind": "build_tree", '
             f'"payload": {{"kind": "leaf", "target": {zero}, "payload": {zero}, '
-            '"shift": false, "children": [], "components": [], "residual": false}}')
+            '"shift": false, "children": [], "components": []}}')
     with pytest.raises(DocumentError, match="shift must be an integer"):
         parse_document(tree)
 
@@ -270,13 +295,6 @@ def test_package_complete_must_be_a_boolean():
     doc = _fixture_json("package_z4_cyclic2")
     doc["payload"]["complete"] = 0
     with pytest.raises(DocumentError, match="package complete must be a boolean"):
-        parse_document(json.dumps(doc))
-
-
-def test_build_tree_residual_must_be_a_boolean():
-    doc = _fixture_json("tree_z_cyclic6")
-    doc["payload"]["children"][0]["residual"] = "false"
-    with pytest.raises(DocumentError, match="build tree residual must be a boolean"):
         parse_document(json.dumps(doc))
 
 

@@ -162,7 +162,7 @@ def _decompose(q: Complex, depth: int) -> BuildTree:
     if lo == 0 and q.is_bounded:
         return _leaf(q)
     if depth <= 0:
-        return _leaf(q, residual=True)
+        return _leaf(q)
     r0 = q.rank(0)
     r1 = q.rank(-1)
     top = BuildTree(

@@ -8,6 +8,7 @@ from homcert.flatness import (EngineConfig, FlatCertificate, FlatRelation,
                               check_certificate, cycle_flatness_probe,
                               flat_certificate, pd_bound_collapse)
 from homcert.matrices import Mat, MatrixError, kernel_right
+from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_contractible_complex, random_matrix, random_relation
 
@@ -158,7 +159,7 @@ def test_pd_collapse_cycle_not_projective():
     v = pd_bound_collapse(c, EngineConfig.for_ring(ring), (-4, 4))
     assert not v.ok and v.code == "cycle_not_projective" and not v.window_relative
     assert v.details["degree"] == -3
-    assert isinstance(v.details["cycle"], str)
+    assert isinstance(v.details["cycle"], FPModule)
 
 
 def test_pd_collapse_split_check_failed_on_a_window_too_small():

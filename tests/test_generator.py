@@ -1,16 +1,18 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from homcert import documents, generator, modules
-from homcert.complexes import Complex, PeriodicTail, homology, suspension
-from homcert.generator import (build_generator, compactness_probe,
+from homcert import documents, generator, matrices, modules
+from homcert.complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
+                               homology, suspension)
+from homcert.flatness import EngineConfig, pd_bound_collapse
+from homcert.generator import (GeneratorPackage, build_generator, compactness_probe,
                                double_dual_check, h0_hom_equivalence,
                                resolve_module, suspension_homology_chain,
                                verify_generator_quasi_iso, verify_resolution)
 from homcert.matrices import Mat
-from homcert.modules import FPModule, dual_data, modules_isomorphic
+from homcert.modules import FPModule, ModuleMap, dual_data, modules_isomorphic
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_bounded_complex, random_fp_module
 
@@ -59,31 +61,44 @@ def test_generator_package_for_z2_over_z4():
 
 
 def test_comparison_is_the_double_dual_evaluation():
-    # the comparison map is the dual generators of M** composed with mu
+    # the comparison map is the dual generators of M** composed with the
+    # double-dual map mu: M -> M**, which the package does not store
     rng = random.Random(43)
     for ring in (ZZ, Fp(5), Zmod(4), Zmod(12)):
         for _ in range(10):
-            pkg = build_generator(random_fp_module(rng, ring))
+            m = random_fp_module(rng, ring)
+            pkg = build_generator(m)
+            mu = modules.canonical_double_dual_map(m, *dual_data(m))
             _, k2 = dual_data(pkg.dual)
-            assert pkg.comparison == k2.transpose() @ pkg.mu.matrix
+            assert pkg.comparison == k2.transpose() @ mu.matrix
 
 
 def test_build_and_parse_compute_the_dual_twice(monkeypatch):
+    # once to build the package and once to parse it: neither forms the
+    # double dual M** any more
     calls = []
+    real = modules._dual_form
 
     def counted(m):
         calls.append(m)
-        return dual_data(m)
+        return real(m)
 
-    for mod in (modules, generator, documents):
-        monkeypatch.setattr(mod, "dual_data", counted)
+    monkeypatch.setattr(modules, "_dual_form", counted)
     m = FPModule.cyclic(Zmod(4), "left", 2)
     pkg = build_generator(m)
-    assert len(calls) <= 2
+    assert calls == [m]
     calls.clear()
     text = documents.emit_document(documents.make_document(m.ring, "generator_package", pkg))
-    assert documents.parse_document(text).payload.mu == pkg.mu
-    assert len(calls) <= 2
+    assert documents.parse_document(text).payload == pkg
+    assert calls == [m]
+
+
+def test_a_package_stores_exactly_what_it_computes():
+    assert [f.name for f in fields(GeneratorPackage)] == \
+        ["module", "dual", "comparison", "resolution", "depth", "complete"]
+    pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
+    assert pkg.dual_gens is pkg.comparison
+    assert pkg.dual_complex == dualize_complex(pkg.resolution)
 
 
 def test_generator_package_for_torsion_over_Z_has_zero_dual():
@@ -95,14 +110,13 @@ def test_generator_package_for_torsion_over_Z_has_zero_dual():
 
 def _empty_package_json(ring, module, rank0):
     """The package text of a module whose dual is zero: M* has no
-    generators, and its resolution and P* are zero complexes."""
+    generators, and its resolution is the zero complex."""
     empty = f'{{"cols":{rank0},"entries":[],"rows":0}}'
     zero = '"diffs":[],"ranks":[],"side":"{}","tail_above":null,"tail_below":null'
     return ('{"kind":"generator_package","payload":{'
             f'"comparison":{empty},"complete":true,"depth":24,'
             '"dual":{"presentation":{"cols":0,"entries":[],"rows":0},"side":"right"},'
-            f'"dual_complex":{{{zero.format("left")}}},"dual_gens":{empty},'
-            f'"module":{{"presentation":{module},"side":"left"}},"mu":{empty},'
+            f'"module":{{"presentation":{module},"side":"left"}},'
             f'"resolution":{{{zero.format("right")}}}}},"ring":{ring},'
             f'"version":"{documents.FORMAT_VERSION}"}}\n')
 
@@ -241,10 +255,19 @@ def test_targets_with_a_lower_tail_pass_both_checks(n, a, b, s):
     assert (v.ok, v.code) == (True, "h0_equivalence")
 
 
-def test_failing_verdicts_of_tampered_packages_and_refused_targets():
+def _doubling_dualize(c):
+    """A broken dualize_complex: the dual twice over."""
+    return finite_coproduct([dualize_complex(c)] * 2)[0]
+
+
+def test_failing_verdicts_of_tampered_packages_and_refused_targets(monkeypatch):
     # each package is the one for M = R over Z with one field replaced, so
-    # exactly the property that field carries fails
+    # exactly the property that field carries fails; P* is derived, so the
+    # double dual fails only under a broken dualize_complex
     pkg = build_generator(FPModule.free(ZZ, "left", 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, "dualize_complex", _doubling_dualize)
+        doubled_dual = double_dual_check(pkg)
     q = Complex(ZZ, "left", {0: 1}, {})
     doubled = replace(pkg, comparison=pkg.comparison.scale(2))
     z4 = Zmod(4)
@@ -259,8 +282,7 @@ def test_failing_verdicts_of_tampered_packages_and_refused_targets():
          "degree_zero_mismatch", {"computed", "expected"}),
         (verify_resolution(replace(pkg, resolution=Complex(ZZ, "right", {0: 1, -1: 1}, {}),
                                    complete=True)), "not_exact_below", {"degree"}),
-        (double_dual_check(replace(pkg, dual_complex=Complex(ZZ, "left", {0: 2}, {}))),
-         "double_dual_mismatch", {"degree"}),
+        (doubled_dual, "double_dual_mismatch", {"degree"}),
         (verify_generator_quasi_iso(z4_pkg, periodic), "unbounded_target", set()),
         (h0_hom_equivalence(z4_pkg, periodic), "unbounded_target", set()),
         # P* has an upper tail and no lower one
@@ -272,3 +294,65 @@ def test_failing_verdicts_of_tampered_packages_and_refused_targets():
     assert cases[4][0].details["degree"] == 0
     v = verify_generator_quasi_iso(pkg, Complex.zero(ZZ, "left"))
     assert v.ok and v.code == "hom_exact" and v.details["note"] == "zero target"
+
+
+@pytest.mark.parametrize("n, rows", [(4, [[2, 1], [0, 2]]), (12, [[4, 1], [0, 4]])])
+def test_verify_resolution_eliminates_each_matrix_once(monkeypatch, n, rows):
+    # H^0 and the exactness loop read one engine, and a periodic tail's
+    # repeated differentials share their forms: before, a second engine
+    # for H^0 made 4 eliminations of 3 distinct matrices here, and 10 of 4
+    ring = Zmod(n)
+    pkg = build_generator(FPModule(ring, "left", Mat.from_rows(ring, rows)))
+    eliminated = []
+    real = matrices.Echelon.__init__
+
+    def counted(self, a):
+        eliminated.append(a)
+        real(self, a)
+
+    monkeypatch.setattr(matrices.Echelon, "__init__", counted)
+    assert verify_resolution(pkg).ok
+    assert len(eliminated) == len(set(eliminated))
+
+
+def _decoded_modules(v) -> dict:
+    """Each module in the verdict's details, emitted in a verdict document,
+    parsed back and decoded by module_from_json."""
+    modules_in = {k: x for k, x in v.details.items() if isinstance(x, FPModule)}
+    ring = next((x.ring for x in modules_in.values()), ZZ)
+    text = documents.emit_document(documents.make_document(ring, "verdict", v))
+    details = documents.parse_document(text).payload.details
+    return {k: documents.module_from_json(ring, details[k]) for k in modules_in}
+
+
+def test_verdict_details_hold_modules_that_decode(monkeypatch):
+    ring = Zmod(4)
+    free = build_generator(FPModule.free(ZZ, "left", 1))
+    z2 = build_generator(FPModule.cyclic(ring, "left", 2))
+    q = Complex(ring, "left", {0: 1}, {})
+    periodic = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))},
+                       tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
+    verdicts = [
+        pd_bound_collapse(periodic, EngineConfig.for_ring(ring), (-4, 4)),
+        verify_resolution(replace(free, dual=FPModule.cyclic(ZZ, "right", 2))),
+        h0_hom_equivalence(replace(free, comparison=free.comparison.scale(2)),
+                           Complex(ZZ, "left", {0: 1}, {})),
+        h0_hom_equivalence(z2, q),
+        # HomClasses(P*, Q) = Hom(Z/2, Z/4) is not H^0 Q = Z/4
+        suspension_homology_chain(z2, q, range(0, 1)),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(ModuleMap, "is_isomorphism", lambda self: False)
+        verdicts.append(compactness_probe(z2, [q, q]))
+    expected = [
+        ("cycle_not_projective", ["cycle"]),
+        ("degree_zero_mismatch", ["computed", "expected"]),
+        ("h0_not_isomorphic", ["source", "target"]),
+        ("h0_equivalence", ["group"]),
+        ("chain_mismatch", ["left", "right"]),
+        ("coproduct_not_respected", ["source", "target"]),
+    ]
+    for v, (code, keys) in zip(verdicts, expected, strict=True):
+        decoded = _decoded_modules(v)
+        assert v.code == code and sorted(decoded) == keys
+        assert all(decoded[k] == v.details[k] for k in keys)

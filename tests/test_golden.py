@@ -113,70 +113,70 @@ def elim_digest(ring_name: str, kind: str) -> str:
 
 GOLDEN_CLI = {
     "resolve module_f5_0": "6339f19ded2802ed5b35c8bba542e688b24c45f22edc771ffc5095da408dee5f",
-    "generator module_f5_0": "8d2b174d7c559389ffa0778f22547d8712b4260e58cdbbabc972ddbcf7430705",
-    "decompose module_f5_0": "70dcda7f77c5ec51504ea00bd90f4041a58880713e5da91a67193cb5715adaaf",
+    "generator module_f5_0": "10e005834d809e899c70aa595706f76b1f3677c961fe19c46d55b44ede061f96",
+    "decompose module_f5_0": "5d06fc8e40829e8b4b4819fe8dd241afcaeb6906112e034a5d7a685232bc21a2",
     "resolve module_f5_1": "850001e3407f0a497fd2913b16d38ed01e64d478164d1c2f3d70cc7931877e88",
-    "generator module_f5_1": "5a34dcf0974a4f197d5bc7ecc46eb1173f3ea35c54bc435a071720d767184343",
-    "decompose module_f5_1": "bbbe6944ed56865d08d6150a9e2fa90d61103c3b58bce51b55d5704393411688",
+    "generator module_f5_1": "1ce49107640ae44c770463b8e8bc31567d7da8f9b138bd13d064048a75543139",
+    "decompose module_f5_1": "961c95b4845c5c34f8e58f2591e5a5d51bacbcd592d0efe3bcaccfbc95653325",
     "resolve module_f5_2": "17c1a29200e568240f435db0e75de04dbf33e6f4135705a8015a72de47b43d51",
-    "generator module_f5_2": "14e4639bb6bf368b8b27a8c3a2a0a17f5f624227ece173170510f4cb697bfe06",
-    "decompose module_f5_2": "bd51351335608ff8772a7a02c06b36d8429b327938800764017900e79eabb622",
+    "generator module_f5_2": "97aeb2ead3fd9cf2abf9d386a445df060f6ab4c74a3a0ac9dc95f16e5a1e4bf7",
+    "decompose module_f5_2": "9d676bf8b08bc36f1cc54b878c10b9d98af90cfcaf9a657ea3090251f0a9233f",
     "resolve module_z12_cyclic4": "4e3030e844281ece50756f1f6936ce85e223b6819b0bb5f450c05b45f6238d60",
-    "generator module_z12_cyclic4": "145bd4a2933cc5ba325aaf4b4f001aaa83baa7a472578ab47eb1d3cddf446a46",
-    "decompose module_z12_cyclic4": "10dbc32c1ffaac8b1431abf62ac47d2cc7b4ae1b9d2aeb8da682ef679b80f42f",
+    "generator module_z12_cyclic4": "b3b09eb9973a937e750332ee4ade3cca0e1639253c146355aad375e82a8a0969",
+    "decompose module_z12_cyclic4": "eb3d5d6931370c8969cb9c89b6b8b8dfbc78051724435a31bc21cf71a78fc406",
     "resolve module_z4_0": "6a29815e661fe27e7bb0a16a8baf062ae5d294f74f4afd37e68395b95228482e",
-    "generator module_z4_0": "00390584cda652ffc7b53ab7b425a5f05a19de9af244ba1819dd2382cbc4069b",
-    "decompose module_z4_0": "325a554934f1f85dbbecb7b7bfeb2bfc4a3772f91d21bea4bdd2606b7074202e",
+    "generator module_z4_0": "893cc602fff90b236bed31e703ff321c2e464e5dca174ba1b5c05d600cc21e95",
+    "decompose module_z4_0": "0277742ac7e06ce55d0947d19894d74cb592942c7e4b262e4398018a195006ff",
     "resolve module_z4_1": "d9b23e25233cb4684c4d8fcb3c5d76625a35793b1980089bb04109d337631d67",
-    "generator module_z4_1": "8690922d6e75209e3299d963ce6b14feace86efc5a287d2c45e447e676f4ede8",
-    "decompose module_z4_1": "165c138d10067417c0bc0eb8378e8a272ee8a9d82c7a5b94c748e7a4037baf66",
+    "generator module_z4_1": "14302f3e81b0b15a2a50ad1f27dfeff686e95d228df60b62398d89debb06cf7e",
+    "decompose module_z4_1": "6416307ad7061eb5a1c09e1440ae43cc1178ca0b9ea1ae7ee13981b3820a498b",
     "resolve module_z4_2": "df0502c51cf76e5108b2c1a92536608ec4ed79c19dd9ee7fe26c655843fdae62",
-    "generator module_z4_2": "5c24a53dc3fd180e93e6b43c5fa2f121e5d4891a92eda4e409171d7359a25ca2",
-    "decompose module_z4_2": "84b01259b192d44b00887d36eb73eefe28dfa938931980fd3e85b23f72d6303b",
+    "generator module_z4_2": "84ff81e1dbb97179f02033e46446470767a6bb18aefdf7ed1bf21246aac36de8",
+    "decompose module_z4_2": "93b5682c60c2bd37f2a06bbca99c4e839ec3b74d297d3d2a6d62fdc700489234",
     "resolve module_z4_cyclic2": "f1b276864b49a1a33f9345cf0ce6efedf82825c80498b4181252f7742e51c386",
-    "generator module_z4_cyclic2": "686e415e8dc1a91746754db8172753f051be5224b3fad4c27e0f4b4137737da8",
-    "decompose module_z4_cyclic2": "12debbf3e5a3e68378adafb9ea002a07e26eaca7a9d39f2f54eb8b5e3a53bc2e",
+    "generator module_z4_cyclic2": "045d7e396b4d33ab84ebaf515547d31d9cde7d4ebaf909cab60e78850dca91b8",
+    "decompose module_z4_cyclic2": "7bd085a87d32b8a2e8f19682ba7953f5a132a4f96dbf4c44ef1fae1b1e0a02a1",
     "resolve module_z_0": "f7bea0bc9a7d87185dad0b7fb6e321439cac766c08043ebb5d8986c9fa1ff4d6",
-    "generator module_z_0": "6e623475dca7f1a532ffa6c2995f4604bc12630ac697506dda8cd00ee4f20de3",
-    "decompose module_z_0": "9ee1822dcd756f0f427e39eac990330e56518f39b1fdc888b2015cf8d58c84f0",
+    "generator module_z_0": "c75171cb08447257aad16140e1837aeb361321e9fc23cfd71cdea57631496cc5",
+    "decompose module_z_0": "a9988d2c7c5a6d8b3f4effe11a14ac2446871d8735ed5edfea23439ca6b310a8",
     "resolve module_z_1": "361859e37a5e9e3b15ab7cb873cb01c926d1ada8f50b9ecfb02fca4cfe5def60",
-    "generator module_z_1": "aeb51d47e49996f162970ebf2eb372bc4687dad8723b1518c32934f1003d8954",
-    "decompose module_z_1": "c021f7d6faf201398646ba928c9bc9617b76442f67781c2284e0506035150220",
+    "generator module_z_1": "e35f7cd7d94aadba3f36d1a7331d700587edf4fe5cf8756e99a2b04f832939d0",
+    "decompose module_z_1": "c27b4ecd48e6a795e9f8536d74d5ccd8b80cb1b95877e755388933e74dcfe639",
     "resolve module_z_2": "dd4a0866cb8fe995106b20a2d595cb7b9304aa210a22b71c0c669447b7738cb2",
-    "generator module_z_2": "44b7d06e9b40de7613d8dc9dcc0c8bc127538938d3e76128cf8877e2f0e44fa8",
-    "decompose module_z_2": "d0410b5071f1b8856bd0519b8b867d133db63aa6305b1711eeb98d2694e5d419",
+    "generator module_z_2": "013feb077e9adf28ab78361591773d75d23424c5321552584fdb2d8342d18424",
+    "decompose module_z_2": "3d887e90bbf4bbdb4b9caf5f001d13c6da60ac28271a38860f2723d9e0044a86",
     "resolve module_z_cyclic6": "3df0beb38a9d26c2ff4ce76150fe2ed9e39ab89dc9022a88d26daa31907bc8b6",
-    "generator module_z_cyclic6": "df2f9fa2e2b161c4f66b410b03bcfb73d0732612b3b7a9342b0d244163a2d4a0",
-    "decompose module_z_cyclic6": "aaa5e2f0d6ca87da490a9ef817c20a8eb5fb3d7a573ae04fefe4ee6361975474",
+    "generator module_z_cyclic6": "f675a65160d680cfa029af0e9943567d72f3d9a3cbf8f813ba78a6323454a5af",
+    "decompose module_z_cyclic6": "4f02c27a539cb3dd62a9f17f0f675d38a57cf85bc18ed5c06c8891ccae5a5085",
     "resolve module_z_right6": "b7ab9abbf4295c30c6ba2fc472b33c086a1ea1b636138854160c7be59f43eb84",
-    "generator module_z_right6": "6ce9beee777f5f4ea3d430f8a321edde9c06d04c8e7d7eacaf4d8be8cf185202",
-    "decompose module_z_right6": "b43c7f6b4f55540a144340f74830dd44df7394f3687d8b62c7244920ee070852",
+    "generator module_z_right6": "2a1f0a6deea3d31e66615f95400218088dd2c4b38b503011c3d1ab283fd6f08f",
+    "decompose module_z_right6": "d66c3af730f159dd528487952c23af9defaeecf6aa6e5606c49bfbe230edc242",
 }
 
 # the deepest decomposition the CLI allows, on periodic resolutions:
 # 100 cone levels over a residual leaf that keeps the periodic tail
 GOLDEN_DEEP_DECOMPOSE = {
-    "module_z12_cyclic4": "57f28ba74e1d5e6d521dc77f5f2741e049141210a75a42d34d9cd75349940400",
-    "module_z4_cyclic2": "6b7c52f47ad660897df6c2aee68ca709de92fbbb7d0959ffbfd4a1f1045b552c",
+    "module_z12_cyclic4": "86bfec4b75c9a2777a91d77ddd3d3e4a5be5eb254dcc5064944fb0aed6c64708",
+    "module_z4_cyclic2": "7e7db5c484e35372bf5726d08930a3179a35aefbfc09d1fedbf534de6e39e007",
 }
 
 GOLDEN_VERDICTS = {
-    "F5 0": "c9f154997c1e535698d09b435bd9c79b212fb128d8478ca7af9776b82c37bf42",
-    "F5 1": "c9f154997c1e535698d09b435bd9c79b212fb128d8478ca7af9776b82c37bf42",
+    "F5 0": "21c48f0e29b226b1a249abd151b8e2838e12971262a6d06c19c68ef1cf7e2cbb",
+    "F5 1": "21c48f0e29b226b1a249abd151b8e2838e12971262a6d06c19c68ef1cf7e2cbb",
     "F5 2": "f5d2f32e810a424e5f0b4db27f59d2dc1e2c695a915dae22add29929a3c5f8dd",
-    "F5 3": "84810e842c2797d5f7e24ab3eb410ff740fc3e6d666bdc0e97dbdea063b62266",
-    "Z 0": "dcefb524836965f9457285fda5eb1d522409975b8e4292503a6bd1350f4a8db7",
+    "F5 3": "b517f5a3722386c2205e805ad8fb107dd25071f6430315cb3cf953b46c77687f",
+    "Z 0": "f87d3c109fa593dcef5c7223f3777b40fd4776b97c47f1591ad9f27d7bd0cfab",
     "Z 1": "73d312564d40e96d017b43c927d65f34a8d388f40efa565c93bf7a1e862d9018",
     "Z 2": "73d312564d40e96d017b43c927d65f34a8d388f40efa565c93bf7a1e862d9018",
-    "Z 3": "06125350bb38aca614183cc9b7419d2f0af430de99cfd6c9c9a089c70b761932",
-    "Z12 0": "4a0b9158a2578a6be25ad28bf67b6d3da1b4b6823eef146b7f48f45fd66bb166",
-    "Z12 1": "e7a0bae884f04c68218b92ae8cc5fbb0991ccd2f7f5b9fb5ff723cc2f2bea4e4",
-    "Z12 2": "bb4c1fa1d60ba8340cd5da52f431fcf12707ebd18f2f1d6f4d98a6d80e95dc2e",
-    "Z12 3": "1c7f89612b084ce3d49586f7236a3715e851bc1e814b691105b9e9d0d2373f59",
-    "Z4 0": "b22cd8e4734e40ba7ef4436cc01e256766a6299cb7bb095588eca6af95b89ddd",
-    "Z4 1": "fa08d9030b59ac31b9ac415031e3799e80eae88af0eac7036b379d86467cb59e",
-    "Z4 2": "8fe2028918f69fce81cafa00fc6190aa3853a258a848d4138d4295ff22fa8d25",
-    "Z4 3": "0cc51262b72558df80f8f5bd485bd42a0cc98dfa998b9c28af37d3a134550488",
+    "Z 3": "b263d88cda270de9db4d84c01b8a535fe8da4e6f3e54fc68bd028386321ed29f",
+    "Z12 0": "dde1de5e407ec5fd05aa2815b4f06ded0b138f2cc7dfd40aee51a6d4bf1812f3",
+    "Z12 1": "68fdb93ffe278991712eff45b56bf91d30a81feb9e8fd8ede816e5126c88ff64",
+    "Z12 2": "c92ef134d2c3d3001426db5f14083df87d30bc120b765d6c5c89a667a56209ff",
+    "Z12 3": "2caf8340c0f55154d4f47b6075c54a5c41a9ba4d372f2710c3d2750823ecba8c",
+    "Z4 0": "f666dbfe5cd9ad07c0b1e71d5032a495297f7fb4b5da9624b11cb081b7c46828",
+    "Z4 1": "ee7addbc2e5cc752f87797565a2199b9d507340b2d6048fd8bb4e983b237a11b",
+    "Z4 2": "4471069a4f37690c81339fc116d2af9f9828ad7869c9355ea4886148d226d073",
+    "Z4 3": "11f416ef43471ec535f721e19147dd64e4ba91b941c8123888947680615d41fa",
 }
 
 
@@ -185,7 +185,7 @@ GOLDEN_VERDICTS = {
 # contractible fixtures
 GOLDEN_SPLIT = {
     "complex_z4_periodic -4..4": "b06eeea264b0f7bf0813b84043474369ac3dc861cc58ac2db9c697c60343ce02",
-    "complex_z4_periodic -4..4 0": "f82fc3f8504181a314632e4687b8b705b11981fb260b88a702c78dbf9618f34f",
+    "complex_z4_periodic -4..4 0": "12a62ea835fde6ce5da3eeeeab37ba82de0a4977a124827d88af80a326a41d90",
     "complex_z_mult2 -4..3": "370636caddd0dcfa3e1983000f77984c29705f1de288a9547f61c4467e711eab",
     "complex_z_mult2 -4..3 1": "fb3c6b818949cc5d24f20f4e0d56435555bfbf4e86865545562a6d98d97c2e6f",
     "contractible_f5 -6..5": "0b05777008c8f806bbfdcf863e8a96bf1d2b9fb01077957bba89560d703c2d34",

@@ -33,6 +33,8 @@ ALLOWED = {
     "generator.h0_hom_equivalence": "HomClasses(P*, Q) = H^0 Hom(M, Q); golden verdict digests",
     "generator.suspension_homology_chain": "criterion 3 and the golden verdict digests",
     "generator.compactness_probe": "the finite coproduct check; golden verdict digests",
+    "modules.canonical_double_dual_map": "M -> M** on demand: reflexivity over Z/n, and "
+                                         "the comparison map factors through it",
     # kept for a planned caller
     "modules.dualize_map": "Hom(-, R) on maps; ROADMAP item 6 uses it or deletes it",
     # read without naming it
