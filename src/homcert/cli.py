@@ -26,9 +26,11 @@ from .modules import FPModule, dual_data
 from .verdicts import Verdict
 
 
-# Build trees much deeper than this overflow Python's recursion limit
-# while they are evaluated (depth 170 does); a periodic resolution
-# decomposes to this depth in under a second.
+# decompose --depth bounds the resolution search of a module input and
+# the levels of a bounded complex; a periodic resolution decomposes into
+# a loop, whose tree does not deepen with it.  Build trees much deeper
+# than this overflow Python's recursion limit when they are written
+# (170 levels of a bounded complex do).
 MAX_DECOMPOSE_DEPTH = 100
 
 
@@ -246,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose",
                        help="build tree over single frees, checked in every degree")
     p.add_argument("input")
-    p.add_argument("--depth", type=_int_at_least(1, MAX_DECOMPOSE_DEPTH), default=8)
+    p.add_argument("--depth", type=_int_at_least(1, MAX_DECOMPOSE_DEPTH), default=8,
+                   help="resolution search of a module, and levels of a bounded "
+                   "complex before a residual leaf; a periodic tail becomes a loop")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("split-check",

@@ -22,7 +22,11 @@ Parsing validates invariants, not just syntax: matrix entries must be
 canonical representatives, presentation shapes must match, d^2 = 0 is
 checked on the declared data (the offending product is included in the
 error message), and a package's dual, comparison and resolution must
-come from its module: P^0 and d^-1 are M*'s generators and presentation.
+come from its module: P^0 and d^-1 are M*'s generators and presentation,
+and the resolution and `complete` are those resolve_module derives from
+M* to the stored depth, so no later check reads a truncated or made-up P.
+A build tree's back node closes the loop above it, at the end of the
+loop body's chain of sources; no loop lies inside another.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass
 from typing import Any
 
-from .complexes import ChainMap, Complex, ComplexError, PeriodicTail
+from .complexes import ChainMap, Complex, ComplexError, PeriodicTail, first_difference
 from .duality import BuildTree
 from .flatness import FlatCertificate, FlatRelation
-from .generator import GeneratorPackage
+from .generator import GeneratorPackage, resolve_module
 from .matrices import SIZE_LIMIT, Mat, MatrixError
 from .modules import FPModule, dual_data
 from .rings import Fp, RingDescriptor, Zmod, ZZ
@@ -285,26 +289,41 @@ def certificate_from_json(ring: RingDescriptor, obj: Any) -> FlatCertificate:
                            matrix_from_json(ring, obj.get("q")))
 
 
-def build_tree_from_json(ring: RingDescriptor, obj: Any, root: bool = True) -> BuildTree:
+# node kind -> number of children
+_ARITY = {"leaf": 0, "back": 0, "susp": 1, "loop": 1, "cone": 2}
+
+
+def build_tree_from_json(ring: RingDescriptor, obj: Any, root: bool = True,
+                         spine: bool | None = None) -> BuildTree:
+    """spine: None outside a loop; inside a loop's body, True on the chain
+    of sources from the body down, which must end in the body's one back
+    node, and False off it, where no back node may stand."""
     _require(isinstance(obj, dict), "build tree must be an object")
     _require(("target" in obj) == root,
              "a build tree stores a target on its root and on no other node")
     kind = obj.get("kind")
-    kinds = ("leaf", "susp", "cone")  # indexed by their number of children
-    if kind not in kinds:
+    if kind not in _ARITY:
         raise DocumentError(f"unknown node kind {kind!r}")
-    arity = kinds.index(kind)
     payload, children = obj.get("payload"), obj.get("children", [])
-    if not (isinstance(children, list) and len(children) == arity
+    if not (isinstance(children, list) and len(children) == _ARITY[kind]
             and (payload is not None) == (kind == "leaf")):
         raise DocumentError(f"bad {kind} node: a leaf has a payload and no children, a susp "
-                            "node has 1 child and a cone node 2, neither with a payload")
+                            "or loop node has 1 child and a cone node 2, and a back node "
+                            "none, neither with a payload")
+    _require(kind != "back" or spine is not None, "a back node outside a loop")
+    _require(kind not in ("leaf", "back") or (kind == "back") == bool(spine),
+             "a loop body must end in exactly one back node, at the end of its sources")
+    _require(kind != "loop" or spine is None, "a loop nested inside a loop")
+    _require(kind != "loop" or isinstance(children[0], dict) and children[0].get("kind") == "cone",
+             "a loop's body must be a cone")
+    # a loop's body starts the chain of sources; a cone's target is off it
+    kids = [True] if kind == "loop" else [spine, None if spine is None else False]
     return BuildTree(
         kind,
         complex_from_json(ring, obj["target"]) if root else None,
         payload=complex_from_json(ring, payload) if payload is not None else None,
         shift=_int(obj.get("shift", 0), "shift"),
-        children=tuple(build_tree_from_json(ring, c, False) for c in children),
+        children=tuple(build_tree_from_json(ring, c, False, on) for c, on in zip(children, kids)),
         components={j: matrix_from_json(ring, m)
                     for j, m in _pairs(obj, "components", "matrix")},
     )
@@ -334,9 +353,17 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
               if dual.rank0 else resolution.support() is None)
     _require(starts, "stored resolution does not start at the dual: P^0 must have the "
                      "dual's generators and d^-1 its presentation")
-    return GeneratorPackage(module, dual, comparison, resolution,
-                            _int(obj.get("depth", 0), "depth"),
-                            _bool(obj.get("complete", False), "package complete"))
+    depth = _int(obj.get("depth", 0), "depth")
+    complete = _bool(obj.get("complete", False), "package complete")
+    _require(depth >= 1, "package depth must be at least 1")
+    derived, derived_complete = resolve_module(dual, depth)
+    bad = first_difference(resolution, derived)
+    _require(bad is None, f"stored resolution is not the dual's resolution to depth {depth}: "
+                          f"they differ in degree {bad}")
+    _require(complete == derived_complete,
+             f"stored complete is {complete}, but the dual's resolution to depth {depth} "
+             f"is {'' if derived_complete else 'not '}complete")
+    return GeneratorPackage(module, dual, comparison, resolution, depth, complete)
 
 
 _DECODERS = {

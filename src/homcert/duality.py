@@ -12,19 +12,23 @@ leaves and glues them to level k + 1, the double suspension of a free
 resolution of the cycle module Z^-2k-1 Q.  Every level reads its ranks
 and differentials from Q itself, so no intermediate complex is built.
 The decomposition reproduces Q exactly (not merely up to homotopy), so
-the rebuild witnesses are identities; over rings where resolutions do
-not terminate the levels stop at a declared depth with a residual leaf
-that keeps Q's periodic tail, so the rebuild is compared in every degree.
+the rebuild witnesses are identities.  Over rings where resolutions do
+not terminate Q is periodic past a preperiod, and so are its levels:
+the tree stops at the first level k0 that level k0 + q repeats and
+closes a loop back to it, so it is finite and independent of any
+depth.  A bounded complex deeper than the declared depth ends in a
+residual leaf.  Either way the rebuild is compared in every degree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .matrices import Mat, MatrixError
-from .complexes import (ChainMap, ChainMapError, Complex, dualize_complex,
-                        first_difference, suspension, twisted_sum)
+from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, PeriodicTail,
+                        dualize_complex, first_difference, suspension, twisted_sum)
 from .verdicts import Verdict
 
 
@@ -57,15 +61,22 @@ def duality_roundtrip_check(g: Complex, test_map: ChainMap | None = None) -> Ver
 
 @dataclass(frozen=True)
 class BuildTree:
-    """kind: leaf | cone | susp.
+    """kind: leaf | cone | susp | loop | back.
 
     target: the complex the tree claims to build; only the root carries
       one, since every inner node's complex is built from its children.
     leaf: payload is the complex itself (a single free, the zero
-      complex, or a residual leaf: the rest of a resolution, tail kept).
+      complex, or a residual leaf: the rest of a bounded complex).
     susp: shift + one child.
     cone: two children (source, target) and attaching components; the
       node evaluates to cone(ChainMap(source, target, components)).
+    loop: one child, its body: a cone whose chain of sources (through
+      susp and cone nodes) ends in a back node, the only one in the body.
+    back: no children; it stands for the loop above it again, a period
+      lower, where the period is the shift from the loop down to it.  A
+      loop is the complex X its body builds on X itself: periodic below
+      its top.  The tree holds no Python cycle, so a walk over the
+      children ends.
     evaluate is one post-order pass that builds each node once, with
     every shift pushed down to the leaves.
     """
@@ -83,7 +94,7 @@ class BuildTree:
         c = self.payload
         return self.kind == "leaf" and (not c.is_bounded or sum(map(bool, c.ranks.values())) > 1)
 
-    def evaluate(self, shift: int = 0) -> Complex:
+    def evaluate(self, shift: int = 0, head: tuple[Complex, int] | None = None) -> Complex:
         """S^shift of this node's complex, built once from its children.
 
         Shifts are pushed to the leaves: a susp node adds its shift, and
@@ -99,18 +110,58 @@ class BuildTree:
         to its other child: the differentials read and formed are linear
         in the degrees of the tree, not in depth times degrees.  Only a
         dict copy per cone node still grows with the lower level.
+
+        A loop is expanded once.  Its body's target, the top of the
+        loop's complex, is built first, and the back node evaluates to it
+        a period lower (head: that complex and the shift it was built
+        at).  That is all the glue across the back edge meets, so
+        twisted_sum checks that glue as it checks every other.  The
+        loop's complex is the body's complex from the top down one period,
+        with a lower tail repeating that band; where the body's complex
+        differs from it, the loop does not close (ComplexError).
         """
         if self.kind == "leaf":
             return suspension(self.payload, shift) if shift else self.payload
         if self.kind == "susp":
-            return self.children[0].evaluate(shift + self.shift)
+            return self.children[0].evaluate(shift + self.shift, head)
         if self.kind == "cone":
-            src = self.children[0].evaluate(shift + 1)
-            tgt = self.children[1].evaluate(shift)
-            g = {j - 1 - shift: m.scale(-1) if shift % 2 else m
-                 for j, m in (self.components or {}).items()}
-            return twisted_sum(src, tgt, g)
-        raise ValueError(f"cannot evaluate node kind {self.kind!r}")
+            return self._cone(self.children[0].evaluate(shift + 1, head),
+                              self.children[1].evaluate(shift, head), shift)
+        if self.kind == "back" and head is not None:
+            top, at = head
+            return suspension(top, shift - at)
+        if self.kind == "loop":
+            return self._loop(shift)
+        raise ValueError(f"cannot evaluate node kind {self.kind!r} here")
+
+    def _cone(self, src: Complex, tgt: Complex, shift: int) -> Complex:
+        return twisted_sum(src, tgt, {j - 1 - shift: m.scale(-1) if shift % 2 else m
+                                      for j, m in (self.components or {}).items()})
+
+    def _loop(self, shift: int) -> Complex:
+        body, period = self.children[0], 0
+        node = body
+        while node.kind in ("cone", "susp"):  # down the sources to the back node
+            period += node.shift if node.kind == "susp" else 1
+            node = node.children[0]
+        if body.kind != "cone" or node.kind != "back":
+            raise ComplexError("a loop's body must be a cone whose sources end in a back node")
+        top = body.children[1].evaluate(shift)
+        built = body._cone(body.children[0].evaluate(shift + 1, (top, shift)), top, shift)
+        lo = -shift - period
+        band = built.restrict(lo, -shift)
+        x = Complex._trusted(built.ring, built.side, band.ranks, band.diffs,
+                             PeriodicTail(-1, lo, period), sum_form=True)
+        # x is built's band; below it built holds the copy of the target
+        # the back node gave, which x must repeat, and above it nothing
+        span = built.support() or (lo, -shift)
+        bad = next((j for j in range(min(span[0], lo - 1), lo)
+                    if x.rank(j) != built.rank(j) or x.diff(j) != built.diff(j)),
+                   span[1] if span[1] > -shift else None)
+        if bad is not None:
+            raise ComplexError(f"loop does not close: its body and its periodic extension "
+                               f"differ in degree {bad}")
+        return x
 
     def leaves(self) -> Iterator["BuildTree"]:
         """The leaves from left to right, in one walk over the tree."""
@@ -140,12 +191,17 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
     Level k splits off Q^-2k and Q^-2k-1 as its top cone and glues it
     to level k + 1, the double desuspension of the part of Q below,
     which is again a free resolution (of the cycle module Z^-2k-1 Q).
-    Every level reads its ranks and differentials straight from Q, whose
-    tails supply the periodic degrees.  depth bounds the number of
-    levels; a leftover is recorded as a residual leaf, the part of Q
-    from that level down (Complex.below, which keeps Q's lower tail), so
-    the tree evaluates to Q in every degree.  The root's target is Q, or
-    the payload when the root is itself a leaf.
+    Every level reads its ranks and differentials straight from Q.
+
+    Level k is built from Q from degree -2k down only.  So when Q has a
+    lower tail of period p, level k + q is level k again, q = lcm(p, 2)/2,
+    as soon as Q from -2k down repeats with shift 2q, which it does below
+    Q's explicit entries.  The tree stops at the first such level k0: a
+    loop over levels k0 .. k0 + q - 1 whose back node stands for level
+    k0 + q, so depth plays no part.  A bounded Q stops after depth
+    levels, and a leftover is recorded as a residual leaf, the part of Q
+    from that level down.  The root's target is Q, or the payload when
+    the root is itself a leaf.
     """
     ring, side = q.ring, q.side
     span = q.support()
@@ -155,12 +211,23 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
     if span[1] > 0 or q.tail_above is not None:
         raise MatrixError("resolution must live in degrees <= 0")
     bounded, lo = q.is_bounded, span[0]
+    loop_at = end = None
+    if not bounded:
+        # Q repeats with shift turn (2q, one turn of the loop) below the
+        # lowest degree where its term or the differential into it does
+        # not, which is above floor: below its explicit entries and
+        # threshold Q repeats with its period
+        turn = math.lcm(q.tail_below.period, 2)
+        floor = min(q.tail_below.threshold, *q.ranks, *q.diffs) - turn
+        lowest = min((j for j in range(floor, 1) if q.rank(j) != q.rank(j - turn)
+                      or q.diff(j - 1) != q.diff(j - 1 - turn)), default=1)
+        loop_at = (2 - lowest) // 2  # the first level whose top degree is below it
+        end = loop_at + turn // 2
     levels = []  # (top cone, map glueing the level below to it) per level
     k = 0
-    while True:
+    while k != end:
         top_degree = -2 * k
-        single = bounded and lo == top_degree
-        if single or k >= depth:
+        if bounded and (lo == top_degree or k >= depth):
             # the rest of Q from this level down: a single free, or what
             # depth leaves over, as a residual leaf
             rest = q if k == 0 else suspension(q.below(top_degree), top_degree)
@@ -179,14 +246,19 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
             break
         levels.append((top, q.diff(top_degree - 2)))
         k += 1
+    else:
+        bottom = BuildTree("back")
     tree = bottom
-    for top, glue in reversed(levels):
+    for k in reversed(range(len(levels))):
+        top, glue = levels[k]
         # (S^i C)^j = C^(j+i): shift 2 places the lower level's degree 0 at -2
         lower = BuildTree("susp", shift=2, children=(tree,))
         tree = BuildTree(
             "cone",
             children=(BuildTree("susp", shift=-1, children=(lower,)), top),
             components={-1: glue} if glue.rows and glue.cols else {})
+        if k == loop_at:
+            tree = BuildTree("loop", children=(tree,))
     return replace(tree, target=tree.payload if tree.kind == "leaf" else q)
 
 

@@ -7,11 +7,12 @@ import tracemalloc
 import pytest
 
 from homcert.cli import MAX_DECOMPOSE_DEPTH, main
-from homcert.complexes import ChainMap
+from homcert.complexes import ChainMap, Complex
 from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_document,
                                parse_document)
 from homcert.flatness import FlatRelation
 from homcert.matrices import Mat, kernel_right
+from homcert.rings import ZZ
 from homcert.samplers import random_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -233,8 +234,7 @@ def test_split_check_with_bound_runs_collapse(capsys, tag="z"):
     (["dualize", fx("module_z4_cyclic2")], "dual module: R/(2)\n"),
     (["generator", fx("module_z4_cyclic2")],
      "package for R/(2); resolution complete to degree -2\n"),
-    (["decompose", fx("module_z4_cyclic2")],
-     "16 free leaves; residual leaf\n"),
+    (["decompose", fx("module_z4_cyclic2")], "2 free leaves\n"),
     (["decompose", fx("module_z_right6")], "2 free leaves\n"),
 ], ids=["homology", "dualize", "generator", "decompose-z4", "decompose-z"])
 def test_text_summary_is_built_only_in_text_format(capsys, monkeypatch, argv, text):
@@ -333,9 +333,17 @@ def test_window_beyond_the_size_limit_exits_2(capsys, window):
     assert f"at most {SIZE_LIMIT}" in err
 
 
-def test_decompose_depth_limit(capsys):
-    module = fx("module_z4_cyclic2")  # its resolution is periodic
+def test_decompose_depth_limit(capsys, tmp_path):
+    module = fx("module_z4_cyclic2")  # its resolution is periodic: a loop at any depth
     code, out, _ = run(capsys, "decompose", module, "--depth", str(MAX_DECOMPOSE_DEPTH))
+    assert code == 0 and out == run(capsys, "decompose", module)[1]
+    tree = out_doc(out).payload
+    assert tree.kind == "loop" and not tree.has_residual() and tree.free_leaf_count() == 2
+    # a bounded complex longer than the limit still ends in a residual leaf
+    ranks = {-j: 1 for j in range(2 * MAX_DECOMPOSE_DEPTH + 4)}
+    long = tmp_path / "long.json"
+    long.write_text(emit_document(make_document(ZZ, "complex", Complex(ZZ, "left", ranks, {}))))
+    code, out, _ = run(capsys, "decompose", str(long), "--depth", str(MAX_DECOMPOSE_DEPTH))
     assert code == 0
     tree = out_doc(out).payload
     assert tree.has_residual() and tree.free_leaf_count() == 2 * MAX_DECOMPOSE_DEPTH
@@ -346,9 +354,9 @@ def test_decompose_depth_limit(capsys):
 
 
 def test_decompose_checks_every_level_of_a_periodic_target(capsys, monkeypatch):
-    # a zero glue map at level 4 is still a chain map, and the tree it
-    # gives agrees with Q on Q's explicit band (-2, 0); the rebuild is
-    # compared with Q in every degree
+    # a zero glue map across the loop's back edge is still a chain map,
+    # and the tree it gives agrees with Q on Q's explicit band (-2, 0);
+    # the rebuild is compared with Q in every degree
     from dataclasses import replace
 
     from homcert import cli
@@ -357,17 +365,10 @@ def test_decompose_checks_every_level_of_a_periodic_target(capsys, monkeypatch):
     from homcert.modules import FPModule
     from homcert.rings import Zmod
 
-    def unglue(tree, level):
-        if not level:
-            return replace(tree, components={})
-        outer = tree.children[0]  # S^-1 S^2 of the level below
-        (inner,) = outer.children
-        (lower,) = inner.children
-        inner = replace(inner, children=(unglue(lower, level - 1),))
-        return replace(tree, children=(replace(outer, children=(inner,)),) + tree.children[1:])
-
     q, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2), 8)
-    tampered = unglue(decompose_resolution(q, 8), 4)
+    tree = decompose_resolution(q, 8)
+    (body,) = tree.children  # one level: its glue meets the back node
+    tampered = replace(tree, children=(replace(body, components={}),))
     assert rebuild_verify(tampered).code == "rebuild_mismatch"
     module = fx("module_z4_cyclic2")
     assert run(capsys, "decompose", module)[0] == 0
@@ -378,7 +379,7 @@ def test_decompose_checks_every_level_of_a_periodic_target(capsys, monkeypatch):
     code, out, _ = run(capsys, "decompose", module)
     assert code == 1
     v = out_doc(out).payload
-    assert v.code == "rebuild_mismatch" and v.details == {"degree": -10}
+    assert v.code == "rebuild_mismatch" and v.details == {"degree": -6}
     assert not v.window_relative
 
 

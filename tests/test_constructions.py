@@ -84,6 +84,12 @@ def test_suspensions_and_cones_revalidate(ring, rng, shift):
     _revalidates(cone(random_null_homotopic_map(rng, c, suspension(y, shift))))
 
 
+def _builds_only_in_its_loop(node) -> bool:
+    """A node that reaches a back node not closed below it."""
+    return node.kind == "back" or node.kind != "loop" and any(
+        map(_builds_only_in_its_loop, node.children))
+
+
 @given(st.sampled_from([(4, 2), (8, 2), (8, 4), (12, 2), (12, 3), (12, 6)]),
        st.integers(1, 6), st.integers(-2, 2))
 @settings(CHECKS, max_examples=25)
@@ -95,7 +101,8 @@ def test_build_tree_nodes_revalidate(na, depth, shift):
     stack = [decompose_resolution(p, depth=depth)]
     while stack:
         node = stack.pop()
-        _revalidates(node.evaluate())
+        if not _builds_only_in_its_loop(node):
+            _revalidates(node.evaluate())
         stack.extend(node.children)
 
 

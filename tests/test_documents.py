@@ -1,3 +1,4 @@
+import copy
 import json
 import pathlib
 import sys
@@ -175,6 +176,40 @@ def test_generator_package_comparison_and_resolution_are_validated(field, value,
         parse_document(json.dumps(doc))
 
 
+def _cut_resolution(payload):
+    """The fixture package's resolution cut to P^-1 -> P^0: it still starts
+    at the dual, but its tail is gone and complete still reads true."""
+    res = payload["resolution"]
+    res.update(ranks=[[-1, 1], [0, 1]], diffs=[p for p in res["diffs"] if p[0] == -1],
+               tail_below=None)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_cut_resolution, "stored resolution is not the dual's resolution to depth 24"),
+    (lambda t: t.update(complete=False), "stored complete is False"),
+    (lambda t: t.update(depth=1), "stored resolution is not the dual's resolution to depth 1"),
+    (lambda t: t.update(depth=0), "package depth must be at least 1"),
+], ids=["cut", "incomplete", "shallower", "depth_0"])
+def test_a_package_resolution_is_derived_again(tamper, message, capsys, tmp_path):
+    from homcert.cli import main
+
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+
+    def check_qiso(package) -> int:
+        return main(["check-qiso", str(package), str(fixtures / "complex_z4_0.json"),
+                     "--window=-3..3"])
+
+    assert check_qiso(fixtures / "package_z4_cyclic2.json") == 0
+    capsys.readouterr()
+    doc = _fixture_json("package_z4_cyclic2")
+    tamper(doc["payload"])
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(doc))
+    bad = tmp_path / "package.json"
+    bad.write_text(json.dumps(doc))
+    assert check_qiso(bad) == 2 and message in capsys.readouterr().err
+
+
 def test_a_zero_dual_needs_a_zero_resolution():
     # Z/6 over Z has no functionals, so P resolves 0 and is the zero complex
     doc = _fixture_json("package_z4_cyclic2")
@@ -326,6 +361,78 @@ def test_build_tree_nodes_have_their_arity(tamper, message):
     tamper(doc["payload"])
     with pytest.raises(DocumentError, match=message):
         parse_document(json.dumps(doc))
+
+
+def _loop_tree_json() -> dict:
+    """The build tree of Z/4 / (2): a loop whose body is one level, the
+    cone of its back node (S^-1 S^2) and the top cone."""
+    from homcert.duality import decompose_resolution
+    from homcert.generator import resolve_module
+
+    q, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
+    doc = json.loads(emit_document(make_document(Zmod(4), "build_tree", decompose_resolution(q))))
+    assert doc["payload"]["kind"] == "loop"
+    assert doc["payload"]["children"][0]["children"][0]["children"][0]["children"][0] \
+        == {"kind": "back", "payload": None, "shift": 0, "components": [], "children": []}
+    return doc
+
+
+def _body(t):
+    return t["children"][0]
+
+
+def _back_edge(t):
+    """The susp node right above the back node."""
+    return _body(t)["children"][0]["children"][0]
+
+
+def _unloop(t):
+    target, body = t["target"], t["children"][0]
+    t.clear()
+    t.update(body, target=target)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_unloop, "a back node outside a loop"),
+    (lambda t: _back_edge(t)["children"][0].update(
+        kind="leaf", payload=_body(t)["children"][1]["children"][0]["payload"]),
+     "a loop body must end in exactly one back node"),
+    (lambda t: _body(t)["children"][1]["children"][0].update(kind="back", payload=None),
+     "a loop body must end in exactly one back node"),
+    (lambda t: _back_edge(t)["children"][0].update(kind="loop", children=[copy.deepcopy(_body(t))]),
+     "a loop nested inside a loop"),
+    (lambda t: _body(t)["children"][1].update(kind="loop", children=[copy.deepcopy(_body(t))], components=[]),
+     "a loop nested inside a loop"),
+    (lambda t: t.update(children=[_body(t)["children"][0]]), "a loop's body must be a cone"),
+    (lambda t: t["children"].append(t["children"][0]), "bad loop node"),
+    (lambda t: _back_edge(t)["children"][0].update(children=[copy.deepcopy(_body(t))]), "bad back node"),
+    (lambda t: _back_edge(t)["children"][0].update(payload=t["target"]), "bad back node"),
+], ids=["back_outside_a_loop", "body_ends_in_a_leaf", "second_back_node", "loop_at_the_back",
+        "loop_in_the_body", "body_not_a_cone", "loop_with_two_children",
+        "back_with_a_child", "back_with_a_payload"])
+def test_loops_and_back_nodes_have_their_place(tamper, message, tmp_path, capsys):
+    from homcert.cli import main
+
+    doc = _loop_tree_json()
+    assert parse_document(json.dumps(doc)).payload.kind == "loop"
+    tamper(doc["payload"])
+    with pytest.raises(DocumentError, match=message):
+        parse_document(json.dumps(doc))
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dualize", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_format_3_tree_with_a_residual_leaf_still_parses():
+    # decompose built these before loops: a leaf that keeps Q's tail
+    from homcert.duality import BuildTree, rebuild_verify
+    from homcert.generator import resolve_module
+
+    q, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
+    text = emit_document(make_document(Zmod(4), "build_tree", BuildTree("leaf", q, q)))
+    tree = parse_document(text).payload
+    assert tree.has_residual() and rebuild_verify(tree).code == "rebuilt_identically"
 
 
 @pytest.mark.parametrize("tamper", [

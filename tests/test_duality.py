@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homcert import duality
-from homcert.complexes import (ChainMap, Complex, PeriodicTail, dualize_complex,
+from homcert.cli import main
+from homcert.complexes import (ChainMap, Complex, ComplexError, PeriodicTail, dualize_complex,
                                first_difference, twisted_sum)
 from homcert.documents import emit_document, make_document
 from homcert.duality import (BuildTree, _leaf, decompose_resolution, dualize_chain_map,
@@ -136,7 +139,7 @@ def test_decompose_periodic_resolution_window_relative():
     p, _ = resolve_module(FPModule.cyclic(ring, "right", 2))
     assert not p.is_bounded
     tree = decompose_resolution(p, depth=4)
-    assert tree.has_residual()
+    assert tree.kind == "loop" and not tree.has_residual()
     v = rebuild_verify(tree)
     assert v.ok and not v.window_relative
 
@@ -147,22 +150,25 @@ def test_decompose_periodic_resolution_window_relative():
 # The recursive decomposition that rebuilt the part of Q below degree -1
 # as a new complex at every level, kept as the reference: on
 # resolutions and bounded complexes the level loop must give the same
-# tree, node by node, and the same verdicts.
-def _decompose(q: Complex, depth: int) -> BuildTree:
-    """decompose_resolution without targets; its residual leaf is the
-    part of Q it has built itself, tail included."""
+# tree, node by node, and the same verdicts.  With a tail the reference
+# closes a loop at the first level whose complex equals an earlier one's.
+def _decompose(q: Complex, depth: int, seen: tuple = ()) -> tuple[BuildTree, int | None]:
+    """decompose_resolution without targets, and the level seen[i] that a
+    back node below closes, if that level is not this one's ancestor."""
     ring = q.ring
     side = q.side
     span = q.support()
     if span is None:
-        return _leaf(Complex.zero(ring, side))
+        return _leaf(Complex.zero(ring, side)), None
     lo = span[0]
     if span[1] > 0:
         raise MatrixError("resolution must live in degrees <= 0")
-    if lo == 0 and q.is_bounded:
-        return _leaf(q)
-    if depth <= 0:
-        return _leaf(q)
+    if q.is_bounded and (lo == 0 or depth <= 0):
+        return _leaf(q), None
+    if not q.is_bounded:
+        again = next((i for i, c in enumerate(seen) if first_difference(c, q) is None), None)
+        if again is not None:
+            return BuildTree("back"), again
     r0 = q.rank(0)
     r1 = q.rank(-1)
     top = BuildTree(
@@ -199,18 +205,22 @@ def _decompose(q: Complex, depth: int) -> BuildTree:
         shifted = Complex(ring, side, lower_ranks, lower_diffs,
                           tail_below=PeriodicTail(-1, t2, tail.period))
     if shifted.support() is None:
-        return top
+        return top, None
+    below, closes = _decompose(shifted, depth - 1, seen + (q,))
     # (S^i C)^j = C^(j+i): shift 2 places shifted's degree 0 at -2
-    lower = BuildTree("susp", shift=2, children=(_decompose(shifted, depth - 1),))
+    lower = BuildTree("susp", shift=2, children=(below,))
     glue = q.diff(-2)
-    return BuildTree(
+    tree = BuildTree(
         "cone",
         children=(BuildTree("susp", shift=-1, children=(lower,)), top),
         components={-1: glue} if glue.rows and glue.cols else {})
+    if closes == len(seen):
+        return BuildTree("loop", children=(tree,)), None
+    return tree, closes
 
 
 def _reference_tree(q, depth):
-    tree = _decompose(q, depth)
+    tree, _ = _decompose(q, depth)
     return replace(tree, target=tree.payload if tree.kind == "leaf" else q)
 
 
@@ -296,17 +306,22 @@ def test_every_cyclic_module_over_z_n_rebuilds_in_every_degree(n):
 
 def test_a_zero_glue_map_at_any_level_is_a_rebuild_mismatch():
     # a zero glue map is still a chain map, so the tree evaluates; the
-    # complex it builds differs from Q first in the differential d^(-2k-2)
-    # that glues level k + 1 to level k
-    q, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2), 8)
+    # complex it builds differs from Q in the differential d^(-2k-2) that
+    # glues level k + 1 to level k, and at the loop's level in every copy
+    # of it, so first in some d^(-2k-2-2i)
+    ring = Zmod(4)
+    q, _ = resolve_module(FPModule(ring, "right", Mat(ring, 1, 2, (2, 0))), 8)
     tree = decompose_resolution(q, 8)
     assert rebuild_verify(tree).ok
-    for k in range(8):
-        path = (0, 0, 0) * k  # S^-1, S^2 and the cone of the level below
-        assert _node(tree, path).components
+    glued = sorted((p for p in _cone_paths(tree) if _node(tree, p).components.get(-1)), key=len)
+    assert len(glued) == 3 and _node(tree, glued[2][:-1]).kind == "loop"
+    for k, path in enumerate(glued):
         v = rebuild_verify(_replace_at(tree, path, components={}))
         assert not v.ok and v.code == "rebuild_mismatch", k
-        assert v.details == {"degree": -2 * k - 2}, k
+        if k < 2:
+            assert v.details == {"degree": -2 * k - 2}, k
+        else:
+            assert v.details["degree"] <= -2 * k - 2 and v.details["degree"] % 2 == 0
 
 
 def test_decompose_refuses_an_upper_tail():
@@ -361,11 +376,25 @@ def _z_resolution():
 
 def _tampering_cases():
     # over Z/4, Z/12 and Z; an attaching map has one component, so the
-    # check forms one product on each side of it
-    for n, a in ((4, 2), (12, 4)):
-        p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
+    # check forms one product on each side of it.  The two periodic
+    # resolutions repeat from their third level, so each tree has cones
+    # above its loop and one inside it
+    for n, rows, cols, entries in ((4, 1, 2, (2, 0)), (12, 1, 2, (6, 10))):
+        ring = Zmod(n)
+        p, _ = resolve_module(FPModule(ring, "right", Mat(ring, rows, cols, entries)))
         yield decompose_resolution(p, depth=4)
     yield decompose_resolution(_z_resolution())
+
+
+def _head(tree, path):
+    """What a back node below the node at path evaluates to, as evaluate
+    passes it: the target of the innermost loop's body above, at shift 0."""
+    head = None
+    for i in path:
+        if tree.kind == "loop":
+            head = (tree.children[0].children[1].evaluate(), 0)
+        tree = tree.children[i]
+    return head
 
 
 def _shift_at(tree, path):
@@ -382,13 +411,14 @@ def _shift_at(tree, path):
 
 
 def _break_attaching_map(tree, path):
-    """The tree with the attaching map f: X -> Y at path plus identities,
+    """The tree with the attaching map f: X -> Y at path plus e_00,
     and the degree of the root's complex where that fails: X^j lies in
     degree j - 1 of the cone, so the lowest j where f fails to commute
     gives j - 1, moved down by the node's shift."""
-    node = _node(tree, path)
-    bad = {j: m + Mat.identity(m.ring, m.rows) for j, m in node.components.items()}
-    x, y = (child.evaluate() for child in node.children)
+    node, head = _node(tree, path), _head(tree, path + (0,))
+    bad = {j: m + Mat(m.ring, m.rows, m.cols, (1,) + (0,) * (m.rows * m.cols - 1))
+           for j, m in node.components.items()}
+    x, y = (child.evaluate(0, head) for child in node.children)
     f = ChainMap(x, y, bad)
     j = next(j for j in f.degrees()
              if y.diff(j) @ f.component(j) != f.component(j + 1) @ x.diff(j))
@@ -419,19 +449,16 @@ def test_rebuild_verify_refuses_a_bad_nested_attaching_map():
 
 
 def test_a_bad_glue_map_names_a_degree_of_a_tailed_target():
-    # the depth-4 tree of Z/4 / (2) ends in a residual leaf with Q's
-    # lower tail; breaking the glue map of level k fails in d^2 from
-    # degree -2k - 3, a degree of Q, not a band of explicit entries
+    # the tree of Z/4 / (2) is a loop of one level, whose glue map meets
+    # its back node; breaking it fails in d^2 from degree -3, a degree of
+    # Q read across the back edge, not of a band of explicit entries
     q, _ = resolve_module(FPModule.cyclic(Zmod(4), "right", 2))
     tree = decompose_resolution(q, depth=4)
-    assert q.tail_below is not None and tree.has_residual()
-    for k in range(4):
-        path = (0, 0, 0) * k
-        bad, degree = _break_attaching_map(tree, path)
-        v = rebuild_verify(bad)
-        assert (v.ok, v.code, v.details) == \
-            (False, "attaching_map_not_chain_map", {"degree": -2 * k - 3}), k
-        assert degree == -2 * k - 3
+    assert q.tail_below is not None and tree.kind == "loop"
+    bad, degree = _break_attaching_map(tree, (0,))
+    v = rebuild_verify(bad)
+    assert (v.ok, v.code, v.details) == (False, "attaching_map_not_chain_map", {"degree": -3})
+    assert degree == -3
 
 
 def test_rebuild_verify_names_the_mismatching_degree():
@@ -482,3 +509,149 @@ def test_rebuild_verify_cost_grows_linearly_with_depth(monkeypatch):
         return len(calls)
 
     assert diffs_to_rebuild(64) <= 10 * diffs_to_rebuild(8)
+
+
+# -- periodic resolutions close with a loop ------------------------------
+#
+# Past its preperiod k0, level k + q of a periodic resolution Q is level k
+# again, q = lcm(period, 2) / 2, so decompose_resolution stops at level k0
+# with a loop of q levels whose back node stands for level k0 + q.  Pinned
+# on the benchmark's periodic modules Z/n / (a) (copied here, not
+# imported), on both sides, on every cyclic module over Z/16, Z/18 and
+# Z/36, and on hand-written tails of period 3 with explicit entries:
+# `decompose --depth 8` and `--depth 100` print the same bytes, the rebuild
+# builds the same twisted sums at both depths, at most 2 (k0 + q) + 2 of
+# them, and a wrong glue map across the back edge fails the rebuild.
+
+
+BENCHMARK_PERIODIC = ((4, 2), (8, 2), (8, 4), (9, 3), (12, 2), (12, 3), (12, 4), (12, 6))
+MODULES = sorted(set(BENCHMARK_PERIODIC)
+                 | {(n, a) for n in (16, 18, 36) for a in _divisors(n)[1:-1]})
+CASES = [(n, a, side) for n, a in MODULES for side in ("left", "right")]
+
+
+def _period_3(override: bool) -> Complex:
+    """Z/4 in every degree <= 0 with d^j = 0 for j = 0 mod 3 and 2
+    otherwise; with override, an explicit d^-4 = 0 inside the tail."""
+    ring = Zmod(4)
+    two, zero = Mat(ring, 1, 1, (2,)), Mat(ring, 1, 1, (0,))
+    diffs = {-1: two, -2: two, -3: zero}
+    if override:
+        diffs[-4] = zero
+    return Complex(ring, "left", {j: 1 for j in range(-3, 1)}, diffs,
+                   tail_below=PeriodicTail(-1, -3, 3))
+
+
+def _resolution(n: int, a: int, side: str, depth: int) -> Complex:
+    q, complete = resolve_module(FPModule.cyclic(Zmod(n), side, a), depth)
+    assert complete and q.tail_below is not None
+    return q
+
+
+def _turn(q: Complex) -> int:
+    """2q: the degrees one turn of the loop covers."""
+    return math.lcm(q.tail_below.period, 2)
+
+
+def _preperiod(q: Complex) -> int:
+    """The first k from which Q repeats with shift 2q, read degree by
+    degree down to a band below Q's explicit entries, past which Q is
+    periodic anyway."""
+    turn = _turn(q)
+    floor = min(q.tail_below.threshold, *q.ranks, *q.diffs) - 2 * turn - 4
+    return next(k for k in itertools.count() if all(
+        q.rank(j) == q.rank(j - turn) and q.diff(j - 1) == q.diff(j - 1 - turn)
+        for j in range(floor, -2 * k + 1)))
+
+
+def _twisted_sums(monkeypatch, tree: BuildTree) -> int:
+    calls = []
+
+    def counting(left, right, g):
+        calls.append(g)
+        return twisted_sum(left, right, g)
+
+    monkeypatch.setattr(duality, "twisted_sum", counting)
+    v = rebuild_verify(tree)
+    monkeypatch.setattr(duality, "twisted_sum", twisted_sum)
+    assert (v.ok, v.code, v.window_relative) == (True, "rebuilt_identically", False)
+    return len(calls)
+
+
+def _path_to(tree: BuildTree, kind: str, path=()):
+    if tree.kind == kind:
+        return path
+    for i, child in enumerate(tree.children):
+        found = _path_to(child, kind, path + (i,))
+        if found is not None:
+            return found
+    return None
+
+
+def _loop_shape(tree: BuildTree) -> tuple[int, int]:
+    """(levels above the loop, levels in its body), read off the tree."""
+    loop, back = _path_to(tree, "loop"), _path_to(tree, "back")
+    assert loop is not None and back is not None and back[:len(loop)] == loop
+    # a level is a cone, S^-1 and S^2: three steps down the chain of sources
+    return len(loop) // 3, (len(back) - len(loop) - 1) // 3
+
+
+@pytest.mark.parametrize("n, a, side", CASES)
+def test_decompose_prints_the_same_loop_at_depth_8_and_100(n, a, side, tmp_path, capsys):
+    module = tmp_path / "module.json"
+    module.write_text(emit_document(make_document(
+        Zmod(n), "module", FPModule.cyclic(Zmod(n), side, a))))
+    outs = []
+    for depth in ("8", "100"):
+        assert main(["decompose", str(module), "--depth", depth]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"kind":"loop"' in outs[0] and '"kind":"back"' in outs[0]
+
+
+@pytest.mark.parametrize("n, a, side", CASES)
+def test_the_loop_bounds_the_cones_rebuilt(n, a, side, monkeypatch):
+    q = _resolution(n, a, side, 8)
+    k0, q_levels = _preperiod(q), _turn(q) // 2
+    counts = []
+    for depth in (8, 100):
+        tree = decompose_resolution(_resolution(n, a, side, depth), depth)
+        assert _loop_shape(tree) == (k0, q_levels)
+        assert not tree.has_residual()
+        counts.append(_twisted_sums(monkeypatch, tree))
+    assert counts[0] == counts[1] <= 2 * (k0 + q_levels) + 2
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["periodic", "explicit_entry"])
+def test_a_tail_of_period_3_closes_after_three_levels(override, monkeypatch):
+    q = _period_3(override)
+    assert _preperiod(q) == (2 if override else 0)
+    trees = [decompose_resolution(q, depth) for depth in range(1, 11)]
+    texts = {emit_document(make_document(q.ring, "build_tree", t)) for t in trees}
+    assert len(texts) == 1
+    assert _loop_shape(trees[0]) == (_preperiod(q), 3)
+    assert _twisted_sums(monkeypatch, trees[0]) <= 2 * (_preperiod(q) + 3) + 2
+
+
+@pytest.mark.parametrize("case", CASES + ["period_3"], ids=str)
+def test_a_wrong_glue_map_across_the_back_edge_fails(case):
+    q = _period_3(True) if case == "period_3" else _resolution(*case, 24)
+    tree = decompose_resolution(q)
+    back = _path_to(tree, "back")
+    edge = back[:-3]  # the cone whose source is S^-1 S^2 of the back node
+    node = _node(tree, edge)
+    assert node.kind == "cone" and -1 in node.components
+    glue = node.components[-1]
+    unit = Mat(glue.ring, glue.rows, glue.cols, (1,) + (0,) * (glue.rows * glue.cols - 1))
+    for wrong in ({}, {-1: glue + unit}):
+        v = rebuild_verify(_replace_at(tree, edge, components=wrong))
+        assert not v.ok and v.code in ("attaching_map_not_chain_map", "rebuild_mismatch"), wrong
+
+
+def test_a_loop_whose_body_overlaps_its_back_node_does_not_close():
+    # the back node one degree below the body's target: the band the loop
+    # repeats is not what its body builds there
+    q = _resolution(4, 2, "left", 24)
+    top = decompose_resolution(q).children[0].children[1]
+    tree = BuildTree("loop", q, children=(BuildTree("cone", children=(BuildTree("back"), top)),))
+    with pytest.raises(ComplexError, match="loop does not close"):
+        rebuild_verify(tree)

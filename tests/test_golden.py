@@ -123,7 +123,7 @@ GOLDEN_CLI = {
     "decompose module_f5_2": "9d676bf8b08bc36f1cc54b878c10b9d98af90cfcaf9a657ea3090251f0a9233f",
     "resolve module_z12_cyclic4": "4e3030e844281ece50756f1f6936ce85e223b6819b0bb5f450c05b45f6238d60",
     "generator module_z12_cyclic4": "b3b09eb9973a937e750332ee4ade3cca0e1639253c146355aad375e82a8a0969",
-    "decompose module_z12_cyclic4": "eb3d5d6931370c8969cb9c89b6b8b8dfbc78051724435a31bc21cf71a78fc406",
+    "decompose module_z12_cyclic4": "bb4604707487082a70830a4dcb52a92879c697685283607bb5c4aaf1023ec93b",
     "resolve module_z4_0": "6a29815e661fe27e7bb0a16a8baf062ae5d294f74f4afd37e68395b95228482e",
     "generator module_z4_0": "893cc602fff90b236bed31e703ff321c2e464e5dca174ba1b5c05d600cc21e95",
     "decompose module_z4_0": "0277742ac7e06ce55d0947d19894d74cb592942c7e4b262e4398018a195006ff",
@@ -132,10 +132,10 @@ GOLDEN_CLI = {
     "decompose module_z4_1": "6416307ad7061eb5a1c09e1440ae43cc1178ca0b9ea1ae7ee13981b3820a498b",
     "resolve module_z4_2": "df0502c51cf76e5108b2c1a92536608ec4ed79c19dd9ee7fe26c655843fdae62",
     "generator module_z4_2": "84ff81e1dbb97179f02033e46446470767a6bb18aefdf7ed1bf21246aac36de8",
-    "decompose module_z4_2": "93b5682c60c2bd37f2a06bbca99c4e839ec3b74d297d3d2a6d62fdc700489234",
+    "decompose module_z4_2": "c1e0ced2f9c764d0b20abf43a0f8c8ceef218f53eef91ecbbe64a13bcba499a9",
     "resolve module_z4_cyclic2": "f1b276864b49a1a33f9345cf0ce6efedf82825c80498b4181252f7742e51c386",
     "generator module_z4_cyclic2": "045d7e396b4d33ab84ebaf515547d31d9cde7d4ebaf909cab60e78850dca91b8",
-    "decompose module_z4_cyclic2": "7bd085a87d32b8a2e8f19682ba7953f5a132a4f96dbf4c44ef1fae1b1e0a02a1",
+    "decompose module_z4_cyclic2": "d78220176c5b749b727074aa1db477a070b7f80e61110584ba566bf4c06aca1d",
     "resolve module_z_0": "f7bea0bc9a7d87185dad0b7fb6e321439cac766c08043ebb5d8986c9fa1ff4d6",
     "generator module_z_0": "c75171cb08447257aad16140e1837aeb361321e9fc23cfd71cdea57631496cc5",
     "decompose module_z_0": "a9988d2c7c5a6d8b3f4effe11a14ac2446871d8735ed5edfea23439ca6b310a8",
@@ -153,11 +153,11 @@ GOLDEN_CLI = {
     "decompose module_z_right6": "d66c3af730f159dd528487952c23af9defaeecf6aa6e5606c49bfbe230edc242",
 }
 
-# the deepest decomposition the CLI allows, on periodic resolutions:
-# 100 cone levels over a residual leaf that keeps the periodic tail
+# the deepest decomposition the CLI allows, on periodic resolutions: the
+# same loop as at the default depth, which bounds only the resolution search
 GOLDEN_DEEP_DECOMPOSE = {
-    "module_z12_cyclic4": "86bfec4b75c9a2777a91d77ddd3d3e4a5be5eb254dcc5064944fb0aed6c64708",
-    "module_z4_cyclic2": "7e7db5c484e35372bf5726d08930a3179a35aefbfc09d1fedbf534de6e39e007",
+    "module_z12_cyclic4": "bb4604707487082a70830a4dcb52a92879c697685283607bb5c4aaf1023ec93b",
+    "module_z4_cyclic2": "d78220176c5b749b727074aa1db477a070b7f80e61110584ba566bf4c06aca1d",
 }
 
 GOLDEN_VERDICTS = {
