@@ -17,7 +17,7 @@ from typing import Callable
 from .complexes import ComplexError, Forms, dualize_complex, split_exactness_check
 from .documents import (SIZE_LIMIT, Document, DocumentError, emit_document,
                         make_document, parse_document, unlimited_int_digits)
-from .duality import decompose_resolution, dualize_chain_map, rebuild_verify
+from .duality import MAX_LEVELS, decompose_resolution, dualize_chain_map, rebuild_verify
 from .flatness import (EngineConfig, FlatRelation, cycle_flatness_probe,
                        flat_certificate, pd_bound_collapse)
 from .generator import build_generator, resolve_module, verify_generator_quasi_iso
@@ -27,11 +27,11 @@ from .verdicts import Verdict
 
 
 # decompose --depth bounds the resolution search of a module input and
-# the levels of a bounded complex; a periodic resolution decomposes into
-# a loop, whose tree does not deepen with it.  Build trees much deeper
-# than this overflow Python's recursion limit when they are written
-# (170 levels of a bounded complex do).
-MAX_DECOMPOSE_DEPTH = 100
+# the levels of a bounded complex.  A periodic resolution decomposes into
+# a loop, whose tree does not deepen with --depth; a loop that would end
+# deeper than MAX_LEVELS levels is unrolled to them instead and ends in
+# a residual leaf, so no tree outgrows the recursion limit.
+MAX_DECOMPOSE_DEPTH = MAX_LEVELS
 
 
 class UsageError(ValueError):
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--depth", type=_int_at_least(1, MAX_DECOMPOSE_DEPTH), default=8,
                    help="resolution search of a module, and levels of a bounded "
-                   "complex before a residual leaf; a periodic tail becomes a loop")
+                   "complex before a residual leaf; a periodic tail becomes a loop, "
+                   f"or a residual leaf after {MAX_LEVELS} levels if it closes deeper")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("split-check",

@@ -22,9 +22,10 @@ Parsing validates invariants, not just syntax: matrix entries must be
 canonical representatives, presentation shapes must match, d^2 = 0 is
 checked on the declared data (the offending product is included in the
 error message), and a package's dual, comparison and resolution must
-come from its module: P^0 and d^-1 are M*'s generators and presentation,
-and the resolution and `complete` are those resolve_module derives from
-M* to the stored depth, so no later check reads a truncated or made-up P.
+come from its module: the resolution and `complete` are those
+resolve_module derives from M* to the stored depth (so P^0 and d^-1 are
+M*'s generators and presentation, and a zero M* has the zero P), and no
+later check reads a truncated or made-up P.
 A build tree's back node closes the loop above it, at the end of the
 loop body's chain of sources; no loop lies inside another.
 """
@@ -349,10 +350,6 @@ def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
     mstar, K = dual_data(module)
     _require(dual == mstar, "stored dual is not the dual of the module")
     _require(comparison == K, "stored comparison is not the dual generators of the module")
-    starts = (resolution.rank(0) == dual.rank0 and resolution.diff(-1) == dual.presentation
-              if dual.rank0 else resolution.support() is None)
-    _require(starts, "stored resolution does not start at the dual: P^0 must have the "
-                     "dual's generators and d^-1 its presentation")
     depth = _int(obj.get("depth", 0), "depth")
     complete = _bool(obj.get("complete", False), "package complete")
     _require(depth >= 1, "package depth must be at least 1")

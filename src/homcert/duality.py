@@ -16,8 +16,9 @@ the rebuild witnesses are identities.  Over rings where resolutions do
 not terminate Q is periodic past a preperiod, and so are its levels:
 the tree stops at the first level k0 that level k0 + q repeats and
 closes a loop back to it, so it is finite and independent of any
-depth.  A bounded complex deeper than the declared depth ends in a
-residual leaf.  Either way the rebuild is compared in every degree.
+depth.  A bounded complex deeper than the declared depth, or a loop
+that would close deeper than MAX_LEVELS, ends in a residual leaf.
+Either way the rebuild is compared in every degree.
 """
 
 from __future__ import annotations
@@ -30,6 +31,20 @@ from .matrices import Mat, MatrixError
 from .complexes import (ChainMap, ChainMapError, Complex, ComplexError, PeriodicTail,
                         dualize_complex, first_difference, suspension, twisted_sum)
 from .verdicts import Verdict
+
+
+# Build trees much deeper than this many levels overflow Python's
+# recursion limit when they are evaluated or written (170 levels do).
+MAX_LEVELS = 100
+
+
+class LoopError(ComplexError):
+    """A loop's body does not build the periodic extension of its band;
+    `degree` is the first degree where the two differ."""
+
+    def __init__(self, message: str, degree: int):
+        super().__init__(message)
+        self.degree = degree
 
 
 def dualize_chain_map(f: ChainMap) -> ChainMap:
@@ -66,7 +81,7 @@ class BuildTree:
     target: the complex the tree claims to build; only the root carries
       one, since every inner node's complex is built from its children.
     leaf: payload is the complex itself (a single free, the zero
-      complex, or a residual leaf: the rest of a bounded complex).
+      complex, or a residual leaf: the rest of a complex, tail kept).
     susp: shift + one child.
     cone: two children (source, target) and attaching components; the
       node evaluates to cone(ChainMap(source, target, components)).
@@ -118,7 +133,9 @@ class BuildTree:
         twisted_sum checks that glue as it checks every other.  The
         loop's complex is the body's complex from the top down one period,
         with a lower tail repeating that band; where the body's complex
-        differs from it, the loop does not close (ComplexError).
+        differs from it, the loop does not close (LoopError).  A loop
+        body that is not a cone ending in a back node, or a back node
+        outside a loop, is not a build tree (ValueError).
         """
         if self.kind == "leaf":
             return suspension(self.payload, shift) if shift else self.payload
@@ -145,7 +162,7 @@ class BuildTree:
             period += node.shift if node.kind == "susp" else 1
             node = node.children[0]
         if body.kind != "cone" or node.kind != "back":
-            raise ComplexError("a loop's body must be a cone whose sources end in a back node")
+            raise ValueError("a loop's body must be a cone whose sources end in a back node")
         top = body.children[1].evaluate(shift)
         built = body._cone(body.children[0].evaluate(shift + 1, (top, shift)), top, shift)
         lo = -shift - period
@@ -159,8 +176,8 @@ class BuildTree:
                     if x.rank(j) != built.rank(j) or x.diff(j) != built.diff(j)),
                    span[1] if span[1] > -shift else None)
         if bad is not None:
-            raise ComplexError(f"loop does not close: its body and its periodic extension "
-                               f"differ in degree {bad}")
+            raise LoopError(f"loop does not close: its body and its periodic extension "
+                            f"differ in degree {bad}", bad)
         return x
 
     def leaves(self) -> Iterator["BuildTree"]:
@@ -199,9 +216,11 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
     Q's explicit entries.  The tree stops at the first such level k0: a
     loop over levels k0 .. k0 + q - 1 whose back node stands for level
     k0 + q, so depth plays no part.  A bounded Q stops after depth
-    levels, and a leftover is recorded as a residual leaf, the part of Q
-    from that level down.  The root's target is Q, or the payload when
-    the root is itself a leaf.
+    levels, and a Q whose loop would end deeper than MAX_LEVELS levels
+    stops after MAX_LEVELS; a leftover is recorded as a residual leaf,
+    the part of Q from that level down (Complex.below, which keeps Q's
+    lower tail).  The root's target is Q, or the payload when the root
+    is itself a leaf.
     """
     ring, side = q.ring, q.side
     span = q.support()
@@ -211,7 +230,8 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
     if span[1] > 0 or q.tail_above is not None:
         raise MatrixError("resolution must live in degrees <= 0")
     bounded, lo = q.is_bounded, span[0]
-    loop_at = end = None
+    # the levels before a residual leaf, and the first and last level of a loop
+    stop, loop_at, end = depth, None, None
     if not bounded:
         # Q repeats with shift turn (2q, one turn of the loop) below the
         # lowest degree where its term or the differential into it does
@@ -223,13 +243,16 @@ def decompose_resolution(q: Complex, depth: int = 8) -> BuildTree:
                       or q.diff(j - 1) != q.diff(j - 1 - turn)), default=1)
         loop_at = (2 - lowest) // 2  # the first level whose top degree is below it
         end = loop_at + turn // 2
+        stop = MAX_LEVELS
+        if end > stop:  # too deep a loop: unroll, and the residual leaf keeps the tail
+            loop_at = end = None
     levels = []  # (top cone, map glueing the level below to it) per level
     k = 0
     while k != end:
         top_degree = -2 * k
-        if bounded and (lo == top_degree or k >= depth):
+        if bounded and lo == top_degree or k >= stop:
             # the rest of Q from this level down: a single free, or what
-            # depth leaves over, as a residual leaf
+            # the level limit leaves over, as a residual leaf
             rest = q if k == 0 else suspension(q.below(top_degree), top_degree)
             bottom = _leaf(rest)
             break
@@ -271,12 +294,15 @@ def rebuild_verify(tree: BuildTree) -> Verdict:
     not vanish.  The decomposition reproduces the target exactly, so the
     homotopy equivalence witness is the identity pair with zero
     homotopies.  The built complex and the target are compared in every
-    degree, tails included.
+    degree, tails included; a loop that does not close is a mismatch in
+    the first degree where it differs from its periodic extension.
     """
     try:
         built = tree.evaluate()
     except ChainMapError as exc:
         return Verdict(False, "attaching_map_not_chain_map", {"degree": exc.degree})
+    except LoopError as exc:
+        return Verdict(False, "rebuild_mismatch", {"degree": exc.degree})
     bad = first_difference(built, tree.target)
     if bad is not None:
         return Verdict(False, "rebuild_mismatch", {"degree": bad})

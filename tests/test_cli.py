@@ -7,12 +7,12 @@ import tracemalloc
 import pytest
 
 from homcert.cli import MAX_DECOMPOSE_DEPTH, main
-from homcert.complexes import ChainMap, Complex
+from homcert.complexes import ChainMap, Complex, PeriodicTail
 from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_document,
                                parse_document)
 from homcert.flatness import FlatRelation
 from homcert.matrices import Mat, kernel_right
-from homcert.rings import ZZ
+from homcert.rings import ZZ, Zmod
 from homcert.samplers import random_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -351,6 +351,37 @@ def test_decompose_depth_limit(capsys, tmp_path):
                          str(MAX_DECOMPOSE_DEPTH + 1))
     assert code == 2 and out == ""
     assert f"--depth: must be <= {MAX_DECOMPOSE_DEPTH}" in err
+
+
+def _z4_twos(lowest: int, zero_at: int, period: int) -> Complex:
+    """Z/4 in every degree <= 0 with d = 2 but d^zero_at = 0, explicit
+    from lowest up and repeating with the given period below it."""
+    ring = Zmod(4)
+    diffs = {j: Mat(ring, 1, 1, (2,)) for j in range(lowest, 0)}
+    diffs[zero_at] = Mat(ring, 1, 1, (0,))
+    return Complex(ring, "left", {j: 1 for j in range(lowest, 1)}, diffs,
+                   tail_below=PeriodicTail(-1, lowest, period))
+
+
+@pytest.mark.parametrize("lowest, zero_at, period", [(-400, -200, 400), (-2, -3001, 2)],
+                         ids=["long_period", "deep_entry"])
+def test_decompose_unrolls_a_loop_that_would_close_too_deep(capsys, tmp_path, lowest,
+                                                             zero_at, period):
+    # a loop of 200 levels, or one starting below level 1500, would nest
+    # past the recursion limit: the tree stops after MAX_DECOMPOSE_DEPTH
+    # levels in a residual leaf that keeps Q's tail, at every --depth
+    q = _z4_twos(lowest, zero_at, period)
+    target = tmp_path / "complex.json"
+    target.write_text(emit_document(make_document(q.ring, "complex", q)))
+    outs = []
+    for depth in ("8", str(MAX_DECOMPOSE_DEPTH)):
+        code, out, err = run(capsys, "decompose", str(target), "--depth", depth)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] and '"kind":"loop"' not in outs[0]
+    tree = out_doc(outs[0]).payload
+    assert tree.free_leaf_count() == 2 * MAX_DECOMPOSE_DEPTH
+    assert [leaf.payload.is_bounded for leaf in tree.leaves() if leaf.residual] == [False]
 
 
 def test_decompose_checks_every_level_of_a_periodic_target(capsys, monkeypatch):

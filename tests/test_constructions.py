@@ -22,6 +22,8 @@ from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_matrix,
                               random_null_homotopic_map)
 
+from trees import nodes_with_heads
+
 RINGS = [ZZ, Fp(7), Zmod(4), Zmod(12)]
 CHECKS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -84,12 +86,6 @@ def test_suspensions_and_cones_revalidate(ring, rng, shift):
     _revalidates(cone(random_null_homotopic_map(rng, c, suspension(y, shift))))
 
 
-def _builds_only_in_its_loop(node) -> bool:
-    """A node that reaches a back node not closed below it."""
-    return node.kind == "back" or node.kind != "loop" and any(
-        map(_builds_only_in_its_loop, node.children))
-
-
 @given(st.sampled_from([(4, 2), (8, 2), (8, 4), (12, 2), (12, 3), (12, 6)]),
        st.integers(1, 6), st.integers(-2, 2))
 @settings(CHECKS, max_examples=25)
@@ -98,12 +94,9 @@ def test_build_tree_nodes_revalidate(na, depth, shift):
     p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
     _revalidates(suspension(p, shift))
     _revalidates(p.restrict(-2 * depth - 3, shift - 2))
-    stack = [decompose_resolution(p, depth=depth)]
-    while stack:
-        node = stack.pop()
-        if not _builds_only_in_its_loop(node):
-            _revalidates(node.evaluate())
-        stack.extend(node.children)
+    # a node inside a loop evaluates with the head the loop hands it
+    for node, head in nodes_with_heads(decompose_resolution(p, depth=depth)):
+        _revalidates(node.evaluate(0, head))
 
 
 # -- Mat results are canonical ----------------------------------------

@@ -167,7 +167,7 @@ WRONG_RESOLUTION = {"side": "right", "ranks": [[-1, 1], [0, 1]],
 
 @pytest.mark.parametrize("field, value, message", [
     ("comparison", {"rows": 1, "cols": 1, "entries": [[3]]}, "comparison"),
-    ("resolution", WRONG_RESOLUTION, "resolution does not start at the dual"),
+    ("resolution", WRONG_RESOLUTION, "stored resolution is not the dual's resolution"),
 ], ids=["comparison", "resolution"])
 def test_generator_package_comparison_and_resolution_are_validated(field, value, message):
     doc = _fixture_json("package_z4_cyclic2")
@@ -222,7 +222,7 @@ def test_a_zero_dual_needs_a_zero_resolution():
     doc["payload"]["resolution"] = zero
     assert parse_document(json.dumps(doc)).payload.resolution.support() is None
     doc["payload"]["resolution"] = dict(zero, ranks=[[0, 1]])
-    with pytest.raises(DocumentError, match="resolution does not start at the dual"):
+    with pytest.raises(DocumentError, match="stored resolution is not the dual's resolution"):
         parse_document(json.dumps(doc))
 
 

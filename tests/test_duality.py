@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from homcert import duality
 from homcert.cli import main
-from homcert.complexes import (ChainMap, Complex, ComplexError, PeriodicTail, dualize_complex,
+from homcert.complexes import (ChainMap, Complex, PeriodicTail, dualize_complex,
                                first_difference, twisted_sum)
 from homcert.documents import emit_document, make_document
 from homcert.duality import (BuildTree, _leaf, decompose_resolution, dualize_chain_map,
@@ -19,6 +19,8 @@ from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_fp_module, random_matrix,
                               random_null_homotopic_map)
+
+from trees import head_at
 
 RINGS = [ZZ, Fp(5), Zmod(4)]
 
@@ -307,8 +309,11 @@ def test_every_cyclic_module_over_z_n_rebuilds_in_every_degree(n):
 def test_a_zero_glue_map_at_any_level_is_a_rebuild_mismatch():
     # a zero glue map is still a chain map, so the tree evaluates; the
     # complex it builds differs from Q in the differential d^(-2k-2) that
-    # glues level k + 1 to level k, and at the loop's level in every copy
-    # of it, so first in some d^(-2k-2-2i)
+    # glues level k + 1 to level k.  At the loop's level, k = 2, it differs
+    # in every copy d^(-6-2i) of it, and first_difference, which scans up
+    # from p + 2 degrees below the lowest entry or threshold of either
+    # complex (-6, with p = 2 the lcm of their periods), names the lowest
+    # copy it reads: d^-10
     ring = Zmod(4)
     q, _ = resolve_module(FPModule(ring, "right", Mat(ring, 1, 2, (2, 0))), 8)
     tree = decompose_resolution(q, 8)
@@ -318,10 +323,7 @@ def test_a_zero_glue_map_at_any_level_is_a_rebuild_mismatch():
     for k, path in enumerate(glued):
         v = rebuild_verify(_replace_at(tree, path, components={}))
         assert not v.ok and v.code == "rebuild_mismatch", k
-        if k < 2:
-            assert v.details == {"degree": -2 * k - 2}, k
-        else:
-            assert v.details["degree"] <= -2 * k - 2 and v.details["degree"] % 2 == 0
+        assert v.details == {"degree": -10 if k == 2 else -2 * k - 2}, k
 
 
 def test_decompose_refuses_an_upper_tail():
@@ -386,17 +388,6 @@ def _tampering_cases():
     yield decompose_resolution(_z_resolution())
 
 
-def _head(tree, path):
-    """What a back node below the node at path evaluates to, as evaluate
-    passes it: the target of the innermost loop's body above, at shift 0."""
-    head = None
-    for i in path:
-        if tree.kind == "loop":
-            head = (tree.children[0].children[1].evaluate(), 0)
-        tree = tree.children[i]
-    return head
-
-
 def _shift_at(tree, path):
     """The shift evaluate applies to the node at path: a susp node's
     shift, and 1 for a cone's source."""
@@ -415,7 +406,7 @@ def _break_attaching_map(tree, path):
     and the degree of the root's complex where that fails: X^j lies in
     degree j - 1 of the cone, so the lowest j where f fails to commute
     gives j - 1, moved down by the node's shift."""
-    node, head = _node(tree, path), _head(tree, path + (0,))
+    node, head = _node(tree, path), head_at(tree, path + (0,))
     bad = {j: m + Mat(m.ring, m.rows, m.cols, (1,) + (0,) * (m.rows * m.cols - 1))
            for j, m in node.components.items()}
     x, y = (child.evaluate(0, head) for child in node.children)
@@ -653,5 +644,7 @@ def test_a_loop_whose_body_overlaps_its_back_node_does_not_close():
     q = _resolution(4, 2, "left", 24)
     top = decompose_resolution(q).children[0].children[1]
     tree = BuildTree("loop", q, children=(BuildTree("cone", children=(BuildTree("back"), top)),))
-    with pytest.raises(ComplexError, match="loop does not close"):
-        rebuild_verify(tree)
+    with pytest.raises(duality.LoopError, match="loop does not close") as exc:
+        tree.evaluate()
+    v = rebuild_verify(tree)
+    assert (v.ok, v.code, v.details) == (False, "rebuild_mismatch", {"degree": exc.value.degree})

@@ -27,6 +27,8 @@ from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_matrix,
                               random_null_homotopic_map)
 
+from trees import nodes_with_heads
+
 RINGS = [ZZ, Fp(5), Zmod(4), Zmod(12)]
 SUM_RINGS = [ZZ, Fp(7), Zmod(4), Zmod(8), Zmod(12)]
 CHECK_RINGS = [ZZ, Zmod(4), Zmod(12)]
@@ -371,23 +373,14 @@ def test_a_degree_gap_inside_the_twist(ring):
 PERIODIC = [(4, 2), (8, 2), (12, 2), (12, 3), (12, 4), (12, 6)]
 
 
-def _builds_only_in_its_loop(node) -> bool:
-    """A node that reaches a back node not closed below it."""
-    return node.kind == "back" or node.kind != "loop" and any(
-        map(_builds_only_in_its_loop, node.children))
-
-
 @given(st.sampled_from(PERIODIC), st.integers(0, 8), st.integers(-3, 3))
 @settings(CHECKS, max_examples=40)
 def test_evaluate_at_a_shift_is_the_suspension(na, depth, shift):
     n, a = na
     p, _ = resolve_module(FPModule.cyclic(Zmod(n), "right", a))
-    stack = [decompose_resolution(p, depth=depth)]
-    while stack:
-        node = stack.pop()
-        if not _builds_only_in_its_loop(node):
-            assert node.evaluate(shift) == suspension(node.evaluate(), shift)
-        stack.extend(node.children)
+    # a node inside a loop evaluates with the head the loop hands it
+    for node, head in nodes_with_heads(decompose_resolution(p, depth=depth)):
+        assert node.evaluate(shift, head) == suspension(node.evaluate(0, head), shift)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Fp(5)], ids=str)
