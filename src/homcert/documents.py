@@ -48,7 +48,7 @@ from .modules import FPModule, dual_data
 from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 
 
 class DocumentError(ValueError):

@@ -112,71 +112,71 @@ def elim_digest(ring_name: str, kind: str) -> str:
 
 
 GOLDEN_CLI = {
-    "resolve module_f5_0": "6339f19ded2802ed5b35c8bba542e688b24c45f22edc771ffc5095da408dee5f",
-    "generator module_f5_0": "10e005834d809e899c70aa595706f76b1f3677c961fe19c46d55b44ede061f96",
-    "decompose module_f5_0": "5d06fc8e40829e8b4b4819fe8dd241afcaeb6906112e034a5d7a685232bc21a2",
-    "resolve module_f5_1": "850001e3407f0a497fd2913b16d38ed01e64d478164d1c2f3d70cc7931877e88",
-    "generator module_f5_1": "1ce49107640ae44c770463b8e8bc31567d7da8f9b138bd13d064048a75543139",
-    "decompose module_f5_1": "961c95b4845c5c34f8e58f2591e5a5d51bacbcd592d0efe3bcaccfbc95653325",
-    "resolve module_f5_2": "17c1a29200e568240f435db0e75de04dbf33e6f4135705a8015a72de47b43d51",
-    "generator module_f5_2": "97aeb2ead3fd9cf2abf9d386a445df060f6ab4c74a3a0ac9dc95f16e5a1e4bf7",
-    "decompose module_f5_2": "9d676bf8b08bc36f1cc54b878c10b9d98af90cfcaf9a657ea3090251f0a9233f",
-    "resolve module_z12_cyclic4": "4e3030e844281ece50756f1f6936ce85e223b6819b0bb5f450c05b45f6238d60",
-    "generator module_z12_cyclic4": "b3b09eb9973a937e750332ee4ade3cca0e1639253c146355aad375e82a8a0969",
-    "decompose module_z12_cyclic4": "bb4604707487082a70830a4dcb52a92879c697685283607bb5c4aaf1023ec93b",
-    "resolve module_z4_0": "6a29815e661fe27e7bb0a16a8baf062ae5d294f74f4afd37e68395b95228482e",
-    "generator module_z4_0": "893cc602fff90b236bed31e703ff321c2e464e5dca174ba1b5c05d600cc21e95",
-    "decompose module_z4_0": "0277742ac7e06ce55d0947d19894d74cb592942c7e4b262e4398018a195006ff",
-    "resolve module_z4_1": "d9b23e25233cb4684c4d8fcb3c5d76625a35793b1980089bb04109d337631d67",
-    "generator module_z4_1": "14302f3e81b0b15a2a50ad1f27dfeff686e95d228df60b62398d89debb06cf7e",
-    "decompose module_z4_1": "6416307ad7061eb5a1c09e1440ae43cc1178ca0b9ea1ae7ee13981b3820a498b",
-    "resolve module_z4_2": "df0502c51cf76e5108b2c1a92536608ec4ed79c19dd9ee7fe26c655843fdae62",
-    "generator module_z4_2": "84ff81e1dbb97179f02033e46446470767a6bb18aefdf7ed1bf21246aac36de8",
-    "decompose module_z4_2": "c1e0ced2f9c764d0b20abf43a0f8c8ceef218f53eef91ecbbe64a13bcba499a9",
-    "resolve module_z4_cyclic2": "f1b276864b49a1a33f9345cf0ce6efedf82825c80498b4181252f7742e51c386",
-    "generator module_z4_cyclic2": "045d7e396b4d33ab84ebaf515547d31d9cde7d4ebaf909cab60e78850dca91b8",
-    "decompose module_z4_cyclic2": "d78220176c5b749b727074aa1db477a070b7f80e61110584ba566bf4c06aca1d",
-    "resolve module_z_0": "f7bea0bc9a7d87185dad0b7fb6e321439cac766c08043ebb5d8986c9fa1ff4d6",
-    "generator module_z_0": "c75171cb08447257aad16140e1837aeb361321e9fc23cfd71cdea57631496cc5",
-    "decompose module_z_0": "a9988d2c7c5a6d8b3f4effe11a14ac2446871d8735ed5edfea23439ca6b310a8",
-    "resolve module_z_1": "361859e37a5e9e3b15ab7cb873cb01c926d1ada8f50b9ecfb02fca4cfe5def60",
-    "generator module_z_1": "e35f7cd7d94aadba3f36d1a7331d700587edf4fe5cf8756e99a2b04f832939d0",
-    "decompose module_z_1": "c27b4ecd48e6a795e9f8536d74d5ccd8b80cb1b95877e755388933e74dcfe639",
-    "resolve module_z_2": "dd4a0866cb8fe995106b20a2d595cb7b9304aa210a22b71c0c669447b7738cb2",
-    "generator module_z_2": "013feb077e9adf28ab78361591773d75d23424c5321552584fdb2d8342d18424",
-    "decompose module_z_2": "3d887e90bbf4bbdb4b9caf5f001d13c6da60ac28271a38860f2723d9e0044a86",
-    "resolve module_z_cyclic6": "3df0beb38a9d26c2ff4ce76150fe2ed9e39ab89dc9022a88d26daa31907bc8b6",
-    "generator module_z_cyclic6": "f675a65160d680cfa029af0e9943567d72f3d9a3cbf8f813ba78a6323454a5af",
-    "decompose module_z_cyclic6": "4f02c27a539cb3dd62a9f17f0f675d38a57cf85bc18ed5c06c8891ccae5a5085",
-    "resolve module_z_right6": "b7ab9abbf4295c30c6ba2fc472b33c086a1ea1b636138854160c7be59f43eb84",
-    "generator module_z_right6": "2a1f0a6deea3d31e66615f95400218088dd2c4b38b503011c3d1ab283fd6f08f",
-    "decompose module_z_right6": "d66c3af730f159dd528487952c23af9defaeecf6aa6e5606c49bfbe230edc242",
+    "resolve module_f5_0": "4da6bbe3658bd5932731f969f6df7a540597e71efdf236a9544228a3b6559a09",
+    "generator module_f5_0": "b64104694162744b001882668fb8c44daebd924212e041ae17df4dbcaf5fb1ab",
+    "decompose module_f5_0": "3798e90ed240f20610539c44c8084d8a5cb7a4810d8f9a2f09306383096a7672",
+    "resolve module_f5_1": "0d3a6b794ad792cd26aab555770348277f3b2de43ff1358c01a6710e346f8758",
+    "generator module_f5_1": "76258cc7d000753148d1fc6a1debebed5a45d67b2e0816e6a8ee56dfb1b0d8a3",
+    "decompose module_f5_1": "6bedd68bfa8e7865dc23b017bf9f9bf9010c063bbbc691bc18a639f13772a54f",
+    "resolve module_f5_2": "8df26ab7b71d77ebcb7333f0c6a815ede3239fda8f474264a88bbe19ffa97740",
+    "generator module_f5_2": "71f8b176e8472410796b85dcde3c3263ab3d13bbd0f1bba20b592ec207f64b32",
+    "decompose module_f5_2": "34bc26f4f755fb182eb05618aad45c6991ce22c365ff206c2738893e151d2c78",
+    "resolve module_z12_cyclic4": "e97877c0bee9e05d780e7e21d90ff82d6bb758d84495984f945416ca149ddb42",
+    "generator module_z12_cyclic4": "6bb7b899ec7e2574f5a7f99354a6a68c004657922e08c7234389ca1b0f227804",
+    "decompose module_z12_cyclic4": "2a00801c4f61f68f3dd6782f4b587efb487d653009da399228e2d4941895b2d2",
+    "resolve module_z4_0": "bf4f79d5a91a7d29641f3b394f0a00fd669e58d3deae7c22ea0610264a113776",
+    "generator module_z4_0": "929d4131fbb5ca74ce3d5be171bc710317dd737a261b0dc9a8208829bb3aa18f",
+    "decompose module_z4_0": "d32f73f0bc3a588f519c90e3b08624ec58f96d34a7812dcb9127f5f66d55ac49",
+    "resolve module_z4_1": "209d9434b91aca6f11625d45c04360d186145ecfb6906d0f9451ce7f775c8295",
+    "generator module_z4_1": "3f1440cba785bb3ca9d95a1e6ce2bb16b81d1b71aec28c722c6b1d5adeebb143",
+    "decompose module_z4_1": "2c48d081f02c541bcbcf4618416269218c9305fcf9e439fee56b9fa5ad469a4a",
+    "resolve module_z4_2": "18e5d6a54531246ec445c17578130e8fa21da50034137137e1b7d4238640c97c",
+    "generator module_z4_2": "223d43e9fa0e90716a2f1d5e157bd42a7378184c98f6023c76353562585b4f78",
+    "decompose module_z4_2": "4359eb9017fdeceef5acecfe932d05f0ac18071fe2c7c36cbe17df46eac859c4",
+    "resolve module_z4_cyclic2": "a02a0b6b3f3b171bd124d95992857df22edf497963029ab1746451e32173a8cb",
+    "generator module_z4_cyclic2": "5e1f3e6aa3df21a35229cfa1fda88c63985f8f427dc3106ce9a764334e4ca4c1",
+    "decompose module_z4_cyclic2": "3f4442c7873c99b13b6d89cd3b352603f6f4de9b756aa08d6605ef58d383e51b",
+    "resolve module_z_0": "3231bc88086de060dbc957b2ec5903d592f3ec8481f1b1fbfb9ffe1601adbd26",
+    "generator module_z_0": "db79caad1d23253657c00f82056d96e5b3b2d7b288fa0c1d22435784285917c6",
+    "decompose module_z_0": "9f60ad50a237061839b385aba88349dd862fe6f3b86793729df2df47514f5737",
+    "resolve module_z_1": "f7fcad40bdc5a662d43e4ed0401733e4e7293ab00e553ae6586d8f9939c09624",
+    "generator module_z_1": "d7a1945ba88937dd601a478816e509ffe9b5d5d2ef06ce19e32af079fe560feb",
+    "decompose module_z_1": "e481e1219229916c9e7026842b15a94ddb51ff38c7e52f4a08fb42d95ba2abb8",
+    "resolve module_z_2": "fc9977055093bace114b852ac46d15f55ce96cc641310655e278a24b29e2411b",
+    "generator module_z_2": "c68fe854e40a7513ea9d43b1b69c6db8f83ab71e8d414666dd1aee7550bba9ae",
+    "decompose module_z_2": "4280984b7c79d83f550effe3744d4f87a87b48ec355ac6bfa2b57d5dfe19a739",
+    "resolve module_z_cyclic6": "6b46697b99fc52b60727ac0256f1b88d70d12fdba1dbb583f1fa675b4c51ec16",
+    "generator module_z_cyclic6": "73796e9d5493b782def9841348946d6782de232cccb1510324742b2d7d310fac",
+    "decompose module_z_cyclic6": "d3dad8d63e209ca277f4e73b69a921119a01e699c91e949257fdf92ff64011e0",
+    "resolve module_z_right6": "dacdafa95f611110b73064a5c4ece420cc9213ef607aa8bd1acd30a5f8b4401d",
+    "generator module_z_right6": "615a482f502f688bc2f14b62a7765a7bd61aa43a093552c7c96996c493d7b89c",
+    "decompose module_z_right6": "a5b402080eb4ad950d5a12e9dadf33e62be106f23e61403ead456e3e77b31a8d",
 }
 
 # the deepest decomposition the CLI allows, on periodic resolutions: the
 # same loop as at the default depth, which bounds only the resolution search
 GOLDEN_DEEP_DECOMPOSE = {
-    "module_z12_cyclic4": "bb4604707487082a70830a4dcb52a92879c697685283607bb5c4aaf1023ec93b",
-    "module_z4_cyclic2": "d78220176c5b749b727074aa1db477a070b7f80e61110584ba566bf4c06aca1d",
+    "module_z12_cyclic4": "2a00801c4f61f68f3dd6782f4b587efb487d653009da399228e2d4941895b2d2",
+    "module_z4_cyclic2": "3f4442c7873c99b13b6d89cd3b352603f6f4de9b756aa08d6605ef58d383e51b",
 }
 
 GOLDEN_VERDICTS = {
-    "F5 0": "21c48f0e29b226b1a249abd151b8e2838e12971262a6d06c19c68ef1cf7e2cbb",
-    "F5 1": "21c48f0e29b226b1a249abd151b8e2838e12971262a6d06c19c68ef1cf7e2cbb",
-    "F5 2": "f5d2f32e810a424e5f0b4db27f59d2dc1e2c695a915dae22add29929a3c5f8dd",
-    "F5 3": "b517f5a3722386c2205e805ad8fb107dd25071f6430315cb3cf953b46c77687f",
-    "Z 0": "f87d3c109fa593dcef5c7223f3777b40fd4776b97c47f1591ad9f27d7bd0cfab",
-    "Z 1": "73d312564d40e96d017b43c927d65f34a8d388f40efa565c93bf7a1e862d9018",
-    "Z 2": "73d312564d40e96d017b43c927d65f34a8d388f40efa565c93bf7a1e862d9018",
-    "Z 3": "b263d88cda270de9db4d84c01b8a535fe8da4e6f3e54fc68bd028386321ed29f",
-    "Z12 0": "dde1de5e407ec5fd05aa2815b4f06ded0b138f2cc7dfd40aee51a6d4bf1812f3",
-    "Z12 1": "68fdb93ffe278991712eff45b56bf91d30a81feb9e8fd8ede816e5126c88ff64",
-    "Z12 2": "c92ef134d2c3d3001426db5f14083df87d30bc120b765d6c5c89a667a56209ff",
-    "Z12 3": "2caf8340c0f55154d4f47b6075c54a5c41a9ba4d372f2710c3d2750823ecba8c",
-    "Z4 0": "f666dbfe5cd9ad07c0b1e71d5032a495297f7fb4b5da9624b11cb081b7c46828",
-    "Z4 1": "ee7addbc2e5cc752f87797565a2199b9d507340b2d6048fd8bb4e983b237a11b",
-    "Z4 2": "4471069a4f37690c81339fc116d2af9f9828ad7869c9355ea4886148d226d073",
-    "Z4 3": "11f416ef43471ec535f721e19147dd64e4ba91b941c8123888947680615d41fa",
+    "F5 0": "0237273833d42f5a8949a221a8e53c9e2b72f374c58e3257b53cadc23428dabf",
+    "F5 1": "0237273833d42f5a8949a221a8e53c9e2b72f374c58e3257b53cadc23428dabf",
+    "F5 2": "3c3a01624c6f9faa28695a850d7e5cc20f8f94c89782e2f2337124000f9e7877",
+    "F5 3": "3edeaeda122f18c99e207225f23fa66218bfa8e5c823f26c93c1a9d4cbe265aa",
+    "Z 0": "493682df35ca4a585d5d9f8e4644c4dbb7d4656f2739d4c261b0f2683e910d8d",
+    "Z 1": "98bccd661e5bf371b1b9eabb0c8106358a12731acb061efb092416f13995181a",
+    "Z 2": "98bccd661e5bf371b1b9eabb0c8106358a12731acb061efb092416f13995181a",
+    "Z 3": "b73cd863c5fb5ef2c383ed488418ba90ff58d532a96c2524c893a24ccc168338",
+    "Z12 0": "ad015b9d8c7edcc64f6d68295d09bb9b5f024acd38c5d36c629d665c892a8495",
+    "Z12 1": "fd58c312ec921ad6489a6104bea2392769ac270e74fb8405ea9d2fec7ca35f9a",
+    "Z12 2": "a635529996434279f948b776e0050f3e07abb934dcceaa8fd4a193f0cbb096b8",
+    "Z12 3": "d73db786fda20bc0134f2c208f8eb3dc6f66cf0e31b987efd97348be1116e83d",
+    "Z4 0": "5ad643c73c256f0f807f37e6798692ef682c28ca40f53e74eb7226fb36f26f23",
+    "Z4 1": "1c797904aafd19ed1ed09283aca35d619332af9c34832627bfe8ab0e6121a1dd",
+    "Z4 2": "cbff4057be2d7218476cc4bb99f477b1fe0c14bb81b32ca4d55dbfbc7f35c920",
+    "Z4 3": "361a48193c72af98a6b7254948160c060d7834c9b1355d3eb1f9b8100eb477f1",
 }
 
 
@@ -184,21 +184,21 @@ GOLDEN_VERDICTS = {
 # and the passing verdicts (a null homotopy of the identity) on the
 # contractible fixtures
 GOLDEN_SPLIT = {
-    "complex_z4_periodic -4..4": "b06eeea264b0f7bf0813b84043474369ac3dc861cc58ac2db9c697c60343ce02",
-    "complex_z4_periodic -4..4 0": "12a62ea835fde6ce5da3eeeeab37ba82de0a4977a124827d88af80a326a41d90",
-    "complex_z_mult2 -4..3": "370636caddd0dcfa3e1983000f77984c29705f1de288a9547f61c4467e711eab",
-    "complex_z_mult2 -4..3 1": "fb3c6b818949cc5d24f20f4e0d56435555bfbf4e86865545562a6d98d97c2e6f",
-    "contractible_f5 -6..5": "0b05777008c8f806bbfdcf863e8a96bf1d2b9fb01077957bba89560d703c2d34",
-    "contractible_f5 -6..5 0": "7209f930846c899943149faa0865d003add0fd54ca49b9e0d39f4e94a99c1d8e",
-    "contractible_z -1..5": "d85b7f27fd9b51b15139a32ee5753849cc706e7fb460ae103a8d6ad925937f7d",
-    "contractible_z -1..5 0": "772cab124ce3ab8a88a60ed52c9c16701b1a18eba71070b687e645930848382f",
-    "contractible_z -5..2": "32a2d88dab1c3a65ad82a4e8fa43d6be2b6d088593d8b0e8d9f240ba41de96c7",
-    "contractible_z -6..5": "e4412ff6434c6f04992fe30fd97380af639d3b683831416893615f08295d38bd",
-    "contractible_z -6..5 1": "d9e6a1b95ee0a7bfcef4fc498620714d026c7dbdfc451747e5cd86999403e2ec",
-    "contractible_z -6..5 16": "0ae6be543a80f77a5007e8b6c9955759d3d5f9d1fffa32d3d4f6cf20da8c3f35",
-    "contractible_z4 -4..6": "a9ecdb990e62c06f300ae75dbdc2b728e1123feed663a67029c23edd307d9150",
-    "contractible_z4 -6..5": "2637b1d6427b76f9e6a514ce0db6a46f87061ddd03aa3d1dc2b1ae62ffeab0ff",
-    "contractible_z4 -6..5 0": "ad5a0477661c3409256f63ecba0d81aed29f9fff09848374a805d5db15aa4f6e",
+    "complex_z4_periodic -4..4": "acd213140ea179876cde0ea55069ae331d6215102c187d90f12192868f01c4b5",
+    "complex_z4_periodic -4..4 0": "6d95d08502a737a54071b4e562fc0aa262a68b4596194bcae551e29662444733",
+    "complex_z_mult2 -4..3": "bd4d074ff54c385a3be92b9555d826200cb00aa6a4cf2c7ab81793fb8ed70057",
+    "complex_z_mult2 -4..3 1": "313b5b94601b886a41ab090fca495757bdcf8be88199d85a851e653948eb2c59",
+    "contractible_f5 -6..5": "2856a568a551003ed393e6591168c5b2b8ee2b470337d06994bfa70bedb58b97",
+    "contractible_f5 -6..5 0": "0edeefe6b50aa97fceda0218ad4b5de25de4daa5c38a30d883719ded79098bd7",
+    "contractible_z -1..5": "a48ce959e9aa2a9a4f04c4176518e54f47404f45a9005b8d79a75c6fca14804f",
+    "contractible_z -1..5 0": "da822cc0e67e6bd31094b74bd4282d61d6e3ad02d0b77f7aa1701c1b719836cb",
+    "contractible_z -5..2": "9efea620a305871d19b1b386822afa1e5ba919e796a91b22f5c9e34d4b84f94a",
+    "contractible_z -6..5": "407539cc0ab8b8dc8bbeb08e95e99d600898cfaa8de80b04f2ab3392b174ffd0",
+    "contractible_z -6..5 1": "cc68943d188f5d9ca4d5ca1afc3e2db0a0bf723b5f4635de8982bafa19ccc2aa",
+    "contractible_z -6..5 16": "3b63b8ead22a9ad27f0452750adbc2114a30f4dfdb098c047b34d2a6149feea7",
+    "contractible_z4 -4..6": "4227b316c742781110846e1526e3ebc7417c4f7bb0c80194f60744aea830276d",
+    "contractible_z4 -6..5": "de6abd2cc306bed2e343597e00b2507834628f7fc919c118cf310c14a75db666",
+    "contractible_z4 -6..5 0": "7dcff66833485ec57dad729cc93245eb086bbd87c42aa1f1f84ae05b0b79050a",
 }
 
 
