@@ -14,7 +14,7 @@ import functools
 import sys
 from typing import Callable
 
-from .complexes import ComplexError, Forms, dualize_complex, split_exactness_check
+from .complexes import Complex, ComplexError, Forms, dualize_complex, split_exactness_check
 from .documents import (SIZE_LIMIT, Document, DocumentError, emit_document,
                         make_document, parse_document, unlimited_int_digits)
 from .duality import MAX_LEVELS, decompose_resolution, dualize_chain_map, rebuild_verify
@@ -24,14 +24,6 @@ from .generator import build_generator, resolve_module, verify_generator_quasi_i
 from .matrices import MatrixError
 from .modules import FPModule, dual_data
 from .verdicts import Verdict
-
-
-# decompose --depth bounds the resolution search of a module input and
-# the levels of a bounded complex.  A periodic resolution decomposes into
-# a loop, whose tree does not deepen with --depth; a loop that would end
-# deeper than MAX_LEVELS levels is unrolled to them instead and ends in
-# a residual leaf, so no tree outgrows the recursion limit.
-MAX_DECOMPOSE_DEPTH = MAX_LEVELS
 
 
 class UsageError(ValueError):
@@ -87,6 +79,19 @@ def _module_invariants(m: FPModule) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _shape(c: Complex, complete: bool, depth: int) -> str:
+    """Whether a resolution (or a complex) is finite, periodic or cut short."""
+    if not complete:
+        return f"truncated at depth {depth}"
+    return f"periodic with period {c.tail_below.period}" if c.tail_below else "finite"
+
+
+def _resolution_summary(c: Complex, complete: bool, depth: int) -> str:
+    span = c.support()
+    return (f"resolution in degrees {span[0]}..{span[1]}, {_shape(c, complete, depth)}"
+            if span else "zero resolution")
+
+
 def _print(args, doc: Document, text: Callable[[], str]):
     """Write doc in machine format, or the summary text() in text
     format; the summary is built only when it is printed."""
@@ -104,11 +109,8 @@ def _verdict_exit(args, ring, v: Verdict) -> int:
 def cmd_resolve(args) -> int:
     doc = _read_doc(args.input, "module")
     c, complete = resolve_module(doc.payload, args.depth)
-    span = c.support()
-    note = "complete" if complete else f"periodic/truncated at depth {args.depth}"
     _print(args, make_document(doc.ring, "complex", c),
-           lambda: f"resolution in degrees {span[0]}..{span[1]} ({note})"
-           if span else "zero resolution")
+           lambda: _resolution_summary(c, complete, args.depth))
     return 0
 
 
@@ -130,11 +132,9 @@ def cmd_dualize(args) -> int:
 def cmd_generator(args) -> int:
     doc = _read_doc(args.input, "module")
     pkg = build_generator(doc.payload, args.depth)
-    span = pkg.resolution.support()
-    reach = f" to degree {span[0]}" if span else " (zero dual)"
     _print(args, make_document(doc.ring, "generator_package", pkg),
-           lambda: f"package for {_module_invariants(pkg.module)}; resolution "
-           f"{'complete' if pkg.complete else 'periodic'}{reach}")
+           lambda: f"package for {_module_invariants(pkg.module)}; "
+           + _resolution_summary(pkg.resolution, pkg.complete, pkg.depth))
     return 0
 
 
@@ -178,15 +178,16 @@ def cmd_flat_cert(args) -> int:
 def cmd_decompose(args) -> int:
     doc = _read_doc(args.input, "module", "complex")
     if doc.kind == "module":
-        q, _ = resolve_module(doc.payload, args.depth)
+        (q, complete), what = resolve_module(doc.payload, args.depth), "resolution"
     else:
-        q = doc.payload
+        q, complete, what = doc.payload, True, "complex"
     tree = decompose_resolution(q, args.depth)
     v = rebuild_verify(tree)
     if not v.ok:
         return _verdict_exit(args, doc.ring, v)
     _print(args, make_document(doc.ring, "build_tree", tree),
-           lambda: f"{v.details['free_leaves']} free leaves"
+           lambda: f"{v.details['free_leaves']} free leaves; {what} "
+           f"{_shape(q, complete, args.depth)}"
            + ("; residual leaf" if tree.has_residual() else ""))
     return 0
 
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="machine", help="output style")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    depth = _int_at_least(1)
+    depth = _int_at_least(1, SIZE_LIMIT)  # a document's depth is at most SIZE_LIMIT too
     p = sub.add_parser("resolve", help="free resolution of a module")
     p.add_argument("input")
     p.add_argument("--depth", type=depth, default=24)
@@ -248,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose",
                        help="build tree over single frees, checked in every degree")
     p.add_argument("input")
-    p.add_argument("--depth", type=_int_at_least(1, MAX_DECOMPOSE_DEPTH), default=8,
+    # a loop that would end deeper than MAX_LEVELS levels is unrolled to
+    # them and ends in a residual leaf, so no tree outgrows the recursion limit
+    p.add_argument("--depth", type=_int_at_least(1, MAX_LEVELS), default=8,
                    help="resolution search of a module, and levels of a bounded "
                    "complex before a residual leaf; a periodic tail becomes a loop, "
                    f"or a residual leaf after {MAX_LEVELS} levels if it closes deeper")

@@ -15,17 +15,15 @@ dict-valued field as sorted [degree, value] pairs, except Verdict.details,
 which stays an object.  Dicts, lists and tuples are encoded item by item;
 any other value must be JSON-native, or json.dumps raises TypeError.
 Mat, Complex and BuildTree, the bulk of the output, are written directly.
-No derived value is stored: not a package's P* or double-dual map, nor
-whether a tree leaf is residual (format 2 stored them; format 3 does not).
+No derived value is stored: a generator package is its module and depth
+(M*, the comparison, P, its completeness and P* are derived again), and
+whether a build-tree leaf is residual is read from its payload.
 
 Parsing validates invariants, not just syntax: matrix entries must be
-canonical representatives, presentation shapes must match, d^2 = 0 is
-checked on the declared data (the offending product is included in the
-error message), and a package's dual, comparison and resolution must
-come from its module: the resolution and `complete` are those
-resolve_module derives from M* to the stored depth (so P^0 and d^-1 are
-M*'s generators and presentation, and a zero M* has the zero P), and no
-later check reads a truncated or made-up P.
+canonical representatives, presentation shapes must match, and d^2 = 0
+is checked on the declared data (the offending product is included in
+the error message).  A package's depth is from 1 to SIZE_LIMIT, and its
+module is resolved as it is read.
 A build tree's back node closes the loop above it, at the end of the
 loop body's chain of sources; no loop lies inside another.
 """
@@ -39,12 +37,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, is_dataclass
 from typing import Any
 
-from .complexes import ChainMap, Complex, ComplexError, PeriodicTail, first_difference
+from .complexes import ChainMap, Complex, ComplexError, PeriodicTail
 from .duality import BuildTree
 from .flatness import FlatCertificate, FlatRelation
-from .generator import GeneratorPackage, resolve_module
+from .generator import GeneratorPackage, build_generator
 from .matrices import SIZE_LIMIT, Mat, MatrixError
-from .modules import FPModule, dual_data
+from .modules import FPModule
 from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
@@ -344,23 +342,9 @@ def verdict_from_json(obj: Any) -> Verdict:
 def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
     _require(isinstance(obj, dict), "generator package must be an object")
     module = module_from_json(ring, obj.get("module"))
-    dual = module_from_json(ring, obj.get("dual"))
-    comparison = matrix_from_json(ring, obj.get("comparison"))
-    resolution = complex_from_json(ring, obj.get("resolution"))
-    mstar, K = dual_data(module)
-    _require(dual == mstar, "stored dual is not the dual of the module")
-    _require(comparison == K, "stored comparison is not the dual generators of the module")
-    depth = _int(obj.get("depth", 0), "depth")
-    complete = _bool(obj.get("complete", False), "package complete")
+    depth = _int(obj.get("depth"), "depth")
     _require(depth >= 1, "package depth must be at least 1")
-    derived, derived_complete = resolve_module(dual, depth)
-    bad = first_difference(resolution, derived)
-    _require(bad is None, f"stored resolution is not the dual's resolution to depth {depth}: "
-                          f"they differ in degree {bad}")
-    _require(complete == derived_complete,
-             f"stored complete is {complete}, but the dual's resolution to depth {depth} "
-             f"is {'' if derived_complete else 'not '}complete")
-    return GeneratorPackage(module, dual, comparison, resolution, depth, complete)
+    return build_generator(module, depth)
 
 
 _DECODERS = {

@@ -6,8 +6,9 @@ detected and recorded as a lazy tail), and the dual complex P* in
 degrees >= 0.  The comparison map M -> P*^0 sends a generator of M to
 its evaluation functional on the generators of M*; it extends the
 double-dual map (modules.canonical_double_dual_map) and exhibits P* as a
-projective replacement for M in the homotopy category.  A package stores
-M, M*, the comparison, P, the depth and completeness; P* is derived.
+projective replacement for M in the homotopy category.  A package is M
+and the depth of P's search; M*, the comparison, P, its completeness
+and P* are derived from them, each once.
 
 Verification entry points check, inside explicit degree windows:
   * the resolution property of P (homology M* in degree 0, zero below);
@@ -22,6 +23,7 @@ Verification entry points check, inside explicit degree windows:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matrices import Mat, block_diag, kernel_right
 from .modules import FPModule, ModuleMap, dual_data, modules_isomorphic
@@ -33,16 +35,24 @@ from .verdicts import Verdict
 
 @dataclass(frozen=True)
 class GeneratorPackage:
+    """M and the depth of P's search; the rest is derived once, on first read."""
     module: FPModule
-    dual: FPModule
-    comparison: Mat  # M -> P*^0; its rows are M*'s generators as functionals on M
-    resolution: Complex  # P, degrees <= 0, resolving M*
     depth: int
-    complete: bool  # resolution exact in all degrees (finite or periodic)
 
-    @property
-    def dual_gens(self) -> Mat:
-        return self.comparison
+    @cached_property
+    def _dual_data(self) -> tuple[FPModule, Mat]:
+        # (M*, K): the comparison M -> P*^0 is K, whose rows are M*'s generators
+        # as functionals on M, the double-dual map read in M**'s generators
+        return dual_data(self.module)
+
+    @cached_property
+    def _resolved(self) -> tuple[Complex, bool]:  # P, degrees <= 0, and whether it is complete
+        return resolve_module(self.dual, self.depth)
+
+    dual = property(lambda self: self._dual_data[0])
+    comparison = dual_gens = property(lambda self: self._dual_data[1])
+    resolution = property(lambda self: self._resolved[0])
+    complete = property(lambda self: self._resolved[1])  # P exact in all degrees
 
     @property
     def dual_complex(self) -> Complex:  # P*, degrees >= 0
@@ -92,12 +102,12 @@ def resolve_module(m: FPModule, depth: int = 24) -> tuple[Complex, bool]:
 
 
 def build_generator(m: FPModule, depth: int = 24) -> GeneratorPackage:
-    """Construct the package for M; depth bounds the resolution search."""
-    mstar, K = dual_data(m)
-    # the comparison is K, the double-dual map read in M**'s generators: e_i
-    # evaluates the dual generators to column i of K; for M* = 0, P is zero
-    p, complete = resolve_module(mstar, depth)
-    return GeneratorPackage(m, mstar, K, p, depth, complete)
+    """The package for M; depth bounds the resolution search.  P is
+    resolved here, so a module or depth that cannot be resolved fails
+    where the package is made, not in a later check."""
+    pkg = GeneratorPackage(m, depth)
+    pkg.resolution  # computes M* and P now
+    return pkg
 
 
 def _trusted_resolution_floor(pkg: GeneratorPackage) -> int | None:

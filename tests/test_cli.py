@@ -6,10 +6,11 @@ import tracemalloc
 
 import pytest
 
-from homcert.cli import MAX_DECOMPOSE_DEPTH, main
+from homcert.cli import main
 from homcert.complexes import ChainMap, Complex, PeriodicTail
 from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_document,
                                parse_document)
+from homcert.duality import MAX_LEVELS
 from homcert.flatness import FlatRelation
 from homcert.matrices import Mat, kernel_right
 from homcert.rings import ZZ, Zmod
@@ -82,25 +83,6 @@ def test_check_qiso_passes_on_orthogonal_target(capsys, tmp_path):
     assert code == 0
     doc = out_doc(out)
     assert doc.kind == "verdict" and doc.payload.ok
-
-
-@pytest.mark.parametrize("tamper", [
-    lambda pkg: pkg["comparison"].update(entries=[[3]]),
-    # a resolution of Z/4 / (1), not of the dual Z/4 / (2): once read as
-    # hom_exact against complex_z4_0
-    lambda pkg: pkg.update(resolution={
-        "side": "right", "ranks": [[-1, 1], [0, 1]],
-        "diffs": [[-1, {"rows": 1, "cols": 1, "entries": [[1]]}]],
-        "tail_below": None, "tail_above": None}),
-], ids=["comparison", "resolution"])
-def test_check_qiso_refuses_a_self_contradicting_package(capsys, tmp_path, tamper):
-    doc = json.loads(pathlib.Path(fx("package_z4_cyclic2")).read_text())
-    tamper(doc["payload"])
-    package = tmp_path / "p.json"
-    package.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "check-qiso", str(package), fx("complex_z4_0"),
-                         "--window=-3..3")
-    assert code == 2 and out == "" and "stored" in err
 
 
 def test_homology_window(capsys):
@@ -233,10 +215,18 @@ def test_split_check_with_bound_runs_collapse(capsys, tag="z"):
     (["homology", fx("complex_z_mult2"), "--window=-1..0"], "H^-1 = 0\nH^0 = R/(2)\n"),
     (["dualize", fx("module_z4_cyclic2")], "dual module: R/(2)\n"),
     (["generator", fx("module_z4_cyclic2")],
-     "package for R/(2); resolution complete to degree -2\n"),
-    (["decompose", fx("module_z4_cyclic2")], "2 free leaves\n"),
-    (["decompose", fx("module_z_right6")], "2 free leaves\n"),
-], ids=["homology", "dualize", "generator", "decompose-z4", "decompose-z"])
+     "package for R/(2); resolution in degrees -2..0, periodic with period 1\n"),
+    (["decompose", fx("module_z4_cyclic2")], "2 free leaves; resolution periodic with period 1\n"),
+    (["decompose", fx("module_z_right6")], "2 free leaves; resolution finite\n"),
+    # P of Z/4 / (2) is periodic; --depth 1 cuts it before the period shows
+    (["generator", fx("module_z4_cyclic2"), "--depth", "1"],
+     "package for R/(2); resolution in degrees -1..0, truncated at depth 1\n"),
+    (["resolve", fx("module_z4_cyclic2")], "resolution in degrees -2..0, periodic with period 1\n"),
+    (["resolve", fx("module_z_cyclic6")], "resolution in degrees -1..0, finite\n"),
+    (["decompose", fx("module_z4_cyclic2"), "--depth", "1"],
+     "2 free leaves; resolution truncated at depth 1\n"),
+], ids=["homology", "dualize", "generator", "decompose-z4", "decompose-z", "generator-depth-1",
+        "resolve-z4", "resolve-z", "decompose-z4-depth-1"])
 def test_text_summary_is_built_only_in_text_format(capsys, monkeypatch, argv, text):
     # the machine bytes of generator and decompose are pinned by the
     # golden digests; here machine output must not change when building
@@ -335,22 +325,22 @@ def test_window_beyond_the_size_limit_exits_2(capsys, window):
 
 def test_decompose_depth_limit(capsys, tmp_path):
     module = fx("module_z4_cyclic2")  # its resolution is periodic: a loop at any depth
-    code, out, _ = run(capsys, "decompose", module, "--depth", str(MAX_DECOMPOSE_DEPTH))
+    code, out, _ = run(capsys, "decompose", module, "--depth", str(MAX_LEVELS))
     assert code == 0 and out == run(capsys, "decompose", module)[1]
     tree = out_doc(out).payload
     assert tree.kind == "loop" and not tree.has_residual() and tree.free_leaf_count() == 2
     # a bounded complex longer than the limit still ends in a residual leaf
-    ranks = {-j: 1 for j in range(2 * MAX_DECOMPOSE_DEPTH + 4)}
+    ranks = {-j: 1 for j in range(2 * MAX_LEVELS + 4)}
     long = tmp_path / "long.json"
     long.write_text(emit_document(make_document(ZZ, "complex", Complex(ZZ, "left", ranks, {}))))
-    code, out, _ = run(capsys, "decompose", str(long), "--depth", str(MAX_DECOMPOSE_DEPTH))
+    code, out, _ = run(capsys, "decompose", str(long), "--depth", str(MAX_LEVELS))
     assert code == 0
     tree = out_doc(out).payload
-    assert tree.has_residual() and tree.free_leaf_count() == 2 * MAX_DECOMPOSE_DEPTH
+    assert tree.has_residual() and tree.free_leaf_count() == 2 * MAX_LEVELS
     code, out, err = run(capsys, "decompose", module, "--depth",
-                         str(MAX_DECOMPOSE_DEPTH + 1))
+                         str(MAX_LEVELS + 1))
     assert code == 2 and out == ""
-    assert f"--depth: must be <= {MAX_DECOMPOSE_DEPTH}" in err
+    assert f"--depth: must be <= {MAX_LEVELS}" in err
 
 
 def _z4_twos(lowest: int, zero_at: int, period: int) -> Complex:
@@ -368,19 +358,19 @@ def _z4_twos(lowest: int, zero_at: int, period: int) -> Complex:
 def test_decompose_unrolls_a_loop_that_would_close_too_deep(capsys, tmp_path, lowest,
                                                              zero_at, period):
     # a loop of 200 levels, or one starting below level 1500, would nest
-    # past the recursion limit: the tree stops after MAX_DECOMPOSE_DEPTH
+    # past the recursion limit: the tree stops after MAX_LEVELS
     # levels in a residual leaf that keeps Q's tail, at every --depth
     q = _z4_twos(lowest, zero_at, period)
     target = tmp_path / "complex.json"
     target.write_text(emit_document(make_document(q.ring, "complex", q)))
     outs = []
-    for depth in ("8", str(MAX_DECOMPOSE_DEPTH)):
+    for depth in ("8", str(MAX_LEVELS)):
         code, out, err = run(capsys, "decompose", str(target), "--depth", depth)
         assert (code, err) == (0, "")
         outs.append(out)
     assert outs[0] == outs[1] and '"kind":"loop"' not in outs[0]
     tree = out_doc(outs[0]).payload
-    assert tree.free_leaf_count() == 2 * MAX_DECOMPOSE_DEPTH
+    assert tree.free_leaf_count() == 2 * MAX_LEVELS
     assert [leaf.payload.is_bounded for leaf in tree.leaves() if leaf.residual] == [False]
 
 
@@ -425,7 +415,6 @@ def test_format_version_1_exits_2(capsys, tmp_path):
 
 
 def test_format_version_2_exits_2(capsys, tmp_path):
-    # format 2 stored derived package and tree values that format 3 drops
     doc = json.loads(pathlib.Path(fx("package_z4_cyclic2")).read_text())
     doc["version"] = "2"
     old = tmp_path / "old.json"
@@ -433,6 +422,32 @@ def test_format_version_2_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "check-qiso", str(old), fx("complex_z4_0"))
     assert code == 2 and out == ""
     assert "unsupported format version '2'" in err
+
+
+def test_format_version_3_package_exits_2(capsys, tmp_path):
+    doc = json.loads(pathlib.Path(fx("package_z4_cyclic2")).read_text())
+    doc["version"] = "3"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-qiso", str(old), fx("complex_z4_0"))
+    assert code == 2 and out == ""
+    assert "unsupported format version '3'" in err
+
+
+def test_depth_of_resolve_and_generator_is_at_most_the_size_limit(capsys, tmp_path):
+    # a package document's depth is at most SIZE_LIMIT, so the generator
+    # that writes one takes no deeper --depth
+    code, out, _ = run(capsys, "generator", fx("module_z4_cyclic2"), "--depth", str(SIZE_LIMIT))
+    assert code == 0
+    package = tmp_path / "package.json"
+    package.write_text(out)
+    code, out, _ = run(capsys, "check-qiso", str(package), fx("complex_z4_0"), "--window=-3..3")
+    assert code == 0 and out_doc(out).payload.code == "hom_exact"
+    for command in ("resolve", "generator"):
+        code, out, err = run(capsys, command, fx("module_z4_cyclic2"), "--depth",
+                             str(SIZE_LIMIT + 1))
+        assert code == 2 and out == ""
+        assert f"--depth: must be <= {SIZE_LIMIT}" in err
 
 
 def test_deeply_nested_document_exits_2(capsys, tmp_path):

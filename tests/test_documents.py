@@ -147,50 +147,14 @@ def test_periodic_tails_survive_roundtrip():
     assert c.rank(9) == 1 and c.diff(7)[0, 0] == 2
 
 
-def test_generator_package_dual_is_validated():
-    path = pathlib.Path(__file__).parent / "fixtures" / "package_z4_cyclic2.json"
-    text = path.read_text()
-    dual = '"dual":{"presentation":{"cols":1,"entries":[[2]]'
-    assert dual in text
-    with pytest.raises(DocumentError, match="stored dual"):
-        parse_document(text.replace(dual, dual.replace("[[2]]", "[[0]]")))
-    # the untampered package parses and rebuilds the same module
-    doc = parse_document(text)
-    assert doc.payload.module == FPModule.cyclic(Zmod(4), "left", 2)
-
-
-# a resolution of Z/4 / (1), which is not the dual Z/4 / (2) of Z/4 / (2)
-WRONG_RESOLUTION = {"side": "right", "ranks": [[-1, 1], [0, 1]],
-                    "diffs": [[-1, {"rows": 1, "cols": 1, "entries": [[1]]}]],
-                    "tail_below": None, "tail_above": None}
-
-
-@pytest.mark.parametrize("field, value, message", [
-    ("comparison", {"rows": 1, "cols": 1, "entries": [[3]]}, "comparison"),
-    ("resolution", WRONG_RESOLUTION, "stored resolution is not the dual's resolution"),
-], ids=["comparison", "resolution"])
-def test_generator_package_comparison_and_resolution_are_validated(field, value, message):
-    doc = _fixture_json("package_z4_cyclic2")
-    doc["payload"][field] = value
-    with pytest.raises(DocumentError, match=message):
-        parse_document(json.dumps(doc))
-
-
-def _cut_resolution(payload):
-    """The fixture package's resolution cut to P^-1 -> P^0: it still starts
-    at the dual, but its tail is gone and complete still reads true."""
-    res = payload["resolution"]
-    res.update(ranks=[[-1, 1], [0, 1]], diffs=[p for p in res["diffs"] if p[0] == -1],
-               tail_below=None)
-
-
 @pytest.mark.parametrize("tamper, message", [
-    (_cut_resolution, "stored resolution is not the dual's resolution to depth 24"),
-    (lambda t: t.update(complete=False), "stored complete is False"),
-    (lambda t: t.update(depth=1), "stored resolution is not the dual's resolution to depth 1"),
     (lambda t: t.update(depth=0), "package depth must be at least 1"),
-], ids=["cut", "incomplete", "shallower", "depth_0"])
+    (lambda t: t.update(depth="24"), "depth must be an integer, got '24'"),
+    (lambda t: t.update(depth=4097), "depth must be at most 4096"),
+], ids=["depth_0", "depth_not_an_integer", "depth_4097"])
 def test_a_package_resolution_is_derived_again(tamper, message, capsys, tmp_path):
+    # P is resolved from the module to the package's depth as it is read,
+    # so a depth that no resolution search takes is refused, exit 2
     from homcert.cli import main
 
     fixtures = pathlib.Path(__file__).parent / "fixtures"
@@ -210,25 +174,9 @@ def test_a_package_resolution_is_derived_again(tamper, message, capsys, tmp_path
     assert check_qiso(bad) == 2 and message in capsys.readouterr().err
 
 
-def test_a_zero_dual_needs_a_zero_resolution():
-    # Z/6 over Z has no functionals, so P resolves 0 and is the zero complex
-    doc = _fixture_json("package_z4_cyclic2")
-    doc["ring"], doc["payload"]["module"]["side"] = {"kind": "Z"}, "left"
-    doc["payload"]["module"]["presentation"]["entries"] = [[6]]
-    doc["payload"]["dual"] = {"side": "right",
-                              "presentation": {"rows": 0, "cols": 0, "entries": []}}
-    doc["payload"]["comparison"] = {"rows": 0, "cols": 1, "entries": []}
-    zero = {"side": "right", "ranks": [], "diffs": [], "tail_below": None, "tail_above": None}
-    doc["payload"]["resolution"] = zero
-    assert parse_document(json.dumps(doc)).payload.resolution.support() is None
-    doc["payload"]["resolution"] = dict(zero, ranks=[[0, 1]])
-    with pytest.raises(DocumentError, match="stored resolution is not the dual's resolution"):
-        parse_document(json.dumps(doc))
-
-
 def test_packages_and_trees_store_no_derived_values():
     payload = _fixture_json("package_z4_cyclic2")["payload"]
-    assert set(payload) == {"module", "dual", "comparison", "resolution", "depth", "complete"}
+    assert set(payload) == {"module", "depth"}
     nodes = [_fixture_json("tree_z_cyclic6")["payload"]]
     while nodes:
         node = nodes.pop()
@@ -323,13 +271,6 @@ def test_verdict_fields_must_have_their_json_types(field, value, message):
     else:
         doc["payload"][field] = value
     with pytest.raises(DocumentError, match=message):
-        parse_document(json.dumps(doc))
-
-
-def test_package_complete_must_be_a_boolean():
-    doc = _fixture_json("package_z4_cyclic2")
-    doc["payload"]["complete"] = 0
-    with pytest.raises(DocumentError, match="package complete must be a boolean"):
         parse_document(json.dumps(doc))
 
 

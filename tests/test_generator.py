@@ -1,11 +1,12 @@
+import json
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
 from homcert import documents, generator, matrices, modules
 from homcert.complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
-                               homology, suspension)
+                               first_difference, homology, suspension)
 from homcert.flatness import EngineConfig, pd_bound_collapse
 from homcert.generator import (GeneratorPackage, build_generator, compactness_probe,
                                double_dual_check, h0_hom_equivalence,
@@ -73,29 +74,61 @@ def test_comparison_is_the_double_dual_evaluation():
             assert pkg.comparison == k2.transpose() @ mu.matrix
 
 
-def test_build_and_parse_compute_the_dual_twice(monkeypatch):
-    # once to build the package and once to parse it: neither forms the
-    # double dual M** any more
-    calls = []
-    real = modules._dual_form
+def _package_modules():
+    """Seeded modules over Z, F7, Z/4, Z/8 and Z/12, and Z/6 over Z,
+    whose dual is zero."""
+    rng = random.Random(47)
+    for ring in (ZZ, Fp(7), Zmod(4), Zmod(8), Zmod(12)):
+        for _ in range(6):
+            yield random_fp_module(rng, ring, side=rng.choice(["left", "right"]))
+    yield FPModule.cyclic(ZZ, "left", 6)
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
 
-    monkeypatch.setattr(modules, "_dual_form", counted)
-    m = FPModule.cyclic(Zmod(4), "left", 2)
-    pkg = build_generator(m)
-    assert calls == [m]
-    calls.clear()
-    text = documents.emit_document(documents.make_document(m.ring, "generator_package", pkg))
-    assert documents.parse_document(text).payload == pkg
-    assert calls == [m]
+def test_a_package_round_trips_as_its_module_and_depth(monkeypatch):
+    # a package document is {module, depth}; parsing derives M*, the
+    # comparison, P and `complete` again, each package computing its dual
+    # and its resolution at most once however often they are read
+    calls = {"dual": 0, "resolve": 0}
+    dual_form, resolve = modules._dual_form, generator.resolve_module
+
+    def counted(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+
+    monkeypatch.setattr(modules, "_dual_form", counted("dual", dual_form))
+    monkeypatch.setattr(generator, "resolve_module", counted("resolve", resolve))
+
+    def read_twice(pkg):
+        for _ in range(2):
+            parts = (pkg.dual, pkg.comparison, pkg.dual_gens, pkg.resolution, pkg.complete,
+                     pkg.dual_complex)
+        assert calls["dual"] <= 1 and calls["resolve"] <= 1
+        calls.update(dual=0, resolve=0)
+        return parts
+
+    def emit(pkg) -> str:
+        return documents.emit_document(
+            documents.make_document(pkg.module.ring, "generator_package", pkg))
+
+    shapes = set()
+    for m in _package_modules():
+        for depth in (1, 2, 24):
+            pkg = build_generator(m, depth)
+            dual, comparison, _, resolution, complete, _ = read_twice(pkg)
+            text = emit(pkg)
+            assert set(json.loads(text)["payload"]) == {"module", "depth"}
+            parsed = documents.parse_document(text).payload
+            assert emit(parsed) == text and (parsed.module, parsed.depth) == (m, depth)
+            p_dual, p_comparison, _, p_resolution, p_complete, _ = read_twice(parsed)
+            assert (p_dual, p_comparison, p_complete) == (dual, comparison, complete)
+            assert first_difference(p_resolution, resolution) is None
+            shapes.add((dual.rank0 == 0, complete, resolution.tail_below is not None))
+    # not vacuous: zero duals, and truncated, finite and periodic resolutions
+    assert {(True, True, False), (False, False, False), (False, True, False),
+            (False, True, True)} <= shapes
 
 
 def test_a_package_stores_exactly_what_it_computes():
-    assert [f.name for f in fields(GeneratorPackage)] == \
-        ["module", "dual", "comparison", "resolution", "depth", "complete"]
+    assert [f.name for f in fields(GeneratorPackage)] == ["module", "depth"]
     pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
     assert pkg.dual_gens is pkg.comparison
     assert pkg.dual_complex == dualize_complex(pkg.resolution)
@@ -108,32 +141,28 @@ def test_generator_package_for_torsion_over_Z_has_zero_dual():
     assert verify_resolution(pkg).ok
 
 
-def _empty_package_json(ring, module, rank0):
-    """The package text of a module whose dual is zero: M* has no
-    generators, and its resolution is the zero complex."""
-    empty = f'{{"cols":{rank0},"entries":[],"rows":0}}'
-    zero = '"diffs":[],"ranks":[],"side":"{}","tail_above":null,"tail_below":null'
-    return ('{"kind":"generator_package","payload":{'
-            f'"comparison":{empty},"complete":true,"depth":24,'
-            '"dual":{"presentation":{"cols":0,"entries":[],"rows":0},"side":"right"},'
-            f'"module":{{"presentation":{module},"side":"left"}},'
-            f'"resolution":{{{zero.format("right")}}}}},"ring":{ring},'
+def _empty_package_json(ring, module):
+    """The package text of a module whose dual is zero: its module and
+    the default depth, as for any module."""
+    return ('{"kind":"generator_package","payload":{"depth":24,'
+            f'"module":{{"presentation":{module},"side":"left"}}}},"ring":{ring},'
             f'"version":"{documents.FORMAT_VERSION}"}}\n')
 
 
 @pytest.mark.parametrize("ring, presentation, text", [
     (ZZ, Mat(ZZ, 1, 1, (6,)),
-     _empty_package_json('{"kind":"Z"}', '{"cols":1,"entries":[[6]],"rows":1}', 1)),
+     _empty_package_json('{"kind":"Z"}', '{"cols":1,"entries":[[6]],"rows":1}')),
     (Zmod(4), Mat.zero(Zmod(4), 0, 0),
-     _empty_package_json('{"kind":"Zmod","n":4}', '{"cols":0,"entries":[],"rows":0}', 0)),
+     _empty_package_json('{"kind":"Zmod","n":4}', '{"cols":0,"entries":[],"rows":0}')),
     (Zmod(4), Mat(Zmod(4), 1, 1, (1,)),
-     _empty_package_json('{"kind":"Zmod","n":4}', '{"cols":1,"entries":[[1]],"rows":1}', 1)),
+     _empty_package_json('{"kind":"Zmod","n":4}', '{"cols":1,"entries":[[1]],"rows":1}')),
     (Fp(5), Mat.zero(Fp(5), 0, 2),
-     _empty_package_json('{"kind":"Fp","n":5}', '{"cols":2,"entries":[],"rows":0}', 0)),
+     _empty_package_json('{"kind":"Fp","n":5}', '{"cols":2,"entries":[],"rows":0}')),
 ], ids=["Z/6 over Z", "0 over Z/4", "Z/4/(1)", "0 over F5"])
 def test_package_bytes_of_modules_with_zero_dual(ring, presentation, text):
     pkg = build_generator(FPModule(ring, "left", presentation))
     assert documents.emit_document(documents.make_document(ring, "generator_package", pkg)) == text
+    assert pkg.dual.rank0 == 0 and pkg.resolution.support() is None
     assert verify_resolution(pkg).ok and double_dual_check(pkg).ok
 
 
@@ -260,16 +289,40 @@ def _doubling_dualize(c):
     return finite_coproduct([dualize_complex(c)] * 2)[0]
 
 
+def _doubling_dual_data(m):
+    """A broken dual_data: the comparison twice over."""
+    mstar, K = dual_data(m)
+    return mstar, K.scale(2)
+
+
+def _resolving_z2(m, depth):
+    """A broken resolve_module: the resolution of Z/2 over Z, whatever M is."""
+    return resolve_module(FPModule.cyclic(ZZ, m.side, 2), depth)
+
+
+def _exact_nowhere(m, depth):
+    """A broken resolve_module: Z in degrees -1 and 0 with d^-1 = 0."""
+    return Complex(ZZ, m.side, {0: 1, -1: 1}, {}), True
+
+
+def _built_with(monkeypatch, name, broken, m):
+    """The package of M built while generator.<name> is broken; the
+    package keeps what it derived then."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, name, broken)
+        return build_generator(m)
+
+
 def test_failing_verdicts_of_tampered_packages_and_refused_targets(monkeypatch):
-    # each package is the one for M = R over Z with one field replaced, so
-    # exactly the property that field carries fails; P* is derived, so the
-    # double dual fails only under a broken dualize_complex
-    pkg = build_generator(FPModule.free(ZZ, "left", 1))
+    # each package is the one for M = R over Z built with one construction
+    # broken, so exactly the property that construction gives fails
+    free = FPModule.free(ZZ, "left", 1)
+    pkg = build_generator(free)
     with monkeypatch.context() as patch:
         patch.setattr(generator, "dualize_complex", _doubling_dualize)
         doubled_dual = double_dual_check(pkg)
     q = Complex(ZZ, "left", {0: 1}, {})
-    doubled = replace(pkg, comparison=pkg.comparison.scale(2))
+    doubled = _built_with(monkeypatch, "dual_data", _doubling_dual_data, free)
     z4 = Zmod(4)
     two = Mat(z4, 1, 1, (2,))
     periodic = Complex(z4, "left", {0: 1, 1: 1}, {0: two}, tail_below=PeriodicTail(-1, 0, 1),
@@ -278,10 +331,10 @@ def test_failing_verdicts_of_tampered_packages_and_refused_targets(monkeypatch):
     cases = [
         (verify_generator_quasi_iso(doubled, q), "hom_not_exact", {"degree"}),
         (h0_hom_equivalence(doubled, q), "h0_not_isomorphic", {"source", "target"}),
-        (verify_resolution(replace(pkg, dual=FPModule.cyclic(ZZ, "right", 2))),
+        (verify_resolution(_built_with(monkeypatch, "resolve_module", _resolving_z2, free)),
          "degree_zero_mismatch", {"computed", "expected"}),
-        (verify_resolution(replace(pkg, resolution=Complex(ZZ, "right", {0: 1, -1: 1}, {}),
-                                   complete=True)), "not_exact_below", {"degree"}),
+        (verify_resolution(_built_with(monkeypatch, "resolve_module", _exact_nowhere, free)),
+         "not_exact_below", {"degree"}),
         (doubled_dual, "double_dual_mismatch", {"degree"}),
         (verify_generator_quasi_iso(z4_pkg, periodic), "unbounded_target", set()),
         (h0_hom_equivalence(z4_pkg, periodic), "unbounded_target", set()),
@@ -292,6 +345,7 @@ def test_failing_verdicts_of_tampered_packages_and_refused_targets(monkeypatch):
     for v, code, keys in cases:
         assert (v.ok, v.code, set(v.details)) == (False, code, keys)
     assert cases[4][0].details["degree"] == 0
+    assert doubled.comparison == pkg.comparison.scale(2)
     v = verify_generator_quasi_iso(pkg, Complex.zero(ZZ, "left"))
     assert v.ok and v.code == "hom_exact" and v.details["note"] == "zero target"
 
@@ -334,8 +388,8 @@ def test_verdict_details_hold_modules_that_decode(monkeypatch):
                        tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
     verdicts = [
         pd_bound_collapse(periodic, EngineConfig.for_ring(ring), (-4, 4)),
-        verify_resolution(replace(free, dual=FPModule.cyclic(ZZ, "right", 2))),
-        h0_hom_equivalence(replace(free, comparison=free.comparison.scale(2)),
+        verify_resolution(_built_with(monkeypatch, "resolve_module", _resolving_z2, free.module)),
+        h0_hom_equivalence(_built_with(monkeypatch, "dual_data", _doubling_dual_data, free.module),
                            Complex(ZZ, "left", {0: 1}, {})),
         h0_hom_equivalence(z2, q),
         # HomClasses(P*, Q) = Hom(Z/2, Z/4) is not H^0 Q = Z/4

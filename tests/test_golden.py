@@ -113,43 +113,43 @@ def elim_digest(ring_name: str, kind: str) -> str:
 
 GOLDEN_CLI = {
     "resolve module_f5_0": "4da6bbe3658bd5932731f969f6df7a540597e71efdf236a9544228a3b6559a09",
-    "generator module_f5_0": "b64104694162744b001882668fb8c44daebd924212e041ae17df4dbcaf5fb1ab",
+    "generator module_f5_0": "725df37a417de05507c3739142c46722cd4a19cbe94d0baa7ee90632860f6158",
     "decompose module_f5_0": "3798e90ed240f20610539c44c8084d8a5cb7a4810d8f9a2f09306383096a7672",
     "resolve module_f5_1": "0d3a6b794ad792cd26aab555770348277f3b2de43ff1358c01a6710e346f8758",
-    "generator module_f5_1": "76258cc7d000753148d1fc6a1debebed5a45d67b2e0816e6a8ee56dfb1b0d8a3",
+    "generator module_f5_1": "141d28817a342fc746916fc7a72957d5b93901ff2fb1602457b9d1fb38973527",
     "decompose module_f5_1": "6bedd68bfa8e7865dc23b017bf9f9bf9010c063bbbc691bc18a639f13772a54f",
     "resolve module_f5_2": "8df26ab7b71d77ebcb7333f0c6a815ede3239fda8f474264a88bbe19ffa97740",
-    "generator module_f5_2": "71f8b176e8472410796b85dcde3c3263ab3d13bbd0f1bba20b592ec207f64b32",
+    "generator module_f5_2": "e5bc4d28fccb34ef4c130d59d108f8626ed8bcaa3216ce25022ea959c4eaae1f",
     "decompose module_f5_2": "34bc26f4f755fb182eb05618aad45c6991ce22c365ff206c2738893e151d2c78",
     "resolve module_z12_cyclic4": "e97877c0bee9e05d780e7e21d90ff82d6bb758d84495984f945416ca149ddb42",
-    "generator module_z12_cyclic4": "6bb7b899ec7e2574f5a7f99354a6a68c004657922e08c7234389ca1b0f227804",
+    "generator module_z12_cyclic4": "e937a10cc3f5d8429931950fe9d8209b02cad011c43d7140b80b27df08e99a90",
     "decompose module_z12_cyclic4": "2a00801c4f61f68f3dd6782f4b587efb487d653009da399228e2d4941895b2d2",
     "resolve module_z4_0": "bf4f79d5a91a7d29641f3b394f0a00fd669e58d3deae7c22ea0610264a113776",
-    "generator module_z4_0": "929d4131fbb5ca74ce3d5be171bc710317dd737a261b0dc9a8208829bb3aa18f",
+    "generator module_z4_0": "9a934c445ad47bf3be5ec9dde505389831fb602435d374af0adda15460191ea4",
     "decompose module_z4_0": "d32f73f0bc3a588f519c90e3b08624ec58f96d34a7812dcb9127f5f66d55ac49",
     "resolve module_z4_1": "209d9434b91aca6f11625d45c04360d186145ecfb6906d0f9451ce7f775c8295",
-    "generator module_z4_1": "3f1440cba785bb3ca9d95a1e6ce2bb16b81d1b71aec28c722c6b1d5adeebb143",
+    "generator module_z4_1": "51ab26c2d3644b1dadfbc9bc147254efaf7127730974e0c40bca4f777f9e36b0",
     "decompose module_z4_1": "2c48d081f02c541bcbcf4618416269218c9305fcf9e439fee56b9fa5ad469a4a",
     "resolve module_z4_2": "18e5d6a54531246ec445c17578130e8fa21da50034137137e1b7d4238640c97c",
-    "generator module_z4_2": "223d43e9fa0e90716a2f1d5e157bd42a7378184c98f6023c76353562585b4f78",
+    "generator module_z4_2": "45c7324b84aab6aec875a399ca3d4536d7f914b2e56b957c767b4297fab7ea38",
     "decompose module_z4_2": "4359eb9017fdeceef5acecfe932d05f0ac18071fe2c7c36cbe17df46eac859c4",
     "resolve module_z4_cyclic2": "a02a0b6b3f3b171bd124d95992857df22edf497963029ab1746451e32173a8cb",
-    "generator module_z4_cyclic2": "5e1f3e6aa3df21a35229cfa1fda88c63985f8f427dc3106ce9a764334e4ca4c1",
+    "generator module_z4_cyclic2": "c4ea6728ab45c49e128164ad46a3be67acb990eeef75b78f12d40285825435ba",
     "decompose module_z4_cyclic2": "3f4442c7873c99b13b6d89cd3b352603f6f4de9b756aa08d6605ef58d383e51b",
     "resolve module_z_0": "3231bc88086de060dbc957b2ec5903d592f3ec8481f1b1fbfb9ffe1601adbd26",
-    "generator module_z_0": "db79caad1d23253657c00f82056d96e5b3b2d7b288fa0c1d22435784285917c6",
+    "generator module_z_0": "8820fd982febc5158e9b008eafaab761cb1ab37c9700e29345812485b5f27812",
     "decompose module_z_0": "9f60ad50a237061839b385aba88349dd862fe6f3b86793729df2df47514f5737",
     "resolve module_z_1": "f7fcad40bdc5a662d43e4ed0401733e4e7293ab00e553ae6586d8f9939c09624",
-    "generator module_z_1": "d7a1945ba88937dd601a478816e509ffe9b5d5d2ef06ce19e32af079fe560feb",
+    "generator module_z_1": "0f6584fa3dbfa03f59efe93a43ac111ff692b1fb4c31aae180213695cf67effc",
     "decompose module_z_1": "e481e1219229916c9e7026842b15a94ddb51ff38c7e52f4a08fb42d95ba2abb8",
     "resolve module_z_2": "fc9977055093bace114b852ac46d15f55ce96cc641310655e278a24b29e2411b",
-    "generator module_z_2": "c68fe854e40a7513ea9d43b1b69c6db8f83ab71e8d414666dd1aee7550bba9ae",
+    "generator module_z_2": "0a69ce2f0321804b86e7db0ece8ea3703a3c240a48c4a3979878039673b69a26",
     "decompose module_z_2": "4280984b7c79d83f550effe3744d4f87a87b48ec355ac6bfa2b57d5dfe19a739",
     "resolve module_z_cyclic6": "6b46697b99fc52b60727ac0256f1b88d70d12fdba1dbb583f1fa675b4c51ec16",
-    "generator module_z_cyclic6": "73796e9d5493b782def9841348946d6782de232cccb1510324742b2d7d310fac",
+    "generator module_z_cyclic6": "c54607995bc7c967b304e673ab1a704bc349756c9705b6902a594f9c35d61464",
     "decompose module_z_cyclic6": "d3dad8d63e209ca277f4e73b69a921119a01e699c91e949257fdf92ff64011e0",
     "resolve module_z_right6": "dacdafa95f611110b73064a5c4ece420cc9213ef607aa8bd1acd30a5f8b4401d",
-    "generator module_z_right6": "615a482f502f688bc2f14b62a7765a7bd61aa43a093552c7c96996c493d7b89c",
+    "generator module_z_right6": "c72db703f04a91da2e9274b6ba31a5a3524ebe254daf79398dbea04e158e454d",
     "decompose module_z_right6": "a5b402080eb4ad950d5a12e9dadf33e62be106f23e61403ead456e3e77b31a8d",
 }
 
