@@ -14,8 +14,10 @@ term j to term j+1.  Fixed sign conventions:
   d^(-j-1), no sign, so dualizing twice is the identity on the nose;
 * Hom complex: d(f) = d_Q o f - (-1)^n f o d_X for f of degree n; the
   one construction of Hom complexes is homspaces.hom_fp_complex, which
-  takes free terms as modules with empty presentations; null homotopies
-  are solved there, in degree -1.
+  takes free terms as modules with empty presentations; a null homotopy
+  of a given map is solved there, in degree -1 (null_homotopy_witness).
+  A contraction needs no Hom complex: it is lifted degree by degree
+  through the forms of the complex's own differentials (contraction).
 
 A complex is either bounded (explicit finite support) or carries
 eventually-periodic tails; tail evaluation is a pure lookup, so values
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .matrices import Echelon, Mat, MatrixError, assemble_blocks, echelon
 from .modules import FPModule, is_projective, opposite, subquotient_module
@@ -539,29 +540,64 @@ def null_homotopy_witness(f: ChainMap) -> Homotopy | None:
 
     s is a degree -1 element of Hom(X, Y), where the Hom differential is
     d(s) = d_Y s + s d_X, so the system is that differential with the
-    components of f, a degree 0 element, as right-hand side.
+    components of f, a degree 0 element, as right-hand side.  The Hom
+    differential is refused (MatrixError) past the size guard of
+    homspaces before anything of that size is allocated.
     """
-    return _null_homotopy(f.source, f.target, lambda: f.components)
-
-
-def _null_homotopy(X: Complex, Y: Complex,
-                   components: Callable[[], dict[int, Mat]]) -> Homotopy | None:
-    """null_homotopy_witness of the map X -> Y with the given components,
-    which are built only after the size guard of ambient_diff(-1) passed."""
     from .homspaces import free_terms, hom_fp_complex
 
+    X, Y = f.source, f.target
     if not (X.is_bounded and Y.is_bounded):
         raise ComplexError("null homotopy requires bounded complexes")
     hom = hom_fp_complex(*free_terms(X), Y)
-    s = hom.form(-1).solve(hom.join(0, components()))
+    s = hom.form(-1).solve(hom.join(0, f.components))
     if s is None:
         return None
     return Homotopy(X, Y, hom.split(-1, s))
 
 
-def contraction(c: Complex) -> Homotopy | None:
-    """Null homotopy of the identity; exists iff the complex is contractible."""
-    return _null_homotopy(c, c, lambda: ChainMap.identity(c).components)
+def contraction(c: Complex, *, forms: Forms | None = None) -> Homotopy | None:
+    """A null homotopy s of the identity of a bounded c, or None when c
+    is not contractible; `forms` is an engine over c shared with other
+    questions, or a new one.
+
+    s is lifted one degree at a time, from the top of the support down:
+    with s^(hi+1) = 0, e^j = 1 - s^(j+1) d^j and s^j solves
+    d^(j-1) s^j = e^j through form(j - 1), so d s + s d = 1 in degree j.
+    As that holds in degree j + 1, d^j e^j = 0: e^j is a cycle, and a
+    bounded complex of projectives is contractible exactly when it is
+    exact.  So a lift fails exactly when c is not exact in some degree
+    of its support, and no Hom complex is built.  A nonzero term between
+    two zero differentials is not exact, and fails before any matrix is
+    built.
+    """
+    if not c.is_bounded:
+        raise ComplexError("null homotopy requires bounded complexes")
+    lo, hi = c.support() or (0, -1)  # the zero complex has no degree to lift
+    live = {j for j, d in c.diffs.items() if not d.is_zero()}
+    if any(r and j - 1 not in live and j not in live for j, r in c.ranks.items()):
+        return None
+    forms = forms or Forms(c)
+    s, above = {}, None  # above: s^(j+1), None where it is zero
+    for j in range(hi, lo - 1, -1):
+        if not (r := c.rank(j)):
+            above = None
+            continue
+        if above is not None and j in live:  # 1 - p: every (r + 1)-th entry is diagonal
+            p = (above @ c.diffs[j]).entries
+            e = Mat(c.ring, r, r, tuple(int(k % (r + 1) == 0) - x for k, x in enumerate(p)))
+        else:
+            e = Mat.identity(c.ring, r)
+        if not c.rank(j - 1):  # nothing to lift into: e must vanish
+            if not e.is_zero():
+                return None
+            above = None
+            continue
+        above = forms.form(j - 1).solve(e)
+        if above is None:
+            return None
+        s[j] = above
+    return Homotopy(c, c, dict(sorted(s.items())))
 
 
 # -- split exactness --------------------------------------------------
@@ -572,24 +608,28 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
 
     A bounded complex of projectives is split exact exactly when it is
     contractible; when the window covers its support the witness is a
-    null homotopy of the identity (contraction).  Otherwise homology must
-    vanish and every cycle module must be projective inside the window,
-    and the verdict names the first degree where either fails; a bounded
-    complex the window does not cover then fails with window_too_small,
-    and a periodic one passes relative to the window if it has an
-    interior degree (window_too_small otherwise: nothing was checked).
+    null homotopy of the identity (contraction), lifted through the
+    forms of c's own differentials, which the sweep below then shares,
+    so a covered complex that fails eliminates each differential once.
+    Otherwise homology must vanish and every cycle module must be
+    projective inside the window, and the verdict names the first
+    degree where either fails (on a covered complex only not_exact can,
+    as the lift fails only where c is not exact); a bounded complex the
+    window does not cover then fails with window_too_small, and a
+    periodic one passes relative to the window if it has an interior
+    degree (window_too_small otherwise: nothing was checked).
     """
     lo, hi = window
     span = c.support()
     covered = c.is_bounded and (span is None or (lo + 1 < span[0] and span[1] < hi - 1))
+    forms, cycles = Forms(c), {}
     if covered:
-        homotopy = contraction(c)
+        homotopy = contraction(c, forms=forms)
         if homotopy is not None:
             return Verdict(True, "split_exact", {"homotopy": homotopy})
     window_relative = not c.is_bounded
     if window_relative and hi - lo < 2:
         return Verdict(False, "window_too_small", {"window": window}, True)
-    forms, cycles = Forms(c), {}
     for j in range(lo + 1, hi):
         z, y = forms.exactness(j)
         if y is None:

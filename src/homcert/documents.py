@@ -19,11 +19,13 @@ No derived value is stored: a generator package is its module and depth
 (M*, the comparison, P, its completeness and P* are derived again), and
 whether a build-tree leaf is residual is read from its payload.
 
-Parsing validates invariants, not just syntax: matrix entries must be
-canonical representatives, presentation shapes must match, and d^2 = 0
-is checked on the declared data (the offending product is included in
-the error message).  A package's depth is from 1 to SIZE_LIMIT, and its
-module is resolved as it is read.
+Parsing validates invariants, not just syntax: every object may hold
+only the keys its encoder writes (an unknown key is refused by name, so
+a field a format no longer stores is not silently dropped), matrix
+entries must be canonical representatives, presentation shapes must
+match, and d^2 = 0 is checked on the declared data (the offending
+product is included in the error message).  A package's depth is from 1
+to SIZE_LIMIT, and its module is resolved as it is read.
 A build tree's back node closes the loop above it, at the end of the
 loop body's chain of sources; no loop lies inside another.
 """
@@ -161,6 +163,14 @@ def _require(cond: bool, message: str):
         raise DocumentError(message)
 
 
+def _object(obj: Any, what: str, keys: tuple[str, ...]):
+    """Require a JSON object with no key outside `keys`, and name the first
+    unknown one: a field the format does not have is refused, not dropped."""
+    _require(isinstance(obj, dict), f"{what} must be an object")
+    if unknown := sorted(k for k in obj if k not in keys):
+        raise DocumentError(f"{what} has an unknown key {unknown[0]!r}")
+
+
 def _int(value: Any, what: str, limit: int | None = SIZE_LIMIT) -> int:
     """A JSON integer at most `limit` in absolute value (None: any);
     strings, floats and booleans (a bool is an int in Python) are refused."""
@@ -191,6 +201,7 @@ def _pairs(obj: dict, field: str, what: str) -> list[tuple[int, Any]]:
 def ring_from_json(obj: Any) -> RingDescriptor:
     _require(isinstance(obj, dict) and "kind" in obj, "ring must be an object with a kind")
     kind = obj["kind"]
+    _object(obj, "ring", ("kind",) if kind == "Z" else ("kind", "n"))
     try:
         if kind == "Z":
             return ZZ
@@ -206,7 +217,7 @@ def ring_from_json(obj: Any) -> RingDescriptor:
 def matrix_from_json(ring: RingDescriptor, obj: Any) -> Mat:
     """A matrix of canonical entries; each row is checked in one pass and
     only a failing row is walked again, to name its first bad entry."""
-    _require(isinstance(obj, dict), "matrix must be an object")
+    _object(obj, "matrix", ("rows", "cols", "entries"))
     rows, cols = _int(obj.get("rows"), "matrix rows"), _int(obj.get("cols"), "matrix cols")
     entries = obj.get("entries")
     if not (isinstance(entries, list) and len(entries) == rows):
@@ -230,7 +241,7 @@ def matrix_from_json(ring: RingDescriptor, obj: Any) -> Mat:
 
 
 def module_from_json(ring: RingDescriptor, obj: Any) -> FPModule:
-    _require(isinstance(obj, dict), "module must be an object")
+    _object(obj, "module", ("side", "presentation"))
     side = obj.get("side")
     _require(side in ("left", "right"), "module side must be left or right")
     pres = matrix_from_json(ring, obj.get("presentation"))
@@ -240,7 +251,7 @@ def module_from_json(ring: RingDescriptor, obj: Any) -> FPModule:
 def tail_from_json(obj: Any) -> PeriodicTail | None:
     if obj is None:
         return None
-    _require(isinstance(obj, dict), "tail must be an object or null")
+    _object(obj, "tail", ("direction", "threshold", "period"))
     fields = [_int(obj.get(f), f"tail {f}") for f in ("direction", "threshold", "period")]
     try:
         return PeriodicTail(*fields)
@@ -249,7 +260,7 @@ def tail_from_json(obj: Any) -> PeriodicTail | None:
 
 
 def complex_from_json(ring: RingDescriptor, obj: Any) -> Complex:
-    _require(isinstance(obj, dict), "complex must be an object")
+    _object(obj, "complex", ("side", "ranks", "diffs", "tail_below", "tail_above"))
     side = obj.get("side")
     _require(side in ("left", "right"), "complex side must be left or right")
     ranks = {j: _int(r, "rank") for j, r in _pairs(obj, "ranks", "rank")}
@@ -263,7 +274,7 @@ def complex_from_json(ring: RingDescriptor, obj: Any) -> Complex:
 
 
 def chain_map_from_json(ring: RingDescriptor, obj: Any) -> ChainMap:
-    _require(isinstance(obj, dict), "chain map must be an object")
+    _object(obj, "chain map", ("source", "target", "components"))
     src = complex_from_json(ring, obj.get("source"))
     tgt = complex_from_json(ring, obj.get("target"))
     comps = {j: matrix_from_json(ring, m) for j, m in _pairs(obj, "components", "matrix")}
@@ -274,7 +285,7 @@ def chain_map_from_json(ring: RingDescriptor, obj: Any) -> ChainMap:
 
 
 def relation_from_json(ring: RingDescriptor, obj: Any) -> FlatRelation:
-    _require(isinstance(obj, dict), "relation must be an object")
+    _object(obj, "relation", ("a", "z"))
     try:
         return FlatRelation(ring, matrix_from_json(ring, obj.get("a")),
                             matrix_from_json(ring, obj.get("z")))
@@ -283,7 +294,7 @@ def relation_from_json(ring: RingDescriptor, obj: Any) -> FlatRelation:
 
 
 def certificate_from_json(ring: RingDescriptor, obj: Any) -> FlatCertificate:
-    _require(isinstance(obj, dict), "certificate must be an object")
+    _object(obj, "certificate", ("ast", "q"))
     return FlatCertificate(matrix_from_json(ring, obj.get("ast")),
                            matrix_from_json(ring, obj.get("q")))
 
@@ -297,7 +308,7 @@ def build_tree_from_json(ring: RingDescriptor, obj: Any, root: bool = True,
     """spine: None outside a loop; inside a loop's body, True on the chain
     of sources from the body down, which must end in the body's one back
     node, and False off it, where no back node may stand."""
-    _require(isinstance(obj, dict), "build tree must be an object")
+    _object(obj, "build tree", ("kind", "payload", "shift", "components", "children", "target"))
     _require(("target" in obj) == root,
              "a build tree stores a target on its root and on no other node")
     kind = obj.get("kind")
@@ -329,7 +340,7 @@ def build_tree_from_json(ring: RingDescriptor, obj: Any, root: bool = True,
 
 
 def verdict_from_json(obj: Any) -> Verdict:
-    _require(isinstance(obj, dict), "verdict must be an object")
+    _object(obj, "verdict", ("ok", "code", "details", "window_relative"))
     code, details = obj.get("code"), obj.get("details", {})
     if type(code) is not str:
         raise DocumentError(f"verdict code must be a string, got {code!r}")
@@ -340,7 +351,7 @@ def verdict_from_json(obj: Any) -> Verdict:
 
 
 def package_from_json(ring: RingDescriptor, obj: Any) -> GeneratorPackage:
-    _require(isinstance(obj, dict), "generator package must be an object")
+    _object(obj, "generator package", ("module", "depth"))
     module = module_from_json(ring, obj.get("module"))
     depth = _int(obj.get("depth"), "depth")
     _require(depth >= 1, "package depth must be at least 1")
@@ -375,7 +386,7 @@ def _parse(text: str) -> Document:
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    _require(isinstance(obj, dict), "document must be a JSON object")
+    _object(obj, "document", ("version", "ring", "kind", "payload"))
     version = obj.get("version")
     if version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format version {version!r}")

@@ -7,12 +7,13 @@ import tracemalloc
 import pytest
 
 from homcert.cli import main
-from homcert.complexes import ChainMap, Complex, PeriodicTail
+from homcert.complexes import (ChainMap, Complex, PeriodicTail, contraction,
+                               null_homotopy_witness)
 from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_document,
                                parse_document)
 from homcert.duality import MAX_LEVELS
 from homcert.flatness import FlatRelation
-from homcert.matrices import Mat, kernel_right
+from homcert.matrices import Mat, MatrixError, kernel_right
 from homcert.rings import ZZ, Zmod
 from homcert.samplers import random_matrix
 
@@ -596,10 +597,24 @@ def test_chain_map_between_sides_exits_2(capsys, tmp_path):
     assert "from a left complex to a right one" in err and "Traceback" not in err
 
 
-def test_a_hom_complex_beyond_the_size_limit_exits_2(capsys, tmp_path):
-    # ranks 64 in degrees 0 and 1: the contraction's Hom differential in
+def test_a_hom_complex_beyond_the_size_limit_is_refused_before_it_is_allocated():
+    # ranks 64 in degrees 0 and 1 on both sides: the Hom differential in
     # degree -1 would be 8192 x 4096, an entry list of 256 MB; the guard
     # fires before it is allocated
+    x, y = (Complex(ZZ, "left", {0: 64, 1: 64}, {}) for _ in range(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixError, match=f"33554432 cells, more than {SIZE_LIMIT ** 2}"):
+            null_homotopy_witness(ChainMap(x, y, {}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22, peak
+
+
+def test_split_check_of_a_large_zero_complex_exits_1_in_little_memory(capsys, tmp_path):
+    # ranks 64 in degrees 0 and 1, no differential: the contraction builds
+    # no Hom complex, and the sweep names the first degree with homology
     path = tmp_path / "big.json"
     path.write_text(DOC + '"ring": {"kind": "Z"}, "kind": "complex", '
                     '"payload": {"side": "left", "ranks": [[0, 64], [1, 64]]}}')
@@ -609,20 +624,18 @@ def test_a_hom_complex_beyond_the_size_limit_exits_2(capsys, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2 and out == ""
-    assert f"33554432 cells, more than {SIZE_LIMIT ** 2}" in err
+    assert code == 1 and err == ""
+    verdict = out_doc(out).payload
+    assert verdict.code == "not_exact" and verdict.details["degree"] == 0
     assert peak < 2 ** 22, peak
 
 
-def test_a_contraction_beyond_the_size_limit_builds_no_identity(capsys, tmp_path, monkeypatch):
-    # ranks 4096 in degrees 0 and 1: the identity alone would hold 2 * 4096**2
-    # entries, and the Hom differential in degree -1 would have 2**49 cells
+def test_a_contraction_beyond_the_size_limit_builds_no_identity(monkeypatch):
+    # ranks 4096 in degrees 0 and 1 and no differential: an identity or a
+    # zero differential alone would hold 4096**2 entries
+    c = Complex(ZZ, "left", {0: SIZE_LIMIT, 1: SIZE_LIMIT}, {})
     def refuse(*args):
-        raise AssertionError("an identity was built")
+        raise AssertionError("a matrix was built")
     monkeypatch.setattr(Mat, "identity", staticmethod(refuse))
-    path = tmp_path / "big.json"
-    path.write_text(DOC + '"ring": {"kind": "Z"}, "kind": "complex", "payload": '
-                    f'{{"side": "left", "ranks": [[0, {SIZE_LIMIT}], [1, {SIZE_LIMIT}]]}}}}')
-    code, out, err = run(capsys, "split-check", str(path), "--window=-2..3")
-    assert code == 2 and out == ""
-    assert f"{2 ** 49} cells, more than {SIZE_LIMIT ** 2}" in err
+    monkeypatch.setattr(Mat, "zero", staticmethod(refuse))
+    assert contraction(c) is None

@@ -263,6 +263,79 @@ def test_passing_bounded_split_check_only_solves_for_a_contraction(monkeypatch):
         assert v.ok and list(v.details) == ["homotopy"]
 
 
+def test_a_bounded_split_check_builds_no_hom_complex(monkeypatch):
+    # the contraction is lifted through c's own forms: no Hom(C, C), and no
+    # differential eliminated twice, in the split check and in the collapse
+    import homcert.complexes as cx
+    import homcert.homspaces as hs
+    from homcert.flatness import EngineConfig, pd_bound_collapse
+
+    def refuse(*args):
+        raise AssertionError("a Hom complex was built")
+
+    eliminated = []
+    def counting(d):
+        eliminated.append(d)
+        return matrices.echelon(d)
+
+    monkeypatch.setattr(hs, "hom_fp_complex", refuse)
+    monkeypatch.setattr(cx, "echelon", counting)
+    rng = random.Random(29)
+    for ring in [*RINGS, Zmod(12)]:
+        for _ in range(5):
+            c = random_contractible_complex(rng, ring)
+            lo, hi = c.support()
+            window = (lo - 2, hi + 2)
+            for check in (lambda: split_exactness_check(c, window),
+                          lambda: pd_bound_collapse(c, EngineConfig.for_ring(ring), window)):
+                eliminated.clear()
+                v = check()
+                assert v.ok and v.details["homotopy"].bounds(ChainMap.identity(c))
+                assert len(set(eliminated)) == len(eliminated), eliminated
+                assert set(eliminated) <= {c.diff(j) for j in range(lo - 1, hi + 1)}
+        # a covered complex that fails shares the contraction's forms with
+        # the sweep that names the degree: still one elimination each
+        for _ in range(5):
+            c = random_bounded_complex(rng, ring)
+            lo, hi = c.support()
+            eliminated.clear()
+            v = split_exactness_check(c, (lo - 2, hi + 2))
+            assert v.code in ("split_exact", "not_exact")
+            assert len(set(eliminated)) == len(eliminated), eliminated
+
+
+ORACLE_RINGS = [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12), Zmod(36)]
+
+
+def _oracle_complexes(ring, count=40):
+    """Seeded contractible complexes, random bounded ones (R --a--> R pieces,
+    so some are not exact) and cones of identities."""
+    rng = random.Random(f"contraction-oracle/{ring}")
+    for _ in range(count):
+        yield random_contractible_complex(rng, ring)
+        yield random_bounded_complex(rng, ring)
+        yield cone(ChainMap.identity(random_bounded_complex(rng, ring)))
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=str)
+def test_contraction_agrees_with_the_hom_solve_and_with_exactness(ring):
+    # three routes: the lift through c's own forms, the Hom(C, C) solve for
+    # a null homotopy of the identity, and exactness in every degree of the
+    # support; a bounded complex of frees is contractible exactly when exact
+    kinds = set()
+    for c in _oracle_complexes(ring):
+        identity = ChainMap.identity(c)
+        lifted, solved = contraction(c), null_homotopy_witness(identity)
+        span = c.support()
+        forms = Forms(c)
+        exact = span is None or all(forms.is_exact_at(j) for j in range(span[0], span[1] + 1))
+        assert (lifted is None) == (solved is None) == (not exact)
+        for h in (lifted, solved):
+            assert h is None or h.bounds(identity)
+        kinds.add(exact)
+    assert kinds == {True, False}
+
+
 def test_null_homotopy_of_unbounded_complexes_is_refused():
     ring = Zmod(4)
     c = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))},

@@ -184,6 +184,52 @@ def test_packages_and_trees_store_no_derived_values():
         nodes.extend(node["children"])
 
 
+# one case per payload kind, then the objects nested in payloads and the
+# document itself: (fixture, the object that gets the key, its name in errors)
+UNKNOWN_KEY_SITES = [
+    ("matrix_z", lambda d: d["payload"], "matrix"),
+    ("module_z_0", lambda d: d["payload"], "module"),
+    ("complex_z_0", lambda d: d["payload"], "complex"),
+    ("chain_map_z", lambda d: d["payload"], "chain map"),
+    ("relation_z", lambda d: d["payload"], "relation"),
+    ("certificate_z", lambda d: d["payload"], "certificate"),
+    ("tree_z_cyclic6", lambda d: d["payload"], "build tree"),
+    ("verdict_sample", lambda d: d["payload"], "verdict"),
+    ("package_z4_cyclic2", lambda d: d["payload"], "generator package"),
+    ("module_z_0", lambda d: d["payload"]["presentation"], "matrix"),
+    ("complex_z4_periodic", lambda d: d["payload"]["tail_below"], "tail"),
+    ("chain_map_z", lambda d: d["payload"]["source"], "complex"),
+    ("tree_z_cyclic6", lambda d: d["payload"]["children"][0], "build tree"),
+    ("complex_z_0", lambda d: d["ring"], "ring"),
+    ("complex_z4_0", lambda d: d["ring"], "ring"),
+    ("complex_z_0", lambda d: d, "document"),
+]
+
+
+@pytest.mark.parametrize("fixture, site, what", UNKNOWN_KEY_SITES,
+                         ids=[f"{f}-{w.replace(' ', '_')}-{i}"
+                              for i, (f, _, w) in enumerate(UNKNOWN_KEY_SITES)])
+def test_an_unknown_key_is_refused_by_name(fixture, site, what):
+    doc = _fixture_json(fixture)
+    parse_document(json.dumps(doc))
+    site(doc)["bogus"] = 0
+    with pytest.raises(DocumentError, match=f"^{what} has an unknown key 'bogus'$"):
+        parse_document(json.dumps(doc))
+
+
+def test_a_format_3_package_relabelled_format_4_exits_2(capsys, tmp_path):
+    # the stored copies of format 3 are not dropped without a word
+    from homcert.cli import main
+
+    doc = _fixture_json("package_z4_cyclic2")
+    doc["payload"].update(dual="anything", complete=0)
+    path = tmp_path / "package.json"
+    path.write_text(json.dumps(doc))
+    target = pathlib.Path(__file__).parent / "fixtures" / "complex_z4_0.json"
+    assert main(["check-qiso", str(path), str(target), "--window=-3..3"]) == 2
+    assert "generator package has an unknown key 'complete'" in capsys.readouterr().err
+
+
 def test_parse_rejects_string_rank():
     text = (DOC + '"ring": {"kind": "Z"}, "kind": "complex", '
             '"payload": {"side": "left", "ranks": [[0, "a"]], "diffs": []}}')
