@@ -604,46 +604,43 @@ def contraction(c: Complex, *, forms: Forms | None = None) -> Homotopy | None:
 
 
 def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
-    """Split exactness of c inside the window.
+    """Split exactness of c: decided in every degree when c is bounded,
+    inside the window when it has a tail.
 
     A bounded complex of projectives is split exact exactly when it is
-    contractible; when the window covers its support the witness is a
-    null homotopy of the identity (contraction), lifted through the
-    forms of c's own differentials, which the sweep below then shares,
-    so a covered complex that fails eliminates each differential once.
-    Otherwise homology must vanish and every cycle module must be
-    projective inside the window, and the verdict names the first
-    degree where either fails (on a covered complex only not_exact can,
-    as the lift fails only where c is not exact); a bounded complex the
-    window does not cover then fails with window_too_small, and a
-    periodic one passes relative to the window if it has an interior
-    degree (window_too_small otherwise: nothing was checked).
+    contractible, so a bounded c is decided whole and the window is not
+    read: the witness is a null homotopy of the identity (contraction),
+    lifted through the forms of c's own differentials, and when the lift
+    fails the sweep over c's support shares those forms and names the
+    lowest degree that is not exact (the only way a lift can fail).  On
+    a complex with a tail, homology must vanish and every cycle module
+    must be projective in the degrees strictly inside the window; the
+    verdict names the first degree where either fails, or passes
+    relative to the window, and a window with no interior degree is
+    window_too_small: nothing was checked.
     """
-    lo, hi = window
-    span = c.support()
-    covered = c.is_bounded and (span is None or (lo + 1 < span[0] and span[1] < hi - 1))
     forms, cycles = Forms(c), {}
-    if covered:
+    if c.is_bounded:
         homotopy = contraction(c, forms=forms)
         if homotopy is not None:
             return Verdict(True, "split_exact", {"homotopy": homotopy})
-    window_relative = not c.is_bounded
-    if window_relative and hi - lo < 2:
-        return Verdict(False, "window_too_small", {"window": window}, True)
-    for j in range(lo + 1, hi):
+        lo, hi = c.support()  # not the zero complex: it is contractible
+        degrees = range(lo, hi + 1)
+    else:
+        lo, hi = window
+        if hi - lo < 2:
+            return Verdict(False, "window_too_small", {"window": window}, True)
+        degrees = range(lo + 1, hi)
+    for j in degrees:
         z, y = forms.exactness(j)
         if y is None:
             return Verdict(False, "not_exact", {"degree": j, "homology": forms.homology_data(j)[0]},
-                           window_relative)
+                           not c.is_bounded)
         cycles[j] = z
+    if c.is_bounded:
+        raise ComplexError("exact bounded complex has no contraction; solver invariant broken")
     for j, z in cycles.items():
         cycle = subquotient_module(c.ring, c.side, z, Mat.zero(c.ring, z.rows, 0))
         if is_projective(cycle) is None:
-            return Verdict(False, "exact_not_split", {"degree": j, "cycle": cycle},
-                           window_relative)
-    if covered:
-        raise ComplexError("exact complex with projective cycles has no "
-                           "contraction; solver invariant broken")
-    if c.is_bounded:
-        return Verdict(False, "window_too_small", {"support": span, "window": window})
+            return Verdict(False, "exact_not_split", {"degree": j, "cycle": cycle}, True)
     return Verdict(True, "split_exact", {"window": window}, True)

@@ -148,9 +148,13 @@ def pd_bound_collapse(q: Complex, config: EngineConfig,
     forces pd Z^j <= 0 once pd Z^(j+N) <= N, so in an exact window at
     least N + 2 wide every cycle below hi - N is projective.  The window
     width is checked here; everything else is one split-exactness check,
-    whose witness (a null homotopy of the identity) is passed on.  Its
-    failures read as the collapse sees them: a homology degree, a cycle
-    that is not projective below hi - N, or the inner verdict otherwise.
+    whose witness (a null homotopy of the identity) is passed on.  A
+    bounded q is decided in every degree: collapsed or not_exact, for
+    any window wide enough.  On a tail the inner check reads the window,
+    and the cycle it finds not projective is Z^(lo+1), below hi - N: over
+    Z/n, which is self-injective, a projective Z^j is injective, so
+    0 -> Z^j -> Q^j -> Z^(j+1) -> 0 splits and Z^(j+1) is projective too;
+    over Z and F_p every cycle of an exact complex of frees is projective.
     """
     lo, hi = window
     n = config.bound
@@ -162,10 +166,5 @@ def pd_bound_collapse(q: Complex, config: EngineConfig,
         return Verdict(True, "collapsed", inner.details, inner.window_relative)
     if inner.code == "not_exact":
         return Verdict(False, "not_exact", {"degree": inner.details["degree"]})
-    if inner.code == "exact_not_split" and inner.details["degree"] < hi - n:
-        return Verdict(False, "cycle_not_projective",
-                       {"degree": inner.details["degree"],
-                        "cycle": inner.details["cycle"]})
-    return Verdict(False, "split_check_failed",
-                   {"inner": inner.code, "details": inner.details},
-                   inner.window_relative)
+    return Verdict(False, "cycle_not_projective",
+                   {"degree": inner.details["degree"], "cycle": inner.details["cycle"]})

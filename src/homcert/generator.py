@@ -68,6 +68,8 @@ def resolve_module(m: FPModule, depth: int = 24) -> tuple[Complex, bool]:
     matrices and is recorded as a lazy tail; over Z and F_p the
     iteration reaches a zero kernel.  Returns (complex, complete):
     complete means exact in all degrees, by finiteness or periodicity.
+    Each differential is the kernel of the one before and the tail
+    repeats one of them, so shapes and d^2 = 0 hold unchecked.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -76,21 +78,19 @@ def resolve_module(m: FPModule, depth: int = 24) -> tuple[Complex, bool]:
     if m.rank0 == 0:
         return Complex.zero(ring, side), True
     seq = [m.presentation]  # seq[j-1] is the differential P^-j -> P^-j+1
+    seen = {m.presentation: 0}  # differential -> its index in seq
     complete = m.rank1 == 0
     tail = None
-    while not complete and tail is None and len(seq) < depth:
+    while not complete and len(seq) < depth:
         nxt = kernel_right(seq[-1])
         if nxt.cols == 0:
             complete = True
             break
         seq.append(nxt)
-        j = len(seq)
-        for period in range(1, j):
-            prev = seq[j - 1 - period]
-            if prev == nxt:
-                tail = PeriodicTail(-1, -(j - 1), period)
-                complete = True
-                break
+        if nxt in seen:
+            tail = PeriodicTail(-1, -(len(seq) - 1), len(seq) - 1 - seen[nxt])
+            complete = True
+        seen[nxt] = len(seq) - 1
     ranks = {0: m.rank0}
     diffs = {}
     for j, d in enumerate(seq, start=1):
@@ -98,7 +98,7 @@ def resolve_module(m: FPModule, depth: int = 24) -> tuple[Complex, bool]:
             ranks[-j] = d.cols
         if d.rows and d.cols:
             diffs[-j] = d
-    return Complex(ring, side, ranks, diffs, tail_below=tail), complete
+    return Complex._trusted(ring, side, ranks, diffs, tail_below=tail), complete
 
 
 def build_generator(m: FPModule, depth: int = 24) -> GeneratorPackage:
@@ -178,7 +178,7 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
         return Verdict(True, "hom_exact", {"window": window, "note": "zero target"})
     if q.tail_above is not None:
         return Verdict(False, "unbounded_target", {})
-    top = span[1] - lo + 2  # free degrees beyond this cannot hit Q inside the window
+    top = max(span[1] - lo + 2, 0)  # free degrees beyond this cannot hit Q inside the window
     if not _reaches(pkg, top):
         return Verdict(False, "window_too_small", {"needed_depth": top, "have": pkg.depth},
                        window_relative=True)

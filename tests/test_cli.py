@@ -86,6 +86,15 @@ def test_check_qiso_passes_on_orthogonal_target(capsys, tmp_path):
     assert doc.kind == "verdict" and doc.payload.ok
 
 
+def test_check_qiso_above_every_hom_term_is_exact(capsys):
+    # no Hom term reaches degrees 5..9; P*^0, the comparison's target, is kept
+    code, out, _ = run(capsys, "check-qiso", fx("package_z4_cyclic2"),
+                       fx("complex_z4_0"), "--window=5..9")
+    assert code == 0
+    doc = out_doc(out)
+    assert (doc.payload.ok, doc.payload.code) == (True, "hom_exact")
+
+
 def test_homology_window(capsys):
     code, out, _ = run(capsys, "homology", fx("complex_z_mult2"), "--window=-1..0")
     assert code == 0

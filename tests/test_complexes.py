@@ -293,7 +293,7 @@ def test_a_bounded_split_check_builds_no_hom_complex(monkeypatch):
                 assert v.ok and v.details["homotopy"].bounds(ChainMap.identity(c))
                 assert len(set(eliminated)) == len(eliminated), eliminated
                 assert set(eliminated) <= {c.diff(j) for j in range(lo - 1, hi + 1)}
-        # a covered complex that fails shares the contraction's forms with
+        # a bounded complex that fails shares the contraction's forms with
         # the sweep that names the degree: still one elimination each
         for _ in range(5):
             c = random_bounded_complex(rng, ring)
@@ -360,13 +360,14 @@ def test_split_exactness_detects_homology():
 
 
 @pytest.mark.parametrize("pad", [(1, 3), (3, 1)], ids=["low", "high"])
-def test_split_exactness_window_too_small(pad):
+def test_split_exactness_of_a_bounded_complex_ignores_the_window(pad):
+    # a window short of the support decides the complex as a covering one does
     c = random_contractible_complex(random.Random(17), ZZ)
     span = c.support()
-    window = (span[0] - pad[0], span[1] + pad[1])
-    v = split_exactness_check(c, window)
-    assert not v.ok and v.code == "window_too_small" and not v.window_relative
-    assert v.details == {"support": span, "window": window}
+    v = split_exactness_check(c, (span[0] - pad[0], span[1] + pad[1]))
+    assert v.ok and v.code == "split_exact" and not v.window_relative
+    assert v == split_exactness_check(c, (span[0] - 2, span[1] + 2))
+    assert v.details["homotopy"].bounds(ChainMap.identity(c))
 
 
 @pytest.mark.parametrize("window", [(0, 1), (0, 0), (3, 1)])

@@ -162,14 +162,12 @@ def test_pd_collapse_cycle_not_projective():
     assert isinstance(v.details["cycle"], FPModule)
 
 
-def test_pd_collapse_split_check_failed_on_a_window_too_small():
+def test_pd_collapse_of_a_bounded_complex_ignores_a_window_short_of_its_support():
     c = random_contractible_complex(random.Random(2), ZZ)
     span = c.support()
-    window = (span[0] - 1, span[1] + 3)
-    v = pd_bound_collapse(c, EngineConfig.for_ring(ZZ), window)
-    assert not v.ok and v.code == "split_check_failed"
-    assert v.details == {"inner": "window_too_small",
-                         "details": {"support": span, "window": window}}
+    v = pd_bound_collapse(c, EngineConfig.for_ring(ZZ), (span[0] - 1, span[1] + 3))
+    assert v.ok and v.code == "collapsed" and not v.window_relative
+    assert v == pd_bound_collapse(c, EngineConfig.for_ring(ZZ), (span[0] - 2, span[1] + 2))
 
 
 PROBE_RINGS = [ZZ, Fp(7), Zmod(4), Zmod(8), Zmod(12)]

@@ -50,6 +50,33 @@ def test_resolution_is_exact_in_deep_degrees():
                 assert homology(p, j).is_zero()
 
 
+def _reference_tail(m, depth):
+    """The lower tail of M's resolution by a quadratic scan: each new kernel
+    is compared with every earlier differential, the nearest first."""
+    seq = [m.presentation]
+    while m.rank0 and seq[-1].cols and len(seq) < depth:
+        seq.append(matrices.kernel_right(seq[-1]))
+        for period in range(1, len(seq)):
+            if seq[-1].cols and seq[-1 - period] == seq[-1]:
+                return PeriodicTail(-1, -(len(seq) - 1), period)
+    return None
+
+
+@pytest.mark.parametrize("ring", [ZZ, Fp(5), Zmod(4), Zmod(12), Zmod(36)], ids=str)
+def test_resolutions_pass_the_public_constructor(ring):
+    # resolve_module skips the constructor's checks; they must hold anyway
+    rng = random.Random(f"resolutions/{ring}")
+    tails = 0
+    for _ in range(40):
+        m = random_fp_module(rng, ring)
+        for depth in (1, 2, 24):
+            p, complete = resolve_module(m, depth)
+            assert Complex(ring, p.side, p.ranks, p.diffs, p.tail_below, p.tail_above) == p
+            assert p.tail_below == _reference_tail(m, depth)
+            tails += p.tail_below is not None
+    assert tails or ring.kind != "Zmod"
+
+
 def test_generator_package_for_z2_over_z4():
     pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
     assert pkg.complete
@@ -194,6 +221,29 @@ def test_quasi_iso_random_targets():
             assert v.ok, (ring, v.code, v.details)
 
 
+def test_quasi_iso_in_narrow_windows_agrees_with_a_wide_one(monkeypatch):
+    # each window (lo, lo + 1) truncates P* at its own depth, so it must read
+    # its degrees as a wide window does; one above every Hom term reads none,
+    # and keeps P*^0, which the comparison maps into.  Comparisons scaled by
+    # 2 or 3 make some checks fail.
+    for ring in [ZZ, Fp(5), Zmod(4), Zmod(12)]:
+        rng = random.Random(f"qiso-windows/{ring}")
+        for _ in range(40):
+            scaled = _scaled_dual_data(rng.choice([1, 2, 3, -1]))
+            pkg = _built_with(monkeypatch, "dual_data", scaled,
+                              random_fp_module(rng, ring, max_rank=2))
+            q = random_bounded_complex(rng, ring, max_length=2, lo=-1, hi=1)
+            failing = []
+            for lo in range(-6, 8):
+                v = verify_generator_quasi_iso(pkg, q, (lo, lo + 1))
+                if not v.ok:
+                    failing.append(v.details["degree"])
+                if lo > q.support()[1] + 1:
+                    assert (v.ok, v.code) == (True, "hom_exact")
+            v = verify_generator_quasi_iso(pkg, q, (-6, 8))
+            assert (v.ok, v.details.get("degree")) == (not failing, min(failing, default=None))
+
+
 def test_h0_equivalence_identifies_hom_classes():
     rng = random.Random(31)
     for ring in RINGS:
@@ -289,10 +339,16 @@ def _doubling_dualize(c):
     return finite_coproduct([dualize_complex(c)] * 2)[0]
 
 
-def _doubling_dual_data(m):
-    """A broken dual_data: the comparison twice over."""
-    mstar, K = dual_data(m)
-    return mstar, K.scale(2)
+def _scaled_dual_data(factor):
+    """A dual_data whose comparison is scaled by factor: broken unless
+    factor is a unit on the homology."""
+    def scaled(m):
+        mstar, K = dual_data(m)
+        return mstar, K.scale(factor)
+    return scaled
+
+
+_doubling_dual_data = _scaled_dual_data(2)  # the comparison twice over
 
 
 def _resolving_z2(m, depth):

@@ -186,17 +186,18 @@ GOLDEN_VERDICTS = {
 GOLDEN_SPLIT = {
     "complex_z4_periodic -4..4": "acd213140ea179876cde0ea55069ae331d6215102c187d90f12192868f01c4b5",
     "complex_z4_periodic -4..4 0": "6d95d08502a737a54071b4e562fc0aa262a68b4596194bcae551e29662444733",
+    "complex_z4_periodic 0..1": "77a10eac63e5a1c600faeb588155196d9ad002c1a45db55169d9ae7c391253ea",
     "complex_z_mult2 -4..3": "bd4d074ff54c385a3be92b9555d826200cb00aa6a4cf2c7ab81793fb8ed70057",
     "complex_z_mult2 -4..3 1": "313b5b94601b886a41ab090fca495757bdcf8be88199d85a851e653948eb2c59",
     "contractible_f5 -6..5": "2856a568a551003ed393e6591168c5b2b8ee2b470337d06994bfa70bedb58b97",
     "contractible_f5 -6..5 0": "0edeefe6b50aa97fceda0218ad4b5de25de4daa5c38a30d883719ded79098bd7",
-    "contractible_z -1..5": "a48ce959e9aa2a9a4f04c4176518e54f47404f45a9005b8d79a75c6fca14804f",
-    "contractible_z -1..5 0": "da822cc0e67e6bd31094b74bd4282d61d6e3ad02d0b77f7aa1701c1b719836cb",
-    "contractible_z -5..2": "9efea620a305871d19b1b386822afa1e5ba919e796a91b22f5c9e34d4b84f94a",
+    "contractible_z -1..5": "407539cc0ab8b8dc8bbeb08e95e99d600898cfaa8de80b04f2ab3392b174ffd0",
+    "contractible_z -1..5 0": "cc68943d188f5d9ca4d5ca1afc3e2db0a0bf723b5f4635de8982bafa19ccc2aa",
+    "contractible_z -5..2": "407539cc0ab8b8dc8bbeb08e95e99d600898cfaa8de80b04f2ab3392b174ffd0",
     "contractible_z -6..5": "407539cc0ab8b8dc8bbeb08e95e99d600898cfaa8de80b04f2ab3392b174ffd0",
     "contractible_z -6..5 1": "cc68943d188f5d9ca4d5ca1afc3e2db0a0bf723b5f4635de8982bafa19ccc2aa",
     "contractible_z -6..5 16": "3b63b8ead22a9ad27f0452750adbc2114a30f4dfdb098c047b34d2a6149feea7",
-    "contractible_z4 -4..6": "4227b316c742781110846e1526e3ebc7417c4f7bb0c80194f60744aea830276d",
+    "contractible_z4 -4..6": "de6abd2cc306bed2e343597e00b2507834628f7fc919c118cf310c14a75db666",
     "contractible_z4 -6..5": "de6abd2cc306bed2e343597e00b2507834628f7fc919c118cf310c14a75db666",
     "contractible_z4 -6..5 0": "7dcff66833485ec57dad729cc93245eb086bbd87c42aa1f1f84ae05b0b79050a",
 }
