@@ -288,13 +288,51 @@ def assemble_blocks(ring: RingDescriptor, grid: list[list[Mat | None]],
 
 def _from_cols(ring: RingDescriptor, rows: int, cols: list[list[int]]) -> Mat:
     """The matrix with the given columns, each of canonical entries."""
-    return Mat._trusted(ring, rows, len(cols), tuple(col[i] for i in range(rows) for col in cols))
+    k = len(cols)
+    ent = [0] * (rows * k)
+    for t, col in enumerate(cols):
+        ent[t::k] = col
+    return Mat._trusted(ring, rows, k, tuple(ent))
 
 
-def _hnf(n: int | None, rows: int, gens: list[list[int]],
-         start: int = 0, packed: bool = False):
+def _width(n: int) -> int:
+    """The slot width of the packed core mod n (see `_mod_hnf`)."""
+    return 4 * n.bit_length() + 2
+
+
+def _pack(cols, w: int) -> list[int]:
+    """Each column, a sequence of entries in [0, 2**w), as one int of
+    w-bit slots, slot i holding row i."""
+    packed = []
+    for col in cols:
+        a = 0
+        for v in reversed(col):
+            a = a << w | v
+        packed.append(a)
+    return packed
+
+
+def _slots(p: int, w: int, count: int) -> list[int]:
+    """The first count w-bit slots of p."""
+    lead = (1 << w) - 1
+    return [p >> s & lead for s in range(0, w * count, w)]
+
+
+def _unpack(ring: RingDescriptor, rows: int, found: list[int], w: int) -> Mat:
+    """The matrix of the nonzero columns in found, found[i] packed from
+    row i down, written straight into row-major entries."""
+    cols = [(i, p) for i, p in enumerate(found) if p]
+    k = len(cols)
+    ent = [0] * (rows * k)
+    for t, (i, p) in enumerate(cols):
+        ent[i * k + t::k] = _slots(p, w, rows - i)
+    return Mat._trusted(ring, rows, k, tuple(ent))
+
+
+def _hnf(n: int | None, rows: int, gens: list[list[int]], start: int = 0) -> dict[int, list[int]]:
     """Column HNF of span(gens) over Z (n is None), or of span(gens) + n*Z^rows
-    with every entry kept in [0, n).
+    with every entry kept in [0, n): the list adapter in front of the
+    cores `_int_hnf` and `_mod_hnf`.
 
     Returns {row: column} for the pivots at rows >= start, in row order;
     mod n, these are the pivots g < n, and the other rows have pivot n,
@@ -305,34 +343,44 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
     elimination.  Rows above start are eliminated alike, and their pivot
     columns are not reduced; a pivot column is reduced only by the pivots
     below it, so those returned are the full form's.
+    """
+    if n is None:
+        return _int_hnf(rows, gens, start)
+    w = _width(n)
+    found, _ = _mod_hnf(n, rows, _pack(([v % n for v in col] for col in gens), w), start)
+    return {i: [0] * i + _slots(p, w, rows - i) for i, p in enumerate(found) if p and i >= start}
 
-    packed (mod n only) returns (pivots, (w, lead, red)) instead: per
-    row, its pivot column packed from that row down (slot 0 holds g), or
-    0 where the pivot is n.  Above start the column is as found, and
-    these columns are an echelon basis of the lattice modulo the part
-    below; from start on it is the returned one.  w, lead and red are
-    the slot width and mask and the slotwise reduction.
+
+def _mod_hnf(n: int, rows: int, active: list[int], start: int):
+    """`_hnf` mod n on packed columns: active holds the generators, each
+    one int of w-bit slots (w = `_width(n)`), slot i holding row i.
+
+    Returns (found, red): per row, its pivot column packed from that row
+    down (slot 0 holds g), or 0 where the pivot is n; and the slotwise
+    reduction mod n.  Above start the column is as found, and these
+    columns are an echelon basis of the lattice modulo the part below;
+    from start on it is the returned one.
 
     In each row the first column with a nonzero lead is the pivot
-    candidate c; mod n it is first scaled to the lead g = gcd(c[0], n).
-    Every other column whose lead g divides is cleared by subtracting a
-    multiple of c, which leaves c as it is; a lead that g does not
-    divide goes through one extended-gcd step, which replaces c and
-    lowers g.
+    candidate c, first scaled to the lead g = gcd(c[0], n).  Every other
+    column whose lead g divides is cleared by subtracting a multiple of
+    c, which leaves c as it is; a lead that g does not divide goes
+    through one extended-gcd step, which replaces c and lowers g.  Each
+    surviving column moves to the next row (a >> w) as it is kept, so a
+    zero column drops out.
 
-    Mod n each column is one int of w-bit slots, slot j holding the
-    entry j rows below the current row: the lead is a & lead, the next
-    row is a >> w, and a zero column is 0.  Each new column is one
+    The lead of a column is a & lead.  Each new column is one
     multiply-add of such ints with coefficients in [0, n), so every slot
     entering `red` is at most 2*(n-1)**2 < 2**k / n, k = 3*bits(n) + 1.
     `red` reduces all slots mod n at once by a Barrett step (Barrett
     1986) whose quotient is exact: with m = ceil(2**k / n),
     floor(x*m / 2**k) = floor(x / n) for every x <= 2**k / n, and then
     x*m < 2**w, w = 4*bits(n) + 2, so the product stays inside its slot.
-    A larger slot could come out wrong or carry into the next one.
+    A larger slot could come out wrong or carry into the next one.  The
+    two updates nearly every step takes, clearing a column and
+    back-reducing a pivot, write the step out: a call per column step
+    cost as much as the step.
     """
-    if n is None:
-        return _int_hnf(rows, gens, start)
     b = n.bit_length()
     k, w = 3 * b + 1, 4 * b + 2
     m, lead = -(-(1 << k) // n), (1 << w) - 1
@@ -341,32 +389,28 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
     def red(x: int) -> int:
         return x - (x * m >> k & qmask) * n
 
-    found = [0] * rows  # packed: each row's pivot column from that row down
-    pivots: dict[int, int] = {}
+    found = [0] * rows
+    pivots: dict[int, int] = {}  # from start on: each pivot column, zero above its row
     # active columns hold entries from row i down and span (with n*Z)
     # the part of the lattice that vanishes above row i
-    active = []
-    for col in gens:
-        a = 0
-        for v in reversed(col):
-            a = a << w | v % n
-        if a:
-            active.append(a)
+    active = [a for a in active if a]
     for i in range(rows):
         c, rest = 0, []
         for a in active:
             a0 = a & lead
             if not a0:
-                rest.append(a)
+                rest.append(a >> w)
             elif not c:
                 # s*c has lead g = gcd(c[0], n); with (n/g)*c, the
                 # multiples of c that vanish at row i mod n, it spans c
                 s, _, g = _xgcd(a0, n)
-                if g > 1:
-                    rest.append(red(n // g * a))
+                if g > 1 and (t := red(n // g * a) >> w):
+                    rest.append(t)
                 c = red(s % n * a)
             elif not a0 % g:
-                rest.append(red(a + (n - a0 // g) * c))
+                a += (n - a0 // g) * c
+                if a := (a - (a * m >> k & qmask) * n) >> w:
+                    rest.append(a)
             else:  # unimodular step: gcd(g, a[0]) into c, 0 into a
                 # the annihilator (n/h)*c of the new c needs no column:
                 # with c' = x*c + y*a and a' = (g/h)*a - (a0/h)*c,
@@ -375,23 +419,22 @@ def _hnf(n: int | None, rows: int, gens: list[list[int]],
                 # there), or by this identity at the step before
                 x, y, h = _xgcd(g, a0)
                 c, a = red(x % n * c + y % n * a), red(g // h * a + (n - a0 // h) * c)
-                rest.append(a)
+                if a := a >> w:
+                    rest.append(a)
                 g = h
         if c and i < start:
             found[i] = c
         elif c:
             c <<= w * i  # pivot columns keep every row, zero above their own
             for p, col in pivots.items():
-                q = (col >> w * i & lead) // g
-                if q:
-                    pivots[p] = red(col + (n - q) * c)
+                if q := (col >> w * i & lead) // g:
+                    col += (n - q) * c
+                    pivots[p] = col - (col * m >> k & qmask) * n
             pivots[i] = c
-        active = [t for a in rest if (t := a >> w)]
-    if packed:
-        for i, col in pivots.items():
-            found[i] = col >> w * i
-        return found, (w, lead, red)
-    return {i: [col >> j & lead for j in range(0, w * rows, w)] for i, col in pivots.items()}
+        active = rest
+    for i, col in pivots.items():
+        found[i] = col >> w * i
+    return found, red
 
 
 def _int_hnf(rows: int, gens: list[list[int]], start: int) -> dict[int, list[int]]:
@@ -500,14 +543,20 @@ def colspan_canonical(m: Mat) -> Mat:
     The nonzero columns of the column HNF of the span over Z, and of
     span + n*Z^rows over Z/n and F_p; over Z and F_p they are a basis.
     """
-    return _from_cols(m.ring, m.rows, list(_hnf(m.ring.modulus, m.rows, m.columns()).values()))
+    n = m.ring.modulus
+    if n is None:
+        return _from_cols(m.ring, m.rows, list(_hnf(None, m.rows, m.columns()).values()))
+    w = _width(n)
+    found, _ = _mod_hnf(n, m.rows, _pack((m.entries[j::m.cols] for j in range(m.cols)), w), 0)
+    return _unpack(m.ring, m.rows, found, w)
 
 
 # -- public solving interface -----------------------------------------
 
 
 class _ModForm:
-    """[A; I_c] eliminated once mod n, for A with r rows given by its c columns.
+    """[A; I_c] eliminated once mod n, for A with r rows given by its c
+    columns of entries in [0, n).
 
     The lattice is {(A x, x)} + n*Z^(r+c).  Its pivots at the rows of A
     are an echelon basis of it modulo the part that vanishes on those
@@ -515,24 +564,19 @@ class _ModForm:
     Hermite form of the kernel (Cohen, GTM 138, 2.4).
     """
 
-    def __init__(self, n: int, r: int, a_cols: list[list[int]]):
-        c = len(a_cols)
-        gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(a_cols)]
+    def __init__(self, n: int, r: int, a_cols):
+        w = _width(n)
+        gens = [a | 1 << w * (r + j) for j, a in enumerate(_pack(a_cols, w))]
         # per row of [A; I_c]: its pivot column packed from that row down, or 0
-        self.pivots, (self.w, self.lead, self.red) = _hnf(n, r + c, gens, r, True)
-        self.n, self.r = n, r
+        self.pivots, self.red = _mod_hnf(n, r + len(gens), gens, r)
+        self.n, self.r, self.w = n, r, w
 
-    @property
-    def kernel(self) -> dict[int, list[int]]:
-        """{j: column} for the kernel's pivots g < n, j indexing x."""
-        r, w, lead, c = self.r, self.w, self.lead, len(self.pivots) - self.r
-        return {j: [0] * j + [p >> w * s & lead for s in range(c - j)]
-                for j, p in enumerate(self.pivots[r:]) if p}
-
-    def solve(self, b_cols: list[list[int]]) -> list[list[int]] | None:
-        """The x with A x = b mod n for each b, reduced by the kernel's
-        pivots, or None when some b is not in the span."""
-        n, r, w, lead, red, pivots = self.n, self.r, self.w, self.lead, self.red, self.pivots
+    def solve(self, b_cols) -> list[list[int]] | None:
+        """The x with A x = b mod n for each column b (a sequence of
+        integers), reduced by the kernel's pivots, or None when some b is
+        not in the span."""
+        n, r, w, red, pivots = self.n, self.r, self.w, self.red, self.pivots
+        lead = (1 << w) - 1
         sols = []
         for b in b_cols:
             t = 0
@@ -571,23 +615,24 @@ class Echelon:
     by the kernel's pivots.  Over Z each solve reduces [A | B] by one
     Bareiss pass (`_z_reduce`), and the form of X mod delta serves the
     kernel and every solve alike.  Nothing is eliminated before the
-    first question that needs it.
+    first question that needs it, and the kernel is built once.
     """
 
     def __init__(self, A: Mat):
         self.matrix = A
         self._zero = A.is_zero()
         self._form: _ModForm | None = None
+        self._kernel: Mat | None = None
         self._z = None  # over Z: (delta, rank, X columns, lift) of A's Bareiss pass
 
     def _packed(self) -> _ModForm:
         if self._form is None:
             A, n = self.matrix, self.matrix.ring.modulus
-            if n is None:
+            if n is None:  # X reduced mod delta once, as it enters the form
                 delta, rank, xcols, _ = self._z
-                self._form = _ModForm(delta, rank, xcols)
+                self._form = _ModForm(delta, rank, ([v % delta for v in x] for x in xcols))
             else:
-                self._form = _ModForm(n, A.rows, A.columns())
+                self._form = _ModForm(n, A.rows, (A.entries[j::A.cols] for j in range(A.cols)))
         return self._form
 
     def kernel(self) -> Mat:
@@ -600,20 +645,29 @@ class Echelon:
         {x in Z^c : A x = 0 mod n} (a basis over F_p).  Either way they
         depend only on the kernel.
         """
+        if self._kernel is None:
+            self._kernel = self._build_kernel()
+        return self._kernel
+
+    def _build_kernel(self) -> Mat:
         A = self.matrix
         if self._zero:
             return Mat.identity(A.ring, A.cols)
         if A.ring.modulus is not None:
-            return _from_cols(A.ring, A.cols, list(self._packed().kernel.values()))
+            form = self._packed()
+            return _unpack(A.ring, A.cols, form.pivots[form.r:], form.w)
         if self._z is None:
             delta, rank, xcols, _, lift = _z_reduce(A, None)
             self._z = delta, rank, xcols, lift
         delta, rank, xcols, lift = self._z
         f = len(xcols)
-        h = self._packed().kernel if delta > 1 and f else {}
-        # a row without a pivot below delta has the Hermite column delta*e_i
-        cols = [lift(h[i] if i in h else [delta * (l == i) for l in range(f)], [0] * rank)
-                for i in range(f)]
+        form = self._packed() if delta > 1 and f else None
+        cols = []
+        for i in range(f):
+            p = form.pivots[rank + i] if form else 0
+            # a row without a pivot below delta has the Hermite column delta*e_i
+            x2 = [0] * i + _slots(p, form.w, f - i) if p else [delta * (l == i) for l in range(f)]
+            cols.append(lift(x2, [0] * rank))
         return _from_cols(A.ring, A.cols, cols)
 
     def solve(self, B: Mat) -> Mat | None:
@@ -631,7 +685,7 @@ class Echelon:
         if not B.cols or self._zero:
             return Mat.zero(A.ring, A.cols, B.cols) if B.is_zero() else None
         if A.ring.modulus is not None:
-            sols = self._packed().solve(B.columns())
+            sols = self._packed().solve(B.entries[l::B.cols] for l in range(B.cols))
         else:
             red = _z_reduce(A, B)
             if red is None:

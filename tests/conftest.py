@@ -19,3 +19,44 @@ def default_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(saved)
+
+
+class Eliminations(list):
+    """(rows, generators as column lists) of each run of a Hermite core,
+    in order; `moduli` holds each run's modulus, None for the integer core."""
+
+    def __init__(self):
+        super().__init__()
+        self.moduli = []
+
+
+@pytest.fixture
+def count_eliminations(monkeypatch):
+    """A function that starts recording every elimination and returns the
+    Eliminations it fills; a second call starts a fresh record.  Mod n it
+    hooks the packed core, so the packed callers (`_ModForm`,
+    `colspan_canonical`) and the list adapter `_hnf` count alike, with
+    the columns unpacked; over Z it hooks the integer core."""
+    from homcert import matrices
+
+    mod_hnf, int_hnf = matrices._mod_hnf, matrices._int_hnf
+
+    def start() -> Eliminations:
+        calls = Eliminations()
+
+        def packed(n, rows, active, first):
+            w = matrices._width(n)
+            calls.append((rows, [matrices._slots(a, w, rows) for a in active]))
+            calls.moduli.append(n)
+            return mod_hnf(n, rows, active, first)
+
+        def integer(rows, gens, first):
+            calls.append((rows, [list(c) for c in gens]))
+            calls.moduli.append(None)
+            return int_hnf(rows, gens, first)
+
+        monkeypatch.setattr(matrices, "_mod_hnf", packed)
+        monkeypatch.setattr(matrices, "_int_hnf", integer)
+        return calls
+
+    return start

@@ -114,21 +114,18 @@ def test_homology_text_format(capsys):
     assert "H^-1 = 0" in out
 
 
-def test_homology_asks_one_engine_for_the_whole_window(capsys, monkeypatch):
+def test_homology_asks_one_engine_for_the_whole_window(capsys, count_eliminations):
     # the periodic Z/4 fixture repeats one differential in every degree:
     # one engine for the window eliminates it once, then each of the 101
     # degrees costs two eliminations for its homology module (the kernel
     # of [Z | B] and its canonical span), 203 in all; an engine per
     # degree eliminated the differential again in every degree (303)
-    from homcert import matrices
     from homcert.complexes import homology
     from homcert.verdicts import Verdict
 
     doc = parse_document(pathlib.Path(fx("complex_z4_periodic")).read_text())
     want = {str(j): homology(doc.payload, j) for j in range(-50, 51)}
-    calls = []
-    hnf = matrices._hnf
-    monkeypatch.setattr(matrices, "_hnf", lambda *args: calls.append(args) or hnf(*args))
+    calls = count_eliminations()
     code, out, _ = run(capsys, "homology", fx("complex_z4_periodic"), "--window=-50..50")
     assert code == 0 and len(calls) == 203
     assert out == emit_document(make_document(doc.ring, "verdict",

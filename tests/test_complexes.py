@@ -396,20 +396,13 @@ def test_split_exactness_exact_not_split_negative_control():
     assert modules_isomorphic(cyc, FPModule.cyclic(ring, "left", 2))
 
 
-def test_split_exactness_computes_each_kernel_once(monkeypatch):
+def test_split_exactness_computes_each_kernel_once(count_eliminations):
     # the Z/4 resolution of Z/2 (2 in every degree) is exact and not
     # split; the cycles of the exactness loop serve the projectivity loop,
     # and each differential is eliminated once for its kernel and the
     # solve in the degree above
-    calls = []
-    hnf = matrices._hnf
-
-    def counting(n, rows, gens, *rest):
-        calls.append((rows, gens))
-        return hnf(n, rows, gens, *rest)
-
     p, _ = resolve_module(FPModule.cyclic(Zmod(4), "left", 2))
-    monkeypatch.setattr(matrices, "_hnf", counting)
+    calls = count_eliminations()
     v = split_exactness_check(p, (-6, 0))
     assert v.code == "exact_not_split" and v.details["degree"] == -5
     # [d; I] once for d^-6 .. d^-1, which are all equal, then the cycle
@@ -426,21 +419,9 @@ def _z4_periodic():
                    tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
 
 
-def _counting_hnf(monkeypatch):
-    calls = []
-    hnf = matrices._hnf
-
-    def counting(n, rows, gens, *rest):
-        calls.append((rows, gens))
-        return hnf(n, rows, gens, *rest)
-
-    monkeypatch.setattr(matrices, "_hnf", counting)
-    return calls
-
-
-def test_a_periodic_sweep_eliminates_its_repeated_differential_once(monkeypatch):
+def test_a_periodic_sweep_eliminates_its_repeated_differential_once(count_eliminations):
     c = _z4_periodic()
-    calls = _counting_hnf(monkeypatch)
+    calls = count_eliminations()
     v = split_exactness_check(c, (-4, 4))
     assert v.code == "exact_not_split" and v.details["degree"] == -3
     # [2; 1] once for the sweep over d^-4 .. d^3, then the cycle module at
@@ -449,10 +430,10 @@ def test_a_periodic_sweep_eliminates_its_repeated_differential_once(monkeypatch)
 
 
 @pytest.mark.parametrize("j", [-3, 0, 1, 4])
-def test_is_exact_at_is_one_step_of_the_sweep(monkeypatch, j):
+def test_is_exact_at_is_one_step_of_the_sweep(count_eliminations, j):
     c = _z4_periodic()
     assert c.diff(j - 1) is c.diff(j)
-    calls = _counting_hnf(monkeypatch)
+    calls = count_eliminations()
     assert Forms(c).is_exact_at(j)
     assert calls == [(2, [[2, 1]])]
     rng = random.Random(j)

@@ -357,25 +357,19 @@ def test_induced_h0_map_is_one_solve(monkeypatch):
     assert f.is_isomorphism()
 
 
-def test_a_quasi_iso_sweep_eliminates_each_restricted_differential_once(monkeypatch):
+def test_a_quasi_iso_sweep_eliminates_each_restricted_differential_once(monkeypatch,
+                                                                        count_eliminations):
     # the cone of M -> P* for M = Z/4/(2) against Z/4 --2--> Z/4 --2--> Z/4:
     # the form of degree n serves the cycles at n and the solve at n + 1,
     # a restricted differential equal to the one below reuses its form,
     # and the functionals of M are eliminated once for all its degrees
-    from homcert import matrices
-
-    subs, formed, eliminated = [], [], []
+    subs, formed = [], []
     monkeypatch.setattr(generator, "hom_fp_complex",
                         lambda *args: subs.append(hom_fp_complex(*args)) or subs[-1])
-    echelon, hnf = complexes.echelon, matrices._hnf
+    echelon = complexes.echelon
     monkeypatch.setattr(complexes, "echelon", lambda a: formed.append(a) or echelon(a))
-
-    def recording(n, rows, gens, *rest):
-        eliminated.append((rows, gens))
-        return hnf(n, rows, gens, *rest)
-
     pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
-    monkeypatch.setattr(matrices, "_hnf", recording)
+    eliminated = count_eliminations()
     assert generator.verify_generator_quasi_iso(pkg, _z4_two_chain(), (-4, 4)).ok
     (sub,) = subs
     presented = pkg.module.presentation.transpose()

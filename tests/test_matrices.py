@@ -406,32 +406,23 @@ def test_invariants_and_spans_of_empty_and_zero_matrices(ring, shape):
         assert solve_right(z, Mat(ring, rows, 1, (1,) + (0,) * (rows - 1))) is None
 
 
-def test_z_kernels_and_solves_never_run_the_integer_hnf(monkeypatch):
+def test_z_kernels_and_solves_never_run_the_integer_hnf(count_eliminations):
     # _hnf(None, ...) serves Z spans and Smith invariants; on [A; I] its
     # active columns grow without bound, so Z kernels and solves work
     # modulo a minor's determinant instead
-    from homcert import matrices
-
     rng = random.Random(41)
     inputs = [random_matrix(rng, ZZ, rng.randint(0, 6), rng.randint(0, 7)) for _ in range(40)]
     expected = [(colspan_canonical(a), smith_invariants(a)) for a in inputs]
-    calls = []
-    hnf = matrices._hnf
-
-    def recording(n, rows, gens, *rest):
-        calls.append(n)
-        return hnf(n, rows, gens, *rest)
-
-    monkeypatch.setattr(matrices, "_hnf", recording)
+    calls = count_eliminations()
     assert [(colspan_canonical(a), smith_invariants(a)) for a in inputs] == expected
-    assert None in calls
-    calls.clear()
+    assert None in calls.moduli
+    calls = count_eliminations()
     for a in inputs:
         k = kernel_right(a)
         assert (a @ k).is_zero()
         b = a @ random_matrix(rng, ZZ, a.cols, 2)
         assert a @ solve_right(a, b) == b
-    assert calls and None not in calls
+    assert calls.moduli and None not in calls.moduli
 
 
 # -- the Hermite core --------------------------------------------------------
