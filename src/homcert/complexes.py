@@ -180,16 +180,19 @@ class Complex:
         return 0
 
     def diff(self, j: int) -> Mat:
+        d = self._given(j)
+        return d if d is not None else Mat.zero(self.ring, self.rank(j + 1), self.rank(j))
+
+    def _given(self, j: int) -> Mat | None:
+        """d^j as given or repeated by a tail; None where it is absent (zero)."""
         if j in self.diffs:
             return self.diffs[j]
-        d = None
         for tail, e in ((self.tail_below, 0), (self.tail_above, 1)):
             # a lower tail repeats d^j with its source term j, an upper
             # tail with its target term j + 1
             if tail is not None and tail.maps(j + e):
-                d = self.diffs.get(tail.fold(j + e) - e)
-                break
-        return d if d is not None else Mat.zero(self.ring, self.rank(j + 1), self.rank(j))
+                return self.diffs.get(tail.fold(j + e) - e)
+        return None
 
     @property
     def is_bounded(self) -> bool:
@@ -231,16 +234,26 @@ class Complex:
 
 def first_difference(a: Complex, b: Complex) -> int | None:
     """The first degree where a and b differ in rank or in differential,
-    or None when they agree in every degree: beyond the hull of their
-    explicit entries and tail thresholds both repeat with the lcm p of
-    their periods, so the hull widened by p + 2 on each side decides.  A
-    term whose rank differs is named, not the differential into it."""
-    tails = [t for c in (a, b) for t in (c.tail_below, c.tail_above) if t is not None]
-    ends = [t.threshold for t in tails] + [j for c in (a, b) for j in (*c.ranks, *c.diffs)]
-    p = math.lcm(*(t.period for t in tails))
-    return next((j for j in range(min(ends, default=0) - p - 2, max(ends, default=0) + p + 3)
-                 if a.rank(j) != b.rank(j)
-                 or a.rank(j + 1) == b.rank(j + 1) and a.diff(j) != b.diff(j)), None)
+    or None when they agree in every degree.  Beyond the hull of their
+    explicit entries and tail thresholds, both are zero on a side where
+    neither has a tail, and both repeat with the lcm p of their periods
+    on a side where one has, so the hull widened by p + 2 on each side
+    with a tail decides.  A term whose rank differs is named, not the
+    differential into it, and a differential absent from both is equal
+    without a zero matrix built."""
+    below = [t for c in (a, b) if (t := c.tail_below) is not None]
+    above = [t for c in (a, b) if (t := c.tail_above) is not None]
+    ends = [t.threshold for t in below + above] + [j for c in (a, b) for j in (*c.ranks, *c.diffs)]
+    p = math.lcm(*(t.period for t in below + above)) + 2
+    lo, hi = min(ends, default=0) - (p if below else 0), max(ends, default=0) + (p if above else 0)
+
+    def diff_differs(j: int) -> bool:
+        if a._given(j) is None and b._given(j) is None:
+            return a.ring != b.ring
+        return a.diff(j) != b.diff(j)
+
+    return next((j for j in range(lo, hi + 1) if a.rank(j) != b.rank(j)
+                 or a.rank(j + 1) == b.rank(j + 1) and diff_differs(j)), None)
 
 
 @dataclass(frozen=True)
@@ -632,6 +645,10 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
             return Verdict(False, "window_too_small", {"window": window}, True)
         degrees = range(lo + 1, hi)
     for j in degrees:
+        if (r := c.rank(j)) and all((d := c._given(k)) is None or d.is_zero() for k in (j - 1, j)):
+            # a nonzero term between two zero differentials is all homology
+            return Verdict(False, "not_exact", {"degree": j, "homology": FPModule.free(c.ring, c.side, r)},
+                           not c.is_bounded)
         z, y = forms.exactness(j)
         if y is None:
             return Verdict(False, "not_exact", {"degree": j, "homology": forms.homology_data(j)[0]},

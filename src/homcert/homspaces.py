@@ -23,8 +23,8 @@ degrees n - 1 and n only.  An ambient differential is built on the way
 to its form and not kept; it has only two kinds of block, I (x) d_Q and
 t^T (x) I, and is written entry by entry into one list, with no block
 matrix built on the way.  A presented term M = coker(P) contributes the
-generators K^T of Hom(M, R), the kernel of P^T, eliminated once per
-term.
+generators K^T of Hom(M, R), the kernel of P^T (`FPModule.functionals`),
+eliminated once per module, its dual included.
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import SIZE_LIMIT, Mat, MatrixError, block_diag, kernel_right, solve_right
+from .matrices import SIZE_LIMIT, Mat, MatrixError, block_diag, solve_right
 from .modules import FPModule, ModuleMap
 from .complexes import Complex, Forms
 
@@ -94,7 +94,7 @@ class SubComplex(Forms):
         of _term_gens per layout entry; None when every term of the
         layout is free, so the term is the whole ambient module.  A
         presented term's functionals (its generators of Hom(M, R)) are
-        eliminated once, whatever degrees the term appears in."""
+        eliminated once per module, whatever degrees the term appears in."""
         key = ("gens", n)
         if key not in self._cache:
             layout = self.layout(n)
@@ -106,14 +106,12 @@ class SubComplex(Forms):
         """Generators of Hom(M, R^q), M = terms[i] and q = qr, as vectorized
         q x rank0 matrices.  Hom(M, R^q) = Hom(M, R)^q: the rows of a map F
         are functionals on M, so F = C K for the generators K of M* and
-        vec(C K) = (K^T (x) I_q) vec(C), where K^T is the kernel of P^T."""
+        vec(C K) = (K^T (x) I_q) vec(C), where K^T = M.functionals is the
+        kernel of P^T."""
         m = self.terms[i]
         if m.rank1 == 0:
             return Mat.identity(self.q.ring, qr * m.rank0)
-        key = ("functionals", i)
-        if key not in self._cache:
-            self._cache[key] = kernel_right(m.presentation.transpose())
-        k = self._cache[key]
+        k = m.functionals
         return k if qr == 1 else k.kron(Mat.identity(self.q.ring, qr))
 
     def ambient_diff(self, n: int) -> Mat:

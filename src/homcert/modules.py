@@ -15,6 +15,7 @@ kernel of K^T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matrices import (
     Echelon,
@@ -65,6 +66,13 @@ class FPModule:
     def cyclic(ring: RingDescriptor, side: str, annihilator: int) -> "FPModule":
         """R / (a): e.g. cyclic(Z, 'left', 2) is Z/2 as a Z-module."""
         return FPModule(ring, side, Mat.from_rows(ring, [[annihilator]]))
+
+    @cached_property
+    def functionals(self) -> Mat:
+        """K^T, the kernel of P^T: its columns are the generators of M* as
+        functionals on M (x P = 0 exactly when P^T x^T = 0), eliminated
+        once per module object for its dual and its Hom terms."""
+        return kernel_right(self.presentation.transpose())
 
     def is_zero(self) -> bool:
         return solve_right(self.presentation, Mat.identity(self.ring, self.rank0)) is not None
@@ -147,11 +155,10 @@ def subquotient_module(ring: RingDescriptor, side: str, gens: Mat, zeros: Mat) -
 
 
 def _dual_form(m: FPModule) -> tuple[FPModule, Mat, Echelon]:
-    """dual_data(M) and the one elimination of K^T behind it: its kernel
-    is the relations among the generators of M*, and its solves express
-    functionals on M* in those generators.  K^T is the right kernel of
-    P^T: x P = 0 exactly when P^T x^T = 0."""
-    form = echelon(kernel_right(m.presentation.transpose()))  # rank0 x k
+    """dual_data(M) and the one elimination of K^T = M.functionals behind
+    it: its kernel is the relations among the generators of M*, and its
+    solves express functionals on M* in those generators."""
+    form = echelon(m.functionals)  # rank0 x k
     return (FPModule(m.ring, opposite(m.side), colspan_canonical(form.kernel())),
             form.matrix.transpose(), form)
 

@@ -20,8 +20,6 @@ ELIMINATIONS = {"echelon", "kernel_right", "solve_right"}
 ENGINE = "complexes.Forms.form"
 
 ALLOWED = {
-    "homspaces.SubComplex._term_gens": "a presented term's functionals, the kernel of "
-                                       "P^T, eliminated once per term",
     "homspaces.induced_h0_map": "one solve against the target's cycles and boundaries "
                                 "together",
 }
