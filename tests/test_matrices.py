@@ -567,28 +567,30 @@ def test_packed_hnf_matches_the_list_core_on_full_slots(n):
 # -- one form of [A; I] against the stacked system it replaced ---------------
 
 
-def _modular_kernel(n: int, rows: int, cols: list[list[int]]) -> dict[int, list[int]]:
+def _modular_kernel(n: int, rows: int, cols: list[list[int]],
+                    core=_hnf) -> dict[int, list[int]]:
     """Hermite form of {x in Z^c : A x = 0 mod n}, A given by its columns.
 
     Returns {i: column} for the pivots below n; every other pivot is n,
-    with HNF column n*e_i.
+    with HNF column n*e_i.  core is the Hermite core that eliminates.
     """
     c = len(cols)
     # the pivots of [A; I_c] below the rows of A carry the kernel lattice
     gens = [a + [int(i == j) for i in range(c)] for j, a in enumerate(cols)]
-    return {i - rows: p[rows:] for i, p in _hnf(n, rows + c, gens, rows).items()}
+    return {i - rows: p[rows:] for i, p in core(n, rows + c, gens, rows).items()}
 
 
 def _modular_solve(n: int, rows: int, a_cols: list[list[int]],
-                   b_cols: list[list[int]]) -> list[list[int]] | None:
-    """Solution columns of A X = B mod n, reduced modulo the kernel's HNF, or None."""
+                   b_cols: list[list[int]], core=_hnf) -> list[list[int]] | None:
+    """Solution columns of A X = B mod n, reduced modulo the kernel's HNF, or
+    None; core is the Hermite core that eliminates."""
     c, k = len(a_cols), len(b_cols)
     # the columns of [[A, -B], [0, I_k], [I_c, 0]] span the (x, y) with
     # A x = B y; AX = B is solvable iff every y-row has pivot 1
     gens = [a + [0] * k + [int(i == j) for i in range(c)] for j, a in enumerate(a_cols)]
     gens += [[-v for v in b] + [int(i == j) for i in range(k)] + [0] * c
              for j, b in enumerate(b_cols)]
-    pivots = _hnf(n, rows + k + c, gens, rows)
+    pivots = core(n, rows + k + c, gens, rows)
     if not all(rows + j in pivots and pivots[rows + j][rows + j] == 1 for j in range(k)):
         return None
     return [pivots[rows + j][rows + k:] for j in range(k)]
@@ -680,7 +682,78 @@ def test_the_form_solves_and_kernels_as_the_stacked_system_did(case):
         assert a @ expected == b
 
 
-# -- Z kernels and solves: canonical and within Hadamard's bound -----------
+# -- the packed boundaries against the list core ----------------------------
+
+
+def _list_answers(a: Mat, b: Mat) -> tuple[Mat, Mat | None, Mat]:
+    """(kernel, solve, span) of A and B through the list core alone; over Z
+    the list core reduces X, as _z_reduce returns it, mod delta itself."""
+    ring, n = a.ring, a.ring.modulus
+    c = a.cols
+    span = _from_cols(ring, a.rows, list(_list_hnf(n, a.rows, a.columns()).values()))
+    if a.is_zero():
+        kernel = Mat.identity(ring, c)
+        solve = Mat.zero(ring, c, b.cols) if b.is_zero() else None
+        return kernel, solve, span
+    if n is not None:
+        kernel = _from_cols(ring, c, list(_modular_kernel(n, a.rows, a.columns(),
+                                                          _list_hnf).values()))
+        sols = _modular_solve(n, a.rows, a.columns(), b.columns(), _list_hnf)
+        return kernel, None if sols is None else _from_cols(ring, c, sols), span
+    delta, rank, xcols, _, lift = _z_reduce(a, None)
+    f = len(xcols)
+    h = _modular_kernel(delta, rank, xcols, _list_hnf) if delta > 1 and f else {}
+    kernel = _from_cols(ring, c, [lift(h[i] if i in h else [delta * (l == i) for l in range(f)],
+                                       [0] * rank) for i in range(f)])
+    red = _z_reduce(a, b)
+    if red is None:
+        return kernel, None, span
+    delta, rank, xcols, ycols, lift = red
+    # x2 = 0 is reduced, so it is the canonical x2 whenever it solves
+    x2s = ([[0] * f] * len(ycols) if all(v % delta == 0 for y in ycols for v in y)
+           else _modular_solve(delta, rank, xcols, ycols, _list_hnf))
+    sols = None if x2s is None else [lift(v, y) for v, y in zip(x2s, ycols)]
+    return kernel, None if sols is None else _from_cols(ring, c, sols), span
+
+
+def _boundary_inputs(ring, rng: random.Random):
+    """(A, B) at elim shapes up to 16 x 18 and at small and empty ones: full
+    and rank-deficient A, A with zero columns, a zero A, B in the span and
+    an arbitrary B, and B with no columns."""
+    n = ring.modulus
+    special = [1, -1] if n is None else [n - 1] + [d for d in (2, 3, 4, 6) if n % d == 0 and d < n]
+
+    def matrix(r, c):
+        return Mat(ring, r, c, tuple(rng.choice(special) if rng.random() < 0.2
+                                     else rng.randint(-9, 9) if n is None else rng.randrange(n)
+                                     for _ in range(r * c)))
+
+    for rows, cols in [(16, 18), (12, 14), (8, 10), (5, 3), (3, 5), (0, 3), (3, 0)]:
+        full = matrix(rows, cols)
+        rank = rng.randint(0, min(rows, cols))
+        deficient = matrix(rows, rank) @ matrix(rank, cols)
+        zero_cols = Mat(ring, rows, cols, tuple(0 if k % cols % 3 == 1 else v
+                                                for k, v in enumerate(full.entries)))
+        for a in (full, deficient, zero_cols, Mat.zero(ring, rows, cols)):
+            yield a, a @ matrix(cols, 2)
+            yield a, matrix(rows, 1)
+            yield a, Mat.zero(ring, rows, 0)
+
+
+BOUNDARY_RINGS = [ZZ, Fp(5), Fp(2**61 - 1)] + [Zmod(n) for n in PACKED_MODULI if n != 2**61 - 1]
+
+
+@pytest.mark.parametrize("ring", BOUNDARY_RINGS, ids=str)
+def test_packed_boundaries_answer_as_the_list_core(ring):
+    # kernel_right, solve_right, colspan_canonical and Echelon.kernel pack
+    # A's entries and unpack their answers straight into rows; the list
+    # core, fed A's columns, must give the same matrices
+    rng = random.Random(f"boundaries:{ring}")
+    for a, b in _boundary_inputs(ring, rng):
+        kernel, solve, span = _list_answers(a, b)
+        assert (kernel_right(a), solve_right(a, b), colspan_canonical(a)) == (kernel, solve, span)
+        form = echelon(a)
+        assert form.solve(b) == solve and form.kernel() == kernel and form.kernel() is form.kernel()
 
 
 def _hadamard(a):
