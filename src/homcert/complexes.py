@@ -239,21 +239,17 @@ def first_difference(a: Complex, b: Complex) -> int | None:
     neither has a tail, and both repeat with the lcm p of their periods
     on a side where one has, so the hull widened by p + 2 on each side
     with a tail decides.  A term whose rank differs is named, not the
-    differential into it, and a differential absent from both is equal
-    without a zero matrix built."""
+    differential into it, and a differential absent from both is compared
+    without building a zero matrix."""
     below = [t for c in (a, b) if (t := c.tail_below) is not None]
     above = [t for c in (a, b) if (t := c.tail_above) is not None]
     ends = [t.threshold for t in below + above] + [j for c in (a, b) for j in (*c.ranks, *c.diffs)]
-    p = math.lcm(*(t.period for t in below + above)) + 2
-    lo, hi = min(ends, default=0) - (p if below else 0), max(ends, default=0) + (p if above else 0)
-
-    def diff_differs(j: int) -> bool:
-        if a._given(j) is None and b._given(j) is None:
-            return a.ring != b.ring
-        return a.diff(j) != b.diff(j)
-
+    pad = math.lcm(*(t.period for t in below + above)) + 2
+    lo, hi = min(ends, default=0) - pad * bool(below), max(ends, default=0) + pad * bool(above)
     return next((j for j in range(lo, hi + 1) if a.rank(j) != b.rank(j)
-                 or a.rank(j + 1) == b.rank(j + 1) and diff_differs(j)), None)
+                 or a.rank(j + 1) == b.rank(j + 1)
+                 and (a._given(j) is not None or b._given(j) is not None or a.ring != b.ring)
+                 and a.diff(j) != b.diff(j)), None)
 
 
 @dataclass(frozen=True)
@@ -647,8 +643,8 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
     for j in degrees:
         if (r := c.rank(j)) and all((d := c._given(k)) is None or d.is_zero() for k in (j - 1, j)):
             # a nonzero term between two zero differentials is all homology
-            return Verdict(False, "not_exact", {"degree": j, "homology": FPModule.free(c.ring, c.side, r)},
-                           not c.is_bounded)
+            h = FPModule.free(c.ring, c.side, r)
+            return Verdict(False, "not_exact", {"degree": j, "homology": h}, not c.is_bounded)
         z, y = forms.exactness(j)
         if y is None:
             return Verdict(False, "not_exact", {"degree": j, "homology": forms.homology_data(j)[0]},

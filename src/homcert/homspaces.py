@@ -12,19 +12,15 @@ columns of a common ambient free module, so each Hom question is one
 solve against the boundaries: exactness, a preimage of given cycles
 (the flatness lift), or the coordinates of pushed cycles
 (induced_h0_map).  Each degree's restricted differential is eliminated
-once (Forms.form): that one elimination gives the cycles in its degree
-and answers the solves in the degree above, a differential equal to
-one already formed reuses its form, and a degree whose ambient module
-is zero is exact without building anything.  The homology
-module, where one is wanted, is their subquotient presentation.  No
-degree window is chosen: each degree's layout, generators and form are
-built the first time a caller reads them, and H^n reads the forms of
-degrees n - 1 and n only.  An ambient differential is built on the way
-to its form and not kept; it has only two kinds of block, I (x) d_Q and
-t^T (x) I, and is written entry by entry into one list, with no block
-matrix built on the way.  A presented term M = coker(P) contributes the
-generators K^T of Hom(M, R), the kernel of P^T (`FPModule.functionals`),
-eliminated once per module, its dual included.
+once (Forms.form), and the homology module, where one is wanted, is the
+subquotient presentation of cycles over boundaries.  No degree window
+is chosen: each degree's layout, generators and form are built the
+first time a caller reads them.  An ambient differential is built on
+the way to its form and not kept; it has only two kinds of block,
+I (x) d_Q and t^T (x) I, written entry by entry into one list.  A
+presented term M = coker(P) contributes the generators K^T of
+Hom(M, R), the kernel of P^T (`FPModule.functionals`), eliminated once
+per module, its dual included.
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the

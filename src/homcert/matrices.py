@@ -1,15 +1,16 @@
 """Exact matrices and exact linear algebra over the supported rings.
 
-One column Hermite normal form (HNF) core, `_hnf`, serves every ring.
-Over Z it is the integer HNF; over Z/n and F_p it is the HNF of the
-lattice span + n*Z^r, computed with every entry in [0, n) (Domich,
-Kannan & Trotter 1987; Cohen, GTM 138, Alg. 2.4.8); over F_p that is
-Gauss-Jordan elimination.  Canonical column spans and Smith invariants
-come from it over every ring, and kernels and solves over Z/n and F_p.
-Z kernels and solves run it modulo delta, the determinant of a pivot
-minor found by fraction-free elimination, so no entry outgrows
-Hadamard's bound.  An HNF is determined by its lattice, so spans, Smith
-invariants and kernels do not depend on the generators they came from.
+One column Hermite normal form (HNF), behind the list adapter `_hnf`,
+serves every ring.  Over Z it is the integer HNF (`_int_hnf`); over Z/n
+and F_p it is the HNF of the lattice span + n*Z^r, computed with every
+entry in [0, n) (`_mod_hnf`; Domich, Kannan & Trotter 1987; Cohen,
+GTM 138, Alg. 2.4.8); over F_p that is Gauss-Jordan elimination.
+Canonical column spans and Smith invariants come from it over every
+ring, and kernels and solves over Z/n and F_p.  Z kernels and solves
+run it modulo delta, the determinant of a pivot minor found by
+fraction-free elimination, so no entry outgrows Hadamard's bound.  An
+HNF is determined by its lattice, so spans, Smith invariants and
+kernels do not depend on the generators they came from.
 
 The pivoting rule is fixed: rows are processed top to bottom, the
 pivot is the gcd of the surviving entries in the row, pivots are
@@ -17,27 +18,24 @@ positive, and entries left of a pivot are reduced into [0, pivot).
 All outputs are therefore deterministic.  Within a row the first
 column with a nonzero lead is the pivot candidate (mod n scaled once
 to the lead g = gcd(lead, n)), and each other column whose lead g
-divides is cleared by one subtraction, which makes one new column and
-leaves the candidate alone; only a lead that g does not divide takes
-the two-column extended-gcd step.
+divides is cleared by one subtraction, which leaves the candidate
+alone; only a lead that g does not divide takes the two-column
+extended-gcd step.
 
 One elimination of [A; I_c] serves the kernel of A and every solve
-against it (`echelon`; Cohen, GTM 138, 2.4): the pivots below the rows
-of A are the kernel's Hermite form, and those at the rows of A, kept
-packed and not back-reduced, are an echelon basis of {(A x, x)} that
-each right-hand side b is cleared against; the x left over is reduced
-by the kernel's pivots, which makes it the canonical solution.  So the
-core takes a start row and back-reduces only the pivot columns from it
-down.  No larger system is ever stacked for a solve.
+against it (`echelon`; Cohen, GTM 138, 2.4), so the core takes a start
+row and back-reduces only the pivot columns from it down.  No larger
+system is ever stacked for a solve.
 
-Mod n the core packs each column into one int of fixed-width slots, one
-entry per slot, so a column step is one big-integer multiply-add and
-one slotwise reduction mod n (a Barrett step with an exact quotient)
-instead of a loop over the entries.  The slots are 4*bits(n) + 2 bits
-wide, which keeps that reduction exact and stops any slot carrying into
-the next as long as every slot entering it is at most 2*(n-1)**2; the
-coefficients of every step lie in [0, n) so that this holds.  Over Z
-the core works on lists.
+Mod n each column is one int of fixed-width slots, one entry per slot,
+so a column step is one big-integer multiply-add and one slotwise
+Barrett reduction instead of a loop over the entries.  Columns are
+packed once, straight from A's row-major entries, which a Mat keeps
+canonical, so nothing is reduced mod n again, and I_c costs one set
+bit per column; kernels, spans and solutions are unpacked straight
+into row-major entries.  The Barrett step is written out in the two
+updates of the hot loop, clearing a column and back-reducing a pivot,
+because a call per step cost about as much as the step.
 
 The public `Mat(...)` constructor checks the shape and reduces every
 entry to its canonical residue.  Results whose entries are canonical
@@ -301,8 +299,7 @@ def _width(n: int) -> int:
 
 
 def _pack(cols, w: int) -> list[int]:
-    """Each column, a sequence of entries in [0, 2**w), as one int of
-    w-bit slots, slot i holding row i."""
+    """Each column (entries in [0, 2**w)) as one int of w-bit slots, slot i holding row i."""
     packed = []
     for col in cols:
         a = 0
@@ -312,77 +309,57 @@ def _pack(cols, w: int) -> list[int]:
     return packed
 
 
-def _slots(p: int, w: int, count: int) -> list[int]:
-    """The first count w-bit slots of p."""
+def _columns(found: list[int], w: int, rows: int, start: int = 0) -> dict[int, list[int]]:
+    """{i: column} for the nonzero found[i], i >= start, each packed from row i down."""
     lead = (1 << w) - 1
-    return [p >> s & lead for s in range(0, w * count, w)]
-
-
-def _unpack(ring: RingDescriptor, rows: int, found: list[int], w: int) -> Mat:
-    """The matrix of the nonzero columns in found, found[i] packed from
-    row i down, written straight into row-major entries."""
-    cols = [(i, p) for i, p in enumerate(found) if p]
-    k = len(cols)
-    ent = [0] * (rows * k)
-    for t, (i, p) in enumerate(cols):
-        ent[i * k + t::k] = _slots(p, w, rows - i)
-    return Mat._trusted(ring, rows, k, tuple(ent))
+    return {i: [0] * i + [p >> s & lead for s in range(0, w * (rows - i), w)]
+            for i, p in enumerate(found) if p and i >= start}
 
 
 def _hnf(n: int | None, rows: int, gens: list[list[int]], start: int = 0) -> dict[int, list[int]]:
     """Column HNF of span(gens) over Z (n is None), or of span(gens) + n*Z^rows
     with every entry kept in [0, n): the list adapter in front of the
-    cores `_int_hnf` and `_mod_hnf`.
+    cores, `_int_hnf` over Z and `_mod_hnf` mod n.
 
     Returns {row: column} for the pivots at rows >= start, in row order;
     mod n, these are the pivots g < n, and the other rows have pivot n,
     whose HNF column n*e_row is zero mod n.  Pivots are positive (mod n
     each divides n), a pivot column is zero above its row, and each
     pivot row holds entries in [0, g) in the earlier pivot columns that
-    are returned.  Over a prime every g is 1: this is Gauss-Jordan
-    elimination.  Rows above start are eliminated alike, and their pivot
-    columns are not reduced; a pivot column is reduced only by the pivots
-    below it, so those returned are the full form's.
+    are returned.  Rows above start are eliminated alike, and their
+    pivot columns are not reduced; a pivot column is reduced only by the
+    pivots below it, so those returned are the full form's.
     """
     if n is None:
         return _int_hnf(rows, gens, start)
     w = _width(n)
     found, _ = _mod_hnf(n, rows, _pack(([v % n for v in col] for col in gens), w), start)
-    return {i: [0] * i + _slots(p, w, rows - i) for i, p in enumerate(found) if p and i >= start}
+    return _columns(found, w, rows, start)
 
 
 def _mod_hnf(n: int, rows: int, active: list[int], start: int):
-    """`_hnf` mod n on packed columns: active holds the generators, each
-    one int of w-bit slots (w = `_width(n)`), slot i holding row i.
+    """The core of `_hnf` mod n, on the generators packed: each one int of
+    w-bit slots, w = `_width(n)`, slot i holding row i.
 
     Returns (found, red): per row, its pivot column packed from that row
     down (slot 0 holds g), or 0 where the pivot is n; and the slotwise
     reduction mod n.  Above start the column is as found, and these
     columns are an echelon basis of the lattice modulo the part below;
-    from start on it is the returned one.
+    from start on it is the returned one.  A column's lead is a & lead,
+    and each column kept for the next row moves there (a >> w) at once,
+    so a zero column drops out.
 
-    In each row the first column with a nonzero lead is the pivot
-    candidate c, first scaled to the lead g = gcd(c[0], n).  Every other
-    column whose lead g divides is cleared by subtracting a multiple of
-    c, which leaves c as it is; a lead that g does not divide goes
-    through one extended-gcd step, which replaces c and lowers g.  Each
-    surviving column moves to the next row (a >> w) as it is kept, so a
-    zero column drops out.
-
-    The lead of a column is a & lead.  Each new column is one
-    multiply-add of such ints with coefficients in [0, n), so every slot
-    entering `red` is at most 2*(n-1)**2 < 2**k / n, k = 3*bits(n) + 1.
-    `red` reduces all slots mod n at once by a Barrett step (Barrett
-    1986) whose quotient is exact: with m = ceil(2**k / n),
-    floor(x*m / 2**k) = floor(x / n) for every x <= 2**k / n, and then
-    x*m < 2**w, w = 4*bits(n) + 2, so the product stays inside its slot.
-    A larger slot could come out wrong or carry into the next one.  The
-    two updates nearly every step takes, clearing a column and
-    back-reducing a pivot, write the step out: a call per column step
-    cost as much as the step.
+    Each new column is one multiply-add of such ints with coefficients
+    in [0, n), so every slot entering `red` is at most
+    2*(n-1)**2 < 2**k / n, k = 3*bits(n) + 1.  `red` reduces all slots
+    mod n at once by a Barrett step (Barrett 1986) whose quotient is
+    exact: with m = ceil(2**k / n), floor(x*m / 2**k) = floor(x / n) for
+    every x <= 2**k / n, and then x*m < 2**w, w = 4*bits(n) + 2, so the
+    product stays inside its slot.  A larger slot could come out wrong
+    or carry into the next one.
     """
     b = n.bit_length()
-    k, w = 3 * b + 1, 4 * b + 2
+    k, w = 3 * b + 1, _width(n)
     m, lead = -(-(1 << k) // n), (1 << w) - 1
     qmask = ((1 << w * rows) - 1) // lead * ((1 << w - k) - 1)  # 2**(w-k) - 1 in each slot
 
@@ -548,7 +525,7 @@ def colspan_canonical(m: Mat) -> Mat:
         return _from_cols(m.ring, m.rows, list(_hnf(None, m.rows, m.columns()).values()))
     w = _width(n)
     found, _ = _mod_hnf(n, m.rows, _pack((m.entries[j::m.cols] for j in range(m.cols)), w), 0)
-    return _unpack(m.ring, m.rows, found, w)
+    return _from_cols(m.ring, m.rows, list(_columns(found, w, m.rows).values()))
 
 
 # -- public solving interface -----------------------------------------
@@ -570,6 +547,10 @@ class _ModForm:
         # per row of [A; I_c]: its pivot column packed from that row down, or 0
         self.pivots, self.red = _mod_hnf(n, r + len(gens), gens, r)
         self.n, self.r, self.w = n, r, w
+
+    def kernel(self) -> dict[int, list[int]]:
+        """{j: column} for the kernel's pivots g < n, j indexing x."""
+        return _columns(self.pivots[self.r:], self.w, len(self.pivots) - self.r)
 
     def solve(self, b_cols) -> list[list[int]] | None:
         """The x with A x = b mod n for each column b (a sequence of
@@ -654,20 +635,16 @@ class Echelon:
         if self._zero:
             return Mat.identity(A.ring, A.cols)
         if A.ring.modulus is not None:
-            form = self._packed()
-            return _unpack(A.ring, A.cols, form.pivots[form.r:], form.w)
+            return _from_cols(A.ring, A.cols, list(self._packed().kernel().values()))
         if self._z is None:
             delta, rank, xcols, _, lift = _z_reduce(A, None)
             self._z = delta, rank, xcols, lift
         delta, rank, xcols, lift = self._z
         f = len(xcols)
-        form = self._packed() if delta > 1 and f else None
-        cols = []
-        for i in range(f):
-            p = form.pivots[rank + i] if form else 0
-            # a row without a pivot below delta has the Hermite column delta*e_i
-            x2 = [0] * i + _slots(p, form.w, f - i) if p else [delta * (l == i) for l in range(f)]
-            cols.append(lift(x2, [0] * rank))
+        h = self._packed().kernel() if delta > 1 and f else {}
+        # a row without a pivot below delta has the Hermite column delta*e_i
+        cols = [lift(h[i] if i in h else [delta * (l == i) for l in range(f)], [0] * rank)
+                for i in range(f)]
         return _from_cols(A.ring, A.cols, cols)
 
     def solve(self, B: Mat) -> Mat | None:

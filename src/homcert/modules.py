@@ -17,16 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrices import (
-    Echelon,
-    Mat,
-    MatrixError,
-    colspan_canonical,
-    echelon,
-    kernel_right,
-    smith_invariants,
-    solve_right,
-)
+from .matrices import (Echelon, Mat, MatrixError, colspan_canonical, echelon, kernel_right,
+                       smith_invariants, solve_right)
 from .rings import RingDescriptor
 
 
@@ -69,9 +61,8 @@ class FPModule:
 
     @cached_property
     def functionals(self) -> Mat:
-        """K^T, the kernel of P^T: its columns are the generators of M* as
-        functionals on M (x P = 0 exactly when P^T x^T = 0), eliminated
-        once per module object for its dual and its Hom terms."""
+        """K^T, the kernel of P^T (x P = 0 exactly when P^T x^T = 0): the generators
+        of M* as functionals on M, eliminated once for M's dual and Hom terms."""
         return kernel_right(self.presentation.transpose())
 
     def is_zero(self) -> bool:

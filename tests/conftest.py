@@ -46,7 +46,8 @@ def count_eliminations(monkeypatch):
 
         def packed(n, rows, active, first):
             w = matrices._width(n)
-            calls.append((rows, [matrices._slots(a, w, rows) for a in active]))
+            calls.append((rows, [[a >> s & (1 << w) - 1 for s in range(0, w * rows, w)]
+                                 for a in active]))
             calls.moduli.append(n)
             return mod_hnf(n, rows, active, first)
 
