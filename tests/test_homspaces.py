@@ -376,7 +376,7 @@ def test_a_quasi_iso_sweep_eliminates_each_restricted_differential_once(monkeypa
     (sub,) = subs
     assert any(m is pkg.module for m in sub.terms.values())
 
-    def stacked(a):  # the columns of [A; I], as the core receives them
+    def stacked(a):  # the columns of [A; I], as count_eliminations records them
         return (a.rows + a.cols, [col + [int(i == j) for i in range(a.cols)]
                                   for j, col in enumerate(a.columns())])
 
