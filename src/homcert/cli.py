@@ -1,10 +1,13 @@
-"""Command-line interface over the document format.
+"""Command-line interface over the document format: homcert [--format F] COMMAND ...
 
 Every command reads JSON documents, performs one exact computation and
 writes one document back (machine format) or a short human summary
-(text format).  Exit status: 0 when the computation succeeds and any
-verdict passes, 1 when a checked property fails (the counterexample
-verdict is still printed as a document), 2 on usage or parse errors.
+(text format); a package document is {depth, module}, so a machine-format
+`generator` derives nothing.  Each command word has one parser, built on
+the first call, which also takes the options written before the word.
+Exit status: 0 when the computation succeeds and any verdict passes, 1
+when a checked property fails (the counterexample verdict is still
+printed as a document), 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .documents import (SIZE_LIMIT, Document, DocumentError, emit_document,
 from .duality import MAX_LEVELS, decompose_resolution, dualize_chain_map, rebuild_verify
 from .flatness import (EngineConfig, FlatRelation, cycle_flatness_probe,
                        flat_certificate, pd_bound_collapse)
-from .generator import build_generator, resolve_module, verify_generator_quasi_iso
+from .generator import GeneratorPackage, resolve_module, verify_generator_quasi_iso
 from .matrices import MatrixError
 from .modules import FPModule, dual_data
 from .verdicts import Verdict
@@ -30,17 +33,17 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_window(text: str) -> tuple[int, int]:
+def _window(text: str) -> tuple[int, int]:
     try:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
-    except ValueError as exc:
-        raise UsageError(f"window must look like a..b, got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"window must look like a..b, got {text!r}") from None
     if lo > hi:
-        raise UsageError(f"empty window {text!r}")
+        raise argparse.ArgumentTypeError(f"empty window {text!r}")
     if max(-lo, hi) > SIZE_LIMIT:
-        raise UsageError(f"window endpoints must be at most {SIZE_LIMIT} "
-                         f"in absolute value, got {text!r}")
+        raise argparse.ArgumentTypeError(f"window endpoints must be at most {SIZE_LIMIT} "
+                                         f"in absolute value, got {text!r}")
     return lo, hi
 
 
@@ -131,7 +134,7 @@ def cmd_dualize(args) -> int:
 
 def cmd_generator(args) -> int:
     doc = _read_doc(args.input, "module")
-    pkg = build_generator(doc.payload, args.depth)
+    pkg = GeneratorPackage(doc.payload, args.depth)  # derived only for the text summary
     _print(args, make_document(doc.ring, "generator_package", pkg),
            lambda: f"package for {_module_invariants(pkg.module)}; "
            + _resolution_summary(pkg.resolution, pkg.complete, pkg.depth))
@@ -141,14 +144,13 @@ def cmd_generator(args) -> int:
 def cmd_check_qiso(args) -> int:
     pkg = _read_doc(args.package, "generator_package").payload
     qdoc = _read_doc(args.target, "complex")
-    window = _parse_window(args.window)
-    v = verify_generator_quasi_iso(pkg, qdoc.payload, window)
+    v = verify_generator_quasi_iso(pkg, qdoc.payload, args.window)
     return _verdict_exit(args, qdoc.ring, v)
 
 
 def cmd_homology(args) -> int:
     doc = _read_doc(args.input, "complex")
-    lo, hi = _parse_window(args.window)
+    lo, hi = args.window
     forms = Forms(doc.payload)
     mods = {j: forms.homology_data(j)[0] for j in range(lo, hi + 1)}
     v = Verdict(True, "homology_computed", {str(j): m for j, m in mods.items()})
@@ -194,82 +196,89 @@ def cmd_decompose(args) -> int:
 
 def cmd_split_check(args) -> int:
     doc = _read_doc(args.input, "complex")
-    window = _parse_window(args.window)
+    if args.window is None and (args.bound is not None or not doc.payload.is_bounded):
+        raise UsageError("--window is needed for a complex with a tail, and with --bound")
     if args.bound is not None:
-        v = pd_bound_collapse(doc.payload, EngineConfig(args.bound), window)
-    else:
-        v = split_exactness_check(doc.payload, window)
+        v = pd_bound_collapse(doc.payload, EngineConfig(args.bound), args.window)
+    else:  # a bounded complex is decided whole: no window is read
+        v = split_exactness_check(doc.payload, args.window)
     return _verdict_exit(args, doc.ring, v)
 
 
-@functools.cache  # built once: it is most of the time of a cheap command
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="homcert",
-        description="exact homological algebra over Z, Z/n and F_p")
-    parser.add_argument("--format", choices=("text", "machine"),
+@functools.cache  # built once, on the first call: most of the time of a cheap command
+def build_parsers() -> dict[str, argparse.ArgumentParser]:
+    """One parser per command word, each taking --format from one parent."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "machine"),
                         default="machine", help="output style")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+
+    def command(name: str, func, summary: str, *positionals: str) -> argparse.ArgumentParser:
+        p = parsers[name] = argparse.ArgumentParser(
+            prog=f"homcert {name}", description=summary, parents=[common])
+        p.set_defaults(func=func)
+        for arg in positionals:
+            p.add_argument(arg)
+        return p
 
     depth = _int_at_least(1, SIZE_LIMIT)  # a document's depth is at most SIZE_LIMIT too
-    p = sub.add_parser("resolve", help="free resolution of a module")
-    p.add_argument("input")
+    p = command("resolve", cmd_resolve, "free resolution of a module", "input")
     p.add_argument("--depth", type=depth, default=24)
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("dualize", help="dual of a module, complex or chain map")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_dualize)
-
-    p = sub.add_parser("generator", help="compact generator package for a module")
-    p.add_argument("input")
+    command("dualize", cmd_dualize, "dual of a module, complex or chain map", "input")
+    p = command("generator", cmd_generator, "compact generator package for a module", "input")
     p.add_argument("--depth", type=depth, default=24)
-    p.set_defaults(func=cmd_generator)
-
-    p = sub.add_parser("check-qiso",
-                       help="verify the comparison map against a target complex")
-    p.add_argument("package")
-    p.add_argument("target")
-    p.add_argument("--window", default="-4..4")
-    p.set_defaults(func=cmd_check_qiso)
-
-    p = sub.add_parser("homology", help="homology modules in a window")
-    p.add_argument("input")
-    p.add_argument("--window", required=True)
-    p.set_defaults(func=cmd_homology)
-
-    p = sub.add_parser("flat-cert",
-                       help="flatness certificate for a relation, optionally "
-                       "among cycles of a complex")
-    p.add_argument("relation")
+    p = command("check-qiso", cmd_check_qiso,
+                "verify the comparison map against a target complex", "package", "target")
+    p.add_argument("--window", type=_window, default="-4..4")
+    p = command("homology", cmd_homology, "homology modules in a window", "input")
+    p.add_argument("--window", type=_window, required=True)
+    p = command("flat-cert", cmd_flat_cert, "flatness certificate for a relation, "
+                "optionally among cycles of a complex", "relation")
     p.add_argument("complex", nargs="?", default=None)
     p.add_argument("--degree", type=int, default=0)
-    p.set_defaults(func=cmd_flat_cert)
-
-    p = sub.add_parser("decompose",
-                       help="build tree over single frees, checked in every degree")
-    p.add_argument("input")
+    p = command("decompose", cmd_decompose,
+                "build tree over single frees, checked in every degree", "input")
     # a loop that would end deeper than MAX_LEVELS levels is unrolled to
     # them and ends in a residual leaf, so no tree outgrows the recursion limit
     p.add_argument("--depth", type=_int_at_least(1, MAX_LEVELS), default=8,
                    help="resolution search of a module, and levels of a bounded "
                    "complex before a residual leaf; a periodic tail becomes a loop, "
                    f"or a residual leaf after {MAX_LEVELS} levels if it closes deeper")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("split-check",
-                       help="split exactness, or the projective-dimension "
-                       "collapse when --bound is given")
-    p.add_argument("input")
-    p.add_argument("--window", required=True)
+    p = command("split-check", cmd_split_check, "split exactness, or the "
+                "projective-dimension collapse when --bound is given", "input")
+    p.add_argument("--window", type=_window, help="needed on a tail and with --bound")
     p.add_argument("--bound", type=_int_at_least(0), default=None)
-    p.set_defaults(func=cmd_split_check)
-    return parser
+    return parsers
+
+
+_USAGE = "usage: homcert [-h] [--format {text,machine}] COMMAND ..."
+
+
+def _command_word(argv: list[str]) -> int | None:
+    """The first argument that is neither an option nor a --format value."""
+    value = False
+    for i, arg in enumerate(argv):
+        if value or arg.startswith("-"):
+            value = not value and len(arg) > 2 and "--format".startswith(arg)
+        else:
+            return i
+    return None
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parsers, i = build_parsers(), _command_word(argv)
+    if i is None and {"-h", "--help"} & set(argv):
+        print(_USAGE, "", "commands (COMMAND -h lists its arguments):",
+              *(f"  {name:13}{p.description}" for name, p in parsers.items()), sep="\n")
+        return 0
+    if i is None or argv[i] not in parsers:
+        what = "a command is required" if i is None else f"unknown command {argv[i]!r}"
+        print(f"{_USAGE}\nhomcert: error: {what} (choose from {', '.join(parsers)})",
+              file=sys.stderr)
+        return 2
+    try:  # options before the command word are the command's too
+        args = parsers[argv[i]].parse_args(argv[:i] + argv[i + 1:])
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

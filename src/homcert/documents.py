@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import ContextDecorator
 from dataclasses import dataclass, is_dataclass
 from typing import Any
 
@@ -49,6 +49,8 @@ from .rings import Fp, RingDescriptor, Zmod, ZZ
 from .verdicts import Verdict
 
 FORMAT_VERSION = "4"
+# built once (json.dumps with options builds one a call); C-accelerated without indent
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class DocumentError(ValueError):
@@ -59,18 +61,18 @@ _digits_lock = threading.Lock()
 _digits_state = {"users": 0, "saved": 0}
 
 
-@contextmanager
-def unlimited_int_digits():
+class unlimited_int_digits(ContextDecorator):
     """Lift Python's int <-> str digit limit, which exact integers
     outgrow, while any caller is inside; the last one out restores it."""
-    with _digits_lock:
-        if not _digits_state["users"]:
-            _digits_state["saved"] = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-        _digits_state["users"] += 1
-    try:
-        yield
-    finally:
+
+    def __enter__(self):
+        with _digits_lock:
+            if not _digits_state["users"]:
+                _digits_state["saved"] = sys.get_int_max_str_digits()
+                sys.set_int_max_str_digits(0)
+            _digits_state["users"] += 1
+
+    def __exit__(self, *exc):
         with _digits_lock:
             _digits_state["users"] -= 1
             if not _digits_state["users"]:
@@ -151,8 +153,7 @@ def emit_document(doc: Document) -> str:
         "kind": doc.kind,
         "payload": _encode(doc.payload),
     }
-    # without indent, CPython serializes through its C encoder
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 # -- decoding ---------------------------------------------------------

@@ -23,11 +23,14 @@ def default_digit_limit():
 
 class Eliminations(list):
     """(rows, generators as column lists) of each run of a Hermite core,
-    in order; `moduli` holds each run's modulus, None for the integer core."""
+    in order; `moduli` holds each run's modulus, None for the integer core,
+    and `bareiss` each Bareiss pass over Z: "solve" when it reduces
+    [A | B] (more columns than A's c), else "kernel"."""
 
     def __init__(self):
         super().__init__()
         self.moduli = []
+        self.bareiss = []
 
 
 @pytest.fixture
@@ -36,10 +39,12 @@ def count_eliminations(monkeypatch):
     Eliminations it fills; a second call starts a fresh record.  Mod n it
     hooks the packed core, so the packed callers (`_ModForm`,
     `colspan_canonical`) and the list adapter `_hnf` count alike, with
-    the columns unpacked; over Z it hooks the integer core."""
+    the columns unpacked; over Z it hooks the integer core and, apart,
+    the Bareiss pass, which alone answers a kernel or solve whose
+    determinant is 1 or whose kernel is empty."""
     from homcert import matrices
 
-    mod_hnf, int_hnf = matrices._mod_hnf, matrices._int_hnf
+    mod_hnf, int_hnf, bareiss = matrices._mod_hnf, matrices._int_hnf, matrices._bareiss
 
     def start() -> Eliminations:
         calls = Eliminations()
@@ -56,8 +61,13 @@ def count_eliminations(monkeypatch):
             calls.moduli.append(None)
             return int_hnf(rows, gens, first)
 
+        def counted_bareiss(m, c):
+            calls.bareiss.append("solve" if m and len(m[0]) > c else "kernel")
+            return bareiss(m, c)
+
         monkeypatch.setattr(matrices, "_mod_hnf", packed)
         monkeypatch.setattr(matrices, "_int_hnf", integer)
+        monkeypatch.setattr(matrices, "_bareiss", counted_bareiss)
         return calls
 
     return start

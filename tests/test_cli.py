@@ -13,9 +13,10 @@ from homcert.documents import (FORMAT_VERSION, SIZE_LIMIT, emit_document, make_d
                                parse_document)
 from homcert.duality import MAX_LEVELS
 from homcert.flatness import FlatRelation
+from homcert.generator import build_generator
 from homcert.matrices import Mat, MatrixError, kernel_right
-from homcert.rings import ZZ, Zmod
-from homcert.samplers import random_matrix
+from homcert.rings import Fp, ZZ, Zmod
+from homcert.samplers import random_fp_module, random_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 DOC = '{"version": "%s", ' % FORMAT_VERSION  # the head of a hand-written document
@@ -29,6 +30,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+COMMANDS = ("resolve", "dualize", "generator", "check-qiso", "homology", "flat-cert",
+            "decompose", "split-check")
 
 
 def out_doc(text: str):
@@ -74,6 +79,32 @@ def test_generator_emits_package(capsys):
     doc = out_doc(out)
     assert doc.kind == "generator_package"
     assert doc.payload.complete
+
+
+MODULE_FIXTURES = sorted(p.stem for p in FIXTURES.glob("module_*.json"))
+
+
+@pytest.mark.parametrize("source", [*MODULE_FIXTURES, ZZ, Fp(5), Zmod(4), Zmod(12)], ids=str)
+def test_a_machine_generator_eliminates_nothing(capsys, tmp_path, count_eliminations, source):
+    # the document is {depth, module}: M*, the comparison and P are derived
+    # by whoever reads the package, and only the text summary reads P here
+    if isinstance(source, str):
+        paths = [fx(source)]
+    else:
+        rng = random.Random(f"generator:{source}")
+        paths = [tmp_path / f"module_{i}.json" for i in range(8)]
+        for path in paths:
+            m = random_fp_module(rng, source, rng.choice(["left", "right"]))
+            path.write_text(emit_document(make_document(source, "module", m)))
+    for path in map(str, paths):
+        doc = parse_document(pathlib.Path(path).read_text())
+        pkg = build_generator(doc.payload, 24)
+        calls = count_eliminations()
+        assert run(capsys, "generator", path) == (
+            0, emit_document(make_document(doc.ring, "generator_package", pkg)), "")
+        assert calls == [] and calls.bareiss == []
+        code, out, _ = run(capsys, "generator", path, "--format=text")
+        assert code == 0 and "resolution" in out
 
 
 def test_check_qiso_passes_on_orthogonal_target(capsys, tmp_path):
@@ -190,6 +221,8 @@ def test_split_check_contractible_passes(capsys, tag):
                        "--window=-6..5")
     assert code == 0
     assert out_doc(out).payload.code == "split_exact"
+    # a bounded complex is decided whole: without a window, the same bytes
+    assert run(capsys, "split-check", fx(f"contractible_{tag}")) == (code, out, "")
 
 
 def test_split_check_failure_exits_1(capsys):
@@ -197,6 +230,15 @@ def test_split_check_failure_exits_1(capsys):
                        "--window=-4..3")
     assert code == 1
     assert not out_doc(out).payload.ok
+    assert run(capsys, "split-check", fx("complex_z_mult2")) == (code, out, "")
+
+
+@pytest.mark.parametrize("name,extra", [("complex_z4_periodic", []),
+                                        ("contractible_z", ["--bound=1"])], ids=["tail", "bound"])
+def test_split_check_without_a_window_where_one_is_read_exits_2(capsys, name, extra):
+    code, out, err = run(capsys, "split-check", fx(name), *extra)
+    assert code == 2 and out == ""
+    assert "--window" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("window", ["0..1", "0..0"])
@@ -542,13 +584,35 @@ def test_cli_builds_its_parser_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "argparse",
                         types.SimpleNamespace(**{**vars(argparse),
                                                  "ArgumentParser": counting_parser}))
-    cli.build_parser.cache_clear()
+    cli.build_parsers.cache_clear()
     try:
         assert run(capsys, "resolve", fx("module_z_cyclic6"))[0] == 0
+        first = list(built)
         assert run(capsys, "dualize", fx("module_z_cyclic6"))[0] == 0
     finally:
-        cli.build_parser.cache_clear()
-    assert built == ["homcert"]
+        cli.build_parsers.cache_clear()
+    # the shared --format parent, then one parser per command word
+    assert first == [None] + [f"homcert {c}" for c in COMMANDS]
+    assert built == first
+
+
+@pytest.mark.parametrize("argv,code,out_has,err_has", [
+    (["--format", "text", "resolve", fx("module_z_cyclic6")], 0, ["finite"], []),
+    (["resolve", fx("module_z_cyclic6"), "--format", "text"], 0, ["finite"], []),
+    (["--format=text", "resolve", fx("module_z_cyclic6")], 0, ["finite"], []),
+    (["-h"], 0, COMMANDS, []),
+    (["--help"], 0, COMMANDS, []),
+    (["resolve", "-h"], 0, ["homcert resolve", "--depth"], []),
+    ([], 2, [], ["a command is required"]),
+    (["frobnicate"], 2, [], ["frobnicate"]),
+    (["--format", "bogus", "resolve", "x"], 2, [], ["bogus"]),
+], ids=["format-before", "format-after", "format-equals", "h", "help", "command-h",
+        "no-arguments", "unknown-command", "bad-format"])
+def test_the_command_line_grammar(capsys, argv, code, out_has, err_has):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert all(s in out for s in out_has) and all(s in err for s in err_has)
+    assert "Traceback" not in err
 
 
 def test_unknown_command_exits_2(capsys):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from homcert import matrices
 from homcert.complexes import Complex, PeriodicTail
 from homcert.flatness import (EngineConfig, FlatCertificate, FlatRelation,
                               check_certificate, cycle_flatness_probe,
@@ -199,23 +198,16 @@ def test_cycle_probe_certifies_seeded_relations_with_a_lift(ring):
         assert (cert.lift @ kernel_right(rel.z)).is_zero()
 
 
-def test_a_certified_cycle_probe_makes_three_solves(monkeypatch):
+def test_a_certified_cycle_probe_makes_three_solves(count_eliminations):
     # exactness of Q at j, then one solve in Hom(M, Q) for the hypothesis
     # and the lift together, then the free certificate; over Z every
     # kernel and every solve is one Bareiss pass, over [A | B] for a solve
-    calls = []
-    bareiss = matrices._bareiss
-
-    def counting(m, c):
-        calls.append("solve" if m and len(m[0]) > c else "kernel")
-        return bareiss(m, c)
-
-    monkeypatch.setattr(matrices, "_bareiss", counting)
+    calls = count_eliminations()
     q = exact_three_term()
     rel = FlatRelation(ZZ, Mat(ZZ, 1, 2, (2, -1)), Mat(ZZ, 2, 2, (1, 2, 2, 4)))
     assert cycle_flatness_probe(q, -1, rel).ok
     # kernels: the cycles of Q at j, the relations of the z's, the
     # functionals of M (once, though M appears in two Hom degrees), the
     # cycles of Hom(M, Q) at j, the free certificate's row kernel
-    assert calls == ["kernel", "solve", "kernel", "kernel", "kernel", "solve",
-                     "kernel", "solve"]
+    assert calls.bareiss == ["kernel", "solve", "kernel", "kernel", "kernel", "solve",
+                             "kernel", "solve"]
