@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .matrices import Echelon, Mat, MatrixError, assemble_blocks, echelon
+from .matrices import Mat, MatrixError, assemble_blocks, kernel_right, solve_right
 from .modules import FPModule, is_projective, opposite, subquotient_module
 from .rings import RingDescriptor
 from .verdicts import Verdict
@@ -481,11 +481,12 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap]]:
 
 
 class Forms:
-    """One elimination per differential: form(n) eliminates restricted(n),
-    the differential on the generators gens_at(n) (None: the whole ambient
-    module, of rank ambient_rank(n)).  Its kernel gives the cycles at n, its
-    solves exactness at n + 1, and it serves every degree with an equal
-    differential, as a tail's are.  The hooks read q; SubComplex overrides them."""
+    """One elimination per differential: matrix(n) keeps restricted(n), the
+    differential on the generators gens_at(n) (None: the whole ambient
+    module, of rank ambient_rank(n)), or an equal one kept before, as a
+    tail's are, and the matrix keeps its elimination: kernel(n) gives the
+    cycles at n, solve(n, .) exactness at n + 1.  The hooks read q;
+    SubComplex overrides them."""
 
     def __init__(self, q: Complex):
         self.q, self._cache = q, {}
@@ -499,20 +500,26 @@ class Forms:
     def ambient_rank(self, n: int) -> int:
         return self.q.rank(n)
 
-    def form(self, n: int) -> Echelon:
-        key = ("form", n)
+    def matrix(self, n: int) -> Mat:
+        key = ("matrix", n)
         if key not in self._cache:
             d = self.restricted(n)
             self._cache[key] = next((f for k, f in self._cache.items()
-                                     if k[0] == "form" and f.matrix == d), None) or echelon(d)
+                                     if k[0] == "matrix" and f == d), d)
         return self._cache[key]
+
+    def kernel(self, n: int) -> Mat:
+        return kernel_right(self.matrix(n))
+
+    def solve(self, n: int, b: Mat) -> Mat | None:
+        return solve_right(self.matrix(n), b)
 
     def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
         """(cycle generators, boundary generators) of degree n as ambient
-        columns: the kernel of form(n), pushed through gens_at(n), and
-        the matrix of form(n - 1), formed first for form(n) to reuse."""
-        boundaries = self.form(n - 1).matrix
-        u, cycles = self.gens_at(n), self.form(n).kernel()
+        columns: the kernel of matrix(n), pushed through gens_at(n), and
+        matrix(n - 1), kept first for matrix(n) to reuse."""
+        boundaries = self.matrix(n - 1)
+        u, cycles = self.gens_at(n), self.kernel(n)
         return (cycles if u is None else u @ cycles), boundaries
 
     def homology_data(self, n: int) -> tuple[FPModule, Mat, Mat]:
@@ -522,9 +529,9 @@ class Forms:
 
     def exactness(self, n: int) -> tuple[Mat, Mat | None]:
         """(Z, Y): the cycle generators Z at n and a solution Y of
-        form(n - 1).matrix @ Y = Z, the witness of H^n = 0, or None."""
+        matrix(n - 1) @ Y = Z, the witness of H^n = 0, or None."""
         cycles, _ = self.cycles_and_boundaries(n)
-        return cycles, self.form(n - 1).solve(cycles)
+        return cycles, self.solve(n - 1, cycles)
 
     def is_exact_at(self, n: int) -> bool:
         """H^n = 0, without building H^n; a zero ambient module builds nothing."""
@@ -559,7 +566,7 @@ def null_homotopy_witness(f: ChainMap) -> Homotopy | None:
     if not (X.is_bounded and Y.is_bounded):
         raise ComplexError("null homotopy requires bounded complexes")
     hom = hom_fp_complex(*free_terms(X), Y)
-    s = hom.form(-1).solve(hom.join(0, f.components))
+    s = hom.solve(-1, hom.join(0, f.components))
     if s is None:
         return None
     return Homotopy(X, Y, hom.split(-1, s))
@@ -572,7 +579,7 @@ def contraction(c: Complex, *, forms: Forms | None = None) -> Homotopy | None:
 
     s is lifted one degree at a time, from the top of the support down:
     with s^(hi+1) = 0, e^j = 1 - s^(j+1) d^j and s^j solves
-    d^(j-1) s^j = e^j through form(j - 1), so d s + s d = 1 in degree j.
+    d^(j-1) s^j = e^j through solve(j - 1, e^j), so d s + s d = 1 in degree j.
     As that holds in degree j + 1, d^j e^j = 0: e^j is a cycle, and a
     bounded complex of projectives is contractible exactly when it is
     exact.  So a lift fails exactly when c is not exact in some degree
@@ -602,7 +609,7 @@ def contraction(c: Complex, *, forms: Forms | None = None) -> Homotopy | None:
                 return None
             above = None
             continue
-        above = forms.form(j - 1).solve(e)
+        above = forms.solve(j - 1, e)
         if above is None:
             return None
         s[j] = above

@@ -125,7 +125,7 @@ def cycle_flatness_probe(q: Complex, j: int, rel: FlatRelation) -> Verdict:
     m = FPModule(ring, q.side, colspan_canonical(kernel_right(rel.z)))
     hom = hom_into_complex(m, q)
     cycles, _ = hom.cycles_and_boundaries(j)
-    sol = hom.form(j - 1).solve(cycles.hstack(rel.z.vec()))
+    sol = hom.solve(j - 1, cycles.hstack(rel.z.vec()))
     if sol is None:
         return Verdict(False, "hom_hypothesis_fails", {"degree": j})
     y = sol.submatrix(range(sol.rows), [sol.cols - 1])

@@ -11,16 +11,16 @@ and the restricted differential.  Cycles and boundaries are generating
 columns of a common ambient free module, so each Hom question is one
 solve against the boundaries: exactness, a preimage of given cycles
 (the flatness lift), or the coordinates of pushed cycles
-(induced_h0_map).  Each degree's restricted differential is eliminated
-once (Forms.form), and the homology module, where one is wanted, is the
-subquotient presentation of cycles over boundaries.  No degree window
-is chosen: each degree's layout, generators and form are built the
-first time a caller reads them.  An ambient differential is built on
-the way to its form and not kept; it has only two kinds of block,
-I (x) d_Q and t^T (x) I, written entry by entry into one list.  A
-presented term M = coker(P) contributes the generators K^T of
-Hom(M, R), the kernel of P^T (`FPModule.functionals`), eliminated once
-per module, its dual included.
+(induced_h0_map).  Each degree's restricted differential is kept
+(Forms.matrix) and eliminated once, and the homology module, where one
+is wanted, is the subquotient presentation of cycles over boundaries.
+No degree window is chosen: each degree's layout, generators and
+restricted differential are built the first time a caller reads them.
+An ambient differential is built on the way to its restriction and not
+kept; it has only two kinds of block, I (x) d_Q and t^T (x) I, written
+entry by entry into one list.  A presented term M = coker(P)
+contributes the generators K^T of Hom(M, R), the kernel of P^T
+(`FPModule.functionals`), eliminated once per module, its dual included.
 
 The source may itself be a bounded complex of finitely presented
 modules (differentials given on generators); free terms are the
@@ -44,7 +44,7 @@ class SubComplex(Forms):
     """Hom(X, Q), a complexes.Forms: the degree-n term is the span of
     gens_at(n) in an ambient free module, and the differential is
     restricted from ambient_diff(n).  Each degree's layout, generators
-    and form are built on first use and cached."""
+    and restricted differential are built on first use and cached."""
 
     terms: dict[int, FPModule]  # source term i in degree i, in increasing i
     diffs: dict[int, Mat]  # diffs[i]: term i -> term i+1, on generators
@@ -118,8 +118,8 @@ class SubComplex(Forms):
         source differential t = diffs[i - 1], each entry on the diagonal
         of a qr x qr sub-block.  One of more than SIZE_LIMIT**2 cells does
         not fit in memory as a dense matrix and is refused (MatrixError)
-        before anything is allocated.  Not cached: form(n) keeps the
-        elimination it is read for."""
+        before anything is allocated.  Not cached: matrix(n) keeps the
+        restriction whose elimination is read."""
         rows, cols = self.ambient_rank(n + 1), self.ambient_rank(n)
         if rows * cols > SIZE_LIMIT ** 2:
             raise MatrixError(f"the Hom differential in degree {n} would have {rows * cols} "

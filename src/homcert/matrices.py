@@ -7,9 +7,9 @@ entry in [0, n) (`_mod_hnf`; Domich, Kannan & Trotter 1987; Cohen,
 GTM 138, Alg. 2.4.8); over F_p that is Gauss-Jordan elimination.
 Canonical column spans and Smith invariants come from it over every
 ring, and kernels and solves over Z/n and F_p.  Z kernels and solves
-run it modulo delta, the determinant of a pivot minor found by
-fraction-free elimination, so no entry outgrows Hadamard's bound.  An
-HNF is determined by its lattice, so spans, Smith invariants and
+run it modulo the determinant of a pivot minor found by one
+fraction-free (Bareiss) pass, so no entry outgrows Hadamard's bound.
+An HNF is determined by its lattice, so spans, Smith invariants and
 kernels do not depend on the generators they came from.
 
 The pivoting rule is fixed: rows are processed top to bottom, the
@@ -22,10 +22,14 @@ divides is cleared by one subtraction, which leaves the candidate
 alone; only a lead that g does not divide takes the two-column
 extended-gcd step.
 
-One elimination of [A; I_c] serves the kernel of A and every solve
-against it (`echelon`; Cohen, GTM 138, 2.4), so the core takes a start
-row and back-reduces only the pivot columns from it down.  No larger
-system is ever stacked for a solve.
+A Mat keeps what its eliminations find (`_Kept`): every later question
+about the same object is answered without eliminating it again.  Mod n
+one HNF of [A; I_c] gives the kernel of A and every solve against it
+(Cohen, GTM 138, 2.4), so the core takes a start row and back-reduces
+only the pivot columns from it down; over Z the Bareiss pass records
+its pivot steps, and a later solve replays them on B alone.  No larger
+system is stacked for a solve.  One column HNF gives the span and the
+first round of Smith.
 
 Mod n each column is one int of fixed-width slots, one entry per slot,
 so a column step is one big-integer multiply-add and one slotwise
@@ -33,17 +37,13 @@ Barrett reduction instead of a loop over the entries.  Columns are
 packed once, straight from A's row-major entries, which a Mat keeps
 canonical, so nothing is reduced mod n again, and I_c costs one set
 bit per column; kernels, spans and solutions are unpacked straight
-into row-major entries.  The Barrett step is written out in the two
-updates of the hot loop, clearing a column and back-reducing a pivot,
-because a call per step cost about as much as the step.
+into row-major entries.
 
-The public `Mat(...)` constructor checks the shape and reduces every
-entry to its canonical residue.  Results whose entries are canonical
-by construction go through the private `Mat._trusted` instead, which
-stores them unchecked: products and Kronecker products (reduced as
-they are computed), scalings, transposes, submatrices, zero and
-identity matrices, assembled and stacked blocks and the columns the
-Hermite core returns.
+The public `Mat(...)` checks the shape and reduces every entry to its
+canonical residue.  Results canonical by construction (products and
+Kronecker products, scalings, transposes, submatrices, zero and
+identity matrices, assembled blocks and the Hermite core's columns) go
+through the private, unchecked `Mat._trusted`.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ class Mat:
     rows: int
     cols: int
     entries: tuple[int, ...] = field(default=())
+    _kept = None  # once set, what this object's eliminations found (`_Kept`); not a field
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -341,31 +342,28 @@ def _mod_hnf(n: int, rows: int, active: list[int], start: int):
     """The core of `_hnf` mod n, on the generators packed: each one int of
     w-bit slots, w = `_width(n)`, slot i holding row i.
 
-    Returns (found, red): per row, its pivot column packed from that row
-    down (slot 0 holds g), or 0 where the pivot is n; and the slotwise
-    reduction mod n.  Above start the column is as found, and these
+    Returns (found, (m, k, qmask)): per row, its pivot column packed from
+    that row down (slot 0 holds g), or 0 where the pivot is n; and the
+    Barrett constants below.  Above start the column is as found, and these
     columns are an echelon basis of the lattice modulo the part below;
     from start on it is the returned one.  A column's lead is a & lead,
     and each column kept for the next row moves there (a >> w) at once,
     so a zero column drops out.
 
     Each new column is one multiply-add of such ints with coefficients
-    in [0, n), so every slot entering `red` is at most
-    2*(n-1)**2 < 2**k / n, k = 3*bits(n) + 1.  `red` reduces all slots
-    mod n at once by a Barrett step (Barrett 1986) whose quotient is
-    exact: with m = ceil(2**k / n), floor(x*m / 2**k) = floor(x / n) for
-    every x <= 2**k / n, and then x*m < 2**w, w = 4*bits(n) + 2, so the
+    in [0, n), so every slot of it is at most 2*(n-1)**2 < 2**k / n,
+    k = 3*bits(n) + 1.  x - (x*m >> k & qmask)*n reduces all slots mod n
+    at once by a Barrett step (Barrett 1986) whose quotient is exact:
+    with m = ceil(2**k / n), floor(x*m / 2**k) = floor(x / n) for every
+    x <= 2**k / n, and then x*m < 2**w, w = 4*bits(n) + 2, so the
     product stays inside its slot.  A larger slot could come out wrong
-    or carry into the next one.
+    or carry into the next one.  The step is written out wherever a column
+    is formed: a call per step cost about as much as the step.
     """
     b = n.bit_length()
     k, w = 3 * b + 1, _width(n)
     m, lead = -(-(1 << k) // n), (1 << w) - 1
     qmask = ((1 << w * rows) - 1) // lead * ((1 << w - k) - 1)  # 2**(w-k) - 1 in each slot
-
-    def red(x: int) -> int:
-        return x - (x * m >> k & qmask) * n
-
     found = [0] * rows
     pivots: dict[int, int] = {}  # from start on: each pivot column, zero above its row
     # active columns hold entries from row i down and span (with n*Z)
@@ -381,9 +379,12 @@ def _mod_hnf(n: int, rows: int, active: list[int], start: int):
                 # s*c has lead g = gcd(c[0], n); with (n/g)*c, the
                 # multiples of c that vanish at row i mod n, it spans c
                 s, _, g = _xgcd(a0, n)
-                if g > 1 and (t := red(n // g * a) >> w):
-                    rest.append(t)
-                c = red(s % n * a)
+                if g > 1:
+                    t = n // g * a
+                    if t := (t - (t * m >> k & qmask) * n) >> w:
+                        rest.append(t)
+                c = s % n * a
+                c -= (c * m >> k & qmask) * n
             elif not a0 % g:
                 a += (n - a0 // g) * c
                 if a := (a - (a * m >> k & qmask) * n) >> w:
@@ -395,8 +396,9 @@ def _mod_hnf(n: int, rows: int, active: list[int], start: int):
                 # spanned: appended with the candidate (n*c if g = 1
                 # there), or by this identity at the step before
                 x, y, h = _xgcd(g, a0)
-                c, a = red(x % n * c + y % n * a), red(g // h * a + (n - a0 // h) * c)
-                if a := a >> w:
+                c, a = x % n * c + y % n * a, g // h * a + (n - a0 // h) * c
+                c -= (c * m >> k & qmask) * n
+                if a := (a - (a * m >> k & qmask) * n) >> w:
                     rest.append(a)
                 g = h
         if c and i < start:
@@ -411,7 +413,7 @@ def _mod_hnf(n: int, rows: int, active: list[int], start: int):
         active = rest
     for i, col in pivots.items():
         found[i] = col >> w * i
-    return found, red
+    return found, (m, k, qmask)
 
 
 def _int_hnf(rows: int, gens: list[list[int]], start: int) -> dict[int, list[int]]:
@@ -449,17 +451,19 @@ def _int_hnf(rows: int, gens: list[list[int]], start: int) -> dict[int, list[int
     return pivots
 
 
-def _bareiss(m: list[list[int]], c: int) -> tuple[int, list[int], list[int]]:
+def _bareiss(m: list[list[int]], c: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows m, in place.
 
     Pivots are taken in the first c columns, left to right, and deleted
     from m once eliminated (each would hold d in its pivot row, else 0).
-    Returns (d, pivot columns, free columns): the rows of m then hold the
-    free columns followed by the columns from c on, and the rows below
-    the rank are zero in the free columns.  Every entry stays a minor of
-    the input, so each division is exact; d is +-det of the pivot minor.
+    Returns (d, pivot columns, free columns, steps): the rows of m then
+    hold the free columns followed by the columns from c on, and the rows
+    below the rank are zero in the free columns.  Every entry stays a
+    minor of the input, so each division is exact; d is +-det of the
+    pivot minor.  Step (t, p, g, d, col) swaps rows t and p and pivots on
+    g in row t, dividing by d; col is the pivot column before it.
     """
-    d, piv, free = 1, [], []
+    d, piv, free, steps = 1, [], [], []
     for j in range(c):
         t, jj = len(piv), len(free)  # jj: where column j now sits
         p = next((i for i in range(t, len(m)) if m[i][jj]), None)
@@ -467,68 +471,33 @@ def _bareiss(m: list[list[int]], c: int) -> tuple[int, list[int], list[int]]:
             free.append(j)
             continue
         m[t], m[p] = m[p], m[t]
-        prow, g = m[t], m[t][jj]
+        prow = m[t]
+        g, col = prow.pop(jj), []
         for i, row in enumerate(m):
-            if i != t:
-                a = row[jj]
-                if a or g != d:
-                    row = m[i] = [(g * x - a * y) // d for x, y in zip(row, prow)]
-                del row[jj]
-        del prow[jj]
+            col.append(a := g if i == t else row.pop(jj))
+            if i != t and (a or g != d):
+                m[i] = [(g * x - a * y) // d for x, y in zip(row, prow)]
+        steps.append((t, p, g, d, col))
         d = g
         piv.append(j)
-    return d, piv, free
+    return d, piv, free, steps
 
 
-def _z_reduce(A: Mat, B: Mat | None):
-    """Reduce A x = b over Z, for each column b of B, to a congruence modulo a minor.
-
-    One Bareiss pass over [A | B] gives the pivot columns, delta = |det A1|
-    of the pivot minor, X = delta A1^-1 A2 and Y = delta A1^-1 B.  The
-    integer x with A x = b project injectively onto their free
-    coordinates x2, which are the solutions of X x2 = Y mod delta, and
-    x1 = (Y - X x2) / delta (Cohen, GTM 138, 2.4.3).  Returns None when
-    some b is not in the rational span of A, and otherwise (delta, rank,
-    X columns, Y columns, lift), where lift(x2, y) is that x.
-    """
-    c, k = A.cols, 0 if B is None else B.cols
-    m = A.row_list() if B is None else [a + b for a, b in zip(A.row_list(), B.row_list())]
-    d, piv, free = _bareiss(m, c)
-    rank, f = len(piv), len(free)
-    if k and any(any(row) for row in m[rank:]):
-        return None
-    s, delta = (1, d) if d > 0 else (-1, -d)
-    xrows = [[s * v for v in row[:f]] for row in m[:rank]]
-    xcols = [[row[i] for row in xrows] for i in range(f)]
-    ycols = [[s * row[f + l] for row in m[:rank]] for l in range(k)]
-
-    def lift(x2: list[int], y: list[int]) -> list[int]:
-        x = [0] * c
-        for j, e in zip(free, x2):
-            x[j] = e
-        for j, yt, row in zip(piv, y, xrows):
-            x[j], rem = divmod(yt - sum(map(mul, row, x2)), delta)
-            assert not rem, "inexact division in a Z kernel or solve"
-        return x
-
-    return delta, rank, xcols, ycols, lift
+def _replay(steps, cols: list[list[int]]) -> list[list[int]]:
+    """Each column through a Bareiss pass's steps, as one more column that never pivots."""
+    out = []
+    for v in cols:
+        for t, p, g, d, col in steps:
+            if p != t:
+                v[t], v[p] = v[p], v[t]
+            vt = v[t]
+            v = [(g * x - a * vt) // d for x, a in zip(v, col)]
+            v[t] = vt
+        out.append(v)
+    return out
 
 
-def colspan_canonical(m: Mat) -> Mat:
-    """Canonical generating set of the column span, as a matrix.
-
-    The nonzero columns of the column HNF of the span over Z, and of
-    span + n*Z^rows over Z/n and F_p; over Z and F_p they are a basis.
-    """
-    n = m.ring.modulus
-    if n is None:
-        return _from_cols(m.ring, m.rows, list(_hnf(None, m.rows, m.columns()).values()))
-    w = _width(n)
-    found, _ = _mod_hnf(n, m.rows, _pack((m.entries[j::m.cols] for j in range(m.cols)), w), 0)
-    return _from_cols(m.ring, m.rows, list(_columns(found, w, m.rows).values()))
-
-
-# -- public solving interface -----------------------------------------
+# -- the kept elimination ---------------------------------------------
 
 
 class _ModForm:
@@ -541,11 +510,13 @@ class _ModForm:
     Hermite form of the kernel (Cohen, GTM 138, 2.4).
     """
 
+    __slots__ = ("n", "r", "w", "pivots", "barrett")
+
     def __init__(self, n: int, r: int, a_cols):
         w = _width(n)
         gens = [a | 1 << w * (r + j) for j, a in enumerate(_pack(a_cols, w))]
         # per row of [A; I_c]: its pivot column packed from that row down, or 0
-        self.pivots, self.red = _mod_hnf(n, r + len(gens), gens, r)
+        self.pivots, self.barrett = _mod_hnf(n, r + len(gens), gens, r)
         self.n, self.r, self.w = n, r, w
 
     def kernel(self) -> dict[int, list[int]]:
@@ -556,7 +527,8 @@ class _ModForm:
         """The x with A x = b mod n for each column b (a sequence of
         integers), reduced by the kernel's pivots, or None when some b is
         not in the span."""
-        n, r, w, red, pivots = self.n, self.r, self.w, self.red, self.pivots
+        n, r, w, pivots = self.n, self.r, self.w, self.pivots
+        m, k, qmask = self.barrett
         lead = (1 << w) - 1
         sols = []
         for b in b_cols:
@@ -572,13 +544,15 @@ class _ModForm:
                 if t0:
                     if not p or t0 % (g := p & lead):
                         return None
-                    t = red(t + (n - t0 // g) * p)
+                    t += (n - t0 // g) * p
+                    t -= (t * m >> k & qmask) * n
                 t >>= w
             x = []
             for p in pivots[r:]:
                 t0 = t & lead
                 if p and t0 >= (g := p & lead):  # t0 into [0, g)
-                    t = red(t + (n - t0 // g) * p)
+                    t += (n - t0 // g) * p
+                    t -= (t * m >> k & qmask) * n
                     t0 = t & lead
                 x.append(t0)
                 t >>= w
@@ -586,111 +560,142 @@ class _ModForm:
         return sols
 
 
-class Echelon:
-    """The kernel of A and every solve A X = B, from one elimination.
-
-    Over Z/n and F_p that elimination is the column Hermite form of
-    [A; I_c] mod n (`_ModForm`): its pivots below A's rows are the
-    kernel's Hermite form, and each column b is solved by clearing
-    (-b, 0) against the pivots at A's rows and reducing the x left over
-    by the kernel's pivots.  Over Z each solve reduces [A | B] by one
-    Bareiss pass (`_z_reduce`), and the form of X mod delta serves the
-    kernel and every solve alike.  Nothing is eliminated before the
-    first question that needs it, and the kernel is built once.
+class _Kept:
+    """What the eliminations of one Mat found, kept on it as `_kept` (not a
+    field: out of ==, hash, repr and documents): zero, whether A is zero;
+    kernel; hnf, the column HNF of the span as `_hnf` returns it; form,
+    the `_ModForm` of [A; I] mod n, over Z of [R; I] mod |d|; and z, over
+    Z, (d, pivot columns, free columns, R, steps) of A's Bareiss pass.
+    It holds no reference to the Mat, so the two form no cycle: each
+    question passes the matrix in.  Racing threads may both eliminate;
+    every value is deterministic and the last write wins.
     """
 
+    __slots__ = ("zero", "kernel", "hnf", "form", "z")
+
     def __init__(self, A: Mat):
-        self.matrix = A
-        self._zero = A.is_zero()
-        self._form: _ModForm | None = None
-        self._kernel: Mat | None = None
-        self._z = None  # over Z: (delta, rank, X columns, lift) of A's Bareiss pass
+        self.zero = not any(A.entries)
+        self.kernel = self.hnf = self.form = self.z = None
+        object.__setattr__(A, "_kept", self)  # last: another thread may read it at once
 
-    def _packed(self) -> _ModForm:
-        if self._form is None:
-            A, n = self.matrix, self.matrix.ring.modulus
-            if n is None:  # X reduced mod delta once, as it enters the form
-                delta, rank, xcols, _ = self._z
-                self._form = _ModForm(delta, rank, ([v % delta for v in x] for x in xcols))
+    def packed(self, A: Mat) -> _ModForm:
+        if self.form is None:
+            if (n := A.ring.modulus) is None:  # R reduced mod |d| once, as it enters
+                rows, n = self.z[3], abs(self.z[0])
+                self.form = _ModForm(n, len(rows), ([v % n for v in x] for x in zip(*rows)))
             else:
-                self._form = _ModForm(n, A.rows, (A.entries[j::A.cols] for j in range(A.cols)))
-        return self._form
+                self.form = _ModForm(n, A.rows, (A.entries[j::A.cols] for j in range(A.cols)))
+        return self.form
 
-    def kernel(self) -> Mat:
-        """Matrix whose columns generate {x : A x = 0}; may have 0 columns.
+    def z_pass(self, A: Mat, B: Mat | None = None) -> list[list[int]]:
+        """The one Bareiss pass over A, or over [A | B] for a first solve
+        (Cohen, GTM 138, 2.4.3): keeps A's part as z, returns B's columns.
+        For the pivot minor A1, d = +-det A1, R = d A1^-1 A2 and Y = d A1^-1 B,
+        the x with A x = b are fixed by their free coordinates x2, which
+        solve R x2 = Y mod |d|, and x1 = (Y - R x2) / d (`_lift`)."""
+        m = A.row_list() if B is None else [a + b for a, b in zip(A.row_list(), B.row_list())]
+        d, piv, free, steps = _bareiss(m, A.cols)
+        f, k = len(free), 0 if B is None else B.cols
+        self.z = d, piv, free, [row[:f] for row in m[:len(piv)]] if k else m[:len(piv)], steps
+        return [[row[f + l] for row in m] for l in range(k)]
 
-        Over Z the columns are the basis whose free coordinates (those
-        off the leftmost independent columns of A) are the Hermite form
-        of the kernel's projection onto them; over Z/n and F_p they are
-        the nonzero columns of the Hermite form of
-        {x in Z^c : A x = 0 mod n} (a basis over F_p).  Either way they
-        depend only on the kernel.
-        """
-        if self._kernel is None:
-            self._kernel = self._build_kernel()
-        return self._kernel
-
-    def _build_kernel(self) -> Mat:
-        A = self.matrix
-        if self._zero:
-            return Mat.identity(A.ring, A.cols)
-        if A.ring.modulus is not None:
-            return _from_cols(A.ring, A.cols, list(self._packed().kernel().values()))
-        if self._z is None:
-            delta, rank, xcols, _, lift = _z_reduce(A, None)
-            self._z = delta, rank, xcols, lift
-        delta, rank, xcols, lift = self._z
-        f = len(xcols)
-        h = self._packed().kernel() if delta > 1 and f else {}
-        # a row without a pivot below delta has the Hermite column delta*e_i
-        cols = [lift(h[i] if i in h else [delta * (l == i) for l in range(f)], [0] * rank)
+    def z_kernel(self, A: Mat) -> list[list[int]]:
+        if self.z is None:
+            self.z_pass(A)
+        d, piv, free, _, _ = z = self.z
+        delta, f = abs(d), len(free)
+        h = self.packed(A).kernel() if delta > 1 and f else {}
+        # a row without a pivot below |d| has the Hermite column |d|*e_i
+        return [_lift(z, h[i] if i in h else [delta * (l == i) for l in range(f)], [0] * len(piv))
                 for i in range(f)]
-        return _from_cols(A.ring, A.cols, cols)
 
-    def solve(self, B: Mat) -> Mat | None:
-        """Some X with A @ X = B exactly, or None; deterministic.
+    def z_solve(self, A: Mat, B: Mat) -> list[list[int]] | None:
+        k = B.cols
+        ys = (self.z_pass(A, B) if self.z is None
+              else _replay(self.z[4], [list(B.entries[l::k]) for l in range(k)]))
+        d, piv, free, _, _ = z = self.z
+        if any(any(y[len(piv):]) for y in ys):  # some b is not in the rational span
+            return None
+        ys = [y[:len(piv)] for y in ys]
+        # x2 = 0 is reduced, so it is the canonical x2 whenever it solves
+        if all(v % d == 0 for y in ys for v in y):
+            x2s = [[0] * len(free)] * k
+        elif not free or (x2s := self.packed(A).solve(ys)) is None:
+            return None
+        return [_lift(z, x2, y) for x2, y in zip(x2s, ys)]
 
-        X is the canonical reduced solution: the free coordinates of each
-        column (over Z, those off the leftmost pivot columns; over Z/n
-        and F_p, all of them) are reduced modulo the Hermite form of the
-        kernel of A, so X depends only on the set of solutions.
-        """
-        A = self.matrix
-        A._check_same_ring(B)
-        if A.rows != B.rows:
-            raise MatrixError("solve_right: row count mismatch")
-        if not B.cols or self._zero:
-            return Mat.zero(A.ring, A.cols, B.cols) if B.is_zero() else None
-        if A.ring.modulus is not None:
-            sols = self._packed().solve(B.entries[l::B.cols] for l in range(B.cols))
-        else:
-            red = _z_reduce(A, B)
-            if red is None:
-                return None
-            delta, rank, xcols, ycols, lift = red
-            if self._z is None:
-                self._z = delta, rank, xcols, lift
-            # x2 = 0 is reduced, so it is the canonical x2 whenever it solves
-            x2s = ([[0] * len(xcols)] * len(ycols) if all(v % delta == 0 for y in ycols for v in y)
-                   else self._packed().solve(ycols))
-            sols = None if x2s is None else [lift(v, y) for v, y in zip(x2s, ycols)]
-        return None if sols is None else _from_cols(A.ring, A.cols, sols)
+    def span_hnf(self, A: Mat) -> dict[int, list[int]]:
+        if self.hnf is None:
+            if (n := A.ring.modulus) is None:
+                self.hnf = _int_hnf(A.rows, A.columns(), 0)
+            else:
+                w, c = _width(n), A.cols
+                found, _ = _mod_hnf(n, A.rows, _pack((A.entries[j::c] for j in range(c)), w), 0)
+                self.hnf = _columns(found, w, A.rows)
+        return self.hnf
 
 
-def echelon(A: Mat) -> Echelon:
-    """The elimination of A that answers its kernel and every solve
-    against it: keep it where one matrix is asked more than once."""
-    return Echelon(A)
+def _lift(z, x2: list[int], y: list[int]) -> list[int]:
+    """The x with free coordinates x2 and pivot coordinates (y - R x2) / d."""
+    d, piv, free, rows, _ = z
+    x = [0] * (len(piv) + len(free))
+    for j, e in zip(free, x2):
+        x[j] = e
+    for j, yt, row in zip(piv, y, rows):
+        x[j], rem = divmod(yt - sum(map(mul, row, x2)), d)
+        assert not rem, "inexact division in a Z kernel or solve"
+    return x
 
 
-def solve_right(A: Mat, B: Mat) -> Mat | None:
-    """Some X with A @ X = B exactly, or None (Echelon.solve)."""
-    return Echelon(A).solve(B)
+# -- public solving interface -----------------------------------------
 
 
 def kernel_right(A: Mat) -> Mat:
-    """Matrix whose columns generate {x : A x = 0} (Echelon.kernel)."""
-    return Echelon(A).kernel()
+    """Matrix whose columns generate {x : A x = 0}; may have 0 columns.
+
+    Over Z the columns are the basis whose free coordinates (those off
+    the leftmost independent columns of A) are the Hermite form of the
+    kernel's projection onto them; over Z/n and F_p they are the nonzero
+    columns of the Hermite form of {x in Z^c : A x = 0 mod n} (a basis
+    over F_p).  Either way they depend only on the kernel.  Kept on A.
+    """
+    kept = A._kept or _Kept(A)
+    if kept.kernel is None:
+        if kept.zero:
+            kept.kernel = Mat.identity(A.ring, A.cols)
+        elif A.ring.modulus is None:
+            kept.kernel = _from_cols(A.ring, A.cols, kept.z_kernel(A))
+        else:
+            kept.kernel = _from_cols(A.ring, A.cols, list(kept.packed(A).kernel().values()))
+    return kept.kernel
+
+
+def solve_right(A: Mat, B: Mat) -> Mat | None:
+    """Some X with A @ X = B exactly, or None; deterministic.
+
+    X is the canonical reduced solution: the free coordinates of each
+    column (over Z, those off the leftmost pivot columns; over Z/n and
+    F_p, all of them) are reduced modulo the Hermite form of the kernel
+    of A, so X depends only on the set of solutions.
+    """
+    A._check_same_ring(B)
+    if A.rows != B.rows:
+        raise MatrixError("solve_right: row count mismatch")
+    kept = A._kept or _Kept(A)
+    if not B.cols or kept.zero:
+        return Mat.zero(A.ring, A.cols, B.cols) if B.is_zero() else None
+    sols = (kept.z_solve(A, B) if A.ring.modulus is None
+            else kept.packed(A).solve(B.entries[l::B.cols] for l in range(B.cols)))
+    return None if sols is None else _from_cols(A.ring, A.cols, sols)
+
+
+def colspan_canonical(m: Mat) -> Mat:
+    """Canonical generating set of the column span, as a matrix.
+
+    The nonzero columns of the column HNF of the span over Z, and of
+    span + n*Z^rows over Z/n and F_p; over Z and F_p they are a basis.
+    """
+    return _from_cols(m.ring, m.rows, list((m._kept or _Kept(m)).span_hnf(m).values()))
 
 
 def smith_invariants(A: Mat) -> list[int]:
@@ -706,16 +711,14 @@ def smith_invariants(A: Mat) -> list[int]:
     isolates the first pivot not yet alone in its row and column, or
     replaces it by a proper divisor, and every pivot divides n or D.
     """
-    n, k, gens = A.ring.modulus, A.rows, A.columns()
+    n, k = A.ring.modulus, A.rows
+    pivots = (A._kept or _Kept(A)).span_hnf(A)  # the first round, kept with A's span
     if n is None:  # continue mod D on the rows of the HNF
-        hnf = _hnf(None, A.rows, gens)
-        k, n = len(hnf), prod(c[i] for i, c in hnf.items())
-        gens = [[c[i] for c in hnf.values()] for i in range(A.rows)]
-    while True:
-        pivots = _hnf(n, k, gens)
-        if not any(any(c[i + 1:]) for i, c in pivots.items()):
-            break
-        gens = [[pivots[j][i] if j in pivots else 0 for j in range(k)] for i in range(k)]
+        k, n = len(pivots), prod(c[i] for i, c in pivots.items())
+        pivots = _hnf(n, k, [[c[i] for c in pivots.values()] for i in range(A.rows)])
+    while any(any(c[i + 1:]) for i, c in pivots.items()):
+        pivots = _hnf(n, k, [[pivots[j][i] if j in pivots else 0 for j in range(k)]
+                             for i in range(k)])
     diag = [pivots[i][i] if i in pivots else n for i in range(k)]
     for i in range(k):  # a diagonal form's factors, sorted into a chain
         for j in range(i + 1, k):

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrices import (Echelon, Mat, MatrixError, colspan_canonical, echelon, kernel_right,
-                       smith_invariants, solve_right)
+from .matrices import (Mat, MatrixError, colspan_canonical, kernel_right, smith_invariants,
+                       solve_right)
 from .rings import RingDescriptor
 
 
@@ -120,10 +120,10 @@ class ModuleMap:
         projects into the relations of M."""
         if not self.is_well_defined():
             return False
-        form = echelon(self.matrix.hstack(self.target.presentation))
-        if form.solve(Mat.identity(self.ring, self.target.rank0)) is None:
+        fp = self.matrix.hstack(self.target.presentation)
+        if solve_right(fp, Mat.identity(self.ring, self.target.rank0)) is None:
             return False
-        W = form.kernel()
+        W = kernel_right(fp)
         return self.source.contains_in_relations(
             W.submatrix(range(self.source.rank0), range(W.cols)))
 
@@ -145,27 +145,27 @@ def subquotient_module(ring: RingDescriptor, side: str, gens: Mat, zeros: Mat) -
 # -- duality -----------------------------------------------------------
 
 
-def _dual_form(m: FPModule) -> tuple[FPModule, Mat, Echelon]:
-    """dual_data(M) and the one elimination of K^T = M.functionals behind
-    it: its kernel is the relations among the generators of M*, and its
+def _dual_form(m: FPModule) -> tuple[FPModule, Mat, Mat]:
+    """dual_data(M) and K^T = M.functionals, whose kept elimination is behind
+    both: its kernel is the relations among the generators of M*, and its
     solves express functionals on M* in those generators."""
-    form = echelon(m.functionals)  # rank0 x k
-    return (FPModule(m.ring, opposite(m.side), colspan_canonical(form.kernel())),
-            form.matrix.transpose(), form)
+    kt = m.functionals  # rank0 x k
+    return (FPModule(m.ring, opposite(m.side), colspan_canonical(kernel_right(kt))),
+            kt.transpose(), kt)
 
 
 def dual_data(m: FPModule) -> tuple[FPModule, Mat]:
     """(M*, K): K's rows are the generators of M* as functionals on M,
-    and M* is presented by the kernel of one form, echelon(K^T)."""
+    and M* is presented by the kernel of K^T."""
     return _dual_form(m)[:2]
 
 
 def dualize_map(f: ModuleMap) -> ModuleMap:
     """Hom(-, R) applied to f: M -> N gives f*: N* -> M*."""
-    mstar, _, form = _dual_form(f.source)
+    mstar, _, kt = _dual_form(f.source)
     nstar, K_n = dual_data(f.target)
     pulled = K_n @ f.matrix  # each row is a functional on M
-    coeffs = form.solve(pulled.transpose())
+    coeffs = solve_right(kt, pulled.transpose())
     if coeffs is None:
         raise MatrixError("dual functional not expressible; solver invariant broken")
     return ModuleMap(nstar, mstar, coeffs)
@@ -175,10 +175,10 @@ def canonical_double_dual_map(m: FPModule, mstar: FPModule, K: Mat) -> ModuleMap
     """Evaluation map M -> M**, generator e_i |-> (phi |-> phi(e_i)),
     given (M*, K) = dual_data(M); an isomorphism over Z/n (reflexivity).  A
     generator package's comparison map factors through it."""
-    mstarstar, _, form = _dual_form(mstar)
+    mstarstar, _, k2t = _dual_form(mstar)
     # the i'th generator of M evaluates the dual generators to column i of
     # K, which is K2^T X for the generators K2 of M** and the map's matrix X
-    coeffs = form.solve(K)
+    coeffs = solve_right(k2t, K)
     if coeffs is None:
         raise MatrixError("double-dual evaluation not expressible; solver invariant broken")
     return ModuleMap(m, mstarstar, coeffs)

@@ -23,14 +23,26 @@ def default_digit_limit():
 
 class Eliminations(list):
     """(rows, generators as column lists) of each run of a Hermite core,
-    in order; `moduli` holds each run's modulus, None for the integer core,
-    and `bareiss` each Bareiss pass over Z: "solve" when it reduces
-    [A | B] (more columns than A's c), else "kernel"."""
+    in order; `moduli` holds each run's modulus, None for the integer core.
+    Over Z, `bareiss` holds each Bareiss pass and each replay of a pass's
+    recorded steps, in order: "solve" for a pass over [A | B] (more columns
+    than A's c), "kernel" for one over A alone, "replay" for a replay;
+    `passes` holds the rows of A of each pass and `replays` the columns
+    of B of each replay."""
 
     def __init__(self):
         super().__init__()
         self.moduli = []
         self.bareiss = []
+        self.passes = []
+        self.replays = []
+
+    @staticmethod
+    def stacked(a) -> tuple[int, list[list[int]]]:
+        """The record of an elimination of [A; I], the form of A's kernel
+        and solves mod n."""
+        return (a.rows + a.cols, [col + [int(i == j) for i in range(a.cols)]
+                                  for j, col in enumerate(a.columns())])
 
 
 @pytest.fixture
@@ -41,10 +53,12 @@ def count_eliminations(monkeypatch):
     `colspan_canonical`) and the list adapter `_hnf` count alike, with
     the columns unpacked; over Z it hooks the integer core and, apart,
     the Bareiss pass, which alone answers a kernel or solve whose
-    determinant is 1 or whose kernel is empty."""
+    determinant is 1 or whose kernel is empty, and the replay of its
+    steps, which answers a later solve against the same matrix."""
     from homcert import matrices
 
-    mod_hnf, int_hnf, bareiss = matrices._mod_hnf, matrices._int_hnf, matrices._bareiss
+    mod_hnf, int_hnf = matrices._mod_hnf, matrices._int_hnf
+    bareiss, replay = matrices._bareiss, matrices._replay
 
     def start() -> Eliminations:
         calls = Eliminations()
@@ -63,11 +77,18 @@ def count_eliminations(monkeypatch):
 
         def counted_bareiss(m, c):
             calls.bareiss.append("solve" if m and len(m[0]) > c else "kernel")
+            calls.passes.append([row[:c] for row in m])
             return bareiss(m, c)
+
+        def counted_replay(steps, cols):
+            calls.bareiss.append("replay")
+            calls.replays.append([list(v) for v in cols])
+            return replay(steps, cols)
 
         monkeypatch.setattr(matrices, "_mod_hnf", packed)
         monkeypatch.setattr(matrices, "_int_hnf", integer)
         monkeypatch.setattr(matrices, "_bareiss", counted_bareiss)
+        monkeypatch.setattr(matrices, "_replay", counted_replay)
         return calls
 
     return start

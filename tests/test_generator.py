@@ -407,22 +407,21 @@ def test_failing_verdicts_of_tampered_packages_and_refused_targets(monkeypatch):
 
 
 @pytest.mark.parametrize("n, rows", [(4, [[2, 1], [0, 2]]), (12, [[4, 1], [0, 4]])])
-def test_verify_resolution_eliminates_each_matrix_once(monkeypatch, n, rows):
+def test_verify_resolution_eliminates_each_matrix_once(count_eliminations, n, rows):
     # H^0 and the exactness loop read one engine, and a periodic tail's
-    # repeated differentials share their forms: before, a second engine
+    # repeated differentials share their matrices: before, a second engine
     # for H^0 made 4 eliminations of 3 distinct matrices here, and 10 of 4
     ring = Zmod(n)
     pkg = build_generator(FPModule(ring, "left", Mat.from_rows(ring, rows)))
-    eliminated = []
-    real = matrices.Echelon.__init__
-
-    def counted(self, a):
-        eliminated.append(a)
-        real(self, a)
-
-    monkeypatch.setattr(matrices.Echelon, "__init__", counted)
+    calls = count_eliminations()
     assert verify_resolution(pkg).ok
-    assert len(eliminated) == len(set(eliminated))
+    assert calls and all(calls.count(e) == 1 for e in calls), calls
+    # the differentials are the matrices resolve_module eliminated to build
+    # each from the one before, and they keep those eliminations
+    q = pkg.resolution
+    lo, hi = q.support()
+    stacked = [calls.stacked(q.diff(j)) for j in range(lo - 1, hi + 1)]
+    assert not any(e in stacked for e in calls), calls
 
 
 def _decoded_modules(v) -> dict:

@@ -191,7 +191,7 @@ def assert_exactness_agrees(forms, degrees) -> list[tuple[Mat, Mat | None]]:
     for j in degrees:
         z, y = forms.exactness(j)
         assert forms.is_exact_at(j) == (y is not None) == forms.homology_data(j)[0].is_zero(), j
-        assert y is None or forms.form(j - 1).matrix @ y == z, j
+        assert y is None or forms.matrix(j - 1) @ y == z, j
         out.append((z, y))
     return out
 
@@ -360,35 +360,30 @@ def test_induced_h0_map_is_one_solve(monkeypatch):
 def test_a_quasi_iso_sweep_eliminates_each_restricted_differential_once(monkeypatch,
                                                                         count_eliminations):
     # the cone of M -> P* for M = Z/4/(2) against Z/4 --2--> Z/4 --2--> Z/4:
-    # the form of degree n serves the cycles at n and the solve at n + 1,
-    # a restricted differential equal to the one below reuses its form,
+    # the matrix of degree n serves the cycles at n and the solve at n + 1,
+    # a restricted differential equal to the one below stands in for it,
     # and the functionals of M, which the package's dual already took,
     # are not eliminated again in any degree
-    subs, formed = [], []
+    subs = []
     monkeypatch.setattr(generator, "hom_fp_complex",
                         lambda *args: subs.append(hom_fp_complex(*args)) or subs[-1])
-    echelon = complexes.echelon
-    monkeypatch.setattr(complexes, "echelon", lambda a: formed.append(a) or echelon(a))
     pkg = build_generator(FPModule.cyclic(Zmod(4), "left", 2))
     assert "functionals" in vars(pkg.module)  # eliminated for M*
     eliminated = count_eliminations()
     assert generator.verify_generator_quasi_iso(pkg, _z4_two_chain(), (-4, 4)).ok
     (sub,) = subs
     assert any(m is pkg.module for m in sub.terms.values())
-
-    def stacked(a):  # the columns of [A; I], as count_eliminations records them
-        return (a.rows + a.cols, [col + [int(i == j) for i in range(a.cols)]
-                                  for j, col in enumerate(a.columns())])
-
-    nonzero = [a for a in formed if not a.is_zero()]
+    assert {n for kind, n in sub._cache if kind == "matrix"} == set(range(-5, 3))
+    formed = [sub.matrix(n) for n in range(-5, 3)]
+    kept = list({id(a): a for a in formed}.values())
+    nonzero = [a for a in kept if not a.is_zero()]
     # degrees -5..2 have eight restricted differentials; the five of
-    # degrees -5..-1 are equal and share one form, so four forms are made
-    # and three eliminated (eight and seven when each degree had its own)
-    assert (len(formed), len(nonzero)) == (4, 3)
-    assert sorted(eliminated) == sorted(stacked(a) for a in nonzero)
-    assert [id(sub.form(n)) for n in range(-5, 0)] == [id(sub.form(-5))] * 5
-    # each form is built from a distinct restricted differential
-    assert len(formed) == len({id(a) for a in formed})
+    # degrees -5..-1 are equal and one matrix stands in for them, so four
+    # are kept and three eliminated (eight and seven when each degree had
+    # its own)
+    assert (len(kept), len(nonzero)) == (4, 3)
+    assert sorted(eliminated) == sorted(eliminated.stacked(a) for a in nonzero)
+    assert all(sub.matrix(n) is sub.matrix(-5) for n in range(-5, 0))
     zero_ambient = [n for n in range(-4, 5) if not sub.layout(n)]
     assert zero_ambient
 
@@ -404,7 +399,8 @@ def test_a_zero_ambient_degree_is_exact_without_building_anything(monkeypatch):
 
     monkeypatch.setattr(Mat, "_trusted", classmethod(refuse))
     monkeypatch.setattr(homspaces, "block_diag", refuse)
-    monkeypatch.setattr(complexes, "echelon", refuse)
+    monkeypatch.setattr(complexes, "kernel_right", refuse)
+    monkeypatch.setattr(complexes, "solve_right", refuse)
     assert all(sub.is_exact_at(n) for n in empty)
 
 

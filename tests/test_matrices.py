@@ -1,13 +1,17 @@
+import gc
 import random
+import sys
+import threading
+import weakref
 from itertools import combinations
 from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcert.matrices import (Mat, MatrixError, _from_cols, _hnf, _xgcd, _z_reduce,
-                              assemble_blocks, block_diag, colspan_canonical, echelon,
-                              kernel_right, smith_invariants, solve_right)
+from homcert.matrices import (Mat, MatrixError, _bareiss, _from_cols, _hnf, _xgcd,
+                              assemble_blocks, block_diag, colspan_canonical, kernel_right,
+                              smith_invariants, solve_right)
 from homcert.modules import FPModule
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import random_invertible, random_matrix
@@ -414,7 +418,9 @@ def test_z_kernels_and_solves_never_run_the_integer_hnf(count_eliminations):
     inputs = [random_matrix(rng, ZZ, rng.randint(0, 6), rng.randint(0, 7)) for _ in range(40)]
     expected = [(colspan_canonical(a), smith_invariants(a)) for a in inputs]
     calls = count_eliminations()
-    assert [(colspan_canonical(a), smith_invariants(a)) for a in inputs] == expected
+    # fresh copies: each input keeps the integer HNF its span computed
+    copies = [Mat(a.ring, a.rows, a.cols, a.entries) for a in inputs]
+    assert [(colspan_canonical(a), smith_invariants(a)) for a in copies] == expected
     assert None in calls.moduli
     calls = count_eliminations()
     for a in inputs:
@@ -596,8 +602,36 @@ def _modular_solve(n: int, rows: int, a_cols: list[list[int]],
     return [pivots[rows + j][rows + k:] for j in range(k)]
 
 
+def _z_reduce(A: Mat, B: Mat | None):
+    """One Bareiss pass over [A | B], as every Z solve ran it before a matrix
+    kept its pass: (delta, rank, X columns, Y columns, lift), or None when
+    some b is not in the rational span of A."""
+    c, k = A.cols, 0 if B is None else B.cols
+    m = A.row_list() if B is None else [a + b for a, b in zip(A.row_list(), B.row_list())]
+    d, piv, free, _ = _bareiss(m, c)
+    rank, f = len(piv), len(free)
+    if k and any(any(row) for row in m[rank:]):
+        return None
+    s, delta = (1, d) if d > 0 else (-1, -d)
+    xrows = [[s * v for v in row[:f]] for row in m[:rank]]
+    xcols = [[row[i] for row in xrows] for i in range(f)]
+    ycols = [[s * row[f + l] for row in m[:rank]] for l in range(k)]
+
+    def lift(x2: list[int], y: list[int]) -> list[int]:
+        x = [0] * c
+        for j, e in zip(free, x2):
+            x[j] = e
+        for j, yt, row in zip(piv, y, xrows):
+            x[j], rem = divmod(yt - sum(v * e for v, e in zip(row, x2)), delta)
+            assert not rem
+        return x
+
+    return delta, rank, xcols, ycols, lift
+
+
 def _stacked_solve(A: Mat, B: Mat) -> Mat | None:
-    """The solve through the stacked system that the form replaced, kept verbatim."""
+    """The solve through the stacked system that the form replaced, kept
+    verbatim, over Z one pass over [A | B]."""
     A._check_same_ring(B)
     if A.rows != B.rows:
         raise MatrixError("solve_right: row count mismatch")
@@ -665,19 +699,22 @@ def form_input(draw):
     return a, b
 
 
+def _fresh(a: Mat) -> Mat:
+    """An equal Mat that has eliminated nothing."""
+    return Mat(a.ring, a.rows, a.cols, a.entries)
+
+
 @given(form_input())
 @settings(max_examples=500, deadline=None, derandomize=True)
 def test_the_form_solves_and_kernels_as_the_stacked_system_did(case):
     a, b = case
-    expected = _stacked_solve(a, b)
+    expected, kernel = _stacked_solve(a, b), _stacked_kernel(a)
+    # one matrix answers both, in either order and repeatedly
+    assert solve_right(a, b) == expected and kernel_right(a) == kernel
     assert solve_right(a, b) == expected
-    assert kernel_right(a) == _stacked_kernel(a)
-    # one form answers both, in either order and repeatedly
-    form = echelon(a)
-    assert form.kernel() == _stacked_kernel(a)
-    assert form.solve(b) == expected and form.solve(b) == expected
-    form = echelon(a)
-    assert form.solve(b) == expected and form.kernel() == _stacked_kernel(a)
+    a = _fresh(a)
+    assert kernel_right(a) == kernel and solve_right(a, b) == expected
+    assert solve_right(a, b) == expected and kernel_right(a) is kernel_right(a)
     if expected is not None:
         assert a @ expected == b
 
@@ -745,15 +782,179 @@ BOUNDARY_RINGS = [ZZ, Fp(5), Fp(2**61 - 1)] + [Zmod(n) for n in PACKED_MODULI if
 
 @pytest.mark.parametrize("ring", BOUNDARY_RINGS, ids=str)
 def test_packed_boundaries_answer_as_the_list_core(ring):
-    # kernel_right, solve_right, colspan_canonical and Echelon.kernel pack
+    # kernel_right, solve_right and colspan_canonical pack
     # A's entries and unpack their answers straight into rows; the list
     # core, fed A's columns, must give the same matrices
     rng = random.Random(f"boundaries:{ring}")
     for a, b in _boundary_inputs(ring, rng):
         kernel, solve, span = _list_answers(a, b)
         assert (kernel_right(a), solve_right(a, b), colspan_canonical(a)) == (kernel, solve, span)
-        form = echelon(a)
-        assert form.solve(b) == solve and form.kernel() == kernel and form.kernel() is form.kernel()
+        a = _fresh(a)
+        assert solve_right(a, b) == solve and kernel_right(a) == kernel
+        assert colspan_canonical(a) == span and kernel_right(a) is kernel_right(a)
+
+
+# -- a matrix keeps its elimination ------------------------------------------
+
+
+def _elim_shaped(rng: random.Random, ring, n: int, deficient: bool) -> tuple[Mat, Mat, Mat]:
+    """(A, A x, B) with A n x (n+2) as the elim benchmark draws it: entries up
+    to 9, or a product through rank n-1..n-4 of entries up to 3; B arbitrary."""
+    if deficient:
+        rank = n - rng.randint(1, 4)
+        a = Mat(ring, n, n + 2, (random_matrix(rng, ZZ, n, rank, 3)
+                                 @ random_matrix(rng, ZZ, rank, n + 2, 3)).entries)
+    else:
+        a = Mat(ring, n, n + 2, random_matrix(rng, ZZ, n, n + 2, 9).entries)
+    x = Mat(ring, n + 2, 1, random_matrix(rng, ZZ, n + 2, 1, 9).entries)
+    return a, a @ x, Mat(ring, n, 1, random_matrix(rng, ZZ, n, 1, 9).entries)
+
+
+QUESTIONS = (lambda a, b, c: kernel_right(a), lambda a, b, c: solve_right(a, b),
+             lambda a, b, c: colspan_canonical(a), lambda a, b, c: smith_invariants(a),
+             lambda a, b, c: solve_right(a, c))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Fp(7), Zmod(4), Zmod(12)], ids=str)
+def test_one_matrix_answers_four_questions_from_one_elimination_each(count_eliminations, ring):
+    # kernel, solve, span, Smith and a second solve of one Mat: mod n one
+    # elimination of [A; I] and one of A, whose HNF is Smith's first round;
+    # over Z one Bareiss pass, one form of its rows mod |d| where the kernel
+    # needs one, one integer HNF, and replays
+    rng = random.Random(f"four-questions:{ring}")
+    for n, deficient in [(8, False), (8, True), (10, True), (11, False)]:
+        a, b, c = _elim_shaped(rng, ring, n, deficient)
+        expected = [ask(_fresh(a), b, c) for ask in QUESTIONS]
+        calls = count_eliminations()
+        assert [ask(a, b, c) for ask in QUESTIONS] == expected
+        asked, bareiss = list(calls), calls.bareiss
+        later = count_eliminations()  # Smith's rounds after its first
+        smith_invariants(_fresh(a))
+        if ring.modulus is None:
+            d, piv, free, _ = _bareiss(a.row_list(), a.cols)
+            form = [abs(d)] if abs(d) > 1 and free else []
+            assert bareiss == ["kernel", "replay", "replay"]
+            assert calls.moduli == form + [None] + later.moduli[1:]
+            assert asked[len(form) + 1:] == later[1:]
+        else:
+            assert bareiss == []
+            assert asked == [calls.stacked(a), (a.rows, a.columns())] + later[1:]
+        # in any order, each answer is the one a fresh equal Mat gives
+        for order in ([4, 3, 2, 1, 0], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 1, 4, 2, 0]):
+            f = _fresh(a)
+            assert [QUESTIONS[i](f, b, c) for i in order] == [expected[i] for i in order]
+
+
+def _replay_cases():
+    """(A, B) over Z, seeded: B inconsistent, B in the rational but not the
+    integer span, B empty or zero, B of several columns, and a
+    rank-deficient A, an A whose pivot minor has determinant 1, a zero A."""
+    rng = random.Random(61)
+    for _ in range(8):
+        r, c = rng.randint(2, 6), rng.randint(2, 7)
+        a = random_matrix(rng, ZZ, r, c, 6)
+        low = _rank_deficient(rng, r, c, rng.randint(1, min(r, c) - 1), 3)
+        even = a.scale(2)
+        unit = Mat.identity(ZZ, r).hstack(random_matrix(rng, ZZ, r, c, 6))
+        for m in (a, low, even, unit, Mat.zero(ZZ, r, c)):
+            yield m, m @ random_matrix(rng, ZZ, m.cols, 3)
+            yield m, random_matrix(rng, ZZ, r, 1, 6)
+            yield m, m @ random_matrix(rng, ZZ, m.cols, 1) + Mat(ZZ, r, 1, (1,) + (0,) * (r - 1))
+            yield m, Mat.zero(ZZ, r, 0)
+            yield m, Mat.zero(ZZ, r, 2)
+
+
+def test_replayed_z_solves_equal_the_pass_over_a_and_b(count_eliminations):
+    # a solve against a Mat that has eliminated replays the recorded Bareiss
+    # steps on B alone; it must give what one pass over [A | B] gives
+    kinds = set()
+    for a, b in _replay_cases():
+        expected = _stacked_solve(a, b)
+        calls = count_eliminations()
+        solved_first = _fresh(a)  # a pass over [A | B], then a replay
+        assert solve_right(solved_first, b) == expected
+        assert solve_right(solved_first, b) == expected
+        kernel_first = _fresh(a)  # a pass over A, then replays
+        kernel_right(kernel_first)
+        assert solve_right(kernel_first, b) == expected
+        if a.is_zero():
+            assert calls.bareiss == []
+        elif not b.cols:
+            assert calls.bareiss == ["kernel"]
+        else:
+            assert calls.bareiss == ["solve", "replay", "kernel", "replay"]
+            assert calls.replays == [b.columns()] * 2
+        kinds.add((expected is None, b.cols, a.is_zero()))
+    # not vacuous: solvable and not, one column and several, a zero A
+    assert {(True, 1, False), (False, 1, False), (False, 3, False), (False, 0, False),
+            (False, 2, True), (True, 1, True)} <= kinds
+    rational = Mat(ZZ, 2, 3, (2, 4, 6, 0, 2, 4))  # spans 2Z x 2Z over Z, Q^2 over Q
+    assert solve_right(rational, Mat(ZZ, 2, 1, (1, 1))) is None
+    assert _stacked_solve(rational, Mat(ZZ, 2, 1, (1, 1))) is None
+
+
+def test_a_matrix_and_its_kept_elimination_die_together_and_compare_as_values():
+    # the kept elimination references no Mat, so no cycle keeps one alive
+    # for the cyclic collector, and it takes no part in == , hash, repr or
+    # documents
+    from homcert import documents
+
+    for ring in (ZZ, Zmod(12), Fp(7)):
+        a = Mat(ring, 3, 4, (2, 4, 6, 1, 0, 3, 9, 5, 2, 7, 15, 7))
+        b = a @ Mat(ring, 4, 1, (1, -2, 3, 1))
+        fresh = _fresh(a)
+        kernel_right(a), solve_right(a, b), colspan_canonical(a), smith_invariants(a)
+        assert "_kept" in vars(a) and "_kept" not in vars(fresh)
+        assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+        emitted = [documents.emit_document(documents.make_document(ring, "matrix", m))
+                   for m in (a, fresh)]
+        assert emitted[0] == emitted[1]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ref = weakref.ref(a)
+            del a
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def test_threads_that_race_on_one_matrix_get_the_answers_of_a_fresh_one():
+    # threads asking one Mat may both eliminate it; every kept value is
+    # deterministic, so whichever write lands last, each answer must be
+    # the one a fresh equal Mat gives
+    rng = random.Random(67)
+    cases = []
+    for ring in (ZZ, Zmod(12), Fp(7)):
+        for deficient in (False, True):
+            a, b, c = _elim_shaped(rng, ring, 6, deficient)
+            cases.append((a, b, c, [ask(_fresh(a), b, c) for ask in QUESTIONS]))
+    shared = [(_fresh(a), b, c, expected) for _ in range(30) for a, b, c, expected in cases]
+    wrong = []
+
+    def ask_all(order):
+        for a, b, c, expected in shared:
+            for i in order:
+                try:
+                    if QUESTIONS[i](a, b, c) != expected[i]:
+                        wrong.append((a, i))
+                except Exception as exc:  # a half-built kept state, say
+                    wrong.append((a, i, exc))
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        orders = [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 4, 0, 3, 2], [2, 0, 4, 1, 3]] * 2
+        threads = [threading.Thread(target=ask_all, args=(order,)) for order in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def _hadamard(a):
