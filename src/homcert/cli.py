@@ -196,11 +196,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_split_check(args) -> int:
     doc = _read_doc(args.input, "complex")
-    if args.window is None and (args.bound is not None or not doc.payload.is_bounded):
-        raise UsageError("--window is needed for a complex with a tail, and with --bound")
-    if args.bound is not None:
+    if args.window is None and not doc.payload.is_bounded:
+        raise UsageError("--window is needed for a complex with a tail")
+    if args.bound is not None:  # a bounded complex is decided whole: no window is read
         v = pd_bound_collapse(doc.payload, EngineConfig(args.bound), args.window)
-    else:  # a bounded complex is decided whole: no window is read
+    else:
         v = split_exactness_check(doc.payload, args.window)
     return _verdict_exit(args, doc.ring, v)
 
@@ -246,7 +246,7 @@ def build_parsers() -> dict[str, argparse.ArgumentParser]:
                    f"or a residual leaf after {MAX_LEVELS} levels if it closes deeper")
     p = command("split-check", cmd_split_check, "split exactness, or the "
                 "projective-dimension collapse when --bound is given", "input")
-    p.add_argument("--window", type=_window, help="needed on a tail and with --bound")
+    p.add_argument("--window", type=_window, help="needed on a tail")
     p.add_argument("--bound", type=_int_at_least(0), default=None)
     return parsers
 

@@ -141,26 +141,24 @@ def cycle_flatness_probe(q: Complex, j: int, rel: FlatRelation) -> Verdict:
 
 
 def pd_bound_collapse(q: Complex, config: EngineConfig,
-                      window: tuple[int, int]) -> Verdict:
+                      window: tuple[int, int] | None) -> Verdict:
     """Split exactness read through the projective-dimension bound.
 
     Dimension shifting along 0 -> Z^j -> Q^j -> ... -> Z^(j+N) -> 0
     forces pd Z^j <= 0 once pd Z^(j+N) <= N, so in an exact window at
-    least N + 2 wide every cycle below hi - N is projective.  The window
-    width is checked here; everything else is one split-exactness check,
-    whose witness (a null homotopy of the identity) is passed on.  A
-    bounded q is decided in every degree: collapsed or not_exact, for
-    any window wide enough.  On a tail the inner check reads the window,
-    and the cycle it finds not projective is Z^(lo+1), below hi - N: over
-    Z/n, which is self-injective, a projective Z^j is injective, so
+    least N + 2 wide every cycle below hi - N is projective.  Everything
+    but that width is one split-exactness check, whose witness (a null
+    homotopy of the identity) is passed on.  A bounded q is decided in
+    every degree, collapsed or not_exact, and reads no window, so it
+    needs none and has no width to check.  On a tail the window must be
+    that wide; the inner check reads it, and the cycle it finds not
+    projective is Z^(lo+1), below hi - N: over Z/n, which is
+    self-injective, a projective Z^j is injective, so
     0 -> Z^j -> Q^j -> Z^(j+1) -> 0 splits and Z^(j+1) is projective too;
     over Z and F_p every cycle of an exact complex of frees is projective.
     """
-    lo, hi = window
-    n = config.bound
-    if hi - lo < n + 2:
-        return Verdict(False, "window_too_narrow",
-                       {"width": hi - lo, "needed": n + 2})
+    if not q.is_bounded and (width := window[1] - window[0]) < config.bound + 2:
+        return Verdict(False, "window_too_narrow", {"width": width, "needed": config.bound + 2})
     inner = split_exactness_check(q, window)
     if inner.ok:
         return Verdict(True, "collapsed", inner.details, inner.window_relative)

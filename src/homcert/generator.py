@@ -10,7 +10,7 @@ projective replacement for M in the homotopy category.  A package is M
 and the depth of P's search; M*, the comparison, P, its completeness
 and P* are derived from them, each once.
 
-Verification entry points check, inside explicit degree windows:
+Verification entry points check, the first and third inside a window:
   * the resolution property of P (homology M* in degree 0, zero below);
   * that dualizing twice returns P itself, component by component;
   * exactness of the Hom complex of cone(comparison) into a target
@@ -170,7 +170,9 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
     map is a quasi-isomorphism Hom(P*, Q) -> Hom(M, Q).  The window
     bounds the degrees checked, and so the truncation of P* used.  A
     lower tail of Q is read only in the finitely many degrees the window
-    reaches; an upper tail would need all of P*, and is refused.
+    reaches; an upper tail would need all of P*, and is refused.  A pass
+    is window-relative unless the window covers every degree where Hom
+    can be nonzero, which needs P complete without a tail and Q bounded.
     """
     lo, hi = window
     span = q.support()
@@ -190,7 +192,10 @@ def verify_generator_quasi_iso(pkg: GeneratorPackage, q: Complex,
     for n in range(lo, hi + 1):
         if not sub.is_exact_at(n):
             return Verdict(False, "hom_not_exact", {"degree": n})
-    return Verdict(True, "hom_exact", {"window": window})
+    p = pkg.resolution  # the cone lives in [-1, top P*]: Hom^n = 0 off [min Q - top P*, max Q + 1]
+    covered = (pkg.complete and p.tail_below is None and q.tail_below is None
+               and lo <= span[0] + (p.support() or (0, 0))[0] and hi >= span[1] + 1)
+    return Verdict(True, "hom_exact", {"window": window}, not covered)
 
 
 def hom_classes(pkg: GeneratorPackage, q: Complex, shift: int = 0):

@@ -1,16 +1,17 @@
 """Exact matrices and exact linear algebra over the supported rings.
 
-One column Hermite normal form (HNF), behind the list adapter `_hnf`,
-serves every ring.  Over Z it is the integer HNF (`_int_hnf`); over Z/n
-and F_p it is the HNF of the lattice span + n*Z^r, computed with every
-entry in [0, n) (`_mod_hnf`; Domich, Kannan & Trotter 1987; Cohen,
-GTM 138, Alg. 2.4.8); over F_p that is Gauss-Jordan elimination.
-Canonical column spans and Smith invariants come from it over every
-ring, and kernels and solves over Z/n and F_p.  Z kernels and solves
-run it modulo the determinant of a pivot minor found by one
-fraction-free (Bareiss) pass, so no entry outgrows Hadamard's bound.
-An HNF is determined by its lattice, so spans, Smith invariants and
-kernels do not depend on the generators they came from.
+One column Hermite normal form (HNF) core, `_mod_hnf`, serves every
+ring: the HNF of span + n*Z^r, computed with every entry in [0, n)
+(Domich, Kannan & Trotter 1987; Cohen, GTM 138, Alg. 2.4.8); over F_p
+that is Gauss-Jordan elimination.  A lattice of full rank contains
+D*Z^r for every multiple D of its determinant, so its HNF is its HNF
+mod D, and over Z every form runs the core modulo a D read from one
+fraction-free (Bareiss) pass: kernels and solves modulo the
+determinant of a pivot minor, spans modulo a gcd of maximal minors on
+the rows where the rank grows.  So no entry outgrows Hadamard's bound.
+Canonical column spans, Smith invariants, kernels and solves all come
+from it.  An HNF is determined by its lattice, so spans, Smith
+invariants and kernels do not depend on the generators they came from.
 
 The pivoting rule is fixed: rows are processed top to bottom, the
 pivot is the gcd of the surviving entries in the row, pivots are
@@ -29,7 +30,8 @@ one HNF of [A; I_c] gives the kernel of A and every solve against it
 only the pivot columns from it down; over Z the Bareiss pass records
 its pivot steps, and a later solve replays them on B alone.  No larger
 system is stacked for a solve.  One column HNF gives the span and the
-first round of Smith.
+first round of Smith; over Z it reads A's pass where A has full row
+rank, and otherwise one pass over A^T.
 
 Mod n each column is one int of fixed-width slots, one entry per slot,
 so a column step is one big-integer multiply-add and one slotwise
@@ -317,22 +319,19 @@ def _columns(found: list[int], w: int, rows: int, start: int = 0) -> dict[int, l
             for i, p in enumerate(found) if p and i >= start}
 
 
-def _hnf(n: int | None, rows: int, gens: list[list[int]], start: int = 0) -> dict[int, list[int]]:
-    """Column HNF of span(gens) over Z (n is None), or of span(gens) + n*Z^rows
-    with every entry kept in [0, n): the list adapter in front of the
-    cores, `_int_hnf` over Z and `_mod_hnf` mod n.
+def _hnf(n: int, rows: int, gens: list[list[int]], start: int = 0) -> dict[int, list[int]]:
+    """Column HNF of span(gens) + n*Z^rows with every entry kept in [0, n):
+    the list adapter in front of `_mod_hnf`, for Smith's rounds, Z spans
+    and the tests.
 
-    Returns {row: column} for the pivots at rows >= start, in row order;
-    mod n, these are the pivots g < n, and the other rows have pivot n,
-    whose HNF column n*e_row is zero mod n.  Pivots are positive (mod n
-    each divides n), a pivot column is zero above its row, and each
-    pivot row holds entries in [0, g) in the earlier pivot columns that
-    are returned.  Rows above start are eliminated alike, and their
-    pivot columns are not reduced; a pivot column is reduced only by the
-    pivots below it, so those returned are the full form's.
+    Returns {row: column} for the pivots g < n at rows >= start, in row
+    order; the other rows have pivot n, whose HNF column n*e_row is zero
+    mod n.  Each pivot divides n, a pivot column is zero above its row,
+    and each pivot row holds entries in [0, g) in the earlier pivot
+    columns that are returned.  Rows above start are eliminated alike,
+    and their pivot columns are not reduced; a pivot column is reduced
+    only by the pivots below it, so those returned are the full form's.
     """
-    if n is None:
-        return _int_hnf(rows, gens, start)
     w = _width(n)
     found, _ = _mod_hnf(n, rows, _pack(([v % n for v in col] for col in gens), w), start)
     return _columns(found, w, rows, start)
@@ -414,41 +413,6 @@ def _mod_hnf(n: int, rows: int, active: list[int], start: int):
     for i, col in pivots.items():
         found[i] = col >> w * i
     return found, (m, k, qmask)
-
-
-def _int_hnf(rows: int, gens: list[list[int]], start: int) -> dict[int, list[int]]:
-    """`_hnf` over Z: the same steps on lists, with no reduction and no scaling."""
-    pivots: dict[int, list[int]] = {}
-    active = [list(c) for c in gens if any(c)]
-    for i in range(rows):
-        c, rest = None, []
-        for a in active:
-            a0 = a[0]
-            if not a0:
-                rest.append(a)
-            elif c is None:
-                c, g = a, a0
-            elif not a0 % g:
-                q = a0 // g
-                rest.append([v - q * u for u, v in zip(c, a)])
-            else:  # unimodular step: gcd(g, a[0]) into c, 0 into a
-                x, y, h = _xgcd(g, a0)
-                cg, ag = g // h, a0 // h
-                c, a = ([x * u + y * v for u, v in zip(c, a)],
-                        [cg * v - ag * u for u, v in zip(c, a)])
-                rest.append(a)
-                g = h
-        if c is not None:
-            if g < 0:
-                c, g = [-v for v in c], -g
-            for col in pivots.values():
-                q = col[i] // g
-                if q:
-                    col[i:] = [u - q * v for u, v in zip(col[i:], c)]
-            if i >= start:
-                pivots[i] = [0] * i + c
-        active = [t for t in (a[1:] for a in rest) if any(t)]
-    return pivots
 
 
 def _bareiss(m: list[list[int]], c: int):
@@ -627,12 +591,42 @@ class _Kept:
     def span_hnf(self, A: Mat) -> dict[int, list[int]]:
         if self.hnf is None:
             if (n := A.ring.modulus) is None:
-                self.hnf = _int_hnf(A.rows, A.columns(), 0)
+                self.hnf = {} if self.zero else _z_span(A, self.z)
             else:
                 w, c = _width(n), A.cols
                 found, _ = _mod_hnf(n, A.rows, _pack((A.entries[j::c] for j in range(c)), w), 0)
                 self.hnf = _columns(found, w, A.rows)
         return self.hnf
+
+
+def _z_span(A: Mat, z) -> dict[int, list[int]]:
+    """The column HNF of a nonzero A's span over Z: its HNF mod D on A's
+    row profile P (the rows where the rank of the leading rows grows),
+    onto which it projects isomorphically, for D a gcd of maximal minors
+    there.  With A's pass z kept and of full row rank, P is every row and
+    R = d A1^-1 A2 holds r x r minors (Cramer's rule).  Otherwise a pass
+    over A^T pivots on P, its last pivot column holds minors on P, and
+    row f of A off P is sum_t R[t][k] row P[t] / d, which lifts each
+    column; a pivot D stands for the column D*e_t."""
+    if z is not None and len(z[1]) == A.rows:
+        d, rows = z[0], z[3]
+        D, profile, off = gcd(d, *(v for row in rows for v in row)), range(A.rows), ()
+    else:
+        m = A.columns()
+        d, profile, free, steps = _bareiss(m, A.rows)
+        D = gcd(*steps[-1][4][len(profile) - 1:])
+        off = list(zip(free, zip(*m[:len(profile)])))  # (row f, its coefficients on P)
+    rho, c, ent = len(profile), A.cols, A.entries
+    h = _hnf(D, rho, [[ent[i * c + j] for i in profile] for j in range(c)])
+    span = {}
+    for t, i in enumerate(profile):
+        col, full = h.get(t) or [D * (s == t) for s in range(rho)], [0] * A.rows
+        for p, v in zip(profile, col):
+            full[p] = v
+        for f, coeffs in off:
+            full[f] = sum(map(mul, coeffs, col)) // d
+        span[i] = full
+    return span
 
 
 def _lift(z, x2: list[int], y: list[int]) -> list[int]:

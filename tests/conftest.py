@@ -22,13 +22,14 @@ def default_digit_limit():
 
 
 class Eliminations(list):
-    """(rows, generators as column lists) of each run of a Hermite core,
-    in order; `moduli` holds each run's modulus, None for the integer core.
-    Over Z, `bareiss` holds each Bareiss pass and each replay of a pass's
-    recorded steps, in order: "solve" for a pass over [A | B] (more columns
-    than A's c), "kernel" for one over A alone, "replay" for a replay;
-    `passes` holds the rows of A of each pass and `replays` the columns
-    of B of each replay."""
+    """(rows, generators as column lists) of each run of the Hermite core,
+    in order; `moduli` holds each run's modulus.  Over Z, `bareiss` holds
+    each Bareiss pass and each replay of a pass's recorded steps, in
+    order: "solve" for a pass over [A | B] (more columns than A's c),
+    "kernel" for one over one matrix alone (A for a kernel, A^T for a
+    span), "replay" for a replay; `passes` holds the rows of the matrix
+    of each pass (A, or A^T), and `replays` the columns of B of each
+    replay."""
 
     def __init__(self):
         super().__init__()
@@ -48,16 +49,16 @@ class Eliminations(list):
 @pytest.fixture
 def count_eliminations(monkeypatch):
     """A function that starts recording every elimination and returns the
-    Eliminations it fills; a second call starts a fresh record.  Mod n it
-    hooks the packed core, so the packed callers (`_ModForm`,
+    Eliminations it fills; a second call starts a fresh record.  It hooks
+    the one Hermite core, so its packed callers (`_ModForm`,
     `colspan_canonical`) and the list adapter `_hnf` count alike, with
-    the columns unpacked; over Z it hooks the integer core and, apart,
-    the Bareiss pass, which alone answers a kernel or solve whose
-    determinant is 1 or whose kernel is empty, and the replay of its
-    steps, which answers a later solve against the same matrix."""
+    the columns unpacked; over Z it hooks, apart, the Bareiss pass, which
+    alone answers a kernel or solve whose determinant is 1 or whose
+    kernel is empty, and the replay of its steps, which answers a later
+    solve against the same matrix."""
     from homcert import matrices
 
-    mod_hnf, int_hnf = matrices._mod_hnf, matrices._int_hnf
+    mod_hnf = matrices._mod_hnf
     bareiss, replay = matrices._bareiss, matrices._replay
 
     def start() -> Eliminations:
@@ -70,11 +71,6 @@ def count_eliminations(monkeypatch):
             calls.moduli.append(n)
             return mod_hnf(n, rows, active, first)
 
-        def integer(rows, gens, first):
-            calls.append((rows, [list(c) for c in gens]))
-            calls.moduli.append(None)
-            return int_hnf(rows, gens, first)
-
         def counted_bareiss(m, c):
             calls.bareiss.append("solve" if m and len(m[0]) > c else "kernel")
             calls.passes.append([row[:c] for row in m])
@@ -86,7 +82,6 @@ def count_eliminations(monkeypatch):
             return replay(steps, cols)
 
         monkeypatch.setattr(matrices, "_mod_hnf", packed)
-        monkeypatch.setattr(matrices, "_int_hnf", integer)
         monkeypatch.setattr(matrices, "_bareiss", counted_bareiss)
         monkeypatch.setattr(matrices, "_replay", counted_replay)
         return calls

@@ -233,12 +233,22 @@ def test_split_check_failure_exits_1(capsys):
     assert run(capsys, "split-check", fx("complex_z_mult2")) == (code, out, "")
 
 
-@pytest.mark.parametrize("name,extra", [("complex_z4_periodic", []),
-                                        ("contractible_z", ["--bound=1"])], ids=["tail", "bound"])
-def test_split_check_without_a_window_where_one_is_read_exits_2(capsys, name, extra):
-    code, out, err = run(capsys, "split-check", fx(name), *extra)
+@pytest.mark.parametrize("extra", [[], ["--bound=1"]], ids=["tail", "bound"])
+def test_split_check_without_a_window_where_one_is_read_exits_2(capsys, extra):
+    code, out, err = run(capsys, "split-check", fx("complex_z4_periodic"), *extra)
     assert code == 2 and out == ""
     assert "--window" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", ["0", "1", "16"])
+def test_split_check_with_bound_reads_no_window_of_a_bounded_complex(capsys, bound):
+    # a bounded complex is decided whole: no window, and a narrow one, give
+    # the verdict of a wide one
+    code, out, err = run(capsys, "split-check", fx("contractible_z"), f"--bound={bound}")
+    assert (code, err) == (0, "") and out_doc(out).payload.code == "collapsed"
+    for window in ["--window=0..0", "--window=-40..40"]:
+        assert run(capsys, "split-check", fx("contractible_z"), f"--bound={bound}", window) == (
+            code, out, err)
 
 
 @pytest.mark.parametrize("window", ["0..1", "0..0"])

@@ -12,8 +12,8 @@ enumerate.
     for every window; it passes exactly when some scalars s^j give
     d s + s d = 1, with a witness that bounds the identity; a not_exact
     degree is the lowest one whose kernel and image differ.
-    pd_bound_collapse gives that verdict for every window its width
-    check admits.
+    pd_bound_collapse gives that verdict for every window, however
+    narrow: its width check is for tails.
   * Tailed: inside the window the check names the lowest degree that is
     not exact, then the lowest whose cycle ideal is not a direct summand
     of the ring, which is always the lowest degree read; the collapse
@@ -120,10 +120,7 @@ def test_a_bounded_complex_is_decided_whole():
         expected = ("collapsed", v.details) if v.ok else ("not_exact", {"degree": v.details["degree"]})
         for w in windows:
             u = pd_bound_collapse(c, EngineConfig(0), w)
-            if w[1] - w[0] < 2:
-                assert u.code == "window_too_narrow"
-            else:
-                assert (u.code, u.details, u.window_relative) == (*expected, False), (c, w)
+            assert (u.code, u.details, u.window_relative) == (*expected, False), (c, w)
     assert codes == {"split_exact", "not_exact"}
 
 

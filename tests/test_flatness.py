@@ -138,9 +138,17 @@ def test_pd_collapse_on_contractible_complexes():
 
 
 def test_pd_collapse_window_too_narrow():
-    c = random_contractible_complex(random.Random(2), ZZ)
+    # only a complex with a tail reads the window, so only there is it narrow
+    ring = Zmod(4)
+    c = Complex(ring, "left", {0: 1, 1: 1}, {0: Mat(ring, 1, 1, (2,))},
+                tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
     v = pd_bound_collapse(c, EngineConfig(16), (0, 3))
     assert not v.ok and v.code == "window_too_narrow"
+    assert v.details == {"width": 3, "needed": 18} and not v.window_relative
+    bounded = random_contractible_complex(random.Random(2), ZZ)
+    v = pd_bound_collapse(bounded, EngineConfig(16), (0, 3))
+    assert v.ok and v.code == "collapsed"
+    assert v == pd_bound_collapse(bounded, EngineConfig(16), None)
 
 
 def test_pd_collapse_detects_homology():
@@ -201,13 +209,17 @@ def test_cycle_probe_certifies_seeded_relations_with_a_lift(ring):
 def test_a_certified_cycle_probe_makes_three_solves(count_eliminations):
     # exactness of Q at j, then one solve in Hom(M, Q) for the hypothesis
     # and the lift together, then the free certificate; over Z every
-    # kernel and every solve is one Bareiss pass, over [A | B] for a solve
+    # kernel and every solve is one Bareiss pass, over [A | B] for a solve,
+    # and the span of a matrix that has not eliminated one over its transpose
     calls = count_eliminations()
     q = exact_three_term()
     rel = FlatRelation(ZZ, Mat(ZZ, 1, 2, (2, -1)), Mat(ZZ, 2, 2, (1, 2, 2, 4)))
     assert cycle_flatness_probe(q, -1, rel).ok
-    # kernels: the cycles of Q at j, the relations of the z's, the
+    # kernels: the cycles of Q at j, the relations of the z's, then the
+    # span of those relations, M's presentation; kernels again: the
     # functionals of M (once, though M appears in two Hom degrees), the
     # cycles of Hom(M, Q) at j, the free certificate's row kernel
-    assert calls.bareiss == ["kernel", "solve", "kernel", "kernel", "kernel", "solve",
+    assert calls.bareiss == ["kernel", "solve", "kernel", "kernel", "kernel", "kernel", "solve",
                              "kernel", "solve"]
+    relations = kernel_right(rel.z)
+    assert calls.passes[3] == relations.transpose().row_list()

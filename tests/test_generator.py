@@ -211,6 +211,29 @@ def test_quasi_iso_against_free_target():
     assert v.ok and v.code == "hom_exact"
 
 
+def test_hom_exact_is_window_relative_unless_the_window_covers_every_degree():
+    # over Z/4, P* of Z/4/(2) has an upper tail, so Hom^n(cone, Q) is
+    # nonzero for every n < 0, and the window (0, 0) reads one of them
+    ring = Zmod(4)
+    pkg = build_generator(FPModule.cyclic(ring, "left", 2))
+    v = verify_generator_quasi_iso(pkg, Complex(ring, "left", {0: 1}, {}), (0, 0))
+    assert (v.ok, v.code, v.window_relative) == (True, "hom_exact", True)
+    # over Z, M = Z + Z/6 has M* = Z and P = Z in degree 0, complete: the
+    # cone lives in degrees -1..0 and Q in -1..0, so Hom^n vanishes outside
+    # -1..1, and a window reaching both ends covers every degree
+    pkg = build_generator(FPModule(ZZ, "left", Mat(ZZ, 2, 1, (0, 6))))
+    assert pkg.complete and pkg.resolution.support() == (0, 0)
+    q = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (2,))})
+    for window, relative in [((-1, 1), False), ((-4, 4), False), ((0, 1), True), ((-1, 0), True)]:
+        v = verify_generator_quasi_iso(pkg, q, window)
+        assert (v.ok, v.code, v.window_relative) == (True, "hom_exact", relative), window
+    # a lower tail of Q reaches every degree below the window
+    tailed = Complex(ZZ, "left", {-1: 1, 0: 1}, {-1: Mat(ZZ, 1, 1, (0,))},
+                     tail_below=PeriodicTail(-1, -1, 1))
+    v = verify_generator_quasi_iso(pkg, tailed, (-4, 4))
+    assert v.ok and v.window_relative
+
+
 def test_quasi_iso_random_targets():
     rng = random.Random(29)
     for ring in RINGS:

@@ -196,7 +196,7 @@ GOLDEN_SPLIT = {
     "contractible_z -5..2": "407539cc0ab8b8dc8bbeb08e95e99d600898cfaa8de80b04f2ab3392b174ffd0",
     "contractible_z -6..5": "407539cc0ab8b8dc8bbeb08e95e99d600898cfaa8de80b04f2ab3392b174ffd0",
     "contractible_z -6..5 1": "cc68943d188f5d9ca4d5ca1afc3e2db0a0bf723b5f4635de8982bafa19ccc2aa",
-    "contractible_z -6..5 16": "3b63b8ead22a9ad27f0452750adbc2114a30f4dfdb098c047b34d2a6149feea7",
+    "contractible_z -6..5 16": "cc68943d188f5d9ca4d5ca1afc3e2db0a0bf723b5f4635de8982bafa19ccc2aa",
     "contractible_z4 -4..6": "de6abd2cc306bed2e343597e00b2507834628f7fc919c118cf310c14a75db666",
     "contractible_z4 -6..5": "de6abd2cc306bed2e343597e00b2507834628f7fc919c118cf310c14a75db666",
     "contractible_z4 -6..5 0": "7dcff66833485ec57dad729cc93245eb086bbd87c42aa1f1f84ae05b0b79050a",

@@ -410,25 +410,44 @@ def test_invariants_and_spans_of_empty_and_zero_matrices(ring, shape):
         assert solve_right(z, Mat(ring, rows, 1, (1,) + (0,) * (rows - 1))) is None
 
 
+def _solve_a_multiple(a: Mat) -> Mat | None:
+    return solve_right(a, a @ Mat.identity(ZZ, a.cols).scale(3))
+
+
 def test_z_kernels_and_solves_never_run_the_integer_hnf(count_eliminations):
-    # _hnf(None, ...) serves Z spans and Smith invariants; on [A; I] its
-    # active columns grow without bound, so Z kernels and solves work
-    # modulo a minor's determinant instead
+    # no Z question runs an integer Hermite core: every core run is mod a
+    # positive modulus, on entries in [0, n); a span runs it once, modulo
+    # a divisor of the |d| of the pass it read: A's own when A has full
+    # row rank and a kernel or solve kept it, else one pass over A^T
     rng = random.Random(41)
     inputs = [random_matrix(rng, ZZ, rng.randint(0, 6), rng.randint(0, 7)) for _ in range(40)]
-    expected = [(colspan_canonical(a), smith_invariants(a)) for a in inputs]
-    calls = count_eliminations()
-    # fresh copies: each input keeps the integer HNF its span computed
-    copies = [Mat(a.ring, a.rows, a.cols, a.entries) for a in inputs]
-    assert [(colspan_canonical(a), smith_invariants(a)) for a in copies] == expected
-    assert None in calls.moduli
-    calls = count_eliminations()
+    inputs += [random_matrix(rng, ZZ, 4, 6), _rank_deficient(rng, 5, 6, 3)]
+    read_kept = set()
     for a in inputs:
-        k = kernel_right(a)
-        assert (a @ k).is_zero()
-        b = a @ random_matrix(rng, ZZ, a.cols, 2)
-        assert a @ solve_right(a, b) == b
-    assert calls.moduli and None not in calls.moduli
+        rank = len(_bareiss(a.row_list(), a.cols)[1])
+        for first in (None, kernel_right, _solve_a_multiple):
+            f = _fresh(a)
+            if first is not None:
+                first(f)
+            calls = count_eliminations()
+            colspan_canonical(f)
+            if a.is_zero():
+                assert calls == [] and calls.bareiss == []
+                continue
+            if first is None or rank < a.rows:
+                assert calls.passes == [a.transpose().row_list()]
+                read = a.transpose().row_list()
+            else:
+                assert calls.passes == []
+                read = a.row_list()
+                read_kept.add(first)
+            assert len(calls.moduli) == 1 and _bareiss(read, len(read[0]))[0] % calls.moduli[0] == 0
+            kernel_right(f)
+            smith_invariants(f)
+            assert a @ _solve_a_multiple(f) == a.scale(3)
+            assert all(n > 0 and all(0 <= v < n for col in gens for v in col)
+                       for n, (_, gens) in zip(calls.moduli, calls))
+    assert read_kept == {kernel_right, _solve_a_multiple}
 
 
 # -- the Hermite core --------------------------------------------------------
@@ -437,27 +456,31 @@ def test_z_kernels_and_solves_never_run_the_integer_hnf(count_eliminations):
 @pytest.mark.parametrize("n", [None, 12])
 def test_hnf_of_leads_that_do_not_divide_each_other(n):
     # (4, 1) and (6, 0) span the lattice of index 6 whose HNF has pivots
-    # 2 and 3, mod 12 as over Z; row 0 needs an extended-gcd step
-    assert _hnf(n, 2, [[4, 1], [6, 0]]) == {0: [2, 2], 1: [0, 3]}
-    assert _hnf(n, 2, [[6, 0], [4, 1]], 1) == {1: [0, 3]}
+    # 2 and 3, mod 12 as over Z; row 0 needs an extended-gcd step.  Over Z
+    # the span is the HNF modulo a gcd of 2 x 2 minors, here |-6| alone
+    core = 6 if n is None else n
+    assert _hnf(core, 2, [[4, 1], [6, 0]]) == {0: [2, 2], 1: [0, 3]}
+    assert _hnf(core, 2, [[6, 0], [4, 1]], 1) == {1: [0, 3]}
+    ring = ZZ if n is None else Zmod(n)
+    for gens in ([[4, 1], [6, 0]], [[6, 0], [4, 1]]):
+        assert colspan_canonical(_from_cols(ring, 2, gens)) == _from_cols(ring, 2, [[2, 2], [0, 3]])
 
 
-HNF_RINGS = [ZZ, Fp(5), Zmod(4), Zmod(8), Zmod(12), Zmod(36), Fp(2**61 - 1)]
+HNF_RINGS = [Fp(5), Zmod(4), Zmod(8), Zmod(12), Zmod(36), Fp(2**61 - 1)]
 
 
 @st.composite
 def hnf_input(draw):
     ring = draw(st.sampled_from(HNF_RINGS))
     rows = draw(st.integers(0, 6))
-    lo, hi = (-9, 9) if ring.modulus is None else (0, ring.n - 1)
-    gens = draw(st.lists(st.lists(st.integers(lo, hi), min_size=rows, max_size=rows),
+    gens = draw(st.lists(st.lists(st.integers(0, ring.n - 1), min_size=rows, max_size=rows),
                          max_size=7))
     return ring.modulus, rows, gens, draw(st.integers(0, rows))
 
 
 @given(hnf_input())
-@example((None, 3, [[4, 1, 0], [6, 0, 1], [0, 2, 5]], 1))
 @example((12, 3, [[4, 1, 0], [6, 0, 1], [0, 2, 5]], 1))
+@example((38, 3, [[4, 1, 0], [6, 0, 1], [0, 2, 5]], 1))  # 38: the determinant over Z
 @settings(max_examples=200, deadline=None)
 def test_hnf_from_a_start_row_keeps_the_full_pivots_at_and_below_it(case):
     n, rows, gens, start = case
@@ -568,6 +591,68 @@ def test_packed_hnf_matches_the_list_core_on_full_slots(n):
         for a in range(1, 9) if rows else ():
             tail = [n - 1] * (rows - 1)
             _check_packed(n, rows, [[0] * rows, [n // p] + tail, [a] + tail, full])
+
+
+# -- Z spans and Smith against the list core ---------------------------------
+
+
+def _list_smith(a: Mat) -> list[int]:
+    """Smith invariants over Z from the list core alone: Hermite forms of
+    the first form's rows, then of the transpose, alternate until the form
+    is diagonal, and its diagonal is sorted into a divisibility chain."""
+    first = _list_hnf(None, a.rows, a.columns())
+    k = len(first)
+    gens = [[c[i] for c in first.values()] for i in range(a.rows)]
+    while True:
+        h = _list_hnf(None, k, gens)
+        if not any(any(c[i + 1:]) for i, c in h.items()):
+            break
+        gens = [[h[j][i] for j in range(k)] for i in range(k)]
+    diag = [h[i][i] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
+
+
+def _z_reference_inputs():
+    """Z matrices of every row profile: full row rank, square, one row, rank
+    0 and rank-deficient, with a row scaled so that the span is not
+    saturated in its rational hull, at small sizes and at n = 24."""
+    rng = random.Random(83)
+    for rows, cols in [(1, 1), (1, 4), (3, 3), (4, 4), (5, 7), (6, 8), (8, 10)]:
+        yield random_matrix(rng, ZZ, rows, cols, 9)
+        yield Mat.zero(ZZ, rows, cols)
+        if rows > 1:
+            low = _rank_deficient(rng, rows, cols, rng.randint(1, min(rows, cols) - 1), 3)
+            yield low
+            k = rng.randrange(rows)
+            yield Mat(ZZ, rows, cols, tuple(v * (1 + 5 * (i // cols == k))
+                                            for i, v in enumerate(low.entries)))
+    yield Mat(ZZ, 1, 3, (6, 10, 15))
+    yield Mat(ZZ, 3, 3, (2, 0, 0, 0, 4, 0, 2, 4, 0))
+    yield random_matrix(rng, ZZ, 24, 26, 9)
+    yield _rank_deficient(rng, 24, 26, 21, 3)
+
+
+def test_z_spans_and_smith_invariants_match_the_list_core():
+    # the span runs the packed core mod a gcd of maximal minors on A's row
+    # profile and lifts the rows off it; Smith starts from that span.  The
+    # list core over Z, which needs no modulus, must give the same forms,
+    # whether the span is asked first (one pass over A^T) or after a
+    # kernel or solve (A's own pass, read where A has full row rank)
+    count = 0
+    for a in _z_reference_inputs():
+        span = _from_cols(ZZ, a.rows, list(_list_hnf(None, a.rows, a.columns()).values()))
+        smith = _list_smith(a)
+        for first in (None, kernel_right, lambda m: solve_right(m, m @ Mat.identity(ZZ, m.cols))):
+            f = _fresh(a)
+            if first is not None:
+                first(f)
+            assert (colspan_canonical(f), smith_invariants(f)) == (span, smith), a
+            count += 1
+    assert count == 3 * 28
 
 
 # -- one form of [A; I] against the stacked system it replaced ---------------
@@ -820,7 +905,9 @@ def test_one_matrix_answers_four_questions_from_one_elimination_each(count_elimi
     # kernel, solve, span, Smith and a second solve of one Mat: mod n one
     # elimination of [A; I] and one of A, whose HNF is Smith's first round;
     # over Z one Bareiss pass, one form of its rows mod |d| where the kernel
-    # needs one, one integer HNF, and replays
+    # needs one, replays, and the span's HNF on A's row profile modulo a
+    # divisor of the |d| of A's pass, or, where A's rank falls short of
+    # its rows, of one more pass, over A^T
     rng = random.Random(f"four-questions:{ring}")
     for n, deficient in [(8, False), (8, True), (10, True), (11, False)]:
         a, b, c = _elim_shaped(rng, ring, n, deficient)
@@ -833,9 +920,15 @@ def test_one_matrix_answers_four_questions_from_one_elimination_each(count_elimi
         if ring.modulus is None:
             d, piv, free, _ = _bareiss(a.row_list(), a.cols)
             form = [abs(d)] if abs(d) > 1 and free else []
-            assert bareiss == ["kernel", "replay", "replay"]
-            assert calls.moduli == form + [None] + later.moduli[1:]
-            assert asked[len(form) + 1:] == later[1:]
+            span = calls.moduli[len(form)]
+            if len(piv) == a.rows:
+                assert bareiss == ["kernel", "replay", "replay"] and d % span == 0
+            else:
+                assert bareiss == ["kernel", "replay", "kernel", "replay"]
+                assert calls.passes[1] == a.transpose().row_list()
+                assert _bareiss(a.transpose().row_list(), a.rows)[0] % span == 0
+            assert calls.moduli == form + [span] + later.moduli[1:]
+            assert asked[len(form)][0] == len(piv) and asked[len(form) + 1:] == later[1:]
         else:
             assert bareiss == []
             assert asked == [calls.stacked(a), (a.rows, a.columns())] + later[1:]

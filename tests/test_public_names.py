@@ -36,7 +36,7 @@ ALLOWED = {
     "modules.canonical_double_dual_map": "M -> M** on demand: reflexivity over Z/n, and "
                                          "the comparison map factors through it",
     # kept for a planned caller
-    "modules.dualize_map": "Hom(-, R) on maps; ROADMAP item 6 uses it or deletes it",
+    "modules.dualize_map": "Hom(-, R) on maps; ROADMAP item 14 uses it or deletes it",
     # read without naming it
     "flatness.CycleCertificate.preimages": "emitted in the `certified` verdict's bytes "
                                            "through the dataclass fields",
