@@ -54,7 +54,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .matrices import Mat, MatrixError, assemble_blocks, kernel_right, solve_right
+from .matrices import (Mat, MatrixError, assemble_blocks, colspan_canonical, kernel_right,
+                       solve_right)
 from .modules import FPModule, is_projective, opposite, subquotient_module
 from .rings import RingDescriptor
 from .verdicts import Verdict
@@ -629,13 +630,16 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
     lifted through the forms of c's own differentials, and when the lift
     fails the sweep over c's support shares those forms and names the
     lowest degree that is not exact (the only way a lift can fail).  On
-    a complex with a tail, homology must vanish and every cycle module
-    must be projective in the degrees strictly inside the window; the
-    verdict names the first degree where either fails, or passes
-    relative to the window, and a window with no interior degree is
+    a complex with a tail, homology must vanish strictly inside the
+    window, and then the lowest cycle module Z^(lo+1) decides: over Z/n,
+    which is self-injective, a projective Z^j is injective, so
+    0 -> Z^j -> c^j -> Z^(j+1) -> 0 splits and Z^(j+1) is projective
+    too; over Z and F_p every cycle of an exact complex of frees is.
+    The verdict names the first degree that is not exact, or lo + 1, or
+    passes relative to the window; a window with no interior degree is
     window_too_small: nothing was checked.
     """
-    forms, cycles = Forms(c), {}
+    forms = Forms(c)
     if c.is_bounded:
         homotopy = contraction(c, forms=forms)
         if homotopy is not None:
@@ -652,15 +656,12 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
             # a nonzero term between two zero differentials is all homology
             h = FPModule.free(c.ring, c.side, r)
             return Verdict(False, "not_exact", {"degree": j, "homology": h}, not c.is_bounded)
-        z, y = forms.exactness(j)
-        if y is None:
+        if forms.exactness(j)[1] is None:
             return Verdict(False, "not_exact", {"degree": j, "homology": forms.homology_data(j)[0]},
                            not c.is_bounded)
-        cycles[j] = z
     if c.is_bounded:
         raise ComplexError("exact bounded complex has no contraction; solver invariant broken")
-    for j, z in cycles.items():
-        cycle = subquotient_module(c.ring, c.side, z, Mat.zero(c.ring, z.rows, 0))
-        if is_projective(cycle) is None:
-            return Verdict(False, "exact_not_split", {"degree": j, "cycle": cycle}, True)
+    cycle = FPModule(c.ring, c.side, colspan_canonical(kernel_right(forms.kernel(lo + 1))))
+    if is_projective(cycle) is None:
+        return Verdict(False, "exact_not_split", {"degree": lo + 1, "cycle": cycle}, True)
     return Verdict(True, "split_exact", {"window": window}, True)

@@ -151,11 +151,8 @@ def pd_bound_collapse(q: Complex, config: EngineConfig,
     homotopy of the identity) is passed on.  A bounded q is decided in
     every degree, collapsed or not_exact, and reads no window, so it
     needs none and has no width to check.  On a tail the window must be
-    that wide; the inner check reads it, and the cycle it finds not
-    projective is Z^(lo+1), below hi - N: over Z/n, which is
-    self-injective, a projective Z^j is injective, so
-    0 -> Z^j -> Q^j -> Z^(j+1) -> 0 splits and Z^(j+1) is projective too;
-    over Z and F_p every cycle of an exact complex of frees is projective.
+    that wide: the inner check reads it and tests its lowest cycle
+    Z^(lo+1) alone, which lies below hi - N.
     """
     if not q.is_bounded and (width := window[1] - window[0]) < config.bound + 2:
         return Verdict(False, "window_too_narrow", {"width": width, "needed": config.bound + 2})

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matrices import SIZE_LIMIT, Mat, MatrixError, block_diag, solve_right
+from .matrices import Mat, MatrixError, block_diag, check_cells, solve_right
 from .modules import FPModule, ModuleMap
 from .complexes import Complex, Forms
 
@@ -116,14 +116,11 @@ class SubComplex(Forms):
         block (i, i) is I_r0 (x) d_Q^(i+n), r0 copies of d_Q down the
         diagonal, and block (i - 1, i) is -(-1)^n t^T (x) I_qr for the
         source differential t = diffs[i - 1], each entry on the diagonal
-        of a qr x qr sub-block.  One of more than SIZE_LIMIT**2 cells does
-        not fit in memory as a dense matrix and is refused (MatrixError)
-        before anything is allocated.  Not cached: matrix(n) keeps the
-        restriction whose elimination is read."""
+        of a qr x qr sub-block.  One too large for memory is refused before
+        it is allocated (`check_cells`), as gens_at's generators are.  Not
+        cached: matrix(n) keeps the restriction whose elimination is read."""
         rows, cols = self.ambient_rank(n + 1), self.ambient_rank(n)
-        if rows * cols > SIZE_LIMIT ** 2:
-            raise MatrixError(f"the Hom differential in degree {n} would have {rows * cols} "
-                              f"cells, more than {SIZE_LIMIT ** 2}")
+        check_cells(rows, cols, f"the Hom differential in degree {n}")
         mod, sign = self.q.ring.modulus, 1 if n % 2 else -1
         top, r = {}, 0  # first row of each target block
         for (i, r0, qr) in self.layout(n + 1):

@@ -27,11 +27,11 @@ A Mat keeps what its eliminations find (`_Kept`): every later question
 about the same object is answered without eliminating it again.  Mod n
 one HNF of [A; I_c] gives the kernel of A and every solve against it
 (Cohen, GTM 138, 2.4), so the core takes a start row and back-reduces
-only the pivot columns from it down; over Z the Bareiss pass records
-its pivot steps, and a later solve replays them on B alone.  No larger
-system is stacked for a solve.  One column HNF gives the span and the
-first round of Smith; over Z it reads A's pass where A has full row
-rank, and otherwise one pass over A^T.
+only the pivot columns from it down; over Z one Bareiss pass over A
+records its pivot steps, and every solve replays them on B alone: no
+larger system is stacked.  One column HNF gives the span and the first
+round of Smith; over Z it reads A's pass where A has full row rank, and
+otherwise one pass over A^T.
 
 Mod n each column is one int of fixed-width slots, one entry per slot,
 so a column step is one big-integer multiply-add and one slotwise
@@ -64,6 +64,14 @@ SIZE_LIMIT = 1 << 12
 
 class MatrixError(ValueError):
     """Dimension or ring mismatch."""
+
+
+def check_cells(rows: int, cols: int, what: str) -> None:
+    """Refuse a negative dimension, or a matrix too large for memory before it is built."""
+    if rows < 0 or cols < 0:
+        raise MatrixError("negative dimension")
+    if rows * cols > SIZE_LIMIT ** 2:
+        raise MatrixError(f"{what} would have {rows * cols} cells, more than {SIZE_LIMIT ** 2}")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -121,14 +129,12 @@ class Mat:
 
     @staticmethod
     def zero(ring: RingDescriptor, rows: int, cols: int) -> "Mat":
-        if rows < 0 or cols < 0:
-            raise MatrixError("negative dimension")
+        check_cells(rows, cols, "a zero matrix")
         return Mat._trusted(ring, rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def identity(ring: RingDescriptor, n: int) -> "Mat":
-        if n < 0:
-            raise MatrixError("negative dimension")
+        check_cells(n, n, "an identity matrix")
         return Mat._trusted(ring, n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     # -- access --------------------------------------------------------
@@ -226,6 +232,7 @@ class Mat:
         self._check_same_ring(other)
         p, q, b = other.rows, other.cols, other.entries
         c = self.cols * q
+        check_cells(self.rows * p, c, "a Kronecker product")
         n = self.ring.modulus
         ent = [0] * (self.rows * p * c)
         for i1 in range(self.rows):
@@ -262,8 +269,8 @@ def assemble_blocks(ring: RingDescriptor, grid: list[list[Mat | None]],
     """Assemble a block matrix over ring; None blocks are zero."""
     if min(row_sizes, default=0) < 0 or min(col_sizes, default=0) < 0:
         raise MatrixError("negative dimension")
-    rows = sum(row_sizes)
-    cols = sum(col_sizes)
+    rows, cols = sum(row_sizes), sum(col_sizes)
+    check_cells(rows, cols, "a block matrix")
     ent = [0] * (rows * cols)
     r0 = 0
     for bi, rs in enumerate(row_sizes):
@@ -529,7 +536,8 @@ class _Kept:
     field: out of ==, hash, repr and documents): zero, whether A is zero;
     kernel; hnf, the column HNF of the span as `_hnf` returns it; form,
     the `_ModForm` of [A; I] mod n, over Z of [R; I] mod |d|; and z, over
-    Z, (d, pivot columns, free columns, R, steps) of A's Bareiss pass.
+    Z, (d, pivot columns, free columns, R, steps) of A's one Bareiss pass,
+    whose steps every solve, the first included, replays on B alone.
     It holds no reference to the Mat, so the two form no cycle: each
     question passes the matrix in.  Racing threads may both eliminate;
     every value is deterministic and the last write wins.
@@ -551,22 +559,20 @@ class _Kept:
                 self.form = _ModForm(n, A.rows, (A.entries[j::A.cols] for j in range(A.cols)))
         return self.form
 
-    def z_pass(self, A: Mat, B: Mat | None = None) -> list[list[int]]:
-        """The one Bareiss pass over A, or over [A | B] for a first solve
-        (Cohen, GTM 138, 2.4.3): keeps A's part as z, returns B's columns.
-        For the pivot minor A1, d = +-det A1, R = d A1^-1 A2 and Y = d A1^-1 B,
-        the x with A x = b are fixed by their free coordinates x2, which
-        solve R x2 = Y mod |d|, and x1 = (Y - R x2) / d (`_lift`)."""
-        m = A.row_list() if B is None else [a + b for a, b in zip(A.row_list(), B.row_list())]
-        d, piv, free, steps = _bareiss(m, A.cols)
-        f, k = len(free), 0 if B is None else B.cols
-        self.z = d, piv, free, [row[:f] for row in m[:len(piv)]] if k else m[:len(piv)], steps
-        return [[row[f + l] for row in m] for l in range(k)]
+    def z_pass(self, A: Mat):
+        """z, A's one Bareiss pass, run on first use; every solve replays its
+        steps on B (Cohen, GTM 138, 2.4.3).  For the pivot minor A1,
+        d = +-det A1, R = d A1^-1 A2 and Y = d A1^-1 B, the x with A x = b
+        are fixed by their free coordinates x2, which solve R x2 = Y mod |d|,
+        and x1 = (Y - R x2) / d (`_lift`)."""
+        if self.z is None:
+            m = A.row_list()
+            d, piv, free, steps = _bareiss(m, A.cols)
+            self.z = d, piv, free, m[:len(piv)], steps
+        return self.z
 
     def z_kernel(self, A: Mat) -> list[list[int]]:
-        if self.z is None:
-            self.z_pass(A)
-        d, piv, free, _, _ = z = self.z
+        d, piv, free, _, _ = z = self.z_pass(A)
         delta, f = abs(d), len(free)
         h = self.packed(A).kernel() if delta > 1 and f else {}
         # a row without a pivot below |d| has the Hermite column |d|*e_i
@@ -574,24 +580,24 @@ class _Kept:
                 for i in range(f)]
 
     def z_solve(self, A: Mat, B: Mat) -> list[list[int]] | None:
-        k = B.cols
-        ys = (self.z_pass(A, B) if self.z is None
-              else _replay(self.z[4], [list(B.entries[l::k]) for l in range(k)]))
-        d, piv, free, _, _ = z = self.z
+        d, piv, free, _, steps = z = self.z_pass(A)
+        ys = _replay(steps, [list(B.entries[l::B.cols]) for l in range(B.cols)])
         if any(any(y[len(piv):]) for y in ys):  # some b is not in the rational span
             return None
         ys = [y[:len(piv)] for y in ys]
         # x2 = 0 is reduced, so it is the canonical x2 whenever it solves
         if all(v % d == 0 for y in ys for v in y):
-            x2s = [[0] * len(free)] * k
+            x2s = [[0] * len(free)] * len(ys)
         elif not free or (x2s := self.packed(A).solve(ys)) is None:
             return None
         return [_lift(z, x2, y) for x2, y in zip(x2s, ys)]
 
     def span_hnf(self, A: Mat) -> dict[int, list[int]]:
         if self.hnf is None:
-            if (n := A.ring.modulus) is None:
-                self.hnf = {} if self.zero else _z_span(A, self.z)
+            if self.zero:  # every pivot is n (over Z, no column)
+                self.hnf = {}
+            elif (n := A.ring.modulus) is None:
+                self.hnf = _z_span(A, self.z)
             else:
                 w, c = _width(n), A.cols
                 found, _ = _mod_hnf(n, A.rows, _pack((A.entries[j::c] for j in range(c)), w), 0)

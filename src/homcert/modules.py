@@ -195,9 +195,7 @@ def is_projective(m: FPModule) -> ModuleMap | None:
     linear system P Y P = -P in the entries of Y.
     """
     P = m.presentation
-    system = P.transpose().kron(P)  # vec(P Y P) = kron(P^T, P) vec(Y)
-    rhs = (-P).vec()
-    sol = solve_right(system, rhs)
+    sol = solve_right(P.transpose().kron(P), (-P).vec())  # vec(P Y P) = kron(P^T, P) vec(Y)
     if sol is None:
         return None
     Y = Mat.unvec(m.ring, sol, m.rank1, m.rank0)

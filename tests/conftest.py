@@ -25,11 +25,10 @@ class Eliminations(list):
     """(rows, generators as column lists) of each run of the Hermite core,
     in order; `moduli` holds each run's modulus.  Over Z, `bareiss` holds
     each Bareiss pass and each replay of a pass's recorded steps, in
-    order: "solve" for a pass over [A | B] (more columns than A's c),
-    "kernel" for one over one matrix alone (A for a kernel, A^T for a
-    span), "replay" for a replay; `passes` holds the rows of the matrix
-    of each pass (A, or A^T), and `replays` the columns of B of each
-    replay."""
+    order: "kernel" for a pass, always over one matrix alone (A for a
+    kernel or a solve, A^T for a span), "replay" for a replay, which
+    answers every solve; `passes` holds the rows of the matrix of each
+    pass (A, or A^T), and `replays` the columns of B of each replay."""
 
     def __init__(self):
         super().__init__()
@@ -53,9 +52,10 @@ def count_eliminations(monkeypatch):
     the one Hermite core, so its packed callers (`_ModForm`,
     `colspan_canonical`) and the list adapter `_hnf` count alike, with
     the columns unpacked; over Z it hooks, apart, the Bareiss pass, which
-    alone answers a kernel or solve whose determinant is 1 or whose
-    kernel is empty, and the replay of its steps, which answers a later
-    solve against the same matrix."""
+    alone answers a kernel whose determinant is 1 or whose kernel is
+    empty, and the replay of its steps on B, which answers each solve
+    against the same matrix.  A pass over more columns than it pivots,
+    such as one over [A | B], fails the recording test."""
     from homcert import matrices
 
     mod_hnf = matrices._mod_hnf
@@ -72,7 +72,8 @@ def count_eliminations(monkeypatch):
             return mod_hnf(n, rows, active, first)
 
         def counted_bareiss(m, c):
-            calls.bareiss.append("solve" if m and len(m[0]) > c else "kernel")
+            assert all(len(row) == c for row in m), "a Bareiss pass over [A | B]"
+            calls.bareiss.append("kernel")
             calls.passes.append([row[:c] for row in m])
             return bareiss(m, c)
 

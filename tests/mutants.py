@@ -42,7 +42,11 @@ class Mutant(NamedTuple):
 
 
 COMPLEXES, MATRICES = "src/homcert/complexes.py", "src/homcert/matrices.py"
+FLATNESS, GENERATOR = "src/homcert/flatness.py", "src/homcert/generator.py"
 EXHAUSTIVE = ("tests/test_exhaustive.py",)
+TAILS = ("tests/test_complexes.py::test_a_passing_tail_asks_its_lowest_cycle_alone",
+         "tests/test_complexes.py::test_a_failing_tail_names_its_lowest_cycle_as_every_cycle_did")
+RESOLUTIONS = ("tests/test_generator.py::test_resolutions_pass_the_public_constructor",)
 Z_REFERENCE = ("tests/test_matrices.py::test_z_spans_and_smith_invariants_match_the_list_core",)
 REPLAY = ("tests/test_matrices.py::test_replayed_z_solves_equal_the_pass_over_a_and_b",)
 
@@ -61,8 +65,8 @@ MUTANTS = [
             "test_contraction_agrees_with_the_hom_solve_and_with_exactness",)),
     # the split check's sweep passes a degree that is not exact
     Mutant("sweep_skips_not_exact", COMPLEXES,
-           "        if y is None:\n            return Verdict(False, \"not_exact\"",
-           "        if y is None and False:\n            return Verdict(False, \"not_exact\"",
+           "        if forms.exactness(j)[1] is None:\n",
+           "        if forms.exactness(j)[1] is None and False:\n",
            EXHAUSTIVE),
     # a replayed Z solve forgets the pass's row swap, or its pivot row
     Mutant("replay_no_swap", MATRICES,
@@ -81,16 +85,62 @@ MUTANTS = [
     Mutant("span_reads_a_deficient_pass", MATRICES,
            "if z is not None and len(z[1]) == A.rows:", "if z is not None:", Z_REFERENCE),
     # the collapse refuses a narrow window on a bounded complex too
-    Mutant("collapse_width_on_bounded", "src/homcert/flatness.py",
+    Mutant("collapse_width_on_bounded", FLATNESS,
            "if not q.is_bounded and (width := window[1] - window[0])",
            "if (width := window[1] - window[0])",
            ("tests/test_flatness.py::test_pd_collapse_window_too_narrow",) + EXHAUSTIVE),
     # a passing quasi-isomorphism check claims every degree, whatever it read
-    Mutant("hom_exact_not_window_relative", "src/homcert/generator.py",
+    Mutant("hom_exact_not_window_relative", GENERATOR,
            'return Verdict(True, "hom_exact", {"window": window}, not covered)',
            'return Verdict(True, "hom_exact", {"window": window})',
            ("tests/test_generator.py::"
             "test_hom_exact_is_window_relative_unless_the_window_covers_every_degree",)),
+    # a tail's split check asks its highest cycle, not its lowest
+    Mutant("tail_asks_highest_cycle", COMPLEXES,
+           "forms.kernel(lo + 1)", "forms.kernel(hi - 1)", TAILS),
+    # a Kronecker product allocates its cells before the size check
+    Mutant("kron_unchecked", MATRICES,
+           '        check_cells(self.rows * p, c, "a Kronecker product")\n', "",
+           ("tests/test_cli.py::"
+            "test_split_check_refuses_a_projectivity_system_beyond_the_size_limit",)),
+    # a zero span over Z/n and F_p runs the Hermite core
+    Mutant("zero_span_eliminated_mod_n", MATRICES,
+           "            if self.zero:  # every pivot is n (over Z, no column)\n"
+           "                self.hnf = {}\n            elif",
+           "            if", ("tests/test_matrices.py::test_a_zero_span_runs_no_elimination",)),
+    # a bounded complex's sweep names its highest non-exact degree, or
+    # sweeps only the window
+    Mutant("bounded_sweep_names_highest", COMPLEXES,
+           "degrees = range(lo, hi + 1)", "degrees = range(hi, lo - 1, -1)", EXHAUSTIVE),
+    Mutant("bounded_sweep_reads_the_window", COMPLEXES,
+           "lo, hi = c.support()  # not the zero complex: it is contractible",
+           "lo, hi = max(c.support()[0], window[0] + 1), min(c.support()[1], window[1] - 1)",
+           EXHAUSTIVE),
+    # the collapse names the degree above the one that is not exact
+    Mutant("collapse_not_exact_one_up", FLATNESS,
+           '"not_exact", {"degree": inner.details["degree"]}',
+           '"not_exact", {"degree": inner.details["degree"] + 1}', EXHAUSTIVE),
+    # a periodic resolution's tail repeats one degree too many, or starts
+    # one degree too low
+    Mutant("resolve_period_too_long", GENERATOR,
+           "len(seq) - 1 - seen[nxt])", "len(seq) - seen[nxt])", RESOLUTIONS),
+    Mutant("resolve_threshold_too_low", GENERATOR,
+           "PeriodicTail(-1, -(len(seq) - 1),", "PeriodicTail(-1, -len(seq),", RESOLUTIONS),
+    # the quasi-isomorphism check truncates P* at a negative degree
+    Mutant("qiso_top_unclamped", GENERATOR,
+           "top = max(span[1] - lo + 2, 0)", "top = span[1] - lo + 2",
+           ("tests/test_cli.py::test_check_qiso_above_every_hom_term_is_exact",)),
+    # a kept elimination is published before its slots are set, so a
+    # racing thread reads a _Kept without them
+    Mutant("kept_published_early", MATRICES,
+           "        self.zero = not any(A.entries)\n"
+           "        self.kernel = self.hnf = self.form = self.z = None\n"
+           "        object.__setattr__(A, \"_kept\", self)",
+           "        object.__setattr__(A, \"_kept\", self)\n"
+           "        self.zero = not any(A.entries)\n"
+           "        self.kernel = self.hnf = self.form = self.z = None",
+           ("tests/test_matrices.py::"
+            "test_threads_that_race_on_one_matrix_get_the_answers_of_a_fresh_one",)),
 ]
 
 # run inside pytest, once collection has imported the tests: the module

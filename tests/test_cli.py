@@ -710,6 +710,27 @@ def test_split_check_of_a_large_zero_complex_exits_1_in_little_memory(capsys, tm
     assert peak < 2 ** 22, peak
 
 
+def test_split_check_refuses_a_projectivity_system_beyond_the_size_limit(capsys, tmp_path):
+    # Z/4 in rank 65 with d = 2 I in every degree: exact, and the cycle
+    # module is presented by 2 I, whose Kronecker system would have 65**4
+    # cells, about 272 MB; it is refused before anything of that size is
+    # built
+    r, ring = 65, Zmod(4)
+    c = Complex(ring, "left", {0: r, 1: r}, {0: Mat.identity(ring, r).scale(2)},
+                tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
+    path = tmp_path / "wide.json"
+    path.write_text(emit_document(make_document(ring, "complex", c)))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "split-check", str(path), "--window=-2..2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"{r ** 4} cells, more than {SIZE_LIMIT ** 2}" in err
+    assert peak < 2 ** 22, peak
+
+
 def test_a_contraction_beyond_the_size_limit_builds_no_identity(monkeypatch):
     # ranks 4096 in degrees 0 and 1 and no differential: an identity or a
     # zero differential alone would hold 4096**2 entries

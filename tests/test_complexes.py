@@ -8,12 +8,15 @@ from homcert.complexes import (ChainMap, Complex, ComplexError, Forms, Homotopy,
                                finite_coproduct, first_difference, homology,
                                null_homotopy_witness, split_exactness_check,
                                suspension, twisted_sum)
+from homcert import complexes
+from homcert.documents import emit_document, make_document
 from homcert.generator import resolve_module
-from homcert.matrices import Mat, MatrixError, block_diag
-from homcert.modules import FPModule, modules_isomorphic
+from homcert.matrices import Mat, MatrixError, block_diag, solve_right
+from homcert.modules import FPModule, is_projective, modules_isomorphic, subquotient_module
 from homcert.rings import Fp, Zmod, ZZ
 from homcert.samplers import (random_bounded_complex, random_contractible_complex,
-                              random_null_homotopic_map)
+                              random_invertible, random_null_homotopic_map)
+from homcert.verdicts import Verdict
 
 RINGS = [ZZ, Fp(5), Zmod(4)]
 
@@ -431,6 +434,125 @@ def test_split_exactness_computes_each_kernel_once(count_eliminations):
     # nothing, and then the cycle module at -5 takes the kernel and the
     # span of subquotient_module (its projectivity system is zero mod 4)
     assert calls == [(2, [[2, 1]]), (1, [[2]])]
+
+
+def _split_by_every_cycle(c: Complex, window: tuple[int, int]) -> Verdict:
+    """split_exactness_check as it was when a tail's check built the cycle
+    module of every degree inside the window and asked each whether it is
+    projective, kept verbatim as the reference."""
+    forms, cycles = Forms(c), {}
+    if c.is_bounded:
+        homotopy = contraction(c, forms=forms)
+        if homotopy is not None:
+            return Verdict(True, "split_exact", {"homotopy": homotopy})
+        lo, hi = c.support()  # not the zero complex: it is contractible
+        degrees = range(lo, hi + 1)
+    else:
+        lo, hi = window
+        if hi - lo < 2:
+            return Verdict(False, "window_too_small", {"window": window}, True)
+        degrees = range(lo + 1, hi)
+    for j in degrees:
+        if (r := c.rank(j)) and all((d := c._given(k)) is None or d.is_zero() for k in (j - 1, j)):
+            # a nonzero term between two zero differentials is all homology
+            h = FPModule.free(c.ring, c.side, r)
+            return Verdict(False, "not_exact", {"degree": j, "homology": h}, not c.is_bounded)
+        z, y = forms.exactness(j)
+        if y is None:
+            return Verdict(False, "not_exact", {"degree": j, "homology": forms.homology_data(j)[0]},
+                           not c.is_bounded)
+        cycles[j] = z
+    if c.is_bounded:
+        raise ComplexError("exact bounded complex has no contraction; solver invariant broken")
+    for j, z in cycles.items():
+        cycle = subquotient_module(c.ring, c.side, z, Mat.zero(c.ring, z.rows, 0))
+        if is_projective(cycle) is None:
+            return Verdict(False, "exact_not_split", {"degree": j, "cycle": cycle}, True)
+    return Verdict(True, "split_exact", {"window": window}, True)
+
+
+def _tailed(ring, period_blocks):
+    """The complex whose differentials repeat period_blocks (one or two
+    square matrices of one size) in every degree, on both tails."""
+    r = period_blocks[0].rows
+    if len(period_blocks) == 1:
+        return Complex(ring, "left", {0: r, 1: r}, {0: period_blocks[0]},
+                       tail_below=PeriodicTail(-1, 0, 1), tail_above=PeriodicTail(1, 1, 1))
+    return Complex(ring, "left", {-1: r, 0: r, 1: r}, dict(zip((-1, 0), period_blocks)),
+                   tail_below=PeriodicTail(-1, -1, 2), tail_above=PeriodicTail(1, 1, 2))
+
+
+def _conjugated(rng, ring, blocks):
+    """U b U^-1 for each b, one seeded invertible U for all."""
+    u = random_invertible(rng, ring, blocks[0].rows)
+    v = solve_right(u, Mat.identity(ring, u.rows))
+    return [u @ b @ v for b in blocks]
+
+
+def _diagonal(ring, values):
+    k = len(values)
+    return Mat(ring, k, k, tuple(values[i] if i == j else 0 for i in range(k) for j in range(k)))
+
+
+def _passing_tails():
+    """Split exact complexes with period-1 and period-2 tails over Z, F_5,
+    Z/4 and Z/12, in a seeded basis: d = [[0, 1], [0, 0]] blockwise in
+    every degree; d alternating diag(1, 0) and diag(0, 1); over Z/12, d
+    alternating 4 and 9 (contractible with s = 1)."""
+    rng = random.Random("passing tails")
+    for ring in (ZZ, Fp(5), Zmod(4), Zmod(12)):
+        for k in (1, 3):
+            shift = Mat(ring, 2 * k, 2 * k, tuple(int(j == i + 1 and i % 2 == 0)
+                                                  for i in range(2 * k) for j in range(2 * k)))
+            yield _tailed(ring, _conjugated(rng, ring, [shift]))
+            halves = [_diagonal(ring, [1, 0] * k), _diagonal(ring, [0, 1] * k)]
+            yield _tailed(ring, _conjugated(rng, ring, halves))
+    for r in (1, 3):
+        ring = Zmod(12)
+        yield _tailed(ring, _conjugated(rng, ring, [_diagonal(ring, [4] * r),
+                                                    _diagonal(ring, [9] * r)]))
+
+
+def _verdict_bytes(ring, v: Verdict) -> str:
+    return emit_document(make_document(ring, "verdict", v))
+
+
+@pytest.mark.parametrize("window", [(-2, 2), (-3, 2), (-5, 4)], ids=str)
+def test_a_passing_tail_asks_its_lowest_cycle_alone(monkeypatch, window):
+    # a projective Z^(lo+1) makes every cycle above it projective, so one
+    # projectivity question decides the window, with the bytes of the check
+    # that asked it in every degree
+    asked = []
+
+    def counted(m):
+        asked.append(m)
+        return is_projective(m)
+
+    monkeypatch.setattr(complexes, "is_projective", counted)
+    cases = list(_passing_tails())
+    assert {(c.ring, c.tail_below.period) for c in cases} == \
+        {(ring, p) for ring in (ZZ, Fp(5), Zmod(4), Zmod(12)) for p in (1, 2)}
+    for c in cases:
+        asked.clear()
+        v = split_exactness_check(c, window)
+        assert (v.ok, v.code, v.window_relative) == (True, "split_exact", True)
+        z = Forms(c).kernel(window[0] + 1)
+        assert asked == [subquotient_module(c.ring, c.side, z, Mat.zero(c.ring, z.rows, 0))]
+        assert _verdict_bytes(c.ring, v) == _verdict_bytes(c.ring, _split_by_every_cycle(c, window))
+
+
+def test_a_failing_tail_names_its_lowest_cycle_as_every_cycle_did():
+    ring = Zmod(12)
+    failing = [_z4_periodic(),
+               _tailed(ring, [Mat(ring, 1, 1, (6,)), Mat(ring, 1, 1, (2,))]),
+               _tailed(ring, _conjugated(random.Random(5), ring,
+                                         [_diagonal(ring, [4, 6]), _diagonal(ring, [9, 2])]))]
+    for c in failing:
+        for window in [(-2, 2), (-5, 4), (0, 1)]:
+            v = split_exactness_check(c, window)
+            assert v.code == ("window_too_small" if window == (0, 1) else "exact_not_split")
+            assert _verdict_bytes(c.ring, v) == \
+                _verdict_bytes(c.ring, _split_by_every_cycle(c, window))
 
 
 def _z4_periodic():

@@ -25,6 +25,8 @@ ENGINE = {"complexes.Forms.kernel", "complexes.Forms.solve"}
 ALLOWED = {
     "homspaces.induced_h0_map": "one solve against the target's cycles and boundaries "
                                 "together",
+    "complexes.split_exactness_check": "the relations among a tail's lowest cycles and "
+                                       "their span, the cycle module's presentation",
 }
 
 

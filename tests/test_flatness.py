@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -206,20 +207,42 @@ def test_cycle_probe_certifies_seeded_relations_with_a_lift(ring):
         assert (cert.lift @ kernel_right(rel.z)).is_zero()
 
 
+def test_a_cycle_probe_beyond_the_size_limit_is_refused_before_it_is_built():
+    # F_5^66 --I--> F_5^66 is exact at 1; the 66 z's are e_0 .. e_64 and e_0
+    # again, so M has 65 functionals and Hom(M, Q^0) 4356 x 4290
+    # generators: the Kronecker product that builds them, about 428 MB, is
+    # refused before its cells are allocated
+    ring, r = Fp(5), 66
+    q = Complex(ring, "left", {0: r, 1: r}, {0: Mat.identity(ring, r)})
+    z = Mat(ring, r, r, tuple(int(i == (j if j < r - 1 else 0)) for i in range(r)
+                              for j in range(r)))
+    rel = FlatRelation(ring, Mat(ring, 1, r, (1,) + (0,) * (r - 2) + (-1,)), z)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixError, match=f"{r * r * (r - 1) * r} cells"):
+            cycle_flatness_probe(q, 1, rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22, peak
+
+
 def test_a_certified_cycle_probe_makes_three_solves(count_eliminations):
     # exactness of Q at j, then one solve in Hom(M, Q) for the hypothesis
     # and the lift together, then the free certificate; over Z every
-    # kernel and every solve is one Bareiss pass, over [A | B] for a solve,
-    # and the span of a matrix that has not eliminated one over its transpose
+    # kernel and every solve is one Bareiss pass over A, which each solve
+    # then replays on B, and the span of a matrix that has not eliminated
+    # one is a pass over its transpose
     calls = count_eliminations()
     q = exact_three_term()
     rel = FlatRelation(ZZ, Mat(ZZ, 1, 2, (2, -1)), Mat(ZZ, 2, 2, (1, 2, 2, 4)))
     assert cycle_flatness_probe(q, -1, rel).ok
-    # kernels: the cycles of Q at j, the relations of the z's, then the
-    # span of those relations, M's presentation; kernels again: the
-    # functionals of M (once, though M appears in two Hom degrees), the
-    # cycles of Hom(M, Q) at j, the free certificate's row kernel
-    assert calls.bareiss == ["kernel", "solve", "kernel", "kernel", "kernel", "kernel", "solve",
-                             "kernel", "solve"]
+    # the cycles of Q at j and its exactness (a solve: a pass and a
+    # replay); the relations of the z's, then the span of those relations,
+    # M's presentation; the functionals of M (once, though M appears in two
+    # Hom degrees), the cycles of Hom(M, Q) at j and the Hom solve; the
+    # free certificate's row kernel and its solve
+    assert calls.bareiss == ["kernel", "kernel", "replay", "kernel", "kernel", "kernel", "kernel",
+                             "kernel", "replay", "kernel", "kernel", "replay"]
     relations = kernel_right(rel.z)
     assert calls.passes[3] == relations.transpose().row_list()

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from itertools import combinations
 from math import gcd, isqrt, prod
@@ -9,7 +10,7 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homcert.matrices import (Mat, MatrixError, _bareiss, _from_cols, _hnf, _xgcd,
+from homcert.matrices import (SIZE_LIMIT, Mat, MatrixError, _bareiss, _from_cols, _hnf, _xgcd,
                               assemble_blocks, block_diag, colspan_canonical, kernel_right,
                               smith_invariants, solve_right)
 from homcert.modules import FPModule
@@ -408,6 +409,40 @@ def test_invariants_and_spans_of_empty_and_zero_matrices(ring, shape):
     assert solve_right(z, Mat.zero(ring, rows, 2)) == Mat.zero(ring, cols, 2)
     if rows:
         assert solve_right(z, Mat(ring, rows, 1, (1,) + (0,) * (rows - 1))) is None
+
+
+def test_dense_builders_refuse_a_matrix_beyond_the_size_limit_before_building_it():
+    # one cell past SIZE_LIMIT**2 is refused, with nothing of that size
+    # allocated; negative dimensions keep their own refusal
+    n = SIZE_LIMIT
+    row, tall = Mat.zero(ZZ, 1, n), Mat.zero(ZZ, n, 2)  # their product: n x 2n
+    builders = {"an identity matrix": lambda: Mat.identity(ZZ, n + 1),
+                "a zero matrix": lambda: Mat.zero(ZZ, n, n + 1),
+                "a Kronecker product": lambda: row.kron(tall),
+                "a block matrix": lambda: assemble_blocks(ZZ, [[None]], [n + 1], [n])}
+    tracemalloc.start()
+    try:
+        for what, build in builders.items():
+            with pytest.raises(MatrixError, match=f"^{what} would have .* more than {n * n}$"):
+                build()
+        for negative in (lambda: Mat.identity(ZZ, -1), lambda: Mat.zero(ZZ, 2, -1)):
+            with pytest.raises(MatrixError, match="negative dimension"):
+                negative()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22, peak
+    assert Mat.zero(ZZ, 1, n * n).cols == n * n  # the limit itself is allowed
+
+
+@pytest.mark.parametrize("ring", [ZZ, Fp(5), Zmod(4), Zmod(12)], ids=str)
+def test_a_zero_span_runs_no_elimination(count_eliminations, ring):
+    # a zero matrix has no span to eliminate on any ring: over Z/n and
+    # F_p every pivot is n, the HNF that a run of the core would return
+    for shape in ((3, 0), (0, 3), (3, 4)):
+        calls = count_eliminations()
+        assert colspan_canonical(Mat.zero(ring, *shape)) == Mat.zero(ring, shape[0], 0)
+        assert calls == [] and calls.bareiss == []
 
 
 def _solve_a_multiple(a: Mat) -> Mat | None:
@@ -958,16 +993,17 @@ def _replay_cases():
 
 
 def test_replayed_z_solves_equal_the_pass_over_a_and_b(count_eliminations):
-    # a solve against a Mat that has eliminated replays the recorded Bareiss
-    # steps on B alone; it must give what one pass over [A | B] gives
+    # every solve, the first included, runs A's one Bareiss pass if it is
+    # not kept and replays the recorded steps on B alone; it must give
+    # what one pass over [A | B] gives
     kinds = set()
     for a, b in _replay_cases():
         expected = _stacked_solve(a, b)
         calls = count_eliminations()
-        solved_first = _fresh(a)  # a pass over [A | B], then a replay
+        solved_first = _fresh(a)  # a pass over A, then a replay per solve
         assert solve_right(solved_first, b) == expected
         assert solve_right(solved_first, b) == expected
-        kernel_first = _fresh(a)  # a pass over A, then replays
+        kernel_first = _fresh(a)  # a pass over A, then a replay
         kernel_right(kernel_first)
         assert solve_right(kernel_first, b) == expected
         if a.is_zero():
@@ -975,8 +1011,9 @@ def test_replayed_z_solves_equal_the_pass_over_a_and_b(count_eliminations):
         elif not b.cols:
             assert calls.bareiss == ["kernel"]
         else:
-            assert calls.bareiss == ["solve", "replay", "kernel", "replay"]
-            assert calls.replays == [b.columns()] * 2
+            assert calls.bareiss == ["kernel", "replay", "replay", "kernel", "replay"]
+            assert calls.passes == [a.row_list()] * 2
+            assert calls.replays == [b.columns()] * 3
         kinds.add((expected is None, b.cols, a.is_zero()))
     # not vacuous: solvable and not, one column and several, a zero A
     assert {(True, 1, False), (False, 1, False), (False, 3, False), (False, 0, False),
