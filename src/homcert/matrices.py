@@ -30,8 +30,8 @@ one HNF of [A; I_c] gives the kernel of A and every solve against it
 only the pivot columns from it down; over Z one Bareiss pass over A
 records its pivot steps, and every solve replays them on B alone: no
 larger system is stacked.  One column HNF gives the span and the first
-round of Smith; over Z it reads A's pass where A has full row rank, and
-otherwise one pass over A^T.
+round of Smith: mod n off a kept [A; I_c] (a kernel is its own span's
+HNF), else over A; over Z off A's pass at full row rank, else over A^T.
 
 Mod n each column is one int of fixed-width slots, one entry per slot,
 so a column step is one big-integer multiply-add and one slotwise
@@ -371,7 +371,6 @@ def _mod_hnf(n: int, rows: int, active: list[int], start: int):
     m, lead = -(-(1 << k) // n), (1 << w) - 1
     qmask = ((1 << w * rows) - 1) // lead * ((1 << w - k) - 1)  # 2**(w-k) - 1 in each slot
     found = [0] * rows
-    pivots: dict[int, int] = {}  # from start on: each pivot column, zero above its row
     # active columns hold entries from row i down and span (with n*Z)
     # the part of the lattice that vanishes above row i
     active = [a for a in active if a]
@@ -407,19 +406,28 @@ def _mod_hnf(n: int, rows: int, active: list[int], start: int):
                 if a := (a - (a * m >> k & qmask) * n) >> w:
                     rest.append(a)
                 g = h
-        if c and i < start:
-            found[i] = c
-        elif c:
-            c <<= w * i  # pivot columns keep every row, zero above their own
+        found[i] = c
+        active = rest
+    # the back-reduction never feeds the elimination, so it runs after it
+    return _back_reduce(n, w, (m, k, qmask), found, start), (m, k, qmask)
+
+
+def _back_reduce(n: int, w: int, barrett, found: list[int], start: int) -> list[int]:
+    """`_mod_hnf`'s last step, in place: in row order from start, each pivot g
+    takes the entries in its row of the earlier pivot columns into [0, g)."""
+    (m, k, qmask), lead = barrett, (1 << w) - 1
+    pivots: dict[int, int] = {}  # each pivot column, zero above its row
+    for i in range(start, len(found)):
+        if c := found[i]:
+            g, c = c & lead, c << w * i  # pivot columns keep every row
             for p, col in pivots.items():
                 if q := (col >> w * i & lead) // g:
                     col += (n - q) * c
                     pivots[p] = col - (col * m >> k & qmask) * n
             pivots[i] = c
-        active = rest
     for i, col in pivots.items():
         found[i] = col >> w * i
-    return found, (m, k, qmask)
+    return found
 
 
 def _bareiss(m: list[list[int]], c: int):
@@ -478,7 +486,8 @@ class _ModForm:
     The lattice is {(A x, x)} + n*Z^(r+c).  Its pivots at the rows of A
     are an echelon basis of it modulo the part that vanishes on those
     rows, which is {(0, x) : A x = 0 mod n}: the pivots below are the
-    Hermite form of the kernel (Cohen, GTM 138, 2.4).
+    Hermite form of the kernel (Cohen, GTM 138, 2.4).  Cut to A's rows, the
+    pivots there are the core's over A alone, no slot feeding another (`span`).
     """
 
     __slots__ = ("n", "r", "w", "pivots", "barrett")
@@ -493,6 +502,12 @@ class _ModForm:
     def kernel(self) -> dict[int, list[int]]:
         """{j: column} for the kernel's pivots g < n, j indexing x."""
         return _columns(self.pivots[self.r:], self.w, len(self.pivots) - self.r)
+
+    def span(self) -> dict[int, list[int]]:
+        """The column HNF of span(A) + n*Z^r, as `_hnf` returns it."""
+        r, w = self.r, self.w
+        found = [p & (1 << w * (r - i)) - 1 for i, p in enumerate(self.pivots[:r])]
+        return _columns(_back_reduce(self.n, w, self.barrett, found, 0), w, r)
 
     def solve(self, b_cols) -> list[list[int]] | None:
         """The x with A x = b mod n for each column b (a sequence of
@@ -534,10 +549,10 @@ class _ModForm:
 class _Kept:
     """What the eliminations of one Mat found, kept on it as `_kept` (not a
     field: out of ==, hash, repr and documents): zero, whether A is zero;
-    kernel; hnf, the column HNF of the span as `_hnf` returns it; form,
-    the `_ModForm` of [A; I] mod n, over Z of [R; I] mod |d|; and z, over
-    Z, (d, pivot columns, free columns, R, steps) of A's one Bareiss pass,
-    whose steps every solve, the first included, replays on B alone.
+    kernel; hnf, the span's HNF as `_hnf` returns it (mod n off form, or
+    set with a kernel); form, the `_ModForm` of [A; I] mod n, over Z of
+    [R; I] mod |d|; and z, over Z, (d, pivot columns, free columns, R,
+    steps) of A's one Bareiss pass, whose steps every solve replays on B.
     It holds no reference to the Mat, so the two form no cycle: each
     question passes the matrix in.  Racing threads may both eliminate;
     every value is deterministic and the last write wins.
@@ -598,6 +613,8 @@ class _Kept:
                 self.hnf = {}
             elif (n := A.ring.modulus) is None:
                 self.hnf = _z_span(A, self.z)
+            elif (form := self.form) is not None:  # a kernel or solve kept [A; I]
+                self.hnf = form.span()
             else:
                 w, c = _width(n), A.cols
                 found, _ = _mod_hnf(n, A.rows, _pack((A.entries[j::c] for j in range(c)), w), 0)
@@ -665,8 +682,10 @@ def kernel_right(A: Mat) -> Mat:
             kept.kernel = Mat.identity(A.ring, A.cols)
         elif A.ring.modulus is None:
             kept.kernel = _from_cols(A.ring, A.cols, kept.z_kernel(A))
-        else:
-            kept.kernel = _from_cols(A.ring, A.cols, list(kept.packed(A).kernel().values()))
+        else:  # its columns are the HNF of their own span: kept with them
+            h = kept.packed(A).kernel()
+            _Kept(k := _from_cols(A.ring, A.cols, list(h.values()))).hnf = h
+            kept.kernel = k
     return kept.kernel
 
 
@@ -715,7 +734,7 @@ def smith_invariants(A: Mat) -> list[int]:
     pivots = (A._kept or _Kept(A)).span_hnf(A)  # the first round, kept with A's span
     if n is None:  # continue mod D on the rows of the HNF
         k, n = len(pivots), prod(c[i] for i, c in pivots.items())
-        pivots = _hnf(n, k, [[c[i] for c in pivots.values()] for i in range(A.rows)])
+        pivots = _hnf(n, k, [[c[i] for c in pivots.values()] for i in range(A.rows)]) if k else {}
     while any(any(c[i + 1:]) for i, c in pivots.items()):
         pivots = _hnf(n, k, [[pivots[j][i] if j in pivots else 0 for j in range(k)]
                              for i in range(k)])

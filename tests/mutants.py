@@ -49,6 +49,9 @@ TAILS = ("tests/test_complexes.py::test_a_passing_tail_asks_its_lowest_cycle_alo
 RESOLUTIONS = ("tests/test_generator.py::test_resolutions_pass_the_public_constructor",)
 Z_REFERENCE = ("tests/test_matrices.py::test_z_spans_and_smith_invariants_match_the_list_core",)
 REPLAY = ("tests/test_matrices.py::test_replayed_z_solves_equal_the_pass_over_a_and_b",)
+KEPT_FORM = ("tests/test_matrices.py::"
+             "test_a_kept_form_answers_the_span_and_smith_with_no_elimination",)
+ZERO_SPAN = ("tests/test_matrices.py::test_a_zero_span_runs_no_elimination",)
 
 MUTANTS = [
     # contraction: e^j = 1 - s^(j+1) d^j loses its s d term, or its sign
@@ -107,7 +110,24 @@ MUTANTS = [
     Mutant("zero_span_eliminated_mod_n", MATRICES,
            "            if self.zero:  # every pivot is n (over Z, no column)\n"
            "                self.hnf = {}\n            elif",
-           "            if", ("tests/test_matrices.py::test_a_zero_span_runs_no_elimination",)),
+           "            if", ZERO_SPAN),
+    # Smith of a zero Z matrix runs the core mod 1 on no rows
+    Mutant("zero_smith_eliminated", MATRICES,
+           "for i in range(A.rows)]) if k else {}", "for i in range(A.rows)])", ZERO_SPAN),
+    # a span read off the kept [A; I] skips the back-reduction, keeps the
+    # I_c slots, or reads the kernel's pivots
+    Mutant("kept_span_unreduced", MATRICES,
+           "return _columns(_back_reduce(self.n, w, self.barrett, found, 0), w, r)",
+           "return _columns(found, w, r)", KEPT_FORM),
+    Mutant("kept_span_unmasked", MATRICES,
+           "found = [p & (1 << w * (r - i)) - 1 for i, p in enumerate(self.pivots[:r])]",
+           "found = self.pivots[:r]", KEPT_FORM),
+    Mutant("kept_span_reads_the_kernel", MATRICES,
+           "enumerate(self.pivots[:r])", "enumerate(self.pivots[r:])", KEPT_FORM),
+    # a kernel mod n is kept with A's span in place of its own
+    Mutant("kernel_seeds_a_wrong_span", MATRICES,
+           "list(h.values()))).hnf = h", "list(h.values()))).hnf = kept.packed(A).span()",
+           KEPT_FORM),
     # a bounded complex's sweep names its highest non-exact degree, or
     # sweeps only the window
     Mutant("bounded_sweep_names_highest", COMPLEXES,

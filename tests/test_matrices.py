@@ -438,10 +438,13 @@ def test_dense_builders_refuse_a_matrix_beyond_the_size_limit_before_building_it
 @pytest.mark.parametrize("ring", [ZZ, Fp(5), Zmod(4), Zmod(12)], ids=str)
 def test_a_zero_span_runs_no_elimination(count_eliminations, ring):
     # a zero matrix has no span to eliminate on any ring: over Z/n and
-    # F_p every pivot is n, the HNF that a run of the core would return
+    # F_p every pivot is n, the HNF that a run of the core would return;
+    # nor has its Smith form a round to run: over Z it has no factor
+    n = ring.modulus
     for shape in ((3, 0), (0, 3), (3, 4)):
         calls = count_eliminations()
         assert colspan_canonical(Mat.zero(ring, *shape)) == Mat.zero(ring, shape[0], 0)
+        assert smith_invariants(Mat.zero(ring, *shape)) == ([] if n is None else [n] * shape[0])
         assert calls == [] and calls.bareiss == []
 
 
@@ -938,7 +941,8 @@ QUESTIONS = (lambda a, b, c: kernel_right(a), lambda a, b, c: solve_right(a, b),
 @pytest.mark.parametrize("ring", [ZZ, Fp(7), Zmod(4), Zmod(12)], ids=str)
 def test_one_matrix_answers_four_questions_from_one_elimination_each(count_eliminations, ring):
     # kernel, solve, span, Smith and a second solve of one Mat: mod n one
-    # elimination of [A; I] and one of A, whose HNF is Smith's first round;
+    # elimination of [A; I], whose pivots at A's rows, back-reduced, are
+    # the span's HNF and Smith's first round;
     # over Z one Bareiss pass, one form of its rows mod |d| where the kernel
     # needs one, replays, and the span's HNF on A's row profile modulo a
     # divisor of the |d| of A's pass, or, where A's rank falls short of
@@ -966,11 +970,70 @@ def test_one_matrix_answers_four_questions_from_one_elimination_each(count_elimi
             assert asked[len(form)][0] == len(piv) and asked[len(form) + 1:] == later[1:]
         else:
             assert bareiss == []
-            assert asked == [calls.stacked(a), (a.rows, a.columns())] + later[1:]
+            assert asked == [calls.stacked(a)] + later[1:]
         # in any order, each answer is the one a fresh equal Mat gives
         for order in ([4, 3, 2, 1, 0], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 1, 4, 2, 0]):
             f = _fresh(a)
             assert [QUESTIONS[i](f, b, c) for i in order] == [expected[i] for i in order]
+
+
+def _kept_form_cases(rng, ring):
+    """Mod-n inputs, seeded: no rows, no columns, zero, more rows than
+    columns, rank-deficient, full rank, entries over all of [0, n), and
+    multiples of the least prime of n (pivots that are not units)."""
+    n = ring.modulus
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    yield from (Mat.zero(ring, 0, 3), Mat.zero(ring, 3, 0), Mat.zero(ring, 0, 0), Mat.zero(ring, 3, 4))
+    for r, c in ((5, 3), (4, 6), (6, 6), (1, 5), (8, 2), (7, 7)):
+        yield random_matrix(rng, ring, r, c)
+        yield random_matrix(rng, ring, r, 2) @ random_matrix(rng, ring, 2, c)
+        yield Mat(ring, r, c, tuple(rng.randrange(n) for _ in range(r * c)))
+        yield random_matrix(rng, ring, r, c).scale(p)
+
+
+KEPT_FORM_RINGS = [Zmod(2), Zmod(4), Zmod(12), Zmod(36), Zmod(2 ** 40), Fp(2), Fp(7), Fp(101)]
+
+
+@pytest.mark.parametrize("ring", KEPT_FORM_RINGS, ids=str)
+def test_a_kept_form_answers_the_span_and_smith_with_no_elimination(count_eliminations,
+                                                                     monkeypatch, ring):
+    # mod n the span of a Mat whose kernel or solve kept [A; I] is read off
+    # that elimination: its pivots at A's rows, the I_c slots masked off
+    # and back-reduced, are the HNF that the core finds over A alone; a
+    # kernel is its own span's HNF.  Asked in any order, each answer is a
+    # fresh Mat's, and no core run follows the one over [A; I] but Smith's
+    # rounds after its first
+    from homcert import matrices
+    back_reduce = matrices._back_reduce
+
+    def within_rows(n, w, barrett, found, start):
+        # each column, packed from its row down, holds no slot below the last row
+        assert all(c >> w * (len(found) - i) == 0 for i, c in enumerate(found))
+        return back_reduce(n, w, barrett, found, start)
+
+    monkeypatch.setattr(matrices, "_back_reduce", within_rows)
+    rng = random.Random(f"kept-form:{ring}")
+    for a in _kept_form_cases(rng, ring):
+        b = a @ random_matrix(rng, ring, a.cols, 2)
+        span = colspan_canonical(_fresh(a))
+        calls = count_eliminations()
+        smith = smith_invariants(_fresh(a))
+        first_round, rounds = calls[:1], calls[1:]
+        assert first_round == ([] if a.is_zero() else [(a.rows, a.columns())])
+        for first in (kernel_right, lambda f: solve_right(f, b)):
+            f = _fresh(a)
+            first(f)
+            calls = count_eliminations()
+            assert colspan_canonical(f) == span and calls == []
+            assert smith_invariants(f) == smith and calls == rounds
+        f = _fresh(a)
+        assert (colspan_canonical(f), smith_invariants(f)) == (span, smith)
+        kernel = kernel_right(f)
+        assert (colspan_canonical(f), smith_invariants(f)) == (span, smith)
+        calls = count_eliminations()
+        assert colspan_canonical(kernel) == kernel
+        assert calls == [] or a.is_zero()  # a zero A's kernel, I_c, is built with no form
+        assert smith_invariants(kernel) == smith_invariants(_fresh(kernel))
 
 
 def _replay_cases():
