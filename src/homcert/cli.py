@@ -17,7 +17,7 @@ import functools
 import sys
 from typing import Callable
 
-from .complexes import Complex, ComplexError, Forms, dualize_complex, split_exactness_check
+from .complexes import Complex, ComplexError, dualize_complex, split_exactness_check
 from .documents import (SIZE_LIMIT, Document, DocumentError, emit_document,
                         make_document, parse_document, unlimited_int_digits)
 from .duality import MAX_LEVELS, decompose_resolution, dualize_chain_map, rebuild_verify
@@ -151,8 +151,7 @@ def cmd_check_qiso(args) -> int:
 def cmd_homology(args) -> int:
     doc = _read_doc(args.input, "complex")
     lo, hi = args.window
-    forms = Forms(doc.payload)
-    mods = {j: forms.homology_data(j)[0] for j in range(lo, hi + 1)}
+    mods = {j: doc.payload.homology_data(j)[0] for j in range(lo, hi + 1)}
     v = Verdict(True, "homology_computed", {str(j): m for j, m in mods.items()})
     _print(args, make_document(doc.ring, "verdict", v),
            lambda: "\n".join(f"H^{j} = {_module_invariants(m)}" for j, m in mods.items()))

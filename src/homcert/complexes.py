@@ -16,8 +16,9 @@ term j to term j+1.  Fixed sign conventions:
   one construction of Hom complexes is homspaces.hom_fp_complex, which
   takes free terms as modules with empty presentations; a null homotopy
   of a given map is solved there, in degree -1 (null_homotopy_witness).
-  A contraction needs no Hom complex: it is lifted degree by degree
-  through the forms of the complex's own differentials (contraction).
+  A contraction needs no Hom complex: a complex is its own homology
+  engine (Forms), and it is lifted degree by degree through the forms the
+  complex keeps of its differentials, which every question to it shares.
 
 A complex is either bounded (explicit finite support) or carries
 eventually-periodic tails; tail evaluation is a pure lookup, so values
@@ -74,6 +75,63 @@ class ChainMapError(ComplexError):
         self.degree = degree
 
 
+class Forms:
+    """A complex's homology engine, one elimination per differential:
+    matrix(n) keeps restricted(n), the differential on the generators
+    gens_at(n) (None: the whole ambient module, of rank ambient_rank(n)),
+    or an equal one kept before, as a tail's are, and the matrix keeps its
+    elimination: kernel(n) gives the cycles at n, solve(n, .) exactness at
+    n + 1.  The hooks read the complex itself (the hook restricted(n) is
+    d^n; restrict(lo, hi) truncates); SubComplex overrides them.  `_cache`
+    is set where a complex is built; threads scan a snapshot of it."""
+
+    def restricted(self, n: int) -> Mat:
+        return self.diff(n)
+
+    def gens_at(self, n: int) -> Mat | None:
+        return None
+
+    def ambient_rank(self, n: int) -> int:
+        return self.rank(n)
+
+    def matrix(self, n: int) -> Mat:
+        key = ("matrix", n)
+        if key not in self._cache:
+            d = self.restricted(n)
+            self._cache[key] = next((f for k, f in list(self._cache.items())
+                                     if k[0] == "matrix" and f == d), d)
+        return self._cache[key]
+
+    def kernel(self, n: int) -> Mat:
+        return kernel_right(self.matrix(n))
+
+    def solve(self, n: int, b: Mat) -> Mat | None:
+        return solve_right(self.matrix(n), b)
+
+    def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
+        """(cycle generators, boundary generators) of degree n as ambient
+        columns: the kernel of matrix(n), pushed through gens_at(n), and
+        matrix(n - 1), kept first for matrix(n) to reuse."""
+        boundaries = self.matrix(n - 1)
+        u, cycles = self.gens_at(n), self.kernel(n)
+        return (cycles if u is None else u @ cycles), boundaries
+
+    def homology_data(self, n: int) -> tuple[FPModule, Mat, Mat]:
+        """(H^n on the cycle generators, cycle gens, boundary gens)."""
+        cycles, boundaries = self.cycles_and_boundaries(n)
+        return subquotient_module(self.ring, self.side, cycles, boundaries), cycles, boundaries
+
+    def exactness(self, n: int) -> tuple[Mat, Mat | None]:
+        """(Z, Y): the cycle generators Z at n and a solution Y of
+        matrix(n - 1) @ Y = Z, the witness of H^n = 0, or None."""
+        cycles, _ = self.cycles_and_boundaries(n)
+        return cycles, self.solve(n - 1, cycles)
+
+    def is_exact_at(self, n: int) -> bool:
+        """H^n = 0, without building H^n; a zero ambient module builds nothing."""
+        return not self.ambient_rank(n) or self.exactness(n)[1] is not None
+
+
 @dataclass(frozen=True)
 class PeriodicTail:
     """Degrees beyond `threshold` in `direction` repeat with `period`.
@@ -106,7 +164,7 @@ class PeriodicTail:
 
 
 @dataclass(frozen=True)
-class Complex:
+class Complex(Forms):
     ring: RingDescriptor
     side: str
     ranks: dict[int, int]
@@ -114,11 +172,12 @@ class Complex:
     tail_below: PeriodicTail | None = None
     tail_above: PeriodicTail | None = None
     # True on a complex known to be in twisted_sum's form: set by
-    # restrict and twisted_sum, kept by suspension.  Not a field, so it
-    # takes no part in ==; a public Complex is never marked.
+    # restrict and twisted_sum, kept by suspension; a public Complex is
+    # never marked.  It and Forms' _cache are not fields: not in ==.
     _sum_form = False
 
     def __post_init__(self):
+        object.__setattr__(self, "_cache", {})
         if self.side not in ("left", "right"):
             raise ComplexError(f"side must be 'left' or 'right', got {self.side!r}")
         for j, r in self.ranks.items():
@@ -167,7 +226,8 @@ class Complex:
         sum_form marks one in twisted_sum's form."""
         c = object.__new__(cls)
         c.__dict__.update(ring=ring, side=side, ranks=ranks, diffs=diffs,
-                          tail_below=tail_below, tail_above=tail_above, _sum_form=sum_form)
+                          tail_below=tail_below, tail_above=tail_above, _sum_form=sum_form,
+                          _cache={})
         return c
 
     # -- evaluation ----------------------------------------------------
@@ -478,75 +538,12 @@ def finite_coproduct(summands: list[Complex]) -> tuple[Complex, list[ChainMap]]:
 # module: it is the containment span Z in span B, one solve
 # d^(j-1) Y = Z whose Y is the witness.  The module is built only where
 # it is wanted: H^0 comparisons, the homology command and the report of
-# a non-exact degree.  Forms asks both, for complexes and Hom complexes.
+# a non-exact degree.  Forms asks both, of complexes and Hom complexes.
 
 
-class Forms:
-    """One elimination per differential: matrix(n) keeps restricted(n), the
-    differential on the generators gens_at(n) (None: the whole ambient
-    module, of rank ambient_rank(n)), or an equal one kept before, as a
-    tail's are, and the matrix keeps its elimination: kernel(n) gives the
-    cycles at n, solve(n, .) exactness at n + 1.  The hooks read q;
-    SubComplex overrides them."""
-
-    def __init__(self, q: Complex):
-        self.q, self._cache = q, {}
-
-    def restricted(self, n: int) -> Mat:
-        return self.q.diff(n)
-
-    def gens_at(self, n: int) -> Mat | None:
-        return None
-
-    def ambient_rank(self, n: int) -> int:
-        return self.q.rank(n)
-
-    def matrix(self, n: int) -> Mat:
-        key = ("matrix", n)
-        if key not in self._cache:
-            d = self.restricted(n)
-            self._cache[key] = next((f for k, f in self._cache.items()
-                                     if k[0] == "matrix" and f == d), d)
-        return self._cache[key]
-
-    def kernel(self, n: int) -> Mat:
-        return kernel_right(self.matrix(n))
-
-    def solve(self, n: int, b: Mat) -> Mat | None:
-        return solve_right(self.matrix(n), b)
-
-    def cycles_and_boundaries(self, n: int) -> tuple[Mat, Mat]:
-        """(cycle generators, boundary generators) of degree n as ambient
-        columns: the kernel of matrix(n), pushed through gens_at(n), and
-        matrix(n - 1), kept first for matrix(n) to reuse."""
-        boundaries = self.matrix(n - 1)
-        u, cycles = self.gens_at(n), self.kernel(n)
-        return (cycles if u is None else u @ cycles), boundaries
-
-    def homology_data(self, n: int) -> tuple[FPModule, Mat, Mat]:
-        """(H^n on the cycle generators, cycle gens, boundary gens)."""
-        cycles, boundaries = self.cycles_and_boundaries(n)
-        return subquotient_module(self.q.ring, self.q.side, cycles, boundaries), cycles, boundaries
-
-    def exactness(self, n: int) -> tuple[Mat, Mat | None]:
-        """(Z, Y): the cycle generators Z at n and a solution Y of
-        matrix(n - 1) @ Y = Z, the witness of H^n = 0, or None."""
-        cycles, _ = self.cycles_and_boundaries(n)
-        return cycles, self.solve(n - 1, cycles)
-
-    def is_exact_at(self, n: int) -> bool:
-        """H^n = 0, without building H^n; a zero ambient module builds nothing."""
-        return not self.ambient_rank(n) or self.exactness(n)[1] is not None
-
-
-def homology_data(c: Complex, j: int, *, forms: Forms | None = None) -> tuple[FPModule, Mat, Mat]:
-    """(H^j on the kernel generators, cycle gens, boundary gens), as columns of c^j,
-    from `forms`, an engine over c shared with other questions, or a new one."""
-    return (forms or Forms(c)).homology_data(j)
-
-
-def homology(c: Complex, j: int) -> FPModule:
-    return homology_data(c, j)[0]
+def homology_data(c: Complex, j: int) -> tuple[FPModule, Mat, Mat]:
+    """c.homology_data(j), as a function that a tracer can hook by name."""
+    return c.homology_data(j)
 
 
 # -- homotopies -------------------------------------------------------
@@ -573,10 +570,9 @@ def null_homotopy_witness(f: ChainMap) -> Homotopy | None:
     return Homotopy(X, Y, hom.split(-1, s))
 
 
-def contraction(c: Complex, *, forms: Forms | None = None) -> Homotopy | None:
+def contraction(c: Complex) -> Homotopy | None:
     """A null homotopy s of the identity of a bounded c, or None when c
-    is not contractible; `forms` is an engine over c shared with other
-    questions, or a new one.
+    is not contractible.
 
     s is lifted one degree at a time, from the top of the support down:
     with s^(hi+1) = 0, e^j = 1 - s^(j+1) d^j and s^j solves
@@ -594,7 +590,6 @@ def contraction(c: Complex, *, forms: Forms | None = None) -> Homotopy | None:
     live = {j for j, d in c.diffs.items() if not d.is_zero()}
     if any(r and j - 1 not in live and j not in live for j, r in c.ranks.items()):
         return None
-    forms = forms or Forms(c)
     s, above = {}, None  # above: s^(j+1), None where it is zero
     for j in range(hi, lo - 1, -1):
         if not (r := c.rank(j)):
@@ -610,7 +605,7 @@ def contraction(c: Complex, *, forms: Forms | None = None) -> Homotopy | None:
                 return None
             above = None
             continue
-        above = forms.solve(j - 1, e)
+        above = c.solve(j - 1, e)
         if above is None:
             return None
         s[j] = above
@@ -639,9 +634,8 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
     passes relative to the window; a window with no interior degree is
     window_too_small: nothing was checked.
     """
-    forms = Forms(c)
     if c.is_bounded:
-        homotopy = contraction(c, forms=forms)
+        homotopy = contraction(c)
         if homotopy is not None:
             return Verdict(True, "split_exact", {"homotopy": homotopy})
         lo, hi = c.support()  # not the zero complex: it is contractible
@@ -656,12 +650,12 @@ def split_exactness_check(c: Complex, window: tuple[int, int]) -> Verdict:
             # a nonzero term between two zero differentials is all homology
             h = FPModule.free(c.ring, c.side, r)
             return Verdict(False, "not_exact", {"degree": j, "homology": h}, not c.is_bounded)
-        if forms.exactness(j)[1] is None:
-            return Verdict(False, "not_exact", {"degree": j, "homology": forms.homology_data(j)[0]},
+        if c.exactness(j)[1] is None:
+            return Verdict(False, "not_exact", {"degree": j, "homology": c.homology_data(j)[0]},
                            not c.is_bounded)
     if c.is_bounded:
         raise ComplexError("exact bounded complex has no contraction; solver invariant broken")
-    cycle = FPModule(c.ring, c.side, colspan_canonical(kernel_right(forms.kernel(lo + 1))))
+    cycle = FPModule(c.ring, c.side, colspan_canonical(kernel_right(c.kernel(lo + 1))))
     if is_projective(cycle) is None:
         return Verdict(False, "exact_not_split", {"degree": lo + 1, "cycle": cycle}, True)
     return Verdict(True, "split_exact", {"window": window}, True)

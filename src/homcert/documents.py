@@ -237,7 +237,7 @@ def matrix_from_json(ring: RingDescriptor, obj: Any) -> Mat:
                         f"entry {e} is not a canonical representative over {ring}")
         flat.extend(row)
     if cols < 0:  # a negative cols fails every row's length, so here rows = 0
-        raise MatrixError("negative dimension")
+        raise DocumentError("negative dimension")
     return Mat._trusted(ring, rows, cols, tuple(flat))
 
 

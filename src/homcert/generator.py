@@ -27,8 +27,8 @@ from functools import cached_property
 
 from .matrices import Mat, block_diag, kernel_right
 from .modules import FPModule, ModuleMap, dual_data, modules_isomorphic
-from .complexes import (Complex, Forms, PeriodicTail, dualize_complex, finite_coproduct,
-                        first_difference, homology, homology_data, suspension)
+from .complexes import (Complex, PeriodicTail, dualize_complex, finite_coproduct,
+                        first_difference, homology_data, suspension)
 from .homspaces import free_terms, hom_fp_complex, hom_into_complex, induced_h0_map
 from .verdicts import Verdict
 
@@ -54,7 +54,7 @@ class GeneratorPackage:
     resolution = property(lambda self: self._resolved[0])
     complete = property(lambda self: self._resolved[1])  # P exact in all degrees
 
-    @property
+    @cached_property
     def dual_complex(self) -> Complex:  # P*, degrees >= 0
         return dualize_complex(self.resolution)
 
@@ -126,7 +126,7 @@ def _reaches(pkg: GeneratorPackage, depth: int) -> bool:
 
 def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) -> Verdict:
     """P resolves M*: H^0(P) = M*, H^j(P) = 0 for j < 0, from the floor of a
-    truncated resolution up (window_too_small wholly below it), read from one engine."""
+    truncated resolution up (window_too_small wholly below it), all asked of P."""
     lo, hi = window
     hi = min(hi, 0)
     floor = _trusted_resolution_floor(pkg)
@@ -136,13 +136,12 @@ def verify_resolution(pkg: GeneratorPackage, window: tuple[int, int] = (-6, 0)) 
         if lo > hi:
             return Verdict(False, "window_too_small", {"window": window, "floor": floor},
                            window_relative)
-    forms = Forms(pkg.resolution)
-    h0 = homology_data(pkg.resolution, 0, forms=forms)[0]
+    h0 = homology_data(pkg.resolution, 0)[0]
     if not modules_isomorphic(h0, pkg.dual):
         return Verdict(False, "degree_zero_mismatch", {"computed": h0, "expected": pkg.dual},
                        window_relative)
     for j in range(lo, min(hi, -1) + 1):
-        if not forms.is_exact_at(j):
+        if not pkg.resolution.is_exact_at(j):
             return Verdict(False, "not_exact_below", {"degree": j}, window_relative)
     return Verdict(True, "quasi_isomorphism", {"window": (lo, hi)}, window_relative)
 
@@ -252,7 +251,7 @@ def suspension_homology_chain(pkg: GeneratorPackage, q: Complex,
         classes = hom_classes(pkg, q, shift=i)
         if classes is None:
             return Verdict(False, "window_too_small", {}, window_relative=True)
-        left, right = classes[0][0], homology(q, -i)
+        left, right = classes[0][0], homology_data(q, -i)[0]
         if not modules_isomorphic(left, right):
             return Verdict(False, "chain_mismatch",
                            {"shift": i, "left": left, "right": right})

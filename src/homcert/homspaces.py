@@ -5,9 +5,9 @@ q x r0 matrix F with F P = 0, so Hom(M, R^q) sits inside the free
 module of all q x r0 matrices as the kernel of vec(F) |-> vec(F P).
 Stringing these together over the terms of a target complex Q gives a
 complex of submodules of free modules; its homology is the honest Hom
-homology, computed by complexes.Forms, the engine that serves complexes
-too, through three hooks: the ambient rank, the generators of each term
-and the restricted differential.  Cycles and boundaries are generating
+homology, computed by complexes.Forms, the engine a Complex is too,
+through three hooks: the ambient rank, the generators of each term and
+the restricted differential.  Cycles and boundaries are generating
 columns of a common ambient free module, so each Hom question is one
 solve against the boundaries: exactness, a preimage of given cycles
 (the flatness lift), or the coordinates of pushed cycles
@@ -41,15 +41,17 @@ from .complexes import Complex, Forms
 
 @dataclass(frozen=True)
 class SubComplex(Forms):
-    """Hom(X, Q), a complexes.Forms: the degree-n term is the span of
-    gens_at(n) in an ambient free module, and the differential is
-    restricted from ambient_diff(n).  Each degree's layout, generators
-    and restricted differential are built on first use and cached."""
+    """Hom(X, Q), a complexes.Forms over Q's ring and side: the degree-n
+    term is the span of gens_at(n) in an ambient free module, and the
+    differential is restricted from ambient_diff(n).  Each degree's layout,
+    generators and restricted differential are built on first use and cached."""
 
     terms: dict[int, FPModule]  # source term i in degree i, in increasing i
     diffs: dict[int, Mat]  # diffs[i]: term i -> term i+1, on generators
     q: Complex
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    ring = property(lambda self: self.q.ring)
+    side = property(lambda self: self.q.side)
 
     def layout(self, n: int) -> tuple[tuple[int, int, int], ...]:
         """(i, r0, qr) per source term i with a nonzero block

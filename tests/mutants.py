@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 COMPLEXES, MATRICES = "src/homcert/complexes.py", "src/homcert/matrices.py"
 FLATNESS, GENERATOR = "src/homcert/flatness.py", "src/homcert/generator.py"
+RINGS, VERDICTS = "src/homcert/rings.py", "src/homcert/verdicts.py"
 EXHAUSTIVE = ("tests/test_exhaustive.py",)
 TAILS = ("tests/test_complexes.py::test_a_passing_tail_asks_its_lowest_cycle_alone",
          "tests/test_complexes.py::test_a_failing_tail_names_its_lowest_cycle_as_every_cycle_did")
@@ -68,8 +69,8 @@ MUTANTS = [
             "test_contraction_agrees_with_the_hom_solve_and_with_exactness",)),
     # the split check's sweep passes a degree that is not exact
     Mutant("sweep_skips_not_exact", COMPLEXES,
-           "        if forms.exactness(j)[1] is None:\n",
-           "        if forms.exactness(j)[1] is None and False:\n",
+           "        if c.exactness(j)[1] is None:\n",
+           "        if c.exactness(j)[1] is None and False:\n",
            EXHAUSTIVE),
     # a replayed Z solve forgets the pass's row swap, or its pivot row
     Mutant("replay_no_swap", MATRICES,
@@ -100,7 +101,7 @@ MUTANTS = [
             "test_hom_exact_is_window_relative_unless_the_window_covers_every_degree",)),
     # a tail's split check asks its highest cycle, not its lowest
     Mutant("tail_asks_highest_cycle", COMPLEXES,
-           "forms.kernel(lo + 1)", "forms.kernel(hi - 1)", TAILS),
+           "c.kernel(lo + 1)", "c.kernel(hi - 1)", TAILS),
     # a Kronecker product allocates its cells before the size check
     Mutant("kron_unchecked", MATRICES,
            '        check_cells(self.rows * p, c, "a Kronecker product")\n', "",
@@ -161,6 +162,31 @@ MUTANTS = [
            "        self.kernel = self.hnf = self.form = self.z = None",
            ("tests/test_matrices.py::"
             "test_threads_that_race_on_one_matrix_get_the_answers_of_a_fresh_one",)),
+    # a complex keeps each differential as asked, not an equal one kept
+    # before, so equal differentials are eliminated once each
+    Mutant("forms_keep_no_equal_matrix", COMPLEXES,
+           "self._cache[key] = next((f for k, f in list(self._cache.items())\n"
+           "                                     if k[0] == \"matrix\" and f == d), d)",
+           "self._cache[key] = d",
+           ("tests/test_complexes.py::test_checks_of_one_complex_share_its_eliminations",)),
+    # threads sharing a complex scan its cache while another one fills it
+    Mutant("forms_scan_the_live_cache", COMPLEXES,
+           "for k, f in list(self._cache.items())", "for k, f in self._cache.items()",
+           ("tests/test_complexes.py::"
+            "test_threads_that_race_on_one_complex_get_the_answers_of_a_fresh_one",)),
+    # a composite that fails a Miller-Rabin round is taken for a prime
+    Mutant("composite_passes_a_failed_round", RINGS,
+           "        else:\n            return False\n", "        else:\n            continue\n",
+           ("tests/test_documents.py::"
+            "test_composites_with_no_factor_among_the_bases_are_refused",)),
+    # a failing verdict is truthy
+    Mutant("verdict_always_truthy", VERDICTS,
+           "    def __bool__(self) -> bool:\n        return self.ok\n\n", "",
+           ("tests/test_cli.py::test_a_verdict_is_truthy_exactly_when_it_passes",)),
+    # a package dualizes P again on every read of P*
+    Mutant("dual_complex_rebuilt", GENERATOR,
+           "    @cached_property\n    def dual_complex", "    @property\n    def dual_complex",
+           ("tests/test_generator.py::test_a_package_round_trips_as_its_module_and_depth",)),
 ]
 
 # run inside pytest, once collection has imported the tests: the module

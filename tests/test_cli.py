@@ -151,11 +151,10 @@ def test_homology_asks_one_engine_for_the_whole_window(capsys, count_elimination
     # degrees costs two eliminations for its homology module (the kernel
     # of [Z | B] and its canonical span), 203 in all; an engine per
     # degree eliminated the differential again in every degree (303)
-    from homcert.complexes import homology
     from homcert.verdicts import Verdict
 
     doc = parse_document(pathlib.Path(fx("complex_z4_periodic")).read_text())
-    want = {str(j): homology(doc.payload, j) for j in range(-50, 51)}
+    want = {str(j): doc.payload.homology_data(j)[0] for j in range(-50, 51)}
     calls = count_eliminations()
     code, out, _ = run(capsys, "homology", fx("complex_z4_periodic"), "--window=-50..50")
     assert code == 0 and len(calls) == 203
@@ -268,6 +267,21 @@ def test_split_check_with_bound_runs_collapse(capsys, tag="z"):
 
 
 # -- text summaries ----------------------------------------------------
+
+
+def test_a_verdict_is_truthy_exactly_when_it_passes():
+    from homcert.verdicts import Verdict
+
+    assert not Verdict(False, "x") and bool(Verdict(True, "x"))
+
+
+@pytest.mark.parametrize("argv,code,text", [
+    (["contractible_z", "--window=-6..5"], 0, "PASS: split_exact\n"),
+    (["complex_z_mult2", "--window=-4..3"], 1, "FAIL: not_exact\n"),
+    (["complex_z4_periodic", "--window=-4..4"], 1, "FAIL: exact_not_split (window-relative)\n"),
+], ids=["pass", "not-exact", "window-relative"])
+def test_a_verdict_prints_its_tag_code_and_window_in_text_format(capsys, argv, code, text):
+    assert run(capsys, "--format", "text", "split-check", fx(argv[0]), argv[1]) == (code, text, "")
 
 
 @pytest.mark.parametrize("argv,text", [

@@ -1,13 +1,15 @@
 import hashlib
 import random
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
-from homcert.complexes import (ChainMap, Complex, ComplexError, Forms, Homotopy,
-                               PeriodicTail, cone, contraction, dualize_complex,
-                               finite_coproduct, first_difference, homology,
-                               null_homotopy_witness, split_exactness_check,
-                               suspension, twisted_sum)
+from homcert.complexes import (ChainMap, Complex, ComplexError, Homotopy, PeriodicTail,
+                               cone, contraction, dualize_complex, finite_coproduct,
+                               first_difference, homology_data, null_homotopy_witness,
+                               split_exactness_check, suspension, twisted_sum)
 from homcert import complexes
 from homcert.documents import emit_document, make_document
 from homcert.generator import resolve_module
@@ -92,8 +94,8 @@ def test_shape_of_differentials_enforced():
 
 def test_homology_of_multiplication_by_two():
     c = two_term(ZZ, 2)
-    assert homology(c, -1).is_zero()
-    assert modules_isomorphic(homology(c, 0), FPModule.cyclic(ZZ, "left", 2))
+    assert c.homology_data(-1)[0].is_zero()
+    assert modules_isomorphic(c.homology_data(0)[0], FPModule.cyclic(ZZ, "left", 2))
 
 
 def test_suspension_shifts_and_flips_sign():
@@ -103,7 +105,7 @@ def test_suspension_shifts_and_flips_sign():
     assert s.diff(-1)[0, 0] == -2
     assert suspension(c, 2).diff(-2)[0, 0] == 2
     # H^j(S C) = H^(j+1)(C)
-    assert modules_isomorphic(homology(s, 0), homology(c, 1))
+    assert modules_isomorphic(s.homology_data(0)[0], c.homology_data(1)[0])
 
 
 def test_suspension_inverse():
@@ -121,7 +123,7 @@ def test_periodic_tail_lookup():
     for j in (-7, -1, 0, 1, 4):
         assert c.rank(j) == 1
         assert c.diff(j) == two
-    assert homology(c, -3).is_zero()
+    assert c.homology_data(-3)[0].is_zero()
 
 
 def test_dual_flips_degrees_and_transposes():
@@ -255,7 +257,7 @@ def test_passing_bounded_split_check_only_solves_for_a_contraction(monkeypatch):
     def refuse(*args):
         raise AssertionError("a contractible complex needs no homology or projectivity test")
 
-    monkeypatch.setattr(cx, "homology", refuse)
+    monkeypatch.setattr(cx.Complex, "homology_data", refuse)
     monkeypatch.setattr(cx, "is_projective", refuse)
     rng = random.Random(13)
     for ring in RINGS:
@@ -336,8 +338,7 @@ def test_contraction_agrees_with_the_hom_solve_and_with_exactness(ring):
         identity = ChainMap.identity(c)
         lifted, solved = contraction(c), null_homotopy_witness(identity)
         span = c.support()
-        forms = Forms(c)
-        exact = span is None or all(forms.is_exact_at(j) for j in range(span[0], span[1] + 1))
+        exact = span is None or all(c.is_exact_at(j) for j in range(span[0], span[1] + 1))
         assert (lifted is None) == (solved is None) == (not exact)
         for h in (lifted, solved):
             assert h is None or h.bounds(identity)
@@ -440,10 +441,10 @@ def test_split_exactness_computes_each_kernel_once(count_eliminations):
 def _split_by_every_cycle(c: Complex, window: tuple[int, int]) -> Verdict:
     """split_exactness_check as it was when a tail's check built the cycle
     module of every degree inside the window and asked each whether it is
-    projective, kept verbatim as the reference."""
-    forms, cycles = Forms(c), {}
+    projective, kept as the reference (asking c itself, as the check does)."""
+    cycles = {}
     if c.is_bounded:
-        homotopy = contraction(c, forms=forms)
+        homotopy = contraction(c)
         if homotopy is not None:
             return Verdict(True, "split_exact", {"homotopy": homotopy})
         lo, hi = c.support()  # not the zero complex: it is contractible
@@ -458,9 +459,9 @@ def _split_by_every_cycle(c: Complex, window: tuple[int, int]) -> Verdict:
             # a nonzero term between two zero differentials is all homology
             h = FPModule.free(c.ring, c.side, r)
             return Verdict(False, "not_exact", {"degree": j, "homology": h}, not c.is_bounded)
-        z, y = forms.exactness(j)
+        z, y = c.exactness(j)
         if y is None:
-            return Verdict(False, "not_exact", {"degree": j, "homology": forms.homology_data(j)[0]},
+            return Verdict(False, "not_exact", {"degree": j, "homology": c.homology_data(j)[0]},
                            not c.is_bounded)
         cycles[j] = z
     if c.is_bounded:
@@ -537,7 +538,7 @@ def test_a_passing_tail_asks_its_lowest_cycle_alone(monkeypatch, window):
         asked.clear()
         v = split_exactness_check(c, window)
         assert (v.ok, v.code, v.window_relative) == (True, "split_exact", True)
-        z = Forms(c).kernel(window[0] + 1)
+        z = c.kernel(window[0] + 1)
         assert asked == [subquotient_module(c.ring, c.side, z, Mat.zero(c.ring, z.rows, 0))]
         assert _verdict_bytes(c.ring, v) == _verdict_bytes(c.ring, _split_by_every_cycle(c, window))
 
@@ -574,20 +575,78 @@ def test_a_periodic_sweep_eliminates_its_repeated_differential_once(count_elimin
     assert calls == [(2, [[2, 1]])] * 2
 
 
+@pytest.mark.parametrize("ring, r, entries", [(Zmod(4), 1, (2,)), (ZZ, 2, (0, 2, 0, 0))],
+                         ids=["Z/4", "Z"])
+def test_checks_of_one_complex_share_its_eliminations(count_eliminations, ring, r, entries):
+    # R^r --d--> R^r --d--> R^r --d--> R^r, d^2 = 0 and not exact: the split
+    # check and then H^j in every degree ask the one complex, which keeps
+    # the first of its equal differentials that it eliminated, so with each
+    # d a Mat of its own they run the eliminations they run when every d is
+    # one Mat, which keeps its own and is eliminated once
+    def checks(diffs):
+        c = Complex(ring, "left", dict.fromkeys(range(4), r), diffs)
+        calls = count_eliminations()
+        v = split_exactness_check(c, (-1, 4))
+        got = [homology_data(c, j) for j in range(-1, 5)]
+        return v, got, (list(calls), calls.passes, calls.replays)
+
+    one = Mat(ring, r, r, entries)
+    shared = checks(dict.fromkeys(range(3), one))
+    distinct = checks({j: Mat(ring, r, r, entries) for j in range(3)})
+    assert shared[0].code == "not_exact" and any(shared[2])
+    assert distinct == shared
+
+
+def test_threads_that_race_on_one_complex_get_the_answers_of_a_fresh_one():
+    # a complex keeps the differentials it is asked about while other
+    # threads scan what it keeps for an equal one; every answer must be
+    # the one a fresh equal complex gives, whatever the interleaving
+    rng = random.Random(71)
+    cases = []
+    for ring in (ZZ, Zmod(12), Fp(7)):
+        for _ in range(4):
+            c = random_bounded_complex(rng, ring, max_pieces=5, lo=-4, hi=4)
+            degrees = list(range(-6, 7))
+            cases.append((c, degrees, [replace(c).homology_data(j) for j in degrees]))
+    shared = [(replace(c), degrees, expected) for _ in range(10) for c, degrees, expected in cases]
+    wrong = []
+
+    def ask_all(step):
+        for c, degrees, expected in shared:
+            for i in range(len(degrees))[::step]:
+                try:
+                    if c.homology_data(degrees[i]) != expected[i]:
+                        wrong.append((c, degrees[i]))
+                except Exception as exc:  # a cache that changed during a scan, say
+                    wrong.append((c, degrees[i], exc))
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask_all, args=(step,)) for step in (1, -1, 2, -2) * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 @pytest.mark.parametrize("j", [-3, 0, 1, 4])
 def test_is_exact_at_is_one_step_of_the_sweep(count_eliminations, j):
     c = _z4_periodic()
     assert c.diff(j - 1) is c.diff(j)
     calls = count_eliminations()
-    assert Forms(c).is_exact_at(j)
+    assert c.is_exact_at(j)
     assert calls == [(2, [[2, 1]])]
     rng = random.Random(j)
     for ring in (ZZ, Fp(7), Zmod(4), Zmod(12)):
         q = random_bounded_complex(rng, ring)
-        # a fresh engine and one that has swept the degrees below agree
-        sweep = Forms(q)
-        steps = [sweep.is_exact_at(k) for k in range(j - 3, j + 1)]
-        assert Forms(q).is_exact_at(j) == steps[-1] == homology(q, j).is_zero()
+        # a fresh complex and one that has swept the degrees below agree
+        steps = [q.is_exact_at(k) for k in range(j - 3, j + 1)]
+        assert replace(q).is_exact_at(j) == steps[-1] == replace(q).homology_data(j)[0].is_zero()
 
 
 def test_first_difference_names_the_lowest_differing_degree():

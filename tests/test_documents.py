@@ -11,7 +11,7 @@ from homcert.documents import (FORMAT_VERSION, DocumentError, emit_document,
                                make_document, parse_document, unlimited_int_digits)
 from homcert.matrices import Mat
 from homcert.modules import FPModule
-from homcert.rings import Zmod, ZZ
+from homcert.rings import Fp, Zmod, ZZ
 from homcert.verdicts import Verdict
 
 FIXTURES = sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json"))
@@ -274,10 +274,8 @@ def test_parse_names_the_first_bad_entry(ring, entries, message):
 
 def test_parse_refuses_a_negative_column_count():
     # with no rows no entry check sees cols; with rows, each row's length does
-    from homcert.matrices import MatrixError
-
     head = DOC + '"ring": {"kind": "Zmod", "n": 4}, "kind": "matrix", "payload": '
-    with pytest.raises(MatrixError, match="negative dimension"):
+    with pytest.raises(DocumentError, match="negative dimension"):
         parse_document(head + '{"rows": 0, "cols": -1, "entries": []}}')
     with pytest.raises(DocumentError, match="matrix rows must have -1 entries"):
         parse_document(head + '{"rows": 1, "cols": -1, "entries": [[]]}}')
@@ -474,6 +472,18 @@ def test_large_prime_moduli_are_decided_at_once():
         parse_document(json.dumps(doc))
     doc["ring"]["n"] = 2**89 - 1  # prime, beyond the exact Miller-Rabin bound
     with pytest.raises(DocumentError, match="prime below"):
+        parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n", [2021, 3215031751], ids=["43*47", "151*751*28351"])
+def test_composites_with_no_factor_among_the_bases_are_refused(n):
+    # no trial division by a base decides these, so a Miller-Rabin round
+    # must; 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="Fp requires a prime"):
+        Fp(n)
+    doc = _fixture_json("module_f5_0")
+    doc["ring"]["n"] = n
+    with pytest.raises(DocumentError, match="Fp requires a prime"):
         parse_document(json.dumps(doc))
 
 

@@ -1123,7 +1123,7 @@ def test_threads_that_race_on_one_matrix_get_the_answers_of_a_fresh_one():
         for deficient in (False, True):
             a, b, c = _elim_shaped(rng, ring, 6, deficient)
             cases.append((a, b, c, [ask(_fresh(a), b, c) for ask in QUESTIONS]))
-    shared = [(_fresh(a), b, c, expected) for _ in range(30) for a, b, c, expected in cases]
+    shared = [(_fresh(a), b, c, expected) for _ in range(90) for a, b, c, expected in cases]
     wrong = []
 
     def ask_all(order):
